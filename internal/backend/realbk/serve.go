@@ -2,6 +2,7 @@ package realbk
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -395,5 +396,14 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 			out.PerNodeMem[i] += m
 		}
 	}
+	// Everything this call built — the weights, every stage's KV store
+	// and scratch, the in-flight wire buffers — has just died, and it was
+	// nearly all of the process's live heap. Collect it at this boundary:
+	// left to the pacer, a process that serves pipelines back to back
+	// builds each one on top of its dead predecessor, and the collector,
+	// having last seen a whole pipeline live, lets the heap reach twice
+	// (pipeline + whatever the caller retains) before it runs again.
+	// One collection per pipeline costs well under a millisecond.
+	runtime.GC()
 	return out, nil
 }

@@ -592,7 +592,14 @@ type Stats struct {
 	FirstToken  time.Duration // first acceptance after prefill (TTFT anchor)
 	Done        time.Duration // generation finished
 
-	AcceptTimes []time.Duration // timestamp of every acceptance event
+	// AcceptTimes is the timestamp of every acceptance event, kept by the
+	// single-request engines and in each serving Result (bounded by the
+	// request's MaxNew). The serving aggregate carries only the summary:
+	// AcceptCount events, the first at FirstToken, the latest at
+	// LastAccept — all ITL reads.
+	AcceptTimes []time.Duration
+	AcceptCount int
+	LastAccept  time.Duration
 
 	Proposed      int // draft tokens offered for verification
 	Accepted      int // draft tokens accepted
@@ -685,11 +692,14 @@ func (s *Stats) Speed() float64 {
 // ITL is the average inter-token latency (§V-A metric 3): the mean gap
 // between successive token acceptances.
 func (s *Stats) ITL() time.Duration {
-	if len(s.AcceptTimes) < 2 {
+	n, first, last := s.AcceptCount, s.FirstToken, s.LastAccept
+	if k := len(s.AcceptTimes); k > 0 {
+		n, first, last = k, s.AcceptTimes[0], s.AcceptTimes[k-1]
+	}
+	if n < 2 {
 		return 0
 	}
-	span := s.AcceptTimes[len(s.AcceptTimes)-1] - s.AcceptTimes[0]
-	return span / time.Duration(len(s.AcceptTimes)-1)
+	return (last - first) / time.Duration(n-1)
 }
 
 // AcceptanceRate is the fraction of proposed draft tokens accepted.

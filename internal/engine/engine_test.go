@@ -388,6 +388,31 @@ func TestStatsMetrics(t *testing.T) {
 	}
 }
 
+// TestLiveStatsAcceptSummary: the serving aggregate (log off) keeps
+// first, last and count in O(1) — no log, no allocation however many
+// tokens pass — and reports the same ITL as the logging engines do.
+func TestLiveStatsAcceptSummary(t *testing.T) {
+	var agg, logged LiveStats
+	at := func(i int) time.Duration { return 1500*time.Millisecond + time.Duration(i)*500*time.Millisecond }
+	for i := 0; i < 10; i++ {
+		agg.Sampled(at(i), 1, false)
+		logged.Sampled(at(i), 1, true)
+	}
+	a, l := agg.Snapshot(), logged.Snapshot()
+	if a.AcceptTimes != nil || len(l.AcceptTimes) != 10 {
+		t.Fatalf("aggregate logged %d timestamps (want none), engine log %d (want 10)", len(a.AcceptTimes), len(l.AcceptTimes))
+	}
+	if a.AcceptCount != 10 || a.FirstToken != at(0) || a.LastAccept != at(9) {
+		t.Fatalf("summary count=%d first=%v last=%v", a.AcceptCount, a.FirstToken, a.LastAccept)
+	}
+	if a.ITL() != 500*time.Millisecond || l.ITL() != a.ITL() {
+		t.Fatalf("ITL aggregate %v, logged %v, want 500ms", a.ITL(), l.ITL())
+	}
+	if n := testing.AllocsPerRun(100, func() { agg.Sampled(at(10), 1, false); _ = agg.Snapshot() }); n != 0 {
+		t.Fatalf("aggregate accounting allocates %v per accept+snapshot", n)
+	}
+}
+
 func TestCancelSetGC(t *testing.T) {
 	c := newCancelSet()
 	c.masks[5] = fullCancel

@@ -546,13 +546,21 @@ func (h *Head) Shutdown() {
 	}
 }
 
-// Sampled records an accepted token timestamp and first-token latency.
-func (h *Head) Sampled(n int) {
+// Sampled records n accepted tokens, logging each timestamp: the
+// single-request engines' acceptance hook.
+func (h *Head) Sampled(n int) { h.sampled(n, true) }
+
+// SampledAggregate is Sampled for the serving layer, whose aggregate
+// keeps only first, last and count (see LiveStats.Sampled); per-request
+// timestamps live in each session's own Stats.
+func (h *Head) SampledAggregate(n int) { h.sampled(n, false) }
+
+func (h *Head) sampled(n int, log bool) {
 	if n <= 0 {
 		return
 	}
 	now := h.EP.Now()
-	h.Stats.Sampled(now, n)
+	h.Stats.Sampled(now, n, log)
 	h.Flight.Record(now, trace.FlightAccept, 0, int32(n))
 	if h.Trace != nil {
 		h.Trace.Record(now, "head", trace.KindAccept, 0, fmt.Sprintf("n=%d", n))

@@ -11,9 +11,9 @@ import (
 // the 64-bit alignment 32-bit platforms need — no manual field-ordering
 // rules), so the telemetry layer can take a consistent-enough Snapshot
 // or Delta mid-serve without stopping the scheduler. The few
-// non-counter fields (phase timestamps and the acceptance-timestamp
-// slice) sit behind a mutex taken only on acceptance events and
-// snapshots.
+// non-counter fields (phase timestamps, the acceptance count and last
+// timestamp, and the single-request engines' acceptance log) sit behind
+// a mutex taken only on acceptance events and snapshots.
 //
 // Snapshot consistency rule: counters are read one atomic load at a
 // time, so a snapshot is not a single linearization point across
@@ -57,31 +57,26 @@ type LiveStats struct {
 	prefillDone time.Duration
 	firstToken  time.Duration
 	done        time.Duration
+	accepts     int           // acceptance events so far
+	lastAccept  time.Duration // timestamp of the latest one
 	acceptTimes []time.Duration
 }
 
-// GrowAccepts preallocates capacity for n acceptance timestamps so
-// steady-state Sampled calls never grow the slice — the serving layer's
-// zero-allocation gate depends on this.
-func (ls *LiveStats) GrowAccepts(n int) {
-	ls.mu.Lock()
-	if cap(ls.acceptTimes)-len(ls.acceptTimes) < n {
-		grown := make([]time.Duration, len(ls.acceptTimes), len(ls.acceptTimes)+n)
-		copy(grown, ls.acceptTimes)
-		ls.acceptTimes = grown
-	}
-	ls.mu.Unlock()
-}
-
-// Sampled records n acceptance timestamps at now and pins the
-// first-token time on the first call. Allocation-free once GrowAccepts
-// has reserved capacity.
-func (ls *LiveStats) Sampled(now time.Duration, n int) {
+// Sampled records n acceptances at now and pins the first-token time on
+// the first call. First, last and count — all Stats.ITL reads — are
+// always kept, in O(1) and without allocating; with log set every
+// timestamp is also appended to the acceptance log. Single-request
+// engines log (one generation, bounded by its token budget); the serving
+// aggregate does not, because a live-intake server would otherwise keep
+// 8 bytes per token served for as long as it runs.
+func (ls *LiveStats) Sampled(now time.Duration, n int, log bool) {
 	if n <= 0 {
 		return
 	}
 	ls.mu.Lock()
-	for i := 0; i < n; i++ {
+	ls.accepts += n
+	ls.lastAccept = now
+	for i := 0; log && i < n; i++ {
 		ls.acceptTimes = append(ls.acceptTimes, now)
 	}
 	if ls.firstToken == 0 {
@@ -117,24 +112,19 @@ func (ls *LiveStats) MarkDone(at time.Duration) {
 	ls.mu.Unlock()
 }
 
-// AcceptCount reports the number of acceptance events so far.
-func (ls *LiveStats) AcceptCount() int {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return len(ls.acceptTimes)
-}
-
 // Snapshot copies the live counters into a plain Stats value. Safe to
 // call concurrently with scheduler mutation; see the type comment for
-// the consistency contract. The acceptance-timestamp slice is copied,
-// so snapshots are self-contained (and Snapshot therefore allocates —
-// it belongs on scrape/shutdown paths, not per-token ones).
+// the consistency contract. A single-request engine's acceptance log is
+// copied, so snapshots are self-contained (and Snapshot of one therefore
+// allocates — it belongs on scrape/shutdown paths, not per-token ones).
 func (ls *LiveStats) Snapshot() Stats {
 	ls.mu.Lock()
 	s := Stats{
 		PrefillDone: ls.prefillDone,
 		FirstToken:  ls.firstToken,
 		Done:        ls.done,
+		AcceptCount: ls.accepts,
+		LastAccept:  ls.lastAccept,
 	}
 	if len(ls.acceptTimes) > 0 {
 		s.AcceptTimes = make([]time.Duration, len(ls.acceptTimes))
@@ -169,7 +159,8 @@ func (ls *LiveStats) Snapshot() Stats {
 }
 
 // Delta returns the counter movement since prev (a prior Snapshot).
-// Timestamps carry the current values; AcceptTimes is omitted.
+// Timestamps and the acceptance count carry the current values;
+// AcceptTimes is omitted.
 func (ls *LiveStats) Delta(prev Stats) Stats {
 	cur := ls.Snapshot()
 	cur.AcceptTimes = nil

@@ -293,75 +293,78 @@ func (m *Model) ForwardLayers(lo, hi int, x tensor.Mat, kv *KVStore, batch *Batc
 // Scratch, the steady-state zero-allocation decode path: every buffer the
 // pass needs (normed hidden state, query projections, attention scores,
 // MLP activations) lives in s and is reused across calls.
+//
+// Each layer runs as batched phases over blocks of rowBlock rows — norm,
+// QKV projection, RoPE and K/V store for every block, then attention,
+// Wo + residual, norm, gate/up, SiLUMul, down + residual per block — so
+// every projection is one multi-row product. The kernels compute each
+// output in one canonical order (see package tensor), so a row's
+// activations, and the K/V rows it stores, are bit-identical whatever
+// other rows share the batch.
 func (m *Model) ForwardLayersScratch(lo, hi int, x tensor.Mat, kv *KVStore, batch *Batch, perLayer func(layer int) bool, s *Scratch) (tensor.Mat, bool) {
 	if err := batch.Validate(); err != nil {
 		panic(err)
 	}
-	if x.Rows != batch.Len() || x.Cols != m.Cfg.Dim {
+	n := batch.Len()
+	if x.Rows != n || x.Cols != m.Cfg.Dim {
 		panic(fmt.Sprintf("model: activation shape %dx%d does not match batch %d x dim %d",
-			x.Rows, x.Cols, batch.Len(), m.Cfg.Dim))
+			x.Rows, x.Cols, n, m.Cfg.Dim))
 	}
 	cfg := m.Cfg
 	headDim := cfg.HeadDim()
-	groups := cfg.NHeads / cfg.NKVHeads
 	scale := float32(1.0 / math.Sqrt(float64(headDim)))
-
-	h := s.h
-	attnOut := s.attnOut
-	proj := s.proj
-	gate := s.gate
-	up := s.up
-	q := s.ensureQ(batch.Len(), cfg.Dim)
+	s.shape(cfg, n)
 
 	for l := lo; l < hi; l++ {
 		lay := &m.Layers[l]
 		lk := kv.K[kv.layer(l)]
 		lv := kv.V[kv.layer(l)]
 
-		// Phase 1: project q/k/v for every token, apply RoPE, store K/V.
-		for b := 0; b < batch.Len(); b++ {
-			tensor.RMSNorm(h, x.Row(b), lay.AttnNorm, cfg.NormEps)
-			lay.Wq.MatVecQ(q.Row(b), h)
-			cell := batch.Cells[b]
-			lay.Wk.MatVecQ(lk.Row(cell), h)
-			lay.Wv.MatVecQ(lv.Row(cell), h)
-			pos := int(batch.Meta[b].Pos)
-			tensor.RoPE(q.Row(b), headDim, pos, cfg.RopeBase)
-			tensor.RoPE(lk.Row(cell), headDim, pos, cfg.RopeBase)
-		}
-
-		// Phase 2: attention per token over its visible cells, then the
-		// output projection and MLP with residual connections.
-		for b := 0; b < batch.Len(); b++ {
-			vis := batch.Visible[b]
-			scores := s.ensureScores(len(vis))
-			for hIdx := 0; hIdx < cfg.NHeads; hIdx++ {
-				kvHead := hIdx / groups
-				qh := q.Row(b)[hIdx*headDim : (hIdx+1)*headDim]
-				for vi, cell := range vis {
-					kh := lk.Row(cell)[kvHead*headDim : (kvHead+1)*headDim]
-					scores[vi] = tensor.Dot(qh, kh) * scale
-				}
-				tensor.Softmax(scores)
-				out := attnOut[hIdx*headDim : (hIdx+1)*headDim]
-				for i := range out {
-					out[i] = 0
-				}
-				for vi, cell := range vis {
-					vh := lv.Row(cell)[kvHead*headDim : (kvHead+1)*headDim]
-					tensor.Axpy(out, scores[vi], vh)
-				}
+		// Project q/k/v for every token, apply RoPE, store K/V. Every
+		// row's K/V must reach the store before any row attends: a
+		// token's visible cells include the batch's own earlier tokens.
+		for b0 := 0; b0 < n; b0 += rowBlock {
+			b1 := min(b0+rowBlock, n)
+			h, q := s.h.RowSpan(0, b1-b0), s.q.RowSpan(b0, b1)
+			k, v := s.k.RowSpan(0, b1-b0), s.v.RowSpan(0, b1-b0)
+			for b := b0; b < b1; b++ {
+				tensor.RMSNorm(h.Row(b-b0), x.Row(b), lay.AttnNorm, cfg.NormEps)
 			}
-			lay.Wo.MatVecQ(proj, attnOut)
-			tensor.Add(x.Row(b), x.Row(b), proj)
-
-			tensor.RMSNorm(h, x.Row(b), lay.FFNNorm, cfg.NormEps)
-			lay.WGate.MatVecQ(gate, h)
-			lay.WUp.MatVecQ(up, h)
-			tensor.SiLUMul(gate, gate, up)
-			lay.WDown.MatVecQ(proj, gate)
-			tensor.Add(x.Row(b), x.Row(b), proj)
+			lay.Wq.MatMulTQ(q, h)
+			lay.Wk.MatMulTQ(k, h)
+			lay.Wv.MatMulTQ(v, h)
+			for b := b0; b < b1; b++ {
+				pos := int(batch.Meta[b].Pos)
+				tensor.RoPE(q.Row(b-b0), headDim, pos, cfg.RopeBase)
+				tensor.RoPE(k.Row(b-b0), headDim, pos, cfg.RopeBase)
+				copy(lk.Row(batch.Cells[b]), k.Row(b-b0))
+				copy(lv.Row(batch.Cells[b]), v.Row(b-b0))
+			}
 		}
+
+		// Attention per token over its visible cells, then the output
+		// projection and MLP with residual connections.
+		for b0 := 0; b0 < n; b0 += rowBlock {
+			b1 := min(b0+rowBlock, n)
+			xb := x.RowSpan(b0, b1)
+			h, attn, proj := s.h.RowSpan(0, b1-b0), s.attn.RowSpan(0, b1-b0), s.proj.RowSpan(0, b1-b0)
+			gate, up := s.gate.RowSpan(0, b1-b0), s.up.RowSpan(0, b1-b0)
+			for b := b0; b < b1; b++ {
+				tensor.Attention(attn.Row(b-b0), s.q.Row(b), lk, lv, headDim, batch.Visible[b], scale, &s.scores)
+			}
+			lay.Wo.MatMulTQ(proj, attn)
+			tensor.Add(xb.Data, xb.Data, proj.Data)
+
+			for b := b0; b < b1; b++ {
+				tensor.RMSNorm(h.Row(b-b0), x.Row(b), lay.FFNNorm, cfg.NormEps)
+			}
+			lay.WGate.MatMulTQ(gate, h)
+			lay.WUp.MatMulTQ(up, h)
+			tensor.SiLUMul(gate.Data, gate.Data, up.Data)
+			lay.WDown.MatMulTQ(proj, gate)
+			tensor.Add(xb.Data, xb.Data, proj.Data)
+		}
+
 		if perLayer != nil && !perLayer(l) {
 			return tensor.Mat{}, false
 		}
@@ -380,11 +383,7 @@ func (m *Model) Logits(x tensor.Mat) tensor.Mat {
 // calls) with the norm staging buffer taken from s.
 func (m *Model) LogitsInto(dst *tensor.Mat, x tensor.Mat, s *Scratch) tensor.Mat {
 	ensureMat(dst, x.Rows, m.Cfg.VocabSize)
-	h := s.h
-	for b := 0; b < x.Rows; b++ {
-		tensor.RMSNorm(h, x.Row(b), m.Norm, m.Cfg.NormEps)
-		m.Output.MatVecQ(dst.Row(b), h)
-	}
+	m.logitsRows(*dst, x, nil, s)
 	return *dst
 }
 
@@ -395,10 +394,24 @@ func (m *Model) LogitsInto(dst *tensor.Mat, x tensor.Mat, s *Scratch) tensor.Mat
 // write KV and forward activations but never sample.
 func (m *Model) LogitsRowsInto(dst *tensor.Mat, x tensor.Mat, sel []int, s *Scratch) tensor.Mat {
 	ensureMat(dst, len(sel), m.Cfg.VocabSize)
-	h := s.h
-	for k, b := range sel {
-		tensor.RMSNorm(h, x.Row(b), m.Norm, m.Cfg.NormEps)
-		m.Output.MatVecQ(dst.Row(k), h)
-	}
+	m.logitsRows(*dst, x, sel, s)
 	return *dst
+}
+
+// logitsRows writes the logits of x's rows (of rows sel, when non-nil)
+// to dst, a block of rowBlock rows at a time.
+func (m *Model) logitsRows(dst, x tensor.Mat, sel []int, s *Scratch) {
+	ensureMat(&s.h, min(dst.Rows, rowBlock), m.Cfg.Dim)
+	for b0 := 0; b0 < dst.Rows; b0 += rowBlock {
+		b1 := min(b0+rowBlock, dst.Rows)
+		h := s.h.RowSpan(0, b1-b0)
+		for b := b0; b < b1; b++ {
+			src := b
+			if sel != nil {
+				src = sel[b]
+			}
+			tensor.RMSNorm(h.Row(b-b0), x.Row(src), m.Norm, m.Cfg.NormEps)
+		}
+		m.Output.MatMulTQ(dst.RowSpan(b0, b1), h)
+	}
 }

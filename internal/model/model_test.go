@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
+	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/quant"
 	"github.com/pipeinfer/pipeinfer/internal/tensor"
 	"github.com/pipeinfer/pipeinfer/internal/token"
@@ -78,8 +79,10 @@ func TestGreedyDeterministic(t *testing.T) {
 }
 
 // TestIncrementalMatchesBatched is the central KV-cache invariant: feeding
-// tokens one at a time through the cache must produce the same final
-// logits as evaluating them in one batch.
+// tokens one at a time through the cache must produce the same logits,
+// and store the same K/V rows, as evaluating them in one batch — bit for
+// bit, because every kernel computes an output in one canonical order
+// whatever rows share the batch.
 func TestIncrementalMatchesBatched(t *testing.T) {
 	m := tinyModel(t, 4)
 	toks := []token.Token{token.BOS, 5, 9, 100, 42, 7}
@@ -91,20 +94,161 @@ func TestIncrementalMatchesBatched(t *testing.T) {
 	}
 
 	inc := NewRunner(m, 64)
-	var last tensor.Mat
 	for i, tok := range toks {
-		last, err = inc.EvalSeq([]token.Token{tok}, int32(i), kvcache.Canonical)
+		li, err := inc.EvalSeq([]token.Token{tok}, int32(i), kvcache.Canonical)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bRow, iRow := lb.Row(i), li.Row(0)
+		for j := range bRow {
+			if bRow[j] != iRow[j] {
+				t.Fatalf("token %d logit %d differs: batched %v vs incremental %v", i, j, bRow[j], iRow[j])
+			}
+		}
+	}
+	sameKV(t, "incremental", inc, batched, len(toks))
+}
+
+// sameKV asserts that two runners hold bit-identical K/V rows for
+// positions [0, n) of the canonical sequence in every layer.
+func sameKV(t *testing.T, name string, got, want *Runner, n int) {
+	t.Helper()
+	last := kvcache.TokenMeta{Pos: int32(n - 1), Seqs: kvcache.NewSeqSet(kvcache.Canonical)}
+	gc, wc := got.Cache.VisibleCells(nil, last), want.Cache.VisibleCells(nil, last)
+	if len(gc) != n || len(wc) != n {
+		t.Fatalf("%s: %d and %d visible cells, want %d", name, len(gc), len(wc), n)
+	}
+	for l := range want.Store.K {
+		for pos := 0; pos < n; pos++ { // VisibleCells is position-sorted
+			for _, kv := range [][2]tensor.Mat{{got.Store.K[l], want.Store.K[l]}, {got.Store.V[l], want.Store.V[l]}} {
+				g, w := kv[0].Row(gc[pos]), kv[1].Row(wc[pos])
+				for j := range w {
+					if g[j] != w[j] {
+						t.Fatalf("%s: layer %d position %d K/V element %d: %v != %v", name, l, pos, j, g[j], w[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowBitsIndependentOfChunking: the last prompt row's logits and
+// every stored K/V row are bit-identical whether the prompt is evaluated
+// whole, token by token (each row alone), or as a 37-row chunk followed
+// by a 64-row chunk — serially and under a ParallelRange split.
+func TestRowBitsIndependentOfChunking(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		prev := tensor.SetParallelism(par)
+		m := tinyModel(t, 14)
+		rng := tensor.NewRNG(15)
+		toks := make([]token.Token, 101)
+		for i := range toks {
+			toks[i] = token.Token(token.NumSpecial + int(rng.Uint64()%256))
+		}
+		lastLogits := func(r *Runner, chunks ...int) []float32 {
+			var lg tensor.Mat
+			at := 0
+			for _, c := range chunks {
+				var err error
+				if lg, err = r.EvalSeq(toks[at:at+c], int32(at), kvcache.Canonical); err != nil {
+					t.Fatal(err)
+				}
+				at += c
+			}
+			if at != len(toks) {
+				t.Fatalf("chunks cover %d of %d tokens", at, len(toks))
+			}
+			return append([]float32(nil), lg.Row(lg.Rows-1)...)
+		}
+		whole := NewRunner(m, 128)
+		want := lastLogits(whole, len(toks))
+		ones := make([]int, len(toks))
+		for i := range ones {
+			ones[i] = 1
+		}
+		for name, chunks := range map[string][]int{"alone": ones, "64-row chunk": {37, 64}} {
+			r := NewRunner(m, 128)
+			got := lastLogits(r, chunks...)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("par=%d %s: logit %d = %v, whole-prompt %v", par, name, j, got[j], want[j])
+				}
+			}
+			sameKV(t, name, r, whole, len(toks))
+		}
+		tensor.SetParallelism(prev)
+	}
+}
+
+// TestRowBitsIndependentOfBatchMix: a row evaluated inside a mixed
+// multi-shard batch — decode rows and a prefill chunk of four sessions,
+// each in its own kvpage shard, as the serving layer composes them — has
+// bit-identical logits to the same row evaluated alone in a cache of its
+// own.
+func TestRowBitsIndependentOfBatchMix(t *testing.T) {
+	m := tinyModel(t, 16)
+	rng := tensor.NewRNG(17)
+	const sessions = 4
+	ctxLen := [sessions]int{40, 3, 77, 19} // tokens already cached per session
+	rows := [sessions]int{1, 5, 1, 2}      // rows each contributes to the mixed batch
+	toks := make([][]token.Token, sessions)
+	for s := range toks {
+		toks[s] = make([]token.Token, ctxLen[s]+rows[s])
+		for i := range toks[s] {
+			toks[s][i] = token.Token(token.NumSpecial + int(rng.Uint64()%256))
+		}
+	}
+	metaFor := func(s, from, to int) []kvcache.TokenMeta {
+		meta := make([]kvcache.TokenMeta, 0, to-from)
+		for p := from; p < to; p++ {
+			meta = append(meta, kvcache.TokenMeta{Pos: int32(p), Seqs: kvcache.NewSeqSet(kvcache.SeqID(s))})
+		}
+		return meta
+	}
+	eval := func(cache *kvpage.Cache, store *KVStore, sc *Scratch, tk []token.Token, meta []kvcache.TokenMeta) tensor.Mat {
+		b, err := sc.BatchFor(cache, tk, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := m.EmbedBatchInto(&sc.x, tk)
+		x, ok := m.ForwardLayersScratch(0, m.Cfg.NLayers, x, store, b, nil, sc)
+		if !ok {
+			t.Fatal("evaluation aborted")
+		}
+		return m.LogitsInto(&sc.logits, x, sc)
 	}
 
-	bRow := lb.Row(lb.Rows - 1)
-	iRow := last.Row(0)
-	for j := range bRow {
-		d := bRow[j] - iRow[j]
-		if d < -1e-3 || d > 1e-3 {
-			t.Fatalf("logit %d differs: batched %v vs incremental %v", j, bRow[j], iRow[j])
+	// Shared multi-shard cache: prefill every session's context, then one
+	// mixed batch carrying every session's next rows.
+	shared := kvpage.New(kvpage.Config{Cells: 512, PageSize: 16, ShardSeqs: 1})
+	store := NewKVStore(m.Cfg, 0, m.Cfg.NLayers, shared.Size())
+	sc := NewScratch(m.Cfg)
+	for s := 0; s < sessions; s++ {
+		eval(shared, store, sc, toks[s][:ctxLen[s]], metaFor(s, 0, ctxLen[s]))
+	}
+	var mixTok []token.Token
+	var mixMeta []kvcache.TokenMeta
+	for s := 0; s < sessions; s++ {
+		mixTok = append(mixTok, toks[s][ctxLen[s]:]...)
+		mixMeta = append(mixMeta, metaFor(s, ctxLen[s], len(toks[s]))...)
+	}
+	mixed := eval(shared, store, sc, mixTok, mixMeta).Clone()
+
+	row := 0
+	for s := 0; s < sessions; s++ {
+		solo := kvpage.New(kvpage.Config{Cells: 128, PageSize: 16, ShardSeqs: 1})
+		soloStore := NewKVStore(m.Cfg, 0, m.Cfg.NLayers, solo.Size())
+		soloSc := NewScratch(m.Cfg)
+		eval(solo, soloStore, soloSc, toks[s][:ctxLen[s]], metaFor(s, 0, ctxLen[s]))
+		for p := ctxLen[s]; p < len(toks[s]); p++ {
+			alone := eval(solo, soloStore, soloSc, toks[s][p:p+1], metaFor(s, p, p+1))
+			for j, w := range alone.Row(0) {
+				if mixed.At(row, j) != w {
+					t.Fatalf("session %d position %d: logit %d in the mixed batch %v != alone %v",
+						s, p, j, mixed.At(row, j), w)
+				}
+			}
+			row++
 		}
 	}
 }

@@ -7,23 +7,33 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
+// rowBlock is how many batch rows go through a layer's phases together.
+// Blocking bounds the forward buffers (a 256-row prefill chunk would
+// otherwise hold 640 floats of scratch per row) and keeps a block's
+// activations cache-resident between phases; it cannot change a bit of
+// the result, because no kernel's output depends on the rows beside it.
+const rowBlock = 32
+
 // Scratch owns every buffer one evaluation context (a Runner, a pipeline
 // stage worker) needs for forward passes, so that a steady-state decode
-// step performs zero heap allocations. All buffers are sized once from the
-// model Config (or grown geometrically the first time a larger batch /
-// attention span appears) and reused across calls.
+// step performs zero heap allocations. The forward buffers are
+// row-batched matrices sized to the widest block seen (at most rowBlock
+// rows; only the query projections span the whole batch) and reused
+// across calls.
 //
 // A Scratch must not be shared between concurrent evaluations: each
 // Runner and each stage worker owns its own.
 type Scratch struct {
-	// Per-layer forward buffers.
-	h       tensor.Vec // Dim: normed hidden state
-	attnOut tensor.Vec // Dim: concatenated attention head outputs
-	proj    tensor.Vec // Dim: Wo / WDown projection
-	gate    tensor.Vec // FFNDim
-	up      tensor.Vec // FFNDim
-	scores  tensor.Vec // attention scores, grown geometrically
-	qData   []float32  // batch.Len() x Dim query projections
+	// Per-layer forward buffers, one row per token of the current block.
+	h    tensor.Mat // Dim: normed hidden state
+	k, v tensor.Mat // KVDim: the block's K/V rows, staged for the store
+	attn tensor.Mat // Dim: concatenated attention head outputs
+	proj tensor.Mat // Dim: Wo / WDown projection
+	gate tensor.Mat // FFNDim
+	up   tensor.Mat // FFNDim
+
+	q      tensor.Mat // batch.Len() x Dim query projections
+	scores tensor.Vec // attention scores, grown by tensor.Attention
 
 	// Batch assembly (cache placement + visibility).
 	cells []int
@@ -36,42 +46,25 @@ type Scratch struct {
 	meta   []kvcache.TokenMeta
 }
 
-// NewScratch builds a scratch sized for cfg. The per-layer vectors are
-// allocated eagerly; batch-sized buffers grow on first use.
+// NewScratch builds a scratch for cfg, sized for single-token decode;
+// batch-sized buffers grow on first use.
 func NewScratch(cfg Config) *Scratch {
-	return &Scratch{
-		h:       make(tensor.Vec, cfg.Dim),
-		attnOut: make(tensor.Vec, cfg.Dim),
-		proj:    make(tensor.Vec, cfg.Dim),
-		gate:    make(tensor.Vec, cfg.FFNDim),
-		up:      make(tensor.Vec, cfg.FFNDim),
-	}
+	s := &Scratch{}
+	s.shape(cfg, 1)
+	return s
 }
 
-// ensureQ returns the query-projection matrix for an n-token batch,
-// growing the backing storage when a larger batch appears.
-func (s *Scratch) ensureQ(n, dim int) tensor.Mat {
-	if cap(s.qData) < n*dim {
-		s.qData = make([]float32, n*dim)
-	}
-	return tensor.Mat{Rows: n, Cols: dim, Data: s.qData[:n*dim]}
-}
-
-// ensureScores returns a score buffer of length n, growing geometrically
-// so a token-by-token context extension triggers O(log n) allocations
-// over a whole generation.
-func (s *Scratch) ensureScores(n int) tensor.Vec {
-	if cap(s.scores) < n {
-		grow := 2 * cap(s.scores)
-		if grow < n {
-			grow = n
-		}
-		if grow < 64 {
-			grow = 64
-		}
-		s.scores = make(tensor.Vec, grow)
-	}
-	return s.scores[:n]
+// shape sizes the forward buffers for an n-row batch.
+func (s *Scratch) shape(cfg Config, n int) {
+	ensureMat(&s.q, n, cfg.Dim)
+	n = min(n, rowBlock)
+	ensureMat(&s.h, n, cfg.Dim)
+	ensureMat(&s.k, n, cfg.KVDim())
+	ensureMat(&s.v, n, cfg.KVDim())
+	ensureMat(&s.attn, n, cfg.Dim)
+	ensureMat(&s.proj, n, cfg.Dim)
+	ensureMat(&s.gate, n, cfg.FFNDim)
+	ensureMat(&s.up, n, cfg.FFNDim)
 }
 
 // ensureMat shapes dst to rows x cols, reusing its backing storage when

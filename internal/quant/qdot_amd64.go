@@ -11,19 +11,18 @@ import "github.com/pipeinfer/pipeinfer/internal/tensor"
 func dotQ8FMA(scales *float32, q *int8, x *float32, nBlocks int) float32
 func dotQ4FMA(scales *float32, q *uint8, x *float32, nBlocks int) float32
 
-// simdOn mirrors the tensor package's CPU feature detection so both
-// packages take the same code path in one process.
-var simdOn = tensor.SIMDAccelerated()
+// Both kernels follow the tensor package's CPU feature detection, asked
+// on every call, so the two packages always take the same code path.
 
 func dotQ8Kernel(scales []float32, q []int8, x []float32) float32 {
-	if simdOn {
+	if tensor.SIMDAccelerated() {
 		return dotQ8FMA(&scales[0], &q[0], &x[0], len(x)/BlockSize)
 	}
 	return dotQ8Go(scales, q, x)
 }
 
 func dotQ4Kernel(scales []float32, q []uint8, x []float32) float32 {
-	if simdOn {
+	if tensor.SIMDAccelerated() {
 		return dotQ4FMA(&scales[0], &q[0], &x[0], len(x)/BlockSize)
 	}
 	return dotQ4Go(scales, q, x)

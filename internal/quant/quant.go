@@ -225,6 +225,24 @@ func (q Mat) MatVecQ(dst, x []float32) {
 	}
 }
 
+// MatMulTQ is the multi-row entry the forward pass calls for every
+// projection: dst = x * q^T for n activation rows (x is n x Cols, dst is
+// n x Rows). F32 weights go through tensor.MatMulT's register tile;
+// Q8/Q4 keep their row kernels, one MatVecQ per activation row. Either
+// way row b of dst is bit-identical to MatVecQ(dst.Row(b), x.Row(b)).
+func (q Mat) MatMulTQ(dst, x tensor.Mat) {
+	if q.Typ == F32 {
+		tensor.MatMulT(dst, x, tensor.Mat{Rows: q.Rows, Cols: q.Cols, Data: q.f32})
+		return
+	}
+	if dst.Rows != x.Rows {
+		panic(fmt.Sprintf("quant: MatMulTQ row mismatch: x=%d dst=%d", x.Rows, dst.Rows))
+	}
+	for b := 0; b < x.Rows; b++ {
+		q.MatVecQ(dst.Row(b), x.Row(b))
+	}
+}
+
 func (q Mat) matVecQ8Range(dst, x []float32, lo, hi int) {
 	bpr := q.Cols / BlockSize
 	for r := lo; r < hi; r++ {

@@ -509,12 +509,6 @@ type Scheduler struct {
 	queue  *overload.Queue
 	closed bool
 
-	// outstandingNew is the aggregate MaxNew of unsettled requests, so
-	// each Submit can pre-grow the acceptance-timestamp reserve
-	// (LiveStats.GrowAccepts) and keep steady-state accepts
-	// allocation-free under live intake.
-	outstandingNew int
-
 	// Brown-out ladder (PR 10): level 0 healthy, 1 speculation dropped,
 	// 2 prefill-chunk budget also halved. stepsSinceShed drives the
 	// /readyz "shed recently" overload window; queueWaitEMA tracks the
@@ -719,10 +713,6 @@ func (s *Scheduler) Submit(r Request) int {
 			Deadline:     r.Deadline,
 			Cost:         len(r.Prompt),
 		})
-		// Keep the aggregate acceptance-timestamp reserve ahead of every
-		// unsettled request so steady-state accepts stay allocation-free.
-		s.outstandingNew += r.MaxNew
-		s.h.Stats.GrowAccepts(s.outstandingNew)
 	}
 	s.observePressure()
 	return i
@@ -918,7 +908,6 @@ func (s *Scheduler) shedUnmeetable(now time.Duration) {
 	for _, it := range shed {
 		s.reject(it.ID, fmt.Errorf("%w: request %d TTFT deadline %v provably unmeetable at %v",
 			ErrShedDeadline, it.ID, it.TTFTDeadline, now))
-		s.outstandingNew -= s.reqs[it.ID].MaxNew
 		s.h.Stats.Sheds.Add(1)
 		s.stepsSinceShed = 0
 	}
@@ -1406,6 +1395,22 @@ func (s *Scheduler) dropSpecPages(sess *session) bool {
 	if len(sess.pending) == 0 && !hasSpecRuns {
 		return false
 	}
+	// A speculative run still in flight may be the one evaluating the
+	// session's last accepted token: the run before it verified that
+	// token, and its cache entries were promoted to the canonical
+	// sequence out of this run's partition while the run was travelling.
+	// Cancelling the run leaves the token's canonical cell written on the
+	// stages that had reached it (fully, or up to the layer where the
+	// cancellation probe fired) and absent on the rest — and the restart
+	// below re-evaluates exactly that token. Remove the cell everywhere in
+	// the same transaction, so every stage recomputes it once.
+	redoLast := false
+	for i := 0; i < s.h.Inflight(); i++ {
+		r := s.h.InflightAt(i)
+		if !r.Cancelled && r.Msg.Kind == engine.KindSpec && s.carriesAccepted(sess, r) {
+			redoLast = true
+		}
+	}
 	s.dropPending(sess)
 	// Cancel any remaining speculative runs (fully verified ones no
 	// longer carry pending tokens, so dropPending missed them).
@@ -1425,6 +1430,11 @@ func (s *Scheduler) dropSpecPages(sess *session) bool {
 	s.cancelFor(sess, victims)
 	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpDropSpec,
 		Src: sess.ns.Base, Dst: kvcache.SeqID(sess.ns.Width)})
+	if redoLast {
+		last := int32(len(sess.accepted) - 1)
+		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqRm, Src: sess.ns.Canonical(), P0: last, P1: last + 1})
+		sess.wantNonSpec = true
+	}
 	s.ops = ops[:0]
 	s.sendKV(ops)
 	sess.stats.SpecDrops++
@@ -2824,7 +2834,7 @@ func (s *Scheduler) accept(sess *session, tok token.Token, fromPrefill bool) {
 		if sess.stats.FirstToken == 0 {
 			sess.stats.FirstToken = now
 		}
-		s.h.Sampled(1)
+		s.h.SampledAggregate(1)
 	}
 	if s.cfg.OnToken != nil {
 		s.cfg.OnToken(sess.req, tok)
@@ -2889,6 +2899,30 @@ func (s *Scheduler) dropPending(sess *session) {
 	s.victims = victims
 	sess.pending = sess.pending[:0]
 	s.cancelFor(sess, victims)
+}
+
+// carriesAccepted reports whether in-flight run r evaluates a token of
+// sess that is already accepted (it can only be the last one: a token is
+// accepted ahead of its own run's result only by the run before it). A
+// rejected draft token sits at an accepted position too, but differs from
+// the token accepted there.
+func (s *Scheduler) carriesAccepted(sess *session, r *engine.Run) bool {
+	toks := r.Msg.Tokens
+	if r.Msg.Batched() {
+		lo, hi := batch.GroupOf(r.Msg, uint16(sess.slot))
+		if lo == hi || r.Msg.RowDead(lo) {
+			return false // not riding, or masked out (and dealt with) already
+		}
+		toks = toks[lo:hi]
+	} else if int(r.Msg.Session) != sess.slot {
+		return false
+	}
+	for _, tp := range toks {
+		if p := int(tp.Pos); p < len(sess.accepted) && sess.accepted[p] == tp.Tok {
+			return true
+		}
+	}
+	return false
 }
 
 // scanSession sweeps the FIFO for this session's runs (or row groups of
@@ -3030,10 +3064,6 @@ func (s *Scheduler) finalize(sess *session) {
 			sess.stats.DeadlineMisses = 1
 			s.h.Stats.DeadlineMisses.Add(1)
 		}
-	}
-	s.outstandingNew -= s.reqs[sess.req].MaxNew
-	if s.outstandingNew < 0 {
-		s.outstandingNew = 0
 	}
 	s.results[sess.req] = Result{Tokens: sess.accepted[sess.prompt:], Stats: sess.stats}
 	s.slots[sess.slot] = nil

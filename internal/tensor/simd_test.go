@@ -6,42 +6,6 @@ import (
 	"testing"
 )
 
-// TestDotKernelMatchesScalar validates the SIMD dispatch against the
-// portable loop across lengths straddling every unroll boundary. The FMA
-// kernel reassociates the summation, so agreement is to relative epsilon,
-// not bitwise.
-func TestDotKernelMatchesScalar(t *testing.T) {
-	rng := NewRNG(11)
-	for _, n := range []int{0, 1, 3, 7, 8, 15, 16, 31, 32, 33, 63, 64, 100, 160, 288, 1000} {
-		a := make(Vec, n)
-		b := make(Vec, n)
-		rng.FillNormal(a, 1)
-		rng.FillNormal(b, 1)
-		want := dotGo(a, b)
-		got := Dot(a, b)
-		tol := 1e-4 * (1 + float64(math.Abs(float64(want))))
-		if d := math.Abs(float64(got - want)); d > tol {
-			t.Fatalf("n=%d: Dot=%v scalar=%v (|d|=%v)", n, got, want, d)
-		}
-	}
-}
-
-// TestDotKernelExactCases checks structured inputs where every summation
-// order gives the same exact answer.
-func TestDotKernelExactCases(t *testing.T) {
-	for _, n := range []int{32, 64, 96} {
-		a := make(Vec, n)
-		b := make(Vec, n)
-		for i := range a {
-			a[i] = 1
-			b[i] = 2
-		}
-		if got := Dot(a, b); got != float32(2*n) {
-			t.Fatalf("n=%d: Dot of ones*twos = %v, want %v", n, got, 2*n)
-		}
-	}
-}
-
 // TestRoPECachedMatchesDirect verifies the memoised trig table is
 // bit-identical to direct evaluation of the seed formula.
 func TestRoPECachedMatchesDirect(t *testing.T) {
@@ -152,28 +116,6 @@ func TestTopKIntoReusesBuffer(t *testing.T) {
 	}
 	if got[0] != 1 || got[1] != 3 {
 		t.Fatalf("TopKInto = %v, want [1 3]", got)
-	}
-}
-
-// TestSiLUMulMatchesUnfused locks in bit-identical fusion.
-func TestSiLUMulMatchesUnfused(t *testing.T) {
-	rng := NewRNG(9)
-	a := make(Vec, 100)
-	b := make(Vec, 100)
-	rng.FillNormal(a, 2)
-	rng.FillNormal(b, 2)
-
-	gate := make(Vec, len(a))
-	copy(gate, a)
-	SiLU(gate)
-	Mul(gate, gate, b)
-
-	fused := make(Vec, len(a))
-	SiLUMul(fused, a, b)
-	for i := range gate {
-		if gate[i] != fused[i] {
-			t.Fatalf("elem %d: fused %v != unfused %v", i, fused[i], gate[i])
-		}
 	}
 }
 

@@ -2,18 +2,35 @@
 // pure-Go transformer used by the real-compute backend.
 //
 // The package is deliberately small and specialised: everything the decoder
-// stack needs (matrix-vector and matrix-matrix products, RMSNorm, softmax,
-// rotary position embeddings, SiLU/GELU) and nothing more. Matrix products
-// are parallelised across rows with a persistent worker pool (see
-// ParallelRange / SetParallelism) so that multi-core hosts see near-linear
-// speedups on the memory-bandwidth-bound shapes that dominate LLM
-// inference, and the inner dot products dispatch to AVX2/FMA assembly on
-// amd64 hosts that support it.
+// stack needs (matrix-vector and matrix-matrix products, fused attention,
+// RMSNorm, softmax, rotary position embeddings, the SwiGLU gate) and
+// nothing more. The forward pass runs on three kernels, each AVX2/FMA
+// assembly on amd64 hosts that pass the CPUID probe with a portable Go
+// twin everywhere else (kernels.go): the blocked projection kernel behind
+// MatVec / MatMulT, the fused attention kernel behind Attention, and
+// SiLUMul, which shares attention's vectorised float32 exp.
 //
-// Hot-path contract: with SetParallelism(1), every kernel in this package
-// runs inline on the calling goroutine and performs zero heap allocations
-// (the property TestDecodeStepAllocs locks in). With parallelism > 1 the
-// only per-call allocation is the chunk closure handed to the worker pool.
+// Canonical-order contract: every output element is computed in one fixed
+// arithmetic order — for a projection, one 8-lane accumulator walked over
+// k ascending and folded by one fixed reduction tree (see dotGo) — and
+// blocking only chooses which independent outputs are in flight together.
+// A row's bits therefore never depend on how many rows ride beside it,
+// how a prefill was chunked, or how ParallelRange split the weight rows:
+// MatMulT row b equals MatVec of row b bit for bit, which is what keeps
+// batched, chunked and recomputed evaluations bit-identical to the serial
+// reference by construction. MatMulT's own advantage is register tiling:
+// each weight row loaded from cache is applied to two activation rows,
+// and the forward pass calls it for every projection. The assembly and
+// the Go twin each honour the contract; they are not bit-equal to each
+// other (FMA rounds once, the twin twice), so results are deterministic
+// per process, not across hosts.
+//
+// Matrix products are parallelised across weight rows with a persistent
+// worker pool (see ParallelRange / SetParallelism). Hot-path contract:
+// with SetParallelism(1), every kernel in this package runs inline on the
+// calling goroutine and performs zero heap allocations (the property
+// TestDecodeStepAllocs locks in). With parallelism > 1 the only per-call
+// allocation is the chunk closure handed to the worker pool.
 package tensor
 
 import (
@@ -43,6 +60,11 @@ func (m Mat) Row(i int) Vec {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
+// RowSpan returns rows [lo, hi) of m as a matrix aliasing its storage.
+func (m Mat) RowSpan(lo, hi int) Mat {
+	return Mat{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
 // At returns the element at row i, column j.
 func (m Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
@@ -70,9 +92,9 @@ func MatVec(dst Vec, m Mat, x Vec) {
 // mis-sized x must fail deterministically rather than read out of
 // bounds); what it skips are the per-row and per-element re-checks.
 func MatVecInto(dst Vec, m Mat, x Vec) {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("tensor: MatVecInto shape mismatch: m=%dx%d x=%d dst=%d",
-			m.Rows, m.Cols, len(x), len(dst)))
+	if len(x) != m.Cols || len(dst) != m.Rows || len(m.Data) < m.Rows*m.Cols {
+		panic(fmt.Sprintf("tensor: MatVecInto shape mismatch: m=%dx%d (%d values) x=%d dst=%d",
+			m.Rows, m.Cols, len(m.Data), len(x), len(dst)))
 	}
 	if !ParallelActive(m.Rows) {
 		matVecRange(dst, m, x, 0, m.Rows)
@@ -81,19 +103,26 @@ func MatVecInto(dst Vec, m Mat, x Vec) {
 	ParallelRange(m.Rows, func(lo, hi int) { matVecRange(dst, m, x, lo, hi) })
 }
 
+// matVecRange computes output rows [lo, hi) of dst = m * x.
 func matVecRange(dst Vec, m Mat, x Vec, lo, hi int) {
+	if projAsm(m) {
+		matVecAsm(dst, m, x, lo, hi)
+		return
+	}
 	for i := lo; i < hi; i++ {
-		dst[i] = dotKernel(m.Data[i*m.Cols:(i+1)*m.Cols], x)
+		dst[i] = dotGo(m.Row(i), x)
 	}
 }
 
 // MatMulT computes dst = x * m^T for a batch of row vectors: x is n x m.Cols,
 // dst is n x m.Rows. This is the layout used by transformer weight
-// application (weights stored output-major, as llama.cpp does), so the
-// weight rows are streamed once per batch, giving batched inference its
-// cache-reuse advantage.
+// application (weights stored output-major, as llama.cpp does) and the
+// entry point the forward pass uses for every projection: a register tile
+// applies each loaded weight row to two activation rows. Row b of dst is
+// bit-identical to MatVec(dst.Row(b), m, x.Row(b)) for every batch width.
 func MatMulT(dst Mat, x Mat, m Mat) {
-	if x.Cols != m.Cols || dst.Rows != x.Rows || dst.Cols != m.Rows {
+	if x.Cols != m.Cols || dst.Rows != x.Rows || dst.Cols != m.Rows ||
+		len(x.Data) < x.Rows*x.Cols || len(m.Data) < m.Rows*m.Cols || len(dst.Data) < dst.Rows*dst.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT shape mismatch: x=%dx%d m=%dx%d dst=%dx%d",
 			x.Rows, x.Cols, m.Rows, m.Cols, dst.Rows, dst.Cols))
 	}
@@ -104,59 +133,30 @@ func MatMulT(dst Mat, x Mat, m Mat) {
 	ParallelRange(m.Rows, func(lo, hi int) { matMulTRange(dst, x, m, lo, hi) })
 }
 
+// matMulTRange computes output columns [lo, hi) of every row of dst.
 func matMulTRange(dst Mat, x Mat, m Mat, lo, hi int) {
-	for o := lo; o < hi; o++ {
-		w := m.Row(o)
-		for b := 0; b < x.Rows; b++ {
-			dst.Data[b*dst.Cols+o] = dotKernel(w, x.Row(b))
-		}
+	b := 0
+	if projAsm(m) {
+		b = matMulTAsm(dst, x, m, lo, hi)
+	}
+	for ; b < x.Rows; b++ {
+		matVecRange(dst.Row(b), m, x.Row(b), lo, hi)
 	}
 }
 
-// Dot returns the inner product of a and b, which must have equal length.
-// On amd64 hosts with AVX2+FMA, long vectors use an assembly kernel whose
-// summation order differs from the scalar loop; within one process the
-// choice is fixed, so outputs stay deterministic.
+// Dot returns the inner product of a and b, which must have equal length,
+// in the canonical order every projection output is computed in.
 func Dot(a, b Vec) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: Dot length mismatch %d != %d", len(a), len(b)))
 	}
-	return dotKernel(a, b)
+	return dotGo(a, b)
 }
 
-// SIMDAccelerated reports whether this process dispatches long dot
-// products to the AVX2/FMA assembly kernels. Sibling packages (quant) use
-// it so every kernel family flips together.
+// SIMDAccelerated reports whether this process dispatches its kernels to
+// the AVX2/FMA assembly. Sibling packages (quant) ask on every call so
+// every kernel family flips together.
 func SIMDAccelerated() bool { return simdOn }
-
-// dotGo is the portable dot product. Four-way unrolled accumulation keeps
-// the FP dependency chains short and pipelines well under the gc compiler.
-func dotGo(a, b Vec) float32 {
-	b = b[:len(a)] // bounds-check hint
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < len(a); i++ {
-		s0 += a[i] * b[i]
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// Axpy computes dst += alpha * x elementwise.
-func Axpy(dst Vec, alpha float32, x Vec) {
-	if len(dst) != len(x) {
-		panic("tensor: Axpy length mismatch")
-	}
-	x = x[:len(dst)]
-	for i := range dst {
-		dst[i] += alpha * x[i]
-	}
-}
 
 // Add computes dst = a + b elementwise.
 func Add(dst, a, b Vec) {
@@ -222,27 +222,6 @@ func Softmax(x Vec) {
 	inv := float32(1.0 / sum)
 	for i := range x {
 		x[i] *= inv
-	}
-}
-
-// SiLU applies x * sigmoid(x) elementwise in place.
-func SiLU(x Vec) {
-	for i, v := range x {
-		x[i] = v / (1.0 + float32(math.Exp(float64(-v))))
-	}
-}
-
-// SiLUMul computes dst[i] = SiLU(a[i]) * b[i] in a single pass — the fused
-// SwiGLU gate (SiLU(gate) ⊙ up) the decoder MLP applies every layer.
-// Element results are bit-identical to SiLU followed by Mul.
-func SiLUMul(dst, a, b Vec) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("tensor: SiLUMul length mismatch")
-	}
-	b = b[:len(a)]
-	for i, v := range a {
-		s := v / (1.0 + float32(math.Exp(float64(-v))))
-		dst[i] = s * b[i]
 	}
 }
 
