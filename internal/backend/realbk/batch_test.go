@@ -1,10 +1,13 @@
 package realbk
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
+	"github.com/pipeinfer/pipeinfer/internal/comm/tcpcomm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
@@ -20,9 +23,9 @@ import (
 // composed with the PR-3 memory-pressure protocol (oversubscribed KV:
 // batching + drop-spec + preemption + prefix-recompute readmission).
 func TestServeBatchedGreedyParity(t *testing.T) {
-	const maxNew = 9
 	cases := []struct {
 		name        string
+		maxNew      int // 0 = 9 tokens per request
 		nodes       int
 		speculate   bool
 		maxSessions int
@@ -35,12 +38,17 @@ func TestServeBatchedGreedyParity(t *testing.T) {
 		promptLen   int // 0 = the short default prompts
 		chunk       int // chunked cross-session prefill budget
 		autoBatch   bool
+		tcp         bool // every rank through ServeRank on a tcpcomm loopback mesh
 	}{
 		{name: "16-sessions-batch-4", nodes: 2, maxSessions: 16, width: 1, requests: 16, maxBatch: 4},
 		{name: "16-sessions-batch-8-window", nodes: 3, maxSessions: 16, width: 1, requests: 16, maxBatch: 8, batchWindow: 2},
 		{name: "recycled-slots-batch-4", nodes: 2, maxSessions: 5, width: 1, requests: 12, maxBatch: 4},
 		{name: "speculative-batch-4", nodes: 3, speculate: true, maxSessions: 8, width: 4, requests: 8, maxBatch: 4},
-		{name: "oversubscribed-batch-4", nodes: 2, maxSessions: 16, width: 1, requests: 16, maxBatch: 4, kvCells: 128, kvPage: 8},
+		// Four pages of 8 cells; a prompt takes one and a finished stream
+		// (4-6 prompt tokens + 25 evaluated) all four, so once two
+		// sessions have prefilled neither can finish until the other is
+		// parked: pressure follows from the sizes, not the interleaving.
+		{name: "oversubscribed-batch-4", nodes: 2, maxSessions: 16, width: 1, requests: 16, maxBatch: 4, kvCells: 32, kvPage: 8, maxNew: 26},
 		// Chunked cross-session prefill (PR 5): concurrent long-prompt
 		// prefills split into chunks that ride in the same runs as
 		// decode rows — with and without speculation, and composed with
@@ -53,10 +61,18 @@ func TestServeBatchedGreedyParity(t *testing.T) {
 		// bit-identical at whatever widths it picks, chunked prefill
 		// included.
 		{name: "auto-width-chunked", nodes: 2, maxSessions: 8, width: 1, requests: 8, maxBatch: 8, promptLen: 40, chunk: 8, autoBatch: true},
+		// The serving path over the real transport: outside the perf lab
+		// nothing else runs ServeRank on tcpcomm (the parity matrix in
+		// tcpcomm's own tests covers one-shot Run only).
+		{name: "16-sessions-batch-8-tcp", nodes: 3, maxSessions: 16, width: 1, requests: 16, maxBatch: 8, tcp: true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			maxNew := 9
+			if tc.maxNew > 0 {
+				maxNew = tc.maxNew
+			}
 			var reqs []serve.Request
 			if tc.promptLen > 0 {
 				reqs = serveRequestsLen(tc.requests, maxNew, tc.promptLen)
@@ -84,7 +100,11 @@ func TestServeBatchedGreedyParity(t *testing.T) {
 				AutoBatch:      tc.autoBatch,
 				Requests:       reqs,
 			}
-			out, err := Serve(opts)
+			serveFn := Serve
+			if tc.tcp {
+				serveFn = func(o ServeOptions) (ServeOutcome, error) { return serveOverTCP(t, o) }
+			}
+			out, err := serveFn(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,6 +142,32 @@ func TestServeBatchedGreedyParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// serveOverTCP serves opts with every rank on its own tcpcomm loopback
+// endpoint, the way separate processes would, and returns the head's
+// outcome.
+func serveOverTCP(t *testing.T, opts ServeOptions) (ServeOutcome, error) {
+	t.Helper()
+	eps, err := tcpcomm.DialLoopback(opts.Nodes, tcpcomm.Config{DialTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]ServeOutcome, len(eps))
+	errs := make([]error, len(eps))
+	var wg sync.WaitGroup
+	for r, ep := range eps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[r], errs[r] = ServeRank(ep, opts)
+		}()
+	}
+	wg.Wait()
+	for _, ep := range eps {
+		ep.Close()
+	}
+	return outs[0], errors.Join(errs...)
 }
 
 // TestPrefillChunkResume is the chunked-prefill preemption gate: with

@@ -1,18 +1,45 @@
 // Package chancomm implements comm.Endpoint over in-process shared memory
 // for the real-compute backend: every pipeline node is a goroutine, sends
-// append to the receiver's mailbox, and receivers block on a condition
-// variable. Per (src, tag) FIFO order — the MPI non-overtaking guarantee —
-// holds because each sender appends under the receiver's lock in program
-// order.
+// append to the receiver's mailbox, and receivers wait for an arrival —
+// first in a short yielding spin, then parked on a condition variable.
+// Per (src, tag) FIFO order — the MPI non-overtaking guarantee — holds
+// because each sender appends under the receiver's lock in program order.
+//
+// # Hand-off
+//
+// A Send has the message in the receiver's mailbox before it returns; what
+// remains is getting the receiver onto a processor. Waking a parked
+// goroutine costs more here than a pipeline stage's step: cond.Broadcast
+// readies the receiver in the *sender's* run-next slot, where it sits
+// until the sender blocks or an idle P steals it (about 80 µs measured on
+// the perf-lab host, against 27-60 µs of stage compute), so a parked
+// receiver never overlaps its sender. A receiver that finds its stream
+// empty therefore stays on its P for spinBudget, polling the endpoint's
+// arrival counter between runtime.Gosched calls, and parks only after
+// that. The poll reads one atomic and never touches the mailbox lock, so
+// it costs senders nothing; the Gosched hands the P to any other runnable
+// rank, so a cluster with fewer Ps than ranks makes progress at the
+// yield rate rather than the budget rate.
 package chancomm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 )
+
+// spinBudget is how long a receiver polls for an arrival before parking.
+// It is the measured park-and-wake cost: spinning longer than a wake
+// would have taken only burns CPU, and a much shorter spin parks just
+// before the next stage's message lands (perf-lab sweep in CHANGES.md,
+// PR 15: 30 µs bought nothing, 300 µs only more CPU). A constant, not an
+// option: the right value is a property of the Go scheduler, not of a
+// workload.
+const spinBudget = 80 * time.Microsecond
 
 // Cluster is a set of connected in-process endpoints.
 type Cluster struct {
@@ -27,9 +54,8 @@ func New(n int) *Cluster {
 	}
 	c := &Cluster{epoch: time.Now()}
 	for i := 0; i < n; i++ {
-		ep := &endpoint{cluster: c, rank: i}
+		ep := &endpoint{cluster: c, rank: i, box: comm.NewMailbox(n)}
 		ep.cond = sync.NewCond(&ep.mu)
-		ep.box = newBox()
 		c.eps = append(c.eps, ep)
 	}
 	return c
@@ -41,25 +67,18 @@ func (c *Cluster) Endpoint(rank int) comm.Endpoint { return c.eps[rank] }
 // Size returns the number of endpoints.
 func (c *Cluster) Size() int { return len(c.eps) }
 
-// box wraps the shared mailbox structure with chancomm-owned locking.
-type box struct {
-	queues map[boxKey][][]byte
-}
-
-type boxKey struct {
-	src int
-	tag comm.Tag
-}
-
-func newBox() *box { return &box{queues: make(map[boxKey][][]byte)} }
-
 type endpoint struct {
 	cluster *Cluster
 	rank    int
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	box  *box
+	box  *comm.Mailbox
+	// arrivals counts messages delivered to box, on any stream. It is
+	// written under mu and read without it by the spinning receiver: a
+	// value different from the one read under mu alongside an empty
+	// stream means a delivery happened since.
+	arrivals atomic.Uint64
 	// timer wakes a bounded WaitRecv at its deadline; allocated on first
 	// use and reused (Reset) so steady-state watchdog waits stay
 	// allocation-free. Safe as a single field because only the owning
@@ -80,36 +99,41 @@ func (e *endpoint) Send(dst int, tag comm.Tag, payload []byte, wireBytes int) {
 	// shared message pool; the receiver releases it after consumption.
 	cp := append(comm.GetBuf(len(payload)), payload...)
 	target.mu.Lock()
-	k := boxKey{e.rank, tag}
-	target.box.queues[k] = append(target.box.queues[k], cp)
+	target.box.Stream(e.rank, tag).Push(cp)
+	target.arrivals.Add(1)
 	target.mu.Unlock()
 	target.cond.Broadcast()
 }
 
-func (e *endpoint) Recv(src int, tag comm.Tag) []byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := boxKey{src, tag}
-	for len(e.box.queues[k]) == 0 {
-		e.cond.Wait()
+// await blocks until q is non-empty or the deadline passes (a zero
+// deadline never does) and reports whether a message is waiting. The
+// caller holds e.mu, and holds it again on return.
+func (e *endpoint) await(q *comm.Ring, deadline time.Time) bool {
+	if q.Len() > 0 {
+		return true // the common case pays for no clock read
 	}
-	q := e.box.queues[k]
-	head := q[0]
-	e.box.queues[k] = q[1:]
-	return head
-}
-
-// WaitRecv implements comm.Waiter: wait up to d for a message on (src,
-// tag). The deadline timer broadcasts the endpoint's condition variable
-// under the lock, so it can only fire while the waiter is parked (or
-// about to re-check the queue) — never between the queue check and the
-// Wait.
-func (e *endpoint) WaitRecv(src int, tag comm.Tag, d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k := boxKey{src, tag}
-	for len(e.box.queues[k]) == 0 {
+	// Spin phase. seen is read under mu together with the empty stream,
+	// so any later delivery moves the counter past it.
+	spinEnd := time.Now().Add(spinBudget)
+	if !deadline.IsZero() && deadline.Before(spinEnd) {
+		spinEnd = deadline
+	}
+	for q.Len() == 0 && time.Now().Before(spinEnd) {
+		seen := e.arrivals.Load()
+		e.mu.Unlock()
+		for e.arrivals.Load() == seen && time.Now().Before(spinEnd) {
+			runtime.Gosched()
+		}
+		e.mu.Lock()
+	}
+	// Park phase. The deadline timer broadcasts under the lock, so it
+	// can only fire while the waiter is parked (or about to re-check the
+	// queue) — never between the queue check and the Wait.
+	for q.Len() == 0 {
+		if deadline.IsZero() {
+			e.cond.Wait()
+			continue
+		}
 		rem := time.Until(deadline)
 		if rem <= 0 {
 			return false
@@ -129,10 +153,27 @@ func (e *endpoint) WaitRecv(src int, tag comm.Tag, d time.Duration) bool {
 	return true
 }
 
+func (e *endpoint) Recv(src int, tag comm.Tag) []byte {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	q := e.box.Stream(src, tag)
+	e.await(q, time.Time{})
+	return q.Pop()
+}
+
+// WaitRecv implements comm.Waiter: wait up to d for a message on (src,
+// tag), spinning first like Recv but never past the deadline.
+func (e *endpoint) WaitRecv(src int, tag comm.Tag, d time.Duration) bool {
+	deadline := time.Now().Add(d)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.await(e.box.Stream(src, tag), deadline)
+}
+
 func (e *endpoint) Iprobe(src int, tag comm.Tag) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.box.queues[boxKey{src, tag}]) > 0
+	return e.box.Stream(src, tag).Len() > 0
 }
 
 func (e *endpoint) Now() time.Duration { return time.Since(e.cluster.epoch) }

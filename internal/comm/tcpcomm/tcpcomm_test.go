@@ -2,7 +2,11 @@ package tcpcomm
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,38 +20,19 @@ import (
 // mesh spins up n endpoints over loopback TCP.
 func mesh(t *testing.T, n int) []*Endpoint {
 	t.Helper()
-	addrs, err := FreeAddrs(n)
+	return meshWith(t, n, Config{DialTimeout: 10 * time.Second})
+}
+
+// meshWith is mesh with every rank dialled from the cfg template.
+func meshWith(t *testing.T, n int, cfg Config) []*Endpoint {
+	t.Helper()
+	eps, err := DialLoopback(n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := make([]*Endpoint, n)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ep, err := Dial(Config{Rank: i, Addrs: addrs, DialTimeout: 10 * time.Second})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-				return
-			}
-			eps[i] = ep
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		t.Fatal(firstErr)
-	}
 	t.Cleanup(func() {
 		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
-			}
+			ep.Close()
 		}
 	})
 	return eps
@@ -237,45 +222,11 @@ func TestDistributedIterativeOverTCP(t *testing.T) {
 // meshFT spins up n endpoints with heartbeats and reconnection armed.
 func meshFT(t *testing.T, n int, hb time.Duration) []*Endpoint {
 	t.Helper()
-	addrs, err := FreeAddrs(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := make([]*Endpoint, n)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ep, err := Dial(Config{
-				Rank: i, Addrs: addrs, DialTimeout: 10 * time.Second,
-				Heartbeat: hb, ReconnectTimeout: 5 * time.Second,
-				ReconnectBackoff: 5 * time.Millisecond,
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-				return
-			}
-			eps[i] = ep
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		t.Fatal(firstErr)
-	}
-	t.Cleanup(func() {
-		for _, ep := range eps {
-			if ep != nil {
-				ep.Close()
-			}
-		}
+	return meshWith(t, n, Config{
+		DialTimeout: 10 * time.Second,
+		Heartbeat:   hb, ReconnectTimeout: 5 * time.Second,
+		ReconnectBackoff: 5 * time.Millisecond,
 	})
-	return eps
 }
 
 // TestReconnectRestoresTraffic kills the live TCP connection between two
@@ -358,5 +309,167 @@ func TestDialErrors(t *testing.T) {
 	_, err = Dial(Config{Rank: 0, Addrs: addrs, DialTimeout: 200 * time.Millisecond})
 	if err == nil {
 		t.Fatal("dial to absent peer should time out")
+	}
+}
+
+// flakyConn injects one failed direct write on a link's write side. The
+// first Write fails — after passing the bytes through when delivered is
+// set, the case the sequence numbers exist for: a write that reports
+// failure yet arrived. The second Write is the writer goroutine's retry
+// on the same conn; it blocks until hold closes and fails too, which
+// sends the writer to reconnect() — and since the repair side never saw
+// the real conn fail, reconnect hands that conn straight back.
+type flakyConn struct {
+	net.Conn
+	delivered bool
+	writes    atomic.Int32
+	hold      chan struct{}
+}
+
+func (c *flakyConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) == 1 {
+		if c.delivered {
+			if _, err := c.Conn.Write(b); err != nil {
+				return 0, err
+			}
+		}
+		return 0, errors.New("injected write failure")
+	}
+	<-c.hold
+	return 0, errors.New("injected write failure")
+}
+
+// TestOutageKeepsOrderAndDedups drives one link through healthy ->
+// outage -> healthy and checks what the two write paths owe each other:
+// the frame whose direct write failed goes out again under its own
+// sequence number (so a copy that had arrived is dropped, not delivered
+// twice), frames sent during the outage queue behind it without Send
+// ever waiting for the repair, and direct writes resume only once the
+// queue has drained — one FIFO stream end to end, nothing lost.
+func TestOutageKeepsOrderAndDedups(t *testing.T) {
+	for _, delivered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failed-write-delivered=%v", delivered), func(t *testing.T) {
+			// An hour between heartbeats: reconnection armed, no
+			// heartbeat frame to take the injected failure instead.
+			eps := meshFT(t, 2, time.Hour)
+			send := func(i int) { eps[0].Send(1, comm.TagRun, []byte{byte(i)}, 0) }
+			send(0) // direct
+
+			o := &eps[0].out[1]
+			fc := &flakyConn{delivered: delivered, hold: make(chan struct{})}
+			o.mu.Lock()
+			fc.Conn = o.conn
+			o.conn = fc
+			o.mu.Unlock()
+
+			send(1) // direct write fails: the outage begins
+			waitFor(t, "the writer goroutine to take over the link", func() bool { return fc.writes.Load() == 2 })
+			// The writer is held mid-repair. Sends must return regardless.
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				for i := 2; i < 8; i++ {
+					send(i)
+				}
+			}()
+			select {
+			case <-sent:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Send blocked while the link was under repair")
+			}
+			close(fc.hold)
+			waitFor(t, "the link to return to direct writes", func() bool {
+				o.mu.Lock()
+				defer o.mu.Unlock()
+				return !o.down
+			})
+			send(8) // direct again, behind the drained queue
+
+			for i := 0; i <= 8; i++ {
+				if got := eps[1].Recv(0, comm.TagRun); got[0] != byte(i) {
+					t.Fatalf("received frame %d in position %d", got[0], i)
+				}
+			}
+			wantDups := int64(0)
+			if delivered {
+				wantDups = 1
+			}
+			if got := eps[1].dups.Load(); got != wantDups {
+				t.Fatalf("receiver dropped %d duplicate frames, want %d", got, wantDups)
+			}
+			if lost := eps[1].FramesLost(); lost != 0 {
+				t.Fatalf("%d frames counted lost across an outage that lost none", lost)
+			}
+		})
+	}
+}
+
+// TestSeveredLinkMidStreamStaysOrdered cuts the real connection under a
+// running stream. Frames in flight when it dies may be lost (the
+// sequence gap counts them); what arrives must still arrive once and in
+// order, across the direct path, the outage queue and the repaired link.
+func TestSeveredLinkMidStreamStaysOrdered(t *testing.T) {
+	eps := meshFT(t, 2, 10*time.Millisecond)
+	const n = 2000
+	go func() {
+		for i := 0; i < n; i++ {
+			if i == n/4 {
+				eps[0].connMu[1].Lock()
+				eps[0].conns[1].Close()
+				eps[0].connMu[1].Unlock()
+			}
+			eps[0].Send(1, comm.TagActivation, []byte{byte(i), byte(i >> 8)}, 0)
+		}
+		eps[0].Send(1, comm.TagControl, nil, 0) // end of stream
+	}()
+	// TagControl shares the link's FIFO with the data: once it is in,
+	// every surviving data frame is in the mailbox already.
+	eps[1].Recv(0, comm.TagControl)
+	last, got := -1, 0
+	for eps[1].Iprobe(0, comm.TagActivation) {
+		msg := eps[1].Recv(0, comm.TagActivation)
+		i := int(msg[0]) | int(msg[1])<<8
+		if i <= last {
+			t.Fatalf("frame %d arrived after frame %d", i, last)
+		}
+		last = i
+		got++
+	}
+	if last != n-1 {
+		t.Fatalf("stream ended at frame %d, want %d: traffic did not resume", last, n-1)
+	}
+	if eps[0].Reconnects()+eps[1].Reconnects() == 0 {
+		t.Fatal("the severed link was never re-established")
+	}
+	// Heartbeats share the numbering, so a lost heartbeat may add to the
+	// count but a lost data frame can never be missing from it.
+	if lost := eps[1].FramesLost(); lost < n-got {
+		t.Fatalf("%d data frames missing but only %d counted lost", n-got, lost)
+	}
+}
+
+// TestSendAfterCloseReleasesFrame: a Send that loses the race with Close
+// must hand its framed buffer back to the pool. The pool is the witness:
+// a Send that keeps its frame makes the next GetBuf allocate.
+func TestSendAfterCloseReleasesFrame(t *testing.T) {
+	eps := mesh(t, 2)
+	eps[0].Close()
+	payload := make([]byte, 64)
+	send := func() { eps[0].Send(1, comm.TagRun, payload, 0) }
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("%.2f allocations per Send on a closed endpoint: the frame is not released", allocs)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
