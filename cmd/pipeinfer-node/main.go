@@ -156,6 +156,7 @@ func main() {
 		Seed:       *seed,
 		DraftNoise: float32(*noise),
 		Prompt:     tk.Encode(*promptText),
+		OnWeights:  weightsReady,
 	})
 	if err != nil {
 		fatal(err)
@@ -172,6 +173,12 @@ func main() {
 	} else {
 		fmt.Fprintf(os.Stderr, "rank %d done\n", *rank)
 	}
+}
+
+// weightsReady reports the end of this rank's cold start: the layers it
+// evaluates, derived from the seed (a dedicated head evaluates none).
+func weightsReady(rank, lo, hi int, took time.Duration) {
+	fmt.Fprintf(os.Stderr, "rank %d weights ready in %.1f ms (layers [%d,%d))\n", rank, took.Seconds()*1e3, lo, hi)
 }
 
 // sloOptions bundles the overload-control flags: one service class plus
@@ -221,6 +228,7 @@ func serveCluster(ep *tcpcomm.Endpoint, addrs []string, tk *token.Tokenizer, cfg
 		MaxQueue:    slo.maxQueue,
 		Obs:         reg,
 		Requests:    reqs,
+		OnWeights:   weightsReady,
 	})
 	if err != nil {
 		fatal(err)

@@ -193,6 +193,9 @@ func main() {
 	opts.OnPreempt = func(req int) { fmt.Printf("[s%d] -- preempted: KV evicted, request parked --\n", req) }
 	opts.OnReadmit = func(req int) { fmt.Printf("[s%d] -- readmitted: recomputing prefix --\n", req) }
 	opts.OnRecover = func(req int) { fmt.Printf("[s%d] -- run failed: recovering by prefix recompute --\n", req) }
+	opts.OnWeights = func(rank, lo, hi int, took time.Duration) {
+		fmt.Fprintf(os.Stderr, "rank %d weights ready in %.1f ms (layers [%d,%d))\n", rank, took.Seconds()*1e3, lo, hi)
+	}
 
 	start := time.Now()
 	out, err := pipeinfer.Serve(opts)

@@ -205,9 +205,12 @@ func (w *Worker) ApplyKV(ops []kvcache.Op) { w.cache.ApplyAll(ops) }
 // Cache exposes the metadata cache for test assertions.
 func (w *Worker) Cache() *kvpage.Cache { return w.cache }
 
-// MemoryBytes reports resident weights plus KV storage.
+// MemoryBytes reports resident weights plus KV storage. m is the slice
+// of the target this stage built (model.NewStage), so its footprint is
+// the stage's own: the embedding only on the first stage, the output
+// head only on the last.
 func (w *Worker) MemoryBytes() int64 {
-	return w.m.Bytes(w.lo, w.hi, w.first || w.last) + w.store.Bytes()
+	return w.m.Bytes() + w.store.Bytes()
 }
 
 // maxDraftStreams bounds the number of draft contexts the head maintains
@@ -231,7 +234,14 @@ type draftStream struct {
 // reuse (longest-common-prefix rollback, one stream per concurrent
 // context lineage) plus logits-based result parsing.
 type Head struct {
-	draft   *model.Runner
+	draft *model.Runner
+	// build, while non-nil, is a draft still to be derived (NewLazyHead);
+	// ready is non-nil once StartDraft has put it on its own goroutine
+	// and closes when draft is set. Both are touched only by the
+	// goroutine that drives the head.
+	build func() *model.Runner
+	ready chan struct{}
+
 	vocab   int
 	streams []draftStream
 	tick    uint64
@@ -249,9 +259,47 @@ func NewHead(draft *model.Runner, vocab int) *Head {
 	return &Head{draft: draft, vocab: vocab}
 }
 
+// NewLazyHead builds a head backend whose draft model does not exist yet:
+// build derives it, on its own goroutine, once StartDraft says the first
+// run is on its way down the pipeline — weight derivation is the bulk of
+// a cold start, and run ahead of the first prefill it would sit squarely
+// in the time to first token.
+func NewLazyHead(build func() *model.Runner, vocab int) *Head {
+	return &Head{build: build, vocab: vocab}
+}
+
+// StartDraft begins deriving a lazy head's draft, once; later calls and
+// calls on a head built with NewHead do nothing. The head's first
+// Propose waits for the derivation to finish (and starts it, if nothing
+// has): it blocks rather than answer "no proposal", which the engines
+// read as a confidence stall and answer by decaying the cutoff.
+func (h *Head) StartDraft() {
+	if h.build == nil || h.ready != nil {
+		return
+	}
+	h.ready = make(chan struct{})
+	go func() {
+		defer close(h.ready)
+		h.draft = h.build()
+	}()
+}
+
+// Settle waits for a draft derivation in flight, so that none outlives
+// the rank that started it.
+func (h *Head) Settle() {
+	if h.ready != nil {
+		<-h.ready
+	}
+}
+
 // Propose runs the draft model incrementally over ctx and returns the
 // top-width tokens of its output distribution with their probabilities.
 func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32) {
+	if h.build != nil {
+		h.StartDraft()
+		h.Settle()
+		h.build = nil
+	}
 	if h.draft == nil || len(ctx) == 0 {
 		return nil, nil
 	}
@@ -448,12 +496,14 @@ func (h *Head) BatchResults(run *engine.RunMsg, _ [][]token.Token, payload []byt
 	return &h.res
 }
 
-// MemoryBytes reports the draft model footprint (zero when absent).
+// MemoryBytes reports the draft model footprint: zero when the head
+// never drafts, or finished before anything made it derive its draft.
 func (h *Head) MemoryBytes() int64 {
+	h.Settle()
 	if h.draft == nil {
 		return 0
 	}
-	return h.draft.M.Bytes(0, h.draft.M.Cfg.NLayers, true) + h.draft.Store.Bytes()
+	return h.draft.M.Bytes() + h.draft.Store.Bytes()
 }
 
 type realResults struct {

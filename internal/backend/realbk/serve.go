@@ -8,7 +8,6 @@ import (
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
-	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
@@ -112,6 +111,10 @@ type ServeOptions struct {
 	Obs *telemetry.Registry
 
 	Requests []serve.Request
+	// OnWeights, when non-nil, hears each rank's target weights become
+	// resident: layers [lo, hi) derived in took. In-process Serve calls
+	// it from every rank's goroutine.
+	OnWeights func(rank, lo, hi int, took time.Duration)
 	// OnToken, when non-nil, streams accepted tokens as they are sampled.
 	OnToken func(req int, tok token.Token)
 	// OnPreempt / OnReadmit, when non-nil, observe the memory-pressure
@@ -174,10 +177,6 @@ func buildServePlan(opts *ServeOptions) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.ModelCfg.NLayers < len(topo.Stages) {
-		return nil, fmt.Errorf("realbk: %d layers cannot split over %d stages",
-			opts.ModelCfg.NLayers, len(topo.Stages))
-	}
 	cfg := opts.CFG.Defaults()
 	maxReq := 0
 	for _, r := range opts.Requests {
@@ -189,7 +188,6 @@ func buildServePlan(opts *ServeOptions) (*plan, error) {
 			maxReq = len(r.Prompt) + n
 		}
 	}
-	splits := cost.UniformSplit(opts.ModelCfg.NLayers, len(topo.Stages))
 	// Every concurrent session can hold a full request in its canonical
 	// sequence plus in-flight speculative partitions; KVCells deliberately
 	// undersizes this to engage the memory-pressure protocol.
@@ -200,18 +198,16 @@ func buildServePlan(opts *ServeOptions) (*plan, error) {
 	p := &plan{
 		cfg:  cfg,
 		topo: topo,
-		lo:   make([]int, len(topo.Stages)),
-		hi:   make([]int, len(topo.Stages)),
 		kv: kvpage.Config{
 			Cells:     cells,
 			PageSize:  opts.KVPageSize,
 			ShardSeqs: opts.SeqsPerSession,
 		},
+		obs:       opts.Obs,
+		onWeights: opts.OnWeights,
 	}
-	acc := 0
-	for i, s := range splits {
-		p.lo[i], p.hi[i] = acc, acc+s
-		acc += s
+	if err := p.split(opts.ModelCfg, opts.Seed, opts.DraftNoise); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -222,16 +218,12 @@ func buildServePlan(opts *ServeOptions) (*plan, error) {
 // return only their memory accounting — the same split RunRank uses, so
 // the serving layer runs unchanged over chancomm or tcpcomm.
 func ServeRank(ep comm.Endpoint, opts ServeOptions) (ServeOutcome, error) {
-	return serveRank(ep, opts, nil)
+	return serveRank(ep, opts, newWeights(1))
 }
 
-// serveRank is ServeRank with an optional prebuilt target model. The
-// in-process Serve entry builds the weights once and shares them across
-// every rank goroutine — the model is read-only during evaluation, each
-// worker owns its KV store and scratch — instead of deriving the same
-// weights from the seed once per rank the way separate OS processes
-// must.
-func serveRank(ep comm.Endpoint, opts ServeOptions, target *model.Model) (ServeOutcome, error) {
+// serveRank is ServeRank over the weights the ranks of one process share
+// (a rank that is a process of its own shares with itself alone).
+func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights) (ServeOutcome, error) {
 	p, err := buildServePlan(&opts)
 	if err != nil {
 		return ServeOutcome{}, err
@@ -249,21 +241,19 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, target *model.Model) (ServeO
 	if opts.Obs != nil {
 		ep = comm.Counted(ep, opts.Obs.RegisterLink(fmt.Sprintf("rank%d", ep.Rank())))
 	}
-	if target == nil {
-		target, err = model.New(opts.ModelCfg, opts.Seed)
-		if err != nil {
-			return ServeOutcome{}, err
-		}
+	rank := ep.Rank()
+	part, err := p.build(rank, shared)
+	if err != nil {
+		return ServeOutcome{}, err
 	}
 	out := ServeOutcome{PerNodeMem: make([]int64, opts.Nodes)}
-	rank := ep.Rank()
 
 	if rank != p.topo.Head {
 		si := p.stageIdx(rank)
 		if si < 0 {
 			return ServeOutcome{}, fmt.Errorf("realbk: rank %d has no role", rank)
 		}
-		w := p.newWorker(target, si)
+		w := p.newWorker(part, si)
 		var obs engine.WorkerObs
 		if opts.Obs != nil {
 			obs.Meter = opts.Obs.RegisterStage(fmt.Sprintf("rank%d", rank))
@@ -280,28 +270,41 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, target *model.Model) (ServeO
 	}
 
 	// Head rank: scheduler over all requests.
-	var draft *model.Runner
-	if opts.Speculate {
-		d := model.NewDraft(target, opts.DraftNoise, opts.Seed^0xd4af)
-		draft = model.NewRunner(d, p.kv.Cells)
-	}
-	bk := NewHead(draft, opts.ModelCfg.VocabSize)
-	var local engine.Worker
-	var localWorker *Worker
-	if p.topo.HeadIsStage() {
-		localWorker = p.newWorker(target, 0)
-		local = localWorker
-	}
-	h, err := engine.NewHead(ep, p.topo, p.cfg, bk, local)
+	h, bk, localWorker, err := p.newHead(ep, part, shared, opts.Speculate)
 	if err != nil {
 		return ServeOutcome{}, err
 	}
-	if opts.Obs != nil && local != nil {
+	defer bk.Settle()
+	if opts.Obs != nil && localWorker != nil {
 		// The head's inline stage gets its own bubble-fraction meter; its
 		// window opens with the scheduler, same as remote stages.
 		h.LocalMeter = opts.Obs.RegisterStage(fmt.Sprintf("rank%d", rank))
 		h.LocalMeter.Open(ep.Now())
 	}
+	results, err := runScheduler(h, p, opts)
+	if err != nil {
+		// The stages are parked in their worker loops and only the head
+		// can release them.
+		h.Shutdown()
+		return ServeOutcome{}, err
+	}
+	if localWorker != nil {
+		if err := serveCacheClean(localWorker.Cache()); err != nil {
+			return ServeOutcome{}, fmt.Errorf("realbk: head stage: %w", err)
+		}
+		out.PerNodeMem[rank] += localWorker.MemoryBytes()
+	}
+	out.PerNodeMem[rank] += bk.MemoryBytes()
+	out.Results = results
+	if rc, ok := rawEP.(interface{ Reconnects() int }); ok {
+		h.Stats.Reconnects.Store(int64(rc.Reconnects()))
+	}
+	out.Stats = h.Stats.Snapshot()
+	return out, nil
+}
+
+// runScheduler drives the session scheduler over every request.
+func runScheduler(h *engine.Head, p *plan, opts ServeOptions) ([]serve.Result, error) {
 	sched, err := serve.New(h, serve.Config{
 		MaxSessions:    opts.MaxSessions,
 		SeqsPerSession: opts.SeqsPerSession,
@@ -323,25 +326,9 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, target *model.Model) (ServeO
 		Obs:            opts.Obs,
 	}, opts.Requests)
 	if err != nil {
-		return ServeOutcome{}, err
+		return nil, err
 	}
-	results, err := sched.Run()
-	if err != nil {
-		return ServeOutcome{}, err
-	}
-	if localWorker != nil {
-		if err := serveCacheClean(localWorker.Cache()); err != nil {
-			return ServeOutcome{}, fmt.Errorf("realbk: head stage: %w", err)
-		}
-		out.PerNodeMem[rank] += localWorker.MemoryBytes()
-	}
-	out.PerNodeMem[rank] += bk.MemoryBytes()
-	out.Results = results
-	if rc, ok := rawEP.(interface{ Reconnects() int }); ok {
-		h.Stats.Reconnects.Store(int64(rc.Reconnects()))
-	}
-	out.Stats = h.Stats.Snapshot()
-	return out, nil
+	return sched.Run()
 }
 
 // serveCacheClean asserts the serving end state: structurally consistent
@@ -358,19 +345,17 @@ func serveCacheClean(c *kvpage.Cache) error {
 	return nil
 }
 
-// Serve builds the models once, spawns one goroutine per pipeline rank
-// connected by chancomm, and multiplexes every request through the shared
-// pipeline — the persistent-server counterpart of the one-shot Run. The
-// target weights are built once and shared read-only by every rank
-// goroutine (separate-process deployments via ServeRank still derive
-// their own copy from the seed).
+// Serve spawns one goroutine per pipeline rank connected by chancomm and
+// multiplexes every request through the shared pipeline — the
+// persistent-server counterpart of the one-shot Run. No weights are built
+// ahead of the spawn: each rank derives the layers it evaluates on its
+// own goroutine and the ranks share them read-only (weights), so the
+// target is built once between them, in parallel, and a speculating
+// head's draft perturbs it in place of a second derivation.
 func Serve(opts ServeOptions) (ServeOutcome, error) {
 	opts.defaults()
 	cluster := chancomm.New(opts.Nodes)
-	target, err := model.New(opts.ModelCfg, opts.Seed)
-	if err != nil {
-		return ServeOutcome{}, err
-	}
+	shared := newWeights(opts.Nodes)
 
 	outcomes := make([]ServeOutcome, opts.Nodes)
 	errs := make([]error, opts.Nodes)
@@ -380,10 +365,10 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outcomes[rank], errs[rank] = serveRank(cluster.Endpoint(rank), opts, target)
+			outcomes[rank], errs[rank] = serveRank(cluster.Endpoint(rank), opts, shared)
 		}()
 	}
-	outcomes[0], errs[0] = serveRank(cluster.Endpoint(0), opts, target)
+	outcomes[0], errs[0] = serveRank(cluster.Endpoint(0), opts, shared)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -83,6 +83,11 @@ type Head struct {
 	// LocalMeter, when non-nil, measures the inline stage's busy/idle
 	// split for the per-stage bubble-fraction gauges.
 	LocalMeter *trace.StageMeter
+	// AfterFirstLaunch, when non-nil, runs once, on the launching
+	// goroutine, as soon as the first run has been handed to the
+	// transport: the place to start work that the head needs later but
+	// that must not stand between a cold start and its first prefill.
+	AfterFirstLaunch func()
 }
 
 // NewHead builds a head driver.
@@ -193,6 +198,15 @@ func DistinctSessions(msg *RunMsg) int {
 // Launch assigns an ID, evaluates the head's inline stage if present, and
 // sends the run down the pipeline. It returns the tracking record.
 func (h *Head) Launch(msg *RunMsg, ctx []token.Token, seqs []kvcache.SeqID) *Run {
+	run := h.launch(msg, ctx, seqs)
+	if f := h.AfterFirstLaunch; f != nil {
+		h.AfterFirstLaunch = nil
+		f()
+	}
+	return run
+}
+
+func (h *Head) launch(msg *RunMsg, ctx []token.Token, seqs []kvcache.SeqID) *Run {
 	h.nextID++
 	msg.ID = h.nextID
 	msg.DeadSessions = 0

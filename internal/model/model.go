@@ -10,8 +10,8 @@
 // gated by externally supplied visibility sets — exactly the contract
 // Pipelined KV Cache Multibuffering needs.
 //
-// Draft models are derived from the target by perturbing every weight with
-// Gaussian noise: the noise scale directly controls draft/target alignment
+// Draft models are derived from the target by perturbing every projection
+// weight with Gaussian noise: the noise scale directly controls draft/target alignment
 // (and therefore speculation acceptance rate), substituting for the
 // paper's separately trained draft models.
 package model
@@ -91,110 +91,31 @@ type Layer struct {
 	WDown    quant.Mat  // Dim x FFNDim
 }
 
-// Model is a full decoder-only transformer.
+// Model is a decoder-only transformer, or the slice of one a pipeline
+// stage holds (NewStage): Layers always has NLayers entries, and whatever
+// the stage does not evaluate is left empty.
 type Model struct {
 	Cfg    Config
 	Embed  tensor.Mat // VocabSize x Dim (kept dense: gathered by row)
 	Layers []Layer
 	Norm   tensor.Vec // final RMSNorm
 	Output quant.Mat  // VocabSize x Dim
+
+	seed uint64 // of the target weight stream; unset on a draft
 }
 
-// New builds a model with deterministic weights derived from seed.
-func New(cfg Config, seed uint64) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	rng := tensor.NewRNG(seed)
-	m := &Model{Cfg: cfg}
-
-	std := float32(1.0 / math.Sqrt(float64(cfg.Dim)))
-	m.Embed = tensor.NewMat(cfg.VocabSize, cfg.Dim)
-	rng.FillNormal(m.Embed.Data, 1)
-
-	newQ := func(rows, cols int) quant.Mat {
-		w := tensor.NewMat(rows, cols)
-		rng.FillNormal(w.Data, std)
-		return quant.Quantize(w, cfg.Quant)
-	}
-	ones := func(n int) tensor.Vec {
-		v := make(tensor.Vec, n)
-		for i := range v {
-			v[i] = 1
-		}
-		return v
-	}
-
-	m.Layers = make([]Layer, cfg.NLayers)
+// Bytes reports the weight footprint of what the model holds resident —
+// its built layers, and the embedding and the output head each only if
+// present — which is what the per-node memory accounting (§V-A metric 4)
+// measures.
+func (m *Model) Bytes() int64 {
+	b := m.Embed.Bytes() + m.Output.Bytes() + int64(len(m.Norm))*4
 	for l := range m.Layers {
-		m.Layers[l] = Layer{
-			AttnNorm: ones(cfg.Dim),
-			Wq:       newQ(cfg.Dim, cfg.Dim),
-			Wk:       newQ(cfg.KVDim(), cfg.Dim),
-			Wv:       newQ(cfg.KVDim(), cfg.Dim),
-			Wo:       newQ(cfg.Dim, cfg.Dim),
-			FFNNorm:  ones(cfg.Dim),
-			WGate:    newQ(cfg.FFNDim, cfg.Dim),
-			WUp:      newQ(cfg.FFNDim, cfg.Dim),
-			WDown:    newQ(cfg.Dim, cfg.FFNDim),
-		}
-	}
-	m.Norm = ones(cfg.Dim)
-	m.Output = newQ(cfg.VocabSize, cfg.Dim)
-	return m, nil
-}
-
-// NewDraft derives a draft model from target by adding Gaussian noise of
-// the given scale to every weight. noise=0 yields a perfectly aligned
-// draft (acceptance ~100%); larger values lower alignment.
-func NewDraft(target *Model, noise float32, seed uint64) *Model {
-	rng := tensor.NewRNG(seed)
-	perturbQ := func(q quant.Mat) quant.Mat {
-		d := q.Dequantize()
-		for i := range d.Data {
-			d.Data[i] += rng.Norm() * noise
-		}
-		return quant.Quantize(d, target.Cfg.Quant)
-	}
-	perturbV := func(v tensor.Vec) tensor.Vec {
-		out := make(tensor.Vec, len(v))
-		copy(out, v)
-		return out
-	}
-	d := &Model{Cfg: target.Cfg}
-	d.Embed = target.Embed.Clone()
-	d.Layers = make([]Layer, len(target.Layers))
-	for l, src := range target.Layers {
-		d.Layers[l] = Layer{
-			AttnNorm: perturbV(src.AttnNorm),
-			Wq:       perturbQ(src.Wq),
-			Wk:       perturbQ(src.Wk),
-			Wv:       perturbQ(src.Wv),
-			Wo:       perturbQ(src.Wo),
-			FFNNorm:  perturbV(src.FFNNorm),
-			WGate:    perturbQ(src.WGate),
-			WUp:      perturbQ(src.WUp),
-			WDown:    perturbQ(src.WDown),
-		}
-	}
-	d.Norm = perturbV(target.Norm)
-	d.Output = perturbQ(target.Output)
-	return d
-}
-
-// Bytes reports the weight footprint of layers [lo, hi) plus, when
-// includeEnds is true, the embedding and output head. This is what the
-// per-node memory accounting (§V-A metric 4) measures.
-func (m *Model) Bytes(lo, hi int, includeEnds bool) int64 {
-	var b int64
-	for l := lo; l < hi; l++ {
 		lay := &m.Layers[l]
-		b += lay.Wq.Bytes() + lay.Wk.Bytes() + lay.Wv.Bytes() + lay.Wo.Bytes()
-		b += lay.WGate.Bytes() + lay.WUp.Bytes() + lay.WDown.Bytes()
+		for _, w := range lay.mats() {
+			b += w.Bytes()
+		}
 		b += int64(len(lay.AttnNorm)+len(lay.FFNNorm)) * 4
-	}
-	if includeEnds {
-		b += m.Embed.Bytes() + m.Output.Bytes() + int64(len(m.Norm))*4
 	}
 	return b
 }

@@ -466,14 +466,33 @@ func TestQuantizedModelRuns(t *testing.T) {
 
 func TestBytesAccounting(t *testing.T) {
 	m := tinyModel(t, 11)
-	all := m.Bytes(0, m.Cfg.NLayers, true)
-	mid := m.Bytes(1, 3, false)
-	if all <= mid {
-		t.Fatal("full model should outweigh a slice")
+	cfg := m.Cfg
+	stage := func(lo, hi int, first, last bool) int64 {
+		s, err := NewStage(cfg, 11, lo, hi, first, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Bytes()
 	}
-	perLayer := m.Bytes(0, 1, false)
-	if perLayer*int64(m.Cfg.NLayers) != m.Bytes(0, m.Cfg.NLayers, false) {
-		t.Fatal("layer bytes should be uniform")
+	// Resident bytes: a stage is charged its own layers, the embedding
+	// only when first, the norm and output head only when last, and the
+	// slices of any split sum to exactly the whole.
+	perLayer := stage(0, 1, false, false)
+	if got := stage(1, 3, false, false); got != 2*perLayer {
+		t.Fatalf("two middle layers weigh %d, want 2 x %d", got, perLayer)
+	}
+	embed, head := stage(0, 0, true, false), stage(0, 0, false, true)
+	if embed != m.Embed.Bytes() || head != m.Output.Bytes()+int64(cfg.Dim)*4 {
+		t.Fatalf("ends weigh %d / %d, want %d / %d", embed, head, m.Embed.Bytes(), m.Output.Bytes()+int64(cfg.Dim)*4)
+	}
+	if got := stage(0, 2, true, false); got != embed+2*perLayer {
+		t.Fatalf("a first-only stage weighs %d, want embedding + 2 layers = %d", got, embed+2*perLayer)
+	}
+	if got := stage(3, cfg.NLayers, false, true); got != head+int64(cfg.NLayers-3)*perLayer {
+		t.Fatalf("a last-only stage weighs %d, want head + layers = %d", got, head+int64(cfg.NLayers-3)*perLayer)
+	}
+	if sum := stage(0, 2, true, false) + stage(2, 3, false, false) + stage(3, cfg.NLayers, false, true); sum != m.Bytes() {
+		t.Fatalf("stage slices sum to %d, whole model holds %d", sum, m.Bytes())
 	}
 	if NewKVStore(m.Cfg, 0, 2, 16).Bytes() != int64(2*2*16*m.Cfg.KVDim()*4) {
 		t.Fatal("KV store bytes wrong")

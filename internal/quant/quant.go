@@ -78,64 +78,86 @@ type Mat struct {
 	q4     []uint8 // two 4-bit values per byte
 }
 
-// Quantize converts a dense matrix into format t.
-func Quantize(m tensor.Mat, t Type) Mat {
-	if t != F32 && m.Cols%BlockSize != 0 {
-		panic(fmt.Sprintf("quant: Cols=%d not a multiple of block size %d", m.Cols, BlockSize))
+// NewMat allocates a rows x cols matrix in format t with every weight
+// zero, to be filled a row at a time with QuantizeRow.
+func NewMat(rows, cols int, t Type) Mat {
+	if t != F32 && cols%BlockSize != 0 {
+		panic(fmt.Sprintf("quant: Cols=%d not a multiple of block size %d", cols, BlockSize))
 	}
-	q := Mat{Rows: m.Rows, Cols: m.Cols, Typ: t}
+	q := Mat{Rows: rows, Cols: cols, Typ: t}
 	switch t {
 	case F32:
-		q.f32 = make([]float32, len(m.Data))
-		copy(q.f32, m.Data)
+		q.f32 = make([]float32, rows*cols)
 	case Q8:
-		nBlocks := m.Rows * m.Cols / BlockSize
-		q.scales = make([]float32, nBlocks)
-		q.q8 = make([]int8, m.Rows*m.Cols)
-		for b := 0; b < nBlocks; b++ {
-			src := m.Data[b*BlockSize : (b+1)*BlockSize]
-			amax := float32(0)
-			for _, v := range src {
-				if a := float32(math.Abs(float64(v))); a > amax {
-					amax = a
-				}
-			}
-			scale := amax / 127
-			q.scales[b] = scale
+		q.scales = make([]float32, rows*cols/BlockSize)
+		q.q8 = make([]int8, rows*cols)
+	case Q4:
+		q.scales = make([]float32, rows*cols/BlockSize)
+		q.q4 = make([]uint8, rows*cols/2)
+	}
+	return q
+}
+
+// Quantize converts a dense matrix into format t.
+func Quantize(m tensor.Mat, t Type) Mat {
+	q := NewMat(m.Rows, m.Cols, t)
+	for r := 0; r < m.Rows; r++ {
+		q.QuantizeRow(r, m.Row(r))
+	}
+	return q
+}
+
+// QuantizeRow stores src (Cols values) as row r. Rows are whole blocks,
+// so a matrix filled row by row equals one quantized at once, and
+// distinct rows may be stored concurrently.
+func (q Mat) QuantizeRow(r int, src []float32) {
+	if len(src) != q.Cols {
+		panic(fmt.Sprintf("quant: QuantizeRow of %d values into %d columns", len(src), q.Cols))
+	}
+	switch q.Typ {
+	case F32:
+		copy(q.f32[r*q.Cols:(r+1)*q.Cols], src)
+	case Q8:
+		for b0 := 0; b0 < q.Cols; b0 += BlockSize {
+			blk := src[b0 : b0+BlockSize]
+			at := r*q.Cols + b0
+			scale := absMax(blk) / 127
+			q.scales[at/BlockSize] = scale
 			inv := float32(0)
 			if scale != 0 {
 				inv = 1 / scale
 			}
-			for i, v := range src {
-				q.q8[b*BlockSize+i] = int8(roundClamp(v*inv, -127, 127))
+			for i, v := range blk {
+				q.q8[at+i] = int8(roundClamp(v*inv, -127, 127))
 			}
 		}
 	case Q4:
-		nBlocks := m.Rows * m.Cols / BlockSize
-		q.scales = make([]float32, nBlocks)
-		q.q4 = make([]uint8, m.Rows*m.Cols/2)
-		for b := 0; b < nBlocks; b++ {
-			src := m.Data[b*BlockSize : (b+1)*BlockSize]
-			amax := float32(0)
-			for _, v := range src {
-				if a := float32(math.Abs(float64(v))); a > amax {
-					amax = a
-				}
-			}
-			scale := amax / 7
-			q.scales[b] = scale
+		for b0 := 0; b0 < q.Cols; b0 += BlockSize {
+			blk := src[b0 : b0+BlockSize]
+			at := r*q.Cols + b0
+			scale := absMax(blk) / 7
+			q.scales[at/BlockSize] = scale
 			inv := float32(0)
 			if scale != 0 {
 				inv = 1 / scale
 			}
 			for i := 0; i < BlockSize; i += 2 {
-				lo := uint8(roundClamp(src[i]*inv, -8, 7) + 8)
-				hi := uint8(roundClamp(src[i+1]*inv, -8, 7) + 8)
-				q.q4[(b*BlockSize+i)/2] = lo | hi<<4
+				lo := uint8(roundClamp(blk[i]*inv, -8, 7) + 8)
+				hi := uint8(roundClamp(blk[i+1]*inv, -8, 7) + 8)
+				q.q4[(at+i)/2] = lo | hi<<4
 			}
 		}
 	}
-	return q
+}
+
+func absMax(blk []float32) float32 {
+	amax := float32(0)
+	for _, v := range blk {
+		if a := float32(math.Abs(float64(v))); a > amax {
+			amax = a
+		}
+	}
+	return amax
 }
 
 func roundClamp(v, lo, hi float32) float32 {
@@ -152,27 +174,32 @@ func roundClamp(v, lo, hi float32) float32 {
 // Dequantize expands the matrix back to dense f32 form.
 func (q Mat) Dequantize() tensor.Mat {
 	out := tensor.NewMat(q.Rows, q.Cols)
-	switch q.Typ {
-	case F32:
-		copy(out.Data, q.f32)
-	case Q8:
-		for b := range q.scales {
-			s := q.scales[b]
-			for i := 0; i < BlockSize; i++ {
-				out.Data[b*BlockSize+i] = float32(q.q8[b*BlockSize+i]) * s
-			}
-		}
-	case Q4:
-		for b := range q.scales {
-			s := q.scales[b]
-			for i := 0; i < BlockSize; i += 2 {
-				packed := q.q4[(b*BlockSize+i)/2]
-				out.Data[b*BlockSize+i] = (float32(packed&0x0f) - 8) * s
-				out.Data[b*BlockSize+i+1] = (float32(packed>>4) - 8) * s
-			}
-		}
+	for r := 0; r < q.Rows; r++ {
+		q.DequantizeRow(r, out.Row(r))
 	}
 	return out
+}
+
+// DequantizeRow expands row r into dst (Cols values).
+func (q Mat) DequantizeRow(r int, dst []float32) {
+	if len(dst) != q.Cols {
+		panic(fmt.Sprintf("quant: DequantizeRow of %d columns into %d values", q.Cols, len(dst)))
+	}
+	at := r * q.Cols
+	switch q.Typ {
+	case F32:
+		copy(dst, q.f32[at:at+q.Cols])
+	case Q8:
+		for i := range dst {
+			dst[i] = float32(q.q8[at+i]) * q.scales[(at+i)/BlockSize]
+		}
+	case Q4:
+		for i := 0; i < q.Cols; i += 2 {
+			packed, s := q.q4[(at+i)/2], q.scales[(at+i)/BlockSize]
+			dst[i] = (float32(packed&0x0f) - 8) * s
+			dst[i+1] = (float32(packed>>4) - 8) * s
+		}
+	}
 }
 
 // Bytes reports the storage footprint of the quantized matrix.

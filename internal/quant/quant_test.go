@@ -198,3 +198,85 @@ func BenchmarkQ8MatVec(b *testing.B) {
 		q.MatVec(dst, x)
 	}
 }
+
+// TestRowStorageEqualsBlockLoop holds the row-at-a-time storage the
+// weight build fills through (NewMat + QuantizeRow) to the whole-matrix
+// block loop it replaced, copied here as it stood: same scales, same
+// packed values, and DequantizeRow hands back what Dequantize did.
+func TestRowStorageEqualsBlockLoop(t *testing.T) {
+	m := randMat(11, 12, 96)
+	m.Data[40] = 0 // a zero and an all-zero block exercise the inv == 0 branch
+	for i := 64; i < 96; i++ {
+		m.Data[i] = 0
+	}
+	nBlocks := m.Rows * m.Cols / BlockSize
+	amaxOf := func(src []float32) float32 {
+		amax := float32(0)
+		for _, v := range src {
+			if a := float32(math.Abs(float64(v))); a > amax {
+				amax = a
+			}
+		}
+		return amax
+	}
+
+	q8 := Quantize(m, Q8)
+	for b := 0; b < nBlocks; b++ {
+		src := m.Data[b*BlockSize : (b+1)*BlockSize]
+		scale := amaxOf(src) / 127
+		inv := float32(0)
+		if scale != 0 {
+			inv = 1 / scale
+		}
+		if q8.scales[b] != scale {
+			t.Fatalf("Q8 block %d: scale %v, block loop gives %v", b, q8.scales[b], scale)
+		}
+		for i, v := range src {
+			if want := int8(roundClamp(v*inv, -127, 127)); q8.q8[b*BlockSize+i] != want {
+				t.Fatalf("Q8 block %d value %d: %d, block loop gives %d", b, i, q8.q8[b*BlockSize+i], want)
+			}
+		}
+	}
+
+	q4 := Quantize(m, Q4)
+	for b := 0; b < nBlocks; b++ {
+		src := m.Data[b*BlockSize : (b+1)*BlockSize]
+		scale := amaxOf(src) / 7
+		inv := float32(0)
+		if scale != 0 {
+			inv = 1 / scale
+		}
+		if q4.scales[b] != scale {
+			t.Fatalf("Q4 block %d: scale %v, block loop gives %v", b, q4.scales[b], scale)
+		}
+		for i := 0; i < BlockSize; i += 2 {
+			lo := uint8(roundClamp(src[i]*inv, -8, 7) + 8)
+			hi := uint8(roundClamp(src[i+1]*inv, -8, 7) + 8)
+			if got := q4.q4[(b*BlockSize+i)/2]; got != lo|hi<<4 {
+				t.Fatalf("Q4 block %d pair %d: %#x, block loop gives %#x", b, i/2, got, lo|hi<<4)
+			}
+		}
+	}
+
+	for _, q := range []Mat{Quantize(m, F32), q8, q4} {
+		d := q.Dequantize()
+		for i, got := range d.Data {
+			var want float32
+			switch q.Typ {
+			case F32:
+				want = m.Data[i]
+			case Q8:
+				want = float32(q.q8[i]) * q.scales[i/BlockSize]
+			case Q4:
+				nib := q.q4[i/2] & 0x0f
+				if i%2 == 1 {
+					nib = q.q4[i/2] >> 4
+				}
+				want = (float32(nib) - 8) * q.scales[i/BlockSize]
+			}
+			if math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("%v weight %d dequantizes to %v, want %v", q.Typ, i, got, want)
+			}
+		}
+	}
+}

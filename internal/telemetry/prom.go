@@ -140,7 +140,15 @@ func (r *Registry) writeProm(w io.Writer) (int64, error) {
 	stages := append([]stageEntry(nil), r.stages...)
 	links := append([]linkEntry(nil), r.links...)
 	rings := append([]ringEntry(nil), r.rings...)
+	builds := append([]buildEntry(nil), r.builds...)
 	r.mu.Unlock()
+
+	if len(builds) > 0 {
+		cw.family("pipeinfer_model_build_seconds", "gauge", "Time a rank took to derive the weights it holds (cold start, before its first run).")
+		for _, b := range builds {
+			cw.sample("pipeinfer_model_build_seconds", b.took.Seconds(), "rank", b.name)
+		}
+	}
 
 	if len(stages) > 0 {
 		now := r.now()

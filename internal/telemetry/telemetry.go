@@ -56,6 +56,7 @@ type Registry struct {
 	stages   []stageEntry
 	links    []linkEntry
 	rings    []ringEntry
+	builds   []buildEntry
 	statsFn  func() engine.Stats
 	nowFn    func() time.Duration
 	dumpPath string
@@ -76,6 +77,11 @@ type linkEntry struct {
 type ringEntry struct {
 	name string
 	ring *trace.Ring
+}
+
+type buildEntry struct {
+	name string
+	took time.Duration
 }
 
 // New creates a registry with all histograms allocated.
@@ -238,6 +244,18 @@ func (r *Registry) RegisterRing(name string, size int) *trace.Ring {
 	r.rings = append(r.rings, ringEntry{name, ring})
 	r.mu.Unlock()
 	return ring
+}
+
+// SetModelBuild records how long one rank took to derive the weights it
+// holds (name "draft" for a head's draft model) — the first term of a
+// cold start's time to first token. Set once per build, off the hot path.
+func (r *Registry) SetModelBuild(name string, took time.Duration) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.builds = append(r.builds, buildEntry{name, took})
+	r.mu.Unlock()
 }
 
 // AttachRing registers an externally created flight ring.

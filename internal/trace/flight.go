@@ -24,13 +24,14 @@ const (
 	FlightFail               // watchdog declared a run failed
 	FlightTrip               // repeated-failure breaker tripped
 	FlightRecover            // session recovered by prefix recompute
+	FlightBuild              // head began deriving its draft weights
 )
 
 var flightKindNames = [...]string{
 	FlightNone: "none", FlightLaunch: "launch", FlightResult: "result",
 	FlightCancel: "cancel", FlightAccept: "accept", FlightEvalBeg: "eval+",
 	FlightEvalEnd: "eval-", FlightDraft: "draft", FlightFail: "fail",
-	FlightTrip: "trip", FlightRecover: "recover",
+	FlightTrip: "trip", FlightRecover: "recover", FlightBuild: "build",
 }
 
 // String names the kind for renderings and Chrome trace export.
@@ -154,7 +155,7 @@ func (r *Ring) Snapshot() []FlightEvent {
 		i := (first + k) & r.mask
 		at := r.at[i].Load()
 		run, arg, kind := unpackMeta(r.meta[i].Load())
-		if kind == FlightNone || kind > FlightRecover {
+		if kind == FlightNone || kind > FlightBuild {
 			continue // unwritten or torn slot
 		}
 		out = append(out, FlightEvent{At: time.Duration(at), Run: run, Arg: arg, Kind: kind})
