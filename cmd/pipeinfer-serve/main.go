@@ -16,9 +16,6 @@
 //	pipeinfer-serve -sessions 16 -slots 16 -batch 4        # cross-session batching: up to 4
 //	                                                       # sessions' steps coalesce into one
 //	                                                       # multi-row pipeline run
-//	pipeinfer-serve -batch 8 -batch-window 2               # hold a partial batch up to 2
-//	                                                       # scheduler steps while the
-//	                                                       # pipeline is busy
 //	pipeinfer-serve -batch 8 -prefill-chunk 32             # chunked cross-session prefill:
 //	                                                       # prompts split into 32-token chunks
 //	                                                       # that ride in the same runs as
@@ -115,9 +112,8 @@ func main() {
 		kvPage    = flag.Int("kv-page", 0, "KV page size in cells (0 = default 16)")
 		prefix    = flag.Bool("prefix-cache", true, "shared-prefix reuse: publish completed prompt prefixes in a block-hash trie and map them read-only into later sessions sharing them, skipping recompute (needs -kv-cells > 0; ignored otherwise)")
 		sharedLen = flag.Int("shared-prompt", 0, "prepend this many common system-prompt tokens to every session (sim mode; pairs with -prefix-cache to demonstrate shared-prefix reuse)")
-		batchStr  = flag.String("batch", "0", "cross-session batching: coalesce up to this many sessions' steps into one multi-row pipeline run (0/1 = off; \"auto\" = adaptive width, \"auto:N\" = adaptive capped at N)")
-		batchWin  = flag.Int("batch-window", 0, "scheduler steps a partial batch may wait for more ready sessions while the pipeline is busy (0 = launch immediately)")
-		chunk     = flag.Int("prefill-chunk", 0, "chunked cross-session prefill: per-run prompt token budget; prompts split into chunks that batch across sessions and ride with decode rows (0 = whole-prompt prefills; needs -batch)")
+		batchStr  = flag.String("batch", "0", "cross-session batching: coalesce up to this many sessions' steps into one multi-row pipeline run (0/1 = width 1; \"auto\" = adaptive width, \"auto:N\" = adaptive capped at N)")
+		chunk     = flag.Int("prefill-chunk", 0, "chunked cross-session prefill: per-run prompt token budget; prompts split into chunks that batch across sessions and ride with decode rows (0 = whole-prompt prefills)")
 		runTO     = flag.Duration("run-timeout", 0, "run watchdog floor: a run without a result past its deadline fails and its sessions recover by evict + prefix recompute (0 = off)")
 		priority  = flag.Int("priority", 0, "service class for every request: higher priorities rank as if their deadline were earlier in the admission queue (aging prevents starvation of lower classes)")
 		ttftSLO   = flag.Duration("ttft-slo", 0, "time-to-first-token budget from serve start; a queued request whose budget is provably blown is shed before any compute is spent on it (0 = no TTFT SLO)")
@@ -140,7 +136,7 @@ func main() {
 	slo := sloOptions{priority: *priority, ttftSLO: *ttftSLO, deadline: *deadline, maxQueue: *maxQueue}
 
 	if *sim {
-		simServe(*nodes, *sessions, *slots, *tokens, *seed, *speculate, *kvCells, *kvPage, *prefix, *sharedLen, batchSz, *batchWin, *chunk, autoBatch, *runTO, slo, reg)
+		simServe(*nodes, *sessions, *slots, *tokens, *seed, *speculate, *kvCells, *kvPage, *prefix, *sharedLen, batchSz, *chunk, autoBatch, *runTO, slo, reg)
 		return
 	}
 
@@ -176,7 +172,6 @@ func main() {
 		KVPageSize:   *kvPage,
 		PrefixCache:  *prefix,
 		MaxBatch:     batchSz,
-		BatchWindow:  *batchWin,
 		PrefillChunk: *chunk,
 		AutoBatch:    autoBatch,
 		RunTimeout:   *runTO,
@@ -255,7 +250,7 @@ func main() {
 			100*float64(out.Stats.PrefixHitTokens)/float64(max(promptTokens, 1)))
 	}
 	if out.Stats.BatchedRuns > 0 {
-		fmt.Printf("batching: %d multi-session runs (%d carrying prefill chunks), mean width %.1f, %d rows masked out in flight\n",
+		fmt.Printf("batching: %d tagged runs (%d carrying prefill chunks), mean width %.1f sessions, %d rows masked out in flight\n",
 			out.Stats.BatchedRuns, out.Stats.PrefillBatchedRuns, out.Stats.MeanBatch(), out.Stats.RowCancels)
 	}
 	if *runTO > 0 || out.Stats.RunTimeouts > 0 {
@@ -338,7 +333,7 @@ func printOverload(s engine.Stats, slo sloOptions) {
 
 // simServe serves on the discrete-event simulator at paper scale and
 // reports virtual-time throughput.
-func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, kvCells, kvPage int, prefix bool, sharedLen, batchSz, batchWin, chunk int, autoBatch bool, runTO time.Duration, slo sloOptions, reg *telemetry.Registry) {
+func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, kvCells, kvPage int, prefix bool, sharedLen, batchSz, chunk int, autoBatch bool, runTO time.Duration, slo sloOptions, reg *telemetry.Registry) {
 	simOpts := pipeinfer.SimulateServeOptions{
 		Cluster:         pipeinfer.ClusterC().Take(nodes),
 		Pair:            pipeinfer.CPUPairs()[0],
@@ -353,7 +348,6 @@ func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, k
 		KVPageSize:      kvPage,
 		PrefixCache:     prefix,
 		MaxBatch:        batchSz,
-		BatchWindow:     batchWin,
 		PrefillChunk:    chunk,
 		AutoBatch:       autoBatch,
 		RunTimeout:      runTO,
@@ -401,7 +395,7 @@ func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, k
 			100*float64(out.Stats.PrefixHitTokens)/float64(max(promptTokens, 1)))
 	}
 	if out.Stats.BatchedRuns > 0 {
-		fmt.Printf("batching: %d multi-session runs (%d carrying prefill chunks), mean width %.1f, %d rows masked out in flight\n",
+		fmt.Printf("batching: %d tagged runs (%d carrying prefill chunks), mean width %.1f sessions, %d rows masked out in flight\n",
 			out.Stats.BatchedRuns, out.Stats.PrefillBatchedRuns, out.Stats.MeanBatch(), out.Stats.RowCancels)
 	}
 	if runTO > 0 || out.Stats.RunTimeouts > 0 {

@@ -10,10 +10,10 @@
 //  1. serially, one pipeline rebuilt per request (no serving layer);
 //  2. served concurrently on the real backend, verifying every session
 //     against its single-model greedy reference;
-//  3. served with cross-session batching (-batch/-batch-window): up to
-//     -batch users' decode steps coalesce into one multi-row pipeline
-//     run, amortising per-run overhead, with outputs still bit-identical
-//     to each user's solo run;
+//  3. served with cross-session batching (-batch): up to -batch users'
+//     decode steps coalesce into one multi-row pipeline run, amortising
+//     per-run overhead, with outputs still bit-identical to each user's
+//     solo run;
 //  4. a prefill burst (-prefill-chunk): 8 sessions with long prompts
 //     arrive simultaneously, once with whole-prompt prefill runs (every
 //     user's first token waits behind the longest prompt at the head of
@@ -83,7 +83,6 @@ func main() {
 	kvCells := flag.Int("kv-cells", 0, "per-stage KV capacity in cells for the oversubscribed run (0 = half the fully provisioned size)")
 	kvPage := flag.Int("kv-page", 8, "KV page size in cells")
 	batchSz := flag.Int("batch", 4, "cross-session batch width for the batched run (sessions coalesced per pipeline run)")
-	batchWin := flag.Int("batch-window", 0, "scheduler steps a partial batch may wait while the pipeline is busy")
 	chunk := flag.Int("prefill-chunk", 24, "prefill chunk budget (tokens per run) for the burst step")
 	flag.Parse()
 	cfg := pipeinfer.TinyModel()
@@ -167,7 +166,6 @@ func main() {
 		Seed:        42,
 		MaxSessions: users,
 		MaxBatch:    *batchSz,
-		BatchWindow: *batchWin,
 		Requests:    reqs,
 	})
 	if err != nil {

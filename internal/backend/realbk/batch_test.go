@@ -1,11 +1,13 @@
 package realbk
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/batch"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/tcpcomm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
@@ -32,7 +34,6 @@ func TestServeBatchedGreedyParity(t *testing.T) {
 		width       int
 		requests    int
 		maxBatch    int
-		batchWindow int
 		kvCells     int
 		kvPage      int
 		promptLen   int // 0 = the short default prompts
@@ -41,7 +42,6 @@ func TestServeBatchedGreedyParity(t *testing.T) {
 		tcp         bool // every rank through ServeRank on a tcpcomm loopback mesh
 	}{
 		{name: "16-sessions-batch-4", nodes: 2, maxSessions: 16, width: 1, requests: 16, maxBatch: 4},
-		{name: "16-sessions-batch-8-window", nodes: 3, maxSessions: 16, width: 1, requests: 16, maxBatch: 8, batchWindow: 2},
 		{name: "recycled-slots-batch-4", nodes: 2, maxSessions: 5, width: 1, requests: 12, maxBatch: 4},
 		{name: "speculative-batch-4", nodes: 3, speculate: true, maxSessions: 8, width: 4, requests: 8, maxBatch: 4},
 		// Four pages of 8 cells; a prompt takes one and a finished stream
@@ -93,7 +93,6 @@ func TestServeBatchedGreedyParity(t *testing.T) {
 				MaxSessions:    tc.maxSessions,
 				SeqsPerSession: tc.width,
 				MaxBatch:       tc.maxBatch,
-				BatchWindow:    tc.batchWindow,
 				KVCells:        tc.kvCells,
 				KVPageSize:     tc.kvPage,
 				PrefillChunk:   tc.chunk,
@@ -273,11 +272,15 @@ func TestServeChunkedMatchesWhole(t *testing.T) {
 			}
 		}
 	}
-	if whole.Stats.PrefillBatchedRuns != 0 {
-		t.Fatal("whole-prompt run counted prefill-chunk runs")
+	// A whole-prompt prefill is one chunk, one such chunk per run; a
+	// 36-40-token prompt under an 8-token budget needs several.
+	if whole.Stats.PrefillBatchedRuns != len(reqs) {
+		t.Fatalf("whole-prompt run launched %d prefill runs for %d requests, want one each",
+			whole.Stats.PrefillBatchedRuns, len(reqs))
 	}
-	if chunked.Stats.PrefillBatchedRuns == 0 {
-		t.Fatal("chunked run launched no chunk runs")
+	if chunked.Stats.PrefillBatchedRuns <= len(reqs) {
+		t.Fatalf("chunked run launched %d prefill runs for %d requests, want more than one each",
+			chunked.Stats.PrefillBatchedRuns, len(reqs))
 	}
 }
 
@@ -522,5 +525,56 @@ func TestBatchedRowCancelServing(t *testing.T) {
 	}
 	if out.Stats.RowCancels == 0 {
 		t.Fatal("continuous rejection produced no row-masked cancellations")
+	}
+}
+
+// TestWholePromptPrefillShipsOneLogitsRow pins what an unchunked prefill
+// costs at the last stage: the scheduler sends a prompt as one ranged
+// group of which only the final row samples, so the result frame names
+// row 8 of 9 and carries one vocab-sized logits row — bit for bit the
+// last of the nine an untagged run of the same tokens projects and ships.
+func TestWholePromptPrefillShipsOneLogitsRow(t *testing.T) {
+	cfg := serveModel(4)
+	m, err := model.New(cfg, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 9
+	set := kvcache.NewSeqSet(0)
+	var c batch.Composer
+	plain := &engine.RunMsg{Kind: engine.KindPrefill, Tokens: make([]engine.TokenPlace, n)}
+	for p := 0; p < n; p++ {
+		tok := token.Token(token.NumSpecial + 13*p%250)
+		c.Stage(batch.Row{Tok: tok, Pos: int32(p), Seqs: set, Range: engine.RowRange{Pos: 0, Len: n}})
+		plain.Tokens[p] = engine.TokenPlace{Tok: tok, Pos: int32(p), Seqs: set}
+	}
+	ranged := &engine.RunMsg{}
+	c.ComposeInto(ranged, engine.KindPrefill, nil, false)
+
+	eval := func(msg *engine.RunMsg) []byte {
+		w := NewWorker(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: 64, ShardSeqs: 1})
+		out, _, ok := w.Eval(msg, nil, func() bool { return false })
+		if !ok {
+			t.Fatal("evaluation cancelled")
+		}
+		return out
+	}
+	total, rows, _, logits, err := batch.DecodeResult(eval(ranged), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != n || len(rows) != 1 || rows[0] != n-1 {
+		t.Fatalf("result frame names rows %v of %d, want [%d] of %d", rows, total, n-1, n)
+	}
+	rowBytes := 4 * cfg.VocabSize
+	if len(logits) != rowBytes {
+		t.Fatalf("result frame carries %d logits bytes, want one row of %d", len(logits), rowBytes)
+	}
+	all := eval(plain)
+	if len(all) != n*rowBytes {
+		t.Fatalf("untagged prefill result is %d bytes, want %d rows of %d", len(all), n, rowBytes)
+	}
+	if !bytes.Equal(logits, all[(n-1)*rowBytes:]) {
+		t.Fatal("the sampled row's logits differ from the untagged run's last row")
 	}
 }

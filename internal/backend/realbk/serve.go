@@ -50,19 +50,15 @@ type ServeOptions struct {
 	// (default kvpage.DefaultPageSize).
 	KVPageSize int
 
-	// MaxBatch enables cross-session batching: up to MaxBatch sessions'
-	// compatible steps coalesce into one multi-row pipeline run
-	// (internal/batch). 0 or 1 disables batching.
+	// MaxBatch is the batch width: up to MaxBatch sessions' row groups
+	// are composed into one multi-row pipeline run (internal/batch). 0 or
+	// 1 is width 1.
 	MaxBatch int
-	// BatchWindow bounds how many scheduler steps a partial batch may
-	// wait for more ready sessions while the pipeline is busy (0 =
-	// launch immediately).
-	BatchWindow int
-	// PrefillChunk, with batching enabled, splits prompt prefills into
-	// chunks of at most this many tokens per composed run; chunks batch
-	// across sessions and ride in the same multi-row runs as decode rows,
-	// scheduled shortest-remaining-prefill-first (0 = whole-prompt
-	// prefill runs, the pre-chunking schedule).
+	// PrefillChunk splits prompt prefills into chunks of at most this
+	// many tokens per composed run; chunks batch across sessions and ride
+	// in the same multi-row runs as decode rows, scheduled
+	// shortest-remaining-prefill-first (0 = a prompt's whole remaining
+	// range is one chunk, one such chunk per run).
 	PrefillChunk int
 	// AutoBatch replaces the static batch width with the adaptive
 	// controller (-batch=auto): MaxBatch becomes the cap (default
@@ -84,10 +80,6 @@ type ServeOptions struct {
 	// failed, and the sessions it carried are recovered by eviction +
 	// prefix-recompute readmission. 0 (the default) disables the watchdog.
 	RunTimeout time.Duration
-	// RunTimeoutMult and RunTimeoutCap tune the watchdog's adaptive
-	// deadline (see serve.Config); zero values take the serving defaults.
-	RunTimeoutMult float64
-	RunTimeoutCap  time.Duration
 
 	// MaxQueue bounds the admission queue (PR 10): submissions past the
 	// bound settle as serve.ErrOverloaded results instead of waiting, and
@@ -314,12 +306,9 @@ func runScheduler(h *engine.Head, p *plan, opts ServeOptions) ([]serve.Result, e
 		OnPreempt:      opts.OnPreempt,
 		OnReadmit:      opts.OnReadmit,
 		MaxBatch:       opts.MaxBatch,
-		BatchWindow:    opts.BatchWindow,
 		PrefillChunk:   opts.PrefillChunk,
 		AutoBatch:      opts.AutoBatch,
 		RunTimeout:     opts.RunTimeout,
-		RunTimeoutMult: opts.RunTimeoutMult,
-		RunTimeoutCap:  opts.RunTimeoutCap,
 		MaxQueue:       opts.MaxQueue,
 		OnRecover:      opts.OnRecover,
 		PrefixCache:    opts.PrefixCache,

@@ -368,9 +368,28 @@ func TestServeOversubscribedParity(t *testing.T) {
 // system prompt read-only instead of recomputing it, KV pressure and
 // trie eviction compose, and every session must still be bit-identical
 // to its serial greedy reference (cold and hit sessions alike).
+//
+// That sharing and pressure both engage is arithmetic, not interleaving:
+// the first twelve requests are short (8 tokens) and the cache holds any
+// four of them, the last four are long (62) and it cannot hold those.
+// The cache is 32 pages of 8 cells. The first four requests — admitted
+// together, the trie empty, all cold — finish in 8 + 8 + 8 + 5 pages, and
+// the fifth, a 3-page cold prompt, takes the first slot they free: 32, so
+// no launch has wanted for room, nothing has been evicted from the trie,
+// and the sixth — the system prompt again, published when the first
+// prefill of it completed, before any session could finish — maps it: a
+// hit. The last four end up alone. Each still has to write its suffix and
+// 61 evaluated tokens, 9 pages of its own, beside the pinned 6-page
+// system prompt: 42 pages. A session has one decode step in flight at a
+// time and results return in launch order, so the four advance in step,
+// and the pages run out with every one of them two or more short: some
+// session is parked before any finishes. (A parked prefix, 15 pages at
+// most, always finds room once the others are done: the trie pins at
+// most the system prompt, its 3-page half and three 1-page cold prompts.)
 func TestServeSharedPrefixParity(t *testing.T) {
 	const (
-		maxNew    = 8
+		short     = 8
+		long      = 62
 		sharedLen = 48
 		requests  = 16
 	)
@@ -402,12 +421,11 @@ func TestServeSharedPrefixParity(t *testing.T) {
 				p = append(p, token.Token(token.NumSpecial+(11*i+7*j)%250))
 			}
 		}
-		reqs[i] = serve.Request{Prompt: p, MaxNew: maxNew}
+		reqs[i] = serve.Request{Prompt: p, MaxNew: short}
+		if i >= requests-4 {
+			reqs[i].MaxNew = long
+		}
 	}
-	// Footprint per full-prompt session: 48 shared + suffix + 8 generated
-	// ≈ 8 pages of 8. Four concurrent cold sessions need ~30 pages; 24
-	// pages (192 cells) force preemption until the shared prompt is
-	// published and mapped instead of copied.
 	for _, tc := range []struct {
 		name  string
 		batch int
@@ -420,13 +438,13 @@ func TestServeSharedPrefixParity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := ServeOptions{
 				Nodes:        2,
-				CFG:          engine.Config{MaxNew: maxNew},
+				CFG:          engine.Config{MaxNew: long},
 				ModelCfg:     serveModel(4),
 				Seed:         21,
 				MaxSessions:  4,
 				MaxBatch:     tc.batch,
 				PrefillChunk: tc.chunk,
-				KVCells:      192,
+				KVCells:      256,
 				KVPageSize:   8,
 				PrefixCache:  true,
 				Requests:     reqs,
@@ -438,7 +456,7 @@ func TestServeSharedPrefixParity(t *testing.T) {
 			for i, res := range out.Results {
 				ref, err := ReferenceGreedy(Options{
 					ModelCfg: opts.ModelCfg, Seed: opts.Seed, Prompt: reqs[i].Prompt,
-				}, maxNew)
+				}, reqs[i].MaxNew)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -453,14 +471,14 @@ func TestServeSharedPrefixParity(t *testing.T) {
 				}
 			}
 			if out.Stats.PrefixHits == 0 {
-				t.Fatal("shared-prompt workload recycled through few slots recorded no prefix hits")
+				t.Fatal("the sixth request found the system prompt published and the trie untouched, yet nothing was mapped")
 			}
 			if out.Stats.PrefixHitTokens < 8*out.Stats.PrefixHits {
 				t.Fatalf("%d prefix hits skipped only %d tokens — hits below page granularity",
 					out.Stats.PrefixHits, out.Stats.PrefixHitTokens)
 			}
-			if out.Stats.Preemptions == 0 || out.Stats.Readmissions == 0 {
-				t.Fatalf("undersized cache recorded %d preemptions / %d readmissions — pressure never composed with sharing",
+			if out.Stats.Preemptions == 0 || out.Stats.Readmissions < out.Stats.Preemptions {
+				t.Fatalf("the last four requests cannot finish side by side, yet: %d preemptions, %d readmissions",
 					out.Stats.Preemptions, out.Stats.Readmissions)
 			}
 		})

@@ -46,18 +46,15 @@ type ServeOptions struct {
 	// memory-pressure protocol. KVPageSize sets the page granularity.
 	KVCells    int
 	KVPageSize int
-	// MaxBatch enables cross-session batching: up to MaxBatch sessions'
-	// compatible steps coalesce into one multi-row pipeline run
-	// (internal/batch). 0 or 1 disables batching. BatchWindow bounds how
-	// many scheduler steps a partial batch may wait while the pipeline is
-	// busy (0 = launch immediately).
-	MaxBatch    int
-	BatchWindow int
-	// PrefillChunk, with batching enabled, splits prompt prefills into
-	// chunks of at most this many tokens per composed run (chunked
-	// cross-session prefill, shortest-remaining-first; 0 = whole-prompt
-	// prefill runs). AutoBatch replaces the static width with the
-	// adaptive controller (MaxBatch becomes the cap).
+	// MaxBatch is the batch width: up to MaxBatch sessions' row groups
+	// are composed into one multi-row pipeline run (internal/batch). 0 or
+	// 1 is width 1.
+	MaxBatch int
+	// PrefillChunk splits prompt prefills into chunks of at most this
+	// many tokens per composed run (chunked cross-session prefill,
+	// shortest-remaining-first; 0 = a prompt's whole remaining range is
+	// one chunk, one such chunk per run). AutoBatch replaces the static
+	// width with the adaptive controller (MaxBatch becomes the cap).
 	PrefillChunk int
 	AutoBatch    bool
 	// PrefixCache enables cross-session prompt-prefix reuse (PR 9):
@@ -86,11 +83,8 @@ type ServeOptions struct {
 	SLOFor func(i int) (priority int, ttftDeadline, deadline time.Duration)
 	// RunTimeout arms the head's run watchdog in virtual time (PR 6):
 	// failed runs recover their sessions by eviction + prefix-recompute
-	// readmission. 0 disables. RunTimeoutMult / RunTimeoutCap tune the
-	// adaptive deadline (serve.Config defaults when zero).
-	RunTimeout     time.Duration
-	RunTimeoutMult float64
-	RunTimeoutCap  time.Duration
+	// readmission. 0 disables.
+	RunTimeout time.Duration
 	// WrapEndpoint, when non-nil, wraps each rank's endpoint before the
 	// engine sees it — the fault-injection hook (faultcomm over simcomm
 	// perturbs the run in exact virtual time).
@@ -258,12 +252,9 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 			Speculate:      opts.Speculate,
 			KV:             kv,
 			MaxBatch:       opts.MaxBatch,
-			BatchWindow:    opts.BatchWindow,
 			PrefillChunk:   opts.PrefillChunk,
 			AutoBatch:      opts.AutoBatch,
 			RunTimeout:     opts.RunTimeout,
-			RunTimeoutMult: opts.RunTimeoutMult,
-			RunTimeoutCap:  opts.RunTimeoutCap,
 			MaxQueue:       opts.MaxQueue,
 			OnRecover:      opts.OnRecover,
 			PrefixCache:    opts.PrefixCache,

@@ -257,7 +257,6 @@ func TestSimServeBatchedGreedyParity(t *testing.T) {
 		maxSessions int
 		width       int
 		maxBatch    int
-		batchWindow int
 		kvCells     int
 		kvPage      int
 		promptLen   int // 0 = the short default (12)
@@ -265,7 +264,6 @@ func TestSimServeBatchedGreedyParity(t *testing.T) {
 		autoBatch   bool
 	}{
 		{name: "16-sessions-batch-4", nodes: 4, sessions: 16, maxSessions: 16, width: 1, maxBatch: 4},
-		{name: "16-sessions-batch-8-window", nodes: 4, sessions: 16, maxSessions: 16, width: 1, maxBatch: 8, batchWindow: 2},
 		{name: "speculative-batch-4", nodes: 4, speculate: true, sessions: 8, maxSessions: 8, width: 4, maxBatch: 4},
 		{name: "oversubscribed-batch-4", nodes: 4, sessions: 16, maxSessions: 16, width: 1, maxBatch: 4, kvCells: 320, kvPage: 8},
 		// Chunked cross-session prefill (PR 5) at paper scale: long
@@ -293,7 +291,6 @@ func TestSimServeBatchedGreedyParity(t *testing.T) {
 				MaxSessions:    tc.maxSessions,
 				SeqsPerSession: tc.width,
 				MaxBatch:       tc.maxBatch,
-				BatchWindow:    tc.batchWindow,
 				KVCells:        tc.kvCells,
 				KVPageSize:     tc.kvPage,
 				PrefillChunk:   tc.chunk,

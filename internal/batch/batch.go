@@ -16,13 +16,13 @@
 //
 // # Pieces
 //
-//   - Composer: stages per-session rows, applies the bounded batch-window
-//     policy ("launch now if the pipeline is idle, else wait a bounded
-//     number of steps to fill"), and composes a wire-format-v3
-//     engine.RunMsg with per-row (session, seq-set, position) tags.
-//   - Group / GroupOf: iterate a batched run's contiguous per-session row
-//     ranges — the demux primitive the scheduler and the head backends
-//     share.
+//   - Composer: stages per-session rows and composes them into one
+//     engine.RunMsg — wire format v3, with per-row (session, seq-set,
+//     position) tags, once there is something to tag: one session's
+//     unranged rows compose to the plain untagged message, so batching
+//     never changes the wire format until it actually coalesces. Every
+//     serving run is built here; a solo run is the one-group case.
+//     (engine.RunMsg.Groups / GroupOf walk either shape's row groups.)
 //   - The multi-session result frame (AppendResultHeader /
 //     DecodeResult): because stages may surgically mask cancelled
 //     sessions' rows out of an in-flight batch, the last stage's result
@@ -62,20 +62,11 @@ type Row struct {
 }
 
 // Composer accumulates per-session rows between scheduler steps and
-// composes them into one multi-session run. All storage is reused across
-// batches, so steady-state composition allocates nothing.
+// composes them into one run. All storage is reused across batches, so
+// steady-state composition allocates nothing.
 type Composer struct {
-	// MaxBatch bounds the number of distinct sessions per composed run.
-	MaxBatch int
-	// Window bounds how many consecutive scheduler steps a partially
-	// filled batch may be held back — while the pipeline is busy and more
-	// sessions could still join — before it is flushed anyway. 0 flushes
-	// immediately, so single-session latency never regresses.
-	Window int
-
 	rows  []Row
 	nsess int
-	held  int
 }
 
 // Reset discards staged rows (storage retained).
@@ -99,38 +90,17 @@ func (c *Composer) Sessions() int { return c.nsess }
 // Rows reports the number of rows staged.
 func (c *Composer) Rows() int { return len(c.rows) }
 
-// Full reports whether the batch has reached MaxBatch sessions.
-func (c *Composer) Full() bool { return c.nsess >= c.MaxBatch }
-
-// ShouldHold applies the bounded batch-window policy to a candidate
-// batch of `sessions` ready sessions: hold back only when the pipeline
-// has work in flight (so holding costs no idle time), the batch is not
-// full at this step's width bound (the adaptive controller may cap
-// below MaxBatch — holding a width-capped batch waits for a fill that
-// can never happen), more sessions could plausibly join (moreSessions),
-// and the window has not been exhausted. A held batch's sessions stay
-// ready; the scheduler consumes a result instead, which is exactly what
-// frees more sessions to join.
-func (c *Composer) ShouldHold(sessions, width int, moreSessions, pipelineBusy bool) bool {
-	if width > c.MaxBatch || width <= 0 {
-		width = c.MaxBatch
-	}
-	if c.Window <= 0 || !pipelineBusy || !moreSessions || sessions == 0 || sessions >= width {
-		c.held = 0
-		return false
-	}
-	if c.held >= c.Window {
-		c.held = 0
-		return false
-	}
-	c.held++
-	return true
-}
-
-// ComposeInto writes the staged rows into msg as one wire-format-v3
-// batched run and resets the composer. msg's Tokens and RowSessions
-// slices are resized in place (pooled messages keep their storage). When
-// needCtx is set, each row's context is appended to ctxs (which the
+// ComposeInto writes the staged rows into msg as one run and resets the
+// composer. msg's Tokens, RowSessions and RowRanges slices are resized in
+// place (pooled messages keep their storage).
+//
+// One session's unranged group composes to the plain untagged message —
+// Session names the owner, no per-row tags — which stages evaluate on
+// their plain path and answer with the plain result frame. Anything else
+// (several sessions, or any ranged row: ranges describe row groups and
+// travel only with tags) is a wire-format-v3 tagged run.
+//
+// When needCtx is set, each row's context is appended to ctxs (which the
 // caller pools alongside the run record) and the extended slice is
 // returned; otherwise ctxs is returned untouched.
 func (c *Composer) ComposeInto(msg *engine.RunMsg, kind engine.RunKind, ctxs [][]token.Token, needCtx bool) [][]token.Token {
@@ -145,27 +115,33 @@ func (c *Composer) ComposeInto(msg *engine.RunMsg, kind engine.RunKind, ctxs [][
 			break
 		}
 	}
+	tagged := ranged || c.nsess > 1
 	if cap(msg.Tokens) < n {
 		msg.Tokens = make([]engine.TokenPlace, n)
 	}
-	if cap(msg.RowSessions) < n {
-		msg.RowSessions = make([]uint16, n)
-	}
 	msg.Tokens = msg.Tokens[:n]
-	msg.RowSessions = msg.RowSessions[:n]
+	msg.RowSessions = msg.RowSessions[:0]
+	msg.RowRanges = msg.RowRanges[:0]
+	if tagged {
+		if cap(msg.RowSessions) < n {
+			msg.RowSessions = make([]uint16, n)
+		}
+		msg.RowSessions = msg.RowSessions[:n]
+	}
 	if ranged {
 		if cap(msg.RowRanges) < n {
 			msg.RowRanges = make([]engine.RowRange, n)
 		}
 		msg.RowRanges = msg.RowRanges[:n]
-	} else {
-		msg.RowRanges = msg.RowRanges[:0]
 	}
 	msg.Kind = kind
+	msg.Session = c.rows[0].Session
 	msg.DeadSessions = 0
 	for i, r := range c.rows {
 		msg.Tokens[i] = engine.TokenPlace{Tok: r.Tok, Pos: r.Pos, Seqs: r.Seqs}
-		msg.RowSessions[i] = r.Session
+		if tagged {
+			msg.RowSessions[i] = r.Session
+		}
 		if ranged {
 			rr := r.Range
 			if rr.Len <= 0 {
@@ -177,35 +153,8 @@ func (c *Composer) ComposeInto(msg *engine.RunMsg, kind engine.RunKind, ctxs [][
 			ctxs = append(ctxs, r.Ctx)
 		}
 	}
-	msg.Session = msg.RowSessions[0]
 	c.Reset()
 	return ctxs
-}
-
-// Group returns the session owning the contiguous row group starting at
-// lo in a batched run, and hi, the index one past the group's end.
-func Group(msg *engine.RunMsg, lo int) (slot uint16, hi int) {
-	slot = msg.RowSessions[lo]
-	hi = lo + 1
-	for hi < len(msg.RowSessions) && msg.RowSessions[hi] == slot {
-		hi++
-	}
-	return slot, hi
-}
-
-// GroupOf returns the row range [lo, hi) of slot's rows in a batched run
-// (lo == hi when the session has no rows).
-func GroupOf(msg *engine.RunMsg, slot uint16) (lo, hi int) {
-	for lo = 0; lo < len(msg.RowSessions); lo++ {
-		if msg.RowSessions[lo] == slot {
-			hi = lo + 1
-			for hi < len(msg.RowSessions) && msg.RowSessions[hi] == slot {
-				hi++
-			}
-			return lo, hi
-		}
-	}
-	return lo, lo
 }
 
 // --- multi-session result frame ---

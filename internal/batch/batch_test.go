@@ -2,6 +2,7 @@ package batch
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/engine"
@@ -14,7 +15,6 @@ import (
 // collection.
 func TestComposeInto(t *testing.T) {
 	var c Composer
-	c.MaxBatch = 4
 	ctxA := []token.Token{1, 2}
 	ctxB := []token.Token{3}
 	c.Stage(Row{Session: 2, Tok: 10, Pos: 5, Seqs: kvcache.NewSeqSet(2), Ctx: ctxA})
@@ -49,7 +49,6 @@ func TestComposeInto(t *testing.T) {
 // pre-range wire format byte for byte.
 func TestComposeIntoRanges(t *testing.T) {
 	var c Composer
-	c.MaxBatch = 4
 	// A 2-row intermediate chunk of session 3 (remaining range 10 from
 	// position 4) plus session 1's decode row.
 	rng := engine.RowRange{Pos: 4, Len: 10}
@@ -91,60 +90,98 @@ func TestComposeIntoRanges(t *testing.T) {
 	}
 }
 
-// TestGroups checks the per-session group iteration both ways.
+// TestGroups checks the per-session group iteration both ways, on a
+// tagged message and on the one-group reading of an untagged one.
 func TestGroups(t *testing.T) {
+	spans := func(msg *engine.RunMsg) (out [][3]int) {
+		for lo, hi := range msg.Groups() {
+			out = append(out, [3]int{int(msg.RowSession(lo)), lo, hi})
+		}
+		return out
+	}
 	msg := &engine.RunMsg{
 		Tokens:      make([]engine.TokenPlace, 5),
 		RowSessions: []uint16{3, 3, 1, 5, 5},
 	}
-	slot, hi := Group(msg, 0)
-	if slot != 3 || hi != 2 {
-		t.Fatalf("group 0: slot %d hi %d", slot, hi)
+	if got, want := spans(msg), [][3]int{{3, 0, 2}, {1, 2, 3}, {5, 3, 5}}; !slices.Equal(got, want) {
+		t.Fatalf("groups %v, want %v", got, want)
 	}
-	slot, hi = Group(msg, 2)
-	if slot != 1 || hi != 3 {
-		t.Fatalf("group 2: slot %d hi %d", slot, hi)
-	}
-	lo, hi := GroupOf(msg, 5)
+	lo, hi := msg.GroupOf(5)
 	if lo != 3 || hi != 5 {
 		t.Fatalf("GroupOf(5) = [%d,%d)", lo, hi)
 	}
-	lo, hi = GroupOf(msg, 9)
+	lo, hi = msg.GroupOf(9)
 	if lo != hi {
 		t.Fatalf("GroupOf(absent) = [%d,%d)", lo, hi)
 	}
+
+	// Untagged: every row is Session's, one group.
+	solo := &engine.RunMsg{Session: 6, Tokens: make([]engine.TokenPlace, 3)}
+	if got, want := spans(solo), [][3]int{{6, 0, 3}}; !slices.Equal(got, want) {
+		t.Fatalf("untagged groups %v, want %v", got, want)
+	}
+	if lo, hi := solo.GroupOf(6); lo != 0 || hi != 3 {
+		t.Fatalf("untagged GroupOf(owner) = [%d,%d), want [0,3)", lo, hi)
+	}
+	if lo, hi := solo.GroupOf(2); lo != hi {
+		t.Fatalf("untagged GroupOf(other) = [%d,%d), want empty", lo, hi)
+	}
 }
 
-// TestShouldHold pins the bounded batch-window policy: hold only while
-// the pipeline is busy, the batch is partial, more sessions could join,
-// and at most Window consecutive times.
-func TestShouldHold(t *testing.T) {
-	c := Composer{MaxBatch: 4, Window: 2}
-	if c.ShouldHold(1, 0, true, false) {
-		t.Fatal("held back with an idle pipeline — latency regression")
+// TestComposeOneGroup pins where the wire format changes: one session's
+// unranged group — a decode row, a speculative chain — composes to
+// exactly the hand-built untagged message, byte for byte; a second
+// session, or a range, makes it a tagged (and ranged) v3 run.
+func TestComposeOneGroup(t *testing.T) {
+	var c Composer
+	canon, part := kvcache.NewSeqSet(8), kvcache.NewSeqSet(9)
+	ctx := []token.Token{1, 2, 3}
+
+	// A decode row.
+	c.Stage(Row{Session: 2, Tok: 40, Pos: 17, Seqs: canon, Ctx: ctx})
+	msg := &engine.RunMsg{ID: 7, Seq: 8}
+	ctxs := c.ComposeInto(msg, engine.KindNonSpec, nil, true)
+	want := &engine.RunMsg{ID: 7, Kind: engine.KindNonSpec, Seq: 8, Session: 2,
+		Tokens: []engine.TokenPlace{{Tok: 40, Pos: 17, Seqs: canon}}}
+	if msg.Batched() || msg.Ranged() || !bytes.Equal(msg.Encode(), want.Encode()) {
+		t.Fatalf("one decode row composed to %+v", msg)
 	}
-	if !c.ShouldHold(1, 0, true, true) || !c.ShouldHold(1, 0, true, true) {
-		t.Fatal("window refused to hold a partial batch")
+	if len(ctxs) != 1 || &ctxs[0][0] != &ctx[0] {
+		t.Fatal("the untagged run's context is not its row's")
 	}
-	if c.ShouldHold(1, 0, true, true) {
-		t.Fatal("window held past its bound")
+
+	// A 3-token speculative chain with its prefix-sharing ops, composed
+	// into the same pooled message.
+	for i := 0; i < 3; i++ {
+		c.Stage(Row{Session: 2, Tok: token.Token(50 + i), Pos: int32(18 + i), Seqs: part})
 	}
-	// The window re-arms after an exhausted hold.
-	if !c.ShouldHold(2, 0, true, true) {
-		t.Fatal("window did not re-arm after flushing")
+	msg.Seq = 9
+	msg.KVOps = []kvcache.Op{{Kind: kvcache.OpSeqCp, Src: 8, Dst: 9, P0: 0, P1: 18}}
+	c.ComposeInto(msg, engine.KindSpec, nil, false)
+	want = &engine.RunMsg{ID: 7, Kind: engine.KindSpec, Seq: 9, Session: 2,
+		Tokens: []engine.TokenPlace{
+			{Tok: 50, Pos: 18, Seqs: part}, {Tok: 51, Pos: 19, Seqs: part}, {Tok: 52, Pos: 20, Seqs: part},
+		},
+		KVOps: msg.KVOps}
+	if msg.Batched() || !bytes.Equal(msg.Encode(), want.Encode()) {
+		t.Fatalf("one speculative chain composed to %+v", msg)
 	}
-	// Full batch never holds.
-	c = Composer{MaxBatch: 1, Window: 5}
-	if c.ShouldHold(1, 0, true, true) {
-		t.Fatal("full batch held back")
+
+	// Two groups: tagged.
+	c.Stage(Row{Session: 2, Tok: 40, Pos: 17, Seqs: canon})
+	c.Stage(Row{Session: 5, Tok: 41, Pos: 3, Seqs: kvcache.NewSeqSet(20)})
+	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
+	if !msg.Batched() || msg.Ranged() || msg.RowSessions[0] != 2 || msg.RowSessions[1] != 5 {
+		t.Fatalf("two groups composed to %+v", msg)
 	}
-	// No one left to join, or nobody ready: flush / no-op.
-	c = Composer{MaxBatch: 4, Window: 5}
-	if c.ShouldHold(1, 0, false, true) {
-		t.Fatal("held with no sessions left to join")
-	}
-	if c.ShouldHold(0, 0, true, true) {
-		t.Fatal("held an empty batch")
+
+	// One ranged group (a prefill chunk): tagged and ranged.
+	rng := engine.RowRange{Pos: 0, Len: 2}
+	c.Stage(Row{Session: 5, Tok: 60, Pos: 0, Seqs: canon, Range: rng})
+	c.Stage(Row{Session: 5, Tok: 61, Pos: 1, Seqs: canon, Range: rng})
+	c.ComposeInto(msg, engine.KindPrefill, nil, false)
+	if !msg.Batched() || !msg.Ranged() || msg.Session != 5 || msg.SamplingRow(0) || !msg.SamplingRow(1) {
+		t.Fatalf("one ranged group composed to %+v", msg)
 	}
 }
 

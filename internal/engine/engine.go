@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
@@ -145,15 +146,41 @@ func (r *RunMsg) RowSession(i int) uint16 {
 // InvolvesSession reports whether any row of the run belongs to session
 // slot s.
 func (r *RunMsg) InvolvesSession(s uint16) bool {
-	if len(r.RowSessions) == 0 {
-		return r.Session == s
-	}
-	for _, rs := range r.RowSessions {
-		if rs == s {
-			return true
+	lo, hi := r.GroupOf(s)
+	return lo < hi
+}
+
+// Groups ranges over the run's row groups — one contiguous span of rows
+// [lo, hi) per session, RowSession(lo) its owner: one session's rows are
+// contiguous by contract, so the walk visits every session of the run
+// exactly once. An untagged run is one group: every row belongs to
+// Session.
+func (r *RunMsg) Groups() iter.Seq2[int, int] {
+	return func(yield func(lo, hi int) bool) {
+		for lo := 0; lo < len(r.Tokens); {
+			hi := len(r.Tokens)
+			if len(r.RowSessions) > 0 {
+				for hi = lo + 1; hi < len(r.RowSessions) && r.RowSessions[hi] == r.RowSessions[lo]; {
+					hi++
+				}
+			}
+			if !yield(lo, hi) {
+				return
+			}
+			lo = hi
 		}
 	}
-	return false
+}
+
+// GroupOf returns the row span [lo, hi) of session slot's group
+// (lo == hi when the session has no rows in the run).
+func (r *RunMsg) GroupOf(slot uint16) (lo, hi int) {
+	for lo, hi := range r.Groups() {
+		if r.RowSession(lo) == slot {
+			return lo, hi
+		}
+	}
+	return 0, 0
 }
 
 // RowDead reports whether token row i has been masked out of the run by
@@ -615,18 +642,19 @@ type Stats struct {
 	Preemptions  int
 	Readmissions int
 
-	// Cross-session batching counters (serving layer, PR 4): multi-session
-	// runs launched, the per-session steps they coalesced (BatchedRows /
-	// BatchedRuns is the realised mean batch width), and per-session rows
-	// surgically masked out of in-flight batched runs instead of
-	// cancelling the whole run.
+	// Cross-session batching counters (serving layer, PR 4): tagged runs
+	// launched — every run of several sessions, and every ranged one,
+	// which includes a lone prefill chunk — the per-session row groups
+	// they carried (BatchedRows / BatchedRuns is the realised mean batch
+	// width), and per-session rows surgically masked out of in-flight
+	// tagged runs instead of cancelling the whole run.
 	BatchedRuns int
 	BatchedRows int
 	RowCancels  int
 
-	// Chunked-prefill counters (serving layer, PR 5): batched runs that
-	// carried at least one prompt-prefill chunk group alongside (or
-	// instead of) decode rows.
+	// Prefill counters (serving layer, PR 5): runs that carried at least
+	// one prompt-prefill chunk group alongside (or instead of) decode
+	// rows; an unchunked prefill is one such run.
 	PrefillBatchedRuns int
 
 	// Fault-tolerance counters (serving layer, PR 6): runs declared failed

@@ -143,54 +143,24 @@ func (h *Head) Recycle(run *Run) {
 	h.freeRuns = append(h.freeRuns, run)
 }
 
-// adjustSessInflight credits delta to every distinct session a run
-// involves: a plain run is one session's, a batched run fans out into one
-// per-session completion per distinct RowSessions entry.
+// adjustSessInflight credits delta to every session a run involves: one
+// per row group.
 func (h *Head) adjustSessInflight(msg *RunMsg, delta int) {
-	grow := func(s uint16) {
+	for lo := range msg.Groups() {
+		s := msg.RowSession(lo)
 		for int(s) >= len(h.sessInflight) {
 			h.sessInflight = append(h.sessInflight, 0)
 		}
-	}
-	if !msg.Batched() {
-		grow(msg.Session)
-		h.sessInflight[msg.Session] += delta
-		return
-	}
-	for i, s := range msg.RowSessions {
-		dup := false
-		for j := 0; j < i; j++ {
-			if msg.RowSessions[j] == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			grow(s)
-			h.sessInflight[s] += delta
-		}
+		h.sessInflight[s] += delta
 	}
 }
 
-// DistinctSessions counts the sessions a run fans out to: 1 for solo
-// runs, the number of distinct row-owning sessions for batched ones —
-// the realised cross-session batch width.
+// DistinctSessions counts the sessions a run fans out to — its row
+// groups, the realised cross-session batch width.
 func DistinctSessions(msg *RunMsg) int {
-	if !msg.Batched() {
-		return 1
-	}
 	n := 0
-	for i, s := range msg.RowSessions {
-		dup := false
-		for j := 0; j < i; j++ {
-			if msg.RowSessions[j] == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			n++
-		}
+	for range msg.Groups() {
+		n++
 	}
 	return n
 }
@@ -522,6 +492,28 @@ func (h *Head) CancelRows(run *Run, slot uint16, signal bool) {
 	payload := appendCancelSig(comm.GetBuf(cancelSigBytes), CancelSig{ID: run.Msg.ID, Sessions: bit})
 	h.broadcastCancel(payload)
 	comm.PutBuf(payload)
+}
+
+// CancelSession cancels session slot's share of each of runs. A run that
+// is the session's alone (untagged) is cancelled whole, all of them in one
+// broadcast (Cancel); a tagged run loses just the session's rows
+// (CancelRows). cleanup says the session's sequences are cleaned up
+// namespace-wide afterwards — the condition under which stages may skip
+// non-speculative rows; without it only speculative rows are signalled
+// (§IV-D.3 per row; stages never skip an untagged non-speculative run).
+// runs is filtered in place.
+func (h *Head) CancelSession(slot uint16, runs []*Run, cleanup bool) {
+	whole := runs[:0]
+	for _, r := range runs {
+		if r.Msg.Batched() {
+			h.CancelRows(r, slot, cleanup || r.Msg.Kind == KindSpec)
+		} else {
+			whole = append(whole, r)
+		}
+	}
+	if len(whole) > 0 {
+		h.Cancel(whole)
+	}
 }
 
 // broadcastCancel ships a cancellation payload to every worker stage.

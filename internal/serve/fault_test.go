@@ -54,28 +54,37 @@ func TestBreakerTripAndReset(t *testing.T) {
 	}
 }
 
-// TestDeadlineFloorAndCap pins the watchdog deadline bounds: with no
-// fitted cost model the configured floor applies verbatim, and the cap
-// clamps whatever the prediction would stretch it to.
+// TestDeadlineFloorAndCap pins the watchdog budget's bounds: with no
+// fitted cost model the configured floor applies verbatim, and the cap —
+// runTimeoutCap floors — clamps whatever the prediction would stretch it
+// to, at launch (behind the pipeline's depth) and at re-arm (depth 1)
+// alike.
 func TestDeadlineFloorAndCap(t *testing.T) {
-	s, err := New(testHead(t), Config{RunTimeout: 100 * time.Millisecond}, req(2))
+	const floor = 100 * time.Millisecond
+	s, err := New(testHead(t), Config{RunTimeout: floor}, req(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Normalize derived the default multiplier and cap.
-	if s.cfg.RunTimeoutMult != 8 || s.cfg.RunTimeoutCap != 64*100*time.Millisecond {
-		t.Fatalf("normalized mult=%v cap=%v", s.cfg.RunTimeoutMult, s.cfg.RunTimeoutCap)
+	if runTimeoutMult != 8 || runTimeoutCap != 64 {
+		t.Fatalf("watchdog constants mult=%v cap=%v, want 8 and 64", runTimeoutMult, runTimeoutCap)
 	}
-	// No fit, nothing in flight: the floor applies.
-	if d := s.deadlineFor(4); d != 100*time.Millisecond {
-		t.Fatalf("unfitted deadline %v, want the 100ms floor", d)
+	// No fit: the floor applies, whatever the depth.
+	for _, depth := range []int{0, 1, 12} {
+		if d := s.runBudget(4, depth); d != floor {
+			t.Fatalf("unfitted budget at depth %d is %v, want the %v floor", depth, d, floor)
+		}
 	}
-
-	s, err = New(testHead(t), Config{RunTimeout: 100 * time.Millisecond, RunTimeoutCap: 40 * time.Millisecond}, req(2))
-	if err != nil {
-		t.Fatal(err)
+	// A fit of 1 s per run: 8 x 1 s x depth is past the floor at any
+	// depth and past the cap from depth 1 on.
+	for i := 0; i < 64; i++ {
+		s.runCost.Observe(1+i%4, time.Second)
 	}
-	if d := s.deadlineFor(4); d != 40*time.Millisecond {
-		t.Fatalf("capped deadline %v, want 40ms", d)
+	if oh, pr := s.runCost.Overhead(), s.runCost.PerRow(); oh <= 0 && pr <= 0 {
+		t.Fatalf("cost model did not converge: overhead %v perRow %v", oh, pr)
+	}
+	for _, depth := range []int{1, 12} {
+		if d := s.runBudget(4, depth); d != runTimeoutCap*floor {
+			t.Fatalf("budget at depth %d is %v, want the %v cap", depth, d, runTimeoutCap*floor)
+		}
 	}
 }

@@ -43,11 +43,60 @@
 // The scheduler is strictly head-side and single-threaded. Each step it
 // (1) admits queued requests to free session slots, then (2) consumes one
 // completed run if a result is waiting, otherwise (3) launches one run,
-// visiting sessions round-robin so admission is fair, bounded by the
-// global engine.Config.MaxInflight and a per-session speculative quota.
-// Completed sessions drain their in-flight runs, release their namespace,
-// and hand the slot to the next queued request — continuous session
-// scheduling with no pipeline flush between requests.
+// bounded by the global engine.Config.MaxInflight and a per-session
+// speculative quota. Completed sessions drain their in-flight runs,
+// release their namespace, and hand the slot to the next queued request —
+// continuous session scheduling with no pipeline flush between requests.
+//
+// Every run is composed (internal/batch) from per-session row groups, up
+// to the step's width of them: Config.MaxBatch, or with Config.AutoBatch
+// a width picked under that cap from demand, pipeline occupancy and an
+// EMA-fitted per-run overhead / per-row cost model (metrics.CostEMA). A
+// launch is the first of three passes, visiting sessions round-robin from
+// just past the last one launched, that finds work:
+//
+//  1. Mandatory rows. Every session with a decode step ready — a freshly
+//     sampled token, or nothing in flight — contributes its one row, and
+//     every prefilling session its next chunk: at most
+//     Config.PrefillChunk prompt tokens per run between them (0: a chunk
+//     is the whole remaining range, one such chunk per run), shortest
+//     remaining prefill first, so a burst of prompts completes one by one
+//     instead of every TTFT serialising behind the longest; one group slot
+//     is always kept for prefill work. Chunk rows carry their remaining
+//     (position, length) range (wire format v3 range extension), so only
+//     the row computing the range's final position samples — the rest
+//     write KV and forward activations but skip logits and the result
+//     frame. Each group is charged against one conservative collective
+//     room account on the shadow cache; if nothing fits, the first
+//     blocked session escalates through the memory-pressure protocol
+//     below and launches alone — and failing that, at width 1, the
+//     decode step that gave its slot up to prefill work does.
+//  2. Readmission. A parked session whose cancelled runs have all drained
+//     and whose full accepted prefix fits in free cells — readmission
+//     never evicts anyone — becomes a prefill over that prefix (prefix
+//     recompute) and launches its first chunk.
+//  3. Speculation. Chains are drafted for every eligible session and the
+//     largest same-depth group launches as one speculative run, each
+//     chain in a fresh partition of its own namespace. Optional work:
+//     skipped under memory pressure, while the failure breaker is open
+//     and under brown-out.
+//
+// A solo run is the one-group case: one session's unranged group composes
+// to the plain untagged message, so the wire format changes only when a
+// run actually coalesces (or carries ranges). Per-row sequence sets keep
+// attention per-session-isolated and the kernels compute every row in one
+// canonical order, so a session's output is bit-identical to its serial
+// reference at any width (TestServeGreedyParity,
+// TestServeBatchedGreedyParity).
+//
+// Results are consumed row group by row group — verification, sampling,
+// promotion, invalidation scans, exactly the single-request engine's
+// handleResult per group — and all of one result's promotions plus the
+// run's partition cleanup travel as one KV transaction. Cancelling one
+// session's work cancels a run that is the session's alone and masks just
+// its rows out of a shared one (engine.Head.CancelSession); the last
+// stage's result for a tagged run is a self-describing multi-session
+// frame naming the surviving rows.
 //
 // # Memory pressure (PR 3)
 //
@@ -66,75 +115,36 @@
 //     parked, keeping its slot and accepted tokens but zero KV;
 //  3. a parked session is readmitted once the cells for its full prefix
 //     are free without evicting anyone: it re-prefills prompt+generated
-//     tokens (prefix recompute), which reproduces the exact cache state
-//     it was evicted with — greedy output stays bit-identical to the
-//     uninterrupted run.
+//     tokens (prefix recompute), chunk by chunk like any prefill, which
+//     reproduces the exact cache state it was evicted with — greedy
+//     output stays bit-identical to the uninterrupted run.
 //
+// A session between prefill chunks (mid-prompt, idle) is a victim like
+// any other: the namespace eviction frees every placed chunk cell, so
+// nothing is stranded, and readmission restarts the prefill from position
+// 0 (TestPrefillChunkResume).
 // Speculative launches never trigger eviction; they are simply skipped
 // under pressure. Victims are chosen lowest Request.Priority first
 // (ties: largest footprint) and only at or below the requester's
 // priority.
 //
-// # Cross-session batching (PR 4)
-//
-// With Config.MaxBatch > 1 the scheduler coalesces compatible sessions'
-// steps into shared multi-row pipeline runs through the batch composer
-// (internal/batch): every ready non-speculative decode step joins one
-// batched run (up to MaxBatch sessions, held back at most BatchWindow
-// steps while the pipeline is busy), and same-depth speculative chain
-// segments batch likewise. Per-row (session, seq-set, position) tags
-// travel as wire format v3; per-row sequence sets keep attention
-// per-session-isolated, so batched output is bit-identical to the
-// unbatched schedule (TestServeBatchedGreedyParity). Per-session
-// cancellation of a batched run surgically masks just that session's
-// rows out of the in-flight batch (engine.Head.CancelRows) instead of
-// cancelling the whole run, and the last stage's result arrives as a
-// self-describing multi-session frame demuxed row group by row group.
-// Batching composes with the memory-pressure protocol: batch admission
-// is gated on the shadow cache with a conservative multi-shard account,
-// and pressure escalation falls back to solo launches.
-//
-// # Chunked prefill & adaptive batch width (PR 5)
-//
-// With Config.PrefillChunk > 0 (and batching on), prompt prefills are
-// split into chunks of at most PrefillChunk tokens per composed run and
-// ride in the same multi-row runs as decode rows (wire format v3 range
-// extension: per-row (position, length) ranges mark which rows sample —
-// an intermediate chunk's rows write KV and forward activations but skip
-// logits and the result frame entirely). Chunk launches are ordered
-// shortest-remaining-prefill-first, so a burst of simultaneously
-// arriving prompts completes one by one instead of every session's TTFT
-// serialising behind the longest prompt at the head of the FIFO; several
-// sessions' small chunks coalesce under the shared per-run token budget.
-// Chunked prefill composes with the memory-pressure protocol: a session
-// preempted between chunks resets its fill progress (the namespace
-// eviction frees every placed chunk cell, stranding nothing) and
-// readmission re-prefills the accepted prefix chunk by chunk,
-// bit-identically.
-//
-// With Config.AutoBatch, MaxBatch becomes only a cap and each step's
-// effective batch width is picked from demand, pipeline occupancy and an
-// EMA-fitted per-run overhead / per-row cost model (metrics.CostEMA):
-// batches shrink to exactly what is ready while the pipeline drains and
-// widen toward the cap under backlog while the measured overhead says
-// coalescing still pays.
-//
 // # Fault tolerance (PR 6)
 //
 // With Config.RunTimeout set, the scheduler arms a run watchdog: every
-// launched run carries a deadline (RunTimeoutMult times the EMA cost
+// launched run carries a deadline (runTimeoutMult times the EMA cost
 // model's service-time prediction, clamped to [RunTimeout,
-// RunTimeoutCap]), result waits are bounded by the oldest run's budget
-// (engine.Head.AwaitResultWithin over comm.Waiter), and results carry
-// their run's ID so a lost result is detected the moment a newer one
-// arrives (per-stream FIFO order makes the gap a proof, not a guess). A
+// runTimeoutCap x RunTimeout]), result waits are bounded by the oldest
+// run's budget (engine.Head.AwaitResultWithin over comm.Waiter), and
+// results carry their run's ID so a lost result is detected the moment a
+// newer one arrives (per-stream FIFO order makes the gap a proof, not a
+// guess). A
 // failed run's sessions are recovered through the same machinery
 // preemption built: in-flight runs cancelled, the namespace evicted
 // pipeline-wide (kvcache.OpEvictShard), the session parked, and
 // prefix-recompute readmission re-derives the greedy stream
 // bit-identically — the lost result's sampled token falls out of the
-// recomputed prefill. Unaffected batch rows complete normally via the
-// existing row-cancel machinery. Repeated consecutive failures trip a
+// recomputed prefill. Other sessions' rows of a shared run complete
+// normally. Repeated consecutive failures trip a
 // degradation breaker (speculation off, batch width one) so a
 // persistently faulty link degrades throughput instead of feeding an
 // evict/readmit storm; sustained healthy completions reset it. Counters:
@@ -188,7 +198,7 @@
 // Steady-state decode is allocation-free: run messages, tracking records
 // and wire buffers all cycle through pools, so a session decoding
 // mid-stream performs no heap allocation per accepted token (gated by
-// TestServeStepAllocs in backend/realbk), batched or not.
+// TestServeStepAllocs and TestServeBatchedStepAllocs in backend/realbk).
 package serve
 
 import (
@@ -293,30 +303,19 @@ type Config struct {
 	// a parked request readmitted via prefix recompute.
 	OnPreempt func(req int)
 	OnReadmit func(req int)
-	// MaxBatch enables cross-session batching (internal/batch, PR 4): up
-	// to MaxBatch sessions' compatible steps — non-speculative decode
-	// steps, and same-depth speculative chain segments — are coalesced
-	// into one multi-row pipeline run, amortising per-run overhead at
-	// high session counts. 0 or 1 disables batching (the pre-PR-4
-	// one-run-per-session schedule, byte-identical behaviour).
+	// MaxBatch is the batch width: up to MaxBatch sessions' row groups —
+	// decode steps and prefill chunks, or same-depth speculative chain
+	// segments — are composed into one pipeline run (internal/batch),
+	// amortising per-run overhead at high session counts. 0 or 1 is
+	// width 1: every run carries one session's group.
 	MaxBatch int
-	// BatchWindow bounds how many consecutive scheduler steps a partially
-	// filled batch may wait for more ready sessions while the pipeline is
-	// busy; a batch is always launched immediately when the pipeline is
-	// idle, so single-session latency never regresses. 0 (the default)
-	// launches every batch as soon as it is collected.
-	BatchWindow int
-	// PrefillChunk, when > 0 and batching is enabled (MaxBatch > 1),
-	// splits prompt prefills into chunks of at most PrefillChunk tokens
-	// per composed run (the per-run prefill token budget) instead of one
-	// whole-prompt run per session. Chunks ride in the same multi-row
-	// runs as decode rows (wire format v3 range extension: per-row
-	// (position, length) ranges mark which rows sample), several small
-	// chunks coalesce across sessions, and chunk launches are ordered
-	// shortest-remaining-prefill-first — a burst of new sessions
-	// completes prompt by prompt instead of serialising TTFT behind the
-	// longest prompt at the head of the FIFO. 0 (the default) keeps the
-	// one-run-per-prompt schedule. Ignored without batching.
+	// PrefillChunk is the per-run prefill token budget: each composed run
+	// carries at most PrefillChunk prompt tokens — one long prompt's
+	// chunk, or several sessions' small ones — so a burst of new sessions
+	// completes prompt by prompt (shortest remaining first) instead of
+	// serialising TTFT behind the longest prompt at the head of the FIFO.
+	// 0 (the default) sends a prompt's whole remaining range as one
+	// chunk, one such chunk per run.
 	PrefillChunk int
 	// AutoBatch replaces the static batch width with the adaptive
 	// controller (-batch=auto on the CLIs): MaxBatch becomes a hard cap
@@ -333,18 +332,12 @@ type Config struct {
 	// hanging the scheduler forever. Each affected session is recovered
 	// through the preemption machinery (namespace evicted pipeline-wide,
 	// session parked) and prefix-recompute readmission re-derives its
-	// greedy stream bit-identically. The deadline is RunTimeoutMult times
+	// greedy stream bit-identically. The deadline is runTimeoutMult times
 	// the EMA cost model's predicted service time, clamped to
-	// [RunTimeout, RunTimeoutCap]; RunTimeout itself is the floor that
-	// stands alone until the fit converges. 0 disables the watchdog (the
-	// default — fault tolerance is opt-in).
+	// [RunTimeout, runTimeoutCap x RunTimeout]; RunTimeout itself is the
+	// floor that stands alone until the fit converges. 0 disables the
+	// watchdog (the default — fault tolerance is opt-in).
 	RunTimeout time.Duration
-	// RunTimeoutMult scales the per-run deadline over the cost model's
-	// prediction (default 8, a p99-style headroom multiple).
-	RunTimeoutMult float64
-	// RunTimeoutCap bounds the derived deadline from above (default
-	// 64 x RunTimeout).
-	RunTimeoutCap time.Duration
 	// OnRecover, when non-nil, observes fault recovery: a session evicted
 	// and parked for prefix-recompute readmission because a run it was
 	// riding in timed out or had its result lost.
@@ -391,14 +384,6 @@ func (c Config) Normalize(numRequests int) Config {
 		c.SeqsPerSession = 1
 		if c.Speculate {
 			c.SeqsPerSession = 4
-		}
-	}
-	if c.RunTimeout > 0 {
-		if c.RunTimeoutMult <= 0 {
-			c.RunTimeoutMult = 8
-		}
-		if c.RunTimeoutCap <= 0 {
-			c.RunTimeoutCap = 64 * c.RunTimeout
 		}
 	}
 	return c
@@ -456,14 +441,13 @@ type session struct {
 	// untimed prompt-sampled one.
 	readmitted bool
 
-	// Chunked-prefill progress (PR 5; meaningful only while the session
-	// is in statePrefill with chunking enabled): the prefill covers
-	// accepted[0:fillTarget], of which [0:fillSent) has been launched in
-	// chunks and [0:fillDone) has completed at the stages. fillTarget is
-	// the prompt length for a fresh admission and the full accepted
-	// prefix for a chunked readmission; preemption resets fillSent and
-	// fillDone to 0 (the namespace eviction discards every placed chunk,
-	// so readmission re-prefills from position 0).
+	// Prefill progress (meaningful only while the session is in
+	// statePrefill): the prefill covers accepted[0:fillTarget], of which
+	// [0:fillSent) has been launched in chunks and [0:fillDone) has
+	// completed at the stages. fillTarget is the prompt length for a
+	// fresh admission and the full accepted prefix for a readmission,
+	// which restarts both counters (the namespace eviction that parked
+	// the session discarded every placed chunk).
 	fillTarget int
 	fillSent   int
 	fillDone   int
@@ -540,9 +524,8 @@ type Scheduler struct {
 	// transaction stream.
 	prefix *prefixcache.Table
 
-	// composer coalesces ready sessions' steps into multi-row runs
-	// (nil when batching is disabled).
-	composer *batch.Composer
+	// composer builds every run from the step's staged row groups.
+	composer batch.Composer
 
 	// runCost is the adaptive width controller's EMA-fitted per-run cost
 	// model (Config.AutoBatch, and the watchdog's deadline derivation
@@ -568,6 +551,7 @@ type Scheduler struct {
 	// Reusable scratch: all uses are synchronous within one step.
 	msgPool  []*engine.RunMsg
 	ops      []kvcache.Op
+	txn      []kvcache.Op // one consumed result's KV transaction
 	victims  []*engine.Run
 	ctx      []token.Token
 	kvCells  []int
@@ -628,9 +612,7 @@ func build(h *engine.Head, cfg Config) (*Scheduler, error) {
 		// the way to one row group per session slot.
 		cfg.MaxBatch = cfg.MaxSessions
 	}
-	if cfg.MaxBatch > cfg.MaxSessions {
-		cfg.MaxBatch = cfg.MaxSessions
-	}
+	cfg.MaxBatch = max(1, min(cfg.MaxBatch, cfg.MaxSessions))
 	s := &Scheduler{
 		h:       h,
 		cfg:     cfg,
@@ -639,9 +621,6 @@ func build(h *engine.Head, cfg Config) (*Scheduler, error) {
 		specCap: max(2, h.CFG.MaxInflight/cfg.MaxSessions),
 		// A fresh scheduler has not shed recently.
 		stepsSinceShed: shedRecentWindow,
-	}
-	if cfg.MaxBatch > 1 {
-		s.composer = &batch.Composer{MaxBatch: cfg.MaxBatch, Window: cfg.BatchWindow}
 	}
 	if cfg.KV.Cells > 0 {
 		// The shadow must partition shards exactly like the stages do.
@@ -972,52 +951,27 @@ func (s *Scheduler) updateBrownout() {
 
 // --- launching ---
 
-// tryLaunch admits at most one run, visiting sessions round-robin from
-// just past the last admitted one so every session gets a fair share of
-// the global in-flight budget. With batching enabled, one admitted run
-// may carry several sessions' steps.
+// chunkBudget is one run's prefill token budget: Config.PrefillChunk, or
+// without chunking a bound no prompt reaches (a chunk is then the whole
+// remaining range, and tryLaunch allows one per run), small enough that
+// position + budget cannot overflow.
+func (s *Scheduler) chunkBudget() int {
+	if s.cfg.PrefillChunk > 0 {
+		return s.cfg.PrefillChunk
+	}
+	return 1 << 30
+}
+
+// tryLaunch admits at most one run — the first of the three passes of the
+// package doc's Scheduling section that finds work — visiting sessions
+// round-robin from just past the last one launched, so every session gets
+// a fair share of the global in-flight budget. The width bound is
+// MaxBatch, or the adaptive controller's pick in auto mode
+// (effectiveWidth).
 func (s *Scheduler) tryLaunch() bool {
 	if s.h.Inflight() >= s.h.CFG.MaxInflight {
 		return false
 	}
-	if s.composer != nil {
-		return s.tryLaunchBatching()
-	}
-	n := len(s.slots)
-	for i := 0; i < n; i++ {
-		idx := (s.rr + i) % n
-		sess := s.slots[idx]
-		if sess == nil {
-			continue
-		}
-		if s.launchFor(sess) {
-			s.rr = (idx + 1) % n
-			return true
-		}
-	}
-	return false
-}
-
-// chunking reports whether chunked prefill is active: batching enabled
-// and a per-run prefill token budget configured.
-func (s *Scheduler) chunking() bool { return s.composer != nil && s.cfg.PrefillChunk > 0 }
-
-// tryLaunchBatching is the batching-mode launch pass:
-//
-//  1. collect every session with a ready non-speculative decode step
-//     plus, with chunked prefill enabled, prompt-prefill chunks
-//     (shortest-remaining-prefill-first, bounded by one shared
-//     PrefillChunk token budget per run) and launch them as one mixed
-//     multi-row run — unless the batch is pure decode and the bounded
-//     batch window says a partial batch should wait for more;
-//  2. otherwise serve whole-prompt prefill / readmission /
-//     pressure-escalated work through the ordinary per-session path;
-//  3. otherwise draft speculative chains for eligible sessions and
-//     launch the largest same-depth group as one batched speculative run.
-//
-// The width bound is MaxBatch, or the adaptive controller's pick in auto
-// mode (effectiveWidth).
-func (s *Scheduler) tryLaunchBatching() bool {
 	n := len(s.slots)
 	width := s.effectiveWidth()
 
@@ -1027,9 +981,9 @@ func (s *Scheduler) tryLaunchBatching() bool {
 	// out of a shared budget.
 	ready := s.ready[:0]
 	chunks := s.chunkSel[:0]
-	var blocked *session
+	lens := s.chunkLen[:0]
+	var blocked, displaced *session
 	blockedNeed := 0
-	active := 0
 	freePages := -1
 	charge := func(sess *session, cells int) bool {
 		if s.kv == nil {
@@ -1053,11 +1007,12 @@ func (s *Scheduler) tryLaunchBatching() bool {
 		if sess == nil {
 			continue
 		}
-		if sess.state == stateDecode || sess.state == statePrefill {
-			active++
-		}
 		switch {
 		case sess.state == stateDecode && (sess.wantNonSpec || s.inflight(sess) == 0):
+			// A freshly sampled token always feeds straight back into the
+			// pipeline; an idle session (no runs in flight, nothing owed) is
+			// restarted the same way — the per-session analogue of the core
+			// engine's "pipeline non-empty while tokens remain" invariant.
 			if len(ready) >= width {
 				continue
 			}
@@ -1068,7 +1023,7 @@ func (s *Scheduler) tryLaunchBatching() bool {
 				continue
 			}
 			ready = append(ready, sess)
-		case sess.state == statePrefill && s.chunking() && sess.fillSent < sess.fillTarget:
+		case sess.state == statePrefill && sess.fillSent < sess.fillTarget:
 			chunks = append(chunks, sess)
 		}
 	}
@@ -1089,24 +1044,27 @@ func (s *Scheduler) tryLaunchBatching() bool {
 			}
 			chunks[j+1] = c
 		}
-		// Admission keeps at least one group slot for prefill work so a
-		// decode-saturated step cannot starve sessions mid-prompt; the
-		// displaced decode step stays ready and is retried next step,
-		// and its page charge is refunded so chunk admission sees the
-		// full remaining budget (the shadow is untouched during
-		// collection, so recomputing the charge is exact).
-		if len(ready) >= width && width > 0 {
-			if trimmed := ready[width-1]; s.kv != nil && freePages >= 0 {
-				freePages += s.kv.PagesShort(trimmed.canonSet, 1)
+		// One group slot is kept for prefill work so a decode-saturated
+		// step cannot starve sessions mid-prompt; the displaced decode step
+		// stays ready and is retried next step, and its page charge is
+		// refunded so chunk admission sees the full remaining budget (the
+		// shadow is untouched during collection, so recomputing the charge
+		// is exact).
+		if len(ready) == width {
+			displaced = ready[width-1]
+			if s.kv != nil && freePages >= 0 {
+				freePages += s.kv.PagesShort(displaced.canonSet, 1)
 			}
 			ready = ready[:width-1]
 		}
 		// The per-session chunk sizes admitted (and charged) here are
 		// recorded and staged verbatim, so the KV charge and the staged
 		// cells can never drift apart.
-		lens := s.chunkLen[:0]
-		budget := s.cfg.PrefillChunk
-		if s.brownout >= 2 && budget > 1 {
+		budget, groups := s.chunkBudget(), width-len(ready)
+		switch {
+		case s.cfg.PrefillChunk == 0:
+			groups = 1
+		case s.brownout >= 2 && budget > 1:
 			// Brown-out level 2: halve the per-run prefill share so decode
 			// rows — already-admitted sessions racing their deadlines —
 			// keep the capacity. Admission slows; it does not stop.
@@ -1114,13 +1072,10 @@ func (s *Scheduler) tryLaunchBatching() bool {
 		}
 		kept := 0
 		for _, sess := range chunks {
-			if kept >= width-len(ready) || budget == 0 {
+			if kept >= groups || budget == 0 {
 				break
 			}
-			k := sess.fillTarget - sess.fillSent
-			if k > budget {
-				k = budget
-			}
+			k := min(sess.fillTarget-sess.fillSent, budget)
 			if !charge(sess, k) {
 				if blocked == nil {
 					blocked, blockedNeed = sess, k
@@ -1133,51 +1088,31 @@ func (s *Scheduler) tryLaunchBatching() bool {
 			kept++
 		}
 		chunks = chunks[:kept]
-		s.chunkLen = lens
 	}
-	s.ready, s.chunkSel = ready, chunks
-	if len(ready)+len(chunks) > 0 {
-		// Prefill chunks are mandatory admission work and never held; a
-		// pure decode batch keeps the bounded batch-window policy.
-		if len(chunks) == 0 {
-			if s.composer.ShouldHold(len(ready), width, active > len(ready), s.h.Inflight() > 0) {
-				return false // Step consumes a result instead; steps stay ready
-			}
-			s.launchNonSpecBatch(ready)
-			s.rr = (int(ready[len(ready)-1].slot) + 1) % n
-			return true
-		}
-		s.launchMixedBatch(ready, chunks, s.chunkLen)
-		s.rr = (int(chunks[len(chunks)-1].slot) + 1) % n
-		return true
-	}
-	// Work exists but nothing fit: escalate through the pressure protocol
-	// for the first blocked session and launch it solo.
-	if blocked != nil && s.ensureRoom(blocked, blockedNeed) {
+	if len(ready)+len(chunks) == 0 && blocked != nil && s.ensureRoom(blocked, blockedNeed) {
+		// Work exists but nothing fit: the first blocked session escalated
+		// through the pressure protocol and launches alone.
 		if blocked.state == statePrefill {
-			s.launchChunkSolo(blocked)
+			chunks, lens = append(chunks, blocked), append(lens, blockedNeed)
 		} else {
-			blocked.wantNonSpec = false
-			s.launchNonSpec(blocked)
+			ready = append(ready, blocked)
 		}
-		s.rr = (blocked.slot + 1) % n
+	}
+	if len(ready)+len(chunks) == 0 && displaced != nil && displaced.state == stateDecode {
+		// The slot kept for prefill work went unused — no chunk fit, and
+		// escalation made no room for one (it may have parked the displaced
+		// session itself): the decode step has waited for nothing.
+		ready = append(ready, displaced)
+	}
+	s.ready, s.chunkSel, s.chunkLen = ready[:0], chunks[:0], lens[:0]
+	if len(ready)+len(chunks) > 0 {
+		s.launchRows(ready, chunks, lens)
 		return true
 	}
 
-	// Pass 2: whole-prompt prefill and readmission work (and their
-	// escalation paths). Chunked-mode prefilling sessions are pass-1
-	// work; parked sessions readmit here in both modes.
+	// Pass 2: parked sessions readmit, first come first served.
 	for i := 0; i < n; i++ {
-		idx := (s.rr + i) % n
-		sess := s.slots[idx]
-		if sess == nil || (sess.state != statePrefill && sess.state != stateParked) {
-			continue
-		}
-		if sess.state == statePrefill && s.chunking() {
-			continue
-		}
-		if s.launchFor(sess) {
-			s.rr = (idx + 1) % n
+		if sess := s.slots[(s.rr+i)%n]; sess != nil && sess.state == stateParked && s.readmit(sess) {
 			return true
 		}
 	}
@@ -1267,64 +1202,42 @@ func (s *Scheduler) observeRunCost(run *engine.Run) {
 	}
 }
 
-func (s *Scheduler) launchFor(sess *session) bool {
-	switch sess.state {
-	case statePrefill:
-		if s.inflight(sess) > 0 {
-			return false
-		}
-		// Canonical prefill may preempt to make room: admission is
-		// mandatory work. A prefix hit's shared pages are already mapped
-		// and pinned; only the divergent suffix needs cells.
-		if !s.ensureRoom(sess, sess.prompt-sess.prefixLen) {
-			return false
-		}
-		s.launchPrefill(sess)
-		return true
-	case stateParked:
-		// A session parked by fault recovery may still have cancelled
-		// runs draining through the pipeline; readmitting before their
-		// (empty) results are consumed would interleave the recomputed
-		// prefix with stale cleanups.
-		if s.inflight(sess) > 0 {
-			return false
-		}
-		// Readmission never evicts anyone: wait until the full accepted
-		// prefix fits in genuinely free cells, then recompute it — in one
-		// run, or chunk by chunk when chunked prefill is on.
-		// (The room check is conservative: a prefix hit at readmission
-		// would shrink the recompute, but probing before room is assured
-		// would strand a mapped entry on a failed admit.)
-		if !s.roomFor(sess, len(sess.accepted)) {
-			return false
-		}
-		if s.chunking() {
-			s.beginChunkedReadmit(sess)
-			s.probePrefix(sess)
-			s.launchChunkSolo(sess)
-			return true
-		}
-		s.probePrefix(sess)
-		s.launchReadmit(sess)
-		return true
-	case stateDecode:
-		// A freshly sampled token always feeds straight back into the
-		// pipeline; an idle session (no runs in flight, nothing owed) is
-		// restarted the same way — the per-session analogue of the core
-		// engine's "pipeline non-empty while tokens remain" invariant.
-		if sess.wantNonSpec || s.inflight(sess) == 0 {
-			if !s.ensureRoom(sess, 1) {
-				return false // wantNonSpec persists; retried next step
-			}
-			sess.wantNonSpec = false
-			s.launchNonSpec(sess)
-			return true
-		}
-		if s.specOK() && sess.alloc != nil && s.inflight(sess) < s.specCap {
-			return s.trySpeculate(sess)
-		}
+// readmit turns a parked session back into a prefill over its full
+// accepted prefix (prompt plus everything generated before it was parked)
+// and launches the first chunk, if it may: recomputing the prefix rebuilds
+// exactly the canonical cache state the session was evicted with, and the
+// prefill's sampled token is the next token of the uninterrupted greedy
+// stream. A session parked before its first token restarts as an ordinary
+// first prefill, untimed sampled token included.
+func (s *Scheduler) readmit(sess *session) bool {
+	// A session parked by fault recovery may still have cancelled runs
+	// draining through the pipeline; readmitting before their (empty)
+	// results are consumed would interleave the recomputed prefix with
+	// stale cleanups.
+	if s.inflight(sess) > 0 {
+		return false
 	}
-	return false
+	// Readmission never evicts anyone: wait until the full accepted
+	// prefix fits in genuinely free cells. (The room check is
+	// conservative: a prefix hit would shrink the recompute, but probing
+	// before room is assured would strand a mapped entry on a failed
+	// admit.)
+	if !s.roomFor(sess, len(sess.accepted)) {
+		return false
+	}
+	sess.state = statePrefill
+	sess.readmitted = sess.generated() > 0
+	sess.fillTarget = len(sess.accepted)
+	sess.fillSent, sess.fillDone = 0, 0
+	sess.cutoff = s.h.CFG.SpecCutoff
+	sess.stats.Readmissions++
+	s.h.Stats.Readmissions.Add(1)
+	if s.cfg.OnReadmit != nil {
+		s.cfg.OnReadmit(sess.req)
+	}
+	s.probePrefix(sess)
+	s.launchRows(nil, append(s.chunkSel[:0], sess), append(s.chunkLen[:0], s.chunkBudget()))
+	return true
 }
 
 // roomFor reports whether n cells fit the session's shard without any
@@ -1405,29 +1318,16 @@ func (s *Scheduler) dropSpecPages(sess *session) bool {
 	// below re-evaluates exactly that token. Remove the cell everywhere in
 	// the same transaction, so every stage recomputes it once.
 	redoLast := false
-	for i := 0; i < s.h.Inflight(); i++ {
-		r := s.h.InflightAt(i)
-		if !r.Cancelled && r.Msg.Kind == engine.KindSpec && s.carriesAccepted(sess, r) {
-			redoLast = true
+	// Every live speculative run of the session goes: the ones carrying
+	// the pending chain and the fully verified ones alike.
+	sess.pending = sess.pending[:0]
+	s.cancelGroups(sess, true, func(r *engine.Run, toks []engine.TokenPlace) bool {
+		if r.Msg.Kind != engine.KindSpec {
+			return false
 		}
-	}
-	s.dropPending(sess)
-	// Cancel any remaining speculative runs (fully verified ones no
-	// longer carry pending tokens, so dropPending missed them).
-	victims := s.victims[:0]
-	for i := 0; i < s.h.Inflight(); i++ {
-		r := s.h.InflightAt(i)
-		if r.Cancelled || r.Msg.Kind != engine.KindSpec || !r.Msg.InvolvesSession(uint16(sess.slot)) {
-			continue
-		}
-		if r.Msg.Batched() {
-			s.cancelRowsFor(sess, r, true)
-		} else {
-			victims = append(victims, r)
-		}
-	}
-	s.victims = victims
-	s.cancelFor(sess, victims)
+		redoLast = redoLast || carriesAccepted(sess, toks)
+		return true
+	})
 	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpDropSpec,
 		Src: sess.ns.Base, Dst: kvcache.SeqID(sess.ns.Width)})
 	if redoLast {
@@ -1443,11 +1343,9 @@ func (s *Scheduler) dropSpecPages(sess *session) bool {
 }
 
 // pickVictim selects the session to preempt for requester: idle (no runs
-// in flight), decoding — or mid chunked prefill between chunks — holding
-// KV pages, at most the requester's priority — the lowest-priority such
-// session, largest footprint on ties. (A non-chunked prefilling session
-// is never a candidate in practice: idle means its whole-prompt run has
-// not launched, so it holds no pages.)
+// in flight), decoding — or mid-prefill between chunks — holding KV
+// pages, at most the requester's priority — the lowest-priority such
+// session, largest footprint on ties.
 func (s *Scheduler) pickVictim(requester *session) *session {
 	var victim *session
 	vUsed := 0
@@ -1472,7 +1370,7 @@ func (s *Scheduler) pickVictim(requester *session) *session {
 }
 
 // park takes a session out of the pipeline: its speculation chain is
-// dropped, any in-flight runs are cancelled (batched runs lose just its
+// dropped, any in-flight runs are cancelled (shared runs lose just its
 // rows), one OpEvictShard transaction frees its whole namespace on the
 // shadow and every stage, and the session waits in stateParked for
 // prefix-recompute readmission. Accepted tokens, the slot and the
@@ -1482,27 +1380,7 @@ func (s *Scheduler) pickVictim(requester *session) *session {
 func (s *Scheduler) park(sess *session) {
 	sess.pending = sess.pending[:0]
 	sess.wantNonSpec = false
-	victims := s.victims[:0]
-	for i := 0; i < s.h.Inflight(); i++ {
-		r := s.h.InflightAt(i)
-		if r.Cancelled || !r.Msg.InvolvesSession(uint16(sess.slot)) {
-			continue
-		}
-		if r.Msg.Batched() {
-			s.cancelRowsFor(sess, r, true)
-		} else {
-			victims = append(victims, r)
-		}
-	}
-	s.victims = victims
-	s.cancelFor(sess, victims)
-	if sess.state == statePrefill {
-		// A mid-prompt chunked prefill gives up its recomputed prefix;
-		// the eviction frees every placed chunk cell, so readmission
-		// restarts the chunk sequence from position 0 — never stranding
-		// shadow pages.
-		sess.fillSent, sess.fillDone = 0, 0
-	}
+	s.cancelGroups(sess, true, nil)
 	sess.state = stateParked
 	// Drop the session's shared-prefix mapping: the shard eviction below
 	// delists the shared pages (a decref — other mapped sessions and the
@@ -1528,60 +1406,15 @@ func (s *Scheduler) preempt(victim *session) {
 	}
 }
 
-// launchReadmit re-prefills a parked session's full accepted prefix
-// (prompt plus everything generated before preemption). Recomputing the
-// prefix rebuilds exactly the canonical cache state the session was
-// evicted with, and the prefill's sampled token is the next token of the
-// uninterrupted greedy stream.
-func (s *Scheduler) launchReadmit(sess *session) {
-	n := len(sess.accepted)
-	k := sess.prefixLen // shared pages cover [0, k): recompute only the rest
-	msg := s.getMsg(n - k)
-	msg.Kind = engine.KindPrefill
-	msg.Seq = sess.ns.Canonical()
-	msg.Session = uint16(sess.slot)
-	for i := k; i < n; i++ {
-		msg.Tokens[i-k] = engine.TokenPlace{Tok: sess.accepted[i], Pos: int32(i), Seqs: sess.canonSet}
-	}
-	sess.state = statePrefill
-	// A session recovered before its first token regenerates the prompt-
-	// sampled token, which stays untimed (same rule as a fresh prefill).
-	sess.readmitted = sess.generated() > 0
-	sess.cutoff = s.h.CFG.SpecCutoff
-	var ctx []token.Token
-	if s.cfg.NeedCtx && k > 0 {
-		ctx = sess.accepted[:k:k]
-	}
-	if s.launch(msg, ctx, nil) == nil {
-		s.putMsg(msg)
-		return
-	}
-	sess.stats.RunsLaunched++
-	sess.stats.Readmissions++
-	s.h.Stats.Readmissions.Add(1)
-	if s.cfg.OnReadmit != nil {
-		s.cfg.OnReadmit(sess.req)
-	}
-}
-
-// getMsg returns a pooled run message with n token slots.
-func (s *Scheduler) getMsg(n int) *engine.RunMsg {
-	var m *engine.RunMsg
+// getMsg returns a pooled run message for the composer to fill (putMsg
+// emptied it).
+func (s *Scheduler) getMsg() *engine.RunMsg {
 	if k := len(s.msgPool); k > 0 {
-		m = s.msgPool[k-1]
+		m := s.msgPool[k-1]
 		s.msgPool = s.msgPool[:k-1]
-	} else {
-		m = &engine.RunMsg{}
+		return m
 	}
-	if cap(m.Tokens) < n {
-		m.Tokens = make([]engine.TokenPlace, n)
-	}
-	m.Tokens = m.Tokens[:n]
-	m.RowSessions = m.RowSessions[:0]
-	m.RowRanges = m.RowRanges[:0]
-	m.DeadSessions = 0
-	m.KVOps = nil
-	return m
+	return &engine.RunMsg{}
 }
 
 func (s *Scheduler) putMsg(m *engine.RunMsg) {
@@ -1629,7 +1462,7 @@ func (s *Scheduler) launch(msg *engine.RunMsg, ctx []token.Token, seqs []kvcache
 		s.obs.ObserveBatchWidth(engine.DistinctSessions(msg))
 	}
 	if s.cfg.RunTimeout > 0 {
-		run.Deadline = s.h.EP.Now() + s.deadlineFor(msg.Len())
+		run.Deadline = s.h.EP.Now() + s.runBudget(msg.Len(), s.h.Inflight())
 	}
 	return run
 }
@@ -1663,48 +1496,44 @@ func (s *Scheduler) rejectLaunch(msg *engine.RunMsg) {
 	if msg.Kind == engine.KindSpec {
 		return
 	}
-	if msg.Batched() {
-		for lo := 0; lo < len(msg.Tokens); {
-			slot, hi := batch.Group(msg, lo)
-			s.parkSlot(int(slot))
-			lo = hi
+	for lo := range msg.Groups() {
+		if sess := s.liveAt(msg.RowSession(lo)); sess != nil {
+			s.preempt(sess)
 		}
-		return
 	}
-	s.parkSlot(int(msg.Session))
 }
 
-// parkSlot preempt-parks a live session by slot number (launch rejection
-// shares the preemption bookkeeping).
-func (s *Scheduler) parkSlot(slot int) {
-	if slot >= len(s.slots) {
-		return
-	}
-	sess := s.slots[slot]
+// liveAt returns the session in slot if it has pipeline state to lose:
+// nil for an idle slot, and for parked and draining sessions — their
+// state recomputes at readmission or dies with finalize.
+func (s *Scheduler) liveAt(slot uint16) *session {
+	sess := s.sessionAt(slot)
 	if sess == nil || sess.state == stateParked || sess.state == stateDrain {
-		return
+		return nil
 	}
-	s.preempt(sess)
+	return sess
 }
 
-// deadlineFor derives one run's watchdog budget: RunTimeoutMult times
-// the cost model's predicted service time for the run behind everything
-// already in flight, clamped to [RunTimeout, RunTimeoutCap]. Until the
-// fit converges the floor stands alone, so the watchdog starts
-// conservative and tightens as evidence accumulates.
-func (s *Scheduler) deadlineFor(rows int) time.Duration {
+// The watchdog's headroom over the cost model's prediction (a p99-style
+// multiple) and the ceiling on any one budget, in units of RunTimeout.
+const (
+	runTimeoutMult = 8
+	runTimeoutCap  = 64
+)
+
+// runBudget derives a watchdog budget: runTimeoutMult times the cost
+// model's predicted service time for a run of rows rows behind depth runs
+// in flight (itself included), clamped to [RunTimeout, runTimeoutCap x
+// RunTimeout]. Until the fit converges the floor stands alone, so the
+// watchdog starts conservative and tightens as evidence accumulates.
+func (s *Scheduler) runBudget(rows, depth int) time.Duration {
 	d := s.cfg.RunTimeout
 	oh, pr := s.runCost.Overhead(), s.runCost.PerRow()
 	if oh > 0 || pr > 0 {
-		pred := s.cfg.RunTimeoutMult * (oh + pr*float64(rows)) * float64(s.h.Inflight())
-		if p := time.Duration(pred * float64(time.Second)); p > d {
-			d = p
-		}
+		pred := runTimeoutMult * (oh + pr*float64(rows)) * float64(depth)
+		d = max(d, time.Duration(pred*float64(time.Second)))
 	}
-	if s.cfg.RunTimeoutCap > 0 && d > s.cfg.RunTimeoutCap {
-		d = s.cfg.RunTimeoutCap
-	}
-	return d
+	return min(d, runTimeoutCap*s.cfg.RunTimeout)
 }
 
 // rearmOldest refreshes the head-of-line run's deadline after the
@@ -1723,20 +1552,7 @@ func (s *Scheduler) rearmOldest() {
 		return
 	}
 	oldest := s.h.InflightAt(0)
-	d := s.cfg.RunTimeout
-	oh, pr := s.runCost.Overhead(), s.runCost.PerRow()
-	if oh > 0 || pr > 0 {
-		pred := s.cfg.RunTimeoutMult * (oh + pr*float64(oldest.Msg.Len()))
-		if p := time.Duration(pred * float64(time.Second)); p > d {
-			d = p
-		}
-	}
-	if s.cfg.RunTimeoutCap > 0 && d > s.cfg.RunTimeoutCap {
-		d = s.cfg.RunTimeoutCap
-	}
-	if nd := s.h.EP.Now() + d; nd > oldest.Deadline {
-		oldest.Deadline = nd
-	}
+	oldest.Deadline = max(oldest.Deadline, s.h.EP.Now()+s.runBudget(oldest.Msg.Len(), 1))
 }
 
 // sendKV applies a KV transaction to the shadow cache and ships it down
@@ -1757,7 +1573,7 @@ func (s *Scheduler) sendKV(ops []kvcache.Op) {
 // and prefill starts at the divergence point. The lookup is limited to
 // len(accepted)-1 so at least one token is always left to compute — the
 // run that samples the session's next token. Called at admission and at
-// readmission (after beginChunkedReadmit, whose reset it overwrites).
+// readmission (after the fill progress is reset, which it overwrites).
 func (s *Scheduler) probePrefix(sess *session) {
 	if s.prefix == nil {
 		return
@@ -1853,70 +1669,14 @@ func (s *Scheduler) observePrefixOcc() {
 	s.obs.SetPrefixCache(s.prefix.Len(), s.prefix.Tokens())
 }
 
-func (s *Scheduler) launchPrefill(sess *session) {
-	k := sess.prefixLen // shared pages cover [0, k): prefill the rest
-	msg := s.getMsg(sess.prompt - k)
-	msg.Kind = engine.KindPrefill
-	msg.Seq = sess.ns.Canonical()
-	msg.Session = uint16(sess.slot)
-	for i := k; i < sess.prompt; i++ {
-		msg.Tokens[i-k] = engine.TokenPlace{Tok: sess.accepted[i], Pos: int32(i), Seqs: sess.canonSet}
-	}
-	var ctx []token.Token
-	if s.cfg.NeedCtx && k > 0 {
-		// The mapped prefix is this run's context; accepted is append-only
-		// and frozen during prefill, so aliasing is safe.
-		ctx = sess.accepted[:k:k]
-	}
-	if s.launch(msg, ctx, nil) == nil {
-		s.putMsg(msg)
-		return
-	}
-	sess.stats.RunsLaunched++
-}
-
-func (s *Scheduler) launchNonSpec(sess *session) {
-	a := len(sess.accepted)
-	msg := s.getMsg(1)
-	msg.Kind = engine.KindNonSpec
-	msg.Seq = sess.ns.Canonical()
-	msg.Session = uint16(sess.slot)
-	msg.Tokens[0] = engine.TokenPlace{Tok: sess.accepted[a-1], Pos: int32(a - 1), Seqs: sess.canonSet}
-	var ctx []token.Token
-	if s.cfg.NeedCtx {
-		// Accepted tokens are append-only, so the context prefix can
-		// alias the session buffer instead of snapshotting.
-		ctx = sess.accepted[: a-1 : a-1]
-	}
-	if s.launch(msg, ctx, nil) == nil {
-		s.putMsg(msg)
-		return
-	}
-	sess.stats.RunsLaunched++
-}
-
-// launchNonSpecBatch coalesces the ready sessions' single-token decode
-// steps into one multi-session run. A batch of one takes the ordinary
-// solo path, so batching never changes the wire format until it actually
-// coalesces.
-func (s *Scheduler) launchNonSpecBatch(ready []*session) {
-	if len(ready) == 1 {
-		ready[0].wantNonSpec = false
-		s.launchNonSpec(ready[0])
-		return
-	}
-	for _, sess := range ready {
-		s.stageDecodeRow(sess)
-	}
-	s.launchComposed(engine.KindNonSpec, nil)
-}
-
 // stageDecodeRow stages one session's single-token decode step into the
 // composer.
 func (s *Scheduler) stageDecodeRow(sess *session) {
 	a := len(sess.accepted)
 	var ctx []token.Token
 	if s.cfg.NeedCtx {
+		// Accepted tokens are append-only, so the context prefix can
+		// alias the session buffer instead of snapshotting.
 		ctx = sess.accepted[: a-1 : a-1]
 	}
 	s.composer.Stage(batch.Row{
@@ -1930,22 +1690,20 @@ func (s *Scheduler) stageDecodeRow(sess *session) {
 	sess.stats.RunsLaunched++
 }
 
-// stageChunk stages the next chunk of a session's chunked prefill: up to
-// budget tokens of the unfilled range [fillSent, fillTarget), every row
-// tagged with the remaining (position, length) range so stages know that
-// only the row computing position fillTarget-1 samples (the v3 range
-// extension). It returns the number of tokens staged.
-func (s *Scheduler) stageChunk(sess *session, budget int) int {
+// stageChunk stages the next chunk of a session's prefill: up to budget
+// tokens of the unfilled range [fillSent, fillTarget), every row tagged
+// with the remaining (position, length) range so stages know that only
+// the row computing position fillTarget-1 samples (the v3 range
+// extension).
+func (s *Scheduler) stageChunk(sess *session, budget int) {
 	lo := sess.fillSent
-	hi := lo + budget
-	if hi > sess.fillTarget {
-		hi = sess.fillTarget
-	}
+	hi := min(lo+budget, sess.fillTarget)
 	rng := engine.RowRange{Pos: int32(lo), Len: int32(sess.fillTarget - lo)}
 	var ctx []token.Token
 	if s.cfg.NeedCtx {
-		// The chunk's context is the already-recomputed prefix; accepted
-		// is append-only and frozen during prefill, so aliasing is safe.
+		// The chunk's context is the already-recomputed (or mapped)
+		// prefix; accepted is append-only and frozen during prefill, so
+		// aliasing is safe.
 		ctx = sess.accepted[:lo:lo]
 	}
 	for p := lo; p < hi; p++ {
@@ -1960,79 +1718,59 @@ func (s *Scheduler) stageChunk(sess *session, budget int) int {
 	}
 	sess.fillSent = hi
 	sess.stats.RunsLaunched++
-	return hi - lo
 }
 
-// launchMixedBatch composes ready decode rows and SRPT-ordered prefill
-// chunks into one ranged multi-row run — the chunked-prefill form of
-// cross-session batching: prompt chunks ride in the same runs as decode
-// rows, so admissions make prefill progress without stalling the decode
-// cadence, and several sessions' small chunks (the tails of a burst)
-// coalesce under one shared PrefillChunk token budget. lens[i] is the
-// size admission charged for chunks[i]; staging exactly those keeps the
-// staged cells and the KV charge in lockstep.
-func (s *Scheduler) launchMixedBatch(ready, chunks []*session, lens []int) {
+// launchRows composes ready decode rows and prefill chunks into one run
+// and launches it: prompt chunks ride in the same runs as decode rows, so
+// admissions make prefill progress without stalling the decode cadence,
+// and several sessions' small chunks (the tails of a burst) coalesce
+// under one shared token budget. lens[i] is the size admission charged
+// for chunks[i]; staging exactly those keeps the staged cells and the KV
+// charge in lockstep. The round-robin cursor moves just past the last
+// session staged.
+func (s *Scheduler) launchRows(ready, chunks []*session, lens []int) {
 	for _, sess := range ready {
 		s.stageDecodeRow(sess)
+		s.rr = (sess.slot + 1) % len(s.slots)
 	}
 	for i, sess := range chunks {
 		s.stageChunk(sess, lens[i])
+		s.rr = (sess.slot + 1) % len(s.slots)
 	}
 	kind := engine.KindPrefill
 	if len(ready) > 0 {
 		kind = engine.KindNonSpec
 	}
-	s.launchComposed(kind, nil)
-	s.h.Stats.PrefillBatchedRuns.Add(1)
-}
-
-// launchChunkSolo launches one session's next prefill chunk as a ranged
-// run of its own — the escalation and readmission entry points, where no
-// batch is being collected.
-func (s *Scheduler) launchChunkSolo(sess *session) {
-	s.stageChunk(sess, s.cfg.PrefillChunk)
-	s.launchComposed(engine.KindPrefill, nil)
-	s.h.Stats.PrefillBatchedRuns.Add(1)
-}
-
-// beginChunkedReadmit converts a parked session back into a chunked
-// prefill over its full accepted prefix (prompt plus everything
-// generated before preemption) — the chunked form of prefix-recompute
-// readmission. Recomputing the prefix rebuilds exactly the canonical
-// cache state the session was evicted with, so greedy output stays
-// bit-identical; a session parked mid-prompt (nothing generated yet)
-// restarts as an ordinary first prefill, untimed sampled token included.
-func (s *Scheduler) beginChunkedReadmit(sess *session) {
-	sess.state = statePrefill
-	sess.readmitted = sess.generated() > 0
-	sess.fillTarget = len(sess.accepted)
-	sess.fillSent, sess.fillDone = 0, 0
-	sess.cutoff = s.h.CFG.SpecCutoff
-	sess.stats.Readmissions++
-	s.h.Stats.Readmissions.Add(1)
-	if s.cfg.OnReadmit != nil {
-		s.cfg.OnReadmit(sess.req)
+	if s.launchComposed(kind, nil, nil) != nil && len(chunks) > 0 {
+		s.h.Stats.PrefillBatchedRuns.Add(1)
 	}
 }
 
-// launchComposed turns the composer's staged rows into a v3 run message
-// and launches it; seqs are the speculative partitions the run holds
-// (nil for non-speculative batches).
-func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID) *engine.Run {
-	msg := s.getMsg(0)
+// launchComposed turns the composer's staged rows into a run message and
+// launches it; seqs are the speculative partitions the run holds and ops
+// the prefix-sharing KV operations it carries (both nil for
+// non-speculative runs).
+func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID, ops []kvcache.Op) *engine.Run {
+	msg := s.getMsg()
+	var ctx []token.Token
 	var ctxs [][]token.Token
 	if s.cfg.NeedCtx {
-		ctxs = s.getCtxs()
+		// An untagged run's one context is its first row's; a tagged run
+		// is interpreted row by row.
+		ctxs = s.composer.ComposeInto(msg, kind, s.getCtxs(), true)
+		ctx = ctxs[0]
+	} else {
+		s.composer.ComposeInto(msg, kind, nil, false)
 	}
-	ctxs = s.composer.ComposeInto(msg, kind, ctxs, s.cfg.NeedCtx)
-	msg.Seq = kvcache.SeqID(0)
 	if len(seqs) > 0 {
 		msg.Seq = seqs[0]
 	} else {
 		// Primary seq: the first row's canonical sequence.
 		msg.Seq = msg.Tokens[0].Seqs.Min()
 	}
-	run := s.launch(msg, nil, seqs)
+	msg.KVOps = ops
+	run := s.launch(msg, ctx, seqs)
+	msg.KVOps = nil // ops is scratch; launch consumed (or rejected) them
 	if run == nil {
 		s.putCtxs(ctxs)
 		s.putMsg(msg)
@@ -2215,22 +1953,11 @@ func (s *Scheduler) launchSpecGroup(depth int) bool {
 		}
 		off += l
 	}
-	s.ops = ops
+	s.ops = ops[:0]
 	if s.composer.Rows() == 0 {
-		s.ops = ops[:0]
 		return false
 	}
-	msg := s.getMsg(0)
-	var ctxs [][]token.Token
-	if s.cfg.NeedCtx {
-		ctxs = s.getCtxs()
-	}
-	ctxs = s.composer.ComposeInto(msg, engine.KindSpec, ctxs, s.cfg.NeedCtx)
-	msg.Seq = seqs[0]
-	msg.KVOps = ops
-	run := s.launch(msg, nil, seqs)
-	msg.KVOps = nil // ops scratch is reused; Launch consumed (or rejected) them
-	s.ops = ops[:0]
+	run := s.launchComposed(engine.KindSpec, seqs, ops)
 	if run == nil {
 		// Rejected by the shadow dry run: free the partitions; no pending
 		// tokens were recorded, so the sessions simply re-draft later.
@@ -2239,11 +1966,8 @@ func (s *Scheduler) launchSpecGroup(depth int) bool {
 				sess.alloc.Free(id)
 			}
 		}
-		s.putCtxs(ctxs)
-		s.putMsg(msg)
 		return false
 	}
-	run.Ctxs = ctxs
 
 	// Record pending chains against the launched run and apply the
 	// continuous-speculation cutoff recovery per session (§IV-B.2).
@@ -2276,115 +2000,18 @@ func (s *Scheduler) launchSpecGroup(depth int) bool {
 	return true
 }
 
-// trySpeculate drafts one micro-batch extending the session's speculation
-// frontier and launches it as a speculative run in a freshly allocated
-// sequence partition (§IV-B.1 applied per session).
-func (s *Scheduler) trySpeculate(sess *session) bool {
-	if sess.alloc.Available() == 0 {
-		return false
-	}
-	a := len(sess.accepted)
-	ctx := append(s.ctx[:0], sess.accepted...)
-	for _, pt := range sess.pending {
-		ctx = append(ctx, pt.tok)
-	}
-	prefixLen := len(ctx)
-	if prefixLen >= sess.prompt+sess.maxNew {
-		return false // frontier already covers the whole request
-	}
-
-	batch := s.h.CFG.MicroBatch
-	var toks []token.Token
-	for len(toks) < batch {
-		cand, probs := s.h.BK.Propose(ctx, 1)
-		if len(cand) == 0 || probs[0] < sess.cutoff {
-			break
-		}
-		toks = append(toks, cand[0])
-		ctx = append(ctx, cand[0])
-	}
-	s.ctx = ctx[:0]
-	if len(toks) == 0 {
-		// Reactive speculation: decay the cutoff so the session scales
-		// utilisation back up while waiting (§IV-B.2).
-		sess.cutoff -= s.h.CFG.CutoffDecay
-		if sess.cutoff < 0.02 {
-			sess.cutoff = 0.02
-		}
-		return false
-	}
-
-	// Speculation is optional work: under memory pressure it is skipped,
-	// never allowed to trigger eviction.
-	if !s.roomFor(sess, len(toks)) {
-		return false
-	}
-
-	seq, ok := sess.alloc.Alloc()
-	if !ok {
-		return false
-	}
-
-	// Prefix sharing ops: the session's canonical prefix plus every
-	// pending chain segment, grouped by owning sequence — all inside the
-	// session's namespace.
-	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpSeqCp,
-		Src: sess.ns.Canonical(), Dst: seq, P0: 0, P1: int32(a)})
-	for i := 0; i < len(sess.pending); {
-		j := i
-		for j+1 < len(sess.pending) && sess.pending[j+1].seq == sess.pending[i].seq {
-			j++
-		}
-		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqCp,
-			Src: sess.pending[i].seq, Dst: seq, P0: int32(a + i), P1: int32(a + j + 1)})
-		i = j + 1
-	}
-	s.ops = ops
-
-	msg := s.getMsg(len(toks))
-	msg.Kind = engine.KindSpec
-	msg.Seq = seq
-	msg.Session = uint16(sess.slot)
-	seqSet := kvcache.NewSeqSet(seq)
-	for i, t := range toks {
-		msg.Tokens[i] = engine.TokenPlace{Tok: t, Pos: int32(prefixLen + i), Seqs: seqSet}
-	}
-	msg.KVOps = ops
-	var runCtx []token.Token
-	if s.cfg.NeedCtx {
-		// The prefix includes pending tokens, which are rewritten on
-		// rejection — this snapshot must be real.
-		runCtx = make([]token.Token, prefixLen)
-		copy(runCtx, sess.accepted)
-		for i, pt := range sess.pending {
-			runCtx[a+i] = pt.tok
-		}
-	}
-	run := s.launch(msg, runCtx, []kvcache.SeqID{seq})
-	msg.KVOps = nil // ops scratch is reused; Launch consumed (or rejected) them
-	if run == nil {
-		sess.alloc.Free(seq)
-		s.putMsg(msg)
-		return false
-	}
-	sess.stats.RunsLaunched++
-	for _, t := range toks {
-		sess.pending = append(sess.pending, pendingTok{tok: t, seq: seq, run: run.Msg.ID})
-	}
-	sess.stats.Proposed += len(toks)
-	s.h.Stats.Proposed.Add(int64(len(toks)))
-
-	// Each successful continuous iteration raises the confidence bar for
-	// the next (§IV-B.2 recovery factor).
-	sess.cutoff += s.h.CFG.CutoffRecovery
-	if sess.cutoff > 0.95 {
-		sess.cutoff = 0.95
-	}
-	return true
-}
-
 // --- result handling ---
 
+// handleResult consumes the oldest run's result (or its failure) and
+// demultiplexes it back to every involved session's state machine: each
+// per-session row group is consumed exactly as the single-request engine
+// consumes a run — verification, sampling, promotion, invalidation scans —
+// with the rows of cancelled runs and masked sessions skipped. All groups'
+// promotions and the run's partition cleanup (each partition returned to
+// the namespace that owns it) then travel as one KV transaction — issued
+// before anything launches, which is what makes later runs see the
+// promoted cells — and drained sessions whose last in-flight run this was
+// are finalized.
 func (s *Scheduler) handleResult() error {
 	var (
 		run *engine.Run
@@ -2399,9 +2026,9 @@ func (s *Scheduler) handleResult() error {
 			return err
 		}
 		if failed {
-			err := s.recoverFailed(run)
+			s.recoverFailed(run)
 			s.rearmOldest()
-			return err
+			return nil
 		}
 	} else {
 		run, res, ok, err = s.h.AwaitResult()
@@ -2412,39 +2039,60 @@ func (s *Scheduler) handleResult() error {
 	s.noteSuccess()
 	s.observeRunCost(run)
 	s.rearmOldest()
-	if run.Msg.Batched() {
-		return s.handleBatchedResult(run, res, ok)
-	}
-	slot := int(run.Msg.Session)
-	if slot >= len(s.slots) || s.slots[slot] == nil {
-		return fmt.Errorf("serve: result for idle session slot %d", slot)
-	}
-	sess := s.slots[slot]
-
-	switch sess.state {
-	case statePrefill:
-		err = s.onPrefill(sess, run, res, ok)
-	case stateDecode:
-		err = s.onDecode(sess, run, res, ok)
-	case stateDrain, stateParked:
-		// Drained sessions await cleanup only; a parked session's stale
-		// (cancelled) runs likewise just return their partitions — its
-		// real state recomputes at readmission.
-		s.sendKV(s.appendCleanup(run, s.ops[:0]))
-	}
-
-	// The run record and its message are ours alone now (pending tokens
-	// reference runs by ID): recycle both for the next launch.
 	msg := run.Msg
+	txn := s.txn[:0]
+	for lo, hi := range msg.Groups() {
+		sess := s.sessionAt(msg.RowSession(lo))
+		var gerr error
+		rowOk := ok && !run.Cancelled && !msg.RowDead(lo)
+		switch {
+		case sess == nil:
+			gerr = fmt.Errorf("serve: result row for idle session slot %d", msg.RowSession(lo))
+		case sess.state == stateDecode:
+			txn, gerr = s.onDecodeRows(sess, run, res, rowOk, lo, hi, txn)
+		case sess.state == statePrefill:
+			gerr = s.onPrefillRows(sess, run, res, rowOk, lo, hi)
+		default:
+			// Draining or parked: masked or obsolete rows. The
+			// namespace-wide cleanup that accompanies drain and park covers
+			// their cache entries, and a parked session's real state
+			// recomputes at readmission.
+		}
+		if err == nil {
+			err = gerr
+		}
+	}
+	txn = s.appendCleanup(run, txn)
+	s.txn = txn[:0]
+	s.sendKV(txn)
+	s.retire(run)
+	return err
+}
+
+// sessionAt returns the session in slot, nil when the slot is idle or out
+// of range.
+func (s *Scheduler) sessionAt(slot uint16) *session {
+	if int(slot) >= len(s.slots) {
+		return nil
+	}
+	return s.slots[slot]
+}
+
+// retire ends a consumed (or failed) run's life at the head: drained
+// sessions for which it was the last run in flight are finalized — its
+// result was the only thing holding their slot — and the run record, its
+// message and its contexts return to their pools (pending tokens
+// reference runs by ID, so nothing else points at them).
+func (s *Scheduler) retire(run *engine.Run) {
+	msg := run.Msg
+	for lo := range msg.Groups() {
+		if sess := s.sessionAt(msg.RowSession(lo)); sess != nil && sess.state == stateDrain && s.inflight(sess) == 0 {
+			s.finalize(sess)
+		}
+	}
+	s.putCtxs(run.Ctxs)
 	s.h.Recycle(run)
 	s.putMsg(msg)
-	if err != nil {
-		return err
-	}
-	if sess.state == stateDrain && s.inflight(sess) == 0 {
-		s.finalize(sess)
-	}
-	return nil
 }
 
 // watchdogWait returns how long AwaitResultWithin may block before the
@@ -2452,7 +2100,7 @@ func (s *Scheduler) handleResult() error {
 func (s *Scheduler) watchdogWait() time.Duration {
 	oldest := s.h.InflightAt(0)
 	if oldest.Deadline == 0 {
-		return s.cfg.RunTimeoutCap
+		return runTimeoutCap * s.cfg.RunTimeout
 	}
 	d := oldest.Deadline - s.h.EP.Now()
 	if d < 0 {
@@ -2506,7 +2154,7 @@ func (s *Scheduler) noteSuccess() {
 // bit-identically, lost sampled token included. Runs the scheduler had
 // already cancelled produce expected-missing results and need only
 // their partition cleanup; so do rows the scheduler had masked dead.
-func (s *Scheduler) recoverFailed(run *engine.Run) error {
+func (s *Scheduler) recoverFailed(run *engine.Run) {
 	s.h.Flight.Record(s.h.EP.Now(), trace.FlightRecover, run.Msg.ID, int32(run.Msg.Len()))
 	s.noteFailure()
 	if s.obs != nil {
@@ -2517,132 +2165,29 @@ func (s *Scheduler) recoverFailed(run *engine.Run) error {
 	s.lastResultAt = 0
 	msg := run.Msg
 	if run.FailedLive {
-		if msg.Batched() {
-			for lo := 0; lo < len(msg.Tokens); {
-				slot, hi := batch.Group(msg, lo)
-				if !msg.RowDead(lo) {
-					s.recoverSlot(int(slot))
-				}
-				lo = hi
+		for lo := range msg.Groups() {
+			if sess := s.liveAt(msg.RowSession(lo)); sess != nil && !msg.RowDead(lo) {
+				s.recoverSession(sess)
 			}
-		} else {
-			s.recoverSlot(int(msg.Session))
 		}
 	}
 	// The failed run's partitions are freed exactly as a consumed run's
 	// would be.
-	s.sendKV(s.appendCleanup(run, s.ops[:0]))
-	// Drained sessions whose last in-flight run this was finalize now —
-	// their missing result was the only thing holding the slot.
-	if msg.Batched() {
-		for lo := 0; lo < len(msg.Tokens); {
-			slot, hi := batch.Group(msg, lo)
-			if int(slot) < len(s.slots) {
-				if sess := s.slots[slot]; sess != nil && sess.state == stateDrain && s.inflight(sess) == 0 {
-					s.finalize(sess)
-				}
-			}
-			lo = hi
-		}
-	} else if slot := int(msg.Session); slot < len(s.slots) {
-		if sess := s.slots[slot]; sess != nil && sess.state == stateDrain && s.inflight(sess) == 0 {
-			s.finalize(sess)
-		}
-	}
-	s.putCtxs(run.Ctxs)
-	run.Ctxs = nil
-	s.h.Recycle(run)
-	s.putMsg(msg)
-	return nil
+	txn := s.appendCleanup(run, s.txn[:0])
+	s.txn = txn[:0]
+	s.sendKV(txn)
+	s.retire(run)
 }
 
-// recoverSlot parks a live session for fault recovery, crediting the
-// recovery. Parked and draining sessions need nothing: their state
-// recomputes at readmission or their namespace dies with finalize.
-func (s *Scheduler) recoverSlot(slot int) {
-	if slot >= len(s.slots) {
-		return
-	}
-	sess := s.slots[slot]
-	if sess == nil || sess.state == stateParked || sess.state == stateDrain {
-		return
-	}
+// recoverSession parks a live session for fault recovery, crediting the
+// recovery.
+func (s *Scheduler) recoverSession(sess *session) {
 	s.park(sess)
 	sess.stats.Recoveries++
 	s.h.Stats.Recoveries.Add(1)
 	if s.cfg.OnRecover != nil {
 		s.cfg.OnRecover(sess.req)
 	}
-}
-
-// handleBatchedResult demultiplexes one multi-session run's result back
-// to every involved session's state machine: each contiguous per-session
-// row group is consumed exactly as a solo run of that session would be —
-// verification, sampling, promotion, invalidation scans — with rows of
-// cancelled (masked) sessions skipped. The run's speculative partitions
-// are then cleaned up in one pass, each returned to the namespace that
-// owns it, and drained sessions whose last in-flight run this was are
-// finalized.
-func (s *Scheduler) handleBatchedResult(run *engine.Run, res engine.Results, ok bool) error {
-	msg := run.Msg
-	var firstErr error
-	for lo := 0; lo < len(msg.Tokens); {
-		slot, hi := batch.Group(msg, lo)
-		sess := (*session)(nil)
-		if int(slot) < len(s.slots) {
-			sess = s.slots[slot]
-		}
-		if sess == nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("serve: batched result row for idle session slot %d", slot)
-			}
-			lo = hi
-			continue
-		}
-		rowOk := ok && !run.Cancelled && !msg.RowDead(lo)
-		switch sess.state {
-		case stateDecode:
-			if err := s.onDecodeRows(sess, run, res, rowOk, lo, hi, nil); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case stateDrain, stateParked:
-			// Masked or obsolete rows; the namespace-wide cleanup that
-			// accompanies drain/park covers their cache entries.
-		case statePrefill:
-			// A chunk of the session's chunked prefill (ranged runs are
-			// the only batched runs a prefilling session rides in).
-			if err := s.onPrefillRows(sess, run, res, rowOk, lo, hi); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		lo = hi
-	}
-	// Run-level cleanup: one SeqRm per held partition, each freed back to
-	// its owning session's allocator.
-	s.sendKV(s.appendCleanup(run, s.ops[:0]))
-	// Finalize drained sessions for which this was the last in-flight run.
-	for lo := 0; lo < len(msg.Tokens); {
-		slot, hi := batch.Group(msg, lo)
-		if int(slot) < len(s.slots) {
-			if sess := s.slots[slot]; sess != nil && sess.state == stateDrain && s.inflight(sess) == 0 {
-				s.finalize(sess)
-			}
-		}
-		lo = hi
-	}
-	s.putCtxs(run.Ctxs)
-	run.Ctxs = nil
-	s.h.Recycle(run)
-	s.putMsg(msg)
-	return firstErr
-}
-
-func (s *Scheduler) onPrefill(sess *session, run *engine.Run, res engine.Results, ok bool) error {
-	if !ok || run.Cancelled {
-		return fmt.Errorf("serve: prefill cancelled for request %d", sess.req)
-	}
-	s.completePrefill(sess, res.Next(run.Msg.Len()-1))
-	return nil
 }
 
 // completePrefill finishes a session's prefill — whole-prompt or the
@@ -2674,14 +2219,12 @@ func (s *Scheduler) completePrefill(sess *session, next token.Token) {
 	}
 }
 
-// onPrefillRows consumes one chunk group [lo, hi) of a session's chunked
-// prefill. An intermediate chunk only advances the fill progress — its
-// rows wrote their KV cells at every stage but carry no logits (they are
-// absent from the result frame). The final chunk — the one whose last
-// row computes position fillTarget-1 — completes the prefill exactly as
-// the solo whole-prompt path would: the sampled token off the prompt end
-// (untimed for a first prefill, a timed mid-stream acceptance for a
-// prefix-recompute readmission) and the transition to decoding.
+// onPrefillRows consumes one chunk group [lo, hi) of a session's prefill.
+// An intermediate chunk only advances the fill progress — its rows wrote
+// their KV cells at every stage but carry no logits (they are absent from
+// the result frame). The final chunk — the one whose last row computes
+// position fillTarget-1; a whole-prompt prefill's only one — completes
+// the prefill with the token sampled off the prefix end.
 func (s *Scheduler) onPrefillRows(sess *session, run *engine.Run, res engine.Results, ok bool, lo, hi int) error {
 	if !ok {
 		return fmt.Errorf("serve: prefill chunk cancelled for request %d", sess.req)
@@ -2698,34 +2241,16 @@ func (s *Scheduler) onPrefillRows(sess *session, run *engine.Run, res engine.Res
 	return nil
 }
 
-// onDecode consumes one solo decode result: verification, sampling,
-// cache promotion, invalidation and follow-up scheduling — the
-// per-session mirror of the core PipeInfer engine's handleResult. The
-// run's partitions are cleaned up whatever the outcome, in the same KV
-// transaction as any promotions (one pipelined round per result, as
-// before batching).
-func (s *Scheduler) onDecode(sess *session, run *engine.Run, res engine.Results, ok bool) error {
-	if !ok || run.Cancelled {
-		s.sendKV(s.appendCleanup(run, s.ops[:0]))
-		return nil
-	}
-	return s.onDecodeRows(sess, run, res, true, 0, run.Msg.Len(), run)
-}
-
-// onDecodeRows consumes session sess's contiguous row group [lo, hi) of a
-// decode result — the whole run for solo runs, one session's slice of a
-// batched run otherwise. ok is false for cancelled runs and masked-out
-// rows, which need no per-session action. When cleanup is non-nil (the
-// solo path), the run's partition cleanup rides the same KV transaction
-// as the promotions; batched callers pass nil and clean up once per run.
-func (s *Scheduler) onDecodeRows(sess *session, run *engine.Run, res engine.Results, ok bool, lo, hi int, cleanup *engine.Run) error {
+// onDecodeRows consumes session sess's row group [lo, hi) of a decode
+// result: verification, sampling, cache promotion, invalidation and
+// follow-up scheduling — the per-session mirror of the core PipeInfer
+// engine's handleResult. ok is false for cancelled runs and masked-out
+// rows, which need no per-session action. Promotions are appended to txn,
+// the consumed result's one KV transaction.
+func (s *Scheduler) onDecodeRows(sess *session, run *engine.Run, res engine.Results, ok bool, lo, hi int, txn []kvcache.Op) ([]kvcache.Op, error) {
 	if !ok {
-		if cleanup != nil {
-			s.sendKV(s.appendCleanup(cleanup, s.ops[:0]))
-		}
-		return nil
+		return txn, nil
 	}
-	ops := s.ops[:0]
 	toks := run.Msg.Tokens[lo:hi]
 
 	a := len(sess.accepted)
@@ -2736,26 +2261,17 @@ func (s *Scheduler) onDecodeRows(sess *session, run *engine.Run, res engine.Resu
 	if base+l < a {
 		sess.stats.Superfluous++
 		s.h.Stats.Superfluous.Add(1)
-		if cleanup != nil {
-			s.sendKV(s.appendCleanup(cleanup, ops))
-		}
-		return nil
+		return txn, nil
 	}
 	// Invalidated: an input token conflicts with the session's accepted
 	// sequence or its (possibly rewritten) pending chain.
 	if !s.rowsValid(sess, toks) {
-		if cleanup != nil {
-			s.sendKV(s.appendCleanup(cleanup, ops))
-		}
-		return nil
+		return txn, nil
 	}
 
 	i0 := a - 1 - base
 	if i0 < 0 {
-		if cleanup != nil {
-			s.sendKV(s.appendCleanup(cleanup, ops))
-		}
-		return fmt.Errorf("serve: result gap for request %d: accepted end %d, run base %d",
+		return txn, fmt.Errorf("serve: result gap for request %d: accepted end %d, run base %d",
 			sess.req, a, base)
 	}
 	sampledNew := false
@@ -2771,7 +2287,7 @@ func (s *Scheduler) onDecodeRows(sess *session, run *engine.Run, res engine.Resu
 				// Draft token confirmed: promote its cache entries to the
 				// session's canonical sequence (the multibuffering swap).
 				pos := int32(len(sess.accepted))
-				ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqCp,
+				txn = append(txn, kvcache.Op{Kind: kvcache.OpSeqCp,
 					Src: pt.seq, Dst: sess.ns.Canonical(), P0: pos, P1: pos + 1})
 				s.accept(sess, next, false)
 				sess.pending = sess.pending[1:]
@@ -2795,23 +2311,13 @@ func (s *Scheduler) onDecodeRows(sess *session, run *engine.Run, res engine.Resu
 	if anyAccept {
 		sess.cutoff = s.h.CFG.SpecCutoff
 	}
-
-	// Promotions and cleanups must be issued before any dependent launch:
-	// transaction order is what makes later runs see the promoted cells.
-	if cleanup != nil {
-		ops = s.appendCleanup(cleanup, ops)
-	}
-	s.ops = ops[:0]
-	s.sendKV(ops)
 	s.scanSession(sess)
 	if sess.generated() >= sess.maxNew {
 		s.enterDrain(sess)
-		return nil
-	}
-	if sampledNew {
+	} else if sampledNew {
 		sess.wantNonSpec = true
 	}
-	return nil
+	return txn, nil
 }
 
 // accept appends one sampled token to the session and records the
@@ -2843,8 +2349,6 @@ func (s *Scheduler) accept(sess *session, tok token.Token, fromPrefill bool) {
 
 // rowsValid checks a row group's input tokens against the session's
 // current accepted/pending state (§IV-D.1's token-sequence comparison).
-// For solo runs the group is the whole batch; for batched runs it is the
-// session's own rows.
 func (s *Scheduler) rowsValid(sess *session, toks []engine.TokenPlace) bool {
 	a := len(sess.accepted)
 	for _, tp := range toks {
@@ -2865,58 +2369,67 @@ func (s *Scheduler) rowsValid(sess *session, toks []engine.TokenPlace) bool {
 	return true
 }
 
+// cancelGroups is the one FIFO sweep behind every per-session
+// cancellation: sess's live row group in each in-flight run that pick
+// selects (nil: all of them) is cancelled — a run that is the session's
+// alone whole, all such runs in one broadcast; a shared run by masking
+// just the session's rows — and the cancellations are credited to the
+// session's stats as well as the aggregate. cleanup promises that the
+// session's sequences are cleaned up namespace-wide afterwards (chain
+// drop, drain, eviction), which is what lets stages skip masked
+// non-speculative rows; without it those are only marked dead head-side,
+// because stages must still write their canonical cache entries (§IV-D.3
+// applied per row).
+func (s *Scheduler) cancelGroups(sess *session, cleanup bool, pick func(r *engine.Run, toks []engine.TokenPlace) bool) {
+	slot := uint16(sess.slot)
+	victims := s.victims[:0]
+	for i := 0; i < s.h.Inflight(); i++ {
+		r := s.h.InflightAt(i)
+		if r.Cancelled {
+			continue
+		}
+		lo, hi := r.Msg.GroupOf(slot)
+		if lo == hi || r.Msg.RowDead(lo) {
+			continue // not riding, or masked out (and dealt with) already
+		}
+		if pick == nil || pick(r, r.Msg.Tokens[lo:hi]) {
+			victims = append(victims, r)
+		}
+	}
+	s.victims = victims[:0]
+	if len(victims) == 0 {
+		return
+	}
+	runs, rows := s.h.Stats.RunsCancelled.Load(), s.h.Stats.RowCancels.Load()
+	s.h.CancelSession(slot, victims, cleanup)
+	sess.stats.RunsCancelled += int(s.h.Stats.RunsCancelled.Load() - runs)
+	sess.stats.RowCancels += int(s.h.Stats.RowCancels.Load() - rows)
+}
+
 // dropPending discards the session's speculation chain and cancels the
-// session's runs that carried it. Other sessions' runs are untouched: a
-// batched run carrying the chain has just this session's rows masked out
-// (the signalled mask is safe — the dropped chain's partitions are
-// cleaned up when the run's result arrives).
+// session's share of the runs that carried it (the dropped chain's
+// partitions are cleaned up when each run's result arrives).
 func (s *Scheduler) dropPending(sess *session) {
 	if len(sess.pending) == 0 {
 		return
 	}
-	victims := s.victims[:0]
-	for i := 0; i < s.h.Inflight(); i++ {
-		r := s.h.InflightAt(i)
-		if r.Cancelled || !r.Msg.InvolvesSession(uint16(sess.slot)) {
-			continue
-		}
-		carried := false
+	s.cancelGroups(sess, true, func(r *engine.Run, _ []engine.TokenPlace) bool {
 		for _, pt := range sess.pending {
 			if pt.run == r.Msg.ID {
-				carried = true
-				break
+				return true
 			}
 		}
-		if !carried {
-			continue
-		}
-		if r.Msg.Batched() {
-			s.cancelRowsFor(sess, r, true)
-		} else {
-			victims = append(victims, r)
-		}
-	}
-	s.victims = victims
+		return false
+	})
 	sess.pending = sess.pending[:0]
-	s.cancelFor(sess, victims)
 }
 
-// carriesAccepted reports whether in-flight run r evaluates a token of
-// sess that is already accepted (it can only be the last one: a token is
-// accepted ahead of its own run's result only by the run before it). A
-// rejected draft token sits at an accepted position too, but differs from
-// the token accepted there.
-func (s *Scheduler) carriesAccepted(sess *session, r *engine.Run) bool {
-	toks := r.Msg.Tokens
-	if r.Msg.Batched() {
-		lo, hi := batch.GroupOf(r.Msg, uint16(sess.slot))
-		if lo == hi || r.Msg.RowDead(lo) {
-			return false // not riding, or masked out (and dealt with) already
-		}
-		toks = toks[lo:hi]
-	} else if int(r.Msg.Session) != sess.slot {
-		return false
-	}
+// carriesAccepted reports whether toks, sess's row group in some
+// in-flight run, evaluates a token of sess that is already accepted (it
+// can only be the last one: a token is accepted ahead of its own run's
+// result only by the run before it). A rejected draft token sits at an
+// accepted position too, but differs from the token accepted there.
+func carriesAccepted(sess *session, toks []engine.TokenPlace) bool {
 	for _, tp := range toks {
 		if p := int(tp.Pos); p < len(sess.accepted) && sess.accepted[p] == tp.Tok {
 			return true
@@ -2925,63 +2438,24 @@ func (s *Scheduler) carriesAccepted(sess *session, r *engine.Run) bool {
 	return false
 }
 
-// scanSession sweeps the FIFO for this session's runs (or row groups of
-// batched runs) whose outputs are all already decided (superfluous) or
-// whose inputs conflict (invalidated), and cancels them (§IV-D.1 per
-// session). Batched speculative rows are masked out with a stage signal
-// (their partitions are cleaned at result time); batched non-speculative
-// rows are only marked dead head-side, because stages must still write
-// their canonical cache entries (§IV-D.3 applied per row).
+// scanSession cancels this session's in-flight row groups whose outputs
+// are all already decided (superfluous) or whose inputs conflict
+// (invalidated) — §IV-D.1 per session.
 func (s *Scheduler) scanSession(sess *session) {
 	a := len(sess.accepted)
-	slot := uint16(sess.slot)
-	victims := s.victims[:0]
-	for i := 0; i < s.h.Inflight(); i++ {
-		r := s.h.InflightAt(i)
-		if r.Cancelled {
-			continue
-		}
-		if !r.Msg.Batched() {
-			if int(r.Msg.Session) != sess.slot {
-				continue
-			}
-			if int(r.Msg.MaxPos())+1 < a || !s.rowsValid(sess, r.Msg.Tokens) {
-				victims = append(victims, r)
-			}
-			continue
-		}
-		lo, hi := batch.GroupOf(r.Msg, slot)
-		if lo == hi || r.Msg.RowDead(lo) {
-			continue
-		}
+	s.cancelGroups(sess, false, func(_ *engine.Run, toks []engine.TokenPlace) bool {
 		maxPos := int32(-1)
-		for _, tp := range r.Msg.Tokens[lo:hi] {
-			if tp.Pos > maxPos {
-				maxPos = tp.Pos
-			}
+		for _, tp := range toks {
+			maxPos = max(maxPos, tp.Pos)
 		}
-		if int(maxPos)+1 < a || !s.rowsValid(sess, r.Msg.Tokens[lo:hi]) {
-			s.cancelRowsFor(sess, r, r.Msg.Kind == engine.KindSpec)
-		}
-	}
-	s.victims = victims
-	if len(victims) > 0 {
-		s.cancelFor(sess, victims)
-	}
-}
-
-// cancelRowsFor masks sess's rows out of a batched in-flight run,
-// crediting the row cancellation to the session's stats.
-func (s *Scheduler) cancelRowsFor(sess *session, r *engine.Run, signal bool) {
-	before := s.h.Stats.RowCancels.Load()
-	s.h.CancelRows(r, uint16(sess.slot), signal)
-	sess.stats.RowCancels += int(s.h.Stats.RowCancels.Load() - before)
+		return int(maxPos)+1 < a || !s.rowsValid(sess, toks)
+	})
 }
 
 // appendCleanup returns the run's sequence partitions to their owning
 // sessions' allocators and appends the SeqRm ops that clear them on every
-// stage. Batched speculative runs hold one partition per coalesced
-// session; each id's owner follows from the static namespace partition.
+// stage. A speculative run holds one partition per session riding it;
+// each id's owner follows from the static namespace partition.
 func (s *Scheduler) appendCleanup(run *engine.Run, ops []kvcache.Op) []kvcache.Op {
 	for _, id := range run.Seqs {
 		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqRm, Src: id, P0: 0, P1: 1 << 30})
@@ -2991,41 +2465,18 @@ func (s *Scheduler) appendCleanup(run *engine.Run, ops []kvcache.Op) []kvcache.O
 		}
 	}
 	run.Seqs = nil
-	s.ops = ops[:0]
 	return ops
 }
 
 // enterDrain stops a finished session from launching, discards its
-// speculation chain, and cancels whatever it still has in flight — for
-// batched runs, just this session's rows are surgically masked out (the
+// speculation chain, and cancels whatever it still has in flight (the
 // stage signal is safe because finalize removes the whole namespace). The
 // slot is released once the last in-flight run's result arrives.
 func (s *Scheduler) enterDrain(sess *session) {
 	sess.state = stateDrain
 	sess.wantNonSpec = false
 	sess.pending = sess.pending[:0]
-	victims := s.victims[:0]
-	for i := 0; i < s.h.Inflight(); i++ {
-		r := s.h.InflightAt(i)
-		if r.Cancelled || !r.Msg.InvolvesSession(uint16(sess.slot)) {
-			continue
-		}
-		if r.Msg.Batched() {
-			s.cancelRowsFor(sess, r, true)
-		} else {
-			victims = append(victims, r)
-		}
-	}
-	s.victims = victims
-	s.cancelFor(sess, victims)
-}
-
-// cancelFor cancels a session's runs, crediting the cancellations to its
-// per-session stats as well as the aggregate.
-func (s *Scheduler) cancelFor(sess *session, victims []*engine.Run) {
-	before := s.h.Stats.RunsCancelled.Load()
-	s.h.Cancel(victims)
-	sess.stats.RunsCancelled += int(s.h.Stats.RunsCancelled.Load() - before)
+	s.cancelGroups(sess, true, nil)
 }
 
 // finalize releases a drained session's namespace — removing every one of

@@ -276,3 +276,217 @@ func TestBrownoutLadder(t *testing.T) {
 		t.Fatalf("after drain: level %d, specOK %v; want 0, true", s.brownout, s.specOK())
 	}
 }
+
+// scriptBackend is a deterministic model pair for white-box scheduler
+// tests: the target's token at position p is scriptTok(p) whatever came
+// before, and the draft proposes it — except at every fifth position,
+// where it is wrong, so chains are rejected and runs cancelled.
+type scriptBackend struct {
+	// reads records every (run, row) the scheduler sampled.
+	reads []scriptRead
+}
+
+type scriptRead struct {
+	ranged bool
+	rows   int
+	row    int
+}
+
+func scriptTok(pos int) token.Token { return token.Token(int(token.NumSpecial) + pos%200) }
+
+func (b *scriptBackend) Propose(ctx []token.Token, _ int) ([]token.Token, []float32) {
+	t := scriptTok(len(ctx))
+	if len(ctx)%5 == 0 {
+		t++
+	}
+	return []token.Token{t}, []float32{1}
+}
+
+func (b *scriptBackend) Results(run *engine.RunMsg, _ []token.Token, _ []byte) engine.Results {
+	return scriptResults{b, run}
+}
+
+func (*scriptBackend) MemoryBytes() int64 { return 0 }
+
+type scriptResults struct {
+	b   *scriptBackend
+	run *engine.RunMsg
+}
+
+func (r scriptResults) Next(i int) token.Token {
+	r.b.reads = append(r.b.reads, scriptRead{ranged: r.run.Ranged(), rows: r.run.Len(), row: i})
+	return scriptTok(int(r.run.Tokens[i].Pos) + 1)
+}
+
+// countingWorker is an inline stage that evaluates nothing and counts the
+// KV transactions the head ships (launches apply their own ops through
+// the same call, so those are told apart by arriving under a launch).
+type countingWorker struct {
+	nopWorker
+	launching bool
+	txns      int
+}
+
+func (w *countingWorker) ApplyKV([]kvcache.Op) {
+	if !w.launching {
+		w.txns++
+	}
+}
+
+// scriptServe builds a one-node scheduler over the scripted pair.
+func scriptServe(t *testing.T, cfg Config, reqs []Request) (*Scheduler, *scriptBackend, *countingWorker) {
+	t.Helper()
+	bk := &scriptBackend{}
+	w := &countingWorker{}
+	h, err := engine.NewHead(chancomm.New(1).Endpoint(0), engine.Topology{Head: 0, Stages: []int{0}},
+		engine.Config{MaxNew: 4}, bk, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(h, cfg, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, bk, w
+}
+
+// TestOneTransactionPerResult drives speculating serves by filling the
+// pipeline and then draining it, so chains run deep and rejections cancel
+// whole tails: each consumed result — the promotions of every group's accepted
+// draft tokens plus the run's partition cleanup — must reach the stages
+// as at most one KV transaction (a result that ends a session adds that
+// session's namespace release), at width 1 and with three sessions'
+// chains sharing tagged runs alike, and every stream must be the
+// target's.
+func TestOneTransactionPerResult(t *testing.T) {
+	const prompt, maxNew = 5, 60
+	p := make([]token.Token, prompt)
+	for i := range p {
+		p[i] = scriptTok(i)
+	}
+	for _, sessions := range []int{1, 3} {
+		reqs := make([]Request, sessions)
+		for i := range reqs {
+			reqs[i] = Request{Prompt: p, MaxNew: maxNew}
+		}
+		s, _, w := scriptServe(t, Config{Speculate: true, MaxSessions: sessions, MaxBatch: sessions}, reqs)
+		results, promoted := 0, 0
+		for !s.Done() {
+			// Fill the pipeline, then drain it: the sessions' steps line
+			// up, so at width 3 they share runs.
+			s.admit()
+			w.launching = true
+			for s.tryLaunch() {
+			}
+			w.launching = false
+			for s.h.Inflight() > 0 {
+				before, done, accepted := w.txns, s.done, s.h.Stats.Accepted.Load()
+				if err := s.handleResult(); err != nil {
+					t.Fatal(err)
+				}
+				results++
+				if s.h.Stats.Accepted.Load() > accepted {
+					promoted++
+				}
+				if got, limit := w.txns-before, 1+(s.done-done); got > limit {
+					t.Fatalf("%d sessions: result %d issued %d KV transactions, want at most %d",
+						sessions, results, got, limit)
+				}
+			}
+		}
+		st := s.h.Stats.Snapshot()
+		if promoted == 0 || st.RunsCancelled+st.RowCancels == 0 {
+			t.Fatalf("%d sessions: speculation idle: %d promoting results, %d cancelled runs, %d cancelled rows",
+				sessions, promoted, st.RunsCancelled, st.RowCancels)
+		}
+		if (st.BatchedRuns > sessions) != (sessions > 1) {
+			// Each session's prefill is one tagged (ranged) run; beyond
+			// those, only coalesced runs are tagged.
+			t.Fatalf("%d sessions: %d tagged runs", sessions, st.BatchedRuns)
+		}
+		for r, res := range s.results {
+			if len(res.Tokens) != maxNew {
+				t.Fatalf("request %d: %d tokens generated, want %d", r, len(res.Tokens), maxNew)
+			}
+			for i, tok := range res.Tokens {
+				if tok != scriptTok(prompt+i) {
+					t.Fatalf("request %d token %d is %d, the target says %d", r, i, tok, scriptTok(prompt+i))
+				}
+			}
+		}
+	}
+}
+
+// TestWholePromptPrefillIsOneRangedRun pins the unchunked prefill's shape:
+// a 9-token prompt travels as one ranged run of 9 rows, of which only the
+// last samples — the scheduler reads row 8 and nothing else.
+func TestWholePromptPrefillIsOneRangedRun(t *testing.T) {
+	p := make([]token.Token, 9)
+	for i := range p {
+		p[i] = scriptTok(i)
+	}
+	s, bk, _ := scriptServe(t, Config{MaxSessions: 1}, []Request{{Prompt: p, MaxNew: 2}})
+	if err := s.Step(); err != nil { // admit + launch
+		t.Fatal(err)
+	}
+	run := s.h.InflightAt(0)
+	if !run.Msg.Ranged() || run.Msg.Len() != 9 || run.Msg.Kind != engine.KindPrefill {
+		t.Fatalf("prefill launched as %+v", run.Msg)
+	}
+	for i := 0; i < 9; i++ {
+		if run.Msg.SamplingRow(i) != (i == 8) {
+			t.Fatalf("row %d sampling=%v", i, run.Msg.SamplingRow(i))
+		}
+	}
+	if err := s.Step(); err != nil { // consume
+		t.Fatal(err)
+	}
+	if len(bk.reads) != 1 || bk.reads[0] != (scriptRead{ranged: true, rows: 9, row: 8}) {
+		t.Fatalf("prefill result read as %+v, want row 8 of a 9-row ranged run", bk.reads)
+	}
+	if got := s.h.Stats.PrefillBatchedRuns.Load(); got != 1 {
+		t.Fatalf("%d prefill runs counted, want 1", got)
+	}
+}
+
+// TestDisplacedDecodeStepStillLaunches pins the width-1 reading of "one
+// group slot is kept for prefill work": a high-priority session decoding
+// beside a queued low-priority prompt that does not fit — and may not
+// preempt it — gives its slot up to that prompt every step, finds it
+// unused, and must launch anyway. The serve finishes, the prompt after
+// the session it waited for, nobody parked.
+func TestDisplacedDecodeStepStillLaunches(t *testing.T) {
+	prompt := func(n int) []token.Token {
+		p := make([]token.Token, n)
+		for i := range p {
+			p[i] = scriptTok(i)
+		}
+		return p
+	}
+	// Four pages of 8 cells: the first request's 9-token prompt takes two
+	// and its stream a third, so the second's 17 tokens wait for all of it.
+	s, _, _ := scriptServe(t, Config{MaxSessions: 2, KV: kvpage.Config{Cells: 32, PageSize: 8}}, []Request{
+		{Prompt: prompt(9), MaxNew: 12, Priority: 1},
+		{Prompt: prompt(17), MaxNew: 4},
+	})
+	results, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, res := range results {
+		if res.Err != nil || len(res.Tokens) != s.reqs[r].MaxNew {
+			t.Fatalf("request %d: %d tokens, err %v", r, len(res.Tokens), res.Err)
+		}
+		for i, tok := range res.Tokens {
+			if want := scriptTok(len(s.reqs[r].Prompt) + i); tok != want {
+				t.Fatalf("request %d token %d is %d, the target says %d", r, i, tok, want)
+			}
+		}
+	}
+	if st := s.h.Stats.Snapshot(); st.Preemptions != 0 {
+		t.Fatalf("%d preemptions: the low-priority prompt parked the session it may not preempt", st.Preemptions)
+	}
+	if results[1].Stats.PrefillDone < results[0].Stats.Done {
+		t.Fatal("the prompt that did not fit prefilled before the session holding its pages finished")
+	}
+}
