@@ -43,10 +43,9 @@ type Worker struct {
 	out  tensor.Mat // logits staging for the last stage
 	enc  []byte     // encoded output payload staging
 
-	// Batched-run staging: surviving (unmasked) row indices, the
-	// multi-session result-frame tags, a reusable zero row for masked
-	// slots of inter-stage payloads, and the sampling-row selection of
-	// ranged (chunked-prefill) runs.
+	// Row staging: live (unmasked) row indices, the multi-session
+	// result-frame tags, a reusable zero row for masked slots of
+	// inter-stage payloads, and the sampling-row selection.
 	live     []int
 	rowTags  []uint16
 	sessTags []uint16
@@ -69,57 +68,20 @@ func NewWorker(m *model.Model, lo, hi int, first, last bool, kv kvpage.Config) *
 	}
 }
 
-// Eval implements engine.Worker with real tensor computation. The
-// per-layer hook doubles as the cancellation probe point.
-func (w *Worker) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) ([]byte, int, bool) {
-	if run.Batched() {
-		return w.evalBatched(run, input, cancelled)
-	}
-	n := run.Len()
-	if cap(w.toks) < n {
-		w.toks = make([]token.Token, n)
-		w.meta = make([]kvcache.TokenMeta, n)
-	}
-	toks, meta := w.toks[:n], w.meta[:n]
-	for i, tp := range run.Tokens {
-		toks[i] = tp.Tok
-		meta[i] = kvcache.TokenMeta{Pos: tp.Pos, Seqs: tp.Seqs}
-	}
-	b, err := w.sc.BatchFor(w.cache, toks, meta)
-	if err != nil {
-		panic(fmt.Sprintf("realbk: stage cache exhausted: %v", err))
-	}
-
-	var x tensor.Mat
-	if w.first {
-		x = w.m.EmbedBatchInto(&w.x, toks)
-	} else {
-		x = decodeMatInto(&w.x, input, n, w.m.Cfg.Dim)
-	}
-	x, ok := w.m.ForwardLayersScratch(w.lo, w.hi, x, w.store, b, func(int) bool {
-		return !cancelled()
-	}, w.sc)
-	if !ok {
-		return nil, 0, false
-	}
-	out := x
-	if w.last {
-		out = w.m.LogitsInto(&w.out, x, w.sc)
-	}
-	enc := encodeMatInto(w.enc[:0], out)
-	w.enc = enc
-	return enc, len(enc), true
-}
-
-// evalBatched evaluates a multi-session batched run: only surviving
-// (unmasked) rows are placed in the cache and computed — per-row sequence
+// Eval implements engine.Worker with real tensor computation. Only live
+// rows — all of them, unless per-session cancellation has masked some out
+// of a tagged run — are placed in the cache and computed; per-row sequence
 // sets keep every session's attention inside its own shard, so each row's
 // arithmetic is bit-identical to its solo run. Between stages the
-// activation payload keeps the full original row shape (masked rows
-// zero-filled) so per-stage differences in cancellation knowledge can
-// never skew decoding; the last stage instead emits a self-describing
-// multi-session result frame tagging each surviving row.
-func (w *Worker) evalBatched(run *engine.RunMsg, input []byte, cancelled func() bool) ([]byte, int, bool) {
+// activation payload keeps the run's full row shape (masked rows
+// zero-filled), so per-stage differences in cancellation knowledge can
+// never skew decoding. The last stage projects the sampling rows only —
+// every live row of an unranged run; of a ranged (chunked-prefill) run the
+// rows computing their range's final position, so an intermediate prompt
+// chunk never pays the vocab-sized projection — and a tagged run's logits
+// travel behind the self-describing result-frame header that names them.
+// The per-layer hook doubles as the cancellation probe point.
+func (w *Worker) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) ([]byte, int, bool) {
 	n := run.Len()
 	live := w.live[:0]
 	for i := 0; i < n; i++ {
@@ -158,41 +120,34 @@ func (w *Worker) evalBatched(run *engine.RunMsg, input []byte, cancelled func() 
 	if !ok {
 		return nil, 0, false
 	}
+	enc := w.enc[:0]
 	if w.last {
-		// Ranged (chunked-prefill) runs sample only the rows computing
-		// their range's final position: an intermediate prompt chunk's
-		// rows are absent from the result frame and never pay the
-		// vocab-sized output projection. Unranged runs sample every
-		// surviving row, exactly as before ranges existed.
 		samp := w.samp[:0]
 		rt, st := w.rowTags[:0], w.sessTags[:0]
 		for k, i := range live {
-			if !run.SamplingRow(i) {
-				continue
+			if run.SamplingRow(i) {
+				samp = append(samp, k)
+				rt = append(rt, uint16(i))
+				st = append(st, run.RowSession(i))
 			}
-			samp = append(samp, k)
-			rt = append(rt, uint16(i))
-			st = append(st, run.RowSessions[i])
 		}
 		w.samp, w.rowTags, w.sessTags = samp, rt, st
-		out := w.m.LogitsRowsInto(&w.out, x, samp, w.sc)
-		enc := batch.AppendResultHeader(w.enc[:0], n, rt, st)
-		enc = encodeMatInto(enc, out)
-		w.enc = enc
-		return enc, len(enc), true
-	}
-	// Middle stage: full-shape payload, masked rows zero-filled.
-	if len(w.zeros) < 4*w.m.Cfg.Dim {
-		w.zeros = make([]byte, 4*w.m.Cfg.Dim)
-	}
-	enc := w.enc[:0]
-	li := 0
-	for i := 0; i < n; i++ {
-		if li < nl && live[li] == i {
-			enc = encodeVecInto(enc, x.Row(li))
-			li++
-		} else {
-			enc = append(enc, w.zeros[:4*w.m.Cfg.Dim]...)
+		if run.Batched() {
+			enc = batch.AppendResultHeader(enc, n, rt, st)
+		}
+		enc = encodeMatInto(enc, w.m.LogitsRowsInto(&w.out, x, samp, w.sc))
+	} else {
+		if len(w.zeros) < 4*w.m.Cfg.Dim {
+			w.zeros = make([]byte, 4*w.m.Cfg.Dim)
+		}
+		li := 0
+		for i := 0; i < n; i++ {
+			if li < nl && live[li] == i {
+				enc = encodeVecInto(enc, x.Row(li))
+				li++
+			} else {
+				enc = append(enc, w.zeros[:4*w.m.Cfg.Dim]...)
+			}
 		}
 	}
 	w.enc = enc
@@ -549,8 +504,8 @@ func encodeVecInto(buf []byte, v tensor.Vec) []byte {
 
 // decodeRowsInto decodes the selected rows of a full-shape rows x cols
 // payload into dst (backing storage reused): dst row k holds payload row
-// sel[k]. The batched evaluation path uses it to pick the surviving rows
-// out of an upstream activation frame.
+// sel[k]. Eval uses it to pick the live rows out of an upstream activation
+// frame.
 func decodeRowsInto(dst *tensor.Mat, buf []byte, rows, cols int, sel []int) tensor.Mat {
 	if len(buf) != 4*rows*cols {
 		panic(fmt.Sprintf("realbk: activation payload %dB for %dx%d", len(buf), rows, cols))
@@ -571,26 +526,14 @@ func decodeRowsInto(dst *tensor.Mat, buf []byte, rows, cols int, sel []int) tens
 	return *dst
 }
 
+// decodeMat decodes a whole rows x cols payload.
 func decodeMat(buf []byte, rows, cols int) tensor.Mat {
+	sel := make([]int, rows)
+	for i := range sel {
+		sel[i] = i
+	}
 	var m tensor.Mat
-	return decodeMatInto(&m, buf, rows, cols)
-}
-
-// decodeMatInto decodes buf into dst, reusing its backing storage.
-func decodeMatInto(dst *tensor.Mat, buf []byte, rows, cols int) tensor.Mat {
-	if len(buf) != 4*rows*cols {
-		panic(fmt.Sprintf("realbk: activation payload %dB for %dx%d", len(buf), rows, cols))
-	}
-	if cap(dst.Data) < rows*cols {
-		dst.Data = make([]float32, rows*cols)
-	}
-	dst.Rows, dst.Cols = rows, cols
-	dst.Data = dst.Data[:rows*cols]
-	for i := range dst.Data {
-		dst.Data[i] = math.Float32frombits(uint32(buf[4*i]) | uint32(buf[4*i+1])<<8 |
-			uint32(buf[4*i+2])<<16 | uint32(buf[4*i+3])<<24)
-	}
-	return *dst
+	return decodeRowsInto(&m, buf, rows, cols, sel)
 }
 
 func decodeRow(buf []byte, row, cols int) tensor.Vec {

@@ -485,6 +485,62 @@ func TestServeSharedPrefixParity(t *testing.T) {
 	}
 }
 
+// TestServeSharedPrefixTightKV is bench/README.md known issue (f) as a
+// regression test: 24 requests sharing a 256-token system prompt over 8
+// slots and a cache of 32 pages, which the prompt's 16 published pages
+// take half of. Once only parked sessions remain, what stands between
+// them and readmission is the trie's unreferenced entries, and nothing in
+// the ordinary passes evicts those for a parked session; the scheduler
+// used to report a stall (a hang, before Serve learnt to return a head
+// error). It must finish, every stream equal to its reference.
+func TestServeSharedPrefixTightKV(t *testing.T) {
+	const maxNew = 32
+	shared := make([]token.Token, 256)
+	for j := range shared {
+		shared[j] = token.Token(token.NumSpecial + (5*j+3)%250)
+	}
+	reqs := make([]serve.Request, 24)
+	for i := range reqs {
+		p := append([]token.Token(nil), shared...)
+		for j := 0; j < 8+i%3; j++ {
+			p = append(p, token.Token(token.NumSpecial+(11*i+7*j)%250))
+		}
+		reqs[i] = serve.Request{Prompt: p, MaxNew: maxNew}
+	}
+	opts := ServeOptions{
+		Nodes:        3,
+		CFG:          engine.Config{MaxNew: maxNew},
+		ModelCfg:     serveModel(3),
+		Seed:         21,
+		MaxSessions:  8,
+		MaxBatch:     4,
+		PrefillChunk: 64,
+		KVCells:      512,
+		KVPageSize:   16,
+		PrefixCache:  true,
+		Requests:     reqs,
+	}
+	out, err := Serve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range out.Results {
+		ref, err := ReferenceGreedy(Options{
+			ModelCfg: opts.ModelCfg, Seed: opts.Seed, Prompt: reqs[i].Prompt,
+		}, maxNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(res.Tokens) != fmt.Sprint(ref) {
+			t.Fatalf("request %d diverged from its serial reference (prefix hits %d, preemptions %d)",
+				i, res.Stats.PrefixHits, res.Stats.Preemptions)
+		}
+	}
+	if out.Stats.Preemptions == 0 {
+		t.Fatal("eight 18-page sessions over 32 pages finished without a preemption")
+	}
+}
+
 // TestServeOversubscribedSpeculative runs the pressure protocol with
 // per-session speculation: speculative pages are reclaimed first
 // (OpDropSpec), sessions still park and readmit, and parity still holds.

@@ -142,6 +142,9 @@ func Run(opts Options) (Outcome, error) {
 			toks, err = core.Run(h, prompt)
 		}
 		if err != nil {
+			// Release the stages, or the kernel reports their deadlock in
+			// place of this error.
+			h.Shutdown()
 			runErr = fmt.Errorf("simbk: head: %w", err)
 			return
 		}

@@ -268,6 +268,10 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 		}
 		results, err := sched.Run()
 		if err != nil {
+			// The stages are parked in their worker loops and only the head
+			// can release them; left there, the kernel reports their
+			// deadlock in place of this error.
+			h.Shutdown()
 			runErr = fmt.Errorf("simbk: head: %w", err)
 			return
 		}

@@ -1,10 +1,14 @@
 package simbk
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
+	"github.com/pipeinfer/pipeinfer/internal/token"
+	"github.com/pipeinfer/pipeinfer/internal/transact"
 )
 
 // TestSimServeGreedyParity is the serving correctness wall at paper
@@ -243,6 +247,54 @@ func TestSimServeSharedPrefixParity(t *testing.T) {
 	}
 }
 
+// TestSimServeSharedPrefixSweep walks TestSimServeSharedPrefixParity's
+// shape down through every cache size from generous to the one request it
+// must at least hold, at widths 1 and 4: every configuration terminates
+// with every stream equal to its oracle (and, Serve's own end-state check,
+// every stage drained). Sixteen of the 78 used to end in "scheduler
+// stalled". Fifteen were parked sessions waiting for room that only the
+// trie's unreferenced entries could give up. The sixteenth is KVCells 96 at
+// width 1, where the cache holds exactly one request (72-token prompt + 24
+// new = 12 pages): request 4 maps the 8 shared pages of the entry request 3
+// published, which runs one page deeper — request 3's own suffix page — and
+// the registry pins that page for as long as request 4 references the
+// entry, so request 4 holds 11 pages, needs its twelfth, and is itself what
+// keeps it taken.
+func TestSimServeSharedPrefixSweep(t *testing.T) {
+	const maxNew = 24
+	opts := ServeOptions{
+		Cluster:         cost.ClusterC().Take(4),
+		Pair:            cost.CPUPairs()[0],
+		CFG:             engine.Config{MaxNew: maxNew},
+		Sessions:        16,
+		PromptLen:       8,
+		SharedPromptLen: 64,
+		Seed:            5,
+		MaxSessions:     4,
+		KVPageSize:      8,
+		PrefixCache:     true,
+	}
+	refs := make([][]token.Token, opts.Sessions)
+	for i := range refs {
+		refs[i] = ServeReference(opts, i, maxNew)
+	}
+	for _, opts.MaxBatch = range []int{1, 4} {
+		for opts.KVCells = 96; opts.KVCells <= 400; opts.KVCells += 8 {
+			out, err := Serve(opts)
+			if err != nil {
+				t.Errorf("width %d, %d cells: %v", opts.MaxBatch, opts.KVCells, err)
+				continue
+			}
+			for i, res := range out.Results {
+				if !slices.Equal(res.Tokens, refs[i]) {
+					t.Errorf("width %d, %d cells: session %d deviated from its oracle stream (%d preemptions, %d prefix hits)",
+						opts.MaxBatch, opts.KVCells, i, out.Stats.Preemptions, out.Stats.PrefixHits)
+				}
+			}
+		}
+	}
+}
+
 // TestSimServeBatchedGreedyParity is the PR-4 acceptance gate at paper
 // scale: sessions multiplexed with cross-session batching enabled must
 // each reproduce their oracle stream bit for bit — plain and speculative,
@@ -352,5 +404,107 @@ func TestSimServeBatchedFasterThanUnbatched(t *testing.T) {
 	if fast.Stats.Done >= plain.Stats.Done {
 		t.Fatalf("batched serving took %v virtual, unbatched %v — no amortisation win",
 			fast.Stats.Done, plain.Stats.Done)
+	}
+}
+
+// specWatch wraps the head's endpoint and keeps, per session, the number
+// of its speculative runs between launch and result: every run leaves the
+// head as a decode transaction's header and comes back as a result frame
+// carrying its ID.
+type specWatch struct {
+	comm.Endpoint
+	decode  bool                // the transaction just announced is a decode
+	riders  map[uint32][]uint16 // speculative run ID -> sessions riding it
+	live    map[uint16]int
+	maxLive int
+	deepest int // longest chain segment launched
+}
+
+func (w *specWatch) Send(dst int, tag comm.Tag, payload []byte, wire int) {
+	switch {
+	case tag == comm.TagStart:
+		w.decode = transact.Type(payload[0]) == transact.TypeDecode
+	case tag == comm.TagRun && w.decode:
+		msg, err := engine.DecodeRunMsg(payload)
+		if err != nil {
+			panic(err)
+		}
+		if msg.Kind == engine.KindSpec {
+			for lo, hi := range msg.Groups() {
+				s := msg.RowSession(lo)
+				w.riders[msg.ID] = append(w.riders[msg.ID], s)
+				w.live[s]++
+				w.maxLive = max(w.maxLive, w.live[s])
+				w.deepest = max(w.deepest, hi-lo)
+			}
+		}
+	}
+	w.Endpoint.Send(dst, tag, payload, wire)
+}
+
+func (w *specWatch) Recv(src int, tag comm.Tag) []byte {
+	p := w.Endpoint.Recv(src, tag)
+	if tag == comm.TagResult {
+		id, _, _, err := engine.ParseResult(p)
+		if err != nil {
+			panic(err)
+		}
+		for _, s := range w.riders[id] {
+			w.live[s]--
+		}
+		delete(w.riders, id)
+	}
+	return p
+}
+
+// TestSimServeDisableContinuous is the paper's Fig 8 ablation on the
+// serving stack: with engine.Config.DisableContinuous a session drafts one
+// large batch at a time — four micro-batches deep — and nothing more until
+// that run is back, so it never has two speculative runs in the pipeline;
+// left continuous it does, which is what shows the watch can see one. A
+// mechanism check, not a speed ordering; streams equal their oracle
+// either way.
+func TestSimServeDisableContinuous(t *testing.T) {
+	const maxNew = 32
+	for _, sessions := range []int{1, 4} {
+		for _, ablate := range []bool{false, true} {
+			w := &specWatch{riders: map[uint32][]uint16{}, live: map[uint16]int{}}
+			opts := ServeOptions{
+				Cluster:     cost.ClusterC().Take(4),
+				Pair:        cost.CPUPairs()[0],
+				CFG:         engine.Config{MaxNew: maxNew, DisableContinuous: ablate},
+				Sessions:    sessions,
+				PromptLen:   12,
+				Seed:        5,
+				Speculate:   true,
+				MaxSessions: sessions,
+				MaxBatch:    sessions,
+				WrapEndpoint: func(rank int, ep comm.Endpoint) comm.Endpoint {
+					if rank != 0 {
+						return ep
+					}
+					w.Endpoint = ep
+					return w
+				},
+			}
+			out, err := Serve(opts)
+			if err != nil {
+				t.Fatalf("%d sessions, ablation %v: %v", sessions, ablate, err)
+			}
+			for i, res := range out.Results {
+				if !slices.Equal(res.Tokens, ServeReference(opts, i, maxNew)) {
+					t.Fatalf("%d sessions, ablation %v: session %d deviated from its oracle stream", sessions, ablate, i)
+				}
+			}
+			micro := opts.CFG.Defaults().MicroBatch
+			switch {
+			case ablate && (w.maxLive != 1 || w.deepest <= micro):
+				t.Errorf("%d sessions, one batch at a time: up to %d speculative runs of one session in flight, deepest batch %d (micro-batch %d)",
+					sessions, w.maxLive, w.deepest, micro)
+			case !ablate && (w.maxLive < 2 || w.deepest > micro):
+				t.Errorf("%d sessions, continuous: up to %d speculative runs of one session in flight, deepest batch %d (micro-batch %d)",
+					sessions, w.maxLive, w.deepest, micro)
+			}
+		}
 	}
 }

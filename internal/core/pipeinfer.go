@@ -1,46 +1,45 @@
 // Package core implements PipeInfer (§IV): continuous asynchronous
 // speculation with pipelined KV cache multibuffering and early inference
-// cancellation.
+// cancellation. It holds the machine and its single-request driver.
 //
-// The head node (rank 0) is dedicated to the draft model and sampling; the
-// target model is pipelined across the remaining ranks. The head loop
-// embodies §IV-B: whenever no completed run is waiting (an Iprobe on the
-// result stream), it opportunistically drafts another speculation
-// micro-batch and injects it into the pipeline; when results are waiting,
-// it verifies, samples, promotes accepted cache entries, cancels
-// invalidated runs, and feeds freshly sampled tokens back as
-// non-speculative runs. Multiple runs are therefore in flight at every
-// moment, each in its own KV sequence partition.
+// The machine is Chain: one request's accepted tokens, pending speculation
+// chain and reactive cutoff, with the §IV algorithm as its methods — draft
+// past the frontier, share the prefix into a fresh partition, verify a
+// result, promote what the target confirmed, tell stale and invalidated
+// runs from live ones. It does no I/O; whoever drives it owns the pipeline.
+//
+// Run is the driver the paper describes. The head node (rank 0) is
+// dedicated to the draft model and sampling; the target model is pipelined
+// across the remaining ranks. The head loop embodies §IV-B: whenever no
+// completed run is waiting (an Iprobe on the result stream), it drafts
+// another speculation micro-batch and injects it into the pipeline; when
+// results are waiting, it verifies, samples, promotes accepted cache
+// entries, cancels invalidated runs, and feeds freshly sampled tokens back
+// as non-speculative runs. Multiple runs are therefore in flight at every
+// moment, each in its own KV sequence partition. internal/serve drives one
+// Chain per session over a shared pipeline.
 package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
-// pendingTok is one speculated-but-unverified token in the chain beyond
-// the accepted sequence. Its KV entries live in the sequence partition of
-// the run that carries it.
-type pendingTok struct {
-	tok token.Token
-	seq kvcache.SeqID
-	run *engine.Run
-}
-
-// PipeInfer is the head-side engine state.
+// PipeInfer is the single-request driver: one Chain, the head that runs
+// it, and the partitions its speculative runs live in.
 type PipeInfer struct {
-	h     *engine.Head
-	alloc *kvcache.SeqAllocator
+	Chain
+	h      *engine.Head
+	alloc  *kvcache.SeqAllocator
+	prompt int // prompt length
 
-	accepted []token.Token
-	pending  []pendingTok
-	prompt   int // prompt length
-
-	cutoff     float32
-	specFailed bool // last speculation attempt found nothing above cutoff
+	// Draft scratch, reused across attempts.
+	ctx  []token.Token
+	toks []token.Token
 }
 
 // Run executes PipeInfer generation on the head rank. The topology must
@@ -51,18 +50,17 @@ func Run(h *engine.Head, prompt []token.Token) ([]token.Token, error) {
 		return nil, fmt.Errorf("core: PipeInfer requires a dedicated head (topology stages include rank 0)")
 	}
 	p := &PipeInfer{
-		h:        h,
-		alloc:    kvcache.NewSeqAllocator(h.CFG.MaxSeqs),
-		prompt:   len(prompt),
-		cutoff:   h.CFG.SpecCutoff,
-		accepted: snapshot(prompt),
+		Chain:  Chain{Accepted: snapshot(prompt), Cutoff: h.CFG.SpecCutoff, Canon: kvcache.Canonical},
+		h:      h,
+		alloc:  kvcache.NewSeqAllocator(h.CFG.MaxSeqs),
+		prompt: len(prompt),
 	}
 
 	g0, err := engine.Prefill(h, prompt)
 	if err != nil {
 		return nil, err
 	}
-	p.accepted = append(p.accepted, g0)
+	p.Accepted = append(p.Accepted, g0)
 	// Feed the first generated token to the target pipeline immediately
 	// (§IV-A: "both pipelines are fed the first generated token").
 	p.launchNonSpec()
@@ -92,10 +90,10 @@ func Run(h *engine.Head, prompt []token.Token) ([]token.Token, error) {
 	h.Stats.MarkDone(h.EP.Now())
 	h.Stats.Generated.Store(int64(p.generated()))
 	h.Shutdown()
-	return p.accepted[p.prompt:], nil
+	return p.Accepted[p.prompt:], nil
 }
 
-func (p *PipeInfer) generated() int { return len(p.accepted) - p.prompt }
+func (p *PipeInfer) generated() int { return len(p.Accepted) - p.prompt }
 
 func snapshot(toks []token.Token) []token.Token {
 	out := make([]token.Token, len(toks))
@@ -106,249 +104,114 @@ func snapshot(toks []token.Token) []token.Token {
 // launchNonSpec feeds the latest sampled token (whose KV entries exist
 // nowhere yet) into the pipeline on the canonical sequence.
 func (p *PipeInfer) launchNonSpec() {
-	a := len(p.accepted)
+	a := len(p.Accepted)
 	msg := &engine.RunMsg{
 		Kind: engine.KindNonSpec,
 		Seq:  kvcache.Canonical,
 		Tokens: []engine.TokenPlace{{
-			Tok:  p.accepted[a-1],
+			Tok:  p.Accepted[a-1],
 			Pos:  int32(a - 1),
 			Seqs: kvcache.NewSeqSet(kvcache.Canonical),
 		}},
 	}
-	p.h.Launch(msg, snapshot(p.accepted[:a-1]), nil)
+	p.h.Launch(msg, snapshot(p.Accepted[:a-1]), nil)
 }
 
 // trySpeculate drafts one micro-batch (§IV-B.1) extending the current
-// speculation frontier and launches it as a speculative run. It returns
-// false when speculation is not possible or nothing clears the cutoff.
+// speculation frontier and launches it as a speculative run in a fresh
+// partition. It returns false when speculation is not possible or nothing
+// clears the cutoff.
 func (p *PipeInfer) trySpeculate() bool {
-	cfg := p.h.CFG
-	if p.h.Inflight() >= cfg.MaxInflight {
+	if p.h.Inflight() >= p.h.CFG.MaxInflight || p.alloc.Available() == 0 {
 		return false
 	}
-	if p.alloc.Available() == 0 {
+	p.toks = p.Draft(p.h.BK, &p.h.CFG, p.h.CFG.DisableContinuous && p.specInflight(), math.MaxInt, &p.ctx, p.toks[:0])
+	if len(p.toks) == 0 {
 		return false
 	}
-	batch := cfg.MicroBatch
-	if cfg.DisableContinuous {
-		// Ablation (Fig 8): a single large speculation batch at a time
-		// instead of continuous micro-batches.
-		if len(p.pending) > 0 || p.specInflight() > 0 {
-			return false
-		}
-		batch = cfg.MicroBatch * 4
-	}
-
-	a := len(p.accepted)
-	ctx := make([]token.Token, 0, a+len(p.pending)+batch)
-	ctx = append(ctx, p.accepted...)
-	for _, pt := range p.pending {
-		ctx = append(ctx, pt.tok)
-	}
-	prefixLen := len(ctx)
-
-	var toks []token.Token
-	for len(toks) < batch {
-		cand, probs := p.h.BK.Propose(ctx, 1)
-		if len(cand) == 0 || probs[0] < p.cutoff {
-			break
-		}
-		toks = append(toks, cand[0])
-		ctx = append(ctx, cand[0])
-	}
-	if len(toks) == 0 {
-		// Reactive speculation: decay the cutoff so the head scales
-		// utilisation back up while waiting (§IV-B.2).
-		p.cutoff -= p.h.CFG.CutoffDecay
-		if p.cutoff < 0.02 {
-			p.cutoff = 0.02
-		}
-		return false
-	}
-
 	seq, ok := p.alloc.Alloc()
 	if !ok {
 		return false
 	}
-
-	// Prefix sharing ops (§IV-C.3): canonical prefix plus every pending
-	// chain segment, grouped by owning sequence. Pipelined transaction
-	// order guarantees the source entries exist at each stage before this
-	// run is evaluated there — even though those runs are still in flight.
-	ops := []kvcache.Op{{Kind: kvcache.OpSeqCp, Src: kvcache.Canonical, Dst: seq, P0: 0, P1: int32(a)}}
-	for i := 0; i < len(p.pending); {
-		j := i
-		for j+1 < len(p.pending) && p.pending[j+1].seq == p.pending[i].seq {
-			j++
-		}
-		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqCp,
-			Src: p.pending[i].seq, Dst: seq, P0: int32(a + i), P1: int32(a + j + 1)})
-		i = j + 1
+	base := len(p.Accepted) + len(p.Pending)
+	places := make([]engine.TokenPlace, len(p.toks))
+	for i, t := range p.toks {
+		places[i] = engine.TokenPlace{Tok: t, Pos: int32(base + i), Seqs: kvcache.NewSeqSet(seq)}
 	}
-
-	base := int32(prefixLen)
-	places := make([]engine.TokenPlace, len(toks))
-	for i, t := range toks {
-		places[i] = engine.TokenPlace{Tok: t, Pos: base + int32(i), Seqs: kvcache.NewSeqSet(seq)}
-	}
-	msg := &engine.RunMsg{Kind: engine.KindSpec, Seq: seq, Tokens: places, KVOps: ops}
-	run := p.h.Launch(msg, snapshot(ctx[:prefixLen]), []kvcache.SeqID{seq})
-	for _, t := range toks {
-		p.pending = append(p.pending, pendingTok{tok: t, seq: seq, run: run})
-	}
-	p.h.Stats.Proposed.Add(int64(len(toks)))
-
-	// Reactive speculation: each successful continuous iteration raises
-	// the confidence bar for the next (§IV-B.2 recovery factor).
-	p.cutoff += p.h.CFG.CutoffRecovery
-	if p.cutoff > 0.95 {
-		p.cutoff = 0.95
-	}
+	msg := &engine.RunMsg{Kind: engine.KindSpec, Seq: seq, Tokens: places, KVOps: p.ShareOps(nil, seq)}
+	run := p.h.Launch(msg, p.Frontier(make([]token.Token, 0, base)), []kvcache.SeqID{seq})
+	p.Launched(&p.h.CFG, p.toks, seq, run.Msg.ID)
+	p.h.Stats.Proposed.Add(int64(len(p.toks)))
 	return true
 }
 
-func (p *PipeInfer) specInflight() int {
-	n := 0
+// specInflight reports a live speculative run in the pipeline (the Fig 8
+// ablation's gate).
+func (p *PipeInfer) specInflight() bool {
 	for i := 0; i < p.h.Inflight(); i++ {
 		if r := p.h.InflightAt(i); r.Msg.Kind == engine.KindSpec && !r.Cancelled {
-			n++
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // handleResult consumes the oldest completed run: verification, sampling,
-// cache promotion, invalidation, and follow-up launches.
+// cache promotion, invalidation, and follow-up launches. A cancelled run,
+// a superfluous one and one whose inputs were invalidated (with
+// cancellation enabled such runs rarely get this far; under the
+// no-cancellation ablation this is the main discard path) only give their
+// partitions back.
 func (p *PipeInfer) handleResult() error {
 	run, res, ok, err := p.h.AwaitResult()
 	if err != nil {
 		return err
 	}
 	var ops []kvcache.Op
-
-	if !ok || run.Cancelled {
-		ops = p.cleanupRun(run, ops)
-		p.h.SendKV(ops)
-		return nil
-	}
-
-	a := len(p.accepted)
-	base := int(run.Msg.BasePos())
-	l := run.Msg.Len()
-
-	// Superfluous: every output position is already accepted (§IV-D.1).
-	if base+l < a {
+	toks := run.Msg.Tokens
+	live := ok && !run.Cancelled
+	if live && p.Stale(toks) {
 		p.h.Stats.Superfluous.Add(1)
-		ops = p.cleanupRun(run, ops)
-		p.h.SendKV(ops)
-		return nil
+		live = false
 	}
-	// Invalidated: an input token conflicts with the accepted sequence or
-	// the (possibly rewritten) pending chain. With cancellation enabled
-	// such runs rarely reach here; under the no-cancellation ablation this
-	// is the main discard path.
-	if !p.inputsValid(run) {
-		ops = p.cleanupRun(run, ops)
-		p.h.SendKV(ops)
+	if !live || !p.Valid(toks) {
+		p.h.SendKV(p.cleanupRun(run, ops))
 		return nil
 	}
 
-	i0 := a - 1 - base
-	if i0 < 0 {
-		return fmt.Errorf("core: result gap: accepted end %d, run base %d", a, base)
+	a := len(p.Accepted)
+	ops, out, err := p.Verify(&p.h.CFG, toks, res, 0, math.MaxInt, ops)
+	if err != nil {
+		return err
 	}
-	sampledNew := false
-	anyAccept := false
-	for i := i0; i < l; i++ {
-		next := res.Next(i)
-		if len(p.pending) > 0 {
-			pt := p.pending[0]
-			if pt.tok == next {
-				// Draft token confirmed: promote its cache entries to the
-				// canonical sequence (the multibuffering "buffer swap").
-				pos := int32(len(p.accepted))
-				ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqCp,
-					Src: pt.seq, Dst: kvcache.Canonical, P0: pos, P1: pos + 1})
-				p.accepted = append(p.accepted, next)
-				p.pending = p.pending[1:]
-				p.h.Stats.Accepted.Add(1)
-				p.h.Sampled(1)
-				anyAccept = true
-				continue
-			}
-			// Rejection: take the target's token, drop the rest of the
-			// chain, cancel every run that carried a dropped token.
-			p.accepted = append(p.accepted, next)
-			p.h.Sampled(1)
-			p.dropPending()
-			sampledNew = true
-			break
-		}
-		// Bonus token past the end of all speculation (§II-A.2).
-		p.accepted = append(p.accepted, next)
+	p.h.Stats.Accepted.Add(int64(len(ops)))
+	for range p.Accepted[a:] {
 		p.h.Sampled(1)
-		sampledNew = true
-		break
 	}
-	if anyAccept {
-		p.cutoff = p.h.CFG.SpecCutoff
+	if out == Rejected {
+		p.dropPending()
 	}
-
-	ops = p.cleanupRun(run, ops)
 	// Promotions and cleanups must be issued before any dependent launch:
 	// transaction order is what makes the new run see the promoted cells.
-	p.h.SendKV(ops)
+	p.h.SendKV(p.cleanupRun(run, ops))
 	p.scanInflight()
-	if sampledNew && p.generated() < p.h.CFG.MaxNew {
+	if out != Exhausted && p.generated() < p.h.CFG.MaxNew {
 		p.launchNonSpec()
 	}
 	return nil
 }
 
-// inputsValid checks the run's input tokens against the current
-// accepted/pending state (§IV-D.1's token-sequence comparison).
-func (p *PipeInfer) inputsValid(run *engine.Run) bool {
-	a := len(p.accepted)
-	for _, tp := range run.Msg.Tokens {
-		pos := int(tp.Pos)
-		switch {
-		case pos < a:
-			if p.accepted[pos] != tp.Tok {
-				return false
-			}
-		case pos-a < len(p.pending):
-			if p.pending[pos-a].tok != tp.Tok {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // dropPending discards the whole speculation chain and cancels the runs
-// that carried it (§IV-D.2 back-propagation).
+// still in flight that carried it (§IV-D.2 back-propagation); the run
+// whose result is being handled right now has already completed.
 func (p *PipeInfer) dropPending() {
-	if len(p.pending) == 0 {
-		return
-	}
-	inflight := map[*engine.Run]bool{}
-	for i := 0; i < p.h.Inflight(); i++ {
-		inflight[p.h.InflightAt(i)] = true
-	}
-	seen := map[*engine.Run]bool{}
 	var victims []*engine.Run
-	for _, pt := range p.pending {
-		// Only still-in-flight runs are worth cancelling; the run whose
-		// result is being handled right now has already completed.
-		if !seen[pt.run] && inflight[pt.run] {
-			seen[pt.run] = true
-			victims = append(victims, pt.run)
+	for i := 0; i < p.h.Inflight(); i++ {
+		if r := p.h.InflightAt(i); p.Carried(r.Msg.ID) {
+			victims = append(victims, r)
 		}
 	}
-	p.pending = nil
+	p.Drop()
 	p.h.Cancel(victims)
 }
 
@@ -356,14 +219,10 @@ func (p *PipeInfer) dropPending() {
 // outputs are all already decided (superfluous) or whose inputs conflict
 // (invalidated).
 func (p *PipeInfer) scanInflight() {
-	a := len(p.accepted)
 	var victims []*engine.Run
 	for i := 0; i < p.h.Inflight(); i++ {
 		r := p.h.InflightAt(i)
-		if r.Cancelled {
-			continue
-		}
-		if int(r.Msg.MaxPos())+1 < a || !p.inputsValid(r) {
+		if !r.Cancelled && (p.Stale(r.Msg.Tokens) || !p.Valid(r.Msg.Tokens)) {
 			victims = append(victims, r)
 		}
 	}

@@ -5,10 +5,10 @@
 // the same idea across requests — idle pipeline slots that one session's
 // continuous speculation cannot fill are filled by other sessions' runs,
 // so the pipeline stays busy even when every individual request is
-// latency-bound. Each session runs the same launch/verify/cancel state
-// machine as the single-request PipeInfer engine (internal/core), driven
-// in an event-per-result style so one head thread can interleave all of
-// them.
+// latency-bound. Each session is a core.Chain, the PipeInfer machine
+// (draft, verify, promote, invalidate) internal/core's single-request
+// driver runs, driven here in an event-per-result style so one head thread
+// can interleave all of them.
 //
 // # Session / sequence-namespace contract
 //
@@ -75,8 +75,9 @@
 //     and whose full accepted prefix fits in free cells — readmission
 //     never evicts anyone — becomes a prefill over that prefix (prefix
 //     recompute) and launches its first chunk.
-//  3. Speculation. Chains are drafted for every eligible session and the
-//     largest same-depth group launches as one speculative run, each
+//  3. Speculation. Chains are drafted for every eligible session (one
+//     large batch at a time under engine.Config.DisableContinuous) and
+//     the largest same-depth group launches as one speculative run, each
 //     chain in a fresh partition of its own namespace. Optional work:
 //     skipped under memory pressure, while the failure breaker is open
 //     and under brown-out.
@@ -89,9 +90,9 @@
 // reference at any width (TestServeGreedyParity,
 // TestServeBatchedGreedyParity).
 //
-// Results are consumed row group by row group — verification, sampling,
-// promotion, invalidation scans, exactly the single-request engine's
-// handleResult per group — and all of one result's promotions plus the
+// Results are consumed row group by row group, each handed to its
+// session's chain (core.Chain.Stale / Valid / Verify) with the scheduler
+// acting on the outcome, and all of one result's promotions plus the
 // run's partition cleanup travel as one KV transaction. Cancelling one
 // session's work cancels a run that is the session's alone and masks just
 // its rows out of a shared one (engine.Head.CancelSession); the last
@@ -166,11 +167,12 @@
 // removal only delist shared pages from the departing shard (a decref,
 // never a free — a mapped session is never stranded), unreferenced trie
 // entries are evicted LRU under memory pressure (a stage of ensureRoom
-// before speculation dropping), and the run-down flush releases every
-// registry hold so the drained cache ends at zero used cells. Shared
-// cells hold exactly the K/V rows a cold prefill of the same tokens
-// would write, so greedy output is bit-identical for hit and cold
-// sessions (TestServeSharedPrefixParity).
+// before speculation dropping; for a parked session only as Step's last
+// resort before a stall), and the run-down flush releases every registry
+// hold so the drained cache ends at zero used cells. Shared cells hold
+// exactly the K/V rows a cold prefill of the same tokens would write, so
+// greedy output is bit-identical for hit and cold sessions
+// (TestServeSharedPrefixParity).
 //
 // # Overload control (PR 10)
 //
@@ -204,9 +206,11 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/batch"
+	"github.com/pipeinfer/pipeinfer/internal/core"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
@@ -401,17 +405,12 @@ const (
 	stateParked
 )
 
-// pendingTok is one speculated-but-unverified token in a session's chain
-// beyond its accepted sequence. It names the carrying run by ID, not
-// pointer: run records are recycled after their result is consumed.
-type pendingTok struct {
-	tok token.Token
-	seq kvcache.SeqID
-	run uint32
-}
-
-// session is one request's in-flight generation state.
+// session is one request's in-flight generation state: its speculation
+// chain plus what only a scheduler needs to know about it.
 type session struct {
+	// Accepted tokens (prompt included), pending chain, reactive cutoff.
+	core.Chain
+
 	req  int // request index
 	slot int // namespace slot == RunMsg.Session
 	ns   kvcache.Namespace
@@ -419,7 +418,6 @@ type session struct {
 	alloc    *kvcache.SeqAllocator
 	canonSet kvcache.SeqSet
 
-	accepted []token.Token
 	prompt   int
 	maxNew   int
 	priority int
@@ -461,13 +459,16 @@ type session struct {
 	prefixEntry int
 	prefixLen   int
 
-	pending []pendingTok
-	cutoff  float32
-
 	stats engine.Stats
 }
 
-func (s *session) generated() int { return len(s.accepted) - s.prompt }
+func (s *session) generated() int { return len(s.Accepted) - s.prompt }
+
+// specRuns reports a speculative run of the session still in the
+// pipeline: each holds a speculative partition until its result is consumed.
+func (s *session) specRuns() bool {
+	return s.alloc != nil && s.alloc.Available() < s.ns.Width-1
+}
 
 // inflight reports the session's in-flight run count straight from the
 // head FIFO's per-session accounting — the single source of truth.
@@ -794,7 +795,66 @@ func (s *Scheduler) Step() error {
 	if !s.closed && s.idle() {
 		return nil // live intake: nothing to do until the next Submit
 	}
-	return fmt.Errorf("serve: scheduler stalled with %d/%d requests done (KV capacity too small for one session's footprint?)", s.done, len(s.reqs))
+	// No event is coming that could free a cell.
+	if s.lastResort() {
+		return nil
+	}
+	return fmt.Errorf("serve: scheduler stalled with %d/%d requests done: %s", s.done, len(s.reqs), s.stateDump())
+}
+
+// lastResort spends the prefix trie on a scheduler that would otherwise
+// report a stall; true means the next step has something new to try. Only
+// Step calls it: in the ordinary passes these evictions would flush the
+// trie at every tight moment and cost the hits it exists for. A parked
+// session, which readmits without evicting anyone, here evicts
+// unreferenced entries until its prefix fits. Failing that, a running
+// session may be pinning the very page it is short of: the entry it maps
+// can run deeper than its mapping (a partial match against a longer
+// prompt), and the registry holds every page of an entry that anyone
+// references. Its own shard keeps the pages it uses, so it lets the entry
+// go, for ensureRoom's stage 0 to evict.
+func (s *Scheduler) lastResort() bool {
+	for i := range s.slots {
+		sess := s.slots[(s.rr+i)%len(s.slots)]
+		if sess != nil && sess.state == stateParked && s.evictPrefixFor(sess, len(sess.Accepted)) && s.readmit(sess) {
+			return true
+		}
+	}
+	released := false
+	for _, sess := range s.slots {
+		if sess != nil && sess.prefixEntry >= 0 {
+			s.unrefPrefix(sess)
+			released = true
+		}
+	}
+	return released
+}
+
+var stateNames = [...]string{statePrefill: "prefill", stateDecode: "decode", stateDrain: "drain", stateParked: "parked"}
+
+// stateDump renders what a stalled scheduler holds, for the error that
+// says so: queue, shadow cache, prefix trie and every occupied slot.
+func (s *Scheduler) stateDump() string {
+	d := fmt.Sprintf("%d queued", s.queue.Len())
+	if s.kv != nil {
+		d += fmt.Sprintf("; shadow %d/%d cells used, %d free pages, %d shared pages",
+			s.kv.Used(), s.kv.Size(), s.kv.FreePages(), s.kv.SharedPages())
+	}
+	if s.prefix != nil {
+		d += fmt.Sprintf("; trie %d entries over %d tokens", s.prefix.Len(), s.prefix.Tokens())
+	}
+	for _, sess := range s.slots {
+		if sess == nil {
+			continue
+		}
+		d += fmt.Sprintf("; slot %d: request %d %s, accepted %d of %d+%d, fill %d/%d/%d, maps entry %d over %d, %d runs in flight",
+			sess.slot, sess.req, stateNames[sess.state], len(sess.Accepted), sess.prompt, sess.maxNew,
+			sess.fillTarget, sess.fillSent, sess.fillDone, sess.prefixEntry, sess.prefixLen, s.inflight(sess))
+		if s.kv != nil {
+			d += fmt.Sprintf(", shard %d cells", s.kv.ShardUsed(sess.canonSet))
+		}
+	}
+	return d
 }
 
 // idle reports a scheduler with nothing to do right now: an empty
@@ -845,22 +905,25 @@ func (s *Scheduler) admit() {
 		req := s.reqs[it.ID]
 		ns := kvcache.NamespaceFor(slot, s.cfg.SeqsPerSession)
 		sess := &session{
-			req:         it.ID,
-			slot:        slot,
-			ns:          ns,
-			alloc:       ns.SpecAllocator(),
-			canonSet:    kvcache.NewSeqSet(ns.Canonical()),
-			accepted:    make([]token.Token, len(req.Prompt), len(req.Prompt)+req.MaxNew+2),
+			req:      it.ID,
+			slot:     slot,
+			ns:       ns,
+			alloc:    ns.SpecAllocator(),
+			canonSet: kvcache.NewSeqSet(ns.Canonical()),
+			Chain: core.Chain{
+				Accepted: make([]token.Token, len(req.Prompt), len(req.Prompt)+req.MaxNew+2),
+				Cutoff:   s.h.CFG.SpecCutoff,
+				Canon:    ns.Canonical(),
+			},
 			prompt:      len(req.Prompt),
 			maxNew:      req.MaxNew,
 			priority:    req.Priority,
 			ttftDL:      req.TTFTDeadline,
 			deadline:    req.Deadline,
-			cutoff:      s.h.CFG.SpecCutoff,
 			fillTarget:  len(req.Prompt),
 			prefixEntry: -1,
 		}
-		copy(sess.accepted, req.Prompt)
+		copy(sess.Accepted, req.Prompt)
 		// TTFT anchors at submission, not admission: queue wait is part
 		// of the latency this user experienced.
 		sess.arrived = it.Arrived
@@ -1222,14 +1285,14 @@ func (s *Scheduler) readmit(sess *session) bool {
 	// conservative: a prefix hit would shrink the recompute, but probing
 	// before room is assured would strand a mapped entry on a failed
 	// admit.)
-	if !s.roomFor(sess, len(sess.accepted)) {
+	if !s.roomFor(sess, len(sess.Accepted)) {
 		return false
 	}
 	sess.state = statePrefill
 	sess.readmitted = sess.generated() > 0
-	sess.fillTarget = len(sess.accepted)
+	sess.fillTarget = len(sess.Accepted)
 	sess.fillSent, sess.fillDone = 0, 0
-	sess.cutoff = s.h.CFG.SpecCutoff
+	sess.Cutoff = s.h.CFG.SpecCutoff
 	sess.stats.Readmissions++
 	s.h.Stats.Readmissions.Add(1)
 	if s.cfg.OnReadmit != nil {
@@ -1251,25 +1314,10 @@ func (s *Scheduler) roomFor(sess *session, n int) bool {
 // speculative pages pipeline-wide, then preempting idle sessions in
 // priority order. It reports whether the launch may proceed.
 func (s *Scheduler) ensureRoom(sess *session, n int) bool {
-	if s.roomFor(sess, n) {
+	// Stage 0: unreferenced shared prefixes are pure cache and go before
+	// any session's live work is touched.
+	if s.evictPrefixFor(sess, n) {
 		return true
-	}
-	// Stage 0: unreferenced shared prefixes are pure cache — evict the
-	// coldest trie entries (LRU, active mappings exempt) before touching
-	// any session's live work. Pages still listed by mapped shards are
-	// only de-registered here and free when their last shard departs.
-	if s.prefix != nil {
-		for {
-			v, ok := s.prefix.EvictLRU()
-			if !ok {
-				break
-			}
-			s.unrefEntry(v)
-			s.observePrefixOcc()
-			if s.roomFor(sess, n) {
-				return true
-			}
-		}
 	}
 	// Stage 1: speculation is optional work — reclaim every session's
 	// unverified chains (including the requester's own).
@@ -1280,9 +1328,6 @@ func (s *Scheduler) ensureRoom(sess *session, n int) bool {
 		if s.dropSpecPages(other) && s.roomFor(sess, n) {
 			return true
 		}
-	}
-	if s.roomFor(sess, n) {
-		return true
 	}
 	// Stage 2: preempt idle sessions, lowest priority first, never one
 	// strictly more important than the requester.
@@ -1298,14 +1343,24 @@ func (s *Scheduler) ensureRoom(sess *session, n int) bool {
 	}
 }
 
+// evictPrefixFor evicts unreferenced trie entries, coldest first, until n
+// cells fit sess's shard, and reports whether they do.
+func (s *Scheduler) evictPrefixFor(sess *session, n int) bool {
+	for !s.roomFor(sess, n) {
+		if !s.evictColdest() {
+			return false
+		}
+	}
+	return true
+}
+
 // dropSpecPages discards a session's speculative state end to end: the
 // pending chain is dropped, its in-flight speculative runs are cancelled,
 // and one OpDropSpec transaction frees the namespace's non-canonical
 // cells on the shadow and every stage. It reports whether anything was
 // reclaimed.
 func (s *Scheduler) dropSpecPages(sess *session) bool {
-	hasSpecRuns := sess.alloc != nil && sess.alloc.Available() < sess.ns.Width-1
-	if len(sess.pending) == 0 && !hasSpecRuns {
+	if len(sess.Pending) == 0 && !sess.specRuns() {
 		return false
 	}
 	// A speculative run still in flight may be the one evaluating the
@@ -1320,7 +1375,7 @@ func (s *Scheduler) dropSpecPages(sess *session) bool {
 	redoLast := false
 	// Every live speculative run of the session goes: the ones carrying
 	// the pending chain and the fully verified ones alike.
-	sess.pending = sess.pending[:0]
+	sess.Drop()
 	s.cancelGroups(sess, true, func(r *engine.Run, toks []engine.TokenPlace) bool {
 		if r.Msg.Kind != engine.KindSpec {
 			return false
@@ -1331,7 +1386,7 @@ func (s *Scheduler) dropSpecPages(sess *session) bool {
 	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpDropSpec,
 		Src: sess.ns.Base, Dst: kvcache.SeqID(sess.ns.Width)})
 	if redoLast {
-		last := int32(len(sess.accepted) - 1)
+		last := int32(len(sess.Accepted) - 1)
 		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqRm, Src: sess.ns.Canonical(), P0: last, P1: last + 1})
 		sess.wantNonSpec = true
 	}
@@ -1378,17 +1433,15 @@ func (s *Scheduler) pickVictim(requester *session) *session {
 // Preemption parks idle victims (the cancel sweep finds nothing); fault
 // recovery and launch rejection park sessions with live runs.
 func (s *Scheduler) park(sess *session) {
-	sess.pending = sess.pending[:0]
+	sess.Drop()
 	sess.wantNonSpec = false
 	s.cancelGroups(sess, true, nil)
 	sess.state = stateParked
 	// Drop the session's shared-prefix mapping: the shard eviction below
 	// delists the shared pages (a decref — other mapped sessions and the
 	// registry hold keep them alive), and readmission re-probes the trie.
-	if sess.prefixEntry >= 0 {
-		s.prefix.Unref(sess.prefixEntry)
-		sess.prefixEntry, sess.prefixLen = -1, 0
-	}
+	s.unrefPrefix(sess)
+	sess.prefixLen = 0
 	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpEvictShard,
 		Src: sess.ns.Base, Dst: kvcache.SeqID(sess.ns.Width)})
 	s.ops = ops[:0]
@@ -1578,7 +1631,7 @@ func (s *Scheduler) probePrefix(sess *session) {
 	if s.prefix == nil {
 		return
 	}
-	e, n := s.prefix.Lookup(sess.accepted, len(sess.accepted)-1)
+	e, n := s.prefix.Lookup(sess.Accepted, len(sess.Accepted)-1)
 	if e < 0 || n == 0 {
 		return
 	}
@@ -1593,6 +1646,15 @@ func (s *Scheduler) probePrefix(sess *session) {
 	sess.stats.PrefixHitTokens += n
 	s.h.Stats.PrefixHits.Add(1)
 	s.h.Stats.PrefixHitTokens.Add(int64(n))
+}
+
+// unrefPrefix drops the session's reference on the trie entry it maps, if
+// any. Its shard keeps the mapped pages; only the entry becomes evictable.
+func (s *Scheduler) unrefPrefix(sess *session) {
+	if sess.prefixEntry >= 0 {
+		s.prefix.Unref(sess.prefixEntry)
+		sess.prefixEntry = -1
+	}
 }
 
 // publishPrefix runs at prefill completion: if the session's prompt has a
@@ -1613,17 +1675,16 @@ func (s *Scheduler) publishPrefix(sess *session) {
 	if l == 0 || l <= sess.prefixLen {
 		return
 	}
-	if _, n := s.prefix.Lookup(sess.accepted[:sess.prompt], l); n >= l {
+	if _, n := s.prefix.Lookup(sess.Accepted[:sess.prompt], l); n >= l {
 		return // an entry at least this deep is already published
 	}
 	if !s.kv.CanShare(sess.ns.Canonical(), int32(l)) {
 		return
 	}
-	e, ok := s.prefix.Insert(sess.accepted[:l])
+	e, ok := s.prefix.Insert(sess.Accepted[:l])
 	if !ok {
-		if v, evicted := s.prefix.EvictLRU(); evicted {
-			s.unrefEntry(v)
-			e, ok = s.prefix.Insert(sess.accepted[:l])
+		if s.evictColdest() {
+			e, ok = s.prefix.Insert(sess.Accepted[:l])
 		}
 		if !ok {
 			return
@@ -1636,29 +1697,30 @@ func (s *Scheduler) publishPrefix(sess *session) {
 	s.observePrefixOcc()
 }
 
-// unrefEntry drops the scheduler's registry hold on an evicted trie
-// entry pipeline-wide; pages free as soon as no mapped shard lists them.
-func (s *Scheduler) unrefEntry(e int) {
-	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpUnrefPrefix, Dst: kvcache.SeqID(e)})
-	s.ops = ops[:0]
-	s.sendKV(ops)
+// evictColdest evicts the least recently used unreferenced trie entry
+// (active mappings are exempt) and drops the registry hold on its pages
+// pipeline-wide: those still listed by a mapped shard free when their
+// last shard departs, the rest at once. False when nothing is evictable.
+func (s *Scheduler) evictColdest() bool {
+	if s.prefix == nil {
+		return false
+	}
+	e, ok := s.prefix.EvictLRU()
+	if ok {
+		ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpUnrefPrefix, Dst: kvcache.SeqID(e)})
+		s.ops = ops[:0]
+		s.sendKV(ops)
+		s.observePrefixOcc()
+	}
+	return ok
 }
 
 // flushPrefix evicts every remaining trie entry at run-down. All sessions
 // are done, so no entry is active and every shared page frees — the
 // drained caches end at zero used cells, same as without prefix reuse.
 func (s *Scheduler) flushPrefix() {
-	if s.prefix == nil {
-		return
+	for s.evictColdest() {
 	}
-	for {
-		v, ok := s.prefix.EvictLRU()
-		if !ok {
-			break
-		}
-		s.unrefEntry(v)
-	}
-	s.observePrefixOcc()
 }
 
 // observePrefixOcc mirrors trie occupancy into the telemetry gauges.
@@ -1672,16 +1734,16 @@ func (s *Scheduler) observePrefixOcc() {
 // stageDecodeRow stages one session's single-token decode step into the
 // composer.
 func (s *Scheduler) stageDecodeRow(sess *session) {
-	a := len(sess.accepted)
+	a := len(sess.Accepted)
 	var ctx []token.Token
 	if s.cfg.NeedCtx {
 		// Accepted tokens are append-only, so the context prefix can
 		// alias the session buffer instead of snapshotting.
-		ctx = sess.accepted[: a-1 : a-1]
+		ctx = sess.Accepted[: a-1 : a-1]
 	}
 	s.composer.Stage(batch.Row{
 		Session: uint16(sess.slot),
-		Tok:     sess.accepted[a-1],
+		Tok:     sess.Accepted[a-1],
 		Pos:     int32(a - 1),
 		Seqs:    sess.canonSet,
 		Ctx:     ctx,
@@ -1704,12 +1766,12 @@ func (s *Scheduler) stageChunk(sess *session, budget int) {
 		// The chunk's context is the already-recomputed (or mapped)
 		// prefix; accepted is append-only and frozen during prefill, so
 		// aliasing is safe.
-		ctx = sess.accepted[:lo:lo]
+		ctx = sess.Accepted[:lo:lo]
 	}
 	for p := lo; p < hi; p++ {
 		s.composer.Stage(batch.Row{
 			Session: uint16(sess.slot),
-			Tok:     sess.accepted[p],
+			Tok:     sess.Accepted[p],
 			Pos:     int32(p),
 			Seqs:    sess.canonSet,
 			Ctx:     ctx,
@@ -1796,47 +1858,12 @@ func (s *Scheduler) putCtxs(c [][]token.Token) {
 	}
 }
 
-// draftChain drafts one micro-batch extending sess's speculation
-// frontier, appending the tokens to s.specBuf and returning how many were
-// drafted (0 = frontier covered or a confidence stall). Apart from the
-// reactive cutoff decay on a stall, it leaves the session untouched, so
-// candidates that end up outside the launched same-depth group simply
-// re-draft on a later step.
-func (s *Scheduler) draftChain(sess *session) int {
-	ctx := append(s.ctx[:0], sess.accepted...)
-	for _, pt := range sess.pending {
-		ctx = append(ctx, pt.tok)
-	}
-	if len(ctx) >= sess.prompt+sess.maxNew {
-		s.ctx = ctx[:0]
-		return 0
-	}
-	n := 0
-	for n < s.h.CFG.MicroBatch {
-		cand, probs := s.h.BK.Propose(ctx, 1)
-		if len(cand) == 0 || probs[0] < sess.cutoff {
-			break
-		}
-		s.specBuf = append(s.specBuf, cand[0])
-		ctx = append(ctx, cand[0])
-		n++
-	}
-	s.ctx = ctx[:0]
-	if n == 0 {
-		sess.cutoff -= s.h.CFG.CutoffDecay
-		if sess.cutoff < 0.02 {
-			sess.cutoff = 0.02
-		}
-	}
-	return n
-}
-
 // tryLaunchSpecBatch drafts chains for every speculation-eligible session
-// and launches the largest same-depth group as one batched speculative
-// run — each session's chain in its own freshly allocated partition of
-// its own namespace, prefix-sharing ops concatenated per session. width
-// is this step's batch-width bound (the adaptive controller's pick in
-// auto mode, MaxBatch otherwise).
+// and launches the largest same-depth group as one speculative run — each
+// session's chain in its own freshly allocated partition of its own
+// namespace, prefix-sharing ops concatenated per session — then records
+// each chain as pending against the run. width is this step's batch-width
+// bound (the adaptive controller's pick in auto mode, MaxBatch otherwise).
 func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 	n := len(s.slots)
 	sel := s.specSel[:0]
@@ -1851,7 +1878,11 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 		if s.inflight(sess) >= s.specCap || sess.alloc.Available() == 0 {
 			continue
 		}
-		drafted := s.draftChain(sess)
+		// A draft changes nothing but the cutoff (decay on a stall), so a
+		// candidate left out of the launched group drafts again later.
+		before := len(s.specBuf)
+		s.specBuf = sess.Draft(s.h.BK, &s.h.CFG, sess.specRuns(), sess.prompt+sess.maxNew, &s.ctx, s.specBuf)
+		drafted := len(s.specBuf) - before
 		if drafted == 0 {
 			continue
 		}
@@ -1863,7 +1894,7 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 					freePages = s.kv.FreePages()
 				}
 				if freePages < need {
-					s.specBuf = s.specBuf[:len(s.specBuf)-drafted]
+					s.specBuf = s.specBuf[:before]
 					continue
 				}
 				freePages -= need
@@ -1872,132 +1903,78 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 		sel = append(sel, sess)
 		lens = append(lens, drafted)
 	}
-	s.specSel, s.specLen = sel, lens
+	s.specSel, s.specLen = sel[:0], lens[:0]
 	if len(sel) == 0 {
 		return false
 	}
-	bestDepth, bestCount := 0, 0
-	for d := 1; d <= s.h.CFG.MicroBatch; d++ {
+	depth, most := 0, 0
+	for d, deepest := 1, slices.Max(lens); d <= deepest; d++ {
 		count := 0
 		for _, l := range lens {
 			if l == d {
 				count++
 			}
 		}
-		if count >= bestCount { // prefer deeper chains on ties
-			bestDepth, bestCount = d, count
+		if count >= most { // prefer deeper chains on ties
+			depth, most = d, count
 		}
 	}
-	launched := s.launchSpecGroup(bestDepth)
-	s.specSel = sel[:0]
-	s.specLen = lens[:0]
-	return launched
-}
 
-// launchSpecGroup composes and launches the drafted chains of depth
-// `depth` as one batched speculative run, then records each session's
-// pending tokens against the launched run's ID. It reports whether a run
-// was launched.
-func (s *Scheduler) launchSpecGroup(depth int) bool {
-	sel, lens := s.specSel, s.specLen
 	ops := s.ops[:0]
-	seqs := make([]kvcache.SeqID, 0, len(sel))
+	seqs := make([]kvcache.SeqID, 0, most)
 	off := 0
 	for k, sess := range sel {
-		l := lens[k]
-		if l != depth {
-			off += l
+		toks := s.specBuf[off : off+lens[k]]
+		off += lens[k]
+		if lens[k] != depth {
 			continue
 		}
 		seq, ok := sess.alloc.Alloc()
 		if !ok {
-			lens[k] = -1 // out of partitions: drop from the group
-			off += l
-			continue
+			panic("serve: drafted for a session with no free speculative partition")
 		}
 		seqs = append(seqs, seq)
-		a := len(sess.accepted)
-		prefixLen := a + len(sess.pending)
-		// Prefix sharing: canonical prefix plus pending chain segments,
-		// grouped by owning sequence — all inside the session's namespace.
-		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqCp,
-			Src: sess.ns.Canonical(), Dst: seq, P0: 0, P1: int32(a)})
-		for i := 0; i < len(sess.pending); {
-			j := i
-			for j+1 < len(sess.pending) && sess.pending[j+1].seq == sess.pending[i].seq {
-				j++
-			}
-			ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqCp,
-				Src: sess.pending[i].seq, Dst: seq, P0: int32(a + i), P1: int32(a + j + 1)})
-			i = j + 1
-		}
+		// Prefix sharing stays inside the session's namespace.
+		ops = sess.ShareOps(ops, seq)
+		base := len(sess.Accepted) + len(sess.Pending)
 		var runCtx []token.Token
 		if s.cfg.NeedCtx {
 			// The prefix includes pending tokens, which are rewritten on
 			// rejection — this snapshot must be real.
-			runCtx = make([]token.Token, prefixLen)
-			copy(runCtx, sess.accepted)
-			for i, pt := range sess.pending {
-				runCtx[a+i] = pt.tok
-			}
+			runCtx = sess.Frontier(make([]token.Token, 0, base))
 		}
-		seqSet := kvcache.NewSeqSet(seq)
-		for i := 0; i < l; i++ {
+		for i, t := range toks {
 			s.composer.Stage(batch.Row{
 				Session: uint16(sess.slot),
-				Tok:     s.specBuf[off+i],
-				Pos:     int32(prefixLen + i),
-				Seqs:    seqSet,
+				Tok:     t,
+				Pos:     int32(base + i),
+				Seqs:    kvcache.NewSeqSet(seq),
 				Ctx:     runCtx,
 			})
 		}
-		off += l
 	}
 	s.ops = ops[:0]
-	if s.composer.Rows() == 0 {
-		return false
-	}
 	run := s.launchComposed(engine.KindSpec, seqs, ops)
-	if run == nil {
-		// Rejected by the shadow dry run: free the partitions; no pending
-		// tokens were recorded, so the sessions simply re-draft later.
-		for _, id := range seqs {
-			if sess := s.slots[int(id)/s.cfg.SeqsPerSession]; sess != nil && sess.alloc != nil {
-				sess.alloc.Free(id)
-			}
-		}
-		return false
-	}
-
-	// Record pending chains against the launched run and apply the
-	// continuous-speculation cutoff recovery per session (§IV-B.2).
 	off = 0
-	si := 0
 	for k, sess := range sel {
-		l := lens[k]
-		if l == -1 { // dropped at alloc time; its tokens still occupy buf
-			off += depth
+		toks := s.specBuf[off : off+lens[k]]
+		off += lens[k]
+		switch {
+		case lens[k] != depth:
 			continue
+		case run == nil:
+			// Rejected by the shadow dry run: nothing is pending, so the
+			// session simply drafts again later.
+			sess.alloc.Free(seqs[0])
+		default:
+			sess.Launched(&s.h.CFG, toks, seqs[0], run.Msg.ID)
+			sess.stats.RunsLaunched++
+			sess.stats.Proposed += depth
+			s.h.Stats.Proposed.Add(int64(depth))
 		}
-		if l != depth {
-			off += l
-			continue
-		}
-		seq := seqs[si]
-		si++
-		for i := 0; i < l; i++ {
-			sess.pending = append(sess.pending, pendingTok{tok: s.specBuf[off+i], seq: seq, run: run.Msg.ID})
-		}
-		sess.stats.RunsLaunched++
-		sess.stats.Proposed += l
-		s.h.Stats.Proposed.Add(int64(l))
-		sess.cutoff += s.h.CFG.CutoffRecovery
-		if sess.cutoff > 0.95 {
-			sess.cutoff = 0.95
-		}
-		off += l
+		seqs = seqs[1:]
 	}
-	return true
+	return run != nil
 }
 
 // --- result handling ---
@@ -2211,7 +2188,8 @@ func (s *Scheduler) completePrefill(sess *session, next token.Token) {
 		s.obs.ObserveTTFT(now - sess.arrived)
 	}
 	sess.state = stateDecode
-	s.accept(sess, next, !readmit)
+	sess.Accepted = append(sess.Accepted, next)
+	s.noteAccept(sess, next, !readmit)
 	if sess.generated() >= sess.maxNew {
 		s.enterDrain(sess)
 	} else {
@@ -2242,90 +2220,61 @@ func (s *Scheduler) onPrefillRows(sess *session, run *engine.Run, res engine.Res
 }
 
 // onDecodeRows consumes session sess's row group [lo, hi) of a decode
-// result: verification, sampling, cache promotion, invalidation and
-// follow-up scheduling — the per-session mirror of the core PipeInfer
-// engine's handleResult. ok is false for cancelled runs and masked-out
-// rows, which need no per-session action. Promotions are appended to txn,
-// the consumed result's one KV transaction.
+// result: the session's chain discards a superfluous or invalidated group
+// and verifies a live one, and the scheduler does its part about the
+// outcome — per-token accounting, cancelling what a rejection invalidated,
+// draining a finished session. ok is false for cancelled runs and
+// masked-out rows, which need no per-session action. Promotions are
+// appended to txn, the consumed result's one KV transaction.
 func (s *Scheduler) onDecodeRows(sess *session, run *engine.Run, res engine.Results, ok bool, lo, hi int, txn []kvcache.Op) ([]kvcache.Op, error) {
 	if !ok {
 		return txn, nil
 	}
 	toks := run.Msg.Tokens[lo:hi]
-
-	a := len(sess.accepted)
-	base := int(toks[0].Pos)
-	l := hi - lo
-
-	// Superfluous: every output position is already accepted (§IV-D.1).
-	if base+l < a {
+	if sess.Stale(toks) {
 		sess.stats.Superfluous++
 		s.h.Stats.Superfluous.Add(1)
 		return txn, nil
 	}
-	// Invalidated: an input token conflicts with the session's accepted
-	// sequence or its (possibly rewritten) pending chain.
-	if !s.rowsValid(sess, toks) {
+	if !sess.Valid(toks) {
 		return txn, nil
 	}
-
-	i0 := a - 1 - base
-	if i0 < 0 {
-		return txn, fmt.Errorf("serve: result gap for request %d: accepted end %d, run base %d",
-			sess.req, a, base)
+	a, t0 := len(sess.Accepted), len(txn)
+	txn, out, err := sess.Verify(&s.h.CFG, toks, res, lo, sess.prompt+sess.maxNew, txn)
+	if err != nil {
+		return txn, fmt.Errorf("serve: request %d: %w", sess.req, err)
 	}
-	sampledNew := false
-	anyAccept := false
-	for i := i0; i < l; i++ {
-		if sess.generated() >= sess.maxNew {
-			break
-		}
-		next := res.Next(lo + i)
-		if len(sess.pending) > 0 {
-			pt := sess.pending[0]
-			if pt.tok == next {
-				// Draft token confirmed: promote its cache entries to the
-				// session's canonical sequence (the multibuffering swap).
-				pos := int32(len(sess.accepted))
-				txn = append(txn, kvcache.Op{Kind: kvcache.OpSeqCp,
-					Src: pt.seq, Dst: sess.ns.Canonical(), P0: pos, P1: pos + 1})
-				s.accept(sess, next, false)
-				sess.pending = sess.pending[1:]
-				sess.stats.Accepted++
-				s.h.Stats.Accepted.Add(1)
-				anyAccept = true
-				continue
-			}
-			// Rejection: take the target's token, drop the rest of the
-			// chain, cancel every run that carried a dropped token.
-			s.accept(sess, next, false)
-			s.dropPending(sess)
-			sampledNew = true
-			break
-		}
-		// Bonus token past the end of all speculation.
-		s.accept(sess, next, false)
-		sampledNew = true
-		break
+	for _, tok := range sess.Accepted[a:] {
+		s.noteAccept(sess, tok, false)
 	}
-	if anyAccept {
-		sess.cutoff = s.h.CFG.SpecCutoff
+	sess.stats.Accepted += len(txn) - t0
+	s.h.Stats.Accepted.Add(int64(len(txn) - t0))
+	if out == core.Rejected {
+		// Cancel the session's share of the runs that carried the chain
+		// (each partition is cleaned up when its run's result arrives).
+		s.cancelGroups(sess, true, func(r *engine.Run, _ []engine.TokenPlace) bool {
+			return sess.Carried(r.Msg.ID)
+		})
+		sess.Drop()
 	}
-	s.scanSession(sess)
+	// §IV-D.1 per session: in-flight row groups whose outputs are all
+	// decided by now (superfluous) or whose inputs conflict (invalidated).
+	s.cancelGroups(sess, false, func(_ *engine.Run, toks []engine.TokenPlace) bool {
+		return sess.Stale(toks) || !sess.Valid(toks)
+	})
 	if sess.generated() >= sess.maxNew {
 		s.enterDrain(sess)
-	} else if sampledNew {
+	} else if out != core.Exhausted {
 		sess.wantNonSpec = true
 	}
 	return txn, nil
 }
 
-// accept appends one sampled token to the session and records the
-// acceptance in both the per-session and the aggregate stats. The
-// prefill-sampled token (fromPrefill) is generated but not timestamped,
-// so TTFT and ITL measure post-prefill decoding only.
-func (s *Scheduler) accept(sess *session, tok token.Token, fromPrefill bool) {
-	sess.accepted = append(sess.accepted, tok)
+// noteAccept records one token the session has just accepted in both the
+// per-session and the aggregate stats and streams it. The prefill-sampled
+// token (fromPrefill) is generated but not timestamped, so TTFT and ITL
+// measure post-prefill decoding only.
+func (s *Scheduler) noteAccept(sess *session, tok token.Token, fromPrefill bool) {
 	s.total++
 	if !fromPrefill {
 		now := s.h.EP.Now()
@@ -2345,28 +2294,6 @@ func (s *Scheduler) accept(sess *session, tok token.Token, fromPrefill bool) {
 	if s.cfg.OnToken != nil {
 		s.cfg.OnToken(sess.req, tok)
 	}
-}
-
-// rowsValid checks a row group's input tokens against the session's
-// current accepted/pending state (§IV-D.1's token-sequence comparison).
-func (s *Scheduler) rowsValid(sess *session, toks []engine.TokenPlace) bool {
-	a := len(sess.accepted)
-	for _, tp := range toks {
-		pos := int(tp.Pos)
-		switch {
-		case pos < a:
-			if sess.accepted[pos] != tp.Tok {
-				return false
-			}
-		case pos-a < len(sess.pending):
-			if sess.pending[pos-a].tok != tp.Tok {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // cancelGroups is the one FIFO sweep behind every per-session
@@ -2406,24 +2333,6 @@ func (s *Scheduler) cancelGroups(sess *session, cleanup bool, pick func(r *engin
 	sess.stats.RowCancels += int(s.h.Stats.RowCancels.Load() - rows)
 }
 
-// dropPending discards the session's speculation chain and cancels the
-// session's share of the runs that carried it (the dropped chain's
-// partitions are cleaned up when each run's result arrives).
-func (s *Scheduler) dropPending(sess *session) {
-	if len(sess.pending) == 0 {
-		return
-	}
-	s.cancelGroups(sess, true, func(r *engine.Run, _ []engine.TokenPlace) bool {
-		for _, pt := range sess.pending {
-			if pt.run == r.Msg.ID {
-				return true
-			}
-		}
-		return false
-	})
-	sess.pending = sess.pending[:0]
-}
-
 // carriesAccepted reports whether toks, sess's row group in some
 // in-flight run, evaluates a token of sess that is already accepted (it
 // can only be the last one: a token is accepted ahead of its own run's
@@ -2431,25 +2340,11 @@ func (s *Scheduler) dropPending(sess *session) {
 // accepted position too, but differs from the token accepted there.
 func carriesAccepted(sess *session, toks []engine.TokenPlace) bool {
 	for _, tp := range toks {
-		if p := int(tp.Pos); p < len(sess.accepted) && sess.accepted[p] == tp.Tok {
+		if p := int(tp.Pos); p < len(sess.Accepted) && sess.Accepted[p] == tp.Tok {
 			return true
 		}
 	}
 	return false
-}
-
-// scanSession cancels this session's in-flight row groups whose outputs
-// are all already decided (superfluous) or whose inputs conflict
-// (invalidated) — §IV-D.1 per session.
-func (s *Scheduler) scanSession(sess *session) {
-	a := len(sess.accepted)
-	s.cancelGroups(sess, false, func(_ *engine.Run, toks []engine.TokenPlace) bool {
-		maxPos := int32(-1)
-		for _, tp := range toks {
-			maxPos = max(maxPos, tp.Pos)
-		}
-		return int(maxPos)+1 < a || !s.rowsValid(sess, toks)
-	})
 }
 
 // appendCleanup returns the run's sequence partitions to their owning
@@ -2475,7 +2370,7 @@ func (s *Scheduler) appendCleanup(run *engine.Run, ops []kvcache.Op) []kvcache.O
 func (s *Scheduler) enterDrain(sess *session) {
 	sess.state = stateDrain
 	sess.wantNonSpec = false
-	sess.pending = sess.pending[:0]
+	sess.Drop()
 	s.cancelGroups(sess, true, nil)
 }
 
@@ -2483,10 +2378,7 @@ func (s *Scheduler) enterDrain(sess *session) {
 // its sequence ids over the full position range on every stage, so the
 // recycled slot starts from an empty namespace — and records the result.
 func (s *Scheduler) finalize(sess *session) {
-	if sess.prefixEntry >= 0 {
-		s.prefix.Unref(sess.prefixEntry)
-		sess.prefixEntry, sess.prefixLen = -1, 0
-	}
+	s.unrefPrefix(sess)
 	ops := s.ops[:0]
 	for i := 0; i < sess.ns.Width; i++ {
 		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqRm,
@@ -2516,7 +2408,7 @@ func (s *Scheduler) finalize(sess *session) {
 			s.h.Stats.DeadlineMisses.Add(1)
 		}
 	}
-	s.results[sess.req] = Result{Tokens: sess.accepted[sess.prompt:], Stats: sess.stats}
+	s.results[sess.req] = Result{Tokens: sess.Accepted[sess.prompt:], Stats: sess.stats}
 	s.slots[sess.slot] = nil
 	s.done++
 }
