@@ -1,6 +1,7 @@
 package simbk
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -100,5 +101,28 @@ func TestSimServeFaultRecoveryParity(t *testing.T) {
 				t.Fatalf("%d runs failed but no session was recovered", out.Stats.RunTimeouts)
 			}
 		})
+	}
+}
+
+// TestSimServeHeadErrorSurfaces: a head that gives up must say why. With
+// no watchdog armed, a dropped result frame is an error the head cannot
+// recover from; the stages are still parked in their worker loops, and
+// unless the head releases them the kernel reports their deadlock and the
+// head's own error is lost.
+func TestSimServeHeadErrorSurfaces(t *testing.T) {
+	plan := &faultcomm.Plan{Seed: 11, Rules: []faultcomm.Rule{
+		{Src: 2, Dst: 0, Tag: int(comm.TagResult), Kind: faultcomm.Drop, Nth: 10},
+	}}
+	_, err := Serve(ServeOptions{
+		Cluster:  cost.ClusterC().Take(3),
+		Pair:     cost.CPUPairs()[0],
+		CFG:      engine.Config{MaxNew: 24},
+		Sessions: 4, PromptLen: 12, Seed: 5,
+		WrapEndpoint: func(_ int, ep comm.Endpoint) comm.Endpoint {
+			return faultcomm.Wrap(ep, plan)
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "result lost") || strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("a lost result with no watchdog armed reported as: %v", err)
 	}
 }

@@ -167,7 +167,6 @@ func (p *PipeInfer) handleResult() error {
 	if err != nil {
 		return err
 	}
-	var ops []kvcache.Op
 	toks := run.Msg.Tokens
 	live := ok && !run.Cancelled
 	if live && p.Stale(toks) {
@@ -175,12 +174,12 @@ func (p *PipeInfer) handleResult() error {
 		live = false
 	}
 	if !live || !p.Valid(toks) {
-		p.h.SendKV(p.cleanupRun(run, ops))
+		p.h.SendKV(p.cleanupRun(run, nil))
 		return nil
 	}
 
 	a := len(p.Accepted)
-	ops, out, err := p.Verify(&p.h.CFG, toks, res, 0, math.MaxInt, ops)
+	ops, out, err := p.Verify(&p.h.CFG, toks, res, 0, math.MaxInt, nil)
 	if err != nil {
 		return err
 	}
