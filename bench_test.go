@@ -172,7 +172,7 @@ func BenchmarkFig10_PromptVariance(b *testing.B) {
 	b.ReportMetric(fig.Series[0].Points[0].Y, "pipe_prompt1_tok/s")
 }
 
-// --- Design-choice ablation benches (DESIGN.md §3) ---
+// --- Design-choice ablation benches (internal/harness/sweeps.go; rendered by cmd/pipeinfer-bench) ---
 
 func BenchmarkSweepMicroBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -127,19 +127,12 @@ func main() {
 	defer ep.Close()
 	fmt.Fprintf(os.Stderr, "rank %d/%d connected\n", *rank, len(addrs))
 
-	var reg *telemetry.Registry
-	if *mAddr != "" || *flightOut != "" {
-		reg = telemetry.New()
-		if *flightOut != "" {
-			reg.SetDumpPath(*flightOut)
-		}
-		if *mAddr != "" {
-			bound, _, err := reg.Serve(*mAddr)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "rank %d telemetry: http://%s/metrics\n", *rank, bound)
-		}
+	reg, bound, err := telemetry.Open(*mAddr, *flightOut)
+	if err != nil {
+		fatal(err)
+	}
+	if bound != "" {
+		fmt.Fprintf(os.Stderr, "rank %d telemetry: http://%s/metrics\n", *rank, bound)
 	}
 
 	if *sessions > 0 {
@@ -250,24 +243,15 @@ func serveCluster(ep *tcpcomm.Endpoint, addrs []string, tk *token.Tokenizer, cfg
 	fmt.Printf("aggregate: %d tokens in %v (%.1f tok/s); runs: %d launched, %d cancelled\n",
 		total, wall.Round(time.Millisecond), float64(total)/wall.Seconds(),
 		out.Stats.RunsLaunched, out.Stats.RunsCancelled)
+	// A TCP mesh heals its links whether or not the watchdog is armed,
+	// so the fault-tolerance line always prints.
+	sum := engine.Summary{Watchdog: true, Overload: slo.maxQueue > 0 || slo.ttftSLO > 0 || slo.deadline > 0}
 	if prefix && kvCells > 0 {
-		promptTokens := 0
 		for _, r := range reqs {
-			promptTokens += len(r.Prompt)
-		}
-		fmt.Printf("prefix cache: %d hits reused %d prompt tokens (%.0f%% of prompt work skipped)\n",
-			out.Stats.PrefixHits, out.Stats.PrefixHitTokens,
-			100*float64(out.Stats.PrefixHitTokens)/float64(max(promptTokens, 1)))
-	}
-	fmt.Printf("fault tolerance: %d run timeouts, %d recoveries, %d reconnects, %d breaker trips\n",
-		out.Stats.RunTimeouts, out.Stats.Recoveries, out.Stats.Reconnects, out.Stats.BreakerTrips)
-	if slo.maxQueue > 0 || slo.ttftSLO > 0 || slo.deadline > 0 || out.Stats.Sheds > 0 || out.Stats.Overloads > 0 {
-		fmt.Printf("overload control: %d shed on TTFT deadline, %d refused at admission\n",
-			out.Stats.Sheds, out.Stats.Overloads)
-		if scored := out.Stats.DeadlineHits + out.Stats.DeadlineMisses; scored > 0 {
-			fmt.Printf("deadlines: %d/%d served requests met every deadline\n", out.Stats.DeadlineHits, scored)
+			sum.PromptTokens += len(r.Prompt)
 		}
 	}
+	out.Stats.WriteSummary(os.Stdout, sum)
 }
 
 func fatal(err error) {

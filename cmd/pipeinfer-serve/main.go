@@ -121,8 +121,6 @@ func main() {
 		maxQueue  = flag.Int("max-queue", 0, "admission queue bound: submissions past it are refused with a distinguishable overload error instead of waiting; also anchors the brown-out degradation ladder (0 = unbounded)")
 		mAddr     = flag.String("metrics-addr", "", "serve live observability HTTP on this address (e.g. :9090): /metrics Prometheus exposition with streaming p50/p90/p99 latency summaries and per-stage bubble fractions, /healthz + /readyz health, /debug/pprof profiling (empty = off)")
 		flightOut = flag.String("flight-dump", "", "arm automatic flight-recorder dumps: on watchdog failure or breaker trip the per-rank event rings are written to this file (binary; convert with pipeinfer-trace -flight; empty = off)")
-		_         = flag.Duration("heartbeat", time.Second, "link keepalive interval (TCP transport only; the in-process mesh here has no links to keep alive — see pipeinfer-node)")
-		_         = flag.Duration("reconnect-backoff", 50*time.Millisecond, "initial redial backoff (TCP transport only — see pipeinfer-node)")
 	)
 	flag.Parse()
 
@@ -131,7 +129,13 @@ func main() {
 		fatal(err)
 	}
 
-	reg := newRegistry(*mAddr, *flightOut)
+	reg, bound, err := telemetry.Open(*mAddr, *flightOut)
+	if err != nil {
+		fatal(err)
+	}
+	if bound != "" {
+		fmt.Printf("telemetry: http://%s/metrics (also /healthz, /readyz, /debug/pprof)\n", bound)
+	}
 
 	slo := sloOptions{priority: *priority, ttftSLO: *ttftSLO, deadline: *deadline, maxQueue: *maxQueue}
 
@@ -238,52 +242,19 @@ func main() {
 		fmt.Printf("latency: mean TTFT %v across %d sessions\n",
 			(ttftSum / time.Duration(len(out.Results))).Round(time.Millisecond), len(out.Results))
 	}
-	fmt.Printf("memory pressure: %d spec drops, %d preemptions, %d readmissions\n",
-		out.Stats.SpecDrops, out.Stats.Preemptions, out.Stats.Readmissions)
+	sum := slo.summary(*runTO)
 	if *prefix && *kvCells > 0 {
-		promptTokens := 0
 		for _, r := range reqs {
-			promptTokens += len(r.Prompt)
+			sum.PromptTokens += len(r.Prompt)
 		}
-		fmt.Printf("prefix cache: %d hits reused %d prompt tokens (%.0f%% of prompt work skipped)\n",
-			out.Stats.PrefixHits, out.Stats.PrefixHitTokens,
-			100*float64(out.Stats.PrefixHitTokens)/float64(max(promptTokens, 1)))
 	}
-	if out.Stats.BatchedRuns > 0 {
-		fmt.Printf("batching: %d tagged runs (%d carrying prefill chunks), mean width %.1f sessions, %d rows masked out in flight\n",
-			out.Stats.BatchedRuns, out.Stats.PrefillBatchedRuns, out.Stats.MeanBatch(), out.Stats.RowCancels)
-	}
-	if *runTO > 0 || out.Stats.RunTimeouts > 0 {
-		fmt.Printf("fault tolerance: %d run timeouts, %d recoveries, %d reconnects, %d breaker trips\n",
-			out.Stats.RunTimeouts, out.Stats.Recoveries, out.Stats.Reconnects, out.Stats.BreakerTrips)
-	}
-	printOverload(out.Stats, slo)
+	out.Stats.WriteSummary(os.Stdout, sum)
 	printTelemetry(reg)
 	if mismatch {
 		fmt.Println("correctness: MISMATCH against greedy reference")
 		os.Exit(1)
 	}
 	fmt.Println("correctness: every session identical to its greedy reference")
-}
-
-// newRegistry builds the telemetry registry when -metrics-addr or
-// -flight-dump asks for one (nil otherwise: observation hooks no-op).
-func newRegistry(addr, flightPath string) *telemetry.Registry {
-	if addr == "" && flightPath == "" {
-		return nil
-	}
-	reg := telemetry.New()
-	if flightPath != "" {
-		reg.SetDumpPath(flightPath)
-	}
-	if addr != "" {
-		bound, _, err := reg.Serve(addr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("telemetry: http://%s/metrics (also /healthz, /readyz, /debug/pprof)\n", bound)
-	}
-	return reg
 }
 
 // printTelemetry summarises the registry's streaming percentiles and
@@ -317,17 +288,12 @@ type sloOptions struct {
 	maxQueue          int
 }
 
-// printOverload summarises the overload-control outcome when any of it
-// engaged or was configured: sheds, admission refusals, and the deadline
-// hit-rate over requests that carried deadlines.
-func printOverload(s engine.Stats, slo sloOptions) {
-	if slo.maxQueue == 0 && slo.ttftSLO == 0 && slo.deadline == 0 && s.Sheds == 0 && s.Overloads == 0 {
-		return
-	}
-	fmt.Printf("overload control: %d shed on TTFT deadline, %d refused at admission\n", s.Sheds, s.Overloads)
-	if scored := s.DeadlineHits + s.DeadlineMisses; scored > 0 {
-		fmt.Printf("deadlines: %d/%d served requests met every deadline (%.0f%% hit-rate)\n",
-			s.DeadlineHits, scored, 100*float64(s.DeadlineHits)/float64(scored))
+// summary says which mechanisms this invocation armed, for the closing
+// counter report.
+func (slo sloOptions) summary(runTimeout time.Duration) engine.Summary {
+	return engine.Summary{
+		Watchdog: runTimeout > 0,
+		Overload: slo.maxQueue != 0 || slo.ttftSLO != 0 || slo.deadline != 0,
 	}
 }
 
@@ -386,23 +352,11 @@ func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, k
 		out.Stats.Generated, out.Stats.Done.Round(time.Millisecond),
 		out.Stats.Speed(), out.Stats.AcceptanceRate()*100,
 		ttftMean.Round(time.Millisecond))
-	fmt.Printf("memory pressure: %d spec drops, %d preemptions, %d readmissions\n",
-		out.Stats.SpecDrops, out.Stats.Preemptions, out.Stats.Readmissions)
+	sum := slo.summary(runTO)
 	if prefix && kvCells > 0 {
-		promptTokens := sessions * (64 + sharedLen)
-		fmt.Printf("prefix cache: %d hits reused %d prompt tokens (%.0f%% of prompt work skipped)\n",
-			out.Stats.PrefixHits, out.Stats.PrefixHitTokens,
-			100*float64(out.Stats.PrefixHitTokens)/float64(max(promptTokens, 1)))
+		sum.PromptTokens = sessions * (64 + sharedLen)
 	}
-	if out.Stats.BatchedRuns > 0 {
-		fmt.Printf("batching: %d tagged runs (%d carrying prefill chunks), mean width %.1f sessions, %d rows masked out in flight\n",
-			out.Stats.BatchedRuns, out.Stats.PrefillBatchedRuns, out.Stats.MeanBatch(), out.Stats.RowCancels)
-	}
-	if runTO > 0 || out.Stats.RunTimeouts > 0 {
-		fmt.Printf("fault tolerance: %d run timeouts, %d recoveries, %d reconnects, %d breaker trips\n",
-			out.Stats.RunTimeouts, out.Stats.Recoveries, out.Stats.Reconnects, out.Stats.BreakerTrips)
-	}
-	printOverload(out.Stats, slo)
+	out.Stats.WriteSummary(os.Stdout, sum)
 	printTelemetry(reg)
 }
 

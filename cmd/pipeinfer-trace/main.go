@@ -77,7 +77,8 @@ func main() {
 
 	fmt.Printf("strategy=%s nodes=%d tokens=%d acceptance=%.0f%%\n\n",
 		*strategyName, *nodes, *tokens, *acceptance*100)
-	fmt.Println(tr.Render())
+	timeline := tr.Dump("")
+	fmt.Println(timeline.Render(func(k uint8) string { return engine.RunKind(k).String() }))
 
 	fmt.Printf("generated %d tokens at %.2f tok/s (TTFT %v, ITL %v)\n",
 		out.Stats.Generated, out.Stats.Speed(), out.Stats.TTFT(), out.Stats.ITL())
@@ -85,8 +86,11 @@ func main() {
 		out.Stats.RunsLaunched, out.Stats.RunsCancelled, out.Stats.Superfluous)
 
 	fmt.Println("per-node utilisation over the generation window:")
-	for node, u := range tr.Utilisation(out.Stats.Done) {
-		fmt.Printf("  %-8s %5.1f%%\n", node, u*100)
+	util := timeline.Utilisation(out.Stats.Done)
+	for _, n := range timeline.Nodes {
+		if u, ok := util[n.Name]; ok {
+			fmt.Printf("  %-8s %5.1f%%\n", n.Name, u*100)
+		}
 	}
 }
 

@@ -192,8 +192,9 @@ func TestServeBatchedStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.LocalMeter = reg.RegisterStage("rank0")
-	h.LocalMeter.Open(ep.Now())
+	h.LocalObs.Meter = reg.RegisterStage("rank0")
+	h.LocalObs.Meter.Open(ep.Now())
+	h.LocalObs.Flight = reg.Flight().Ring("rank0", 0)
 	sched, err := serve.New(h, serve.Config{
 		MaxSessions: sessions, SeqsPerSession: 1,
 		MaxBatch:    sessions,

@@ -388,7 +388,7 @@ func TestBatchedRowCancel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := engine.WorkerLoop(cl.Endpoint(1), topo, w); err != nil {
+			if err := engine.WorkerLoop(cl.Endpoint(1), topo, w, engine.WorkerObs{}); err != nil {
 				workerErr = err
 			}
 		}()

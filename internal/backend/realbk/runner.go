@@ -255,7 +255,7 @@ func runRank(ep comm.Endpoint, opts Options, shared *weights) (Outcome, error) {
 			return Outcome{}, fmt.Errorf("realbk: rank %d has no role", rank)
 		}
 		w := p.newWorker(part, si)
-		if err := engine.WorkerLoop(ep, p.topo, w); err != nil {
+		if err := engine.WorkerLoop(ep, p.topo, w, engine.WorkerObs{}); err != nil {
 			return Outcome{}, fmt.Errorf("realbk: stage %d: %w", si, err)
 		}
 		if err := w.Cache().CheckInvariants(); err != nil {

@@ -246,12 +246,8 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights) (ServeOutco
 			return ServeOutcome{}, fmt.Errorf("realbk: rank %d has no role", rank)
 		}
 		w := p.newWorker(part, si)
-		var obs engine.WorkerObs
-		if opts.Obs != nil {
-			obs.Meter = opts.Obs.RegisterStage(fmt.Sprintf("rank%d", rank))
-			obs.Flight = opts.Obs.RegisterRing(fmt.Sprintf("rank%d", rank), 0)
-		}
-		if err := engine.WorkerLoopObs(ep, p.topo, w, obs); err != nil {
+		obs := stageObs(opts.Obs, rank)
+		if err := engine.WorkerLoop(ep, p.topo, w, obs); err != nil {
 			return ServeOutcome{}, fmt.Errorf("realbk: stage %d: %w", si, err)
 		}
 		if err := serveCacheClean(w.Cache()); err != nil {
@@ -267,11 +263,11 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights) (ServeOutco
 		return ServeOutcome{}, err
 	}
 	defer bk.Settle()
-	if opts.Obs != nil && localWorker != nil {
-		// The head's inline stage gets its own bubble-fraction meter; its
+	if localWorker != nil {
+		// The head's inline stage is observed like any stage; its meter's
 		// window opens with the scheduler, same as remote stages.
-		h.LocalMeter = opts.Obs.RegisterStage(fmt.Sprintf("rank%d", rank))
-		h.LocalMeter.Open(ep.Now())
+		h.LocalObs = stageObs(opts.Obs, rank)
+		h.LocalObs.Meter.Open(ep.Now())
 	}
 	results, err := runScheduler(h, p, opts)
 	if err != nil {
@@ -380,4 +376,11 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 	// One collection per pipeline costs well under a millisecond.
 	runtime.GC()
 	return out, nil
+}
+
+// stageObs registers rank's stage with the registry: its bubble-fraction
+// meter and its flight ring (both nil, and so inert, without a registry).
+func stageObs(reg *telemetry.Registry, rank int) engine.WorkerObs {
+	name := fmt.Sprintf("rank%d", rank)
+	return engine.WorkerObs{Meter: reg.RegisterStage(name), Flight: reg.Flight().Ring(name, 0)}
 }

@@ -32,8 +32,10 @@ type Options struct {
 	// AcceptanceOverride, when > 0, replaces Pair.Acceptance (used for
 	// prompt-variance experiments).
 	AcceptanceOverride float64
-	// Trace, when non-nil, records the full pipeline timeline.
-	Trace *trace.Recorder
+	// Trace, when non-nil, receives the pipeline's timeline: one flight
+	// ring per rank plus the head's ("head"; a head hosting a stage also
+	// has its rank's), each holding its most recent events.
+	Trace *trace.Set
 }
 
 // Outcome is the result of a simulated generation.
@@ -95,10 +97,17 @@ func Run(opts Options) (Outcome, error) {
 	var out Outcome
 	var runErr error
 	workers := make([]*Worker, len(topo.Stages))
+	// One ring per recording goroutine, the head's first: events at the
+	// same instant read in that order (a launch, then the inline stage's
+	// evaluation of it).
+	headRing := opts.Trace.Ring("head", 0)
+	var inlineRing *trace.Ring
 
 	// Worker processes (every stage rank except an inline head stage).
 	for si, rank := range topo.Stages {
+		ring := opts.Trace.Ring(fmt.Sprintf("rank%d", rank), 0)
 		if rank == topo.Head {
+			inlineRing = ring
 			continue
 		}
 		si, rank := si, rank
@@ -106,9 +115,8 @@ func Run(opts Options) (Outcome, error) {
 			ep := cl.Bind(rank, p)
 			w := NewWorker(ep, opts.Cluster.Nodes[rank], opts.Pair.Target,
 				splits[si], si == len(topo.Stages)-1, kv)
-			w.SetTrace(opts.Trace)
 			workers[si] = w
-			if err := engine.WorkerLoop(ep, topo, w); err != nil && runErr == nil {
+			if err := engine.WorkerLoop(ep, topo, w, engine.WorkerObs{Flight: ring}); err != nil && runErr == nil {
 				runErr = fmt.Errorf("simbk: stage %d: %w", si, err)
 			}
 		})
@@ -122,7 +130,6 @@ func Run(opts Options) (Outcome, error) {
 		if topo.HeadIsStage() {
 			w := NewWorker(ep, opts.Cluster.Nodes[topo.Head], opts.Pair.Target,
 				splits[0], len(topo.Stages) == 1, kv)
-			w.SetTrace(opts.Trace)
 			workers[0] = w
 			local = w
 		}
@@ -131,7 +138,7 @@ func Run(opts Options) (Outcome, error) {
 			runErr = err
 			return
 		}
-		h.Trace = opts.Trace
+		h.Flight, h.LocalObs.Flight = headRing, inlineRing
 		var toks []token.Token
 		switch opts.Strategy {
 		case engine.StrategyIterative:

@@ -91,8 +91,9 @@ type ServeOptions struct {
 	WrapEndpoint func(rank int, ep comm.Endpoint) comm.Endpoint
 	// OnRecover, when non-nil, observes fault recovery on the head.
 	OnRecover func(req int)
-	// Trace, when non-nil, records the full pipeline timeline.
-	Trace *trace.Recorder
+	// Trace, when non-nil, receives the pipeline's timeline: every rank's
+	// flight ring and the head's, as in Options.Trace.
+	Trace *trace.Set
 	// Obs, when non-nil, is the live telemetry registry: per-stage
 	// busy/bubble meters, per-link traffic counters and flight rings are
 	// registered for every simulated rank, and the scheduler's latency
@@ -192,6 +193,19 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 	var out ServeOutcome
 	var runErr error
 	workers := make([]*Worker, len(topo.Stages))
+	// stageObs registers a stage: its meter with the registry, and its
+	// one flight ring on whichever of the timeline set and the registry's
+	// the caller supplied (all nil, and so inert, with neither).
+	stageObs := func(rank int) engine.WorkerObs {
+		name := fmt.Sprintf("rank%d", rank)
+		ring := opts.Trace.Ring(name, 0)
+		if ring == nil {
+			ring = opts.Obs.Flight().Ring(name, 0)
+		} else {
+			opts.Obs.Flight().Attach(name, ring)
+		}
+		return engine.WorkerObs{Meter: opts.Obs.RegisterStage(name), Flight: ring}
+	}
 
 	for si, rank := range topo.Stages {
 		if rank == topo.Head {
@@ -203,17 +217,14 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 			if opts.WrapEndpoint != nil {
 				ep = opts.WrapEndpoint(rank, ep)
 			}
-			var obs engine.WorkerObs
 			if opts.Obs != nil {
 				ep = comm.Counted(ep, opts.Obs.RegisterLink(fmt.Sprintf("rank%d", rank)))
-				obs.Meter = opts.Obs.RegisterStage(fmt.Sprintf("rank%d", rank))
-				obs.Flight = opts.Obs.RegisterRing(fmt.Sprintf("rank%d", rank), 0)
 			}
+			obs := stageObs(rank)
 			w := NewWorker(ep, opts.Cluster.Nodes[rank], opts.Pair.Target,
 				splits[si], si == len(topo.Stages)-1, kv)
-			w.SetTrace(opts.Trace)
 			workers[si] = w
-			if err := engine.WorkerLoopObs(ep, topo, w, obs); err != nil && runErr == nil {
+			if err := engine.WorkerLoop(ep, topo, w, obs); err != nil && runErr == nil {
 				runErr = fmt.Errorf("simbk: stage %d: %w", si, err)
 			}
 		})
@@ -232,7 +243,6 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 		if topo.HeadIsStage() {
 			w := NewWorker(ep, opts.Cluster.Nodes[topo.Head], opts.Pair.Target,
 				splits[0], len(topo.Stages) == 1, kv)
-			w.SetTrace(opts.Trace)
 			workers[0] = w
 			local = w
 		}
@@ -241,10 +251,11 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 			runErr = err
 			return
 		}
-		h.Trace = opts.Trace
-		if opts.Obs != nil && local != nil {
-			h.LocalMeter = opts.Obs.RegisterStage(fmt.Sprintf("rank%d", topo.Head))
-			h.LocalMeter.Open(ep.Now())
+		// serve.New registers the head's ring with Obs itself.
+		h.Flight = opts.Trace.Ring("head", 0)
+		if local != nil {
+			h.LocalObs = stageObs(topo.Head)
+			h.LocalObs.Meter.Open(ep.Now())
 		}
 		sched, err := serve.New(h, serve.Config{
 			MaxSessions:    opts.MaxSessions,

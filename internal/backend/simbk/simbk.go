@@ -19,7 +19,6 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/oracle"
 	"github.com/pipeinfer/pipeinfer/internal/token"
-	"github.com/pipeinfer/pipeinfer/internal/trace"
 )
 
 // Worker simulates one pipeline stage holding a contiguous layer shard.
@@ -36,8 +35,6 @@ type Worker struct {
 	mask   kvcache.MaskBits // reusable visibility bitset, rebuilt per run
 	meta   []kvcache.TokenMeta
 	cells  []int
-	name   string
-	tr     *trace.Recorder
 	// Batched-run staging: surviving row indices, frame tags and the
 	// encoded multi-session result frame.
 	live     []int
@@ -52,12 +49,8 @@ func NewWorker(ep comm.Endpoint, node cost.NodeSpec, ms cost.ModelSpec, layers i
 	return &Worker{
 		ep: ep, node: node, ms: ms, layers: layers, isLast: isLast,
 		cache: kvpage.New(kv),
-		name:  fmt.Sprintf("rank%d", ep.Rank()),
 	}
 }
-
-// SetTrace attaches a timeline recorder to the stage.
-func (w *Worker) SetTrace(tr *trace.Recorder) { w.tr = tr }
 
 // Eval charges the stage time for the batch, layer chunk by layer chunk,
 // probing for cancellation between chunks (§IV-D.2's synchronization
@@ -91,19 +84,14 @@ func (w *Worker) Eval(run *engine.RunMsg, _ []byte, cancelled func() bool) ([]by
 	}
 	w.cells = cells[:0]
 	w.checkVisibility(run, meta, live)
-	w.tr.Record(w.ep.Now(), w.name, trace.KindEvalBeg, run.ID,
-		fmt.Sprintf("%s batch=%d", run.Kind, nl))
 	total := cost.StageTime(w.node, w.ms, w.layers, nl)
 	chunk := total / time.Duration(w.layers)
 	for l := 0; l < w.layers; l++ {
 		w.ep.Elapse(chunk)
 		if cancelled() {
-			w.tr.Record(w.ep.Now(), w.name, trace.KindEvalEnd, run.ID,
-				fmt.Sprintf("cancelled at layer %d/%d", l+1, w.layers))
 			return nil, 0, false
 		}
 	}
-	w.tr.Record(w.ep.Now(), w.name, trace.KindEvalEnd, run.ID, "done")
 	if w.isLast {
 		// Result payload: logits for every surviving *sampling* batch
 		// token travel to the head. Batched runs additionally carry the

@@ -10,9 +10,9 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/trace"
 )
 
-func tracedRun(t *testing.T, strategy engine.Strategy, alpha float64) (*trace.Recorder, simbk.Outcome) {
+func tracedRun(t *testing.T, strategy engine.Strategy, alpha float64) (*trace.FlightDump, simbk.Outcome) {
 	t.Helper()
-	tr := trace.New()
+	tr := trace.NewSet()
 	pair := cost.PairDolphinTiny
 	pair.Acceptance = alpha
 	out, err := simbk.Run(simbk.Options{
@@ -27,7 +27,7 @@ func tracedRun(t *testing.T, strategy engine.Strategy, alpha float64) (*trace.Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, out
+	return tr.Dump(""), out
 }
 
 // overlapCount counts pairs of evaluation spans on *different* stages that
@@ -73,7 +73,7 @@ func TestUtilisationImproves(t *testing.T) {
 	pipeTr, pipeOut := tracedRun(t, engine.StrategyPipeInfer, 0.79)
 	specTr, specOut := tracedRun(t, engine.StrategySpeculative, 0.79)
 
-	mean := func(tr *trace.Recorder, horizon time.Duration) float64 {
+	mean := func(tr *trace.FlightDump, horizon time.Duration) float64 {
 		u := tr.Utilisation(horizon)
 		var sum float64
 		var n int
@@ -99,8 +99,8 @@ func TestUtilisationImproves(t *testing.T) {
 }
 
 // TestCancellationSkipsWork verifies that cancellations actually cut
-// evaluations short: with low alignment some spans must end early
-// ("cancelled at layer" trace notes).
+// evaluations short: with low alignment some spans must end early (an
+// eval- that completed no rows).
 func TestCancellationSkipsWork(t *testing.T) {
 	tr, out := tracedRun(t, engine.StrategyPipeInfer, 0.3)
 	if out.Stats.RunsCancelled == 0 {
@@ -108,16 +108,19 @@ func TestCancellationSkipsWork(t *testing.T) {
 	}
 	midEval := 0
 	skipped := 0
-	for _, e := range tr.Events() {
-		if e.Kind == trace.KindEvalEnd && len(e.Note) > 9 && e.Note[:9] == "cancelled" {
+	for _, e := range tr.Timeline() {
+		if e.Kind == trace.FlightEvalEnd && e.Arg == 0 {
 			midEval++
 		}
-		if e.Kind == trace.KindCancel {
+		if e.Kind == trace.FlightCancel {
 			skipped++
 		}
 	}
 	if skipped == 0 {
 		t.Fatal("no cancel events recorded")
+	}
+	if midEval == 0 {
+		t.Fatal("no evaluation was cut short: every cancelled run ran to completion")
 	}
 	t.Logf("cancel events=%d, mid-evaluation aborts=%d", skipped, midEval)
 }
@@ -127,7 +130,7 @@ func TestCancellationSkipsWork(t *testing.T) {
 // corrupting the accepted sequence (covered by equality elsewhere); here
 // we check they are actually detected.
 func TestSuperfluousAndInvalidDiscarded(t *testing.T) {
-	tr := trace.New()
+	tr := trace.NewSet()
 	pair := cost.PairGoliathXWin7 // 52% acceptance: many invalidations
 	out, err := simbk.Run(simbk.Options{
 		Cluster:   cost.ClusterC().Take(5),

@@ -203,39 +203,6 @@ func (r *RunMsg) AllDead() bool {
 	return true
 }
 
-// LiveRows counts rows not masked out by per-session cancellation.
-func (r *RunMsg) LiveRows() int {
-	if r.DeadSessions == 0 {
-		return len(r.Tokens)
-	}
-	n := 0
-	for i := range r.Tokens {
-		if !r.RowDead(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// BasePos returns the position of the first batch token.
-func (r *RunMsg) BasePos() int32 {
-	if len(r.Tokens) == 0 {
-		return -1
-	}
-	return r.Tokens[0].Pos
-}
-
-// MaxPos returns the highest batch token position.
-func (r *RunMsg) MaxPos() int32 {
-	max := int32(-1)
-	for _, t := range r.Tokens {
-		if t.Pos > max {
-			max = t.Pos
-		}
-	}
-	return max
-}
-
 // kindBatched is the flag bit on the wire Kind byte marking a v3 frame:
 // per-row session tags follow the KV op section. v2 frames never set it
 // (RunKind values are tiny), which is what lets the v3 decoder accept v2

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -101,20 +104,6 @@ func TestDecodeRunMsgErrors(t *testing.T) {
 	}
 	if _, err := DecodeRunMsg([]byte{0, 0, 0, 0, 0, 0, 5, 0}); err == nil {
 		t.Fatal("truncated token list accepted")
-	}
-}
-
-func TestRunMsgPositions(t *testing.T) {
-	msg := &RunMsg{Tokens: []TokenPlace{{Pos: 10}, {Pos: 12}, {Pos: 11}}}
-	if msg.BasePos() != 10 {
-		t.Fatalf("BasePos = %d", msg.BasePos())
-	}
-	if msg.MaxPos() != 12 {
-		t.Fatalf("MaxPos = %d", msg.MaxPos())
-	}
-	empty := &RunMsg{}
-	if empty.BasePos() != -1 || empty.MaxPos() != -1 {
-		t.Fatal("empty message positions")
 	}
 }
 
@@ -276,18 +265,26 @@ func TestRunMsgRowMasks(t *testing.T) {
 		Tokens:      make([]TokenPlace, 3),
 		RowSessions: []uint16{1, 1, 4},
 	}
-	if msg.AllDead() || msg.LiveRows() != 3 {
+	live := func() (n int) {
+		for i := range msg.Tokens {
+			if !msg.RowDead(i) {
+				n++
+			}
+		}
+		return n
+	}
+	if msg.AllDead() || live() != 3 {
 		t.Fatal("fresh run has dead rows")
 	}
 	msg.DeadSessions = 1 << 1
 	if !msg.RowDead(0) || !msg.RowDead(1) || msg.RowDead(2) {
 		t.Fatal("mask selects wrong rows")
 	}
-	if msg.AllDead() || msg.LiveRows() != 1 {
-		t.Fatalf("live rows %d", msg.LiveRows())
+	if msg.AllDead() || live() != 1 {
+		t.Fatalf("live rows %d", live())
 	}
 	msg.DeadSessions |= 1 << 4
-	if !msg.AllDead() || msg.LiveRows() != 0 {
+	if !msg.AllDead() || live() != 0 {
 		t.Fatal("fully masked run not AllDead")
 	}
 }
@@ -444,5 +441,92 @@ func TestCancelSetMasks(t *testing.T) {
 	}
 	if c.mask(99) != 0 {
 		t.Fatal("unknown id has a mask")
+	}
+}
+
+// TestCounterTableComplete: the counter table is the only place a
+// counter is declared, so it must cover the two structs exactly — every
+// atomic.Int64 of LiveStats appears in one row, paired with the Stats int
+// of the same name, Prometheus names unique — and Snapshot, which walks
+// the table, must carry every counter across.
+func TestCounterTableComplete(t *testing.T) {
+	var ls LiveStats
+	var st Stats
+	lv := reflect.ValueOf(&ls).Elem()
+	lt := lv.Type()
+	sv := reflect.ValueOf(&st).Elem()
+	rowOf := map[*atomic.Int64]int{}
+	names := map[string]bool{}
+	for i := range Counters {
+		c := &Counters[i]
+		if _, dup := rowOf[c.Live(&ls)]; dup || names[c.Name] {
+			t.Errorf("row %d (%s) repeats a counter or a family name", i, c.Name)
+		}
+		rowOf[c.Live(&ls)] = i
+		names[c.Name] = true
+		if c.Help == "" || (c.Group == "") != (c.Label == "") {
+			t.Errorf("row %d (%s): help %q group %q label %q", i, c.Name, c.Help, c.Group, c.Label)
+		}
+	}
+	counters := 0
+	for f := 0; f < lt.NumField(); f++ {
+		if lt.Field(f).Type != reflect.TypeFor[atomic.Int64]() {
+			continue
+		}
+		p := lv.Field(f).Addr().Interface().(*atomic.Int64)
+		counters++
+		name := lt.Field(f).Name
+		row, ok := rowOf[p]
+		if !ok {
+			t.Errorf("LiveStats.%s has no row in Counters", name)
+			continue
+		}
+		twin := sv.FieldByName(name)
+		if !twin.IsValid() || twin.Addr().Interface() != any(Counters[row].Stat(&st)) {
+			t.Errorf("row %d (%s) pairs LiveStats.%s with a different Stats field", row, Counters[row].Name, name)
+		}
+		p.Store(int64(1000 + f))
+	}
+	if counters != len(Counters) {
+		t.Errorf("LiveStats has %d counters, the table %d rows", counters, len(Counters))
+	}
+	snap := reflect.ValueOf(ls.Snapshot())
+	for f := 0; f < lt.NumField(); f++ {
+		if lt.Field(f).Type == reflect.TypeFor[atomic.Int64]() {
+			if got := snap.FieldByName(lt.Field(f).Name).Int(); got != int64(1000+f) {
+				t.Errorf("Snapshot().%s = %d, want %d", lt.Field(f).Name, got, 1000+f)
+			}
+		}
+	}
+}
+
+// TestWriteSummary pins the serving CLIs' closing report: which lines
+// print for which configuration, and their wording.
+func TestWriteSummary(t *testing.T) {
+	s := Stats{SpecDrops: 1, Preemptions: 2, Readmissions: 3, PrefixHits: 4, PrefixHitTokens: 50,
+		BatchedRuns: 4, BatchedRows: 10, PrefillBatchedRuns: 2, RowCancels: 1,
+		RunTimeouts: 5, Recoveries: 6, Reconnects: 7, BreakerTrips: 8,
+		Sheds: 9, Overloads: 10, DeadlineHits: 3, DeadlineMisses: 1}
+	var sb strings.Builder
+	s.WriteSummary(&sb, Summary{PromptTokens: 200})
+	want := `memory pressure: 1 spec drops, 2 preemptions, 3 readmissions
+prefix cache: 4 hits reused 50 prompt tokens (25% of prompt work skipped)
+batching: 4 tagged runs (2 carrying prefill chunks), mean width 2.5 sessions, 1 rows masked out in flight
+fault tolerance: 5 run timeouts, 6 recoveries, 7 reconnects, 8 breaker trips
+overload control: 9 shed on TTFT deadline, 10 refused at admission
+deadlines: 3/4 served requests met every deadline (75% hit-rate)
+`
+	if sb.String() != want {
+		t.Fatalf("summary:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	sb.Reset()
+	(&Stats{}).WriteSummary(&sb, Summary{})
+	if sb.String() != "memory pressure: 0 spec drops, 0 preemptions, 0 readmissions\n" {
+		t.Fatalf("idle summary:\n%s", sb.String())
+	}
+	sb.Reset()
+	(&Stats{}).WriteSummary(&sb, Summary{Watchdog: true, Overload: true})
+	if got := strings.Count(sb.String(), "\n"); got != 3 {
+		t.Fatalf("armed-but-idle summary has %d lines, want 3:\n%s", got, sb.String())
 	}
 }

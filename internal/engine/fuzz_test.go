@@ -29,40 +29,95 @@ func fuzzSeedMsgs() []*RunMsg {
 	}
 }
 
-// FuzzDecodeRunMsg feeds arbitrary bytes to the run-message decoder: it
-// must never panic, and whatever it accepts must re-encode to exactly the
-// bytes it consumed (encode∘decode identity on the accepted prefix).
-func FuzzDecodeRunMsg(f *testing.F) {
-	for _, m := range fuzzSeedMsgs() {
+// addRunMsgSeeds seeds f with each message's encoding, its first half,
+// and the encoding followed by each trailing-garbage tail.
+func addRunMsgSeeds(f *testing.F, msgs []*RunMsg, tails ...[]byte) {
+	for _, m := range msgs {
 		enc := m.Encode()
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
-		f.Add(append(enc, 0xff, 0x00, 0x7f))
+		for _, tail := range tails {
+			f.Add(append(enc[:len(enc):len(enc)], tail...))
+		}
 	}
+}
+
+// The trailing bytes the three historical corpora appended to a valid
+// frame: plain garbage, and bytes that read as the tagged / ranged flag
+// bits where a next frame's Kind byte would sit.
+var (
+	tailGarbage = []byte{0xff, 0x00, 0x7f}
+	tailTagged  = []byte{0x7f, 0x80}
+	tailRanged  = []byte{0x40, 0xc0}
+)
+
+// checkRunMsgDecode is the run-message decoder's one property, over all
+// three wire layouts it accepts (untagged v2, tagged v3, ranged v3): it
+// never panics; whatever it accepts re-encodes to exactly the bytes it
+// consumed (encode∘decode identity on the accepted prefix, EncodedSize
+// agreeing); and re-decoding that encoding gives every field back —
+// header, token and op counts, per-row session tags, per-row ranges and
+// which rows sample. A ranged frame without row sessions is rejected,
+// never misparsed, and DeadSessions never travels.
+func checkRunMsgDecode(t *testing.T, data []byte) {
+	msg, err := DecodeRunMsg(data)
+	if err != nil {
+		return
+	}
+	if msg.Ranged() && !msg.Batched() {
+		t.Fatal("decoder accepted row ranges without row sessions")
+	}
+	enc := msg.AppendEncode(nil)
+	if len(enc) != msg.EncodedSize() {
+		t.Fatalf("EncodedSize %d != encoding length %d", msg.EncodedSize(), len(enc))
+	}
+	if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
+		t.Fatalf("re-encoding differs from the decoded prefix:\n got %x\nwant %x", enc, data[:min(len(enc), len(data))])
+	}
+	again, err := DecodeRunMsg(enc)
+	if err != nil {
+		t.Fatalf("re-decoding a produced encoding failed: %v", err)
+	}
+	if again.ID != msg.ID || again.Kind != msg.Kind || again.Seq != msg.Seq ||
+		again.Session != msg.Session || len(again.Tokens) != len(msg.Tokens) ||
+		len(again.KVOps) != len(msg.KVOps) {
+		t.Fatalf("decode(encode(m)) != m: %+v vs %+v", again, msg)
+	}
+	if again.Batched() != msg.Batched() || len(again.RowSessions) != len(msg.RowSessions) {
+		t.Fatalf("batched tags lost: %+v vs %+v", again, msg)
+	}
+	for i := range msg.RowSessions {
+		if again.RowSessions[i] != msg.RowSessions[i] {
+			t.Fatalf("row session %d: %d != %d", i, again.RowSessions[i], msg.RowSessions[i])
+		}
+	}
+	if again.Ranged() != msg.Ranged() || len(again.RowRanges) != len(msg.RowRanges) {
+		t.Fatalf("row ranges lost: %+v vs %+v", again, msg)
+	}
+	for i := range msg.RowRanges {
+		if again.RowRanges[i] != msg.RowRanges[i] {
+			t.Fatalf("row range %d: %+v != %+v", i, again.RowRanges[i], msg.RowRanges[i])
+		}
+		if again.SamplingRow(i) != msg.SamplingRow(i) {
+			t.Fatalf("sampling row %d changed across the round trip", i)
+		}
+	}
+	if again.DeadSessions != 0 {
+		t.Fatal("DeadSessions leaked onto the wire")
+	}
+}
+
+// FuzzDecodeRunMsg is the run-message codec's fuzz target (the one CI
+// fuzzes): checkRunMsgDecode over a corpus of every layout — v2, tagged
+// and ranged messages, whole, halved and with each tail — plus the empty
+// input, all-ones garbage, and a ranged-flag frame with no tagged flag.
+func FuzzDecodeRunMsg(f *testing.F) {
+	all := append(append(fuzzSeedMsgs(), fuzzSeedMsgsV3()...), fuzzSeedMsgsRanges()...)
+	addRunMsgSeeds(f, all, tailGarbage, tailTagged, tailRanged)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodeRunMsg(data)
-		if err != nil {
-			return
-		}
-		enc := msg.AppendEncode(nil)
-		if len(enc) != msg.EncodedSize() {
-			t.Fatalf("EncodedSize %d != encoding length %d", msg.EncodedSize(), len(enc))
-		}
-		if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
-			t.Fatalf("re-encoding differs from the decoded prefix:\n got %x\nwant %x", enc, data[:min(len(enc), len(data))])
-		}
-		again, err := DecodeRunMsg(enc)
-		if err != nil {
-			t.Fatalf("re-decoding a produced encoding failed: %v", err)
-		}
-		if again.ID != msg.ID || again.Kind != msg.Kind || again.Seq != msg.Seq ||
-			again.Session != msg.Session || len(again.Tokens) != len(msg.Tokens) ||
-			len(again.KVOps) != len(msg.KVOps) {
-			t.Fatalf("decode(encode(m)) != m: %+v vs %+v", again, msg)
-		}
-	})
+	f.Add([]byte{1, 0, 0, 0, 0x41, 0, 0, 0, 0, 0})
+	f.Fuzz(checkRunMsgDecode)
 }
 
 // FuzzDecodeCancel checks the cancellation-signal codec: no panic on any
@@ -136,102 +191,18 @@ func fuzzSeedMsgsRanges() []*RunMsg {
 	}
 }
 
-// FuzzDecodeRunMsgRanges fuzzes the v3 range-extension codec with v2, v3
-// and ranged seeds: no panic on arbitrary bytes, encode∘decode identity
-// on the accepted prefix, field-level round-trip equality including the
-// per-row (position, length) ranges, and cross-version compatibility —
-// every v2 and unranged-v3 seed frame must still be accepted unchanged,
-// and a ranged flag without row sessions must be rejected, never
-// misparsed.
-func FuzzDecodeRunMsgRanges(f *testing.F) {
-	seeds := append(fuzzSeedMsgs(), fuzzSeedMsgsV3()...)
-	seeds = append(seeds, fuzzSeedMsgsRanges()...)
-	for _, m := range seeds {
-		enc := m.Encode()
-		f.Add(enc)
-		f.Add(enc[:len(enc)/2])
-		f.Add(append(enc, 0x40, 0xc0))
-	}
-	// A ranged-flag frame with no batched flag: must error, not panic.
-	f.Add([]byte{1, 0, 0, 0, 0x41, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodeRunMsg(data)
-		if err != nil {
-			return
-		}
-		if msg.Ranged() && !msg.Batched() {
-			t.Fatal("decoder accepted row ranges without row sessions")
-		}
-		enc := msg.AppendEncode(nil)
-		if len(enc) != msg.EncodedSize() {
-			t.Fatalf("EncodedSize %d != encoding length %d", msg.EncodedSize(), len(enc))
-		}
-		if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
-			t.Fatalf("re-encoding differs from the decoded prefix:\n got %x\nwant %x", enc, data[:min(len(enc), len(data))])
-		}
-		again, err := DecodeRunMsg(enc)
-		if err != nil {
-			t.Fatalf("re-decoding a produced encoding failed: %v", err)
-		}
-		if again.Ranged() != msg.Ranged() || len(again.RowRanges) != len(msg.RowRanges) {
-			t.Fatalf("row ranges lost: %+v vs %+v", again, msg)
-		}
-		for i := range msg.RowRanges {
-			if again.RowRanges[i] != msg.RowRanges[i] {
-				t.Fatalf("row range %d: %+v != %+v", i, again.RowRanges[i], msg.RowRanges[i])
-			}
-			if again.SamplingRow(i) != msg.SamplingRow(i) {
-				t.Fatalf("sampling row %d changed across the round trip", i)
-			}
-		}
-		if again.Kind != msg.Kind || again.ID != msg.ID || again.Session != msg.Session ||
-			len(again.RowSessions) != len(msg.RowSessions) {
-			t.Fatalf("decode(encode(m)) != m: %+v vs %+v", again, msg)
-		}
-	})
+// FuzzDecodeRunMsgV3 and FuzzDecodeRunMsgRanges are the tagged and ranged
+// layouts' historical corpora, kept as regression entries that `go test`
+// replays seed by seed under their recorded names. They are not separate
+// targets: the property and the corpus to fuzz are FuzzDecodeRunMsg's.
+func FuzzDecodeRunMsgV3(f *testing.F) {
+	addRunMsgSeeds(f, append(fuzzSeedMsgs(), fuzzSeedMsgsV3()...), tailTagged)
+	f.Fuzz(checkRunMsgDecode)
 }
 
-// FuzzDecodeRunMsgV3 fuzzes the v3 (batched) run-message codec with both
-// v2 and v3 seeds: no panic on arbitrary bytes, encode∘decode identity on
-// the accepted prefix, and field-level round-trip equality including the
-// per-row session tags. Accepting every v2 seed frame is the
-// backward-decoding guarantee.
-func FuzzDecodeRunMsgV3(f *testing.F) {
-	for _, m := range append(fuzzSeedMsgs(), fuzzSeedMsgsV3()...) {
-		enc := m.Encode()
-		f.Add(enc)
-		f.Add(enc[:len(enc)/2])
-		f.Add(append(enc, 0x7f, 0x80))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodeRunMsg(data)
-		if err != nil {
-			return
-		}
-		enc := msg.AppendEncode(nil)
-		if len(enc) != msg.EncodedSize() {
-			t.Fatalf("EncodedSize %d != encoding length %d", msg.EncodedSize(), len(enc))
-		}
-		if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
-			t.Fatalf("re-encoding differs from the decoded prefix:\n got %x\nwant %x", enc, data[:min(len(enc), len(data))])
-		}
-		again, err := DecodeRunMsg(enc)
-		if err != nil {
-			t.Fatalf("re-decoding a produced encoding failed: %v", err)
-		}
-		if again.Batched() != msg.Batched() || len(again.RowSessions) != len(msg.RowSessions) {
-			t.Fatalf("batched tags lost: %+v vs %+v", again, msg)
-		}
-		for i := range msg.RowSessions {
-			if again.RowSessions[i] != msg.RowSessions[i] {
-				t.Fatalf("row session %d: %d != %d", i, again.RowSessions[i], msg.RowSessions[i])
-			}
-		}
-		if again.Kind != msg.Kind || again.ID != msg.ID || again.Session != msg.Session {
-			t.Fatalf("decode(encode(m)) != m: %+v vs %+v", again, msg)
-		}
-		if again.DeadSessions != 0 {
-			t.Fatal("DeadSessions leaked onto the wire")
-		}
-	})
+func FuzzDecodeRunMsgRanges(f *testing.F) {
+	seeds := append(fuzzSeedMsgs(), fuzzSeedMsgsV3()...)
+	addRunMsgSeeds(f, append(seeds, fuzzSeedMsgsRanges()...), tailRanged)
+	f.Add([]byte{1, 0, 0, 0, 0x41, 0, 0, 0, 0, 0})
+	f.Fuzz(checkRunMsgDecode)
 }

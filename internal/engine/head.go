@@ -70,19 +70,17 @@ type Head struct {
 	sessInflight []int
 
 	// Stats holds live counters: atomically mutated on the hot path so
-	// telemetry can Snapshot()/Delta() them mid-serve without stopping
-	// the scheduler.
+	// telemetry can Snapshot() them mid-serve without stopping the
+	// scheduler.
 	Stats LiveStats
-	// Trace, when non-nil, records the head's timeline events (string
-	// notes, mutex-guarded — the simulation/debugging recorder).
-	Trace *trace.Recorder
-	// Flight, when non-nil, records the head's timeline into the
-	// bounded lock-free flight recorder: packed binary events, zero
-	// allocations, always on in the serving layer.
+	// Flight, when non-nil, records the head's timeline: packed binary
+	// events in a bounded lock-free ring, zero allocations, always on in
+	// the serving layer.
 	Flight *trace.Ring
-	// LocalMeter, when non-nil, measures the inline stage's busy/idle
-	// split for the per-stage bubble-fraction gauges.
-	LocalMeter *trace.StageMeter
+	// LocalObs observes the inline stage like any other stage: its own
+	// busy/idle meter and its own track on the timeline, so per-stage
+	// utilisation reads the same whether or not the head hosts a stage.
+	LocalObs WorkerObs
 	// AfterFirstLaunch, when non-nil, runs once, on the launching
 	// goroutine, as soon as the first run has been handed to the
 	// transport: the place to start work that the head needs later but
@@ -104,6 +102,14 @@ func NewHead(ep comm.Endpoint, topo Topology, cfg Config, bk HeadBackend, local 
 	h := &Head{EP: ep, Topo: topo, CFG: cfg.Defaults(), BK: bk, Local: local}
 	h.batchBK, _ = bk.(BatchResultsBackend)
 	return h, nil
+}
+
+// record notes one head event on the timeline at the endpoint's clock,
+// which it does not read when nothing records.
+func (h *Head) record(kind trace.FlightKind, run uint32, arg int32) {
+	if h.Flight != nil {
+		h.Flight.Record(h.EP.Now(), kind, run, arg)
+	}
 }
 
 // Inflight returns the number of runs currently in the pipeline.
@@ -189,27 +195,11 @@ func (h *Head) launch(msg *RunMsg, ctx []token.Token, seqs []kvcache.SeqID) *Run
 		h.Stats.BatchedRuns.Add(1)
 		h.Stats.BatchedRows.Add(int64(DistinctSessions(msg)))
 	}
-	if h.Flight != nil {
-		h.Flight.Record(h.EP.Now(), trace.FlightLaunch, msg.ID, int32(msg.Len()))
-	}
-	if h.Trace != nil {
-		h.Trace.Record(h.EP.Now(), "head", trace.KindLaunch, msg.ID,
-			fmt.Sprintf("%s batch=%d base=%d", msg.Kind, msg.Len(), msg.BasePos()))
-	}
+	h.record(trace.FlightLaunch, msg.ID, trace.RunArg(uint8(msg.Kind), msg.Len()))
 
 	if h.Local != nil {
 		h.Local.ApplyKV(msg.KVOps)
-		if h.LocalMeter != nil || h.Flight != nil {
-			now := h.EP.Now()
-			h.LocalMeter.Begin(now)
-			h.Flight.Record(now, trace.FlightEvalBeg, msg.ID, int32(msg.Len()))
-		}
-		out, wire, ok := h.Local.Eval(msg, nil, func() bool { return false })
-		if h.LocalMeter != nil || h.Flight != nil {
-			now := h.EP.Now()
-			h.LocalMeter.End(now)
-			h.Flight.Record(now, trace.FlightEvalEnd, msg.ID, int32(msg.Len()))
-		}
+		out, wire, ok := h.LocalObs.eval(h.EP, h.Local, msg, nil, func() bool { return false })
 		next := h.Topo.FirstRemote()
 		if next < 0 {
 			// Single-node: the inline stage is the whole pipeline. The
@@ -269,17 +259,14 @@ func (h *Head) consumeResult(payload []byte) (run *Run, res Results, ok bool, er
 	run = h.inflight.pop()
 	h.adjustSessInflight(run.Msg, -1)
 	_, data, hasData, _ := ParseResult(payload)
-	if h.Flight != nil {
-		arg := int32(0)
-		if hasData {
-			arg = 1
-		}
-		h.Flight.Record(h.EP.Now(), trace.FlightResult, run.Msg.ID, arg)
+	arg := int32(0)
+	if hasData {
+		arg |= trace.ResultData
 	}
-	if h.Trace != nil {
-		h.Trace.Record(h.EP.Now(), "head", trace.KindResult, run.Msg.ID,
-			fmt.Sprintf("data=%v cancelled=%v", hasData, run.Cancelled))
+	if run.Cancelled {
+		arg |= trace.ResultCancelled
 	}
+	h.record(trace.FlightResult, run.Msg.ID, arg)
 	if !hasData {
 		comm.PutBuf(payload)
 		return run, nil, false, nil
@@ -404,12 +391,7 @@ func (h *Head) failOldest() *Run {
 	run := h.inflight.pop()
 	h.adjustSessInflight(run.Msg, -1)
 	h.Stats.RunTimeouts.Add(1)
-	if h.Flight != nil {
-		h.Flight.Record(h.EP.Now(), trace.FlightFail, run.Msg.ID, 0)
-	}
-	if h.Trace != nil {
-		h.Trace.Record(h.EP.Now(), "head", trace.KindCancel, run.Msg.ID, "watchdog-failed")
-	}
+	h.record(trace.FlightFail, run.Msg.ID, 0)
 	if !run.Cancelled {
 		// Failure is not a scheduling decision: the run is marked
 		// cancelled so late stages skip it, but RunsCancelled stays put.
@@ -440,12 +422,7 @@ func (h *Head) Cancel(runs []*Run) {
 		n++
 		payload = appendCancelSig(payload, CancelSig{ID: r.Msg.ID})
 		h.Stats.RunsCancelled.Add(1)
-		if h.Flight != nil {
-			h.Flight.Record(h.EP.Now(), trace.FlightCancel, r.Msg.ID, 0)
-		}
-		if h.Trace != nil {
-			h.Trace.Record(h.EP.Now(), "head", trace.KindCancel, r.Msg.ID, r.Msg.Kind.String())
-		}
+		h.record(trace.FlightCancel, r.Msg.ID, trace.WholeRun)
 	}
 	if n > 0 && !h.CFG.DisableCancel {
 		h.broadcastCancel(payload)
@@ -475,13 +452,7 @@ func (h *Head) CancelRows(run *Run, slot uint16, signal bool) {
 	}
 	run.Msg.DeadSessions |= bit
 	h.Stats.RowCancels.Add(1)
-	if h.Flight != nil {
-		h.Flight.Record(h.EP.Now(), trace.FlightCancel, run.Msg.ID, int32(slot))
-	}
-	if h.Trace != nil {
-		h.Trace.Record(h.EP.Now(), "head", trace.KindCancel, run.Msg.ID,
-			fmt.Sprintf("row-mask session %d", slot))
-	}
+	h.record(trace.FlightCancel, run.Msg.ID, int32(slot))
 	if run.Msg.AllDead() {
 		run.Cancelled = true
 		h.Stats.RunsCancelled.Add(1)
@@ -568,7 +539,4 @@ func (h *Head) sampled(n int, log bool) {
 	now := h.EP.Now()
 	h.Stats.Sampled(now, n, log)
 	h.Flight.Record(now, trace.FlightAccept, 0, int32(n))
-	if h.Trace != nil {
-		h.Trace.Record(now, "head", trace.KindAccept, 0, fmt.Sprintf("n=%d", n))
-	}
 }

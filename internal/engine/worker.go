@@ -117,27 +117,45 @@ func (c *cancelSet) gc(processed uint32) {
 	}
 }
 
-// WorkerObs carries a stage worker's optional observability hooks:
-// a busy/idle meter feeding the per-stage bubble-fraction gauges and a
-// flight ring recording eval begin/end events. Both are nil-safe and
-// allocation-free, so always-on telemetry costs two clock reads per
-// evaluated run.
+// WorkerObs carries a stage's optional observability hooks: a busy/idle
+// meter feeding the per-stage bubble-fraction gauges and the stage's
+// ring on the timeline, recording eval begin/end events. Both are
+// nil-safe and allocation-free, so always-on telemetry costs two clock
+// reads per evaluated run.
 type WorkerObs struct {
 	Meter  *trace.StageMeter
 	Flight *trace.Ring
 }
 
+// eval is w.Eval bracketed by the stage's observations: the meter's busy
+// window, and an eval+ / eval- pair whose end says how many rows were
+// evaluated to completion — none when the run was skipped or a
+// cancellation cut it short between layers (§IV-D.2).
+func (o WorkerObs) eval(ep comm.Endpoint, w Worker, run *RunMsg, input []byte, cancelled func() bool) ([]byte, int, bool) {
+	if o.Meter == nil && o.Flight == nil {
+		return w.Eval(run, input, cancelled)
+	}
+	now := ep.Now()
+	o.Meter.Begin(now)
+	o.Flight.Record(now, trace.FlightEvalBeg, run.ID, trace.RunArg(uint8(run.Kind), run.Len()))
+	out, wire, ok := w.Eval(run, input, cancelled)
+	now = ep.Now()
+	o.Meter.End(now)
+	done := 0
+	if ok {
+		done = run.Len()
+	}
+	o.Flight.Record(now, trace.FlightEvalEnd, run.ID, int32(done))
+	return out, wire, ok
+}
+
 // WorkerLoop is the main loop of every non-head pipeline rank: a
 // transaction server that evaluates decode runs over its layer shard,
 // applies pipelined KV operations, honours cancellation signals, and
-// forwards transactions downstream in order. It returns when the shutdown
-// transaction arrives.
-func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker) error {
-	return WorkerLoopObs(ep, topo, w, WorkerObs{})
-}
-
-// WorkerLoopObs is WorkerLoop with observability hooks attached.
-func WorkerLoopObs(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error {
+// forwards transactions downstream in order. obs observes the stage's
+// evaluations (the zero value observes nothing). It returns when the
+// shutdown transaction arrives.
+func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error {
 	rank := ep.Rank()
 	stageIdx := -1
 	for i, s := range topo.Stages {
@@ -222,17 +240,7 @@ func WorkerLoopObs(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) err
 				cancels.drain(ep, topo.Head)
 				return cancels.full(run.ID)
 			}
-			if obs.Meter != nil || obs.Flight != nil {
-				now := ep.Now()
-				obs.Meter.Begin(now)
-				obs.Flight.Record(now, trace.FlightEvalBeg, run.ID, int32(run.Len()))
-			}
-			data, w_, ok := w.Eval(run, input, cancelled)
-			if obs.Meter != nil || obs.Flight != nil {
-				now := ep.Now()
-				obs.Meter.End(now)
-				obs.Flight.Record(now, trace.FlightEvalEnd, run.ID, int32(run.Len()))
-			}
+			data, w_, ok := obs.eval(ep, w, run, input, cancelled)
 			if ok {
 				// Eval's payload aliases worker staging; ResultPayload /
 				// DataPayload copy it into a pooled wire buffer. Results

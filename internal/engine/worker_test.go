@@ -50,7 +50,7 @@ func pipeline2(t *testing.T, w Worker) (headEP comm.Endpoint, done chan error, t
 	c := chancomm.New(2)
 	topo = Topology{Head: 0, Stages: []int{1}}
 	done = make(chan error, 1)
-	go func() { done <- WorkerLoop(c.Endpoint(1), topo, w) }()
+	go func() { done <- WorkerLoop(c.Endpoint(1), topo, w, WorkerObs{}) }()
 	return c.Endpoint(0), done, topo
 }
 
@@ -175,8 +175,8 @@ func TestWorkerLoopForwardsDownstream(t *testing.T) {
 	w1, w2 := newMockWorker(), newMockWorker()
 	done1 := make(chan error, 1)
 	done2 := make(chan error, 1)
-	go func() { done1 <- WorkerLoop(c.Endpoint(1), topo, w1) }()
-	go func() { done2 <- WorkerLoop(c.Endpoint(2), topo, w2) }()
+	go func() { done1 <- WorkerLoop(c.Endpoint(1), topo, w1, WorkerObs{}) }()
+	go func() { done2 <- WorkerLoop(c.Endpoint(2), topo, w2, WorkerObs{}) }()
 
 	ep := c.Endpoint(0)
 	msg := &RunMsg{ID: 1, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}}}
@@ -206,13 +206,13 @@ func TestWorkerLoopForwardsDownstream(t *testing.T) {
 func TestWorkerLoopRejectsNonStageRank(t *testing.T) {
 	c := chancomm.New(2)
 	topo := Topology{Head: 0, Stages: []int{0}} // rank 1 has no role
-	if err := WorkerLoop(c.Endpoint(1), topo, newMockWorker()); err == nil {
+	if err := WorkerLoop(c.Endpoint(1), topo, newMockWorker(), WorkerObs{}); err == nil {
 		t.Fatal("expected role error")
 	}
 	// Head's inline stage must not run a worker loop either.
 	topoInline := Topology{Head: 0, Stages: []int{0, 1}}
 	c2 := chancomm.New(2)
-	if err := WorkerLoop(c2.Endpoint(0), topoInline, newMockWorker()); err == nil {
+	if err := WorkerLoop(c2.Endpoint(0), topoInline, newMockWorker(), WorkerObs{}); err == nil {
 		t.Fatal("expected inline-stage error")
 	}
 }
@@ -224,7 +224,7 @@ func TestWorkerLoopEmptyInputSkipsEval(t *testing.T) {
 	topo := Topology{Head: 0, Stages: []int{1, 2}}
 	w2 := newMockWorker()
 	done := make(chan error, 1)
-	go func() { done <- WorkerLoop(c.Endpoint(2), topo, w2) }()
+	go func() { done <- WorkerLoop(c.Endpoint(2), topo, w2, WorkerObs{}) }()
 
 	// Pose as stage 1: forward a decode with an empty activation payload.
 	ep1 := c.Endpoint(1)

@@ -101,7 +101,9 @@ func TestFig10PromptVariance(t *testing.T) {
 	}
 	// The reproducible part of Fig 10: PipeInfer wins on every prompt.
 	// (The paper's stronger "flatter across prompts" observation does not
-	// reproduce under a pure-acceptance prompt model; see EXPERIMENTS.md.)
+	// reproduce under a pure-acceptance prompt model: cmd/pipeinfer-bench
+	// prints the figure, and ROADMAP.md Open item 4(b) files a claim that
+	// fails in our model as a finding, not a test to loosen.)
 	for i, pt := range fig.Series[0].Points {
 		if pt.Y <= fig.Series[1].Points[i].Y {
 			t.Fatalf("prompt %q: pipe %.2f <= spec %.2f", pt.X, pt.Y, fig.Series[1].Points[i].Y)

@@ -7,10 +7,12 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 )
 
-// The sweeps below are the design-choice ablations DESIGN.md calls out
-// beyond the paper's Fig 8: they quantify the parameters §IV-B introduces
-// (micro-batch size 1-4, confidence cutoff recovery/decay) and the
-// multibuffering capacity (§IV-C sequence partitions).
+// The sweeps below are the design-choice ablations beyond the paper's
+// Fig 8: they quantify the parameters §IV-B introduces (micro-batch size
+// 1-4, confidence cutoff recovery/decay) and the multibuffering capacity
+// (§IV-C sequence partitions). cmd/pipeinfer-bench renders them after
+// the paper's figures; ROADMAP.md Open item 4 turns them into checked
+// properties.
 
 // SweepMicroBatch measures PipeInfer speed as the continuous-speculation
 // micro-batch size grows. The paper bounds it to 1-4 tokens (§IV-B.1);

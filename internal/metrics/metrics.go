@@ -58,43 +58,11 @@ type Agg struct {
 	Acceptance Summary // fraction
 	PerNodeGiB Summary // mean resident GiB per node
 	Cancelled  Summary // cancelled runs per generation
-
-	// Memory-pressure protocol counters per run (serving layer, PR 3).
-	SpecDrops    Summary // speculative footprints dropped
-	Preemptions  Summary // sessions parked (namespace evicted)
-	Readmissions Summary // parked sessions readmitted (prefix recompute)
-
-	// Cross-session batching counters per run (serving layer, PR 4).
-	BatchedRuns Summary // multi-session pipeline runs launched
-	MeanBatch   Summary // realised mean sessions per batched run (incl. prefill-chunk runs)
-	RowCancels  Summary // per-session rows masked out of in-flight batches
-
-	// Chunked-prefill counters (serving layer, PR 5).
-	PrefillBatchedRuns Summary // batched runs carrying prompt-prefill chunk groups
-	TimeToFirst        Summary // seconds from run start to the first emitted token
-
-	// Fault-tolerance counters per run (serving layer, PR 6).
-	RunTimeouts  Summary // runs the watchdog declared failed
-	Recoveries   Summary // sessions recovered by evict + prefix-recompute
-	Reconnects   Summary // transport links re-established
-	BreakerTrips Summary // repeated-failure breaker trips
-
-	// Overload-control counters per run (serving layer, PR 10).
-	Sheds          Summary // queued requests shed on unmeetable TTFT deadlines
-	Overloads      Summary // submissions rejected at admission
-	DeadlineHits   Summary // deadline-carrying requests that met every deadline
-	DeadlineMisses Summary // deadline-carrying requests that missed one
 }
 
 // Collector accumulates repetition results for one condition.
 type Collector struct {
 	speed, ttft, itl, acc, mem, cancelled []float64
-	specDrops, preempts, readmits         []float64
-	batchedRuns, meanBatch, rowCancels    []float64
-	prefillBatched, timeToFirst           []float64
-	runTimeouts, recoveries               []float64
-	reconnects, breakerTrips              []float64
-	sheds, overloads, dlHits, dlMisses    []float64
 }
 
 // Add records one generation's stats and per-node memory bytes.
@@ -104,22 +72,6 @@ func (c *Collector) Add(s engine.Stats, perNodeMem []int64) {
 	c.itl = append(c.itl, s.ITL().Seconds())
 	c.acc = append(c.acc, s.AcceptanceRate())
 	c.cancelled = append(c.cancelled, float64(s.RunsCancelled))
-	c.specDrops = append(c.specDrops, float64(s.SpecDrops))
-	c.preempts = append(c.preempts, float64(s.Preemptions))
-	c.readmits = append(c.readmits, float64(s.Readmissions))
-	c.batchedRuns = append(c.batchedRuns, float64(s.BatchedRuns))
-	c.meanBatch = append(c.meanBatch, s.MeanBatch())
-	c.rowCancels = append(c.rowCancels, float64(s.RowCancels))
-	c.prefillBatched = append(c.prefillBatched, float64(s.PrefillBatchedRuns))
-	c.timeToFirst = append(c.timeToFirst, s.TimeToFirst().Seconds())
-	c.runTimeouts = append(c.runTimeouts, float64(s.RunTimeouts))
-	c.recoveries = append(c.recoveries, float64(s.Recoveries))
-	c.reconnects = append(c.reconnects, float64(s.Reconnects))
-	c.breakerTrips = append(c.breakerTrips, float64(s.BreakerTrips))
-	c.sheds = append(c.sheds, float64(s.Sheds))
-	c.overloads = append(c.overloads, float64(s.Overloads))
-	c.dlHits = append(c.dlHits, float64(s.DeadlineHits))
-	c.dlMisses = append(c.dlMisses, float64(s.DeadlineMisses))
 	if len(perNodeMem) > 0 {
 		var sum float64
 		for _, m := range perNodeMem {
@@ -129,62 +81,16 @@ func (c *Collector) Add(s engine.Stats, perNodeMem []int64) {
 	}
 }
 
-// N reports the number of repetitions recorded.
-func (c *Collector) N() int { return len(c.speed) }
-
 // Agg summarises the collected repetitions.
 func (c *Collector) Agg() Agg {
 	return Agg{
-		Speed:        Summarize(c.speed),
-		TTFT:         Summarize(c.ttft),
-		ITL:          Summarize(c.itl),
-		Acceptance:   Summarize(c.acc),
-		PerNodeGiB:   Summarize(c.mem),
-		Cancelled:    Summarize(c.cancelled),
-		SpecDrops:    Summarize(c.specDrops),
-		Preemptions:  Summarize(c.preempts),
-		Readmissions: Summarize(c.readmits),
-		BatchedRuns:  Summarize(c.batchedRuns),
-		MeanBatch:    Summarize(c.meanBatch),
-		RowCancels:   Summarize(c.rowCancels),
-
-		PrefillBatchedRuns: Summarize(c.prefillBatched),
-		TimeToFirst:        Summarize(c.timeToFirst),
-
-		RunTimeouts:  Summarize(c.runTimeouts),
-		Recoveries:   Summarize(c.recoveries),
-		Reconnects:   Summarize(c.reconnects),
-		BreakerTrips: Summarize(c.breakerTrips),
-
-		Sheds:          Summarize(c.sheds),
-		Overloads:      Summarize(c.overloads),
-		DeadlineHits:   Summarize(c.dlHits),
-		DeadlineMisses: Summarize(c.dlMisses),
+		Speed:      Summarize(c.speed),
+		TTFT:       Summarize(c.ttft),
+		ITL:        Summarize(c.itl),
+		Acceptance: Summarize(c.acc),
+		PerNodeGiB: Summarize(c.mem),
+		Cancelled:  Summarize(c.cancelled),
 	}
-}
-
-// DeadlineHitRate reports the fraction of deadline-carrying served
-// requests that met every configured deadline (0 when none carried
-// deadlines) — the numerator of goodput.
-func (a Agg) DeadlineHitRate() float64 {
-	h, m := a.DeadlineHits.Mean, a.DeadlineMisses.Mean
-	if h+m <= 0 {
-		return 0
-	}
-	return h / (h + m)
-}
-
-// FaultEvents reports the mean number of fault-tolerance events (run
-// timeouts plus session recoveries plus link reconnections) per run.
-func (a Agg) FaultEvents() float64 {
-	return a.RunTimeouts.Mean + a.Recoveries.Mean + a.Reconnects.Mean
-}
-
-// PressureEvents reports the mean number of memory-pressure events
-// (speculative drops plus preemptions) per run — an unbounded count, not
-// a rate.
-func (a Agg) PressureEvents() float64 {
-	return a.SpecDrops.Mean + a.Preemptions.Mean
 }
 
 // SpeedPerGiB is Fig 7a's memory-efficiency metric: generation speed

@@ -52,10 +52,10 @@ func TestCollector(t *testing.T) {
 	var c Collector
 	c.Add(mkStats(10, time.Second), []int64{1 << 30, 3 << 30})
 	c.Add(mkStats(20, time.Second), []int64{1 << 30, 3 << 30})
-	if c.N() != 2 {
-		t.Fatalf("N = %d", c.N())
-	}
 	agg := c.Agg()
+	if agg.Speed.N != 2 {
+		t.Fatalf("N = %d", agg.Speed.N)
+	}
 	if agg.Speed.Mean != 15 {
 		t.Fatalf("speed mean %v", agg.Speed.Mean)
 	}
@@ -82,39 +82,6 @@ func TestDurationSummary(t *testing.T) {
 	got := DurationSummary(s)
 	if !strings.Contains(got, "1s") {
 		t.Fatalf("duration summary %q", got)
-	}
-}
-
-// TestBatchingCounters checks the PR-4 batching counters flow through
-// aggregation: batched runs, realised mean batch width and row cancels.
-func TestBatchingCounters(t *testing.T) {
-	var c Collector
-	c.Add(engine.Stats{BatchedRuns: 4, BatchedRows: 12, RowCancels: 2}, nil)
-	c.Add(engine.Stats{BatchedRuns: 2, BatchedRows: 8, RowCancels: 0}, nil)
-	a := c.Agg()
-	if a.BatchedRuns.Mean != 3 {
-		t.Fatalf("BatchedRuns mean %v", a.BatchedRuns.Mean)
-	}
-	if a.MeanBatch.Mean != 3.5 { // (12/4 + 8/2) / 2
-		t.Fatalf("MeanBatch mean %v", a.MeanBatch.Mean)
-	}
-	if a.RowCancels.Mean != 1 {
-		t.Fatalf("RowCancels mean %v", a.RowCancels.Mean)
-	}
-}
-
-// TestPrefillCounters checks the PR-5 chunked-prefill counters flow
-// through aggregation: prefill-chunk runs and time-to-first-token.
-func TestPrefillCounters(t *testing.T) {
-	var c Collector
-	c.Add(engine.Stats{PrefillBatchedRuns: 6, PrefillDone: 2 * time.Second}, nil)
-	c.Add(engine.Stats{PrefillBatchedRuns: 2, PrefillDone: 1 * time.Second}, nil)
-	a := c.Agg()
-	if a.PrefillBatchedRuns.Mean != 4 {
-		t.Fatalf("PrefillBatchedRuns mean %v", a.PrefillBatchedRuns.Mean)
-	}
-	if a.TimeToFirst.Mean != 1.5 {
-		t.Fatalf("TimeToFirst mean %v", a.TimeToFirst.Mean)
 	}
 }
 

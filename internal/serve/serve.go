@@ -640,7 +640,7 @@ func build(h *engine.Head, cfg Config) (*Scheduler, error) {
 	}
 	if cfg.Obs != nil {
 		s.obs = cfg.Obs
-		s.obs.AttachRing("head", h.Flight)
+		s.obs.Flight().Attach("head", h.Flight)
 		s.obs.SetStatsFn(h.Stats.Snapshot)
 		s.obs.SetNowFn(h.EP.Now)
 		s.obs.SetPressure(0, 0, cfg.MaxSessions)

@@ -27,7 +27,7 @@ func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.writeProm(w)
+		r.WriteTo(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		if r != nil && r.tripped.Load() != 0 {
@@ -64,6 +64,22 @@ func (r *Registry) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// Open builds the registry a CLI's -metrics-addr and -flight-dump flags
+// ask for: nil when both are empty (observation hooks then no-op), armed
+// to dump to dumpPath when that is set, and serving the observability
+// endpoints on addr — bound reports where — when that is.
+func Open(addr, dumpPath string) (reg *Registry, bound string, err error) {
+	if addr == "" && dumpPath == "" {
+		return nil, "", nil
+	}
+	reg = New()
+	reg.SetDumpPath(dumpPath)
+	if addr != "" {
+		bound, _, err = reg.Serve(addr)
+	}
+	return reg, bound, err
 }
 
 // Serve binds addr (e.g. ":9090" or "127.0.0.1:0") and serves the

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/metrics"
+	"github.com/pipeinfer/pipeinfer/internal/trace"
 )
 
 // promEscape escapes a label value per the Prometheus text exposition
@@ -97,11 +99,11 @@ func (cw *countingWriter) summary(name, help string, h *metrics.Hist, scale floa
 	cw.sample(name+"_count", float64(h.Count()))
 }
 
-// writeProm renders the full exposition. The scrape is lock-free with
+// WriteTo renders the full Prometheus exposition to w. The scrape is lock-free with
 // respect to the serving hot path: histograms and counters are atomics,
 // stage fractions are evaluated against the registry clock, and the
 // engine counters come from a LiveStats snapshot.
-func (r *Registry) writeProm(w io.Writer) (int64, error) {
+func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	if r == nil {
 		return 0, nil
@@ -139,7 +141,6 @@ func (r *Registry) writeProm(w io.Writer) (int64, error) {
 	r.mu.Lock()
 	stages := append([]stageEntry(nil), r.stages...)
 	links := append([]linkEntry(nil), r.links...)
-	rings := append([]ringEntry(nil), r.rings...)
 	builds := append([]buildEntry(nil), r.builds...)
 	r.mu.Unlock()
 
@@ -151,7 +152,7 @@ func (r *Registry) writeProm(w io.Writer) (int64, error) {
 	}
 
 	if len(stages) > 0 {
-		now := r.now()
+		now := r.Now()
 		cw.family("pipeinfer_stage_busy_fraction", "gauge", "Share of the serving window the stage spent evaluating runs.")
 		for _, s := range stages {
 			cw.sample("pipeinfer_stage_busy_fraction", s.meter.BusyFraction(now), "stage", s.name)
@@ -189,46 +190,18 @@ func (r *Registry) writeProm(w io.Writer) (int64, error) {
 		}
 	}
 
-	if len(rings) > 0 {
-		cw.family("pipeinfer_flight_events", "gauge", "Events currently held per flight-recorder ring.")
-		for _, re := range rings {
-			cw.sample("pipeinfer_flight_events", float64(re.ring.Len()), "ring", re.name)
-		}
-	}
+	cw.family("pipeinfer_flight_events", "gauge", "Events currently held per flight-recorder ring.")
+	r.rings.Each(func(name string, ring *trace.Ring) {
+		cw.sample("pipeinfer_flight_events", float64(ring.Len()), "ring", name)
+	})
 	cw.family("pipeinfer_flight_dumps_total", "counter", "Flight dumps taken (watchdog failures and breaker trips).")
 	cw.sample("pipeinfer_flight_dumps_total", float64(r.Dumps()))
 
 	s := r.Snapshot()
-	for _, c := range [...]struct {
-		name, help string
-		v          int
-	}{
-		{"pipeinfer_generated_tokens_total", "Tokens produced across sessions.", s.Generated},
-		{"pipeinfer_proposed_tokens_total", "Draft tokens offered for verification.", s.Proposed},
-		{"pipeinfer_accepted_tokens_total", "Draft tokens accepted.", s.Accepted},
-		{"pipeinfer_runs_launched_total", "Pipeline runs launched.", s.RunsLaunched},
-		{"pipeinfer_runs_cancelled_total", "Pipeline runs cancelled early.", s.RunsCancelled},
-		{"pipeinfer_runs_superfluous_total", "Runs whose outputs were entirely pre-accepted.", s.Superfluous},
-		{"pipeinfer_spec_drops_total", "Speculative KV footprints dropped under memory pressure.", s.SpecDrops},
-		{"pipeinfer_preemptions_total", "Sessions preempted (namespace evicted, request parked).", s.Preemptions},
-		{"pipeinfer_readmissions_total", "Parked sessions readmitted by prefix recompute.", s.Readmissions},
-		{"pipeinfer_batched_runs_total", "Multi-session pipeline runs launched.", s.BatchedRuns},
-		{"pipeinfer_batched_rows_total", "Per-session steps coalesced into batched runs.", s.BatchedRows},
-		{"pipeinfer_row_cancels_total", "Session rows masked out of in-flight batches.", s.RowCancels},
-		{"pipeinfer_prefill_batched_runs_total", "Batched runs carrying prompt-prefill chunks.", s.PrefillBatchedRuns},
-		{"pipeinfer_run_timeouts_total", "Runs the watchdog declared failed.", s.RunTimeouts},
-		{"pipeinfer_recoveries_total", "Sessions recovered by evict + prefix recompute.", s.Recoveries},
-		{"pipeinfer_reconnects_total", "Transport links re-established.", s.Reconnects},
-		{"pipeinfer_breaker_trips_total", "Repeated-failure breaker trips.", s.BreakerTrips},
-		{"pipeinfer_prefix_hits_total", "Admissions that mapped a published shared prefix.", s.PrefixHits},
-		{"pipeinfer_prefix_hit_tokens_total", "Prompt tokens skipped by shared-prefix hits.", s.PrefixHitTokens},
-		{"pipeinfer_shed_deadline_total", "Queued requests shed on provably unmeetable TTFT deadlines.", s.Sheds},
-		{"pipeinfer_shed_overload_total", "Submissions rejected at admission (queue bound or sustainable rate).", s.Overloads},
-		{"pipeinfer_deadline_hits_total", "Deadline-carrying served requests that met every configured deadline.", s.DeadlineHits},
-		{"pipeinfer_deadline_misses_total", "Deadline-carrying served requests that missed a configured deadline.", s.DeadlineMisses},
-	} {
-		cw.family(c.name, "counter", c.help)
-		cw.sample(c.name, float64(c.v))
+	for i := range engine.Counters {
+		c := &engine.Counters[i]
+		cw.family(c.Name, "counter", c.Help)
+		cw.sample(c.Name, float64(*c.Stat(&s)))
 	}
 
 	return cw.n, cw.err

@@ -1,7 +1,8 @@
 // Package telemetry is the live observability layer: streaming
 // histograms for serving latencies, per-stage busy/bubble gauges,
-// per-link traffic counters, flight-recorder management, and the
-// /metrics + health HTTP surface — all stdlib-only.
+// per-link traffic counters, the pipeline's flight rings (a trace.Set)
+// with their dump-on-failure, and the /metrics + health HTTP surface —
+// all stdlib-only.
 //
 // The hot-path contract: every Observe*/Set* method is allocation-free
 // and lock-free (atomics only), and every method is nil-receiver-safe,
@@ -12,8 +13,8 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -52,15 +53,15 @@ type Registry struct {
 	prefixEntries atomic.Int64
 	prefixTokens  atomic.Int64
 
+	rings trace.Set // the pipeline's flight rings: see Flight, DumpFlight
+
 	mu       sync.Mutex
 	stages   []stageEntry
 	links    []linkEntry
-	rings    []ringEntry
 	builds   []buildEntry
 	statsFn  func() engine.Stats
 	nowFn    func() time.Duration
 	dumpPath string
-	lastDump *trace.FlightDump
 	dumps    int
 }
 
@@ -72,11 +73,6 @@ type stageEntry struct {
 type linkEntry struct {
 	name string
 	c    *comm.LinkCounters
-}
-
-type ringEntry struct {
-	name string
-	ring *trace.Ring
 }
 
 type buildEntry struct {
@@ -233,17 +229,14 @@ func (r *Registry) RegisterLink(name string) *comm.LinkCounters {
 	return c
 }
 
-// RegisterRing creates (and returns) a flight-recorder ring for one
-// recording goroutine (size <= 0 picks the default depth).
-func (r *Registry) RegisterRing(name string, size int) *trace.Ring {
+// Flight is the set every recording goroutine of the pipeline registers
+// its flight ring on (nil, and so handing out nil rings, without a
+// registry).
+func (r *Registry) Flight() *trace.Set {
 	if r == nil {
 		return nil
 	}
-	ring := trace.NewRing(size)
-	r.mu.Lock()
-	r.rings = append(r.rings, ringEntry{name, ring})
-	r.mu.Unlock()
-	return ring
+	return &r.rings
 }
 
 // SetModelBuild records how long one rank took to derive the weights it
@@ -255,16 +248,6 @@ func (r *Registry) SetModelBuild(name string, took time.Duration) {
 	}
 	r.mu.Lock()
 	r.builds = append(r.builds, buildEntry{name, took})
-	r.mu.Unlock()
-}
-
-// AttachRing registers an externally created flight ring.
-func (r *Registry) AttachRing(name string, ring *trace.Ring) {
-	if r == nil || ring == nil {
-		return
-	}
-	r.mu.Lock()
-	r.rings = append(r.rings, ringEntry{name, ring})
 	r.mu.Unlock()
 }
 
@@ -320,17 +303,6 @@ func (r *Registry) Snapshot() engine.Stats {
 	return fn()
 }
 
-// now evaluates the registry clock (0 when unset).
-func (r *Registry) now() time.Duration {
-	r.mu.Lock()
-	fn := r.nowFn
-	r.mu.Unlock()
-	if fn == nil {
-		return 0
-	}
-	return fn()
-}
-
 // EachStage visits the registered stage meters in registration order.
 func (r *Registry) EachStage(f func(name string, m *trace.StageMeter)) {
 	if r == nil {
@@ -344,56 +316,51 @@ func (r *Registry) EachStage(f func(name string, m *trace.StageMeter)) {
 	}
 }
 
-// Now exposes the registry clock for gauge evaluation (0 when unset).
+// Now evaluates the registry clock the stage gauges are read against
+// (0 when unset).
 func (r *Registry) Now() time.Duration {
 	if r == nil {
 		return 0
 	}
-	return r.now()
+	r.mu.Lock()
+	fn := r.nowFn
+	r.mu.Unlock()
+	if fn == nil {
+		return 0
+	}
+	return fn()
 }
 
-// DumpFlight captures every registered flight ring into a FlightDump,
-// retains it as LastDump, and — when a dump path is armed — writes it
-// to disk. Called automatically on watchdog failure and breaker trip;
-// failures of the disk write are reported on stderr, never propagated
-// (observability must not take the serving loop down).
+// DumpFlight captures every registered flight ring into a FlightDump
+// and — when a dump path is armed — writes it to disk. Called
+// automatically on watchdog failure and breaker trip; failures of the
+// disk write are reported on stderr, never propagated (observability
+// must not take the serving loop down).
 func (r *Registry) DumpFlight(reason string) *trace.FlightDump {
 	if r == nil {
 		return nil
 	}
+	d := r.rings.Dump(reason)
 	r.mu.Lock()
-	rings := append([]ringEntry(nil), r.rings...)
 	path := r.dumpPath
-	r.mu.Unlock()
-	d := &trace.FlightDump{Reason: reason}
-	for _, re := range rings {
-		d.Nodes = append(d.Nodes, trace.FlightNode{Name: re.name, Events: re.ring.Snapshot()})
-	}
-	r.mu.Lock()
-	r.lastDump = d
 	r.dumps++
 	r.mu.Unlock()
 	if path != "" {
-		if f, err := os.Create(path); err != nil {
+		if err := writeDump(path, d); err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry: flight dump: %v\n", err)
-		} else {
-			if err := trace.WriteFlightDump(f, d); err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry: flight dump: %v\n", err)
-			}
-			f.Close()
 		}
 	}
 	return d
 }
 
-// LastDump returns the most recent flight dump (nil if none yet).
-func (r *Registry) LastDump() *trace.FlightDump {
-	if r == nil {
-		return nil
+// writeDump writes d to path. A dump is only on disk once Close has
+// flushed it, so Close's error (a full disk) counts like a write's.
+func writeDump(path string, d *trace.FlightDump) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastDump
+	return errors.Join(trace.WriteFlightDump(f, d), f.Close())
 }
 
 // Dumps reports how many flight dumps have been taken.
@@ -404,10 +371,4 @@ func (r *Registry) Dumps() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dumps
-}
-
-// WriteTo is a convenience for tests and CLIs: the Prometheus
-// exposition written to w.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	return r.writeProm(w)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -40,7 +41,7 @@ func TestPromExposition(t *testing.T) {
 	c.SentFrames.Store(7)
 	c.SentBytes.Store(512)
 
-	ring := r.RegisterRing("head", 64)
+	ring := r.Flight().Ring("head", 64)
 	ring.Record(time.Millisecond, trace.FlightLaunch, 1, 3)
 
 	r.SetStatsFn(func() engine.Stats {
@@ -122,7 +123,7 @@ func TestNilRegistry(t *testing.T) {
 	if c := r.RegisterLink("x"); c != nil {
 		t.Fatal("nil registry returned counters")
 	}
-	if ring := r.RegisterRing("x", 0); ring != nil {
+	if ring := r.Flight().Ring("x", 0); ring != nil {
 		t.Fatal("nil registry returned a ring")
 	}
 	if d := r.DumpFlight("test"); d != nil {
@@ -253,11 +254,11 @@ func TestServeBindsAndShutsDown(t *testing.T) {
 }
 
 // TestDumpFlight pins ring capture: events from every registered ring
-// land in the dump, LastDump retains it, and the armed path writes a
+// land in the dump, the dump is counted, and the armed path writes a
 // file that round-trips.
 func TestDumpFlight(t *testing.T) {
 	r := New()
-	ring := r.RegisterRing("head", 64)
+	ring := r.Flight().Ring("head", 64)
 	ring.Record(time.Millisecond, trace.FlightLaunch, 7, 2)
 	ring.Record(2*time.Millisecond, trace.FlightFail, 7, 0)
 	path := t.TempDir() + "/flight.bin"
@@ -267,8 +268,8 @@ func TestDumpFlight(t *testing.T) {
 	if d == nil || d.Len() != 2 || len(d.Nodes) != 1 || d.Nodes[0].Name != "head" {
 		t.Fatalf("dump shape: %+v", d)
 	}
-	if r.LastDump() != d || r.Dumps() != 1 {
-		t.Fatalf("dump retention: last=%p dumps=%d", r.LastDump(), r.Dumps())
+	if r.Dumps() != 1 {
+		t.Fatalf("dumps counted: %d", r.Dumps())
 	}
 
 	f, err := os.Open(path)
@@ -282,5 +283,82 @@ func TestDumpFlight(t *testing.T) {
 	}
 	if got.Reason != d.Reason || got.Len() != 2 {
 		t.Fatalf("round-trip: %+v", got)
+	}
+}
+
+// TestDumpFlightReportsWriteFailure: a dump that cannot reach the disk —
+// here the armed path is a directory; a full disk surfaces the same way,
+// through Create, Write or Close — is reported, never silently dropped,
+// and never takes the caller down: the in-memory dump is still returned.
+func TestDumpFlightReportsWriteFailure(t *testing.T) {
+	if err := writeDump(t.TempDir(), &trace.FlightDump{}); err == nil {
+		t.Fatal("writing a dump over a directory reported no error")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		// bufio holds the whole small dump until Flush, so the device's
+		// ENOSPC arrives on the flush or the close.
+		if err := writeDump("/dev/full", &trace.FlightDump{Reason: "full disk"}); err == nil {
+			t.Fatal("a dump to a full device reported no error")
+		}
+	}
+	r := New()
+	r.SetDumpPath(t.TempDir())
+	if d := r.DumpFlight("unwritable"); d == nil || d.Reason != "unwritable" || r.Dumps() != 1 {
+		t.Fatal("a failed disk write lost the in-memory dump")
+	}
+}
+
+// TestCounterFamiliesGolden pins the engine-counter part of /metrics —
+// family names, help text, type and order — to what was exposed before
+// the families were derived from engine.Counters. Dashboards and CI's
+// metrics-smoke key on these strings.
+func TestCounterFamiliesGolden(t *testing.T) {
+	golden := [][2]string{
+		{"pipeinfer_generated_tokens_total", "Tokens produced across sessions."},
+		{"pipeinfer_proposed_tokens_total", "Draft tokens offered for verification."},
+		{"pipeinfer_accepted_tokens_total", "Draft tokens accepted."},
+		{"pipeinfer_runs_launched_total", "Pipeline runs launched."},
+		{"pipeinfer_runs_cancelled_total", "Pipeline runs cancelled early."},
+		{"pipeinfer_runs_superfluous_total", "Runs whose outputs were entirely pre-accepted."},
+		{"pipeinfer_spec_drops_total", "Speculative KV footprints dropped under memory pressure."},
+		{"pipeinfer_preemptions_total", "Sessions preempted (namespace evicted, request parked)."},
+		{"pipeinfer_readmissions_total", "Parked sessions readmitted by prefix recompute."},
+		{"pipeinfer_batched_runs_total", "Multi-session pipeline runs launched."},
+		{"pipeinfer_batched_rows_total", "Per-session steps coalesced into batched runs."},
+		{"pipeinfer_row_cancels_total", "Session rows masked out of in-flight batches."},
+		{"pipeinfer_prefill_batched_runs_total", "Batched runs carrying prompt-prefill chunks."},
+		{"pipeinfer_run_timeouts_total", "Runs the watchdog declared failed."},
+		{"pipeinfer_recoveries_total", "Sessions recovered by evict + prefix recompute."},
+		{"pipeinfer_reconnects_total", "Transport links re-established."},
+		{"pipeinfer_breaker_trips_total", "Repeated-failure breaker trips."},
+		{"pipeinfer_prefix_hits_total", "Admissions that mapped a published shared prefix."},
+		{"pipeinfer_prefix_hit_tokens_total", "Prompt tokens skipped by shared-prefix hits."},
+		{"pipeinfer_shed_deadline_total", "Queued requests shed on provably unmeetable TTFT deadlines."},
+		{"pipeinfer_shed_overload_total", "Submissions rejected at admission (queue bound or sustainable rate)."},
+		{"pipeinfer_deadline_hits_total", "Deadline-carrying served requests that met every configured deadline."},
+		{"pipeinfer_deadline_misses_total", "Deadline-carrying served requests that missed a configured deadline."},
+	}
+	r := New()
+	stats := engine.Stats{}
+	for i := range engine.Counters {
+		*engine.Counters[i].Stat(&stats) = 100 + i
+	}
+	r.SetStatsFn(func() engine.Stats { return stats })
+	var sb strings.Builder
+	if _, err := r.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	// The engine counters close the exposition, in table order.
+	at := strings.Index(out, "# HELP "+golden[0][0]+" ")
+	if at < 0 {
+		t.Fatalf("first counter family missing:\n%s", out)
+	}
+	var want strings.Builder
+	for i, g := range golden {
+		fmt.Fprintf(&want, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", g[0], g[1], g[0], g[0], 100+i)
+	}
+	if got := out[at:]; got != want.String() {
+		t.Fatalf("engine counter families changed:\n got:\n%s\nwant:\n%s", got, want.String())
 	}
 }

@@ -6,9 +6,8 @@ import (
 	"time"
 )
 
-// FlightKind classifies flight-recorder events. The set mirrors the
-// Recorder Kinds plus fault-path markers, but as one byte instead of a
-// string so events pack into two machine words.
+// FlightKind classifies timeline events: one byte, so an event packs
+// into two machine words.
 type FlightKind uint8
 
 // Flight-recorder event kinds.
@@ -43,8 +42,15 @@ func (k FlightKind) String() string {
 }
 
 // FlightEvent is one decoded flight-recorder entry. Arg carries a
-// kind-specific small integer (row count, accepted-token count, session
-// index), truncated to 24 bits signed by the packing.
+// kind-specific small integer, truncated to 24 bits signed by the
+// packing:
+//
+//	launch, eval+   RunArg: the run's kind beside its row count
+//	eval-           rows evaluated to completion; 0 = skipped or cut
+//	                short by a cancellation (§IV-D.2)
+//	result          ResultData | ResultCancelled
+//	cancel          WholeRun, or the session slot whose rows were masked
+//	accept          tokens accepted
 type FlightEvent struct {
 	At   time.Duration
 	Run  uint32
@@ -52,7 +58,31 @@ type FlightEvent struct {
 	Kind FlightKind
 }
 
-const flightArgBits = 24
+const (
+	flightArgBits = 24
+	runRowBits    = 16
+)
+
+// RunArg packs a run's kind byte (the engine's RunKind) beside its row
+// count: the Arg of launch and eval+ events.
+func RunArg(kind uint8, rows int) int32 {
+	return int32(kind&0x7f)<<runRowBits | int32(min(rows, 1<<runRowBits-1))
+}
+
+// RunKind and Rows unpack a RunArg.
+func (e FlightEvent) RunKind() uint8 { return uint8(e.Arg >> runRowBits) }
+func (e FlightEvent) Rows() int      { return int(e.Arg & (1<<runRowBits - 1)) }
+
+// Result-event Arg bits: the frame carried logits; the head had already
+// marked the run cancelled when it arrived.
+const (
+	ResultData int32 = 1 << iota
+	ResultCancelled
+)
+
+// WholeRun is a cancel event's Arg when the entire run was cancelled
+// rather than one session's rows.
+const WholeRun int32 = -1
 
 // packMeta packs (run, arg, kind) into one word: run in the low 32
 // bits, arg (signed, 24 bits) above it, kind in the top byte. Row
@@ -128,14 +158,6 @@ func (r *Ring) Len() int {
 	return int(n)
 }
 
-// Cap reports the ring's fixed capacity in events.
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return int(r.mask + 1)
-}
-
 // Snapshot decodes the ring's events oldest-first. Safe to call while
 // writers are active; unwritten slots are skipped.
 func (r *Ring) Snapshot() []FlightEvent {
@@ -155,7 +177,7 @@ func (r *Ring) Snapshot() []FlightEvent {
 		i := (first + k) & r.mask
 		at := r.at[i].Load()
 		run, arg, kind := unpackMeta(r.meta[i].Load())
-		if kind == FlightNone || kind > FlightBuild {
+		if kind == FlightNone || int(kind) >= len(flightKindNames) {
 			continue // unwritten or torn slot
 		}
 		out = append(out, FlightEvent{At: time.Duration(at), Run: run, Arg: arg, Kind: kind})

@@ -17,8 +17,8 @@ func TestRingRecordSnapshot(t *testing.T) {
 	}
 
 	r := NewRing(10) // rounds up to 16
-	if r.Cap() != 16 {
-		t.Fatalf("Cap() = %d, want 16", r.Cap())
+	if len(r.at) != 16 {
+		t.Fatalf("capacity %d, want 16", len(r.at))
 	}
 	for i := 0; i < 5; i++ {
 		r.Record(time.Duration(i)*time.Millisecond, FlightLaunch, uint32(i), int32(-i))
@@ -112,19 +112,21 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecorderCap locks in the drop-oldest bound of the mutex recorder.
+// TestRecorderCap locks in the drop-oldest bound of a timeline: a set's
+// ring keeps its newest events up to its capacity, and that is what a
+// dump renders.
 func TestRecorderCap(t *testing.T) {
-	r := New()
-	r.SetCap(8)
-	for i := 0; i < 20; i++ {
-		r.Record(time.Duration(i), "head", KindLaunch, uint32(i), "")
+	s := NewSet()
+	r := s.Ring("head", 8) // rounds up to 16
+	for i := 0; i < 40; i++ {
+		r.Record(time.Duration(i), FlightLaunch, uint32(i), 0)
 	}
-	if r.Len() != 8 {
-		t.Fatalf("Len() = %d, want cap 8", r.Len())
+	if r.Len() != 16 {
+		t.Fatalf("Len() = %d, want cap 16", r.Len())
 	}
-	evs := r.Events()
-	if evs[0].Run != 12 || evs[7].Run != 19 {
-		t.Fatalf("cap kept runs %d..%d, want 12..19", evs[0].Run, evs[7].Run)
+	evs := s.Dump("").Timeline()
+	if len(evs) != 16 || evs[0].Run != 24 || evs[15].Run != 39 {
+		t.Fatalf("cap kept %d events, runs %d..%d, want 24..39", len(evs), evs[0].Run, evs[len(evs)-1].Run)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -17,9 +18,10 @@ type FlightNode struct {
 	Events []FlightEvent
 }
 
-// FlightDump is a point-in-time capture of every flight ring, written
-// automatically on watchdog failure or breaker trip and convertible to
-// Chrome trace-event JSON for Perfetto.
+// FlightDump is a point-in-time capture of every ring of a Set: what the
+// simulator's timeline analyses read, what a watchdog failure or breaker
+// trip writes to disk, and what converts to Chrome trace-event JSON for
+// Perfetto.
 type FlightDump struct {
 	Reason string
 	Nodes  []FlightNode
@@ -165,6 +167,9 @@ func (d *FlightDump) ChromeTrace() ([]byte, error) {
 					"run": e.Run, "arg": e.Arg, "node": nd.Name,
 				},
 			}
+			if e.Kind == FlightLaunch || e.Kind == FlightEvalBeg {
+				ce.Args["arg"], ce.Args["kind"] = e.Rows(), e.RunKind()
+			}
 			switch e.Kind {
 			case FlightEvalBeg:
 				ce.Ph, ce.Name = "B", fmt.Sprintf("eval run %d", e.Run)
@@ -192,4 +197,102 @@ func (d *FlightDump) ChromeTrace() ([]byte, error) {
 		doc.TraceEvents = []chromeEvent{}
 	}
 	return json.MarshalIndent(doc, "", " ")
+}
+
+// NodeEvent is one timeline entry: an event and the node that recorded
+// it.
+type NodeEvent struct {
+	Node string
+	FlightEvent
+}
+
+// Timeline merges every node's events into one time-sorted list; events
+// at the same instant keep node order, then recording order.
+func (d *FlightDump) Timeline() []NodeEvent {
+	evs := make([]NodeEvent, 0, d.Len())
+	for _, nd := range d.Nodes {
+		for _, e := range nd.Events {
+			evs = append(evs, NodeEvent{nd.Name, e})
+		}
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
+	return evs
+}
+
+// Render prints the per-node event log in the shape of the paper's Fig 3
+// timeline. runKind names the kind byte launch and eval+ events carry
+// (the engine's RunKind).
+func (d *FlightDump) Render(runKind func(uint8) string) string {
+	var sb strings.Builder
+	sb.WriteString("time        node          event    run  note\n")
+	sb.WriteString("----------  ------------  -------  ---  ----\n")
+	for _, e := range d.Timeline() {
+		var note string
+		switch e.Kind {
+		case FlightLaunch, FlightEvalBeg:
+			note = fmt.Sprintf("%s batch=%d", runKind(e.RunKind()), e.Rows())
+		case FlightEvalEnd:
+			note = "done"
+			if e.Arg == 0 {
+				note = "cancelled mid-evaluation"
+			}
+		case FlightResult:
+			note = fmt.Sprintf("data=%v cancelled=%v", e.Arg&ResultData != 0, e.Arg&ResultCancelled != 0)
+		case FlightCancel:
+			note = "whole run"
+			if e.Arg != WholeRun {
+				note = fmt.Sprintf("row-mask session %d", e.Arg)
+			}
+		case FlightAccept:
+			note = fmt.Sprintf("n=%d", e.Arg)
+		}
+		fmt.Fprintf(&sb, "%-10s  %-12s  %-7s  %3d  %s\n",
+			e.At.Round(time.Microsecond), e.Node, e.Kind, e.Run, note)
+	}
+	return sb.String()
+}
+
+// Span is one stage evaluation: an eval+ / eval- pair of one (node,
+// run), the raw material for utilisation analysis.
+type Span struct {
+	Node     string
+	Run      uint32
+	From, To time.Duration
+}
+
+// EvalSpans extracts stage busy intervals, node by node. An eval+ whose
+// eval- was never recorded yields no span.
+func (d *FlightDump) EvalSpans() []Span {
+	var spans []Span
+	for _, nd := range d.Nodes {
+		open := map[uint32]time.Duration{}
+		for _, e := range nd.Events {
+			switch e.Kind {
+			case FlightEvalBeg:
+				open[e.Run] = e.At
+			case FlightEvalEnd:
+				if from, ok := open[e.Run]; ok {
+					spans = append(spans, Span{Node: nd.Name, Run: e.Run, From: from, To: e.At})
+					delete(open, e.Run)
+				}
+			}
+		}
+	}
+	return spans
+}
+
+// Utilisation computes the busy fraction over [0, horizon] of every node
+// that evaluated anything.
+func (d *FlightDump) Utilisation(horizon time.Duration) map[string]float64 {
+	out := map[string]float64{}
+	if horizon <= 0 {
+		return out
+	}
+	for _, s := range d.EvalSpans() {
+		out[s.Node] += float64(s.To - s.From) // whole nanoseconds: the sum is exact
+	}
+	for node := range out {
+		out[node] /= float64(horizon)
+	}
+	return out
 }

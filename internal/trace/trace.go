@@ -1,174 +1,72 @@
-// Package trace records pipeline execution timelines: which node did what
-// to which run, when. The text rendering reproduces the shape of the
-// paper's Fig 3 (continuous asynchronous speculation timeline) for any
-// simulated scenario and doubles as a debugging aid for the engines.
-//
-// Recorder holds at most a configurable number of events (DefaultEventCap
-// unless SetCap raises or lowers it); once full it drops the oldest
-// event per new record, so arbitrarily long serves hold memory constant
-// at cap × sizeof(Event). The flight recorder (Ring) is the bounded,
-// lock-free counterpart used on serving hot paths: fixed-size rings of
-// packed binary events with atomic word stores, zero allocations in
-// steady state, dumpable on failure and convertible to Chrome
-// trace-event JSON for Perfetto.
+// Package trace is the pipeline's one timeline: which node did what to
+// which run, when. Every recording goroutine — the head's scheduler
+// loop, each stage worker, the head's inline stage — writes packed
+// binary events into its own Ring (lock-free, fixed size, drop-oldest,
+// zero allocations), a Set names the rings of one pipeline, and a
+// FlightDump is a point-in-time capture of a Set. Everything read off
+// the timeline is a method over a dump: the Fig 3-style text (Render),
+// per-stage busy intervals and utilisation (EvalSpans, Utilisation),
+// the binary file a watchdog failure leaves behind (WriteFlightDump)
+// and its Chrome trace-event export (ChromeTrace). The simulator's
+// figures, the serving flight recorder and pipeinfer-trace all read
+// the same events; StageMeter is the live, constant-space counterpart
+// of Utilisation behind the /metrics bubble-fraction gauges.
 package trace
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-)
+import "sync"
 
-// Kind classifies timeline events.
-type Kind string
-
-// Event kinds recorded by the engines and backends.
-const (
-	KindLaunch  Kind = "launch" // head injected a run
-	KindResult  Kind = "result" // head consumed a result
-	KindCancel  Kind = "cancel" // head issued a cancellation
-	KindAccept  Kind = "accept" // token(s) accepted
-	KindEvalBeg Kind = "eval+"  // stage began evaluating a run
-	KindEvalEnd Kind = "eval-"  // stage finished (or skipped) a run
-	KindDraft   Kind = "draft"  // head drafted a micro-batch
-)
-
-// Event is one timeline entry.
-type Event struct {
-	At   time.Duration
-	Node string
-	Kind Kind
-	Run  uint32
-	Note string
+// Set is the named rings of one pipeline, in registration order. A nil
+// *Set hands out nil rings, which ignore records, so callers attach a
+// timeline unconditionally.
+type Set struct {
+	mu    sync.Mutex
+	names []string
+	rings []*Ring
 }
 
-// DefaultEventCap bounds a Recorder's retained events unless SetCap
-// overrides it: ~64k events (a few MiB) covers any simulated timeline
-// while keeping long serves from growing memory without bound.
-const DefaultEventCap = 1 << 16
+// NewSet creates an empty ring set.
+func NewSet() *Set { return &Set{} }
 
-// Recorder accumulates events; safe for concurrent use (the real backend
-// records from several goroutines). Retention is bounded: once the cap
-// is reached each new event drops the oldest one.
-type Recorder struct {
-	mu     sync.Mutex
-	cap    int
-	start  int // ring head once len(events) == cap
-	events []Event
+// Ring creates the ring one recording goroutine writes to and registers
+// it under name (size <= 0 picks DefaultRingSize).
+func (s *Set) Ring(name string, size int) *Ring {
+	if s == nil {
+		return nil
+	}
+	r := NewRing(size)
+	s.Attach(name, r)
+	return r
 }
 
-// New creates an empty recorder with the default event cap.
-func New() *Recorder { return &Recorder{} }
-
-// SetCap bounds the number of retained events (drop-oldest beyond it);
-// n <= 0 restores DefaultEventCap. Must be called before recording.
-func (r *Recorder) SetCap(n int) {
-	r.mu.Lock()
-	r.cap = n
-	r.mu.Unlock()
-}
-
-// Record appends an event, dropping the oldest if the recorder is full.
-func (r *Recorder) Record(at time.Duration, node string, kind Kind, run uint32, note string) {
-	if r == nil {
+// Attach registers a ring created elsewhere.
+func (s *Set) Attach(name string, r *Ring) {
+	if s == nil || r == nil {
 		return
 	}
-	r.mu.Lock()
-	c := r.cap
-	if c <= 0 {
-		c = DefaultEventCap
-	}
-	e := Event{At: at, Node: node, Kind: kind, Run: run, Note: note}
-	if len(r.events) < c {
-		r.events = append(r.events, e)
-	} else {
-		if r.start >= len(r.events) {
-			r.start = 0
-		}
-		r.events[r.start] = e
-		r.start++
-		if r.start == len(r.events) {
-			r.start = 0
-		}
-	}
-	r.mu.Unlock()
+	s.mu.Lock()
+	s.names = append(s.names, name)
+	s.rings = append(s.rings, r)
+	s.mu.Unlock()
 }
 
-// Events returns a time-sorted copy of the recorded events.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events[r.start:])
-	copy(out[len(r.events)-r.start:], r.events[:r.start])
-	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
+// Each visits the rings in registration order.
+func (s *Set) Each(f func(name string, r *Ring)) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	names, rings := s.names, s.rings // append-only: the prefix we hold never changes
+	s.mu.Unlock()
+	for i, r := range rings {
+		f(names[i], r)
+	}
 }
 
-// Len reports the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// Render prints a per-node event log resembling Fig 3's timeline.
-func (r *Recorder) Render() string {
-	evs := r.Events()
-	var sb strings.Builder
-	sb.WriteString("time        node          event    run  note\n")
-	sb.WriteString("----------  ------------  -------  ---  ----\n")
-	for _, e := range evs {
-		fmt.Fprintf(&sb, "%-10s  %-12s  %-7s  %3d  %s\n",
-			e.At.Round(time.Microsecond), e.Node, e.Kind, e.Run, e.Note)
-	}
-	return sb.String()
-}
-
-// Spans pairs eval+ / eval- events per (node, run) into busy intervals,
-// the raw material for utilisation analysis.
-type Span struct {
-	Node     string
-	Run      uint32
-	From, To time.Duration
-}
-
-// EvalSpans extracts stage busy intervals.
-func (r *Recorder) EvalSpans() []Span {
-	type key struct {
-		node string
-		run  uint32
-	}
-	open := map[key]time.Duration{}
-	var spans []Span
-	for _, e := range r.Events() {
-		k := key{e.Node, e.Run}
-		switch e.Kind {
-		case KindEvalBeg:
-			open[k] = e.At
-		case KindEvalEnd:
-			if from, ok := open[k]; ok {
-				spans = append(spans, Span{Node: e.Node, Run: e.Run, From: from, To: e.At})
-				delete(open, k)
-			}
-		}
-	}
-	return spans
-}
-
-// Utilisation computes the busy fraction per node over [0, horizon].
-func (r *Recorder) Utilisation(horizon time.Duration) map[string]float64 {
-	busy := map[string]time.Duration{}
-	for _, s := range r.EvalSpans() {
-		busy[s.Node] += s.To - s.From
-	}
-	out := map[string]float64{}
-	for node, b := range busy {
-		if horizon > 0 {
-			out[node] = float64(b) / float64(horizon)
-		}
-	}
-	return out
+// Dump snapshots every ring. Safe while writers are active.
+func (s *Set) Dump(reason string) *FlightDump {
+	d := &FlightDump{Reason: reason}
+	s.Each(func(name string, r *Ring) {
+		d.Nodes = append(d.Nodes, FlightNode{Name: name, Events: r.Snapshot()})
+	})
+	return d
 }

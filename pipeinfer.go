@@ -17,8 +17,9 @@
 //     the paper's testbeds, used to regenerate every figure of the
 //     evaluation at 70B-180B scale.
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for
-// paper-versus-measured results of every table and figure.
+// ROADMAP.md's architecture sections record the design, layer by layer,
+// with the invariants each holds; cmd/pipeinfer-bench regenerates every
+// table and figure of the paper's evaluation.
 package pipeinfer
 
 import (
@@ -174,9 +175,10 @@ func PaperParams() ExperimentParams { return harness.Paper() }
 // Figure is a regenerated experiment result with a text rendering.
 type Figure = harness.Figure
 
-// Trace records pipeline execution timelines (Fig 3-style).
-type Trace = trace.Recorder
+// Trace collects a pipeline's execution timeline (Fig 3-style): one
+// flight ring per node. Dump captures it; the dump renders the timeline
+// text and computes evaluation spans and per-node utilisation.
+type Trace = trace.Set
 
-// NewTrace creates an empty timeline recorder to attach to
-// SimulateOptions.Trace.
-func NewTrace() *Trace { return trace.New() }
+// NewTrace creates an empty timeline to attach to SimulateOptions.Trace.
+func NewTrace() *Trace { return trace.NewSet() }

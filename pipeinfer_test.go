@@ -92,10 +92,11 @@ func TestFacadeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() == 0 {
+	timeline := tr.Dump("")
+	if timeline.Len() == 0 {
 		t.Fatal("trace recorded nothing")
 	}
-	if len(tr.EvalSpans()) == 0 {
+	if len(timeline.EvalSpans()) == 0 {
 		t.Fatal("no evaluation spans recorded")
 	}
 }
