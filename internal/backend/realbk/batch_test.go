@@ -530,9 +530,10 @@ func TestBatchedRowCancelServing(t *testing.T) {
 
 // TestWholePromptPrefillShipsOneLogitsRow pins what an unchunked prefill
 // costs at the last stage: the scheduler sends a prompt as one ranged
-// group of which only the final row samples, so the result frame names
-// row 8 of 9 and carries one vocab-sized logits row — bit for bit the
-// last of the nine an untagged run of the same tokens projects and ships.
+// group of which only the final row samples, so the result frame's rows
+// are row 8 of 9 and it carries one vocab-sized logits row — bit for bit
+// the last of the nine an untagged run of the same tokens projects and
+// ships.
 func TestWholePromptPrefillShipsOneLogitsRow(t *testing.T) {
 	cfg := serveModel(4)
 	m, err := model.New(cfg, 33)
@@ -559,14 +560,26 @@ func TestWholePromptPrefillShipsOneLogitsRow(t *testing.T) {
 		}
 		return out
 	}
-	total, rows, _, logits, err := batch.DecodeResult(eval(ranged), nil, nil)
+	// Framed the way the last stage's worker loop frames it.
+	frame, err := engine.ParseResult(engine.ResultPayload(engine.ResultFrame{
+		ID: 1, OK: true, Dead: ranged.DeadSessions, Rows: eval(ranged)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != n || len(rows) != 1 || rows[0] != n-1 {
-		t.Fatalf("result frame names rows %v of %d, want [%d] of %d", rows, total, n-1, n)
+	var rows []int
+	for i := range ranged.Tokens {
+		if ranged.ResultRow(i, frame.Dead) {
+			rows = append(rows, i)
+		}
 	}
-	rowBytes := 4 * cfg.VocabSize
+	if total := ranged.Len(); total != n || len(rows) != 1 || rows[0] != n-1 {
+		t.Fatalf("result frame carries rows %v of %d, want [%d] of %d", rows, total, n-1, n)
+	}
+	logits := frame.Rows
+	rowBytes := NewHead(nil, cfg.VocabSize).RowBytes()
+	if rowBytes != 4*cfg.VocabSize {
+		t.Fatalf("a result row is %d bytes, want a logits row of %d", rowBytes, 4*cfg.VocabSize)
+	}
 	if len(logits) != rowBytes {
 		t.Fatalf("result frame carries %d logits bytes, want one row of %d", len(logits), rowBytes)
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/pipeinfer/pipeinfer/internal/batch"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
@@ -43,14 +42,11 @@ type Worker struct {
 	out  tensor.Mat // logits staging for the last stage
 	enc  []byte     // encoded output payload staging
 
-	// Row staging: live (unmasked) row indices, the multi-session
-	// result-frame tags, a reusable zero row for masked slots of
-	// inter-stage payloads, and the sampling-row selection.
-	live     []int
-	rowTags  []uint16
-	sessTags []uint16
-	zeros    []byte
-	samp     []int
+	// Row staging: live (unmasked) row indices, a reusable zero row for
+	// masked slots of inter-stage payloads, and the result-row selection.
+	live  []int
+	zeros []byte
+	samp  []int
 }
 
 // NewWorker builds a stage worker over layers [lo, hi). The paged KV
@@ -75,11 +71,10 @@ func NewWorker(m *model.Model, lo, hi int, first, last bool, kv kvpage.Config) *
 // arithmetic is bit-identical to its solo run. Between stages the
 // activation payload keeps the run's full row shape (masked rows
 // zero-filled), so per-stage differences in cancellation knowledge can
-// never skew decoding. The last stage projects the sampling rows only —
-// every live row of an unranged run; of a ranged (chunked-prefill) run the
-// rows computing their range's final position, so an intermediate prompt
-// chunk never pays the vocab-sized projection — and a tagged run's logits
-// travel behind the self-describing result-frame header that names them.
+// never skew decoding. The last stage projects the result rows only
+// (RunMsg.ResultRow) — every live row of an unranged run; of a ranged
+// (chunked-prefill) run the rows computing their range's final position,
+// so an intermediate prompt chunk never pays the vocab-sized projection.
 // The per-layer hook doubles as the cancellation probe point.
 func (w *Worker) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) ([]byte, int, bool) {
 	n := run.Len()
@@ -123,18 +118,12 @@ func (w *Worker) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) (
 	enc := w.enc[:0]
 	if w.last {
 		samp := w.samp[:0]
-		rt, st := w.rowTags[:0], w.sessTags[:0]
 		for k, i := range live {
-			if run.SamplingRow(i) {
+			if run.ResultRow(i, run.DeadSessions) {
 				samp = append(samp, k)
-				rt = append(rt, uint16(i))
-				st = append(st, run.RowSession(i))
 			}
 		}
-		w.samp, w.rowTags, w.sessTags = samp, rt, st
-		if run.Batched() {
-			enc = batch.AppendResultHeader(enc, n, rt, st)
-		}
+		w.samp = samp
 		enc = encodeMatInto(enc, w.m.LogitsRowsInto(&w.out, x, samp, w.sc))
 	} else {
 		if len(w.zeros) < 4*w.m.Cfg.Dim {
@@ -203,9 +192,6 @@ type Head struct {
 	dist    tensor.Vec  // softmax staging for Propose
 	topk    []int       // TopKInto scratch
 	res     realResults // Results staging, reused across calls
-	// Batched result-frame decode scratch.
-	rowTags  []uint16
-	sessTags []uint16
 }
 
 // NewHead builds the head backend. draft may be nil for the iterative
@@ -392,64 +378,35 @@ func (h *Head) evictForSpace(keep, needed int) {
 }
 
 // Results decodes the final stage's logits, eagerly: the greedy target
-// choice for every batch row is extracted immediately so the payload
-// buffer can be released to the message pool as soon as Results returns.
+// choice for every row the frame carries is extracted immediately, indexed
+// by the row's position in the run message, so the payload buffer can be
+// released to the message pool as soon as Results returns. A row the
+// frame leaves out — masked at a stage, or a prefill chunk row that never
+// samples — is marked absent; the head has masked at least those sessions
+// itself (it issued every mask), so the serving demux never asks for one.
 // The returned value aliases head-owned staging and is valid until the
 // next Results call — every engine consumes it before awaiting another
 // result, which keeps the serving layer's accepted-token path
 // allocation-free.
-func (h *Head) Results(run *engine.RunMsg, _ []token.Token, payload []byte) engine.Results {
-	rows := run.Len()
-	if len(payload) != 4*rows*h.vocab {
-		panic(fmt.Sprintf("realbk: result payload %dB for %d rows of vocab %d",
-			len(payload), rows, h.vocab))
+func (h *Head) Results(run *engine.Run, dead uint64, rows []byte) engine.Results {
+	msg := run.Msg
+	if cap(h.res.next) < msg.Len() {
+		h.res.next = make([]token.Token, msg.Len())
 	}
-	if cap(h.res.next) < rows {
-		h.res.next = make([]token.Token, rows)
-	}
-	h.res.next = h.res.next[:rows]
-	for i := 0; i < rows; i++ {
-		h.res.next[i] = token.Token(argmaxRow(payload, i, h.vocab))
+	h.res.next = h.res.next[:msg.Len()]
+	k := 0
+	for i := range h.res.next {
+		h.res.next[i] = -1
+		if msg.ResultRow(i, dead) {
+			h.res.next[i] = token.Token(argmaxRow(rows, k, h.vocab))
+			k++
+		}
 	}
 	return &h.res
 }
 
-// BatchResults decodes a multi-session result frame (internal/batch):
-// surviving rows' logits are argmaxed eagerly into the shared staging,
-// indexed by the row's position in the original run message, so the
-// serving demux calls Next with original row indices exactly as for solo
-// runs. Rows masked out at a stage are absent from the frame; the head
-// has masked at least those rows itself (it issued every mask), so the
-// demux never asks for them.
-func (h *Head) BatchResults(run *engine.RunMsg, _ [][]token.Token, payload []byte) engine.Results {
-	total, rows, sessions, logits, err := batch.DecodeResult(payload, h.rowTags[:0], h.sessTags[:0])
-	if err != nil {
-		panic(fmt.Sprintf("realbk: bad batched result frame: %v", err))
-	}
-	h.rowTags, h.sessTags = rows[:0], sessions[:0]
-	if total != run.Len() {
-		panic(fmt.Sprintf("realbk: result frame for %d rows, run has %d", total, run.Len()))
-	}
-	if len(logits) != 4*len(rows)*h.vocab {
-		panic(fmt.Sprintf("realbk: batched result payload %dB for %d rows of vocab %d",
-			len(logits), len(rows), h.vocab))
-	}
-	if cap(h.res.next) < total {
-		h.res.next = make([]token.Token, total)
-	}
-	h.res.next = h.res.next[:total]
-	for i := range h.res.next {
-		h.res.next[i] = -1
-	}
-	for k, orig := range rows {
-		if run.RowSessions[orig] != sessions[k] {
-			panic(fmt.Sprintf("realbk: result frame row %d tagged session %d, run says %d",
-				orig, sessions[k], run.RowSessions[orig]))
-		}
-		h.res.next[orig] = token.Token(argmaxRow(logits, k, h.vocab))
-	}
-	return &h.res
-}
+// RowBytes is one logits row: vocab float32s.
+func (h *Head) RowBytes() int { return 4 * h.vocab }
 
 // MemoryBytes reports the draft model footprint: zero when the head
 // never drafts, or finished before anything made it derive its draft.
@@ -466,14 +423,14 @@ type realResults struct {
 }
 
 // Next returns the argmax of logits row i (greedy target choice). A
-// negative entry marks a batched row that was masked out at a stage and
-// never computed — asking for it is a demux bug.
+// negative entry marks a row its result frame left out — asking for it is
+// a demux bug.
 func (r *realResults) Next(i int) token.Token {
 	if i < 0 || i >= len(r.next) {
 		panic(fmt.Sprintf("realbk: result row %d of %d", i, len(r.next)))
 	}
 	if r.next[i] < 0 {
-		panic(fmt.Sprintf("realbk: result row %d was masked out of its batched run", i))
+		panic(fmt.Sprintf("realbk: result row %d is not in its result frame", i))
 	}
 	return r.next[i]
 }

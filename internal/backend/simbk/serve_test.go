@@ -445,14 +445,14 @@ func (w *specWatch) Send(dst int, tag comm.Tag, payload []byte, wire int) {
 func (w *specWatch) Recv(src int, tag comm.Tag) []byte {
 	p := w.Endpoint.Recv(src, tag)
 	if tag == comm.TagResult {
-		id, _, _, err := engine.ParseResult(p)
+		f, err := engine.ParseResult(p)
 		if err != nil {
 			panic(err)
 		}
-		for _, s := range w.riders[id] {
+		for _, s := range w.riders[f.ID] {
 			w.live[s]--
 		}
-		delete(w.riders, id)
+		delete(w.riders, f.ID)
 	}
 	return p
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/pipeinfer/pipeinfer/internal/batch"
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
@@ -35,12 +34,7 @@ type Worker struct {
 	mask   kvcache.MaskBits // reusable visibility bitset, rebuilt per run
 	meta   []kvcache.TokenMeta
 	cells  []int
-	// Batched-run staging: surviving row indices, frame tags and the
-	// encoded multi-session result frame.
-	live     []int
-	rowTags  []uint16
-	sessTags []uint16
-	enc      []byte
+	live   []int // surviving (unmasked) row indices
 }
 
 // NewWorker builds a simulated stage with a paged KV metadata cache
@@ -57,8 +51,8 @@ func NewWorker(ep comm.Endpoint, node cost.NodeSpec, ms cost.ModelSpec, layers i
 // points). KV metadata is updated exactly as the real backend would:
 // rows of a batched run are placed per owning shard, and rows masked out
 // by per-session cancellation are skipped entirely (no occupancy, no
-// charged compute). The last stage of a batched run returns the
-// multi-session result frame tagging every surviving row.
+// charged compute). The last stage's rows are virtual: it returns no bytes
+// and charges the wire for a logits row per result row.
 func (w *Worker) Eval(run *engine.RunMsg, _ []byte, cancelled func() bool) ([]byte, int, bool) {
 	live := w.live[:0]
 	for i := 0; i < run.Len(); i++ {
@@ -93,26 +87,15 @@ func (w *Worker) Eval(run *engine.RunMsg, _ []byte, cancelled func() bool) ([]by
 		}
 	}
 	if w.isLast {
-		// Result payload: logits for every surviving *sampling* batch
-		// token travel to the head. Batched runs additionally carry the
-		// frame header naming each surviving row, so the head's demux
-		// never has to guess which rows a stage masked out; ranged
-		// (chunked-prefill) runs leave intermediate chunk rows out of
-		// both the frame and the charged logits wire entirely.
-		if !run.Batched() {
-			return nil, nl * w.ms.VocabSize * 4, true
-		}
-		rt, st := w.rowTags[:0], w.sessTags[:0]
+		// Logits travel to the head for every result row: ranged
+		// (chunked-prefill) runs leave intermediate chunk rows out.
+		rows := 0
 		for _, i := range live {
-			if !run.SamplingRow(i) {
-				continue
+			if run.ResultRow(i, run.DeadSessions) {
+				rows++
 			}
-			rt = append(rt, uint16(i))
-			st = append(st, run.RowSessions[i])
 		}
-		w.rowTags, w.sessTags = rt, st
-		w.enc = batch.AppendResultHeader(w.enc[:0], run.Len(), rt, st)
-		return w.enc, len(rt)*w.ms.VocabSize*4 + len(w.enc), true
+		return nil, rows * w.ms.VocabSize * 4, true
 	}
 	return nil, w.ms.ActivationBytes(nl), true
 }
@@ -170,60 +153,33 @@ func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32) 
 	return h.O.Propose(ctx, width)
 }
 
-// Results interprets a run's (virtual) logits. ctx holds the tokens at
-// positions [0, BasePos); the per-index context is reconstructed from the
-// run's token placements, which works for chains and trees alike.
-func (h *Head) Results(run *engine.RunMsg, ctx []token.Token, _ []byte) engine.Results {
+// Results interprets a run's (virtual) logits: row i's target choice is
+// replayed from its context (run.Ctx) and the run's token placements.
+// Row-path reconstruction stays per session automatically: disjoint
+// namespaces mean a row's parent can only be an earlier row of the same
+// session.
+func (h *Head) Results(run *engine.Run, _ uint64, _ []byte) engine.Results {
 	h.ep.Elapse(cost.SampleTime)
-	return &simResults{o: h.O, run: run, prefix: ctx}
+	return &simResults{o: h.O, run: run}
 }
 
-// BatchResults interprets a multi-session batched run's result: the
-// payload is the frame the last stage emitted (validated against the run
-// — total row count and per-row session tags must agree), and ctxs[i] is
-// row i's session context, which replaces the single shared prefix of
-// Results. Row-path reconstruction stays per session automatically:
-// disjoint namespaces mean a row's parent can only be an earlier row of
-// the same session.
-func (h *Head) BatchResults(run *engine.RunMsg, ctxs [][]token.Token, payload []byte) engine.Results {
-	h.ep.Elapse(cost.SampleTime)
-	total, rows, sessions, _, err := batch.DecodeResult(payload, nil, nil)
-	if err != nil {
-		panic(fmt.Sprintf("simbk: bad batched result frame: %v", err))
-	}
-	if total != run.Len() {
-		panic(fmt.Sprintf("simbk: result frame for %d rows, run has %d", total, run.Len()))
-	}
-	for k, orig := range rows {
-		if run.RowSessions[orig] != sessions[k] {
-			panic(fmt.Sprintf("simbk: result frame row %d tagged session %d, run says %d",
-				orig, sessions[k], run.RowSessions[orig]))
-		}
-	}
-	return &simResults{o: h.O, run: run, ctxs: ctxs}
-}
+// RowBytes is zero: the simulated rows are virtual.
+func (h *Head) RowBytes() int { return 0 }
 
 // MemoryBytes reports the draft model footprint.
 func (h *Head) MemoryBytes() int64 { return int64(h.draft.Bytes()) }
 
 type simResults struct {
 	o   *oracle.Oracle
-	run *engine.RunMsg
-	// prefix is the shared context of a solo run; ctxs the per-row
-	// contexts of a batched run (exactly one of the two is used).
-	prefix []token.Token
-	ctxs   [][]token.Token
+	run *engine.Run
 }
 
 // Next reconstructs the root-to-i path through the batch (parent = the
 // unique earlier token one position up sharing a sequence) and asks the
 // oracle for the target's next token.
 func (r *simResults) Next(i int) token.Token {
-	prefix := r.prefix
-	if r.ctxs != nil {
-		prefix = r.ctxs[i]
-	}
-	toks := r.run.Tokens
+	prefix := r.run.Ctx(i)
+	toks := r.run.Msg.Tokens
 	var rev []token.Token
 	cur := i
 	for cur >= 0 {

@@ -1,9 +1,8 @@
 // Package batch is the cross-session batch composer (PR 4): it sits
 // between the serving scheduler and the engine head and coalesces several
 // sessions' compatible per-session launches — non-speculative decode
-// steps, and same-depth speculative steps — into one multi-row pipeline
-// run, then demultiplexes the per-row results and acceptances back to
-// each session's state machine.
+// steps, same-depth speculative steps, prefill chunks — into one multi-row
+// pipeline run.
 //
 // PipeInfer keeps the pipeline saturated with asynchronous speculation;
 // at high session counts the binding constraint becomes per-run overhead
@@ -14,27 +13,22 @@
 // sets keep attention per-session-isolated, so batched output is
 // bit-identical to the unbatched schedule.
 //
-// # Pieces
+// The Composer stages per-session rows and composes them into one
+// engine.RunMsg — wire format v3, with per-row (session, seq-set,
+// position) tags, once there is something to tag: one session's unranged
+// rows compose to the plain untagged message, so batching never changes
+// the wire format until it actually coalesces. Every serving run is built
+// here; a solo run is the one-group case (engine.RunMsg.Groups / GroupOf
+// walk either shape's row groups).
 //
-//   - Composer: stages per-session rows and composes them into one
-//     engine.RunMsg — wire format v3, with per-row (session, seq-set,
-//     position) tags, once there is something to tag: one session's
-//     unranged rows compose to the plain untagged message, so batching
-//     never changes the wire format until it actually coalesces. Every
-//     serving run is built here; a solo run is the one-group case.
-//     (engine.RunMsg.Groups / GroupOf walk either shape's row groups.)
-//   - The multi-session result frame (AppendResultHeader /
-//     DecodeResult): because stages may surgically mask cancelled
-//     sessions' rows out of an in-flight batch, the last stage's result
-//     payload is self-describing — it tags every surviving row with its
-//     original row index and session before the per-row payload. The
-//     codec is fuzz-covered (FuzzDecodeBatchResult) and allocation-free
-//     on the decode path given caller scratch.
+// Every run, composed or not, is answered in the engine's one result frame
+// (engine.ResultFrame). Its rows follow from the run message and the
+// session mask the last stage reports (engine.RunMsg.ResultRow), so it
+// needs no per-row tags; the scheduler demultiplexes them back to each
+// session's state machine group by group.
 package batch
 
 import (
-	"fmt"
-
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/token"
@@ -96,7 +90,7 @@ func (c *Composer) Rows() int { return len(c.rows) }
 //
 // One session's unranged group composes to the plain untagged message —
 // Session names the owner, no per-row tags — which stages evaluate on
-// their plain path and answer with the plain result frame. Anything else
+// their plain path. Anything else
 // (several sessions, or any ranged row: ranges describe row groups and
 // travel only with tags) is a wire-format-v3 tagged run.
 //
@@ -155,72 +149,4 @@ func (c *Composer) ComposeInto(msg *engine.RunMsg, kind engine.RunKind, ctxs [][
 	}
 	c.Reset()
 	return ctxs
-}
-
-// --- multi-session result frame ---
-//
-// Frame layout (little endian):
-//
-//	u16 total  — rows in the original run message
-//	u16 live   — surviving rows in this frame
-//	live × { u16 row, u16 session }   — row strictly increasing, < total
-//	payload    — live × per-row result bytes (backend-defined; may be 0)
-
-// HeaderSize returns the frame header size for live surviving rows.
-func HeaderSize(live int) int { return 4 + 4*live }
-
-// AppendResultHeader appends a batched-result frame header to dst: the
-// original run's row count, then one (original row index, session) tag
-// per surviving row. The caller appends the per-row payload afterwards.
-// rows must be strictly increasing original indices below total.
-func AppendResultHeader(dst []byte, total int, rows, sessions []uint16) []byte {
-	if len(rows) != len(sessions) {
-		panic(fmt.Sprintf("batch: %d row tags, %d session tags", len(rows), len(sessions)))
-	}
-	dst = append(dst, byte(total), byte(total>>8))
-	dst = append(dst, byte(len(rows)), byte(len(rows)>>8))
-	for i, r := range rows {
-		dst = append(dst, byte(r), byte(r>>8))
-		dst = append(dst, byte(sessions[i]), byte(sessions[i]>>8))
-	}
-	return dst
-}
-
-// DecodeResult parses a batched-result frame, appending the surviving
-// rows' original indices and sessions into the caller-provided scratch
-// slices (typically scratch[:0] — the allocation-free decode the serving
-// hot path uses). payload aliases buf; it holds the surviving rows'
-// result bytes. A malformed frame yields an error, never a panic.
-func DecodeResult(buf []byte, rowsDst, sessDst []uint16) (total int, rows, sessions []uint16, payload []byte, err error) {
-	if len(buf) < 4 {
-		return 0, nil, nil, nil, fmt.Errorf("batch: result frame too short (%d bytes)", len(buf))
-	}
-	total = int(buf[0]) | int(buf[1])<<8
-	live := int(buf[2]) | int(buf[3])<<8
-	if live > total {
-		return 0, nil, nil, nil, fmt.Errorf("batch: result frame lists %d live rows of %d total", live, total)
-	}
-	if len(buf) < HeaderSize(live) {
-		return 0, nil, nil, nil, fmt.Errorf("batch: result frame truncated: %d live rows need %d bytes, have %d",
-			live, HeaderSize(live), len(buf))
-	}
-	rows, sessions = rowsDst, sessDst
-	off := 4
-	prev := -1
-	for i := 0; i < live; i++ {
-		r := int(buf[off]) | int(buf[off+1])<<8
-		s := uint16(buf[off+2]) | uint16(buf[off+3])<<8
-		if r <= prev || r >= total {
-			return 0, nil, nil, nil, fmt.Errorf("batch: result frame row %d out of order or range (prev %d, total %d)",
-				r, prev, total)
-		}
-		if s >= kvcache.MaxSeqs {
-			return 0, nil, nil, nil, fmt.Errorf("batch: result frame session %d out of range", s)
-		}
-		prev = r
-		rows = append(rows, uint16(r))
-		sessions = append(sessions, s)
-		off += 4
-	}
-	return total, rows, sessions, buf[off:], nil
 }

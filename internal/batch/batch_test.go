@@ -185,68 +185,34 @@ func TestComposeOneGroup(t *testing.T) {
 	}
 }
 
-// TestResultFrameRoundTrip checks the multi-session result frame codec on
-// a representative frame, including the payload pass-through.
+// TestResultFrameRoundTrip checks a composed multi-session run against the
+// engine's result frame: with one session masked at the last stage, the
+// frame round-trips, and the rows it carries — named by the run message
+// and the mask, with no tags of their own — are the surviving rows in row
+// order, each with its session, the payload passed through.
 func TestResultFrameRoundTrip(t *testing.T) {
-	payload := []byte{0xaa, 0xbb, 0xcc, 0xdd}
-	enc := AppendResultHeader(nil, 4, []uint16{0, 2, 3}, []uint16{8, 1, 63})
-	enc = append(enc, payload...)
-	total, rows, sessions, got, err := DecodeResult(enc, nil, nil)
+	var c Composer
+	for i, s := range []uint16{8, 5, 1, 63} {
+		c.Stage(Row{Session: s, Tok: token.Token(10 + i), Pos: int32(i), Seqs: kvcache.NewSeqSet(kvcache.SeqID(i))})
+	}
+	msg := &engine.RunMsg{}
+	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
+	payload := []byte{0xaa, 0xbb, 0xcc}
+	f, err := engine.ParseResult(engine.ResultPayload(engine.ResultFrame{ID: 3, OK: true, Dead: 1 << 5, Rows: payload}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 4 || len(rows) != 3 || rows[1] != 2 || sessions[2] != 63 {
-		t.Fatalf("decoded total=%d rows=%v sessions=%v", total, rows, sessions)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload %x, want %x", got, payload)
-	}
-	// Malformed frames error out, never panic.
-	for _, bad := range [][]byte{
-		nil,
-		{1, 0},
-		AppendResultHeader(nil, 1, []uint16{0, 0}, []uint16{0, 0}),     // duplicate row
-		AppendResultHeader(nil, 1, []uint16{1}, []uint16{0}),           // row >= total
-		AppendResultHeader(nil, 2, []uint16{0}, []uint16{64}),          // session out of range
-		AppendResultHeader(nil, 3, []uint16{0, 1}, []uint16{0, 0})[:6], // truncated tags
-	} {
-		if _, _, _, _, err := DecodeResult(bad, nil, nil); err == nil {
-			t.Fatalf("malformed frame %x accepted", bad)
+	var rows, sessions []int
+	for i := range msg.Tokens {
+		if msg.ResultRow(i, f.Dead) {
+			rows = append(rows, i)
+			sessions = append(sessions, int(msg.RowSession(i)))
 		}
 	}
-}
-
-// FuzzDecodeBatchResult feeds arbitrary bytes to the result-frame
-// decoder: it must never panic, and whatever it accepts must re-encode to
-// exactly the bytes it consumed (encode∘decode identity, payload
-// included).
-func FuzzDecodeBatchResult(f *testing.F) {
-	seed := AppendResultHeader(nil, 4, []uint16{0, 2, 3}, []uint16{8, 1, 63})
-	seed = append(seed, 0xde, 0xad, 0xbe, 0xef)
-	f.Add(seed)
-	f.Add(AppendResultHeader(nil, 0, nil, nil))
-	f.Add(AppendResultHeader(nil, 16, []uint16{5}, []uint16{0}))
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		total, rows, sessions, payload, err := DecodeResult(data, nil, nil)
-		if err != nil {
-			return
-		}
-		enc := AppendResultHeader(nil, total, rows, sessions)
-		enc = append(enc, payload...)
-		if !bytes.Equal(enc, data) {
-			t.Fatalf("re-encoding differs:\n got %x\nwant %x", enc, data)
-		}
-		// Decoding into scratch must append, not clobber.
-		scratchR := make([]uint16, 1, 1+len(rows))
-		scratchS := make([]uint16, 1, 1+len(sessions))
-		_, r2, s2, _, err := DecodeResult(data, scratchR, scratchS)
-		if err != nil {
-			t.Fatalf("re-decoding failed: %v", err)
-		}
-		if len(r2) != 1+len(rows) || len(s2) != 1+len(sessions) {
-			t.Fatalf("scratch decode clobbered: %v %v", r2, s2)
-		}
-	})
+	if msg.Len() != 4 || !slices.Equal(rows, []int{0, 2, 3}) || !slices.Equal(sessions, []int{8, 1, 63}) {
+		t.Fatalf("frame of %d rows carries rows %v of sessions %v", msg.Len(), rows, sessions)
+	}
+	if !bytes.Equal(f.Rows, payload) {
+		t.Fatalf("payload %x, want %x", f.Rows, payload)
+	}
 }

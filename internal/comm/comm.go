@@ -43,6 +43,14 @@ const (
 	NumTags
 )
 
+// WireVersion names the payload formats every rank of one cluster must
+// share: the engine's run, activation, result and cancel messages. A
+// transport between processes refuses a peer of another version when it
+// connects (tcpcomm's hello) instead of decoding frames it does not know.
+// Bump it with any change to those formats; version 0 is a peer from
+// before versions existed.
+const WireVersion = 1
+
 // String names the tag for traces.
 func (t Tag) String() string {
 	switch t {

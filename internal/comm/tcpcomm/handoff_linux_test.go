@@ -57,7 +57,7 @@ func TestSendReachesPeerWhileSenderRuns(t *testing.T) {
 		t.Fatal("rank 0 never dialled")
 	}
 	defer peer.Close()
-	var hello [4]byte
+	var hello [helloSize]byte
 	if _, err := io.ReadFull(peer, hello[:]); err != nil {
 		t.Fatal(err)
 	}

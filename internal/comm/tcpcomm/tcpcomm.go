@@ -68,7 +68,37 @@ const frameHeader = 4 + 1 + 4 + 4
 // space and never reaches the stream queues.
 const heartbeatTag = 0xFF
 
-// handshake: u32 rank, sent once by the dialing side.
+// The hello is the dialing side's first word on every connection, at mesh
+// establishment and at reconnection alike: a little-endian u32 carrying
+// the dialer's rank in the low 16 bits and its comm.WireVersion beside it
+// in the high 16. The accepting side refuses a peer of another version, so
+// a peer from before versions existed — whose hello is its bare rank —
+// reads as version 0 and is refused too.
+const helloSize = 4
+
+func hello(rank int) []byte {
+	return binary.LittleEndian.AppendUint32(nil, uint32(comm.WireVersion)<<16|uint32(rank))
+}
+
+// readHello reads a dialing peer's hello.
+func readHello(conn net.Conn) (rank int, version uint32, err error) {
+	var b [helloSize]byte
+	if _, err := io.ReadFull(conn, b[:]); err != nil {
+		return 0, 0, err
+	}
+	w := binary.LittleEndian.Uint32(b[:])
+	return int(w & 0xffff), w >> 16, nil
+}
+
+// checkVersion refuses, on behalf of rank self, a peer whose hello names
+// another wire version.
+func checkVersion(self, peer int, version uint32) error {
+	if version != comm.WireVersion {
+		return fmt.Errorf("tcpcomm: rank %d refuses rank %d: it speaks wire version %d, this build speaks %d",
+			self, peer, version, comm.WireVersion)
+	}
+	return nil
+}
 
 // Config describes one rank's view of the cluster.
 type Config struct {
@@ -189,8 +219,8 @@ func (o *outbound) drop() {
 // dials ranks > i, so every pair connects exactly once.
 func Dial(cfg Config) (*Endpoint, error) {
 	n := len(cfg.Addrs)
-	if cfg.Rank < 0 || cfg.Rank >= n {
-		return nil, fmt.Errorf("tcpcomm: rank %d outside cluster of %d", cfg.Rank, n)
+	if cfg.Rank < 0 || cfg.Rank >= n || n > 1<<16 {
+		return nil, fmt.Errorf("tcpcomm: rank %d outside cluster of %d (at most 65536 ranks)", cfg.Rank, n)
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 30 * time.Second
@@ -237,14 +267,16 @@ func Dial(cfg Config) (*Endpoint, error) {
 				acceptErr <- err
 				return
 			}
-			var hello [4]byte
-			if _, err := io.ReadFull(conn, hello[:]); err != nil {
-				acceptErr <- err
-				return
+			src, version, err := readHello(conn)
+			if err == nil && src >= cfg.Rank {
+				err = fmt.Errorf("tcpcomm: bad hello rank %d", src)
 			}
-			src := int(binary.LittleEndian.Uint32(hello[:]))
-			if src < 0 || src >= n || src >= cfg.Rank {
-				acceptErr <- fmt.Errorf("tcpcomm: bad hello rank %d", src)
+			if err == nil {
+				err = checkVersion(cfg.Rank, src, version)
+			}
+			if err != nil {
+				conn.Close()
+				acceptErr <- err
 				return
 			}
 			e.conns[src] = conn
@@ -300,9 +332,7 @@ func (e *Endpoint) dialPeer(peer int, deadline time.Time) (net.Conn, error) {
 	for {
 		conn, err := net.DialTimeout("tcp", e.cfg.Addrs[peer], time.Second)
 		if err == nil {
-			var hello [4]byte
-			binary.LittleEndian.PutUint32(hello[:], uint32(e.rank))
-			if _, werr := conn.Write(hello[:]); werr != nil {
+			if _, werr := conn.Write(hello(e.rank)); werr != nil {
 				conn.Close()
 				err = werr
 			} else {
@@ -328,7 +358,9 @@ func (e *Endpoint) dialPeer(peer int, deadline time.Time) (net.Conn, error) {
 
 // acceptLoop re-accepts reconnections for the endpoint's lifetime: a
 // dialing peer's hello identifies which broken link the fresh connection
-// repairs, and reconnect() on that link picks it up.
+// repairs, and reconnect() on that link picks it up. A cluster rank that
+// comes back speaking another wire version can never repair its link, so
+// refusing it fails the endpoint with the error naming both versions.
 func (e *Endpoint) acceptLoop() {
 	for {
 		conn, err := e.listener.Accept()
@@ -337,15 +369,15 @@ func (e *Endpoint) acceptLoop() {
 		}
 		go func(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			var hello [4]byte
-			if _, err := io.ReadFull(conn, hello[:]); err != nil {
+			src, version, err := readHello(conn)
+			if err != nil || src >= e.size || src == e.rank {
 				conn.Close()
 				return
 			}
 			conn.SetReadDeadline(time.Time{})
-			src := int(binary.LittleEndian.Uint32(hello[:]))
-			if src < 0 || src >= e.size || src == e.rank {
+			if err := checkVersion(e.rank, src, version); err != nil {
 				conn.Close()
+				e.fail(err)
 				return
 			}
 			select {

@@ -2,9 +2,12 @@ package tcpcomm
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -310,6 +313,79 @@ func TestDialErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("dial to absent peer should time out")
 	}
+}
+
+// helloFrom dials addr, retrying while nothing listens there yet, and
+// sends the hello of rank speaking wire version, built by hand.
+func helloFrom(t *testing.T, addr string, rank int, version uint32) net.Conn {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err == nil {
+			if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, version<<16|uint32(rank))); err != nil {
+				t.Fatal(err)
+			}
+			return conn
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// refused checks that the accepting side closed conn, and that err names
+// the peer's wire version and this build's.
+func refused(t *testing.T, conn net.Conn, err error, version uint32) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, rerr := conn.Read(make([]byte, 1)); rerr == nil || errors.Is(rerr, os.ErrDeadlineExceeded) {
+		t.Fatalf("the refused connection is still open (read: %v)", rerr)
+	}
+	conn.Close()
+	want := fmt.Sprintf("speaks wire version %d, this build speaks %d", version, comm.WireVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusing wire version %d: got %v, want an error containing %q", version, err, want)
+	}
+}
+
+// TestDialRefusesOtherWireVersion poses as rank 0 dialling rank 1 while
+// the mesh forms, with the hello of another wire version — a newer one,
+// and a peer from before versions existed, whose hello is its bare rank —
+// and checks rank 1's Dial refuses it with an error naming both versions.
+func TestDialRefusesOtherWireVersion(t *testing.T) {
+	for _, v := range []uint32{0, comm.WireVersion + 1} {
+		addrs, err := FreeAddrs(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			ep, err := Dial(Config{Rank: 1, Addrs: addrs, DialTimeout: 10 * time.Second})
+			if ep != nil {
+				ep.Close()
+			}
+			errc <- err
+		}()
+		conn := helloFrom(t, addrs[1], 0, v)
+		refused(t, conn, <-errc, v)
+	}
+}
+
+// TestReacceptRefusesOtherWireVersion is the same refusal on the
+// reconnection path: with the mesh up, a connection to rank 1's listener
+// that claims to be rank 0 repairing its link, in another wire version,
+// is closed, and rank 1's endpoint fails with the error naming both.
+func TestReacceptRefusesOtherWireVersion(t *testing.T) {
+	eps := meshFT(t, 2, 0)
+	v := uint32(comm.WireVersion + 1)
+	conn := helloFrom(t, eps[1].cfg.Addrs[1], 0, v)
+	deadline := time.Now().Add(5 * time.Second)
+	for eps[1].Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	refused(t, conn, eps[1].Err(), v)
 }
 
 // flakyConn injects one failed direct write on a link's write side. The

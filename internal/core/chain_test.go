@@ -28,8 +28,9 @@ func (d *drafter) Propose(ctx []token.Token, _ int) ([]token.Token, []float32) {
 	}
 	return []token.Token{ctx[len(ctx)-1] + 1}, []float32{p}
 }
-func (*drafter) Results(*engine.RunMsg, []token.Token, []byte) engine.Results { return nil }
-func (*drafter) MemoryBytes() int64                                           { return 0 }
+func (*drafter) Results(*engine.Run, uint64, []byte) engine.Results { return nil }
+func (*drafter) RowBytes() int                                      { return 0 }
+func (*drafter) MemoryBytes() int64                                 { return 0 }
 
 // target is a result payload: the target model's choice after each row.
 type target []token.Token

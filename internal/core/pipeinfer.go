@@ -114,7 +114,7 @@ func (p *PipeInfer) launchNonSpec() {
 			Seqs: kvcache.NewSeqSet(kvcache.Canonical),
 		}},
 	}
-	p.h.Launch(msg, snapshot(p.Accepted[:a-1]), nil)
+	p.h.Launch(msg, [][]token.Token{snapshot(p.Accepted[:a-1])}, nil)
 }
 
 // trySpeculate drafts one micro-batch (§IV-B.1) extending the current
@@ -139,7 +139,7 @@ func (p *PipeInfer) trySpeculate() bool {
 		places[i] = engine.TokenPlace{Tok: t, Pos: int32(base + i), Seqs: kvcache.NewSeqSet(seq)}
 	}
 	msg := &engine.RunMsg{Kind: engine.KindSpec, Seq: seq, Tokens: places, KVOps: p.ShareOps(nil, seq)}
-	run := p.h.Launch(msg, p.Frontier(make([]token.Token, 0, base)), []kvcache.SeqID{seq})
+	run := p.h.Launch(msg, [][]token.Token{p.Frontier(make([]token.Token, 0, base))}, []kvcache.SeqID{seq})
 	p.Launched(&p.h.CFG, p.toks, seq, run.Msg.ID)
 	p.h.Stats.Proposed.Add(int64(len(p.toks)))
 	return true

@@ -106,7 +106,9 @@ type RunMsg struct {
 	// its own view from the row-masked cancellation signals it has
 	// received by the time it evaluates the run — so per-stage views may
 	// lag, which is safe because masked rows' sequences are always
-	// cleaned up namespace-wide afterwards.
+	// cleaned up namespace-wide afterwards. The last stage's view travels
+	// back in its result frame (ResultFrame.Dead), naming the rows the
+	// frame leaves out.
 	DeadSessions uint64
 }
 
@@ -185,9 +187,22 @@ func (r *RunMsg) GroupOf(slot uint16) (lo, hi int) {
 
 // RowDead reports whether token row i has been masked out of the run by
 // per-session cancellation.
-func (r *RunMsg) RowDead(i int) bool {
+func (r *RunMsg) RowDead(i int) bool { return r.rowIn(i, r.DeadSessions) }
+
+// ResultRow reports whether token row i travels in the run's result frame
+// when the last stage has masked out the sessions in dead: it does iff it
+// samples (SamplingRow) and its session is not in dead. This is the one
+// definition of a frame's rows — the last stage projects and ships exactly
+// these, in row order, under its own DeadSessions, and the head decodes
+// the same set under the mask the frame carries.
+func (r *RunMsg) ResultRow(i int, dead uint64) bool {
+	return r.SamplingRow(i) && !r.rowIn(i, dead)
+}
+
+// rowIn reports whether token row i's session is in the session mask.
+func (r *RunMsg) rowIn(i int, mask uint64) bool {
 	s := r.RowSession(i)
-	return s < 64 && r.DeadSessions&(1<<s) != 0
+	return s < 64 && mask&(1<<s) != 0
 }
 
 // AllDead reports whether every row of the run is masked out.
@@ -386,15 +401,6 @@ type CancelSig struct {
 // cancelSigBytes is the fixed wire size of one cancellation entry.
 const cancelSigBytes = 12
 
-// EncodeCancel packs run IDs into whole-run cancellation signal entries.
-func EncodeCancel(ids []uint32) []byte {
-	buf := make([]byte, 0, cancelSigBytes*len(ids))
-	for _, id := range ids {
-		buf = appendCancelSig(buf, CancelSig{ID: id})
-	}
-	return buf
-}
-
 // EncodeCancelSigs packs cancellation entries (whole-run or row-masked).
 func EncodeCancelSigs(sigs []CancelSig) []byte {
 	buf := make([]byte, 0, cancelSigBytes*len(sigs))
@@ -409,8 +415,8 @@ func appendCancelSig(buf []byte, s CancelSig) []byte {
 	return appendU64(buf, s.Sessions)
 }
 
-// DecodeCancel reverses EncodeCancel/EncodeCancelSigs, ignoring a
-// trailing partial entry.
+// DecodeCancel reverses EncodeCancelSigs, ignoring a trailing partial
+// entry.
 func DecodeCancel(buf []byte) []CancelSig {
 	sigs := make([]CancelSig, 0, len(buf)/cancelSigBytes)
 	for off := 0; off+cancelSigBytes <= len(buf); off += cancelSigBytes {
@@ -429,15 +435,18 @@ type Worker interface {
 	// chunks (§IV-D.2 probe points); when it returns true the evaluation
 	// stops immediately and Eval returns (nil, 0, false).
 	//
-	// On completion it returns the payload to forward downstream (an
-	// activation, or the result payload if this is the last stage) plus
-	// the wire size to charge the interconnect.
+	// On completion it returns the payload to forward downstream plus the
+	// wire size to charge the interconnect. That is an activation, or —
+	// at the last stage — the result rows alone: the bytes of each row
+	// run.ResultRow(i, run.DeadSessions) selects, back to back in row
+	// order. The worker loop frames them (ResultFrame); a worker never
+	// writes a result header.
 	//
 	// Buffer ownership: input is only read during the call — the worker
 	// must copy anything it needs afterwards. The returned payload may
 	// alias worker-owned staging storage and is only valid until the
-	// worker's next Eval call; callers frame or copy it (DataPayload)
-	// before evaluating another run.
+	// worker's next Eval call; callers frame or copy it (DataPayload,
+	// ResultPayload) before evaluating another run.
 	Eval(run *RunMsg, input []byte, cancelled func() bool) (out []byte, wire int, ok bool)
 	// ApplyKV applies pipelined cache operations in transaction order.
 	ApplyKV(ops []kvcache.Op)
@@ -452,18 +461,6 @@ type Results interface {
 	Next(i int) token.Token
 }
 
-// BatchResultsBackend is optionally implemented by head backends that
-// interpret multi-session batched result frames (internal/batch codec):
-// the last stage of a batched run emits a self-describing frame tagging
-// every surviving row with its original index and session, because stages
-// may have masked cancelled sessions' rows out en route. ctxs, when
-// non-nil, holds each original row's session context (the batched
-// counterpart of the ctx argument of Results); context-free backends
-// ignore it.
-type BatchResultsBackend interface {
-	BatchResults(run *RunMsg, ctxs [][]token.Token, payload []byte) Results
-}
-
 // HeadBackend is the head node's compute: the draft model plus result
 // interpretation. Drafting must consume time (wall time for the real
 // drafter, virtual time for the simulated one).
@@ -471,10 +468,17 @@ type HeadBackend interface {
 	// Propose returns up to width draft continuations of ctx with
 	// confidences in descending order (spec.Proposer contract).
 	Propose(ctx []token.Token, width int) ([]token.Token, []float32)
-	// Results parses a result payload for the given run. ctx is the full
-	// token sequence up to and including the run's input tokens, which
-	// the simulated backend uses to reproduce target choices.
-	Results(run *RunMsg, ctx []token.Token, payload []byte) Results
+	// Results interprets a completed run's result frame, which the head
+	// has already checked against the run: rows holds RowBytes bytes for
+	// each row run.Msg.ResultRow(i, dead) selects — dead being the
+	// sessions the last stage had masked out — back to back in row order.
+	// Row i's context, which the simulated backend uses to reproduce
+	// target choices, is run.Ctx(i).
+	Results(run *Run, dead uint64, rows []byte) Results
+	// RowBytes is the size of one result row on the wire: a vocab-sized
+	// logits row for the real backend, zero for one whose rows are
+	// virtual.
+	RowBytes() int
 	// MemoryBytes reports the head's resident footprint (draft model).
 	MemoryBytes() int64
 }

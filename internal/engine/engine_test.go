@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -108,8 +109,8 @@ func TestDecodeRunMsgErrors(t *testing.T) {
 }
 
 func TestCancelCodec(t *testing.T) {
-	ids := []uint32{1, 1 << 20, 0xFFFFFFFF}
-	dec := DecodeCancel(EncodeCancel(ids))
+	// Whole-run cancels are mask 0.
+	dec := DecodeCancel(EncodeCancelSigs([]CancelSig{{ID: 1}, {ID: 1 << 20}, {ID: 0xFFFFFFFF}}))
 	if len(dec) != 3 || dec[0].ID != 1 || dec[2].ID != 0xFFFFFFFF {
 		t.Fatalf("cancel roundtrip: %v", dec)
 	}
@@ -304,6 +305,52 @@ func TestPayloadFraming(t *testing.T) {
 	}
 	if _, ok := PayloadData(nil); ok {
 		t.Fatal("nil payload has data")
+	}
+}
+
+// TestResultFrameCodec pins the result frame's bytes: a run nobody masked
+// ships marker | ID | rows exactly as before masks existed, a masked one
+// carries its mask behind its own marker, an empty marker is the header
+// alone — each parsing back to itself — and malformed frames error out,
+// never panic.
+func TestResultFrameCodec(t *testing.T) {
+	rows := []byte{0xaa, 0xbb, 0xcc, 0xdd}
+	for _, tc := range []struct {
+		f    ResultFrame
+		want []byte
+	}{
+		{ResultFrame{ID: 0x01020304, OK: true, Rows: rows}, []byte{1, 4, 3, 2, 1, 0xaa, 0xbb, 0xcc, 0xdd}},
+		{ResultFrame{ID: 7, OK: true, Dead: 1<<63 | 1<<8, Rows: rows},
+			[]byte{2, 7, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0x80, 0xaa, 0xbb, 0xcc, 0xdd}},
+		{ResultFrame{ID: 9, OK: true, Dead: 1}, []byte{2, 9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}},
+		{ResultFrame{ID: 9}, []byte{0, 9, 0, 0, 0}},
+	} {
+		enc := ResultPayload(tc.f)
+		if !bytes.Equal(enc, tc.want) {
+			t.Fatalf("%+v encodes to %x, want %x", tc.f, enc, tc.want)
+		}
+		if got := tc.f.headerLen() + len(tc.f.Rows); got != len(enc) {
+			t.Fatalf("%+v: header %d + rows %d != %d bytes", tc.f, tc.f.headerLen(), len(tc.f.Rows), len(enc))
+		}
+		got, err := ParseResult(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != tc.f.ID || got.OK != tc.f.OK || got.Dead != tc.f.Dead || !bytes.Equal(got.Rows, tc.f.Rows) {
+			t.Fatalf("parsed %+v, want %+v", got, tc.f)
+		}
+	}
+	for _, bad := range [][]byte{
+		nil,
+		{1, 0},
+		{0, 1, 0, 0, 0, 0xaa},                // empty marker with rows
+		{3, 1, 0, 0, 0},                      // unknown marker
+		{2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // truncated mask
+		{2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xaa}, // zero mask
+	} {
+		if _, err := ParseResult(bad); err == nil {
+			t.Fatalf("malformed frame %x accepted", bad)
+		}
 	}
 }
 

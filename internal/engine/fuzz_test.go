@@ -125,8 +125,8 @@ func FuzzDecodeRunMsg(f *testing.F) {
 // groups (run ID plus session-row mask).
 func FuzzDecodeCancel(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeCancel([]uint32{1}))
-	f.Add(EncodeCancel([]uint32{7, 0xdeadbeef, 0, 1 << 30}))
+	f.Add(EncodeCancelSigs([]CancelSig{{ID: 1}}))
+	f.Add(EncodeCancelSigs([]CancelSig{{ID: 7}, {ID: 0xdeadbeef}, {ID: 0}, {ID: 1 << 30}}))
 	f.Add(EncodeCancelSigs([]CancelSig{{ID: 12, Sessions: 1 << 63}, {ID: 13, Sessions: 5}}))
 	f.Add([]byte{1, 2, 3}) // trailing partial group
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -137,6 +137,31 @@ func FuzzDecodeCancel(f *testing.F) {
 		enc := EncodeCancelSigs(sigs)
 		if !bytes.Equal(enc, data[:cancelSigBytes*len(sigs)]) {
 			t.Fatalf("re-encoding differs: %x vs %x", enc, data[:cancelSigBytes*len(sigs)])
+		}
+	})
+}
+
+// FuzzResultFrame checks the result-frame codec: no panic on any input,
+// and whatever ParseResult accepts, ResultPayload writes back byte for byte
+// — encode∘parse is the identity, masked or not — while an empty marker
+// carries neither mask nor rows.
+func FuzzResultFrame(f *testing.F) {
+	rows := []byte{0xde, 0xad, 0xbe, 0xef}
+	f.Add(ResultPayload(ResultFrame{ID: 4, OK: true, Rows: rows}))
+	f.Add(ResultPayload(ResultFrame{ID: 0xdeadbeef, OK: true, Dead: 1<<63 | 5, Rows: rows}))
+	f.Add(ResultPayload(ResultFrame{ID: 16}))
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // zero mask
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := ParseResult(data)
+		if err != nil {
+			return
+		}
+		if !fr.OK && (fr.Dead != 0 || fr.Rows != nil) {
+			t.Fatalf("empty marker parsed with a mask or rows: %+v", fr)
+		}
+		if enc := ResultPayload(fr); !bytes.Equal(enc, data) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", enc, data)
 		}
 	})
 }

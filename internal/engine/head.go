@@ -16,19 +16,17 @@ import (
 // structure ... placed in a FIFO queue").
 type Run struct {
 	Msg *RunMsg
-	// Ctx is the full token sequence up to and including the run's input
-	// tokens along its path (used for simulated result interpretation and
-	// invalidation checks).
-	Ctx       []token.Token
+	// Ctxs holds the token contexts the run's rows extend — the accepted
+	// sequence before the row's own chain — for backends that interpret
+	// results from context (the simulated one): one per row (rows of one
+	// session share a slice), one that every row shares, or none. Read it
+	// through Ctx.
+	Ctxs      [][]token.Token
 	Cancelled bool
 	// Seqs are the sequence partitions this run holds; freed and cleaned
 	// when the run completes. For batched runs they span several sessions'
 	// namespaces — each id is returned to the namespace that owns it.
 	Seqs []kvcache.SeqID
-	// Ctxs, for multi-session batched runs on context-carrying backends,
-	// holds each token row's session context (Ctx is nil then). Rows of
-	// one session share the same slice.
-	Ctxs [][]token.Token
 	// Deadline, when > 0, is the node-local time by which the run's result
 	// must arrive before the serving watchdog declares it failed. Set by
 	// the scheduler at launch from the CostEMA service-time fit.
@@ -38,6 +36,18 @@ type Run struct {
 	// scheduler had already cancelled produces an expected-missing result
 	// and needs cleanup only, not session recovery.
 	FailedLive bool
+}
+
+// Ctx returns the context token row i extends (nil when the run carries
+// none).
+func (r *Run) Ctx(i int) []token.Token {
+	switch len(r.Ctxs) {
+	case 0:
+		return nil
+	case 1:
+		return r.Ctxs[0]
+	}
+	return r.Ctxs[i]
 }
 
 // Head drives the pipeline from rank 0: launching runs, shipping KV
@@ -52,7 +62,6 @@ type Head struct {
 	Local Worker
 
 	nextID   uint32
-	batchBK  BatchResultsBackend // BK's batched-frame view, nil if unsupported
 	inflight ring[*Run]
 	// localResults queues results produced entirely locally (single-node
 	// topology), preserving FIFO semantics without comm.
@@ -99,9 +108,7 @@ func NewHead(ep comm.Endpoint, topo Topology, cfg Config, bk HeadBackend, local 
 	if !topo.HeadIsStage() && local != nil {
 		return nil, fmt.Errorf("engine: inline worker given but head is not a stage")
 	}
-	h := &Head{EP: ep, Topo: topo, CFG: cfg.Defaults(), BK: bk, Local: local}
-	h.batchBK, _ = bk.(BatchResultsBackend)
-	return h, nil
+	return &Head{EP: ep, Topo: topo, CFG: cfg.Defaults(), BK: bk, Local: local}, nil
 }
 
 // record notes one head event on the timeline at the endpoint's clock,
@@ -172,9 +179,10 @@ func DistinctSessions(msg *RunMsg) int {
 }
 
 // Launch assigns an ID, evaluates the head's inline stage if present, and
-// sends the run down the pipeline. It returns the tracking record.
-func (h *Head) Launch(msg *RunMsg, ctx []token.Token, seqs []kvcache.SeqID) *Run {
-	run := h.launch(msg, ctx, seqs)
+// sends the run down the pipeline. ctxs are the rows' contexts (see
+// Run.Ctxs). It returns the tracking record.
+func (h *Head) Launch(msg *RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *Run {
+	run := h.launch(msg, ctxs, seqs)
 	if f := h.AfterFirstLaunch; f != nil {
 		h.AfterFirstLaunch = nil
 		f()
@@ -182,12 +190,12 @@ func (h *Head) Launch(msg *RunMsg, ctx []token.Token, seqs []kvcache.SeqID) *Run
 	return run
 }
 
-func (h *Head) launch(msg *RunMsg, ctx []token.Token, seqs []kvcache.SeqID) *Run {
+func (h *Head) launch(msg *RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *Run {
 	h.nextID++
 	msg.ID = h.nextID
 	msg.DeadSessions = 0
 	run := h.newRun()
-	run.Msg, run.Ctx, run.Seqs = msg, ctx, seqs
+	run.Msg, run.Ctxs, run.Seqs = msg, ctxs, seqs
 	h.inflight.push(run)
 	h.adjustSessInflight(msg, 1)
 	h.Stats.RunsLaunched.Add(1)
@@ -204,13 +212,7 @@ func (h *Head) launch(msg *RunMsg, ctx []token.Token, seqs []kvcache.SeqID) *Run
 		if next < 0 {
 			// Single-node: the inline stage is the whole pipeline. The
 			// pooled result frame is released when AwaitResult consumes it.
-			var payload []byte
-			if ok {
-				payload = ResultPayload(msg.ID, out)
-			} else {
-				payload = EmptyResultPayload(msg.ID)
-			}
-			h.localResults.push(payload)
+			h.localResults.push(ResultPayload(ResultFrame{ID: msg.ID, OK: ok, Dead: msg.DeadSessions, Rows: out}))
 			return run
 		}
 		var payload []byte
@@ -253,36 +255,53 @@ func (h *Head) ResultWaiting() bool {
 	return h.EP.Iprobe(h.Topo.LastStage(), comm.TagResult)
 }
 
-// consumeResult pops the FIFO head and hands its result frame to the
-// backend. The frame's ID has already been matched against the run's.
+// consumeResult pops the FIFO head, checks its result frame against it
+// and hands the rows to the backend. The frame has already been parsed
+// and its ID matched against the run's.
 func (h *Head) consumeResult(payload []byte) (run *Run, res Results, ok bool, err error) {
 	run = h.inflight.pop()
 	h.adjustSessInflight(run.Msg, -1)
-	_, data, hasData, _ := ParseResult(payload)
+	f, _ := ParseResult(payload)
 	arg := int32(0)
-	if hasData {
+	if f.OK {
 		arg |= trace.ResultData
 	}
 	if run.Cancelled {
 		arg |= trace.ResultCancelled
 	}
 	h.record(trace.FlightResult, run.Msg.ID, arg)
-	if !hasData {
+	if !f.OK {
 		comm.PutBuf(payload)
 		return run, nil, false, nil
 	}
-	// Backends consume the payload inside Results (the real backend
-	// extracts greedy choices eagerly; the simulated one replays the
-	// oracle), so the wire buffer can return to the pool here. Batched
-	// runs carry a self-describing multi-session result frame and go
-	// through the backend's batch view.
-	if run.Msg.Batched() && h.batchBK != nil {
-		res = h.batchBK.BatchResults(run.Msg, run.Ctxs, data)
-	} else {
-		res = h.BK.Results(run.Msg, run.Ctx, data)
+	// Backends consume the rows inside Results (the real backend extracts
+	// greedy choices eagerly; the simulated one replays the oracle), so
+	// the wire buffer can return to the pool here.
+	if err = h.checkResult(run.Msg, f); err == nil {
+		res = h.BK.Results(run, f.Dead, f.Rows)
 	}
 	comm.PutBuf(payload)
-	return run, res, true, nil
+	return run, res, err == nil, err
+}
+
+// checkResult holds a result frame to the run the head launched. The last
+// stage can only have masked sessions the head masked itself, since the
+// head sent every mask, and the frame must carry exactly the rows that
+// mask leaves, RowBytes each.
+func (h *Head) checkResult(msg *RunMsg, f ResultFrame) error {
+	if stray := f.Dead &^ msg.DeadSessions; stray != 0 {
+		return fmt.Errorf("engine: result for run %d masks sessions %#x the head never masked", msg.ID, stray)
+	}
+	n := 0
+	for i := range msg.Tokens {
+		if msg.ResultRow(i, f.Dead) {
+			n++
+		}
+	}
+	if want := n * h.BK.RowBytes(); len(f.Rows) != want {
+		return fmt.Errorf("engine: result for run %d carries %d bytes, want %d rows of %d", msg.ID, len(f.Rows), n, h.BK.RowBytes())
+	}
+	return nil
 }
 
 // AwaitResult blocks for the oldest in-flight run's result and pops it
@@ -307,19 +326,19 @@ func (h *Head) AwaitResult() (run *Run, res Results, ok bool, err error) {
 		} else {
 			payload = h.EP.Recv(h.Topo.LastStage(), comm.TagResult)
 		}
-		id, _, _, perr := ParseResult(payload)
+		f, perr := ParseResult(payload)
 		if perr != nil {
 			comm.PutBuf(payload)
 			return nil, nil, false, perr
 		}
-		if id == want {
+		if f.ID == want {
 			return h.consumeResult(payload)
 		}
 		comm.PutBuf(payload)
-		if int32(id-want) < 0 {
+		if int32(f.ID-want) < 0 {
 			continue // stale: a failed run's late or duplicated result
 		}
-		return nil, nil, false, fmt.Errorf("engine: result for run %d while awaiting run %d (result lost?)", id, want)
+		return nil, nil, false, fmt.Errorf("engine: result for run %d while awaiting run %d (result lost?)", f.ID, want)
 	}
 }
 
@@ -361,16 +380,16 @@ func (h *Head) AwaitResultWithin(d time.Duration) (run *Run, res Results, ok boo
 			}
 			payload = h.EP.Recv(last, comm.TagResult)
 		}
-		id, _, _, perr := ParseResult(payload)
+		f, perr := ParseResult(payload)
 		if perr != nil {
 			comm.PutBuf(payload)
 			return nil, nil, false, false, perr
 		}
 		switch {
-		case id == want:
+		case f.ID == want:
 			run, res, ok, err = h.consumeResult(payload)
 			return run, res, ok, false, err
-		case int32(id-want) < 0:
+		case int32(f.ID-want) < 0:
 			comm.PutBuf(payload) // stale: a failed run's late or duplicated result
 		default:
 			// FIFO order: a newer result can only arrive after the older

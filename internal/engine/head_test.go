@@ -1,24 +1,37 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
+	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
+	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
-type nopHeadBackend struct{}
+// nopHeadBackend drafts nothing and reads nothing out of results, whose
+// rows it takes to be rowBytes each.
+type nopHeadBackend struct{ rowBytes int }
 
 func (nopHeadBackend) Propose([]token.Token, int) ([]token.Token, []float32) { return nil, nil }
-func (nopHeadBackend) Results(*RunMsg, []token.Token, []byte) Results        { return nil }
+func (nopHeadBackend) Results(*Run, uint64, []byte) Results                  { return nil }
+func (b nopHeadBackend) RowBytes() int                                       { return b.rowBytes }
 func (nopHeadBackend) MemoryBytes() int64                                    { return 0 }
+
+// nopWorker is an inline stage that answers every run with zero-byte rows.
+type nopWorker struct{}
+
+func (nopWorker) Eval(*RunMsg, []byte, func() bool) ([]byte, int, bool) { return nil, 0, true }
+func (nopWorker) ApplyKV([]kvcache.Op)                                  {}
+func (nopWorker) MemoryBytes() int64                                    { return 0 }
 
 // soloHead builds a single-node head whose inline stage is the whole
 // pipeline, so launches complete locally and results pop in FIFO order.
 func soloHead(t *testing.T) *Head {
 	t.Helper()
 	h, err := NewHead(chancomm.New(1).Endpoint(0), Topology{Head: 0, Stages: []int{0}},
-		Config{}, nopHeadBackend{}, newMockWorker())
+		Config{}, nopHeadBackend{}, nopWorker{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +117,56 @@ func TestCancelSession(t *testing.T) {
 	}
 	if got := h.SessionInflight(3); got != 2 {
 		t.Fatalf("cancellation changed the FIFO accounting: %d in flight, want 2", got)
+	}
+}
+
+// TestHeadChecksResultFrame pins the two checks the head makes on a result
+// frame before any backend reads it: the last stage can only have masked
+// sessions the head masked itself (the head sends every mask), and the
+// frame carries exactly the rows that mask leaves. Posing as the last
+// stage, the test answers a three-session run — two rows each, session 1
+// masked by the head without a signal — with frames of either kind.
+func TestHeadChecksResultFrame(t *testing.T) {
+	const rowBytes = 4
+	cl := chancomm.New(2)
+	h, err := NewHead(cl.Endpoint(0), Topology{Head: 0, Stages: []int{1}}, Config{}, nopHeadBackend{rowBytes}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(f ResultFrame) error {
+		run := h.Launch(wideMsg(3, 2), nil, nil)
+		h.CancelRows(run, 1, false)
+		f.ID, f.OK = run.Msg.ID, true
+		cl.Endpoint(1).Send(0, comm.TagResult, ResultPayload(f), 0)
+		_, _, ok, err := h.AwaitResult()
+		if ok != (err == nil) {
+			t.Fatalf("ok=%v with err=%v", ok, err)
+		}
+		return err
+	}
+	rows := func(n int) []byte { return make([]byte, n*rowBytes) }
+	// A stage that never heard of the mask ships all six rows; one that
+	// did ships the four of sessions 0 and 2.
+	for _, f := range []ResultFrame{{Rows: rows(6)}, {Dead: 1 << 1, Rows: rows(4)}} {
+		if err := answer(f); err != nil {
+			t.Fatalf("mask %#x, %d bytes: %v", f.Dead, len(f.Rows), err)
+		}
+	}
+	// Session 2 was never masked at the head.
+	if err := answer(ResultFrame{Dead: 1<<1 | 1<<2, Rows: rows(2)}); err == nil || !strings.Contains(err.Error(), "never masked") {
+		t.Fatalf("a frame masking a session the head never masked: %v", err)
+	}
+	// Lengths that disagree with the row set the mask leaves.
+	for _, f := range []ResultFrame{
+		{Rows: rows(4)},
+		{Dead: 1 << 1, Rows: rows(6)},
+		{Dead: 1 << 1, Rows: rows(4)[:15]},
+	} {
+		if err := answer(f); err == nil || !strings.Contains(err.Error(), "carries") {
+			t.Fatalf("mask %#x with %d bytes accepted: %v", f.Dead, len(f.Rows), err)
+		}
+	}
+	if h.Inflight() != 0 {
+		t.Fatalf("%d runs left in flight", h.Inflight())
 	}
 }

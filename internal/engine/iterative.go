@@ -61,7 +61,7 @@ func RunIterative(h *Head, prompt []token.Token) ([]token.Token, error) {
 		pos := int32(len(accepted) - 1)
 		msg := &RunMsg{Kind: KindNonSpec, Seq: kvcache.Canonical,
 			Tokens: []TokenPlace{{Tok: last, Pos: pos, Seqs: kvcache.NewSeqSet(kvcache.Canonical)}}}
-		h.Launch(msg, snapshot(accepted[:len(accepted)-1]), nil)
+		h.Launch(msg, [][]token.Token{snapshot(accepted[:len(accepted)-1])}, nil)
 		_, res, ok, err := h.AwaitResult()
 		if err != nil {
 			return nil, err

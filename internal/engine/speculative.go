@@ -44,7 +44,7 @@ func RunSpeculative(h *Head, prompt []token.Token) ([]token.Token, error) {
 			// Nothing confident to speculate: plain iterative step.
 			msg := &RunMsg{Kind: KindNonSpec, Seq: kvcache.Canonical,
 				Tokens: []TokenPlace{{Tok: anchor, Pos: int32(a - 1), Seqs: kvcache.NewSeqSet(kvcache.Canonical)}}}
-			h.Launch(msg, snapshot(accepted[:a-1]), nil)
+			h.Launch(msg, [][]token.Token{snapshot(accepted[:a-1])}, nil)
 			_, res, ok, err := h.AwaitResult()
 			if err != nil {
 				return nil, err
@@ -86,7 +86,7 @@ func RunSpeculative(h *Head, prompt []token.Token) ([]token.Token, error) {
 			places = append(places, TokenPlace{Tok: tok, Pos: lin.Meta[i].Pos, Seqs: lin.Meta[i].Seqs})
 		}
 		msg := &RunMsg{Kind: KindSpec, Seq: seqs[0], Tokens: places, KVOps: ops}
-		h.Launch(msg, snapshot(accepted[:a-1]), seqs)
+		h.Launch(msg, [][]token.Token{snapshot(accepted[:a-1])}, seqs)
 		h.Stats.Proposed.Add(int64(tree.Len()))
 
 		_, res, ok, err := h.AwaitResult()

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
@@ -39,40 +38,89 @@ func PayloadData(p []byte) (data []byte, ok bool) {
 	return p[1:], true
 }
 
-// Result payloads (last stage → head) extend the marker framing with the
-// run's ID: marker byte | u32 run ID | data. The ID is what lets the head
-// fence faults on the result stream — a result below the FIFO head's ID
-// is late or duplicated and is discarded, one above it proves the FIFO
-// head's own result was lost (per-stream FIFO order means it can never
-// arrive later), so the run can be failed immediately instead of waiting
-// out the watchdog deadline.
-const resultHeader = 1 + 4
+// A result frame (last stage → head) is
+//
+//	marker | u32 run ID | [u64 dead-session mask] | result rows
+//
+// The ID is what lets the head fence faults on the result stream — a
+// result below the FIFO head's ID is late or duplicated and is discarded,
+// one above it proves the FIFO head's own result was lost (per-stream FIFO
+// order means it can never arrive later), so the run can be failed
+// immediately instead of waiting out the watchdog deadline. The rows are
+// the ones RunMsg.ResultRow selects under the mask; the mask is written,
+// behind its own marker, only when the last stage had masked sessions out
+// of the run, so every frame of a run nobody masked is marker | ID | rows.
+const (
+	payloadMasked byte = 2
+	resultHeader       = 1 + 4
+)
 
-// ResultPayload frames a copy of data as a result carrying the run's ID
-// (pooled buffer; release with comm.PutBuf after Send).
-func ResultPayload(id uint32, data []byte) []byte {
-	out := append(comm.GetBuf(resultHeader+len(data)), payloadData, 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(out[1:], id)
-	return append(out, data...)
+// ResultFrame is one result frame's content.
+type ResultFrame struct {
+	ID uint32
+	// OK is false for the empty marker a cancelled or cut-short run
+	// returns; such a frame carries neither mask nor rows.
+	OK bool
+	// Dead is the set of session slots (bit per slot) whose rows the last
+	// stage had masked out of the run.
+	Dead uint64
+	// Rows holds the result rows back to back; a parsed frame's aliases
+	// the payload.
+	Rows []byte
 }
 
-// EmptyResultPayload frames the cancelled-run result marker for run id.
-func EmptyResultPayload(id uint32) []byte {
-	out := append(comm.GetBuf(resultHeader), payloadEmpty, 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(out[1:], id)
-	return out
+// headerLen is the frame's size on the wire without its rows.
+func (f *ResultFrame) headerLen() int {
+	if f.OK && f.Dead != 0 {
+		return resultHeader + 8
+	}
+	return resultHeader
 }
 
-// ParseResult unwraps a result payload into the run ID and optional data.
-func ParseResult(p []byte) (id uint32, data []byte, hasData bool, err error) {
+// ResultPayload encodes f, copying its rows, into a pooled buffer
+// (release with comm.PutBuf after Send).
+func ResultPayload(f ResultFrame) []byte {
+	buf := comm.GetBuf(f.headerLen() + len(f.Rows))
+	switch {
+	case !f.OK:
+		return appendU32(append(buf, payloadEmpty), f.ID)
+	case f.Dead == 0:
+		buf = appendU32(append(buf, payloadData), f.ID)
+	default:
+		buf = appendU64(appendU32(append(buf, payloadMasked), f.ID), f.Dead)
+	}
+	return append(buf, f.Rows...)
+}
+
+// ParseResult decodes a result frame. It accepts exactly what
+// ResultPayload writes: an unknown marker, an empty marker with anything
+// after the ID, a mask marker with a zero or truncated mask, or a short
+// frame is an error, never a panic.
+func ParseResult(p []byte) (ResultFrame, error) {
 	if len(p) < resultHeader {
-		return 0, nil, false, fmt.Errorf("engine: malformed result payload (%d bytes)", len(p))
+		return ResultFrame{}, fmt.Errorf("engine: malformed result payload (%d bytes)", len(p))
 	}
-	id = binary.LittleEndian.Uint32(p[1:])
-	if p[0] == payloadEmpty {
-		return id, nil, false, nil
+	f := ResultFrame{ID: readU32(p[1:]), OK: true}
+	switch p[0] {
+	case payloadEmpty:
+		if len(p) != resultHeader {
+			return ResultFrame{}, fmt.Errorf("engine: empty result for run %d carries %d bytes", f.ID, len(p)-resultHeader)
+		}
+		f.OK = false
+		return f, nil
+	case payloadData:
+	case payloadMasked:
+		if len(p) < resultHeader+8 {
+			return ResultFrame{}, fmt.Errorf("engine: result for run %d truncated in its session mask", f.ID)
+		}
+		if f.Dead = readU64(p[resultHeader:]); f.Dead == 0 {
+			return ResultFrame{}, fmt.Errorf("engine: result for run %d carries an empty session mask", f.ID)
+		}
+	default:
+		return ResultFrame{}, fmt.Errorf("engine: result for run %d has unknown marker %d", f.ID, p[0])
 	}
-	return id, p[resultHeader:], true, nil
+	f.Rows = p[f.headerLen():]
+	return f, nil
 }
 
 // cancelSet tracks cancellation signals received out-of-band: per run ID
@@ -243,12 +291,15 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 			data, w_, ok := obs.eval(ep, w, run, input, cancelled)
 			if ok {
 				// Eval's payload aliases worker staging; ResultPayload /
-				// DataPayload copy it into a pooled wire buffer. Results
-				// additionally carry the run ID so the head can fence
-				// late, duplicated, or lost results on a faulty link.
+				// DataPayload copy it into a pooled wire buffer. A result
+				// frame additionally carries the run ID, so the head can
+				// fence late, duplicated, or lost results on a faulty
+				// link, and the sessions this stage masked out, which
+				// name the rows the frame leaves out.
 				if last {
-					out = ResultPayload(run.ID, data)
-					wire = w_ + resultHeader
+					f := ResultFrame{ID: run.ID, OK: true, Dead: run.DeadSessions, Rows: data}
+					out = ResultPayload(f)
+					wire = w_ + f.headerLen()
 				} else {
 					out = DataPayload(data)
 					wire = w_ + 1
@@ -261,7 +312,7 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 		}
 		if out == nil {
 			if last {
-				out = EmptyResultPayload(run.ID)
+				out = ResultPayload(ResultFrame{ID: run.ID})
 			} else {
 				out = EmptyPayload()
 			}
@@ -284,7 +335,7 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 		// sampling is skipped" saving of §IV-D.3.
 		if cancels.full(run.ID) {
 			comm.PutBuf(out)
-			out = EmptyResultPayload(run.ID)
+			out = ResultPayload(ResultFrame{ID: run.ID})
 			wire = len(out)
 		}
 		ep.Send(topo.Head, comm.TagResult, out, wire)

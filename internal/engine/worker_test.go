@@ -90,7 +90,7 @@ func TestWorkerLoopCancelSkipsSpecRun(t *testing.T) {
 
 	// Cancel run 1 before it arrives: the worker must skip evaluation and
 	// return the empty payload.
-	ep.Send(1, comm.TagCancel, EncodeCancel([]uint32{1}), 0)
+	ep.Send(1, comm.TagCancel, EncodeCancelSigs([]CancelSig{{ID: 1}}), 0)
 	// Give the cancel a chance to be queued first (same-destination
 	// streams are independent, so force ordering via a second message
 	// after confirming the first landed is unnecessary: the worker drains
@@ -115,7 +115,7 @@ func TestWorkerLoopNonSpecNeverSkipped(t *testing.T) {
 	w := newMockWorker()
 	ep, done, _ := pipeline2(t, w)
 
-	ep.Send(1, comm.TagCancel, EncodeCancel([]uint32{7}), 0)
+	ep.Send(1, comm.TagCancel, EncodeCancelSigs([]CancelSig{{ID: 7}}), 0)
 	msg := &RunMsg{ID: 7, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}}}
 	sendDecode(ep, 1, msg)
 	payload := ep.Recv(1, comm.TagResult)

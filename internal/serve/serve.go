@@ -96,8 +96,8 @@
 // run's partition cleanup travel as one KV transaction. Cancelling one
 // session's work cancels a run that is the session's alone and masks just
 // its rows out of a shared one (engine.Head.CancelSession); the last
-// stage's result for a tagged run is a self-describing multi-session
-// frame naming the surviving rows.
+// stage's result frame carries the sessions it masked, which name the
+// rows it leaves out (engine.ResultFrame).
 //
 // # Memory pressure (PR 3)
 //
@@ -1488,7 +1488,7 @@ func (s *Scheduler) putMsg(m *engine.RunMsg) {
 // speculative work is dropped, mandatory work parks its sessions for
 // prefix-recompute readmission, and the caller sees nil and unwinds its
 // staging.
-func (s *Scheduler) launch(msg *engine.RunMsg, ctx []token.Token, seqs []kvcache.SeqID) *engine.Run {
+func (s *Scheduler) launch(msg *engine.RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *engine.Run {
 	if s.kv != nil {
 		if cap(s.rowMeta) < len(msg.Tokens) {
 			s.rowMeta = make([]kvcache.TokenMeta, len(msg.Tokens))
@@ -1510,7 +1510,7 @@ func (s *Scheduler) launch(msg *engine.RunMsg, ctx []token.Token, seqs []kvcache
 		}
 		s.kvCells = cells[:0]
 	}
-	run := s.h.Launch(msg, ctx, seqs)
+	run := s.h.Launch(msg, ctxs, seqs)
 	if s.obs != nil {
 		s.obs.ObserveBatchWidth(engine.DistinctSessions(msg))
 	}
@@ -1814,16 +1814,7 @@ func (s *Scheduler) launchRows(ready, chunks []*session, lens []int) {
 // non-speculative runs).
 func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID, ops []kvcache.Op) *engine.Run {
 	msg := s.getMsg()
-	var ctx []token.Token
-	var ctxs [][]token.Token
-	if s.cfg.NeedCtx {
-		// An untagged run's one context is its first row's; a tagged run
-		// is interpreted row by row.
-		ctxs = s.composer.ComposeInto(msg, kind, s.getCtxs(), true)
-		ctx = ctxs[0]
-	} else {
-		s.composer.ComposeInto(msg, kind, nil, false)
-	}
+	ctxs := s.composer.ComposeInto(msg, kind, s.getCtxs(), s.cfg.NeedCtx)
 	if len(seqs) > 0 {
 		msg.Seq = seqs[0]
 	} else {
@@ -1831,18 +1822,17 @@ func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID, op
 		msg.Seq = msg.Tokens[0].Seqs.Min()
 	}
 	msg.KVOps = ops
-	run := s.launch(msg, ctx, seqs)
+	run := s.launch(msg, ctxs, seqs)
 	msg.KVOps = nil // ops is scratch; launch consumed (or rejected) them
 	if run == nil {
 		s.putCtxs(ctxs)
 		s.putMsg(msg)
-		return nil
 	}
-	run.Ctxs = ctxs
 	return run
 }
 
-// getCtxs returns a pooled per-row context array for a batched run.
+// getCtxs returns a pooled per-row context array (nil until one has been
+// returned, which only context-carrying runs do).
 func (s *Scheduler) getCtxs() [][]token.Token {
 	if k := len(s.ctxPool); k > 0 {
 		c := s.ctxPool[k-1]

@@ -29,10 +29,9 @@ func testHead(t *testing.T) *engine.Head {
 type nopBackend struct{}
 
 func (nopBackend) Propose([]token.Token, int) ([]token.Token, []float32) { return nil, nil }
-func (nopBackend) Results(*engine.RunMsg, []token.Token, []byte) engine.Results {
-	return nil
-}
-func (nopBackend) MemoryBytes() int64 { return 0 }
+func (nopBackend) Results(*engine.Run, uint64, []byte) engine.Results    { return nil }
+func (nopBackend) RowBytes() int                                         { return 0 }
+func (nopBackend) MemoryBytes() int64                                    { return 0 }
 
 type nopWorker struct{}
 
@@ -302,10 +301,11 @@ func (b *scriptBackend) Propose(ctx []token.Token, _ int) ([]token.Token, []floa
 	return []token.Token{t}, []float32{1}
 }
 
-func (b *scriptBackend) Results(run *engine.RunMsg, _ []token.Token, _ []byte) engine.Results {
-	return scriptResults{b, run}
+func (b *scriptBackend) Results(run *engine.Run, _ uint64, _ []byte) engine.Results {
+	return scriptResults{b, run.Msg}
 }
 
+func (*scriptBackend) RowBytes() int      { return 0 }
 func (*scriptBackend) MemoryBytes() int64 { return 0 }
 
 type scriptResults struct {
