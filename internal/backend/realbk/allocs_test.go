@@ -126,7 +126,7 @@ func TestServeStepAllocs(t *testing.T) {
 
 // TestServeBatchedStepAllocs extends the zero-allocation gate to batched
 // serving steady state: four sessions coalesced into shared multi-row
-// runs — batch collection, v3 composition, shadow placement, batched
+// runs — batch collection, tagged composition, shadow placement, batched
 // inline evaluation, result-frame encode/decode and the
 // per-session demux — perform 0 heap allocations per accepted token.
 // Batch row slices, run messages and result frames all cycle through the

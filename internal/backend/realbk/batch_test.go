@@ -421,7 +421,7 @@ func TestBatchedRowCancel(t *testing.T) {
 		// Phase 2: batched decode + cancel enqueued first, then served.
 		run := h.Launch(batchedMsg(), nil, nil)
 		if cancelSlot >= 0 {
-			h.CancelRows(run, uint16(cancelSlot), true)
+			h.CancelSession(uint16(cancelSlot), []*engine.Run{run}, true)
 			if h.SessionInflight(uint16(cancelSlot)) != 1 {
 				t.Fatal("row masking dropped the session's FIFO accounting")
 			}
@@ -532,7 +532,7 @@ func TestBatchedRowCancelServing(t *testing.T) {
 // costs at the last stage: the scheduler sends a prompt as one ranged
 // group of which only the final row samples, so the result frame's rows
 // are row 8 of 9 and it carries one vocab-sized logits row — bit for bit
-// the last of the nine an untagged run of the same tokens projects and
+// the last of the nine an unranged run of the same tokens projects and
 // ships.
 func TestWholePromptPrefillShipsOneLogitsRow(t *testing.T) {
 	cfg := serveModel(4)
@@ -585,9 +585,9 @@ func TestWholePromptPrefillShipsOneLogitsRow(t *testing.T) {
 	}
 	all := eval(plain)
 	if len(all) != n*rowBytes {
-		t.Fatalf("untagged prefill result is %d bytes, want %d rows of %d", len(all), n, rowBytes)
+		t.Fatalf("unranged prefill result is %d bytes, want %d rows of %d", len(all), n, rowBytes)
 	}
 	if !bytes.Equal(logits, all[(n-1)*rowBytes:]) {
-		t.Fatal("the sampled row's logits differ from the untagged run's last row")
+		t.Fatal("the sampled row's logits differ from the unranged run's last row")
 	}
 }

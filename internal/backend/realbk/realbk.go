@@ -65,10 +65,10 @@ func NewWorker(m *model.Model, lo, hi int, first, last bool, kv kvpage.Config) *
 }
 
 // Eval implements engine.Worker with real tensor computation. Only live
-// rows — all of them, unless per-session cancellation has masked some out
-// of a tagged run — are placed in the cache and computed; per-row sequence
-// sets keep every session's attention inside its own shard, so each row's
-// arithmetic is bit-identical to its solo run. Between stages the
+// rows — all of them, unless per-session cancellation has masked some
+// sessions out of the run — are placed in the cache and computed; per-row
+// sequence sets keep every session's attention inside its own shard, so
+// each row's arithmetic is bit-identical to its solo run. Between stages the
 // activation payload keeps the run's full row shape (masked rows
 // zero-filled), so per-stage differences in cancellation knowledge can
 // never skew decoding. The last stage projects the result rows only

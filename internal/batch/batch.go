@@ -14,12 +14,13 @@
 // bit-identical to the unbatched schedule.
 //
 // The Composer stages per-session rows and composes them into one
-// engine.RunMsg — wire format v3, with per-row (session, seq-set,
-// position) tags, once there is something to tag: one session's unranged
-// rows compose to the plain untagged message, so batching never changes
-// the wire format until it actually coalesces. Every serving run is built
-// here; a solo run is the one-group case (engine.RunMsg.Groups / GroupOf
-// walk either shape's row groups).
+// engine.RunMsg whose shape follows from its row groups: per-row session
+// tags once there are several groups to tell apart, per-row ranges once a
+// row carries one (a prefill chunk), each independent of the other. One
+// session's decode or speculative rows compose to the plain message, so
+// batching changes the wire format only when it actually coalesces. Every
+// serving run is built here; a solo run is the one-group case
+// (engine.RunMsg.Groups / GroupOf walk either shape's row groups).
 //
 // Every run, composed or not, is answered in the engine's one result frame
 // (engine.ResultFrame). Its rows follow from the run message and the
@@ -45,7 +46,7 @@ type Row struct {
 	// (nil otherwise). Rows of one session share the same slice.
 	Ctx []token.Token
 	// Range, when Len > 0, tags the row with the (position, length)
-	// range its chunk covers a prefix of (the v3 range extension, PR 5):
+	// range its chunk covers a prefix of (engine.RunMsg.RowRanges):
 	// prefill-chunk rows carry the session's full remaining prefill
 	// range, so only the row computing the range's final position
 	// samples. Zero Len means an ordinary sampling row; ComposeInto
@@ -88,11 +89,10 @@ func (c *Composer) Rows() int { return len(c.rows) }
 // composer. msg's Tokens, RowSessions and RowRanges slices are resized in
 // place (pooled messages keep their storage).
 //
-// One session's unranged group composes to the plain untagged message —
-// Session names the owner, no per-row tags — which stages evaluate on
-// their plain path. Anything else
-// (several sessions, or any ranged row: ranges describe row groups and
-// travel only with tags) is a wire-format-v3 tagged run.
+// A run's shape is its row groups: the message carries per-row session
+// tags iff it has more than one group — one session's rows travel
+// untagged, Session naming the owner — and per-row ranges iff some row is
+// ranged. The two are independent.
 //
 // When needCtx is set, each row's context is appended to ctxs (which the
 // caller pools alongside the run record) and the extended slice is
@@ -109,7 +109,7 @@ func (c *Composer) ComposeInto(msg *engine.RunMsg, kind engine.RunKind, ctxs [][
 			break
 		}
 	}
-	tagged := ranged || c.nsess > 1
+	tagged := c.nsess > 1
 	if cap(msg.Tokens) < n {
 		msg.Tokens = make([]engine.TokenPlace, n)
 	}

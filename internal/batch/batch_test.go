@@ -10,9 +10,9 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
-// TestComposeInto checks composition of staged rows into a v3 run: row
-// order, per-row session tags, distinct-session count and context
-// collection.
+// TestComposeInto checks composition of staged rows into a multi-session
+// run: row order, per-row session tags, distinct-session count and
+// context collection.
 func TestComposeInto(t *testing.T) {
 	var c Composer
 	ctxA := []token.Token{1, 2}
@@ -25,7 +25,7 @@ func TestComposeInto(t *testing.T) {
 	}
 	msg := &engine.RunMsg{}
 	ctxs := c.ComposeInto(msg, engine.KindSpec, nil, true)
-	if !msg.Batched() || msg.Len() != 3 || msg.Kind != engine.KindSpec {
+	if len(msg.RowSessions) != 3 || msg.Len() != 3 || msg.Kind != engine.KindSpec {
 		t.Fatalf("composed %+v", msg)
 	}
 	if msg.RowSessions[0] != 2 || msg.RowSessions[2] != 7 || msg.Session != 2 {
@@ -57,7 +57,7 @@ func TestComposeIntoRanges(t *testing.T) {
 	c.Stage(Row{Session: 1, Tok: 30, Pos: 8, Seqs: kvcache.NewSeqSet(1)})
 	msg := &engine.RunMsg{}
 	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
-	if !msg.Ranged() || len(msg.RowRanges) != 3 {
+	if len(msg.RowRanges) != 3 {
 		t.Fatalf("ranged composition: %+v", msg)
 	}
 	if msg.RowRanges[0] != rng || msg.RowRanges[1] != rng {
@@ -74,7 +74,7 @@ func TestComposeIntoRanges(t *testing.T) {
 	c.Stage(Row{Session: 1, Tok: 31, Pos: 9, Seqs: kvcache.NewSeqSet(1)})
 	c.Stage(Row{Session: 3, Tok: 22, Pos: 6, Seqs: kvcache.NewSeqSet(3)})
 	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
-	if msg.Ranged() {
+	if len(msg.RowRanges) != 0 {
 		t.Fatal("pure decode batch still carries ranges")
 	}
 	plain := &engine.RunMsg{
@@ -131,7 +131,8 @@ func TestGroups(t *testing.T) {
 // TestComposeOneGroup pins where the wire format changes: one session's
 // unranged group — a decode row, a speculative chain — composes to
 // exactly the hand-built untagged message, byte for byte; a second
-// session, or a range, makes it a tagged (and ranged) v3 run.
+// session makes it tagged, and a range makes it ranged — a one-group
+// prefill chunk is ranged and still untagged.
 func TestComposeOneGroup(t *testing.T) {
 	var c Composer
 	canon, part := kvcache.NewSeqSet(8), kvcache.NewSeqSet(9)
@@ -143,7 +144,7 @@ func TestComposeOneGroup(t *testing.T) {
 	ctxs := c.ComposeInto(msg, engine.KindNonSpec, nil, true)
 	want := &engine.RunMsg{ID: 7, Kind: engine.KindNonSpec, Seq: 8, Session: 2,
 		Tokens: []engine.TokenPlace{{Tok: 40, Pos: 17, Seqs: canon}}}
-	if msg.Batched() || msg.Ranged() || !bytes.Equal(msg.Encode(), want.Encode()) {
+	if len(msg.RowSessions) != 0 || len(msg.RowRanges) != 0 || !bytes.Equal(msg.Encode(), want.Encode()) {
 		t.Fatalf("one decode row composed to %+v", msg)
 	}
 	if len(ctxs) != 1 || &ctxs[0][0] != &ctx[0] {
@@ -163,7 +164,7 @@ func TestComposeOneGroup(t *testing.T) {
 			{Tok: 50, Pos: 18, Seqs: part}, {Tok: 51, Pos: 19, Seqs: part}, {Tok: 52, Pos: 20, Seqs: part},
 		},
 		KVOps: msg.KVOps}
-	if msg.Batched() || !bytes.Equal(msg.Encode(), want.Encode()) {
+	if len(msg.RowSessions) != 0 || !bytes.Equal(msg.Encode(), want.Encode()) {
 		t.Fatalf("one speculative chain composed to %+v", msg)
 	}
 
@@ -171,17 +172,20 @@ func TestComposeOneGroup(t *testing.T) {
 	c.Stage(Row{Session: 2, Tok: 40, Pos: 17, Seqs: canon})
 	c.Stage(Row{Session: 5, Tok: 41, Pos: 3, Seqs: kvcache.NewSeqSet(20)})
 	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
-	if !msg.Batched() || msg.Ranged() || msg.RowSessions[0] != 2 || msg.RowSessions[1] != 5 {
+	if len(msg.RowSessions) != 2 || len(msg.RowRanges) != 0 || msg.RowSessions[0] != 2 || msg.RowSessions[1] != 5 {
 		t.Fatalf("two groups composed to %+v", msg)
 	}
 
-	// One ranged group (a prefill chunk): tagged and ranged.
+	// One ranged group (a prefill chunk): ranged, untagged.
 	rng := engine.RowRange{Pos: 0, Len: 2}
 	c.Stage(Row{Session: 5, Tok: 60, Pos: 0, Seqs: canon, Range: rng})
 	c.Stage(Row{Session: 5, Tok: 61, Pos: 1, Seqs: canon, Range: rng})
 	c.ComposeInto(msg, engine.KindPrefill, nil, false)
-	if !msg.Batched() || !msg.Ranged() || msg.Session != 5 || msg.SamplingRow(0) || !msg.SamplingRow(1) {
+	if len(msg.RowSessions) != 0 || len(msg.RowRanges) != 2 || msg.Session != 5 || msg.SamplingRow(0) || !msg.SamplingRow(1) {
 		t.Fatalf("one ranged group composed to %+v", msg)
+	}
+	if dec, err := engine.DecodeRunMsg(msg.Encode()); err != nil || len(dec.RowRanges) != 2 || dec.RowSession(1) != 5 {
+		t.Fatalf("one ranged group decoded to %+v, %v", dec, err)
 	}
 }
 

@@ -47,9 +47,10 @@ const (
 // share: the engine's run, activation, result and cancel messages. A
 // transport between processes refuses a peer of another version when it
 // connects (tcpcomm's hello) instead of decoding frames it does not know.
-// Bump it with any change to those formats; version 0 is a peer from
-// before versions existed.
-const WireVersion = 1
+// Bump it with any change to those formats or to what their fields mean;
+// version 0 is a peer from before versions existed, and version 2 is the
+// one in which a cancel entry's zero mask stopped meaning "skip the run".
+const WireVersion = 2
 
 // String names the tag for traces.
 func (t Tag) String() string {

@@ -352,10 +352,11 @@ func refused(t *testing.T, conn net.Conn, err error, version uint32) {
 
 // TestDialRefusesOtherWireVersion poses as rank 0 dialling rank 1 while
 // the mesh forms, with the hello of another wire version — a newer one,
-// and a peer from before versions existed, whose hello is its bare rank —
-// and checks rank 1's Dial refuses it with an error naming both versions.
+// the one just before this build's, and a peer from before versions
+// existed, whose hello is its bare rank — and checks rank 1's Dial
+// refuses it with an error naming both versions.
 func TestDialRefusesOtherWireVersion(t *testing.T) {
-	for _, v := range []uint32{0, comm.WireVersion + 1} {
+	for _, v := range []uint32{0, comm.WireVersion - 1, comm.WireVersion + 1} {
 		addrs, err := FreeAddrs(2)
 		if err != nil {
 			t.Fatal(err)

@@ -211,7 +211,7 @@ func (p *PipeInfer) dropPending() {
 		}
 	}
 	p.Drop()
-	p.h.Cancel(victims)
+	p.h.CancelSession(0, victims, false)
 }
 
 // scanInflight is the per-sampling FIFO sweep of §IV-D.1: mark runs whose
@@ -225,9 +225,7 @@ func (p *PipeInfer) scanInflight() {
 			victims = append(victims, r)
 		}
 	}
-	if len(victims) > 0 {
-		p.h.Cancel(victims)
-	}
+	p.h.CancelSession(0, victims, false)
 }
 
 // cleanupRun returns the run's sequence partitions to the allocator and

@@ -5,6 +5,13 @@
 // and the backend interfaces that let the same engine code run either on
 // real tensor math (backend/realbk) or on the cost-model simulator
 // (backend/simbk).
+//
+// Cancellation (§IV-D) has one rule, decided at the head: Head.CancelSession
+// masks a session out of each run it names and tells the stages either to
+// skip the session's rows or to compute the run without a result
+// (CancelSig). WorkerLoop applies what it receives without looking at a
+// run's kind or shape — a run's shape is its row groups (RunMsg.Groups),
+// whatever per-row sections its message carries.
 package engine
 
 import (
@@ -17,7 +24,8 @@ import (
 )
 
 // RunKind distinguishes the pipeline run types (§IV-D.3 treats them
-// differently: non-speculative runs are never cancelled mid-stream).
+// differently: a non-speculative run's cache entries are never skipped
+// unless the session is cleaned up, which Head.CancelSession decides).
 type RunKind uint8
 
 const (
@@ -50,10 +58,9 @@ type TokenPlace struct {
 	Seqs kvcache.SeqSet
 }
 
-// RowRange is one row's (position, length) range in a ranged batched run
-// (wire format v3 range extension): the row's chunk covers a prefix of
-// the logical range [Pos, Pos+Len) of its session's sequence. A plain
-// decode row is the degenerate range (pos, 1).
+// RowRange is one row's (position, length) range in a ranged run: the
+// row's chunk covers a prefix of the logical range [Pos, Pos+Len) of its
+// session's sequence. A plain decode row is the degenerate range (pos, 1).
 type RowRange struct {
 	Pos int32
 	Len int32
@@ -71,58 +78,48 @@ type RunMsg struct {
 	// it (0 outside the serving layer). The head FIFO uses it to account
 	// in-flight runs per session and stages carry it through so results
 	// and cancellations demux to the right request's cache partitions.
-	// For multi-session batched runs it is the first row's session; the
+	// For multi-session runs it is the first row's session; the
 	// authoritative per-row owner is RowSessions.
 	Session uint16
 	Tokens  []TokenPlace
 	KVOps   []kvcache.Op
 
-	// RowSessions, when non-nil, tags every token row with its owning
-	// session slot — a cross-session batched run (wire format v3, PR 4):
-	// the serving layer's batch composer coalesces several sessions'
-	// compatible steps into one pipeline run, and stages/results demux
-	// per row. One session's rows are contiguous. nil means every row
-	// belongs to Session (wire format v2, unchanged on the wire).
+	// RowSessions, when non-empty, tags every token row with its owning
+	// session slot: the serving layer's batch composer coalesces several
+	// sessions' compatible steps into one pipeline run, and stages and
+	// results demux per row group (Groups). One session's rows are
+	// contiguous. Empty means every row belongs to Session — the one-group
+	// run, which the composer always sends untagged. Length, not
+	// nil-ness, is the test: pooled messages keep an emptied backing
+	// array between uses.
 	RowSessions []uint16
 
-	// RowRanges, when non-nil, extends a batched run with per-row
-	// (position, length) ranges (wire format v3 range extension, PR 5):
-	// row i belongs to a logical token range [Pos, Pos+Len) of its
+	// RowRanges, when non-empty, gives every row a (position, length)
+	// range: row i belongs to a logical token range [Pos, Pos+Len) of its
 	// session's sequence, of which the run carries a contiguous chunk.
-	// Chunked cross-session prefill rides on this: a prompt split into
-	// PrefillChunk-token chunks tags each chunk row with the remaining
-	// prefill range, so stages know that only the row computing the
-	// range's final position yields a consumable logit row (SamplingRow)
-	// — intermediate chunk rows write KV and forward activations but skip
-	// logits and the result frame entirely. Parallel to Tokens; requires
-	// RowSessions (ranges are meaningless without row groups). nil means
-	// every row samples, exactly the pre-range batched behaviour.
+	// Prefill rides on this: each row of a prompt chunk carries the
+	// remaining prefill range, so stages know that only the row computing
+	// the range's final position yields a consumable logit row
+	// (SamplingRow) — the other rows write KV and forward activations but
+	// skip logits and the result frame entirely. Parallel to Tokens and
+	// independent of RowSessions: a whole-prompt prefill is one untagged,
+	// ranged group. Empty means every row samples.
 	RowRanges []RowRange
 
 	// DeadSessions is the set of session slots (bit per slot) whose rows
-	// have been masked out of this batched run by per-session
-	// cancellation. It is NOT wire-encoded: the head sets bits as it
-	// cancels a session's rows (Head.CancelRows), and every stage derives
-	// its own view from the row-masked cancellation signals it has
-	// received by the time it evaluates the run — so per-stage views may
-	// lag, which is safe because masked rows' sequences are always
-	// cleaned up namespace-wide afterwards. The last stage's view travels
-	// back in its result frame (ResultFrame.Dead), naming the rows the
-	// frame leaves out.
+	// have been masked out of this run by cancellation. It is NOT
+	// wire-encoded: the head sets bits as it cancels a session's share
+	// (Head.CancelSession), and every stage derives its own view from the
+	// skip entries it has received by the time it evaluates the run — so
+	// per-stage views may lag, which is safe because skipped rows'
+	// sequences are always cleaned up namespace-wide afterwards. The last
+	// stage's view travels back in its result frame (ResultFrame.Dead),
+	// naming the rows the frame leaves out.
 	DeadSessions uint64
 }
 
 // Len returns the batch size.
 func (r *RunMsg) Len() int { return len(r.Tokens) }
-
-// Batched reports whether the run carries per-row session tags (a
-// multi-session batched run). Length, not nil-ness, is the test: pooled
-// messages keep an emptied RowSessions backing array between uses.
-func (r *RunMsg) Batched() bool { return len(r.RowSessions) > 0 }
-
-// Ranged reports whether the run carries per-row (position, length)
-// ranges (the v3 range extension). Like Batched, length is the test.
-func (r *RunMsg) Ranged() bool { return len(r.RowRanges) > 0 }
 
 // SamplingRow reports whether token row i's logits are consumed at the
 // head: always true for unranged runs; for ranged runs only the row that
@@ -205,31 +202,31 @@ func (r *RunMsg) rowIn(i int, mask uint64) bool {
 	return s < 64 && mask&(1<<s) != 0
 }
 
-// AllDead reports whether every row of the run is masked out.
-func (r *RunMsg) AllDead() bool {
-	if r.DeadSessions == 0 || len(r.Tokens) == 0 {
+// AllMasked reports whether the session mask covers every row group of
+// the run — the one test of a wholly cancelled run, at the head and at
+// every stage.
+func (r *RunMsg) AllMasked(mask uint64) bool {
+	if mask == 0 || len(r.Tokens) == 0 {
 		return false
 	}
-	for i := range r.Tokens {
-		if !r.RowDead(i) {
+	for lo := range r.Groups() {
+		if !r.rowIn(lo, mask) {
 			return false
 		}
 	}
 	return true
 }
 
-// kindBatched is the flag bit on the wire Kind byte marking a v3 frame:
-// per-row session tags follow the KV op section. v2 frames never set it
-// (RunKind values are tiny), which is what lets the v3 decoder accept v2
-// frames unchanged.
-const kindBatched = 0x80
-
-// kindRanged is the flag bit marking the v3 range extension: one
-// (position, length) range per token row follows the session tags. It is
-// only ever set together with kindBatched — ranges describe row groups,
-// which only batched runs have — and unranged v3 frames decode unchanged,
-// which is what keeps v2/v3 compatibility intact.
-const kindRanged = 0x40
+// Two flag bits on the wire Kind byte announce the optional per-row
+// sections that follow the KV ops, each independent of the other: one u16
+// session tag per row (kindTagged), then one (u32 position, u32 length)
+// range per row (kindRanged). RunKind values are tiny, so a frame with
+// neither flag is the plain layout, unchanged since before either section
+// existed.
+const (
+	kindTagged = 0x80
+	kindRanged = 0x40
+)
 
 // Encode serialises the message.
 func (r *RunMsg) Encode() []byte {
@@ -240,33 +237,29 @@ func (r *RunMsg) Encode() []byte {
 // pooled buffers exactly.
 func (r *RunMsg) EncodedSize() int {
 	n := 12 + 16*len(r.Tokens) + 11*len(r.KVOps)
-	if r.Batched() {
+	if len(r.RowSessions) > 0 {
 		n += 2 * len(r.Tokens)
 	}
-	if r.Ranged() {
+	if len(r.RowRanges) > 0 {
 		n += 8 * len(r.Tokens)
 	}
 	return n
 }
 
 // AppendEncode appends the wire encoding to buf and returns it, letting
-// the head and stage loops serialise into pooled message buffers.
-// Batched runs (RowSessions non-nil) encode as wire format v3: the Kind
-// byte carries the kindBatched flag and one session tag per token row
-// follows the KV ops. DeadSessions is head-/stage-local state and is
-// never encoded.
+// the head and stage loops serialise into pooled message buffers. Each of
+// RowSessions and RowRanges is encoded, flagged in the Kind byte, iff it
+// is non-empty. DeadSessions is head-/stage-local state and is never
+// encoded.
 func (r *RunMsg) AppendEncode(buf []byte) []byte {
 	kind := byte(r.Kind)
-	if r.Batched() {
+	if len(r.RowSessions) > 0 {
 		if len(r.RowSessions) != len(r.Tokens) {
 			panic(fmt.Sprintf("engine: %d row sessions for %d tokens", len(r.RowSessions), len(r.Tokens)))
 		}
-		kind |= kindBatched
+		kind |= kindTagged
 	}
-	if r.Ranged() {
-		if !r.Batched() {
-			panic("engine: row ranges without row sessions")
-		}
+	if len(r.RowRanges) > 0 {
 		if len(r.RowRanges) != len(r.Tokens) {
 			panic(fmt.Sprintf("engine: %d row ranges for %d tokens", len(r.RowRanges), len(r.Tokens)))
 		}
@@ -283,37 +276,29 @@ func (r *RunMsg) AppendEncode(buf []byte) []byte {
 	}
 	buf = append(buf, byte(len(r.KVOps)), byte(len(r.KVOps)>>8))
 	buf = kvcache.AppendOps(buf, r.KVOps)
-	if r.Batched() {
-		for _, s := range r.RowSessions {
-			buf = append(buf, byte(s), byte(s>>8))
-		}
+	for _, s := range r.RowSessions {
+		buf = append(buf, byte(s), byte(s>>8))
 	}
-	if r.Ranged() {
-		for _, rr := range r.RowRanges {
-			buf = appendU32(buf, uint32(rr.Pos))
-			buf = appendU32(buf, uint32(rr.Len))
-		}
+	for _, rr := range r.RowRanges {
+		buf = appendU32(buf, uint32(rr.Pos))
+		buf = appendU32(buf, uint32(rr.Len))
 	}
 	return buf
 }
 
 // DecodeRunMsg reverses Encode. It never retains buf, and a truncated or
-// corrupt message yields an error, not a panic. The decoder accepts both
-// wire formats: v2 frames (no kindBatched flag) decode with nil
-// RowSessions, exactly as before v3 existed.
+// corrupt message yields an error, not a panic. Each per-row section is
+// read iff its flag is set, so every frame an earlier layout produced —
+// plain, tagged, tagged and ranged — decodes as it always did.
 func DecodeRunMsg(buf []byte) (*RunMsg, error) {
 	if len(buf) < 10 {
 		return nil, fmt.Errorf("engine: run message too short (%d bytes)", len(buf))
 	}
 	kind := buf[4]
-	batched := kind&kindBatched != 0
-	ranged := kind&kindRanged != 0
-	if ranged && !batched {
-		return nil, fmt.Errorf("engine: ranged run message without row sessions")
-	}
+	tagged, ranged := kind&kindTagged != 0, kind&kindRanged != 0
 	r := &RunMsg{
 		ID:      uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24,
-		Kind:    RunKind(kind &^ (kindBatched | kindRanged)),
+		Kind:    RunKind(kind &^ (kindTagged | kindRanged)),
 		Seq:     kvcache.SeqID(buf[5]),
 		Session: uint16(buf[6]) | uint16(buf[7])<<8,
 	}
@@ -343,12 +328,12 @@ func DecodeRunMsg(buf []byte) (*RunMsg, error) {
 	}
 	r.KVOps = ops
 	off += 11 * nOps
-	if batched {
-		if n == 0 {
-			return nil, fmt.Errorf("engine: batched run message without token rows")
-		}
+	if (tagged || ranged) && n == 0 {
+		return nil, fmt.Errorf("engine: run message flags per-row sections but has no token rows")
+	}
+	if tagged {
 		if len(buf) < off+2*n {
-			return nil, fmt.Errorf("engine: batched run message truncated: %d row sessions need %d bytes, %d left",
+			return nil, fmt.Errorf("engine: tagged run message truncated: %d row sessions need %d bytes, %d left",
 				n, 2*n, len(buf)-off)
 		}
 		r.RowSessions = make([]uint16, n)
@@ -387,12 +372,13 @@ func readU64(b []byte) uint64 {
 	return uint64(readU32(b)) | uint64(readU32(b[4:]))<<32
 }
 
-// CancelSig is one cancellation signal entry (§IV-D.2 extended for
-// cross-session batching): Sessions == 0 cancels the whole run (the
-// classic signal, "only a uniquely assigned identifier"); a non-zero
-// Sessions bitmask surgically masks just those session slots' rows out of
-// an in-flight batched run, leaving the other sessions' rows to complete
-// untouched.
+// CancelSig is one cancellation signal entry (§IV-D.2, per session): the
+// run's unique ID and a session mask, whose meaning Head.CancelSession
+// decides alone. A non-zero Sessions says "skip these sessions' rows" —
+// stages neither evaluate them nor give them cache cells, and a run with
+// every row group named is skipped whole. Sessions == 0 says "compute
+// the run but send no result": the last stage answers with the empty
+// marker, §IV-D.3's skipped final sampling for a non-speculative run.
 type CancelSig struct {
 	ID       uint32
 	Sessions uint64
@@ -401,7 +387,7 @@ type CancelSig struct {
 // cancelSigBytes is the fixed wire size of one cancellation entry.
 const cancelSigBytes = 12
 
-// EncodeCancelSigs packs cancellation entries (whole-run or row-masked).
+// EncodeCancelSigs packs cancellation entries.
 func EncodeCancelSigs(sigs []CancelSig) []byte {
 	buf := make([]byte, 0, cancelSigBytes*len(sigs))
 	for _, s := range sigs {
@@ -613,12 +599,11 @@ type Stats struct {
 	Preemptions  int
 	Readmissions int
 
-	// Cross-session batching counters (serving layer, PR 4): tagged runs
-	// launched — every run of several sessions, and every ranged one,
-	// which includes a lone prefill chunk — the per-session row groups
+	// Cross-session batching counters (serving layer, PR 4): multi-session
+	// runs launched (more than one row group), the per-session row groups
 	// they carried (BatchedRows / BatchedRuns is the realised mean batch
-	// width), and per-session rows surgically masked out of in-flight
-	// tagged runs instead of cancelling the whole run.
+	// width), and sessions masked out of in-flight runs that kept other
+	// sessions' rows.
 	BatchedRuns int
 	BatchedRows int
 	RowCancels  int

@@ -9,6 +9,8 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/comm"
+	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/tensor"
 	"github.com/pipeinfer/pipeinfer/internal/token"
@@ -109,17 +111,17 @@ func TestDecodeRunMsgErrors(t *testing.T) {
 }
 
 func TestCancelCodec(t *testing.T) {
-	// Whole-run cancels are mask 0.
+	// Compute-without-result entries are mask 0.
 	dec := DecodeCancel(EncodeCancelSigs([]CancelSig{{ID: 1}, {ID: 1 << 20}, {ID: 0xFFFFFFFF}}))
 	if len(dec) != 3 || dec[0].ID != 1 || dec[2].ID != 0xFFFFFFFF {
 		t.Fatalf("cancel roundtrip: %v", dec)
 	}
 	for _, sig := range dec {
 		if sig.Sessions != 0 {
-			t.Fatalf("whole-run cancel carries a row mask: %+v", sig)
+			t.Fatalf("a mask-0 entry decoded with a mask: %+v", sig)
 		}
 	}
-	// Row-masked entries round-trip too.
+	// Skip entries round-trip too.
 	sigs := []CancelSig{{ID: 9, Sessions: 1 << 5}, {ID: 10}}
 	dec = DecodeCancel(EncodeCancelSigs(sigs))
 	if len(dec) != 2 || dec[0] != sigs[0] || dec[1] != sigs[1] {
@@ -130,7 +132,7 @@ func TestCancelCodec(t *testing.T) {
 	}
 }
 
-// TestRunMsgV3Codec pins the batched wire format: per-row session tags
+// TestRunMsgV3Codec pins the tagged layout: per-row session tags
 // round-trip, and the flag bit never leaks into Kind.
 func TestRunMsgV3Codec(t *testing.T) {
 	msg := &RunMsg{
@@ -149,8 +151,8 @@ func TestRunMsgV3Codec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Batched() || dec.Kind != KindNonSpec || dec.RowSessions[1] != 5 {
-		t.Fatalf("v3 decode: %+v", dec)
+	if len(dec.RowSessions) != 2 || dec.Kind != KindNonSpec || dec.RowSessions[1] != 5 {
+		t.Fatalf("tagged decode: %+v", dec)
 	}
 	if dec.RowSession(0) != 3 || dec.RowSession(1) != 5 {
 		t.Fatalf("row sessions: %d %d", dec.RowSession(0), dec.RowSession(1))
@@ -160,9 +162,11 @@ func TestRunMsgV3Codec(t *testing.T) {
 	}
 }
 
-// TestRunMsgV2V3Compat pins backward decoding: the v3 decoder must accept
-// v2 frames byte for byte. The fixture bytes are a frozen v2 encoding
-// (pre-PR-4 layout) of a session-tagged single-token run.
+// TestRunMsgV2V3Compat pins the one-group layout: the fixture bytes are a
+// frozen encoding, from before per-row sections existed, of a one-session
+// single-token run — the plain frame every one-group unranged run still
+// travels in. The decoder must read it, and re-encoding must give back
+// the same bytes.
 func TestRunMsgV2V3Compat(t *testing.T) {
 	// ID=0x01020304, Kind=1 (nonspec), Seq=2, Session=7, one token
 	// (Tok=42, Pos=17, Seqs=bit 2), zero KV ops.
@@ -178,30 +182,30 @@ func TestRunMsgV2V3Compat(t *testing.T) {
 	}
 	msg, err := DecodeRunMsg(v2)
 	if err != nil {
-		t.Fatalf("v3 decoder rejected a v2 frame: %v", err)
+		t.Fatalf("decoder rejected the plain frame: %v", err)
 	}
-	if msg.Batched() || msg.ID != 0x01020304 || msg.Kind != KindNonSpec ||
+	if len(msg.RowSessions) != 0 || msg.ID != 0x01020304 || msg.Kind != KindNonSpec ||
 		msg.Seq != 2 || msg.Session != 7 || len(msg.Tokens) != 1 ||
 		msg.Tokens[0].Tok != 42 || msg.Tokens[0].Pos != 17 {
-		t.Fatalf("v2 frame decoded wrong: %+v", msg)
+		t.Fatalf("plain frame decoded wrong: %+v", msg)
 	}
-	// And a non-batched message still encodes to the identical v2 bytes.
+	// And a one-group message still encodes to the identical bytes.
 	if got := msg.Encode(); len(got) != len(v2) {
-		t.Fatalf("re-encoded v2 frame is %d bytes, want %d", len(got), len(v2))
+		t.Fatalf("re-encoded plain frame is %d bytes, want %d", len(got), len(v2))
 	} else {
 		for i := range got {
 			if got[i] != v2[i] {
-				t.Fatalf("re-encoded v2 frame differs at byte %d", i)
+				t.Fatalf("re-encoded plain frame differs at byte %d", i)
 			}
 		}
 	}
 }
 
-// TestRunMsgRangedRoundTrip pins the v3 range extension: per-row
-// (position, length) ranges survive encode∘decode, the ranged flag
-// composes with the batched flag, SamplingRow picks exactly the rows
-// computing their range's final position, and unranged v3 frames decode
-// with every row sampling — the pre-range behaviour.
+// TestRunMsgRangedRoundTrip pins the per-row ranges: they survive
+// encode∘decode, the ranged flag composes with the tagged flag, SamplingRow
+// picks exactly the rows computing their range's final position, unranged
+// tagged frames decode with every row sampling, and an untagged ranged
+// frame — a one-group prefill — round-trips with the same sampling rows.
 func TestRunMsgRangedRoundTrip(t *testing.T) {
 	msg := &RunMsg{
 		ID: 12, Kind: KindNonSpec, Seq: 8, Session: 2,
@@ -222,7 +226,7 @@ func TestRunMsgRangedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Ranged() || !dec.Batched() || dec.Kind != KindNonSpec {
+	if len(dec.RowRanges) != 4 || len(dec.RowSessions) != 4 || dec.Kind != KindNonSpec {
 		t.Fatalf("ranged decode: %+v", dec)
 	}
 	for i := range msg.RowRanges {
@@ -238,13 +242,13 @@ func TestRunMsgRangedRoundTrip(t *testing.T) {
 			t.Fatalf("SamplingRow(%d) = %v, want %v", i, dec.SamplingRow(i), w)
 		}
 	}
-	// An unranged batched frame still samples every row.
+	// An unranged tagged frame still samples every row.
 	msg.RowRanges = nil
 	dec, err = DecodeRunMsg(msg.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Ranged() {
+	if len(dec.RowRanges) != 0 {
 		t.Fatal("unranged frame decoded ranged")
 	}
 	for i := range dec.Tokens {
@@ -252,11 +256,25 @@ func TestRunMsgRangedRoundTrip(t *testing.T) {
 			t.Fatalf("unranged row %d does not sample", i)
 		}
 	}
-	// A ranged flag without the batched flag is a protocol violation and
-	// must error, never panic or misparse.
-	bad := []byte{1, 0, 0, 0, 0x41, 0, 0, 0, 0, 0}
-	if _, err := DecodeRunMsg(bad); err == nil {
-		t.Fatal("decoder accepted ranges without row sessions")
+	// Ranged without tags: the first three rows alone, as one session's
+	// prefill chunk completing its range.
+	chunk := &RunMsg{ID: 13, Kind: KindPrefill, Seq: 8, Session: 2,
+		Tokens: msg.Tokens[:3], RowRanges: []RowRange{{Pos: 4, Len: 3}, {Pos: 4, Len: 3}, {Pos: 4, Len: 3}}}
+	enc = chunk.Encode()
+	if len(enc) != chunk.EncodedSize() {
+		t.Fatalf("EncodedSize %d != %d", chunk.EncodedSize(), len(enc))
+	}
+	dec, err = DecodeRunMsg(enc)
+	if err != nil {
+		t.Fatalf("untagged ranged frame rejected: %v", err)
+	}
+	if len(dec.RowSessions) != 0 || len(dec.RowRanges) != 3 || !bytes.Equal(dec.AppendEncode(nil), enc) {
+		t.Fatalf("untagged ranged decode: %+v", dec)
+	}
+	for i, w := range want[:3] {
+		if dec.SamplingRow(i) != w || dec.RowSession(i) != 2 {
+			t.Fatalf("untagged ranged row %d: sampling %v session %d, want %v and 2", i, dec.SamplingRow(i), dec.RowSession(i), w)
+		}
 	}
 }
 
@@ -274,19 +292,24 @@ func TestRunMsgRowMasks(t *testing.T) {
 		}
 		return n
 	}
-	if msg.AllDead() || live() != 3 {
+	if msg.AllMasked(msg.DeadSessions) || live() != 3 {
 		t.Fatal("fresh run has dead rows")
 	}
 	msg.DeadSessions = 1 << 1
 	if !msg.RowDead(0) || !msg.RowDead(1) || msg.RowDead(2) {
 		t.Fatal("mask selects wrong rows")
 	}
-	if msg.AllDead() || live() != 1 {
+	if msg.AllMasked(msg.DeadSessions) || live() != 1 {
 		t.Fatalf("live rows %d", live())
 	}
 	msg.DeadSessions |= 1 << 4
-	if !msg.AllDead() || live() != 0 {
-		t.Fatal("fully masked run not AllDead")
+	if !msg.AllMasked(msg.DeadSessions) || live() != 0 {
+		t.Fatal("fully masked run not AllMasked")
+	}
+	// An untagged run is one group: its session's bit alone covers it.
+	solo := &RunMsg{Session: 4, Tokens: make([]TokenPlace, 2)}
+	if solo.AllMasked(0) || solo.AllMasked(1<<1) || !solo.AllMasked(1<<4) {
+		t.Fatal("untagged run masked wrongly")
 	}
 }
 
@@ -457,37 +480,40 @@ func TestLiveStatsAcceptSummary(t *testing.T) {
 	}
 }
 
-func TestCancelSetGC(t *testing.T) {
+// cancelSetOf drains sigs, sent as one message from rank 0, into a fresh
+// cancelSet on rank 1.
+func cancelSetOf(sigs ...CancelSig) *cancelSet {
+	cl := chancomm.New(2)
+	cl.Endpoint(0).Send(1, comm.TagCancel, EncodeCancelSigs(sigs), 0)
 	c := newCancelSet()
-	c.masks[5] = fullCancel
-	c.masks[10] = fullCancel
+	c.drain(cl.Endpoint(1), 0)
+	return c
+}
+
+func TestCancelSetGC(t *testing.T) {
+	c := cancelSetOf(CancelSig{ID: 5, Sessions: 1}, CancelSig{ID: 10})
 	c.gc(7)
-	if c.full(5) {
+	if c.skip(5) != 0 {
 		t.Fatal("id 5 should be collected")
 	}
-	if !c.full(10) {
+	if !c.drop(10) {
 		t.Fatal("id 10 should survive")
 	}
 }
 
-// TestCancelSetMasks pins the row-mask union semantics: per-session
-// masks accumulate, a whole-run signal saturates to full.
+// TestCancelSetMasks pins the entry semantics: skip masks accumulate per
+// run, a mask-0 entry marks the run's result dropped and masks nothing,
+// and the two are independent.
 func TestCancelSetMasks(t *testing.T) {
-	c := newCancelSet()
-	c.masks[3] |= 1 << 2
-	c.masks[3] |= 1 << 9
-	if c.full(3) {
-		t.Fatal("partial masks read as full cancel")
+	c := cancelSetOf(CancelSig{ID: 3, Sessions: 1 << 2}, CancelSig{ID: 3, Sessions: 1 << 9}, CancelSig{ID: 4})
+	if c.skip(3) != (1<<2)|(1<<9) || c.drop(3) {
+		t.Fatalf("run 3: skip %x drop %v, want the mask union and no drop", c.skip(3), c.drop(3))
 	}
-	if c.mask(3) != (1<<2)|(1<<9) {
-		t.Fatalf("mask union %x", c.mask(3))
+	if c.skip(4) != 0 || !c.drop(4) {
+		t.Fatalf("run 4: skip %x drop %v, want no mask and a drop", c.skip(4), c.drop(4))
 	}
-	c.masks[3] |= fullCancel
-	if !c.full(3) {
-		t.Fatal("full cancel lost")
-	}
-	if c.mask(99) != 0 {
-		t.Fatal("unknown id has a mask")
+	if c.skip(99) != 0 || c.drop(99) {
+		t.Fatal("unknown id has an entry")
 	}
 }
 
@@ -558,7 +584,7 @@ func TestWriteSummary(t *testing.T) {
 	s.WriteSummary(&sb, Summary{PromptTokens: 200})
 	want := `memory pressure: 1 spec drops, 2 preemptions, 3 readmissions
 prefix cache: 4 hits reused 50 prompt tokens (25% of prompt work skipped)
-batching: 4 tagged runs (2 carrying prefill chunks), mean width 2.5 sessions, 1 rows masked out in flight
+batching: 4 multi-session runs (2 runs carrying prefill chunks), mean width 2.5 sessions, 1 rows masked out in flight
 fault tolerance: 5 run timeouts, 6 recoveries, 7 reconnects, 8 breaker trips
 overload control: 9 shed on TTFT deadline, 10 refused at admission
 deadlines: 3/4 served requests met every deadline (75% hit-rate)
@@ -570,6 +596,13 @@ deadlines: 3/4 served requests met every deadline (75% hit-rate)
 	(&Stats{}).WriteSummary(&sb, Summary{})
 	if sb.String() != "memory pressure: 0 spec drops, 0 preemptions, 0 readmissions\n" {
 		t.Fatalf("idle summary:\n%s", sb.String())
+	}
+	// Width-1 serving still reports its prefill-chunk runs.
+	sb.Reset()
+	(&Stats{PrefillBatchedRuns: 3}).WriteSummary(&sb, Summary{})
+	if want := "memory pressure: 0 spec drops, 0 preemptions, 0 readmissions\n" +
+		"batching: 0 multi-session runs (3 runs carrying prefill chunks), mean width 0.0 sessions, 0 rows masked out in flight\n"; sb.String() != want {
+		t.Fatalf("width-1 summary:\n%s\nwant:\n%s", sb.String(), want)
 	}
 	sb.Reset()
 	(&Stats{}).WriteSummary(&sb, Summary{Watchdog: true, Overload: true})

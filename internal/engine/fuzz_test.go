@@ -51,21 +51,17 @@ var (
 	tailRanged  = []byte{0x40, 0xc0}
 )
 
-// checkRunMsgDecode is the run-message decoder's one property, over all
-// three wire layouts it accepts (untagged v2, tagged v3, ranged v3): it
-// never panics; whatever it accepts re-encodes to exactly the bytes it
-// consumed (encode∘decode identity on the accepted prefix, EncodedSize
-// agreeing); and re-decoding that encoding gives every field back —
-// header, token and op counts, per-row session tags, per-row ranges and
-// which rows sample. A ranged frame without row sessions is rejected,
-// never misparsed, and DeadSessions never travels.
+// checkRunMsgDecode is the run-message decoder's one property, over every
+// layout it accepts — plain, tagged, ranged, tagged and ranged: it never
+// panics; whatever it accepts re-encodes to exactly the bytes it consumed
+// (encode∘decode identity on the accepted prefix, EncodedSize agreeing);
+// and re-decoding that encoding gives every field back — header, token
+// and op counts, per-row session tags, per-row ranges and which rows
+// sample. DeadSessions never travels.
 func checkRunMsgDecode(t *testing.T, data []byte) {
 	msg, err := DecodeRunMsg(data)
 	if err != nil {
 		return
-	}
-	if msg.Ranged() && !msg.Batched() {
-		t.Fatal("decoder accepted row ranges without row sessions")
 	}
 	enc := msg.AppendEncode(nil)
 	if len(enc) != msg.EncodedSize() {
@@ -83,15 +79,15 @@ func checkRunMsgDecode(t *testing.T, data []byte) {
 		len(again.KVOps) != len(msg.KVOps) {
 		t.Fatalf("decode(encode(m)) != m: %+v vs %+v", again, msg)
 	}
-	if again.Batched() != msg.Batched() || len(again.RowSessions) != len(msg.RowSessions) {
-		t.Fatalf("batched tags lost: %+v vs %+v", again, msg)
+	if len(again.RowSessions) != len(msg.RowSessions) {
+		t.Fatalf("row sessions lost: %+v vs %+v", again, msg)
 	}
 	for i := range msg.RowSessions {
 		if again.RowSessions[i] != msg.RowSessions[i] {
 			t.Fatalf("row session %d: %d != %d", i, again.RowSessions[i], msg.RowSessions[i])
 		}
 	}
-	if again.Ranged() != msg.Ranged() || len(again.RowRanges) != len(msg.RowRanges) {
+	if len(again.RowRanges) != len(msg.RowRanges) {
 		t.Fatalf("row ranges lost: %+v vs %+v", again, msg)
 	}
 	for i := range msg.RowRanges {
@@ -108,11 +104,12 @@ func checkRunMsgDecode(t *testing.T, data []byte) {
 }
 
 // FuzzDecodeRunMsg is the run-message codec's fuzz target (the one CI
-// fuzzes): checkRunMsgDecode over a corpus of every layout — v2, tagged
-// and ranged messages, whole, halved and with each tail — plus the empty
-// input, all-ones garbage, and a ranged-flag frame with no tagged flag.
+// fuzzes): checkRunMsgDecode over a corpus of every layout — plain,
+// tagged, tagged and ranged, and untagged ranged messages, whole, halved
+// and with each tail — plus the empty input, all-ones garbage, and a
+// ranged-flag frame with no rows.
 func FuzzDecodeRunMsg(f *testing.F) {
-	all := append(append(fuzzSeedMsgs(), fuzzSeedMsgsV3()...), fuzzSeedMsgsRanges()...)
+	all := append(append(append(fuzzSeedMsgs(), fuzzSeedMsgsV3()...), fuzzSeedMsgsRanges()...), fuzzSeedMsgsOneGroupRanged()...)
 	addRunMsgSeeds(f, all, tailGarbage, tailTagged, tailRanged)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -122,13 +119,17 @@ func FuzzDecodeRunMsg(f *testing.F) {
 
 // FuzzDecodeCancel checks the cancellation-signal codec: no panic on any
 // input, and decoded entries re-encode to exactly the consumed 12-byte
-// groups (run ID plus session-row mask).
+// groups (run ID plus session mask), whichever of the two entries — a
+// mask-0 "compute, send no result" or a skip mask — they are.
 func FuzzDecodeCancel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeCancelSigs([]CancelSig{{ID: 1}}))
 	f.Add(EncodeCancelSigs([]CancelSig{{ID: 7}, {ID: 0xdeadbeef}, {ID: 0}, {ID: 1 << 30}}))
 	f.Add(EncodeCancelSigs([]CancelSig{{ID: 12, Sessions: 1 << 63}, {ID: 13, Sessions: 5}}))
 	f.Add([]byte{1, 2, 3}) // trailing partial group
+	// One run's (id, 0) beside a one-group run's skip of session 0, the
+	// entries a single-request pipeline sends.
+	f.Add(EncodeCancelSigs([]CancelSig{{ID: 40}, {ID: 41, Sessions: 1}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sigs := DecodeCancel(data)
 		if len(sigs) != len(data)/cancelSigBytes {
@@ -166,7 +167,7 @@ func FuzzResultFrame(f *testing.F) {
 	})
 }
 
-// fuzzSeedMsgsV3 extends the corpus with batched (wire v3) messages:
+// fuzzSeedMsgsV3 extends the corpus with tagged messages:
 // a two-session non-speculative batch and a same-depth speculative batch
 // with per-session prefix-sharing ops.
 func fuzzSeedMsgsV3() []*RunMsg {
@@ -187,9 +188,9 @@ func fuzzSeedMsgsV3() []*RunMsg {
 	}
 }
 
-// fuzzSeedMsgsRanges extends the corpus with ranged (v3 range extension)
-// messages: a mixed prefill-chunk + decode-row run, an intermediate chunk
-// with no sampling row, and a single-group final chunk.
+// fuzzSeedMsgsRanges extends the corpus with tagged and ranged messages:
+// a mixed prefill-chunk + decode-row run, an intermediate chunk with no
+// sampling row, and a single-group final chunk.
 func fuzzSeedMsgsRanges() []*RunMsg {
 	return []*RunMsg{
 		// Mixed: session 2's 3-token prefill chunk completing range
@@ -216,10 +217,32 @@ func fuzzSeedMsgsRanges() []*RunMsg {
 	}
 }
 
-// FuzzDecodeRunMsgV3 and FuzzDecodeRunMsgRanges are the tagged and ranged
-// layouts' historical corpora, kept as regression entries that `go test`
-// replays seed by seed under their recorded names. They are not separate
-// targets: the property and the corpus to fuzz are FuzzDecodeRunMsg's.
+// fuzzSeedMsgsOneGroupRanged extends the corpus with the one-group
+// ranged runs the composer sends untagged: a whole-prompt prefill and the
+// final chunk of a chunked one.
+func fuzzSeedMsgsOneGroupRanged() []*RunMsg {
+	return []*RunMsg{
+		// A 3-token prompt in one run: only the last row samples.
+		{ID: 14, Kind: KindPrefill, Session: 3, Tokens: []TokenPlace{
+			{Tok: 80, Pos: 0, Seqs: kvcache.NewSeqSet(12)},
+			{Tok: 81, Pos: 1, Seqs: kvcache.NewSeqSet(12)},
+			{Tok: 82, Pos: 2, Seqs: kvcache.NewSeqSet(12)},
+		}, RowRanges: []RowRange{{Pos: 0, Len: 3}, {Pos: 0, Len: 3}, {Pos: 0, Len: 3}}},
+		// The final two rows of a 66-token prompt chunked by 32.
+		{ID: 15, Kind: KindPrefill, Session: 6, Tokens: []TokenPlace{
+			{Tok: 90, Pos: 64, Seqs: kvcache.NewSeqSet(24)},
+			{Tok: 91, Pos: 65, Seqs: kvcache.NewSeqSet(24)},
+		}, RowRanges: []RowRange{{Pos: 64, Len: 2}, {Pos: 64, Len: 2}}},
+	}
+}
+
+// FuzzDecodeRunMsgV3 and FuzzDecodeRunMsgRanges are historical corpora:
+// the frozen one-group messages (fuzzSeedMsgs, the plain layout every
+// one-group unranged run still travels in) beside the tagged and the
+// tagged-and-ranged messages of earlier layouts, kept as regression
+// entries that `go test` replays seed by seed under their recorded names.
+// They are not separate targets: the property and the corpus to fuzz are
+// FuzzDecodeRunMsg's.
 func FuzzDecodeRunMsgV3(f *testing.F) {
 	addRunMsgSeeds(f, append(fuzzSeedMsgs(), fuzzSeedMsgsV3()...), tailTagged)
 	f.Fuzz(checkRunMsgDecode)

@@ -199,9 +199,9 @@ func (h *Head) launch(msg *RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *
 	h.inflight.push(run)
 	h.adjustSessInflight(msg, 1)
 	h.Stats.RunsLaunched.Add(1)
-	if msg.Batched() {
+	if n := DistinctSessions(msg); n > 1 {
 		h.Stats.BatchedRuns.Add(1)
-		h.Stats.BatchedRows.Add(int64(DistinctSessions(msg)))
+		h.Stats.BatchedRows.Add(int64(n))
 	}
 	h.record(trace.FlightLaunch, msg.ID, trace.RunArg(uint8(msg.Kind), msg.Len()))
 
@@ -405,7 +405,8 @@ func (h *Head) AwaitResultWithin(d time.Duration) (run *Run, res Results, ok boo
 // timeout, and signals every stage to skip whatever remains of it. The
 // serving layer recovers the run's sessions afterwards (eviction +
 // prefix-recompute readmission), which is what keeps greedy output
-// bit-identical through the failure.
+// bit-identical through the failure — and what lets the signal skip
+// every session's rows, non-speculative ones included.
 func (h *Head) failOldest() *Run {
 	run := h.inflight.pop()
 	h.adjustSessInflight(run.Msg, -1)
@@ -417,7 +418,11 @@ func (h *Head) failOldest() *Run {
 		run.FailedLive = true
 		run.Cancelled = true
 		if !h.CFG.DisableCancel {
-			payload := appendCancelSig(comm.GetBuf(cancelSigBytes), CancelSig{ID: run.Msg.ID})
+			var all uint64
+			for lo := range run.Msg.Groups() {
+				all |= 1 << run.Msg.RowSession(lo)
+			}
+			payload := appendCancelSig(comm.GetBuf(cancelSigBytes), CancelSig{ID: run.Msg.ID, Sessions: all})
 			h.broadcastCancel(payload)
 			comm.PutBuf(payload)
 		}
@@ -425,85 +430,62 @@ func (h *Head) failOldest() *Run {
 	return run
 }
 
-// Cancel back-propagates cancellation signals for the given runs to every
-// worker stage and marks them cancelled in the FIFO (§IV-D.2). Under the
-// no-cancellation ablation it only marks them locally so the head still
-// discards their results. Signals carry run IDs, which are unique across
-// sessions, so cancelling one session's runs can never touch another's.
-func (h *Head) Cancel(runs []*Run) {
+// CancelSession cancels session slot's share of each of runs, every one of
+// which carries rows of slot: the one cancellation the head makes (§IV-D),
+// whatever the runs' shapes. The head masks the session out of each run
+// (RunMsg.DeadSessions), so its rows' results are no longer delivered; a
+// run whose every row group is masked is cancelled, and counted in
+// RunsCancelled at that moment. A session masked out of a run that keeps
+// other sessions' rows counts in RowCancels.
+//
+// What the stages are told is decided here and nowhere else — one entry
+// per run, all in one broadcast, nothing under the no-cancellation
+// ablation:
+//   - (id, the session's bit), "skip these rows", when the run is
+//     speculative or cleanup is set. cleanup promises that the session's
+//     sequences are cleaned up namespace-wide afterwards (chain drop,
+//     drain, eviction), so stages may leave the rows' cache entries
+//     unwritten;
+//   - (id, 0), "compute the run but send no result", when a
+//     non-speculative run without cleanup has just become wholly masked:
+//     multibuffering needs its canonical cache entries, so only the final
+//     sampling is skipped (§IV-D.3);
+//   - nothing otherwise: a non-speculative session's rows in a run that
+//     keeps other sessions' rows are computed, and left out head-side.
+func (h *Head) CancelSession(slot uint16, runs []*Run, cleanup bool) {
+	if slot >= 64 {
+		panic(fmt.Sprintf("engine: session slot %d outside the 64-slot cancel mask", slot))
+	}
+	bit := uint64(1) << slot
 	payload := comm.GetBuf(cancelSigBytes * len(runs))
-	n := 0
 	for _, r := range runs {
-		if r.Cancelled {
+		msg := r.Msg
+		if r.Cancelled || msg.DeadSessions&bit != 0 {
 			continue
 		}
-		r.Cancelled = true
-		n++
-		payload = appendCancelSig(payload, CancelSig{ID: r.Msg.ID})
-		h.Stats.RunsCancelled.Add(1)
-		h.record(trace.FlightCancel, r.Msg.ID, trace.WholeRun)
+		msg.DeadSessions |= bit
+		arg := trace.WholeRun
+		if DistinctSessions(msg) > 1 {
+			h.Stats.RowCancels.Add(1)
+			arg = int32(slot)
+		}
+		h.record(trace.FlightCancel, msg.ID, arg)
+		whole := msg.AllMasked(msg.DeadSessions)
+		if whole {
+			r.Cancelled = true
+			h.Stats.RunsCancelled.Add(1)
+		}
+		switch {
+		case msg.Kind == KindSpec || cleanup:
+			payload = appendCancelSig(payload, CancelSig{ID: msg.ID, Sessions: bit})
+		case whole:
+			payload = appendCancelSig(payload, CancelSig{ID: msg.ID})
+		}
 	}
-	if n > 0 && !h.CFG.DisableCancel {
+	if len(payload) > 0 && !h.CFG.DisableCancel {
 		h.broadcastCancel(payload)
 	}
 	comm.PutBuf(payload)
-}
-
-// CancelRows surgically masks session slot's rows out of an in-flight
-// batched run instead of cancelling the whole run: the head stops
-// delivering those rows' results (the serving demux skips dead rows), and
-// when signal is set a row-masked cancellation signal lets every stage
-// skip the rows' evaluation too. signal must only be set when the
-// session's sequences are cleaned up namespace-wide afterwards (chain
-// drop, session drain, shard eviction) — stages that honour the mask skip
-// the rows' KV occupancy, so without cleanup their caches would diverge.
-// Once every session of the run is masked, the run counts as cancelled.
-func (h *Head) CancelRows(run *Run, slot uint16, signal bool) {
-	if !run.Msg.Batched() {
-		panic("engine: CancelRows on a non-batched run")
-	}
-	if run.Cancelled || slot >= 64 {
-		return
-	}
-	bit := uint64(1) << slot
-	if run.Msg.DeadSessions&bit != 0 {
-		return
-	}
-	run.Msg.DeadSessions |= bit
-	h.Stats.RowCancels.Add(1)
-	h.record(trace.FlightCancel, run.Msg.ID, int32(slot))
-	if run.Msg.AllDead() {
-		run.Cancelled = true
-		h.Stats.RunsCancelled.Add(1)
-	}
-	if !signal || h.CFG.DisableCancel {
-		return
-	}
-	payload := appendCancelSig(comm.GetBuf(cancelSigBytes), CancelSig{ID: run.Msg.ID, Sessions: bit})
-	h.broadcastCancel(payload)
-	comm.PutBuf(payload)
-}
-
-// CancelSession cancels session slot's share of each of runs. A run that
-// is the session's alone (untagged) is cancelled whole, all of them in one
-// broadcast (Cancel); a tagged run loses just the session's rows
-// (CancelRows). cleanup says the session's sequences are cleaned up
-// namespace-wide afterwards — the condition under which stages may skip
-// non-speculative rows; without it only speculative rows are signalled
-// (§IV-D.3 per row; stages never skip an untagged non-speculative run).
-// runs is filtered in place.
-func (h *Head) CancelSession(slot uint16, runs []*Run, cleanup bool) {
-	whole := runs[:0]
-	for _, r := range runs {
-		if r.Msg.Batched() {
-			h.CancelRows(r, slot, cleanup || r.Msg.Kind == KindSpec)
-		} else {
-			whole = append(whole, r)
-		}
-	}
-	if len(whole) > 0 {
-		h.Cancel(whole)
-	}
 }
 
 // broadcastCancel ships a cancellation payload to every worker stage.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,30 +95,114 @@ func TestSessionInflightByGroups(t *testing.T) {
 	}
 }
 
-// TestCancelSession checks the one per-session cancel: a run that is the
-// session's alone is cancelled whole, a shared run loses just the
-// session's rows, and neither touches the FIFO accounting.
+// TestCancelSession is the head's cancel rule as a table over {one group,
+// three} x {spec, non-spec} x {cleanup, not} x {cancellation on, the
+// ablation}: cancelling the sessions of one run in turn, each step pins
+// the head-side marks (the run's session mask, Cancelled), RunsCancelled
+// and RowCancels, and the exact entries a stage reads off its TagCancel
+// stream — a skip mask, (id, 0), or nothing.
 func TestCancelSession(t *testing.T) {
-	h := soloHead(t)
-	solo := h.Launch(&RunMsg{Kind: KindSpec, Session: 3, Tokens: make([]TokenPlace, 2)}, nil, nil)
-	wide := h.Launch(wideMsg(16, 4), nil, nil)
-	h.CancelSession(3, []*Run{solo, wide}, true)
-	if !solo.Cancelled {
-		t.Fatal("the session's own run was not cancelled whole")
+	type step struct {
+		slot       uint16
+		want       []uint64 // the entries' masks; each carries the run's ID
+		cancelled  bool
+		runs, rows int64
 	}
-	if wide.Cancelled {
-		t.Fatal("a shared run was cancelled whole for one session")
+	const skip3, skip0, skip1, skip2 = 1 << 3, 1 << 0, 1 << 1, 1 << 2
+	// A one-group run is session 3's; a three-group run carries sessions
+	// 0, 1 and 2, cancelled 1, 0, 2.
+	solo := func(skip bool) []step {
+		if skip {
+			return []step{{3, []uint64{skip3}, true, 1, 0}}
+		}
+		return []step{{3, []uint64{0}, true, 1, 0}}
 	}
-	for i := range wide.Msg.Tokens {
-		if dead, want := wide.Msg.RowDead(i), wide.Msg.RowSessions[i] == 3; dead != want {
-			t.Fatalf("row %d (session %d) dead=%v", i, wide.Msg.RowSessions[i], dead)
+	wide := func(skip bool) []step {
+		if skip {
+			return []step{{1, []uint64{skip1}, false, 0, 1}, {0, []uint64{skip0}, false, 0, 2}, {2, []uint64{skip2}, true, 1, 3}}
+		}
+		return []step{{1, nil, false, 0, 1}, {0, nil, false, 0, 2}, {2, []uint64{0}, true, 1, 3}}
+	}
+	for _, disable := range []bool{false, true} {
+		for _, groups := range []int{1, 3} {
+			for _, kind := range []RunKind{KindSpec, KindNonSpec} {
+				for _, cleanup := range []bool{false, true} {
+					name := fmt.Sprintf("groups=%d/%v/cleanup=%v/disable=%v", groups, kind, cleanup, disable)
+					t.Run(name, func(t *testing.T) {
+						cl := chancomm.New(2)
+						h, err := NewHead(cl.Endpoint(0), Topology{Head: 0, Stages: []int{1}}, Config{DisableCancel: disable}, nopHeadBackend{}, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						stage := cl.Endpoint(1)
+						msg, steps := &RunMsg{Session: 3, Tokens: make([]TokenPlace, 2)}, solo(kind == KindSpec || cleanup)
+						if groups > 1 {
+							msg, steps = wideMsg(groups, 2), wide(kind == KindSpec || cleanup)
+						}
+						msg.Kind = kind
+						run := h.Launch(msg, nil, nil)
+						var masked uint64
+						for _, st := range steps {
+							h.CancelSession(st.slot, []*Run{run}, cleanup)
+							masked |= 1 << st.slot
+							var got []CancelSig
+							for n := 0; stage.Iprobe(0, comm.TagCancel); n++ {
+								if n > 0 {
+									t.Fatalf("slot %d: one cancel sent more than one message", st.slot)
+								}
+								got = DecodeCancel(stage.Recv(0, comm.TagCancel))
+							}
+							var want []CancelSig
+							for _, m := range st.want {
+								if !disable {
+									want = append(want, CancelSig{ID: run.Msg.ID, Sessions: m})
+								}
+							}
+							if !slices.Equal(got, want) {
+								t.Fatalf("slot %d: stage read %+v, want %+v", st.slot, got, want)
+							}
+							if run.Msg.DeadSessions != masked || run.Cancelled != st.cancelled {
+								t.Fatalf("slot %d: head marks mask %#x cancelled %v, want %#x %v",
+									st.slot, run.Msg.DeadSessions, run.Cancelled, masked, st.cancelled)
+							}
+							if s := h.Stats.Snapshot(); int64(s.RunsCancelled) != st.runs || int64(s.RowCancels) != st.rows {
+								t.Fatalf("slot %d: runs/rows cancelled %d/%d, want %d/%d", st.slot, s.RunsCancelled, s.RowCancels, st.runs, st.rows)
+							}
+						}
+						// Cancelling again changes nothing and sends nothing,
+						// and the FIFO accounting never moved.
+						h.CancelSession(steps[0].slot, []*Run{run}, cleanup)
+						if stage.Iprobe(0, comm.TagCancel) || h.Stats.RunsCancelled.Load() != 1 {
+							t.Fatal("a repeated cancel signalled or counted again")
+						}
+						if got := h.SessionInflight(steps[0].slot); got != 1 {
+							t.Fatalf("cancellation changed the FIFO accounting: %d in flight, want 1", got)
+						}
+					})
+				}
+			}
 		}
 	}
-	if st := h.Stats.Snapshot(); st.RunsCancelled != 1 || st.RowCancels != 1 {
-		t.Fatalf("runs/rows cancelled %d/%d, want 1/1", st.RunsCancelled, st.RowCancels)
+}
+
+// TestCancelSessionOneBroadcast pins that one call signals every run it
+// cancels in one message, entries in run order — the single-request
+// pipeline's sweep over its speculative and non-speculative runs alike.
+func TestCancelSessionOneBroadcast(t *testing.T) {
+	cl := chancomm.New(2)
+	h, err := NewHead(cl.Endpoint(0), Topology{Head: 0, Stages: []int{1}}, Config{}, nopHeadBackend{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := h.SessionInflight(3); got != 2 {
-		t.Fatalf("cancellation changed the FIFO accounting: %d in flight, want 2", got)
+	spec := h.Launch(&RunMsg{Kind: KindSpec, Tokens: make([]TokenPlace, 2)}, nil, nil)
+	nonSpec := h.Launch(&RunMsg{Kind: KindNonSpec, Tokens: make([]TokenPlace, 1)}, nil, nil)
+	h.CancelSession(0, []*Run{spec, nonSpec}, false)
+	got := DecodeCancel(cl.Endpoint(1).Recv(0, comm.TagCancel))
+	if want := []CancelSig{{ID: spec.Msg.ID, Sessions: 1}, {ID: nonSpec.Msg.ID}}; !slices.Equal(got, want) {
+		t.Fatalf("entries %+v, want %+v", got, want)
+	}
+	if cl.Endpoint(1).Iprobe(0, comm.TagCancel) {
+		t.Fatal("a second cancel message")
 	}
 }
 
@@ -135,7 +221,7 @@ func TestHeadChecksResultFrame(t *testing.T) {
 	}
 	answer := func(f ResultFrame) error {
 		run := h.Launch(wideMsg(3, 2), nil, nil)
-		h.CancelRows(run, 1, false)
+		h.CancelSession(1, []*Run{run}, false)
 		f.ID, f.OK = run.Msg.ID, true
 		cl.Endpoint(1).Send(0, comm.TagResult, ResultPayload(f), 0)
 		_, _, ok, err := h.AwaitResult()

@@ -216,8 +216,8 @@ func (s *Stats) WriteSummary(w io.Writer, o Summary) {
 		fmt.Fprintf(w, "prefix cache: %d hits reused %d prompt tokens (%.0f%% of prompt work skipped)\n",
 			s.PrefixHits, s.PrefixHitTokens, 100*float64(s.PrefixHitTokens)/float64(o.PromptTokens))
 	}
-	if s.BatchedRuns > 0 {
-		fmt.Fprintf(w, "batching: %d tagged runs (%d carrying prefill chunks), mean width %.1f sessions, %d rows masked out in flight\n",
+	if s.BatchedRuns > 0 || s.PrefillBatchedRuns > 0 {
+		fmt.Fprintf(w, "batching: %d multi-session runs (%d runs carrying prefill chunks), mean width %.1f sessions, %d rows masked out in flight\n",
 			s.BatchedRuns, s.PrefillBatchedRuns, s.MeanBatch(), s.RowCancels)
 	}
 	if o.Watchdog || s.RunTimeouts > 0 {

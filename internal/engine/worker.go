@@ -123,44 +123,46 @@ func ParseResult(p []byte) (ResultFrame, error) {
 	return f, nil
 }
 
-// cancelSet tracks cancellation signals received out-of-band: per run ID
-// the union of row masks seen, with the all-ones mask standing for a
-// whole-run cancellation. Run IDs are issued and travel in increasing
-// order, so entries at or below the last processed run can be garbage
-// collected.
+// cancelSet tracks the cancellation entries received out-of-band, per run
+// ID: the union of the skip masks, and whether a (id, 0) entry asked for
+// the run's result to be dropped. Run IDs are issued and travel in
+// increasing order, so entries at or below the last processed run can be
+// garbage collected.
 type cancelSet struct {
-	masks map[uint32]uint64
+	runs map[uint32]cancelEntry
 }
 
-// fullCancel is the stored mask meaning "the entire run is cancelled".
-const fullCancel = ^uint64(0)
+// cancelEntry is what the entries received for one run add up to.
+type cancelEntry struct {
+	skip uint64
+	drop bool
+}
 
-func newCancelSet() *cancelSet { return &cancelSet{masks: make(map[uint32]uint64)} }
+func newCancelSet() *cancelSet { return &cancelSet{runs: make(map[uint32]cancelEntry)} }
 
 func (c *cancelSet) drain(ep comm.Endpoint, head int) {
 	for ep.Iprobe(head, comm.TagCancel) {
 		buf := ep.Recv(head, comm.TagCancel)
 		for _, sig := range DecodeCancel(buf) {
-			m := sig.Sessions
-			if m == 0 {
-				m = fullCancel
-			}
-			c.masks[sig.ID] |= m
+			e := c.runs[sig.ID]
+			e.skip |= sig.Sessions
+			e.drop = e.drop || sig.Sessions == 0
+			c.runs[sig.ID] = e
 		}
 		comm.PutBuf(buf)
 	}
 }
 
-// full reports whether the whole run is cancelled.
-func (c *cancelSet) full(id uint32) bool { return c.masks[id] == fullCancel }
+// skip returns the union of the skip masks signalled for the run.
+func (c *cancelSet) skip(id uint32) uint64 { return c.runs[id].skip }
 
-// mask returns the union of session-row masks signalled for the run.
-func (c *cancelSet) mask(id uint32) uint64 { return c.masks[id] }
+// drop reports whether the head asked for the run's result to be dropped.
+func (c *cancelSet) drop(id uint32) bool { return c.runs[id].drop }
 
 func (c *cancelSet) gc(processed uint32) {
-	for id := range c.masks {
+	for id := range c.runs {
 		if id <= processed {
-			delete(c.masks, id)
+			delete(c.runs, id)
 		}
 	}
 }
@@ -255,70 +257,57 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 		// ops account for them (§IV-C.3).
 		w.ApplyKV(run.KVOps)
 
+		// One rule, whatever the run's kind or shape; the head decided what
+		// each entry means. The sessions the skip entries name are masked
+		// out: their rows are neither evaluated nor given cache cells (the
+		// head guarantees their sequences are cleaned up afterwards, so a
+		// stage that learns of a mask late is safe), and a run with every
+		// row group masked — or one its upstream stage skipped — is not
+		// evaluated at all. The cut-short probe between layer chunks
+		// (§IV-D.2) makes the same test on what has arrived since.
 		cancels.drain(ep, topo.Head)
-		skip := !inputOK // upstream already cancelled: nothing to compute
-		if cancels.full(run.ID) && (run.Kind == KindSpec || run.Batched()) {
-			// Speculative runs are dropped; non-speculative runs always
-			// run to completion because multibuffering depends on their
-			// cache entries (§IV-D.3). Batched runs of any kind may be
-			// dropped whole: the head only fully cancels one when every
-			// involved session's state is cleaned up namespace-wide.
-			skip = true
-		}
-		if !skip && run.Batched() {
-			// Surgical per-session cancellation: mask signalled sessions'
-			// rows out of the batch. Workers skip masked rows' evaluation
-			// and KV occupancy; the head guarantees those sessions'
-			// sequences are cleaned up afterwards, so per-stage knowledge
-			// lag is safe.
-			run.DeadSessions = cancels.mask(run.ID)
-			if run.AllDead() {
-				skip = true
+		run.DeadSessions = cancels.skip(run.ID)
+		var data []byte
+		w_, ok := 0, false
+		if inputOK && !run.AllMasked(run.DeadSessions) {
+			cancelled := func() bool {
+				cancels.drain(ep, topo.Head)
+				return run.AllMasked(cancels.skip(run.ID))
 			}
+			data, w_, ok = obs.eval(ep, w, run, input, cancelled)
 		}
-
 		last := downstream < 0
+		// The last stage answers a run it skipped, or one the head asked to
+		// be computed without a result, with the empty marker: the head
+		// knows it cancelled them, and dropping the logits transfer is the
+		// "final sampling is skipped" saving of §IV-D.3.
+		ok = ok && !(last && cancels.drop(run.ID))
+		cancels.gc(run.ID)
+
+		// Eval's payload aliases worker staging; ResultPayload / DataPayload
+		// copy it into a pooled wire buffer. A result frame additionally
+		// carries the run ID, so the head can fence late, duplicated, or
+		// lost results on a faulty link, and the sessions this stage masked
+		// out, which name the rows the frame leaves out.
 		var out []byte
 		wire := 0
-		if !skip {
-			cancelled := func() bool {
-				if run.Kind != KindSpec && !run.Batched() {
-					return false
-				}
-				cancels.drain(ep, topo.Head)
-				return cancels.full(run.ID)
-			}
-			data, w_, ok := obs.eval(ep, w, run, input, cancelled)
-			if ok {
-				// Eval's payload aliases worker staging; ResultPayload /
-				// DataPayload copy it into a pooled wire buffer. A result
-				// frame additionally carries the run ID, so the head can
-				// fence late, duplicated, or lost results on a faulty
-				// link, and the sessions this stage masked out, which
-				// name the rows the frame leaves out.
-				if last {
-					f := ResultFrame{ID: run.ID, OK: true, Dead: run.DeadSessions, Rows: data}
-					out = ResultPayload(f)
-					wire = w_ + f.headerLen()
-				} else {
-					out = DataPayload(data)
-					wire = w_ + 1
-				}
-			}
+		switch {
+		case last && ok:
+			f := ResultFrame{ID: run.ID, OK: true, Dead: run.DeadSessions, Rows: data}
+			out, wire = ResultPayload(f), w_+f.headerLen()
+		case last:
+			out = ResultPayload(ResultFrame{ID: run.ID})
+			wire = len(out)
+		case ok:
+			out, wire = DataPayload(data), w_+1
+		default:
+			out = EmptyPayload()
+			wire = len(out)
 		}
 		// input was only read by Eval; its buffer is done.
 		if inputBuf != nil {
 			comm.PutBuf(inputBuf)
 		}
-		if out == nil {
-			if last {
-				out = ResultPayload(ResultFrame{ID: run.ID})
-			} else {
-				out = EmptyPayload()
-			}
-			wire = len(out)
-		}
-		cancels.gc(run.ID)
 
 		if !last {
 			transact.Begin(ep, downstream, transact.TypeDecode)
@@ -328,15 +317,6 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 			ep.Send(downstream, comm.TagActivation, out, wire)
 			comm.PutBuf(out)
 			return nil
-		}
-		// Last stage: deliver the result to the head. Cancelled or
-		// superfluous runs return the empty marker — the head knows it
-		// cancelled them, and skipping the logits transfer is the "final
-		// sampling is skipped" saving of §IV-D.3.
-		if cancels.full(run.ID) {
-			comm.PutBuf(out)
-			out = ResultPayload(ResultFrame{ID: run.ID})
-			wire = len(out)
 		}
 		ep.Send(topo.Head, comm.TagResult, out, wire)
 		comm.PutBuf(out)

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,26 +91,22 @@ func TestWorkerLoopCancelSkipsSpecRun(t *testing.T) {
 	w := newMockWorker()
 	ep, done, _ := pipeline2(t, w)
 
-	// Cancel run 1 before it arrives: the worker must skip evaluation and
-	// return the empty payload.
-	ep.Send(1, comm.TagCancel, EncodeCancelSigs([]CancelSig{{ID: 1}}), 0)
-	// Give the cancel a chance to be queued first (same-destination
-	// streams are independent, so force ordering via a second message
-	// after confirming the first landed is unnecessary: the worker drains
-	// cancels before deciding).
+	// Skip session 0's rows of run 1 before it arrives: chancomm delivers
+	// a Send before it returns, so the worker sees the entry when it
+	// decides, skips the evaluation and returns the empty marker.
+	ep.Send(1, comm.TagCancel, EncodeCancelSigs([]CancelSig{{ID: 1, Sessions: 1}}), 0)
 	msg := &RunMsg{ID: 1, Kind: KindSpec, Seq: 2, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 4}}}
 	sendDecode(ep, 1, msg)
 	payload := ep.Recv(1, comm.TagResult)
-	if _, ok := PayloadData(payload); ok {
-		// Timing-dependent: the cancel may have raced the decode. Accept
-		// either, but if data came back the eval must have completed.
-		if len(w.evals) != 1 {
-			t.Fatal("data result without evaluation")
-		}
+	if f, err := ParseResult(payload); err != nil || f.OK || f.ID != 1 {
+		t.Fatalf("skipped run answered %+v, %v; want the empty marker for run 1", f, err)
 	}
 	sendShutdown(ep, 1)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if len(w.evals) != 0 {
+		t.Fatalf("skipped run was evaluated: evals=%v", w.evals)
 	}
 }
 
@@ -119,15 +118,110 @@ func TestWorkerLoopNonSpecNeverSkipped(t *testing.T) {
 	msg := &RunMsg{ID: 7, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}}}
 	sendDecode(ep, 1, msg)
 	payload := ep.Recv(1, comm.TagResult)
-	// Non-speculative runs are always evaluated (§IV-D.3); the result may
-	// be the empty marker (sampling skipped) but the eval must happen.
-	_ = payload
+	// (id, 0) keeps a non-speculative run computing (§IV-D.3): the eval
+	// happens, and only the final sampling is skipped — the empty marker.
+	if f, err := ParseResult(payload); err != nil || f.OK {
+		t.Fatalf("result %+v, %v; want the empty marker", f, err)
+	}
 	sendShutdown(ep, 1)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	if len(w.evals) != 1 {
 		t.Fatalf("non-spec run was skipped: evals=%v", w.evals)
+	}
+}
+
+// rowWorker is a last stage that records which rows each Eval computed
+// (the rows outside run.DeadSessions) and answers with one byte per
+// result row, the row's index.
+type rowWorker struct {
+	nopWorker
+	evaluated [][]int
+}
+
+func (w *rowWorker) Eval(run *RunMsg, _ []byte, _ func() bool) ([]byte, int, bool) {
+	var rows []int
+	var out []byte
+	for i := range run.Tokens {
+		if !run.RowDead(i) {
+			rows = append(rows, i)
+		}
+		if run.ResultRow(i, run.DeadSessions) {
+			out = append(out, byte(i))
+		}
+	}
+	w.evaluated = append(w.evaluated, rows)
+	return out, len(out), true
+}
+
+// TestWorkerLoopStageRule is the stage's one cancel rule as a table over
+// {spec, non-spec} x {one group, three} x {skip one session, skip every
+// session, (id, 0), no signal}: the entries reach a last-stage WorkerLoop
+// before the run does (chancomm delivers a Send before it returns), and
+// the test pins which rows were evaluated and the frame that came back —
+// the empty marker, the frame without the skipped session's rows, or the
+// full frame. The run's kind never changes the outcome.
+func TestWorkerLoopStageRule(t *testing.T) {
+	type outcome struct {
+		evaluated []int  // nil: not evaluated
+		frame     []byte // nil: the empty marker
+		dead      uint64
+	}
+	all6 := []int{0, 1, 2, 3, 4, 5}
+	cases := []struct {
+		groups int
+		signal string
+		sigs   func(id uint32) []CancelSig
+		want   outcome
+	}{
+		{1, "skip one", func(id uint32) []CancelSig { return []CancelSig{{ID: id, Sessions: 1 << 3}} }, outcome{}},
+		{1, "skip all", func(id uint32) []CancelSig { return []CancelSig{{ID: id, Sessions: 1<<3 | 1<<5}} }, outcome{}},
+		{1, "(id, 0)", func(id uint32) []CancelSig { return []CancelSig{{ID: id}} }, outcome{evaluated: []int{0, 1}}},
+		{1, "none", func(uint32) []CancelSig { return nil }, outcome{evaluated: []int{0, 1}, frame: []byte{0, 1}}},
+		{3, "skip one", func(id uint32) []CancelSig { return []CancelSig{{ID: id, Sessions: 1 << 1}} },
+			outcome{evaluated: []int{0, 1, 4, 5}, frame: []byte{0, 1, 4, 5}, dead: 1 << 1}},
+		{3, "skip all", func(id uint32) []CancelSig {
+			return []CancelSig{{ID: id, Sessions: 1 << 1}, {ID: id, Sessions: 1<<0 | 1<<2}}
+		}, outcome{}},
+		{3, "(id, 0)", func(id uint32) []CancelSig { return []CancelSig{{ID: id}} }, outcome{evaluated: all6}},
+		{3, "none", func(uint32) []CancelSig { return nil }, outcome{evaluated: all6, frame: []byte{0, 1, 2, 3, 4, 5}}},
+	}
+	for _, kind := range []RunKind{KindSpec, KindNonSpec} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%v/groups=%d/%s", kind, tc.groups, tc.signal), func(t *testing.T) {
+				w := &rowWorker{}
+				ep, done, _ := pipeline2(t, w)
+				msg := &RunMsg{ID: 9, Kind: kind, Session: 3, Tokens: make([]TokenPlace, 2)}
+				if tc.groups > 1 {
+					msg = wideMsg(tc.groups, 2)
+					msg.ID, msg.Kind = 9, kind
+				}
+				if sigs := tc.sigs(msg.ID); sigs != nil {
+					ep.Send(1, comm.TagCancel, EncodeCancelSigs(sigs), 0)
+				}
+				sendDecode(ep, 1, msg)
+				f, err := ParseResult(ep.Recv(1, comm.TagResult))
+				sendShutdown(ep, 1)
+				if werr := <-done; werr != nil {
+					t.Fatal(werr)
+				}
+				if err != nil || f.ID != msg.ID {
+					t.Fatalf("result %+v, %v", f, err)
+				}
+				var evaluated []int
+				if len(w.evaluated) > 0 {
+					evaluated = w.evaluated[0]
+				}
+				if len(w.evaluated) > 1 || !slices.Equal(evaluated, tc.want.evaluated) {
+					t.Fatalf("evaluated rows %v, want %v", w.evaluated, tc.want.evaluated)
+				}
+				if f.OK != (tc.want.frame != nil) || !bytes.Equal(f.Rows, tc.want.frame) || f.Dead != tc.want.dead {
+					t.Fatalf("frame ok=%v dead=%#x rows=%v, want ok=%v dead=%#x rows=%v",
+						f.OK, f.Dead, f.Rows, tc.want.frame != nil, tc.want.dead, tc.want.frame)
+				}
+			})
+		}
 	}
 }
 

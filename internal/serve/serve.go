@@ -63,7 +63,7 @@
 //     remaining prefill first, so a burst of prompts completes one by one
 //     instead of every TTFT serialising behind the longest; one group slot
 //     is always kept for prefill work. Chunk rows carry their remaining
-//     (position, length) range (wire format v3 range extension), so only
+//     (position, length) range (engine.RunMsg.RowRanges), so only
 //     the row computing the range's final position samples — the rest
 //     write KV and forward activations but skip logits and the result
 //     frame. Each group is charged against one conservative collective
@@ -82,9 +82,9 @@
 //     skipped under memory pressure, while the failure breaker is open
 //     and under brown-out.
 //
-// A solo run is the one-group case: one session's unranged group composes
-// to the plain untagged message, so the wire format changes only when a
-// run actually coalesces (or carries ranges). Per-row sequence sets keep
+// A solo run is the one-group case: one session's rows compose to an
+// untagged message (ranged, for a prefill chunk), so per-row session tags
+// travel only when a run actually coalesces. Per-row sequence sets keep
 // attention per-session-isolated and the kernels compute every row in one
 // canonical order, so a session's output is bit-identical to its serial
 // reference at any width (TestServeGreedyParity,
@@ -94,10 +94,10 @@
 // session's chain (core.Chain.Stale / Valid / Verify) with the scheduler
 // acting on the outcome, and all of one result's promotions plus the
 // run's partition cleanup travel as one KV transaction. Cancelling one
-// session's work cancels a run that is the session's alone and masks just
-// its rows out of a shared one (engine.Head.CancelSession); the last
-// stage's result frame carries the sessions it masked, which name the
-// rows it leaves out (engine.ResultFrame).
+// session's work masks it out of each run it rides, whatever the run's
+// width — the head alone decides what the stages are told
+// (engine.Head.CancelSession); the last stage's result frame carries the
+// sessions it masked, which name the rows it leaves out (engine.ResultFrame).
 //
 // # Memory pressure (PR 3)
 //
@@ -1755,8 +1755,8 @@ func (s *Scheduler) stageDecodeRow(sess *session) {
 // stageChunk stages the next chunk of a session's prefill: up to budget
 // tokens of the unfilled range [fillSent, fillTarget), every row tagged
 // with the remaining (position, length) range so stages know that only
-// the row computing position fillTarget-1 samples (the v3 range
-// extension).
+// the row computing position fillTarget-1 samples
+// (engine.RunMsg.RowRanges).
 func (s *Scheduler) stageChunk(sess *session, budget int) {
 	lo := sess.fillSent
 	hi := min(lo+budget, sess.fillTarget)
@@ -2288,14 +2288,12 @@ func (s *Scheduler) noteAccept(sess *session, tok token.Token, fromPrefill bool)
 
 // cancelGroups is the one FIFO sweep behind every per-session
 // cancellation: sess's live row group in each in-flight run that pick
-// selects (nil: all of them) is cancelled — a run that is the session's
-// alone whole, all such runs in one broadcast; a shared run by masking
-// just the session's rows — and the cancellations are credited to the
-// session's stats as well as the aggregate. cleanup promises that the
-// session's sequences are cleaned up namespace-wide afterwards (chain
-// drop, drain, eviction), which is what lets stages skip masked
-// non-speculative rows; without it those are only marked dead head-side,
-// because stages must still write their canonical cache entries (§IV-D.3
+// selects (nil: all of them) is cancelled in one engine.Head.CancelSession
+// call, and the cancellations are credited to the session's stats as well
+// as the aggregate. cleanup promises that the session's sequences are
+// cleaned up namespace-wide afterwards (chain drop, drain, eviction),
+// which is what lets stages skip the session's non-speculative rows;
+// without it stages still write their canonical cache entries (§IV-D.3
 // applied per row).
 func (s *Scheduler) cancelGroups(sess *session, cleanup bool, pick func(r *engine.Run, toks []engine.TokenPlace) bool) {
 	slot := uint16(sess.slot)

@@ -314,7 +314,7 @@ type scriptResults struct {
 }
 
 func (r scriptResults) Next(i int) token.Token {
-	r.b.reads = append(r.b.reads, scriptRead{ranged: r.run.Ranged(), rows: r.run.Len(), row: i})
+	r.b.reads = append(r.b.reads, scriptRead{ranged: len(r.run.RowRanges) > 0, rows: r.run.Len(), row: i})
 	return scriptTok(int(r.run.Tokens[i].Pos) + 1)
 }
 
@@ -399,10 +399,10 @@ func TestOneTransactionPerResult(t *testing.T) {
 			t.Fatalf("%d sessions: speculation idle: %d promoting results, %d cancelled runs, %d cancelled rows",
 				sessions, promoted, st.RunsCancelled, st.RowCancels)
 		}
-		if (st.BatchedRuns > sessions) != (sessions > 1) {
-			// Each session's prefill is one tagged (ranged) run; beyond
-			// those, only coalesced runs are tagged.
-			t.Fatalf("%d sessions: %d tagged runs", sessions, st.BatchedRuns)
+		if (st.BatchedRuns > 0) != (sessions > 1) {
+			// Only coalesced runs count: a session's lone prefill is one
+			// untagged (ranged) group.
+			t.Fatalf("%d sessions: %d multi-session runs", sessions, st.BatchedRuns)
 		}
 		for r, res := range s.results {
 			if len(res.Tokens) != maxNew {
@@ -418,8 +418,8 @@ func TestOneTransactionPerResult(t *testing.T) {
 }
 
 // TestWholePromptPrefillIsOneRangedRun pins the unchunked prefill's shape:
-// a 9-token prompt travels as one ranged run of 9 rows, of which only the
-// last samples — the scheduler reads row 8 and nothing else.
+// a 9-token prompt travels as one untagged, ranged run of 9 rows, of which
+// only the last samples — the scheduler reads row 8 and nothing else.
 func TestWholePromptPrefillIsOneRangedRun(t *testing.T) {
 	p := make([]token.Token, 9)
 	for i := range p {
@@ -430,7 +430,7 @@ func TestWholePromptPrefillIsOneRangedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := s.h.InflightAt(0)
-	if !run.Msg.Ranged() || run.Msg.Len() != 9 || run.Msg.Kind != engine.KindPrefill {
+	if len(run.Msg.RowRanges) != 9 || len(run.Msg.RowSessions) != 0 || run.Msg.Len() != 9 || run.Msg.Kind != engine.KindPrefill {
 		t.Fatalf("prefill launched as %+v", run.Msg)
 	}
 	for i := 0; i < 9; i++ {
