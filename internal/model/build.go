@@ -236,7 +236,7 @@ func (b *build) run() { tensor.ParallelRange(b.nRows, b.rows) }
 
 // rows derives rows [lo, hi) of the build.
 func (b *build) rows(lo, hi int) {
-	buf := make([]float32, b.maxCols)
+	buf := make([]float32, 2*b.maxCols)
 	for i := range b.jobs {
 		j := &b.jobs[i]
 		r0, r1 := max(lo-j.row0, 0), min(hi-j.row0, j.rows)
@@ -268,8 +268,10 @@ func (b *build) rows(lo, hi int) {
 					j.dst.QuantizeRow(r, row)
 					j.dst.DequantizeRow(r, row)
 				}
-				for i := range row {
-					row[i] += noise.Norm() * b.noiseScale
+				perturb := buf[b.maxCols:][:j.cols]
+				noise.FillNormal(perturb, b.noiseScale)
+				for i, p := range perturb {
+					row[i] += p
 				}
 			}
 			j.dst.QuantizeRow(r, row)

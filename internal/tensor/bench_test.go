@@ -52,6 +52,27 @@ func BenchmarkSoftmax128(b *testing.B) {
 	}
 }
 
+// BenchmarkFillNormal is the weight build's layer number: ns per variate
+// for the Box-Muller kernel and for its twin, the Norm loop, over a
+// 64x160 projection's worth.
+func BenchmarkFillNormal(b *testing.B) {
+	for _, k := range []struct {
+		name string
+		fill func(*RNG, Vec, float32)
+	}{{"kernel", (*RNG).FillNormal}, {"twin", fillNormalGo}} {
+		b.Run(k.name, func(b *testing.B) {
+			rng := NewRNG(7)
+			x := make(Vec, 64*160)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.fill(rng, x, 0.125)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/variate")
+		})
+	}
+}
+
 func BenchmarkTopK(b *testing.B) {
 	rng := NewRNG(7)
 	x := make(Vec, 288) // TinyConfig vocab

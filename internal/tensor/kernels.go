@@ -5,7 +5,8 @@ import (
 	"math"
 )
 
-// The portable Go twins of the three forward-pass kernels, and the
+// The portable Go twins of the three forward-pass kernels (the fourth,
+// Box-Muller's, is the Norm loop in rng.go), and the
 // exported entry points that choose between a twin and the amd64
 // assembly. Each twin honours the canonical-order contract on its own
 // (see the package comment); it is what runs off amd64, on amd64 hosts

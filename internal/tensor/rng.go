@@ -32,10 +32,16 @@ func (r *RNG) Uint64() uint64 {
 // would.
 func (r *RNG) Skip(n uint64) { r.state += n * gamma }
 
+// mixC1 and mixC2 are the output function's multipliers.
+const (
+	mixC1 = 0xbf58476d1ce4e5b9
+	mixC2 = 0x94d049bb133111eb
+)
+
 // mix is SplitMix64's output function, a bijection of the state.
 func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z = (z ^ (z >> 30)) * mixC1
+	z = (z ^ (z >> 27)) * mixC2
 	return z ^ (z >> 31)
 }
 
@@ -77,8 +83,23 @@ func (r *RNG) Norm() float32 {
 	return float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
 }
 
-// FillNormal fills dst with normal variates scaled by std.
+// FillNormal fills dst with normal variates scaled by std: Norm()*std for
+// each element in turn, bit for bit, and leaves r where those Norm calls
+// would. On amd64 hosts that pass the CPUID probe the Box-Muller kernel
+// computes whole groups of four; IEEE + - * / and sqrt round the same in a
+// vector lane as in a scalar register, so it is not merely close to the
+// Norm loop but equal to it, and hosts with and without it derive the
+// same weights. (The kernel uses no fused multiply-add because math's
+// code has none: Go on amd64 fuses only an explicit math.FMA.)
 func (r *RNG) FillNormal(dst Vec, std float32) {
+	if simdOn {
+		dst = dst[fillNormalAsm(r, dst, std):]
+	}
+	fillNormalGo(r, dst, std)
+}
+
+// fillNormalGo is the Box-Muller kernel's portable twin: the Norm loop.
+func fillNormalGo(r *RNG, dst Vec, std float32) {
 	for i := range dst {
 		dst[i] = r.Norm() * std
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -42,11 +43,12 @@ func normsFrom(t *testing.T, what string, s NormStream, want []float32, i int) {
 	}
 }
 
+// seedFor plants draw j's output as out: draw j reads state
+// seed + (j+1)*gamma.
+func seedFor(j, out uint64) uint64 { return unmix(out) - (j+1)*gamma }
+
 func TestNormStreamAtEqualsSequential(t *testing.T) {
 	const n = 600
-	// seedFor plants draw j's output as out: draw j reads state
-	// seed + (j+1)*gamma.
-	seedFor := func(j, out uint64) uint64 { return unmix(out) - (j+1)*gamma }
 	for what, tc := range map[string]struct {
 		seed    uint64
 		redraws int
@@ -75,4 +77,97 @@ func TestNormStreamAtEqualsSequential(t *testing.T) {
 			t.Fatalf("%s: At(n) is not where the sequential fill stopped", what)
 		}
 	}
+}
+
+// checkFill fails unless FillNormal, started pre variates into seed's
+// stream and writing n variates off floats into its buffer, gives the
+// Norm loop's bits and leaves the generator where the loop does.
+func checkFill(t testing.TB, what string, seed uint64, pre, off, n int, std float32) {
+	t.Helper()
+	got, want := NewRNG(seed), NewRNG(seed)
+	for range pre {
+		got.Norm()
+		want.Norm()
+	}
+	buf := make(Vec, off+n)
+	got.FillNormal(buf[off:], std)
+	twin := make(Vec, n)
+	fillNormalGo(want, twin, std)
+	for i, w := range twin {
+		if g := buf[off+i]; math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("%s (pre %d, offset %d, n %d, std %v): variate %d = %v (%#x), Norm loop %v (%#x)",
+				what, pre, off, n, std, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+	if got.state != want.state {
+		t.Fatalf("%s (pre %d, offset %d, n %d): FillNormal left the generator %d draws from the Norm loop",
+			what, pre, off, n, (got.state-want.state)*gammaInv)
+	}
+}
+
+// TestFillNormalMatchesNorm holds the Box-Muller kernel to the Norm loop
+// bit for bit, with draws planted where its branch-free arithmetic could
+// part from the scalar code: the redraw of a zero first uniform, a zero
+// second uniform, log's reduction test at f1 == Sqrt2/2 exactly, and cos's
+// octant boundaries, up to 1-2^-53 where the octant rounds to 8. Each
+// plant sits in every lane of a kernel group, and every length and start
+// offset moves it further.
+func TestFillNormalMatchesNorm(t *testing.T) {
+	uniform := func(v uint64) uint64 { return v << 11 } // the draw whose Float64 is v*2^-53
+	type plant struct {
+		what    string
+		second  bool // the variate's second uniform, else its first
+		outputs []uint64
+	}
+	plants := []plant{
+		{"zero first uniform", false, []uint64{0, 2047}},
+		{"zero second uniform", true, []uint64{0, 5}},
+		{"f1 at Sqrt2/2", false, []uint64{uniform(0x16a09e667f3bcd - 1), uniform(0x16a09e667f3bcd), uniform(0x16a09e667f3bcd + 1)}},
+		{"u2 at 1-2^-53", true, []uint64{uniform(1<<53 - 1), uniform(1<<53 - 2)}},
+	}
+	octants := plant{what: "u2 at k/8", second: true}
+	for k := uint64(1); k < 8; k++ {
+		for _, v := range []uint64{k<<50 - 1, k << 50, k<<50 + 1} {
+			octants.outputs = append(octants.outputs, uniform(v))
+		}
+	}
+	plants = append(plants, octants)
+
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4*9 + 0, 4*9 + 1, 4*9 + 2, 4*9 + 3}
+	for _, p := range plants {
+		for _, out := range p.outputs {
+			for lane := range uint64(4) {
+				// Variate 4+lane: the second kernel group when nothing precedes it.
+				j := 2 * (4 + lane)
+				if p.second {
+					j++
+				}
+				seed := seedFor(j, out)
+				what := fmt.Sprintf("%s (draw %#x) in lane %d", p.what, out, lane)
+				for pre := range 4 {
+					for off := range 4 {
+						for _, n := range lengths {
+							checkFill(t, what, seed, pre, off, n, 0.125)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	seeds := NewRNG(77)
+	for i := range 64 {
+		checkFill(t, "random seed", seeds.Uint64(), i%4, i/4%4, 4096+i%4, []float32{1, 0.125, 0.02, -3}[i%4])
+	}
+}
+
+func FuzzFillNormal(f *testing.F) {
+	f.Add(uint64(1), uint16(0), float32(1))
+	f.Add(uint64(2), uint16(9), float32(0.125))
+	f.Add(seedFor(8, 0), uint16(64), float32(1))
+	f.Add(seedFor(9, (1<<53-1)<<11), uint16(37), float32(-3))
+	f.Add(uint64(5), uint16(4000), float32(math.Inf(1)))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, std float32) {
+		checkFill(t, "fuzz", seed, int(n%4), int(n/4%4), int(n%4099), std)
+	})
 }

@@ -57,6 +57,14 @@ func attnAccum2(out0, out1, p0, p1, v *float32, stride int, cells *int, n, hd in
 //go:noescape
 func siluMulFMA(dst, a, b *float32, n8 int)
 
+// boxMuller4 writes up to blocks groups of four Norm variates scaled by
+// std to dst, the uniforms of variate i of the first group drawn from
+// states lanes[i] and lanes[4+i], and returns how many groups it wrote:
+// it stops before a group holding a first uniform of 0.
+//
+//go:noescape
+func boxMuller4(dst *float32, blocks int, lanes *[8]uint64, std float32) int
+
 // simdOn reports whether the AVX2+FMA kernels are safe to use on this CPU.
 // Detection follows the Intel-documented protocol: the OS must have
 // enabled XMM/YMM state saving (OSXSAVE + XGETBV) in addition to the CPU
@@ -99,6 +107,53 @@ var expTab = [...][8]float32{
 var negInf = float32(math.Inf(-1))
 
 func rep8(c float32) [8]float32 { return [8]float32{c, c, c, c, c, c, c, c} }
+
+// bmTab holds the Box-Muller kernel's constants as bit patterns, each
+// replicated across four 64-bit lanes; the order is fixed by the BM_*
+// offsets in simd_amd64.s. The log constants are math/log_amd64.s's, the
+// cos ones math's sin.go's, written as their bits.
+var bmTab = [...][4]uint64{
+	rep4(8 * gamma % (1 << 64)), // eight draws
+	rep4(mixC1 & 0xffffffff), rep4(mixC1 >> 32), rep4(mixC2 & 0xffffffff), rep4(mixC2 >> 32),
+	rep4(0x4330000000000000), rep4(0x4530000000000000), // 2^52, 2^84
+	repF(0x1p84 + 0x1p52), repF(0x1p-53),
+	rep4(1<<52 - 1), repF(0.5), repF(0x1p52 + 1022),
+	rep4(0x3fe6a09e667f3bcd), // Sqrt2/2
+	repF(1), repF(2),
+	rep4(0x3fe5555555555593), rep4(0x3fd999999997fa04), rep4(0x3fd2492494229359), rep4(0x3fcc71c51d8e78af),
+	rep4(0x3fc7466496cb03de), rep4(0x3fc39a09d078c69f), rep4(0x3fc2f112df3e5244), // L1..L7
+	rep4(0x3fe62e42fee00000), rep4(0x3dea39ef35793c76), // Ln2Hi, Ln2Lo
+	repF(-2), repF(2 * math.Pi), repF(4 / math.Pi),
+	rep4(0x3fe921fb40000000), rep4(0x3e64442d00000000), rep4(0x3ce8469898cc5170), // PI4A, PI4B, PI4C
+	rep4(0x3de5d8fd1fd19ccd), rep4(0xbe5ae5e5a9291f5d), rep4(0x3ec71de3567d48a1),
+	rep4(0xbf2a01a019bfdf03), rep4(0x3f8111111110f7d0), rep4(0xbfc5555555555548), // sin
+	rep4(0xbda8fa49a0861a9b), rep4(0x3e21ee9d7b4e3f05), rep4(0xbe927e4f7eac4bc6),
+	rep4(0x3efa01a019c844f5), rep4(0xbf56c16c16c14f91), rep4(0x3fa555555555554b), // cos
+	rep4(1), rep4(2), rep4(1 << 63),
+}
+
+func rep4(c uint64) [4]uint64 { return [4]uint64{c, c, c, c} }
+
+func repF(c float64) [4]uint64 { return rep4(math.Float64bits(c)) }
+
+// fillNormalAsm fills the leading whole groups of four of dst with
+// boxMuller4, advances r past the draws they took and returns how many
+// variates it wrote: all of len(dst)&^3 unless a first uniform of 0 (2^-53
+// per variate) stopped it, in which case Norm takes over at that group.
+func fillNormalAsm(r *RNG, dst Vec, std float32) int {
+	blocks := len(dst) / 4
+	if blocks == 0 {
+		return 0
+	}
+	var lanes [8]uint64
+	for i := range 4 {
+		lanes[i] = r.state + uint64(2*i+1)*gamma
+		lanes[4+i] = r.state + uint64(2*i+2)*gamma
+	}
+	done := boxMuller4(&dst[0], blocks, &lanes, std)
+	r.Skip(8 * uint64(done))
+	return 4 * done
+}
 
 // projAsm reports whether projections by m take the assembly kernels: a
 // property of the weight shape alone, so a given matrix always computes

@@ -568,3 +568,234 @@ a2fold:
 	JLT  a2group
 	VZEROUPPER
 	RET
+
+// Offsets into ·bmTab, 32 bytes per constant replicated across four
+// 64-bit lanes.
+#define BM_GAMMA8  0
+#define BM_C1LO    32
+#define BM_C1HI    64
+#define BM_C2LO    96
+#define BM_C2HI    128
+#define BM_MAG52   160
+#define BM_MAG84   192
+#define BM_MAGSUB  224
+#define BM_TWOM53  256
+#define BM_MANT    288
+#define BM_HALF    320
+#define BM_KBIAS   352
+#define BM_HSQRT2  384
+#define BM_ONE     416
+#define BM_TWO     448
+#define BM_L1      480
+#define BM_L2      512
+#define BM_L3      544
+#define BM_L4      576
+#define BM_L5      608
+#define BM_L6      640
+#define BM_L7      672
+#define BM_LN2HI   704
+#define BM_LN2LO   736
+#define BM_NEGTWO  768
+#define BM_TWOPI   800
+#define BM_FOUROPI 832
+#define BM_PI4A    864
+#define BM_PI4B    896
+#define BM_PI4C    928
+#define BM_S0      960
+#define BM_S1      992
+#define BM_S2      1024
+#define BM_S3      1056
+#define BM_S4      1088
+#define BM_S5      1120
+#define BM_C0      1152
+#define BM_C1      1184
+#define BM_C2      1216
+#define BM_C3      1248
+#define BM_C4      1280
+#define BM_C5      1312
+#define BM_IONE    1344
+#define BM_ITWO    1376
+#define BM_SIGN    1408
+
+// MUL64(Z, LO, HI, T, U) multiplies the four 64-bit lanes of Z by the
+// constant whose low and high 32-bit halves sit at LO and HI, modulo
+// 2^64: lo*lo + ((hi*lo + lo*hi) << 32). T and U are scratch.
+#define MUL64(Z, LO, HI, T, U) \
+	VPSRLQ $32, Z, T; \
+	VPMULUDQ LO(R9), T, T; \
+	VPMULUDQ HI(R9), Z, U; \
+	VPADDQ U, T, T; \
+	VPSLLQ $32, T, T; \
+	VPMULUDQ LO(R9), Z, Z; \
+	VPADDQ T, Z, Z
+
+// MIX applies SplitMix64's output function to the four states in Z.
+#define MIX(Z, T, U) \
+	VPSRLQ $30, Z, T; \
+	VPXOR T, Z, Z; \
+	MUL64(Z, BM_C1LO, BM_C1HI, T, U); \
+	VPSRLQ $27, Z, T; \
+	VPXOR T, Z, Z; \
+	MUL64(Z, BM_C2LO, BM_C2HI, T, U); \
+	VPSRLQ $31, Z, T; \
+	VPXOR T, Z, Z
+
+// UNIFORM turns the four 53-bit integers in Z (a draw's top bits) into
+// Float64's uniforms: each converted exactly, as 2^84 + hi*2^32 and
+// 2^52 + lo built in the bit patterns, then (hi*2^32 - 2^52) + (2^52 + lo),
+// then scaled by 2^-53.
+#define UNIFORM(Z, T) \
+	VPSRLQ $32, Z, T; \
+	VPOR BM_MAG84(R9), T, T; \
+	VPBLENDD $0xAA, BM_MAG52(R9), Z, Z; \
+	VSUBPD BM_MAGSUB(R9), T, T; \
+	VADDPD T, Z, Z; \
+	VMULPD BM_TWOM53(R9), Z, Z
+
+// func boxMuller4(dst *float32, blocks int, lanes *[8]uint64, std float32) int
+//
+// Writes up to blocks groups of four variates scaled by std, each the bits
+// Norm()*std gives: the uniforms are lanes[0:4] and lanes[4:8] mixed, the
+// states advancing by 8 draws a block; log follows math/log_amd64.s and
+// cos math's sin.go operation for operation, with no fused multiply-adds.
+// Stops before the first block holding a zero first uniform (Norm redraws
+// it) and returns the number of blocks written.
+TEXT ·boxMuller4(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ blocks+8(FP), CX
+	MOVQ lanes+16(FP), SI
+	VBROADCASTSS std+24(FP), X13
+	LEAQ ·bmTab(SB), R9
+	VMOVDQU (SI), Y14        // Y14 = states of the first uniforms
+	VMOVDQU 32(SI), Y15      // Y15 = states of the second uniforms
+	XORQ AX, AX
+
+bmblock:
+	CMPQ AX, CX
+	JGE  bmdone
+	VMOVDQA Y14, Y0
+	MIX(Y0, Y1, Y2)
+	VPSRLQ $11, Y0, Y0
+	VPXOR Y2, Y2, Y2
+	VPCMPEQQ Y2, Y0, Y1
+	VPTEST Y1, Y1
+	JNZ  bmdone              // a first uniform of 0: Norm redraws, leave it to Norm
+	VMOVDQA Y15, Y12
+	MIX(Y12, Y1, Y2)
+	VPSRLQ $11, Y12, Y12
+	VPADDQ BM_GAMMA8(R9), Y14, Y14
+	VPADDQ BM_GAMMA8(R9), Y15, Y15
+	UNIFORM(Y0, Y1)          // Y0 = u1
+	UNIFORM(Y12, Y1)         // Y12 = u2
+
+	// log(u1), as math/log_amd64.s: f1, k = frexp(u1) from the bits.
+	VANDPD BM_MANT(R9), Y0, Y1
+	VORPD BM_HALF(R9), Y1, Y1           // Y1 = f1
+	VPSRLQ $52, Y0, Y2
+	VPOR BM_MAG52(R9), Y2, Y2
+	VSUBPD BM_KBIAS(R9), Y2, Y2         // Y2 = k
+	// if f1 <= Sqrt2/2 { k -= 1; f1 *= 2 }
+	VCMPPD $2, BM_HSQRT2(R9), Y1, Y3
+	VANDPD BM_ONE(R9), Y3, Y3
+	VSUBPD Y3, Y2, Y2
+	VADDPD BM_ONE(R9), Y3, Y3
+	VMULPD Y3, Y1, Y1
+	VSUBPD BM_ONE(R9), Y1, Y1           // Y1 = f
+	VADDPD BM_TWO(R9), Y1, Y3
+	VDIVPD Y3, Y1, Y3                   // Y3 = s = f / (2 + f)
+	VMULPD Y3, Y3, Y4                   // Y4 = s2
+	VMULPD Y4, Y4, Y5                   // Y5 = s4
+	VMULPD BM_L7(R9), Y5, Y6
+	VADDPD BM_L5(R9), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD BM_L3(R9), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD BM_L1(R9), Y6, Y6
+	VMULPD Y6, Y4, Y4                   // Y4 = t1
+	VMULPD BM_L6(R9), Y5, Y6
+	VADDPD BM_L4(R9), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD BM_L2(R9), Y6, Y6
+	VMULPD Y6, Y5, Y5                   // Y5 = t2
+	VADDPD Y5, Y4, Y4                   // Y4 = R
+	VMULPD BM_HALF(R9), Y1, Y6
+	VMULPD Y1, Y6, Y6                   // Y6 = hfsq
+	VADDPD Y6, Y4, Y4
+	VMULPD Y4, Y3, Y3                   // s*(hfsq+R)
+	VMULPD BM_LN2LO(R9), Y2, Y4
+	VADDPD Y4, Y3, Y3
+	VSUBPD Y3, Y6, Y6
+	VSUBPD Y1, Y6, Y6
+	VMULPD BM_LN2HI(R9), Y2, Y2
+	VSUBPD Y6, Y2, Y0                   // Y0 = log(u1)
+	VMULPD BM_NEGTWO(R9), Y0, Y0
+	VSQRTPD Y0, Y0                      // Y0 = sqrt(-2 log u1)
+
+	// cos(2 pi u2), as math's sin.go: octant j = trunc(x*4/pi), bumped
+	// to even, and z = x - j*pi/4 in three parts.
+	VMULPD BM_TWOPI(R9), Y12, Y1        // Y1 = x
+	VMULPD BM_FOUROPI(R9), Y1, Y2
+	VCVTTPD2DQY Y2, X2
+	VPMOVZXDQ X2, Y2
+	VPAND BM_IONE(R9), Y2, Y3
+	VPADDQ Y3, Y2, Y2                   // Y2 = j
+	VPOR BM_MAG52(R9), Y2, Y3
+	VSUBPD BM_MAG52(R9), Y3, Y3         // Y3 = y = float64(j)
+	VMULPD BM_PI4A(R9), Y3, Y4
+	VSUBPD Y4, Y1, Y1
+	VMULPD BM_PI4B(R9), Y3, Y4
+	VSUBPD Y4, Y1, Y1
+	VMULPD BM_PI4C(R9), Y3, Y4
+	VSUBPD Y4, Y1, Y1                   // Y1 = z
+	VMULPD Y1, Y1, Y4                   // Y4 = zz
+	// Both polynomials; octants 2 and 6 take the sine one.
+	VMULPD BM_S0(R9), Y4, Y5
+	VADDPD BM_S1(R9), Y5, Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD BM_S2(R9), Y5, Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD BM_S3(R9), Y5, Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD BM_S4(R9), Y5, Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD BM_S5(R9), Y5, Y5
+	VMULPD Y4, Y1, Y6
+	VMULPD Y6, Y5, Y5
+	VADDPD Y1, Y5, Y5                   // Y5 = z + z*zz*P(zz)
+	VMULPD BM_C0(R9), Y4, Y6
+	VADDPD BM_C1(R9), Y6, Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD BM_C2(R9), Y6, Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD BM_C3(R9), Y6, Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD BM_C4(R9), Y6, Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD BM_C5(R9), Y6, Y6
+	VMULPD Y4, Y4, Y7
+	VMULPD Y7, Y6, Y6
+	VMULPD BM_HALF(R9), Y4, Y7
+	VMOVUPD BM_ONE(R9), Y8
+	VSUBPD Y7, Y8, Y8
+	VADDPD Y6, Y8, Y6                   // Y6 = 1 - 0.5*zz + zz*zz*Q(zz)
+	VPAND BM_ITWO(R9), Y2, Y7
+	VPCMPEQQ BM_ITWO(R9), Y7, Y7
+	VBLENDVPD Y7, Y5, Y6, Y6
+	// Negative in octants 2 and 4: bit 2 of j+2, moved to the sign.
+	VPADDQ BM_ITWO(R9), Y2, Y7
+	VPSLLQ $61, Y7, Y7
+	VPAND BM_SIGN(R9), Y7, Y7
+	VXORPD Y7, Y6, Y6                   // Y6 = cos(2 pi u2)
+
+	VMULPD Y6, Y0, Y0
+	VCVTPD2PSY Y0, X0
+	VMULPS X13, X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ $16, DI
+	INCQ AX
+	JMP  bmblock
+
+bmdone:
+	VZEROUPPER
+	MOVQ AX, ret+32(FP)
+	RET

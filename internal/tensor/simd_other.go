@@ -14,6 +14,8 @@ func matMulTAsm(Mat, Mat, Mat, int, int) int { return 0 }
 
 func siluMulAsm(Vec, Vec, Vec) { panic("tensor: no assembly kernels on this architecture") }
 
+func fillNormalAsm(*RNG, Vec, float32) int { return 0 }
+
 func attentionAsm(Vec, Vec, Mat, Mat, int, []int, float32, Vec) {
 	panic("tensor: no assembly kernels on this architecture")
 }

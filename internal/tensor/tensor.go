@@ -25,6 +25,13 @@
 // other (FMA rounds once, the twin twice), so results are deterministic
 // per process, not across hosts.
 //
+// A fourth kernel derives the weights: RNG.FillNormal runs Box-Muller
+// four variates at a time in AVX2 (SplitMix64 lanes, math/log_amd64.s's
+// log and math's cos operation for operation, no FMA), and its twin is the
+// scalar Norm loop. Its contract is stronger than the forward pass's: the
+// kernel equals the twin bit for bit, generator state included, so every
+// host derives the same model from the same (cfg, seed).
+//
 // Matrix products are parallelised across weight rows with a persistent
 // worker pool (see ParallelRange / SetParallelism). Hot-path contract:
 // with SetParallelism(1), every kernel in this package runs inline on the

@@ -1,6 +1,7 @@
 package tensor_test
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
@@ -27,12 +28,16 @@ func onTwin(t *testing.T) {
 	t.Cleanup(func() { tensor.SetSIMDForTest(prev) })
 }
 
-func twinModel(t *testing.T, typ quant.Type, seed uint64) *model.Model {
-	t.Helper()
+func twinCfg(typ quant.Type) model.Config {
 	cfg := model.TinyConfig()
 	cfg.NLayers = 4
 	cfg.Quant = typ
-	m, err := model.New(cfg, seed)
+	return cfg
+}
+
+func twinModel(t *testing.T, typ quant.Type, seed uint64) *model.Model {
+	t.Helper()
+	m, err := model.New(twinCfg(typ), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +140,63 @@ func TestTwinQuantizedGreedyMatchesDequantized(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%v: token %d = %d, dequantized path %d", typ, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// weightBits lists every weight m holds, in a fixed order, as bits.
+func weightBits(m *model.Model) []uint32 {
+	var out []uint32
+	add := func(v tensor.Vec) {
+		for _, x := range v {
+			out = append(out, math.Float32bits(x))
+		}
+	}
+	add(m.Embed.Data)
+	for _, l := range m.Layers {
+		add(l.AttnNorm)
+		add(l.FFNNorm)
+		for _, q := range []quant.Mat{l.Wq, l.Wk, l.Wv, l.Wo, l.WGate, l.WUp, l.WDown} {
+			add(q.Dequantize().Data)
+		}
+	}
+	add(m.Norm)
+	add(m.Output.Dequantize().Data)
+	return out
+}
+
+// TestBuildBitsIndependentOfKernel: unlike the forward-pass kernels, the
+// Box-Muller kernel equals its twin bit for bit, so ranks with and without
+// AVX2 in one deployment derive one model — whole, as a stage, or as the
+// draft of a stage that holds only part of the target.
+func TestBuildBitsIndependentOfKernel(t *testing.T) {
+	if !tensor.SIMDAccelerated() {
+		t.Skip("the host runs the Go twin only: there is no second kernel to compare")
+	}
+	for _, typ := range []quant.Type{quant.F32, quant.Q8, quant.Q4} {
+		build := func(simd bool) map[string]*model.Model {
+			defer tensor.SetSIMDForTest(tensor.SetSIMDForTest(simd))
+			stage, err := model.NewStage(twinCfg(typ), 9, 1, 3, false, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return map[string]*model.Model{
+				"whole": twinModel(t, typ, 9),
+				"stage": stage,
+				"draft": model.NewDraft(stage, 0.05, 10),
+			}
+		}
+		host, twin := build(true), build(false)
+		for name, m := range host {
+			got, want := weightBits(m), weightBits(twin[name])
+			if len(got) != len(want) {
+				t.Fatalf("%v %s: %d weights on the kernel, %d on the twin", typ, name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%v %s: weight %d is %#x on the kernel, %#x on the twin", typ, name, i, got[i], want[i])
+				}
 			}
 		}
 	}
