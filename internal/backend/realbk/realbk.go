@@ -53,7 +53,7 @@ type Worker struct {
 // metadata cache is sized by kv (capacity rounded up to whole pages; the
 // K/V tensor store matches the rounded size, rows indexed by cell id =
 // page*pageSize + slot). kv.ShardSeqs is the serving layer's per-session
-// namespace width; zero means one shard for single-request engines.
+// namespace width; zero means one shard over every id.
 func NewWorker(m *model.Model, lo, hi int, first, last bool, kv kvpage.Config) *Worker {
 	cache := kvpage.New(kv)
 	return &Worker{

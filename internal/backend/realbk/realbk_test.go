@@ -296,3 +296,42 @@ func TestRealErrors(t *testing.T) {
 		t.Fatal("over-split must fail")
 	}
 }
+
+// TestOneSessionOutcome: a PipeInfer or iterative Run is a one-session
+// serve (spawn over Options.oneSession), and its Outcome reads like one.
+// Every requested token is generated, and each one but the prompt-sampled
+// token carries an acceptance time; prefill completes before the first
+// acceptance, which comes no later than completion; and the run counters
+// the Outcome takes from the head's aggregate are the one session's own.
+func TestOneSessionOutcome(t *testing.T) {
+	counters := func(s engine.Stats) [5]int {
+		return [5]int{s.Proposed, s.Accepted, s.RunsLaunched, s.RunsCancelled, s.Superfluous}
+	}
+	for _, s := range []engine.Strategy{engine.StrategyPipeInfer, engine.StrategyIterative} {
+		opts := testOpts(s, 3, 0.3)
+		served, err := spawn(opts.oneSession(), s)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		out, err := outcome(served, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		st := out.Stats
+		if st.Generated != opts.CFG.MaxNew || len(out.Tokens) != st.Generated {
+			t.Fatalf("%v: generated %d (%d tokens), want %d", s, st.Generated, len(out.Tokens), opts.CFG.MaxNew)
+		}
+		if len(st.AcceptTimes) != st.Generated-1 {
+			t.Fatalf("%v: %d acceptance times for %d tokens", s, len(st.AcceptTimes), st.Generated)
+		}
+		if !(0 < st.PrefillDone && st.PrefillDone < st.FirstToken && st.FirstToken <= st.Done) {
+			t.Fatalf("%v: timeline out of order: prefill %v, first %v, done %v", s, st.PrefillDone, st.FirstToken, st.Done)
+		}
+		if sess, agg := counters(served.Results[0].Stats), counters(served.Stats); sess != agg || counters(st) != agg {
+			t.Fatalf("%v: session counters %v, aggregate %v, outcome %v", s, sess, agg, counters(st))
+		}
+		if s == engine.StrategyPipeInfer && st.Proposed == 0 {
+			t.Fatalf("%v: the serve never speculated", s)
+		}
+	}
+}

@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
-	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
-	"github.com/pipeinfer/pipeinfer/internal/core"
-	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
+	"github.com/pipeinfer/pipeinfer/internal/serve"
 	"github.com/pipeinfer/pipeinfer/internal/telemetry"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 	"github.com/pipeinfer/pipeinfer/internal/trace"
@@ -61,7 +59,7 @@ func (o *Options) defaults() {
 }
 
 // plan is the rank-independent execution layout every rank derives
-// deterministically from Options.
+// deterministically from ServeOptions (buildServePlan).
 type plan struct {
 	cfg    engine.Config
 	topo   engine.Topology
@@ -76,49 +74,6 @@ type plan struct {
 	noise     float32
 	obs       *telemetry.Registry
 	onWeights func(rank, lo, hi int, took time.Duration)
-}
-
-// split fills in the layer ranges and the weight source, the tail both
-// plan builders share. The model configuration is checked here, where
-// every rank fails alike, so that no rank can fail building its weights
-// while the others already wait on it.
-func (p *plan) split(mcfg model.Config, seed uint64, noise float32) error {
-	if err := mcfg.Validate(); err != nil {
-		return err
-	}
-	if mcfg.NLayers < len(p.topo.Stages) {
-		return fmt.Errorf("realbk: %d layers cannot split over %d stages", mcfg.NLayers, len(p.topo.Stages))
-	}
-	p.mcfg, p.seed, p.noise = mcfg, seed, noise
-	p.lo, p.hi = make([]int, len(p.topo.Stages)), make([]int, len(p.topo.Stages))
-	acc := 0
-	for i, s := range cost.UniformSplit(mcfg.NLayers, len(p.topo.Stages)) {
-		p.lo[i], p.hi[i] = acc, acc+s
-		acc += s
-	}
-	return nil
-}
-
-func buildPlan(opts *Options) (*plan, error) {
-	opts.defaults()
-	if len(opts.Prompt) == 0 {
-		return nil, fmt.Errorf("realbk: empty prompt")
-	}
-	topo, err := engine.TopologyFor(opts.Strategy, opts.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	cfg := opts.CFG.Defaults()
-	p := &plan{
-		cfg:       cfg,
-		topo:      topo,
-		kv:        kvpage.Config{Cells: len(opts.Prompt) + cfg.MaxNew + 4*cfg.MaxSeqs*cfg.MicroBatch + 128},
-		onWeights: opts.OnWeights,
-	}
-	if err := p.split(opts.ModelCfg, opts.Seed, opts.DraftNoise); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 func (p *plan) stageIdx(rank int) int {
@@ -223,118 +178,54 @@ func (p *plan) newHead(ep comm.Endpoint, part *model.Model, shared *weights, dra
 	return h, bk, localWorker, nil
 }
 
+// oneSession is the one-session serve a single-request run is: the run's
+// prompt as the only request, one slot, width one, no prefix cache, and —
+// when the strategy drafts — a namespace of the canonical sequence plus
+// MaxSeqs partitions. The strategy picks the topology and the head loop
+// (serve.Drive).
+func (o Options) oneSession() ServeOptions {
+	o.defaults()
+	so := ServeOptions{
+		Nodes: o.Nodes, CFG: o.CFG, ModelCfg: o.ModelCfg, Seed: o.Seed,
+		Speculate:   o.Strategy == engine.StrategyPipeInfer,
+		DraftNoise:  o.DraftNoise,
+		MaxSessions: 1,
+		Requests:    []serve.Request{{Prompt: o.Prompt}},
+		OnWeights:   o.OnWeights,
+	}
+	if o.Strategy != engine.StrategyIterative {
+		so.SeqsPerSession = o.CFG.Defaults().MaxSeqs + 1
+	}
+	return so
+}
+
+// outcome is a rank's share of a single-request run: the head's tokens and
+// statistics (serve.Solo), every rank's resident bytes.
+func outcome(out ServeOutcome, err error) (Outcome, error) {
+	if err != nil {
+		return Outcome{}, err
+	}
+	o := Outcome{PerNodeMem: out.PerNodeMem}
+	if out.Results != nil {
+		o.Tokens, o.Stats, err = serve.Solo(out.Results, out.Stats)
+	}
+	return o, err
+}
+
 // RunRank executes one pipeline rank over the given endpoint. All ranks
 // must be constructed with identical Options. Rank 0 returns the full
 // outcome (generated tokens, stats); worker ranks return only their local
 // memory accounting. This is the entry point cmd/pipeinfer-node uses to
 // run PipeInfer across separate OS processes connected by tcpcomm.
 func RunRank(ep comm.Endpoint, opts Options) (Outcome, error) {
-	return runRank(ep, opts, newWeights(1))
-}
-
-// runRank is RunRank over the weights the ranks of one process share (a
-// rank that is a process of its own shares with itself alone).
-func runRank(ep comm.Endpoint, opts Options, shared *weights) (Outcome, error) {
-	p, err := buildPlan(&opts)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if ep.Size() != opts.Nodes {
-		return Outcome{}, fmt.Errorf("realbk: endpoint cluster size %d != %d nodes", ep.Size(), opts.Nodes)
-	}
-	rank := ep.Rank()
-	part, err := p.build(rank, shared)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out := Outcome{PerNodeMem: make([]int64, opts.Nodes)}
-
-	if rank != p.topo.Head {
-		si := p.stageIdx(rank)
-		if si < 0 {
-			return Outcome{}, fmt.Errorf("realbk: rank %d has no role", rank)
-		}
-		w := p.newWorker(part, si)
-		if err := engine.WorkerLoop(ep, p.topo, w, engine.WorkerObs{}); err != nil {
-			return Outcome{}, fmt.Errorf("realbk: stage %d: %w", si, err)
-		}
-		if err := w.Cache().CheckInvariants(); err != nil {
-			return Outcome{}, fmt.Errorf("realbk: stage %d KV corruption: %w", si, err)
-		}
-		out.PerNodeMem[rank] = w.MemoryBytes()
-		return out, nil
-	}
-
-	// Head rank.
-	h, bk, localWorker, err := p.newHead(ep, part, shared, opts.Strategy != engine.StrategyIterative)
-	if err != nil {
-		return Outcome{}, err
-	}
-	defer bk.Settle()
-	var toks []token.Token
-	switch opts.Strategy {
-	case engine.StrategyIterative:
-		toks, err = engine.RunIterative(h, opts.Prompt)
-	case engine.StrategySpeculative:
-		toks, err = engine.RunSpeculative(h, opts.Prompt)
-	case engine.StrategyPipeInfer:
-		toks, err = core.Run(h, opts.Prompt)
-	default:
-		err = fmt.Errorf("realbk: unknown strategy %v", opts.Strategy)
-	}
-	if err != nil {
-		// The stages are parked in their worker loops and only the head
-		// can release them.
-		h.Shutdown()
-		return Outcome{}, err
-	}
-	if localWorker != nil {
-		if err := localWorker.Cache().CheckInvariants(); err != nil {
-			return Outcome{}, fmt.Errorf("realbk: head stage KV corruption: %w", err)
-		}
-		out.PerNodeMem[rank] += localWorker.MemoryBytes()
-	}
-	out.PerNodeMem[rank] += bk.MemoryBytes()
-	out.Tokens = toks
-	out.Stats = h.Stats.Snapshot()
-	return out, nil
+	return outcome(serveRank(ep, opts.oneSession(), newWeights(1), opts.Strategy))
 }
 
 // Run spawns one goroutine per pipeline rank connected by chancomm and
 // executes the selected strategy end to end, merging per-rank memory
-// accounting into one outcome. Each rank derives the layers it evaluates
-// and the ranks share them (weights), so the target is built once
-// between them.
+// accounting into one outcome — the one-session serve of Serve's spawn.
 func Run(opts Options) (Outcome, error) {
-	opts.defaults()
-	cluster := chancomm.New(opts.Nodes)
-	shared := newWeights(opts.Nodes)
-
-	outcomes := make([]Outcome, opts.Nodes)
-	errs := make([]error, opts.Nodes)
-	var wg sync.WaitGroup
-	for rank := 1; rank < opts.Nodes; rank++ {
-		rank := rank
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outcomes[rank], errs[rank] = runRank(cluster.Endpoint(rank), opts, shared)
-		}()
-	}
-	outcomes[0], errs[0] = runRank(cluster.Endpoint(0), opts, shared)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Outcome{}, err
-		}
-	}
-	out := outcomes[0]
-	for rank := 1; rank < opts.Nodes; rank++ {
-		for i, m := range outcomes[rank].PerNodeMem {
-			out.PerNodeMem[i] += m
-		}
-	}
-	return out, nil
+	return outcome(spawn(opts.oneSession(), opts.Strategy))
 }
 
 // ReferenceGreedy produces the single-runner greedy output every strategy

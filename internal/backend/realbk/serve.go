@@ -8,6 +8,7 @@ import (
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
+	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
@@ -154,16 +155,21 @@ func (o *ServeOptions) defaults() {
 	}
 }
 
-// servePlan derives the rank-independent layout every rank computes
-// identically from ServeOptions.
-func buildServePlan(opts *ServeOptions) (*plan, error) {
+// strategy is the strategy a serve runs: PipeInfer's topology and
+// per-session speculation, or iterative inference.
+func (o *ServeOptions) strategy() engine.Strategy {
+	if o.Speculate {
+		return engine.StrategyPipeInfer
+	}
+	return engine.StrategyIterative
+}
+
+// buildServePlan derives the rank-independent layout every rank computes
+// identically from ServeOptions and the strategy's topology.
+func buildServePlan(opts *ServeOptions, strategy engine.Strategy) (*plan, error) {
 	opts.defaults()
 	if len(opts.Requests) == 0 {
 		return nil, fmt.Errorf("realbk: no requests to serve")
-	}
-	strategy := engine.StrategyIterative
-	if opts.Speculate {
-		strategy = engine.StrategyPipeInfer
 	}
 	topo, err := engine.TopologyFor(strategy, opts.Nodes)
 	if err != nil {
@@ -187,19 +193,34 @@ func buildServePlan(opts *ServeOptions) (*plan, error) {
 	if opts.KVCells > 0 {
 		cells = opts.KVCells
 	}
+	// The model configuration is checked here, where every rank fails
+	// alike, so that no rank can fail building its weights while the
+	// others already wait on it.
+	mcfg := opts.ModelCfg
+	if err := mcfg.Validate(); err != nil {
+		return nil, err
+	}
+	if mcfg.NLayers < len(topo.Stages) {
+		return nil, fmt.Errorf("realbk: %d layers cannot split over %d stages", mcfg.NLayers, len(topo.Stages))
+	}
 	p := &plan{
 		cfg:  cfg,
 		topo: topo,
+		lo:   make([]int, len(topo.Stages)),
+		hi:   make([]int, len(topo.Stages)),
 		kv: kvpage.Config{
 			Cells:     cells,
 			PageSize:  opts.KVPageSize,
 			ShardSeqs: opts.SeqsPerSession,
 		},
+		mcfg: mcfg, seed: opts.Seed, noise: opts.DraftNoise,
 		obs:       opts.Obs,
 		onWeights: opts.OnWeights,
 	}
-	if err := p.split(opts.ModelCfg, opts.Seed, opts.DraftNoise); err != nil {
-		return nil, err
+	acc := 0
+	for i, s := range cost.UniformSplit(mcfg.NLayers, len(topo.Stages)) {
+		p.lo[i], p.hi[i] = acc, acc+s
+		acc += s
 	}
 	return p, nil
 }
@@ -210,13 +231,14 @@ func buildServePlan(opts *ServeOptions) (*plan, error) {
 // return only their memory accounting — the same split RunRank uses, so
 // the serving layer runs unchanged over chancomm or tcpcomm.
 func ServeRank(ep comm.Endpoint, opts ServeOptions) (ServeOutcome, error) {
-	return serveRank(ep, opts, newWeights(1))
+	return serveRank(ep, opts, newWeights(1), opts.strategy())
 }
 
 // serveRank is ServeRank over the weights the ranks of one process share
-// (a rank that is a process of its own shares with itself alone).
-func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights) (ServeOutcome, error) {
-	p, err := buildServePlan(&opts)
+// (a rank that is a process of its own shares with itself alone), laid out
+// for strategy, whose head loop the head runs (serve.Drive).
+func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights, strategy engine.Strategy) (ServeOutcome, error) {
+	p, err := buildServePlan(&opts, strategy)
 	if err != nil {
 		return ServeOutcome{}, err
 	}
@@ -257,8 +279,8 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights) (ServeOutco
 		return out, nil
 	}
 
-	// Head rank: scheduler over all requests.
-	h, bk, localWorker, err := p.newHead(ep, part, shared, opts.Speculate)
+	// Head rank: the strategy's head loop over all requests.
+	h, bk, localWorker, err := p.newHead(ep, part, shared, strategy != engine.StrategyIterative)
 	if err != nil {
 		return ServeOutcome{}, err
 	}
@@ -269,7 +291,23 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights) (ServeOutco
 		h.LocalObs = stageObs(opts.Obs, rank)
 		h.LocalObs.Meter.Open(ep.Now())
 	}
-	results, err := runScheduler(h, p, opts)
+	results, err := serve.Drive(h, strategy, serve.Config{
+		MaxSessions:    opts.MaxSessions,
+		SeqsPerSession: opts.SeqsPerSession,
+		Speculate:      opts.Speculate,
+		KV:             p.kv,
+		OnToken:        opts.OnToken,
+		OnPreempt:      opts.OnPreempt,
+		OnReadmit:      opts.OnReadmit,
+		MaxBatch:       opts.MaxBatch,
+		PrefillChunk:   opts.PrefillChunk,
+		AutoBatch:      opts.AutoBatch,
+		RunTimeout:     opts.RunTimeout,
+		MaxQueue:       opts.MaxQueue,
+		OnRecover:      opts.OnRecover,
+		PrefixCache:    opts.PrefixCache,
+		Obs:            opts.Obs,
+	}, opts.Requests)
 	if err != nil {
 		// The stages are parked in their worker loops and only the head
 		// can release them.
@@ -291,35 +329,10 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights) (ServeOutco
 	return out, nil
 }
 
-// runScheduler drives the session scheduler over every request.
-func runScheduler(h *engine.Head, p *plan, opts ServeOptions) ([]serve.Result, error) {
-	sched, err := serve.New(h, serve.Config{
-		MaxSessions:    opts.MaxSessions,
-		SeqsPerSession: opts.SeqsPerSession,
-		Speculate:      opts.Speculate,
-		KV:             p.kv,
-		OnToken:        opts.OnToken,
-		OnPreempt:      opts.OnPreempt,
-		OnReadmit:      opts.OnReadmit,
-		MaxBatch:       opts.MaxBatch,
-		PrefillChunk:   opts.PrefillChunk,
-		AutoBatch:      opts.AutoBatch,
-		RunTimeout:     opts.RunTimeout,
-		MaxQueue:       opts.MaxQueue,
-		OnRecover:      opts.OnRecover,
-		PrefixCache:    opts.PrefixCache,
-		Obs:            opts.Obs,
-	}, opts.Requests)
-	if err != nil {
-		return nil, err
-	}
-	return sched.Run()
-}
-
-// serveCacheClean asserts the serving end state: structurally consistent
-// metadata and — because every finished session removed its whole
-// namespace — an entirely empty cache with every page back on the free
-// list.
+// serveCacheClean asserts the end state of every run: structurally
+// consistent metadata and — because every finished session removed its
+// whole namespace, and the speculative baseline its canonical sequence —
+// an entirely empty cache with every page back on the free list.
 func serveCacheClean(c *kvpage.Cache) error {
 	if err := c.CheckInvariants(); err != nil {
 		return fmt.Errorf("KV corruption: %w", err)
@@ -331,13 +344,18 @@ func serveCacheClean(c *kvpage.Cache) error {
 }
 
 // Serve spawns one goroutine per pipeline rank connected by chancomm and
-// multiplexes every request through the shared pipeline — the
-// persistent-server counterpart of the one-shot Run. No weights are built
-// ahead of the spawn: each rank derives the layers it evaluates on its
-// own goroutine and the ranks share them read-only (weights), so the
+// multiplexes every request through the shared pipeline. No weights are
+// built ahead of the spawn: each rank derives the layers it evaluates on
+// its own goroutine and the ranks share them read-only (weights), so the
 // target is built once between them, in parallel, and a speculating
 // head's draft perturbs it in place of a second derivation.
 func Serve(opts ServeOptions) (ServeOutcome, error) {
+	return spawn(opts, opts.strategy())
+}
+
+// spawn is Serve laid out for strategy: the one in-process spawn, of a
+// serve and of a single-request run alike.
+func spawn(opts ServeOptions, strategy engine.Strategy) (ServeOutcome, error) {
 	opts.defaults()
 	cluster := chancomm.New(opts.Nodes)
 	shared := newWeights(opts.Nodes)
@@ -350,10 +368,10 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			outcomes[rank], errs[rank] = serveRank(cluster.Endpoint(rank), opts, shared)
+			outcomes[rank], errs[rank] = serveRank(cluster.Endpoint(rank), opts, shared, strategy)
 		}()
 	}
-	outcomes[0], errs[0] = serveRank(cluster.Endpoint(0), opts, shared)
+	outcomes[0], errs[0] = serveRank(cluster.Endpoint(0), opts, shared, strategy)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

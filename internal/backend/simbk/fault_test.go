@@ -126,3 +126,19 @@ func TestSimServeHeadErrorSurfaces(t *testing.T) {
 		t.Fatalf("a lost result with no watchdog armed reported as: %v", err)
 	}
 }
+
+// TestSimServeConfigErrorSurfaces: a configuration the scheduler refuses
+// to start on reaches the caller as the scheduler's error, not as the
+// deadlock of stages the head never released.
+func TestSimServeConfigErrorSurfaces(t *testing.T) {
+	_, err := Serve(ServeOptions{
+		Cluster:  cost.ClusterC().Take(3),
+		Pair:     cost.CPUPairs()[0],
+		CFG:      engine.Config{MaxNew: 8},
+		Sessions: 1, PromptLen: 8, Seed: 1,
+		Speculate: true, SeqsPerSession: 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "SeqsPerSession") || strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("speculation over one-sequence namespaces reported as: %v", err)
+	}
+}

@@ -156,11 +156,27 @@ func ServeReference(opts ServeOptions, i, maxNew int) []token.Token {
 // results plus aggregate stats and memory accounting.
 func Serve(opts ServeOptions) (ServeOutcome, error) {
 	opts.defaults()
-	n := len(opts.Cluster.Nodes)
+	cfg := opts.CFG.Defaults()
+	reqs := make([]serve.Request, opts.Sessions)
+	for i := range reqs {
+		reqs[i] = serve.Request{Prompt: servePrompt(&opts, i), MaxNew: cfg.MaxNew}
+		if opts.SLOFor != nil {
+			reqs[i].Priority, reqs[i].TTFTDeadline, reqs[i].Deadline = opts.SLOFor(i)
+		}
+	}
 	strategy := engine.StrategyIterative
 	if opts.Speculate {
 		strategy = engine.StrategyPipeInfer
 	}
+	return simulate(opts, strategy, nil, reqs)
+}
+
+// simulate settles reqs on one simulated pipeline laid out for strategy —
+// a process per stage rank that is not the head, and the head's, which
+// runs serve.Drive — with the layer split splitWeights asks for (nil:
+// uniform). Every stage must drain to zero whatever the head loop.
+func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float64, reqs []serve.Request) (ServeOutcome, error) {
+	n := len(opts.Cluster.Nodes)
 	topo, err := engine.TopologyFor(strategy, n)
 	if err != nil {
 		return ServeOutcome{}, err
@@ -172,15 +188,15 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 		alpha = opts.AcceptanceOverride
 	}
 	o := oracle.New(simVocab, alpha, opts.Seed)
-	reqs := make([]serve.Request, opts.Sessions)
-	for i := range reqs {
-		reqs[i] = serve.Request{Prompt: servePrompt(&opts, i), MaxNew: cfg.MaxNew}
-		if opts.SLOFor != nil {
-			reqs[i].Priority, reqs[i].TTFTDeadline, reqs[i].Deadline = opts.SLOFor(i)
-		}
-	}
 
 	splits := cost.UniformSplit(opts.Pair.Target.NLayers, len(topo.Stages))
+	if splitWeights != nil {
+		if len(splitWeights) != len(topo.Stages) {
+			return ServeOutcome{}, fmt.Errorf("simbk: %d split weights for %d stages",
+				len(splitWeights), len(topo.Stages))
+		}
+		splits = cost.SplitLayers(opts.Pair.Target.NLayers, splitWeights)
+	}
 	cells := opts.MaxSessions*(opts.SharedPromptLen+opts.PromptLen+cfg.MaxNew+4*opts.SeqsPerSession*cfg.MicroBatch) + 256
 	if opts.KVCells > 0 {
 		cells = opts.KVCells
@@ -193,12 +209,20 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 	var out ServeOutcome
 	var runErr error
 	workers := make([]*Worker, len(topo.Stages))
+	// One timeline ring per recording goroutine, the head's first: events
+	// at the same instant read in that order (a launch, then the inline
+	// stage's evaluation of it).
+	headRing := opts.Trace.Ring("head", 0)
+	rings := make(map[int]*trace.Ring, len(topo.Stages))
+	for _, rank := range topo.Stages {
+		rings[rank] = opts.Trace.Ring(fmt.Sprintf("rank%d", rank), 0)
+	}
 	// stageObs registers a stage: its meter with the registry, and its
 	// one flight ring on whichever of the timeline set and the registry's
 	// the caller supplied (all nil, and so inert, with neither).
 	stageObs := func(rank int) engine.WorkerObs {
 		name := fmt.Sprintf("rank%d", rank)
-		ring := opts.Trace.Ring(name, 0)
+		ring := rings[rank]
 		if ring == nil {
 			ring = opts.Obs.Flight().Ring(name, 0)
 		} else {
@@ -252,12 +276,12 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 			return
 		}
 		// serve.New registers the head's ring with Obs itself.
-		h.Flight = opts.Trace.Ring("head", 0)
+		h.Flight = headRing
 		if local != nil {
 			h.LocalObs = stageObs(topo.Head)
 			h.LocalObs.Meter.Open(ep.Now())
 		}
-		sched, err := serve.New(h, serve.Config{
+		results, err := serve.Drive(h, strategy, serve.Config{
 			MaxSessions:    opts.MaxSessions,
 			SeqsPerSession: opts.SeqsPerSession,
 			Speculate:      opts.Speculate,
@@ -274,14 +298,10 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 			NeedCtx: true,
 		}, reqs)
 		if err != nil {
-			runErr = err
-			return
-		}
-		results, err := sched.Run()
-		if err != nil {
 			// The stages are parked in their worker loops and only the head
 			// can release them; left there, the kernel reports their
-			// deadlock in place of this error.
+			// deadlock in place of this error — a configuration error the
+			// scheduler refused to start on included.
 			h.Shutdown()
 			runErr = fmt.Errorf("simbk: head: %w", err)
 			return
@@ -289,7 +309,12 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 		out.Results = results
 		out.Stats = h.Stats.Snapshot()
 		out.PerNodeMem = make([]int64, n)
-		out.PerNodeMem[topo.Head] += bk.MemoryBytes()
+		if strategy != engine.StrategyIterative {
+			// Only the speculative strategies host a draft model (§V-B:
+			// "iterative inference maintained lower memory requirements
+			// due to the lack of a speculative model").
+			out.PerNodeMem[topo.Head] += bk.MemoryBytes()
+		}
 		for si, w := range workers {
 			if w != nil {
 				out.PerNodeMem[topo.Stages[si]] += w.MemoryBytes()
@@ -303,9 +328,10 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 	if runErr != nil {
 		return ServeOutcome{}, runErr
 	}
-	// Serving end-state self-check: metadata invariants hold on every
-	// stage and — every finished session having removed its namespace —
-	// no cell is still occupied.
+	// End-state self-check: metadata invariants hold on every stage and —
+	// every finished session having removed its namespace, and the
+	// speculative baseline its canonical sequence — no cell is still
+	// occupied.
 	for si, w := range workers {
 		if w == nil {
 			continue

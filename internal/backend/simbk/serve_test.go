@@ -508,3 +508,24 @@ func TestSimServeDisableContinuous(t *testing.T) {
 		}
 	}
 }
+
+// TestSimServeIterativeHeadHoldsNoDraft: a serve without speculation hosts
+// no draft model (§V-B), so its head, stage 0 of an even four-way split,
+// is charged exactly what every other stage is — its worker's shard and
+// cache.
+func TestSimServeIterativeHeadHoldsNoDraft(t *testing.T) {
+	out, err := Serve(ServeOptions{
+		Cluster:  cost.ClusterC().Take(4),
+		Pair:     cost.CPUPairs()[0], // 80 layers: 20 a stage
+		CFG:      engine.Config{MaxNew: 8},
+		Sessions: 2, PromptLen: 8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, m := range out.PerNodeMem {
+		if m != out.PerNodeMem[1] {
+			t.Fatalf("rank %d holds %d bytes, stage rank 1 holds %d: %v", r, m, out.PerNodeMem[1], out.PerNodeMem)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
+	"github.com/pipeinfer/pipeinfer/internal/serve"
 )
 
 func baseOpts(strategy engine.Strategy, nodes int, alpha float64) Options {
@@ -287,5 +288,52 @@ func TestPipeInferNeedsTwoNodes(t *testing.T) {
 	opts.Cluster = cost.ClusterC().Take(1)
 	if _, err := Run(opts); err == nil {
 		t.Fatal("PipeInfer on one node should fail (dedicated head required)")
+	}
+}
+
+// runCounters are the counters a single-request Outcome takes from the
+// head's aggregate.
+func runCounters(s engine.Stats) [5]int {
+	return [5]int{s.Proposed, s.Accepted, s.RunsLaunched, s.RunsCancelled, s.Superfluous}
+}
+
+// TestOneSessionOutcome: a PipeInfer or iterative Run is a one-session
+// serve, and its Outcome reads like one. Every requested token is
+// generated, and each one but the prompt-sampled token (TTFT anchors at
+// prefill completion) carries an acceptance time; prefill completes before
+// the first acceptance, which comes no later than completion; and the run
+// counters the Outcome takes from the head's aggregate are the one
+// session's own.
+func TestOneSessionOutcome(t *testing.T) {
+	for _, s := range []engine.Strategy{engine.StrategyPipeInfer, engine.StrategyIterative} {
+		opts := baseOpts(s, 4, 0.52)
+		so, reqs := opts.oneSession()
+		served, err := simulate(so, s, nil, reqs)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		toks, st, err := serve.Solo(served.Results, served.Stats)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if st.Generated != opts.CFG.MaxNew || len(toks) != st.Generated {
+			t.Fatalf("%v: generated %d (%d tokens), want %d", s, st.Generated, len(toks), opts.CFG.MaxNew)
+		}
+		if len(st.AcceptTimes) != st.Generated-1 {
+			t.Fatalf("%v: %d acceptance times for %d tokens", s, len(st.AcceptTimes), st.Generated)
+		}
+		if !(0 < st.PrefillDone && st.PrefillDone < st.FirstToken && st.FirstToken <= st.Done) {
+			t.Fatalf("%v: timeline out of order: prefill %v, first %v, done %v", s, st.PrefillDone, st.FirstToken, st.Done)
+		}
+		if sess, agg := runCounters(served.Results[0].Stats), runCounters(served.Stats); sess != agg || runCounters(st) != agg {
+			t.Fatalf("%v: session counters %v, aggregate %v, outcome %v", s, sess, agg, runCounters(st))
+		}
+		if s == engine.StrategyPipeInfer && (st.Proposed == 0 || st.RunsCancelled == 0) {
+			t.Fatalf("%v: %d proposed, %d cancelled: the serve never speculated", s, st.Proposed, st.RunsCancelled)
+		}
+		out := run(t, opts)
+		if out.Stats.Done != st.Done || runCounters(out.Stats) != runCounters(st) {
+			t.Fatalf("%v: Run differs from its one-session serve", s)
+		}
 	}
 }

@@ -1,3 +1,15 @@
+// Package core is PipeInfer's machine (§IV): continuous asynchronous
+// speculation with pipelined KV cache multibuffering and early inference
+// cancellation, as one type. Chain is one request's accepted tokens,
+// pending speculation chain and reactive cutoff, with the §IV algorithm as
+// its methods — draft past the frontier, share the prefix into a fresh
+// partition, verify a result, promote what the target confirmed, tell
+// stale and invalidated runs from live ones. It does no I/O.
+//
+// internal/serve drives it, one Chain per session, from the head of a
+// pipeline whose rank 0 is dedicated to the draft model and sampling
+// (§IV-A). A single-request run — the paper's setting — is a one-session
+// serve, so the figures measure the code that serves.
 package core
 
 import (
@@ -20,10 +32,9 @@ type Pending struct {
 // Chain is one request's speculation state and the §IV algorithm over it:
 // the accepted tokens, the pending chain drafted past them, and the
 // reactive confidence cutoff (§IV-B.2). It is plain data and does no I/O:
-// a driver owns the pipeline — launching, awaiting, cancelling, shipping
-// the KV ops the methods hand back. Run drives one chain on a dedicated
-// pipeline, serve.Scheduler one per session. Methods take caller-owned
-// scratch and allocate nothing beyond growing it.
+// its driver, serve.Scheduler, owns the pipeline — launching, awaiting,
+// cancelling, shipping the KV ops the methods hand back. Methods take
+// caller-owned scratch and allocate nothing beyond growing it.
 type Chain struct {
 	Accepted []token.Token
 	Pending  []Pending

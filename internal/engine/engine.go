@@ -577,7 +577,7 @@ type Stats struct {
 	Done        time.Duration // generation finished
 
 	// AcceptTimes is the timestamp of every acceptance event, kept by the
-	// single-request engines and in each serving Result (bounded by the
+	// speculative baseline and in each serving Result (bounded by the
 	// request's MaxNew). The serving aggregate carries only the summary:
 	// AcceptCount events, the first at FirstToken, the latest at
 	// LastAccept — all ITL reads.

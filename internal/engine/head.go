@@ -70,8 +70,8 @@ type Head struct {
 	// the FIFO head (its arrival proved the oldest run's result lost); it
 	// is re-examined after the failed run is popped.
 	pendingResult []byte
-	// freeRuns recycles consumed Run records (see Recycle): single-request
-	// engines let records be garbage collected, the serving layer returns
+	// freeRuns recycles consumed Run records (see Recycle): the speculative
+	// baseline lets records be garbage collected, the serving layer returns
 	// them here so steady-state decode launches allocate nothing.
 	freeRuns []*Run
 	// sessInflight counts in-flight runs per session slot (RunMsg.Session),
@@ -149,8 +149,7 @@ func (h *Head) newRun() *Run {
 // Recycle returns a consumed run record to the head's free list so the
 // next Launch reuses it. Only callers that drop every reference to the
 // record (and anything derived from its pointer identity) may recycle;
-// the single-request engines, which key invalidation state by *Run, must
-// not.
+// the speculative baseline never does.
 func (h *Head) Recycle(run *Run) {
 	*run = Run{}
 	h.freeRuns = append(h.freeRuns, run)
@@ -525,7 +524,7 @@ func (h *Head) Shutdown() {
 }
 
 // Sampled records n accepted tokens, logging each timestamp: the
-// single-request engines' acceptance hook.
+// speculative baseline's acceptance hook.
 func (h *Head) Sampled(n int) { h.sampled(n, true) }
 
 // SampledAggregate is Sampled for the serving layer, whose aggregate

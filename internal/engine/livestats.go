@@ -16,7 +16,7 @@ import (
 // mid-serve without stopping the scheduler. Every counter is a field
 // here, its int twin in Stats, and one row of Counters. The few
 // non-counter fields (phase timestamps, the acceptance count and last
-// timestamp, and the single-request engines' acceptance log) sit behind
+// timestamp, and the speculative baseline's acceptance log) sit behind
 // a mutex taken only on acceptance events and snapshots.
 //
 // Snapshot consistency rule: counters are read one atomic load at a
@@ -119,7 +119,7 @@ func (ls *LiveStats) MarkDone(at time.Duration) {
 
 // Snapshot copies the live counters into a plain Stats value. Safe to
 // call concurrently with scheduler mutation; see the type comment for
-// the consistency contract. A single-request engine's acceptance log is
+// the consistency contract. The speculative baseline's acceptance log is
 // copied, so snapshots are self-contained (and Snapshot of one therefore
 // allocates — it belongs on scrape/shutdown paths, not per-token ones).
 func (ls *LiveStats) Snapshot() Stats {

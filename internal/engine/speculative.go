@@ -16,7 +16,7 @@ import (
 // verification are strictly serialized, which is precisely the latency
 // weakness PipeInfer removes.
 func RunSpeculative(h *Head, prompt []token.Token) ([]token.Token, error) {
-	g0, err := Prefill(h, prompt)
+	g0, err := prefill(h, prompt)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +127,38 @@ func RunSpeculative(h *Head, prompt []token.Token) ([]token.Token, error) {
 	}
 	h.Stats.MarkDone(h.EP.Now())
 	h.Stats.Generated.Store(int64(len(accepted) - len(prompt)))
+	// Leave the stages as a served session does: drained to zero cells.
+	h.SendKV([]kvcache.Op{{Kind: kvcache.OpSeqRm, Src: kvcache.Canonical, P0: 0, P1: 1 << 30}})
 	h.Shutdown()
 	return accepted[len(prompt):], nil
+}
+
+// prefill pushes the prompt through the pipeline as a canonical run and
+// returns the first sampled token. Per §V-A, metrics start after it.
+func prefill(h *Head, prompt []token.Token) (token.Token, error) {
+	if len(prompt) == 0 {
+		return 0, fmt.Errorf("engine: empty prompt")
+	}
+	canon := kvcache.NewSeqSet(kvcache.Canonical)
+	msg := &RunMsg{Kind: KindPrefill, Seq: kvcache.Canonical, Tokens: make([]TokenPlace, len(prompt))}
+	for i, t := range prompt {
+		msg.Tokens[i] = TokenPlace{Tok: t, Pos: int32(i), Seqs: canon}
+	}
+	h.Launch(msg, nil, nil)
+	_, res, ok, err := h.AwaitResult()
+	if err != nil {
+		return 0, err
+	}
+	if !ok {
+		return 0, fmt.Errorf("engine: prefill run was cancelled")
+	}
+	next := res.Next(len(prompt) - 1)
+	h.Stats.SetPrefillDone(h.EP.Now())
+	return next, nil
+}
+
+func snapshot(toks []token.Token) []token.Token {
+	out := make([]token.Token, len(toks))
+	copy(out, toks)
+	return out
 }

@@ -10,7 +10,7 @@
 // into shards: one shard per sequence-id namespace (Config.ShardSeqs
 // consecutive ids — the serving layer's per-session window; the default,
 // kvcache.MaxSeqs, is a single shard covering the whole id space, which
-// is what single-request engines and the draft runner use). A cell's
+// is what the draft runner uses). A cell's
 // index is page*PageSize + slot, so the compute backends' K/V tensor
 // stores — which index rows by cell — address paged storage with no
 // translation layer.

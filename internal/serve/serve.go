@@ -6,9 +6,9 @@
 // continuous speculation cannot fill are filled by other sessions' runs,
 // so the pipeline stays busy even when every individual request is
 // latency-bound. Each session is a core.Chain, the PipeInfer machine
-// (draft, verify, promote, invalidate) internal/core's single-request
-// driver runs, driven here in an event-per-result style so one head thread
-// can interleave all of them.
+// (draft, verify, promote, invalidate), driven here in an event-per-result
+// style so one head thread can interleave all of them; a single-request
+// run is a one-session serve (Drive).
 //
 // # Session / sequence-namespace contract
 //
@@ -1074,8 +1074,8 @@ func (s *Scheduler) tryLaunch() bool {
 		case sess.state == stateDecode && (sess.wantNonSpec || s.inflight(sess) == 0):
 			// A freshly sampled token always feeds straight back into the
 			// pipeline; an idle session (no runs in flight, nothing owed) is
-			// restarted the same way — the per-session analogue of the core
-			// engine's "pipeline non-empty while tokens remain" invariant.
+			// restarted the same way — the "pipeline non-empty while tokens
+			// remain" invariant, per session.
 			if len(ready) >= width {
 				continue
 			}
@@ -1971,8 +1971,8 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 
 // handleResult consumes the oldest run's result (or its failure) and
 // demultiplexes it back to every involved session's state machine: each
-// per-session row group is consumed exactly as the single-request engine
-// consumes a run — verification, sampling, promotion, invalidation scans —
+// per-session row group is consumed as a chain consumes a run (core.Chain)
+// — verification, sampling, promotion, invalidation scans —
 // with the rows of cancelled runs and masked sessions skipped. All groups'
 // promotions and the run's partition cleanup (each partition returned to
 // the namespace that owns it) then travel as one KV transaction — issued
@@ -2162,7 +2162,7 @@ func (s *Scheduler) recoverSession(sess *session) {
 // prefix's last position: timestamps, the transition to decoding, and
 // the acceptance. For a first prefill the sampled token counts as
 // generated but not as a timed acceptance (TTFT anchors at prefill
-// completion, mirroring the single-request engines); for a
+// completion, as in the speculative baseline); for a
 // prefix-recompute readmission it is an ordinary mid-stream acceptance
 // and the original prefill timestamp (the TTFT anchor) stands.
 func (s *Scheduler) completePrefill(sess *session, next token.Token) {

@@ -1,0 +1,206 @@
+package serve_test
+
+// The tree's structural guards: one test that parses every non-test Go
+// file under internal/ and checks, on declarations and call sites rather
+// than text, that what a subtraction removed stays removed. A later "one
+// X" change adds a rule here. Every failure names the invariant and the
+// ROADMAP section that records it.
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// serveLines is the scheduler's line ratchet: internal/serve/serve.go may
+// shrink, and a change that shrinks it lowers this number; none raises it.
+const serveLines = 2402
+
+// retired names may not be declared or referenced anywhere (a comment may
+// still name them: comments are not part of the syntax tree).
+var retired = map[string]string{
+	"Recorder":            "the string recorder is gone; record into the trace.Ring the goroutine already has (ROADMAP, Observability architecture: one timeline, always on)",
+	"BatchResults":        "a second result path; answer with engine.ResultFrame, read through HeadBackend.Results (ROADMAP, Batching architecture: one result frame, one Results)",
+	"BatchResultsBackend": "a second result path; answer with engine.ResultFrame, read through HeadBackend.Results (ROADMAP, Batching architecture: one result frame, one Results)",
+	"AppendResultHeader":  "a second result path; engine.WorkerLoop frames every result (ROADMAP, Batching architecture: one result frame, one Results)",
+	"CancelRows":          "a second cancel method; cancel through engine.Head.CancelSession (ROADMAP, Batching architecture: one cancel rule)",
+	"fullCancel":          "a whole-run cancel sentinel; engine.Head.CancelSession decides what stages hear (ROADMAP, Batching architecture: one cancel rule)",
+	"RunIterative":        "a second driver; iterative inference is a serve without speculation (ROADMAP, Serving architecture: one driver)",
+}
+
+// shapeMethods are RunMsg methods that read a run's shape off its wire
+// sections; a run's shape is its row groups (RunMsg.Groups).
+var shapeMethods = map[string]bool{"Batched": true, "Ranged": true}
+
+const shapeWhy = "reads a run's shape off its wire sections; use RunMsg.Groups (ROADMAP, Batching architecture: one run-message layout)"
+
+type file struct {
+	path string // slash-separated, relative to internal/
+	ast  *ast.File
+}
+
+func parseInternal(t *testing.T) (*token.FileSet, []file) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []file
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel("..", path)
+		files = append(files, file{filepath.ToSlash(rel), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no Go files found under internal/")
+	}
+	return fset, files
+}
+
+// selector reports whether e is pkg.name (pkg "" matches any operand).
+func selector(e ast.Expr, pkg, name string) bool {
+	s, ok := e.(*ast.SelectorExpr)
+	if !ok || s.Sel.Name != name {
+		return false
+	}
+	if pkg == "" {
+		return true
+	}
+	switch x := s.X.(type) {
+	case *ast.Ident:
+		return x.Name == pkg
+	case *ast.SelectorExpr:
+		return x.Sel.Name == pkg
+	}
+	return false
+}
+
+func TestStructure(t *testing.T) {
+	fset, files := parseInternal(t)
+	fail := func(pos token.Pos, format string, args ...any) {
+		t.Helper()
+		t.Errorf("%s: "+format, append([]any{fset.Position(pos)}, args...)...)
+	}
+
+	var proposeCalls []token.Pos
+	pendingTypes := 0
+	for _, f := range files {
+		pkg := f.ast.Name.Name
+		for _, decl := range f.ast.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			switch {
+			case fd.Recv == nil && pkg == "core" && fd.Name.Name == "Run":
+				fail(fd.Pos(), "core.Run is declared: a second driver; a single request is a one-session serve (ROADMAP, Serving architecture: one driver)")
+			case fd.Recv != nil && shapeMethods[fd.Name.Name] && receiver(fd) == "RunMsg":
+				fail(fd.Pos(), "RunMsg.%s is declared: it %s", fd.Name.Name, shapeWhy)
+			}
+			if fd.Body == nil || fd.Name.Name == "Propose" || strings.HasPrefix(f.path, "spec/") {
+				continue // a Propose implementation delegates; the baseline's tree grower proposes at its own width
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok && selector(c.Fun, "", "Propose") {
+					proposeCalls = append(proposeCalls, c.Pos())
+				}
+				return true
+			})
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if why, ok := retired[n.Name]; ok {
+					fail(n.Pos(), "%s: %s", n.Name, why)
+				}
+			case *ast.TypeSpec:
+				if strings.HasPrefix(strings.ToLower(n.Name.Name), "pending") {
+					pendingTypes++
+				}
+				if st, ok := n.Type.(*ast.StructType); ok && pkg == "core" && holdsHead(st) {
+					fail(n.Pos(), "core.%s holds an engine.Head: a driver in core; core is the machine and serve drives it (ROADMAP, Serving architecture: one driver)", n.Name.Name)
+				}
+			case *ast.CallExpr:
+				switch {
+				case selector(n.Fun, "Trace", "Record"):
+					fail(n.Pos(), "Trace.Record is called: a second timeline; record into the trace.Ring the goroutine already has (ROADMAP, Observability architecture: one timeline, always on)")
+				case selector(n.Fun, "", "Batched") || selector(n.Fun, "", "Ranged"):
+					fail(n.Pos(), "%s is called: it %s", n.Fun.(*ast.SelectorExpr).Sel.Name, shapeWhy)
+				}
+			case *ast.SelectorExpr:
+				if selector(n, "core", "Run") {
+					fail(n.Pos(), "core.Run is referenced: a second driver; a single request is a one-session serve (ROADMAP, Serving architecture: one driver)")
+				}
+			}
+			return true
+		})
+	}
+
+	const machine = "ROADMAP, Serving architecture: each session's speculation state is a core.Chain, the one PipeInfer machine"
+	if len(proposeCalls) != 1 || !strings.HasPrefix(fset.Position(proposeCalls[0]).Filename, filepath.Join("..", "core")) {
+		where := make([]string, len(proposeCalls))
+		for i, p := range proposeCalls {
+			where[i] = fset.Position(p).String()
+		}
+		t.Errorf("want one chain drafter, core.Chain.Draft's Propose call, found %d Propose call sites outside internal/spec: %v (%s)", len(proposeCalls), where, machine)
+	}
+	if pendingTypes != 1 {
+		t.Errorf("want one pending-token type (core.Pending), found %d (%s)", pendingTypes, machine)
+	}
+
+	src, err := os.ReadFile(filepath.Join("..", "serve", "serve.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(src), "\n"); n > serveLines {
+		t.Errorf("internal/serve/serve.go has %d lines, over the %d it may only shrink from (ROADMAP, Open item 4: the scheduler split)", n, serveLines)
+	}
+}
+
+// receiver names a method's receiver type, pointer or not.
+func receiver(fd *ast.FuncDecl) string {
+	typ := fd.Recv.List[0].Type
+	if s, ok := typ.(*ast.StarExpr); ok {
+		typ = s.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// holdsHead reports a struct with an engine.Head field, by value or
+// pointer: the pipeline a driver owns.
+func holdsHead(st *ast.StructType) bool {
+	for _, fld := range st.Fields.List {
+		typ := fld.Type
+		if s, ok := typ.(*ast.StarExpr); ok {
+			typ = s.X
+		}
+		if selector(typ, "engine", "Head") {
+			return true
+		}
+	}
+	return false
+}
