@@ -297,9 +297,9 @@ func TestRealErrors(t *testing.T) {
 	}
 }
 
-// TestOneSessionOutcome: a PipeInfer or iterative Run is a one-session
-// serve (spawn over Options.oneSession), and its Outcome reads like one.
-// Every requested token is generated, and each one but the prompt-sampled
+// TestOneSessionOutcome: a Run of any strategy is a one-session serve
+// (spawn over Options.oneSession), and its Outcome reads like one.
+// Exactly the requested tokens are generated, and each one but the prompt-sampled
 // token carries an acceptance time; prefill completes before the first
 // acceptance, which comes no later than completion; and the run counters
 // the Outcome takes from the head's aggregate are the one session's own.
@@ -307,7 +307,7 @@ func TestOneSessionOutcome(t *testing.T) {
 	counters := func(s engine.Stats) [5]int {
 		return [5]int{s.Proposed, s.Accepted, s.RunsLaunched, s.RunsCancelled, s.Superfluous}
 	}
-	for _, s := range []engine.Strategy{engine.StrategyPipeInfer, engine.StrategyIterative} {
+	for _, s := range []engine.Strategy{engine.StrategyPipeInfer, engine.StrategyIterative, engine.StrategySpeculative} {
 		opts := testOpts(s, 3, 0.3)
 		served, err := spawn(opts.oneSession(), s)
 		if err != nil {
@@ -330,7 +330,7 @@ func TestOneSessionOutcome(t *testing.T) {
 		if sess, agg := counters(served.Results[0].Stats), counters(served.Stats); sess != agg || counters(st) != agg {
 			t.Fatalf("%v: session counters %v, aggregate %v, outcome %v", s, sess, agg, counters(st))
 		}
-		if s == engine.StrategyPipeInfer && st.Proposed == 0 {
+		if s != engine.StrategyIterative && st.Proposed == 0 {
 			t.Fatalf("%v: the serve never speculated", s)
 		}
 	}

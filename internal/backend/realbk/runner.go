@@ -181,7 +181,7 @@ func (p *plan) newHead(ep comm.Endpoint, part *model.Model, shared *weights, dra
 // oneSession is the one-session serve a single-request run is: the run's
 // prompt as the only request, one slot, width one, no prefix cache, and —
 // when the strategy drafts — a namespace of the canonical sequence plus
-// MaxSeqs partitions. The strategy picks the topology and the head loop
+// MaxSeqs partitions. The strategy picks the topology and the schedule
 // (serve.Drive).
 func (o Options) oneSession() ServeOptions {
 	o.defaults()

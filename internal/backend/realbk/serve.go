@@ -331,8 +331,8 @@ func serveRank(ep comm.Endpoint, opts ServeOptions, shared *weights, strategy en
 
 // serveCacheClean asserts the end state of every run: structurally
 // consistent metadata and — because every finished session removed its
-// whole namespace, and the speculative baseline its canonical sequence —
-// an entirely empty cache with every page back on the free list.
+// whole namespace — an entirely empty cache with every page back on the
+// free list.
 func serveCacheClean(c *kvpage.Cache) error {
 	if err := c.CheckInvariants(); err != nil {
 		return fmt.Errorf("KV corruption: %w", err)

@@ -70,14 +70,12 @@ func Run(opts Options) (Outcome, error) {
 
 // oneSession is the one-session serve a single-request run is: the run's
 // own prompt as the only request, one slot, width one, no prefix cache,
-// and — when the strategy drafts — a namespace of the canonical sequence
-// plus MaxSeqs partitions. The speculative baseline keeps the cache it
-// has always had (Fig 7a charges it).
+// default KV provisioning, and — when the strategy drafts — a namespace
+// of the canonical sequence plus MaxSeqs partitions.
 func (o Options) oneSession() (ServeOptions, []serve.Request) {
 	if o.PromptLen <= 0 {
 		o.PromptLen = 128
 	}
-	cfg := o.CFG.Defaults()
 	so := ServeOptions{
 		Cluster: o.Cluster, Pair: o.Pair, CFG: o.CFG,
 		Sessions: 1, PromptLen: o.PromptLen, Seed: o.Seed,
@@ -87,10 +85,7 @@ func (o Options) oneSession() (ServeOptions, []serve.Request) {
 		Trace:              o.Trace,
 	}
 	if o.Strategy != engine.StrategyIterative {
-		so.SeqsPerSession = cfg.MaxSeqs + 1
-	}
-	if o.Strategy == engine.StrategySpeculative {
-		so.KVCells = o.PromptLen + cfg.MaxNew + 4*cfg.MaxSeqs*cfg.MicroBatch + 256
+		so.SeqsPerSession = o.CFG.Defaults().MaxSeqs + 1
 	}
 	so.defaults()
 	return so, []serve.Request{{Prompt: Prompt(simVocab, o.PromptLen, o.Seed)}}

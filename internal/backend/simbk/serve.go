@@ -174,7 +174,7 @@ func Serve(opts ServeOptions) (ServeOutcome, error) {
 // simulate settles reqs on one simulated pipeline laid out for strategy —
 // a process per stage rank that is not the head, and the head's, which
 // runs serve.Drive — with the layer split splitWeights asks for (nil:
-// uniform). Every stage must drain to zero whatever the head loop.
+// uniform). Every stage must drain to zero whatever the strategy.
 func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float64, reqs []serve.Request) (ServeOutcome, error) {
 	n := len(opts.Cluster.Nodes)
 	topo, err := engine.TopologyFor(strategy, n)
@@ -329,9 +329,8 @@ func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float6
 		return ServeOutcome{}, runErr
 	}
 	// End-state self-check: metadata invariants hold on every stage and —
-	// every finished session having removed its namespace, and the
-	// speculative baseline its canonical sequence — no cell is still
-	// occupied.
+	// every finished session having removed its namespace — no cell is
+	// still occupied.
 	for si, w := range workers {
 		if w == nil {
 			continue

@@ -297,16 +297,25 @@ func runCounters(s engine.Stats) [5]int {
 	return [5]int{s.Proposed, s.Accepted, s.RunsLaunched, s.RunsCancelled, s.Superfluous}
 }
 
-// TestOneSessionOutcome: a PipeInfer or iterative Run is a one-session
-// serve, and its Outcome reads like one. Every requested token is
+// TestOneSessionOutcome: a Run of any strategy is a one-session serve,
+// and its Outcome reads like one. Exactly the requested tokens are
 // generated, and each one but the prompt-sampled token (TTFT anchors at
-// prefill completion) carries an acceptance time; prefill completes before
-// the first acceptance, which comes no later than completion; and the run
-// counters the Outcome takes from the head's aggregate are the one
-// session's own.
+// prefill completion) carries an acceptance time; prefill completes
+// before the first acceptance, which comes no later than completion; and
+// the run counters the Outcome takes from the head's aggregate are the
+// one session's own. The last case is a paper-scale baseline run whose
+// final tree round verifies more tokens than the budget has left: the
+// round's acceptances stop at MaxNew.
 func TestOneSessionOutcome(t *testing.T) {
-	for _, s := range []engine.Strategy{engine.StrategyPipeInfer, engine.StrategyIterative} {
-		opts := baseOpts(s, 4, 0.52)
+	cases := []Options{
+		baseOpts(engine.StrategyPipeInfer, 4, 0.52),
+		baseOpts(engine.StrategyIterative, 4, 0.52),
+		baseOpts(engine.StrategySpeculative, 4, 0.52),
+		{Cluster: cost.ClusterC().Take(4), Pair: cost.PairDolphinTiny, Strategy: engine.StrategySpeculative,
+			CFG: engine.Config{MaxNew: 160}, PromptLen: 128, Seed: 2},
+	}
+	for _, opts := range cases {
+		s := opts.Strategy
 		so, reqs := opts.oneSession()
 		served, err := simulate(so, s, nil, reqs)
 		if err != nil {
@@ -330,6 +339,9 @@ func TestOneSessionOutcome(t *testing.T) {
 		}
 		if s == engine.StrategyPipeInfer && (st.Proposed == 0 || st.RunsCancelled == 0) {
 			t.Fatalf("%v: %d proposed, %d cancelled: the serve never speculated", s, st.Proposed, st.RunsCancelled)
+		}
+		if s == engine.StrategySpeculative && (st.Proposed == 0 || st.Accepted == 0) {
+			t.Fatalf("%v: %d proposed, %d accepted: the serve never drafted a tree", s, st.Proposed, st.Accepted)
 		}
 		out := run(t, opts)
 		if out.Stats.Done != st.Done || runCounters(out.Stats) != runCounters(st) {

@@ -4,7 +4,10 @@
 // pending speculation chain and reactive cutoff, with the §IV algorithm as
 // its methods — draft past the frontier, share the prefix into a fresh
 // partition, verify a result, promote what the target confirmed, tell
-// stale and invalidated runs from live ones. It does no I/O.
+// stale and invalidated runs from live ones. It does no I/O. Round is
+// the speculative baseline's unit beside it (§V-A): a tree drafted by
+// the same drafter (spec.Grow), sent behind its anchor, verified and
+// promoted once its run returns.
 //
 // internal/serve drives it, one Chain per session, from the head of a
 // pipeline whose rank 0 is dedicated to the draft model and sampling
@@ -14,9 +17,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
+	"github.com/pipeinfer/pipeinfer/internal/spec"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
@@ -41,6 +46,8 @@ type Chain struct {
 	Cutoff   float32
 	// Canon is the sequence accepted tokens' cache entries live in.
 	Canon kvcache.SeqID
+	// Round is the speculative baseline's tree in flight (nil otherwise).
+	Round *Round
 }
 
 // Bounds of the reactive cutoff.
@@ -75,28 +82,25 @@ func (c *Chain) depth(cfg *engine.Config, specInflight bool) int {
 
 // Draft appends one speculative run's worth of tokens past the frontier
 // to out: the draft model's top choice, one at a time, while its
-// confidence clears the cutoff. Nothing is drafted when the gate is shut
-// or the frontier has reached limit tokens; a first candidate that falls
-// short decays the cutoff, so the chain scales utilisation back up while
-// it waits (§IV-B.2). Pending is untouched until Launched: a draft the
+// confidence clears the cutoff — spec.Grow at width 1, the reactive
+// cutoff its threshold. Nothing is drafted when the gate is shut or the
+// frontier has reached limit tokens; a first candidate that falls short
+// decays the cutoff, so the chain scales utilisation back up while it
+// waits (§IV-B.2). Pending is untouched until Launched: a draft the
 // driver does not launch is simply drafted again.
 func (c *Chain) Draft(bk engine.HeadBackend, cfg *engine.Config, specInflight bool, limit int, scratch *[]token.Token, out []token.Token) []token.Token {
 	n := c.depth(cfg, specInflight)
 	if n == 0 || len(c.Accepted)+len(c.Pending) >= limit {
 		return out
 	}
-	base := len(out)
-	ctx := c.Frontier((*scratch)[:0])
-	for len(out)-base < n {
-		cand, probs := bk.Propose(ctx, 1)
-		if len(cand) == 0 || probs[0] < c.Cutoff {
-			break
-		}
-		out = append(out, cand[0])
-		ctx = append(ctx, cand[0])
-	}
+	// n tokens of spare room: Grow builds each context in place.
+	ctx := slices.Grow(c.Frontier((*scratch)[:0]), n)
 	*scratch = ctx[:0]
-	if len(out) == base {
+	chain := spec.Grow(bk, ctx, int32(len(ctx)), spec.GrowParams{Cutoff: c.Cutoff, MaxNodes: n, Width: 1})
+	for _, nd := range chain.Nodes {
+		out = append(out, nd.Token)
+	}
+	if chain.Len() == 0 {
 		c.Cutoff = max(c.Cutoff-cfg.CutoffDecay, cutoffFloor)
 	}
 	return out
@@ -225,5 +229,6 @@ func (c *Chain) Carried(run uint32) bool {
 	return false
 }
 
-// Drop discards the pending chain; cancelling its runs is the driver's.
-func (c *Chain) Drop() { c.Pending = c.Pending[:0] }
+// Drop discards the pending chain and the round in flight; cancelling
+// their runs is the driver's.
+func (c *Chain) Drop() { c.Pending, c.Round = c.Pending[:0], nil }

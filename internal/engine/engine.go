@@ -4,7 +4,8 @@
 // FIFO (§IV-A.1), the generic worker loop every non-head rank executes,
 // and the backend interfaces that let the same engine code run either on
 // real tensor math (backend/realbk) or on the cost-model simulator
-// (backend/simbk).
+// (backend/simbk). No strategy's head loop lives here: each is a schedule
+// of the one scheduler (serve.Drive) over a Head.
 //
 // Cancellation (§IV-D) has one rule, decided at the head: Head.CancelSession
 // masks a session out of each run it names and tells the stages either to
@@ -576,9 +577,9 @@ type Stats struct {
 	FirstToken  time.Duration // first acceptance after prefill (TTFT anchor)
 	Done        time.Duration // generation finished
 
-	// AcceptTimes is the timestamp of every acceptance event, kept by the
-	// speculative baseline and in each serving Result (bounded by the
-	// request's MaxNew). The serving aggregate carries only the summary:
+	// AcceptTimes is the timestamp of every acceptance event, kept in
+	// each serving Result (bounded by the request's MaxNew). The head's
+	// aggregate carries only the summary:
 	// AcceptCount events, the first at FirstToken, the latest at
 	// LastAccept — all ITL reads.
 	AcceptTimes []time.Duration

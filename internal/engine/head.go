@@ -148,8 +148,7 @@ func (h *Head) newRun() *Run {
 
 // Recycle returns a consumed run record to the head's free list so the
 // next Launch reuses it. Only callers that drop every reference to the
-// record (and anything derived from its pointer identity) may recycle;
-// the speculative baseline never does.
+// record (and anything derived from its pointer identity) may recycle.
 func (h *Head) Recycle(run *Run) {
 	*run = Run{}
 	h.freeRuns = append(h.freeRuns, run)
@@ -523,20 +522,14 @@ func (h *Head) Shutdown() {
 	}
 }
 
-// Sampled records n accepted tokens, logging each timestamp: the
-// speculative baseline's acceptance hook.
-func (h *Head) Sampled(n int) { h.sampled(n, true) }
-
-// SampledAggregate is Sampled for the serving layer, whose aggregate
-// keeps only first, last and count (see LiveStats.Sampled); per-request
-// timestamps live in each session's own Stats.
-func (h *Head) SampledAggregate(n int) { h.sampled(n, false) }
-
-func (h *Head) sampled(n int, log bool) {
+// SampledAggregate records n accepted tokens in the head's aggregate,
+// which keeps only first, last and count (see LiveStats.Sampled);
+// per-request timestamps live in each session's own Stats.
+func (h *Head) SampledAggregate(n int) {
 	if n <= 0 {
 		return
 	}
 	now := h.EP.Now()
-	h.Stats.Sampled(now, n, log)
+	h.Stats.Sampled(now, n)
 	h.Flight.Record(now, trace.FlightAccept, 0, int32(n))
 }

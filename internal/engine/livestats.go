@@ -16,8 +16,8 @@ import (
 // mid-serve without stopping the scheduler. Every counter is a field
 // here, its int twin in Stats, and one row of Counters. The few
 // non-counter fields (phase timestamps, the acceptance count and last
-// timestamp, and the speculative baseline's acceptance log) sit behind
-// a mutex taken only on acceptance events and snapshots.
+// timestamp) sit behind a mutex taken only on acceptance events and
+// snapshots.
 //
 // Snapshot consistency rule: counters are read one atomic load at a
 // time, so a snapshot is not a single linearization point across
@@ -63,37 +63,24 @@ type LiveStats struct {
 	done        time.Duration
 	accepts     int           // acceptance events so far
 	lastAccept  time.Duration // timestamp of the latest one
-	acceptTimes []time.Duration
-	snap        Stats // Snapshot's assembly area
+	snap        Stats         // Snapshot's assembly area
 }
 
 // Sampled records n acceptances at now and pins the first-token time on
-// the first call. First, last and count — all Stats.ITL reads — are
-// always kept, in O(1) and without allocating; with log set every
-// timestamp is also appended to the acceptance log. Single-request
-// engines log (one generation, bounded by its token budget); the serving
-// aggregate does not, because a live-intake server would otherwise keep
-// 8 bytes per token served for as long as it runs.
-func (ls *LiveStats) Sampled(now time.Duration, n int, log bool) {
+// the first call. It keeps first, last and count — all Stats.ITL reads —
+// in O(1) and without allocating, and no per-token log: a live-intake
+// server would otherwise keep 8 bytes per token served for as long as it
+// runs. Per-request timestamps live in each serving Result's Stats.
+func (ls *LiveStats) Sampled(now time.Duration, n int) {
 	if n <= 0 {
 		return
 	}
 	ls.mu.Lock()
 	ls.accepts += n
 	ls.lastAccept = now
-	for i := 0; log && i < n; i++ {
-		ls.acceptTimes = append(ls.acceptTimes, now)
-	}
 	if ls.firstToken == 0 {
 		ls.firstToken = now
 	}
-	ls.mu.Unlock()
-}
-
-// SetPrefillDone records when prompt processing finished.
-func (ls *LiveStats) SetPrefillDone(at time.Duration) {
-	ls.mu.Lock()
-	ls.prefillDone = at
 	ls.mu.Unlock()
 }
 
@@ -117,11 +104,9 @@ func (ls *LiveStats) MarkDone(at time.Duration) {
 	ls.mu.Unlock()
 }
 
-// Snapshot copies the live counters into a plain Stats value. Safe to
-// call concurrently with scheduler mutation; see the type comment for
-// the consistency contract. The speculative baseline's acceptance log is
-// copied, so snapshots are self-contained (and Snapshot of one therefore
-// allocates — it belongs on scrape/shutdown paths, not per-token ones).
+// Snapshot copies the live counters into a plain Stats value, without
+// allocating. Safe to call concurrently with scheduler mutation; see the
+// type comment for the consistency contract.
 func (ls *LiveStats) Snapshot() Stats {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -139,12 +124,7 @@ func (ls *LiveStats) Snapshot() Stats {
 		c := &Counters[i]
 		*c.Stat(s) = int(c.Live(ls).Load())
 	}
-	out := *s
-	if len(ls.acceptTimes) > 0 {
-		out.AcceptTimes = make([]time.Duration, len(ls.acceptTimes))
-		copy(out.AcceptTimes, ls.acceptTimes)
-	}
-	return out
+	return *s
 }
 
 // Counter is one row of the counter table — everything the tree knows

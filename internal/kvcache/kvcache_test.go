@@ -309,7 +309,7 @@ func TestOpString(t *testing.T) {
 }
 
 func TestSeqAllocatorFIFO(t *testing.T) {
-	a := NewSeqAllocator(3)
+	a := NewSeqAllocatorRange(1, 4)
 	ids := make([]SeqID, 0, 3)
 	for {
 		id, ok := a.Alloc()
@@ -330,7 +330,7 @@ func TestSeqAllocatorFIFO(t *testing.T) {
 }
 
 func TestSeqAllocatorDoubleFreePanics(t *testing.T) {
-	a := NewSeqAllocator(2)
+	a := NewSeqAllocatorRange(1, 3)
 	id, _ := a.Alloc()
 	a.Free(id)
 	defer func() {
@@ -342,7 +342,7 @@ func TestSeqAllocatorDoubleFreePanics(t *testing.T) {
 }
 
 func TestSeqAllocatorCanonicalProtected(t *testing.T) {
-	a := NewSeqAllocator(2)
+	a := NewSeqAllocatorRange(1, 3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic freeing canonical seq")

@@ -173,14 +173,6 @@ type SeqAllocator struct {
 	free []SeqID
 }
 
-// NewSeqAllocator creates an allocator managing sequence ids 1..n.
-func NewSeqAllocator(n int) *SeqAllocator {
-	if n < 1 || n >= MaxSeqs {
-		panic(fmt.Sprintf("kvcache: seq allocator size %d out of range [1,%d)", n, MaxSeqs))
-	}
-	return NewSeqAllocatorRange(1, SeqID(n)+1)
-}
-
 // NewSeqAllocatorRange creates an allocator managing sequence ids
 // [lo, hi). The serving layer uses it to hand each session the speculative
 // ids of its own namespace window; id 0 (the global canonical sequence)

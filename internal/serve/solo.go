@@ -5,20 +5,17 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
-// Drive settles reqs on h with the head loop the strategy names. PipeInfer
-// and iterative inference are served by the scheduler — a single-request
-// run of either is a one-session serve — and the synchronous speculative
-// baseline (engine.RunSpeculative) generates its one request outside it,
-// its Result carrying the head's statistics.
+// Drive settles reqs on h under the strategy's schedule, one scheduler
+// for all three: iterative inference never drafts, PipeInfer drafts
+// continuously and asynchronously (Config.Speculate), and the speculative
+// baseline drafts a tree, then awaits it (launchRound). A single-request
+// run of any of them is a one-session serve.
 func Drive(h *engine.Head, strategy engine.Strategy, cfg Config, reqs []Request) ([]Result, error) {
-	if strategy == engine.StrategySpeculative {
-		toks, err := engine.RunSpeculative(h, reqs[0].Prompt)
-		return []Result{{Tokens: toks, Stats: h.Stats.Snapshot()}}, err
-	}
 	s, err := New(h, cfg, reqs)
 	if err != nil {
 		return nil, err
 	}
+	s.rounds = strategy == engine.StrategySpeculative
 	return s.Run()
 }
 

@@ -7,6 +7,7 @@ package serve_test
 // ROADMAP section that records it.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -19,7 +20,7 @@ import (
 
 // serveLines is the scheduler's line ratchet: internal/serve/serve.go may
 // shrink, and a change that shrinks it lowers this number; none raises it.
-const serveLines = 2402
+const serveLines = 2304
 
 // retired names may not be declared or referenced anywhere (a comment may
 // still name them: comments are not part of the syntax tree).
@@ -31,6 +32,7 @@ var retired = map[string]string{
 	"CancelRows":          "a second cancel method; cancel through engine.Head.CancelSession (ROADMAP, Batching architecture: one cancel rule)",
 	"fullCancel":          "a whole-run cancel sentinel; engine.Head.CancelSession decides what stages hear (ROADMAP, Batching architecture: one cancel rule)",
 	"RunIterative":        "a second driver; iterative inference is a serve without speculation (ROADMAP, Serving architecture: one driver)",
+	"RunSpeculative":      "a second driver; the speculative baseline is a serve under the draft-then-await rule (ROADMAP, Serving architecture: one driver)",
 }
 
 // shapeMethods are RunMsg methods that read a run's shape off its wire
@@ -103,7 +105,11 @@ func TestStructure(t *testing.T) {
 		t.Errorf("%s: "+format, append([]any{fset.Position(pos)}, args...)...)
 	}
 
-	var proposeCalls []token.Pos
+	type call struct {
+		pos      token.Pos
+		pkg, fun string
+	}
+	var proposeCalls []call
 	pendingTypes := 0
 	for _, f := range files {
 		pkg := f.ast.Name.Name
@@ -118,12 +124,12 @@ func TestStructure(t *testing.T) {
 			case fd.Recv != nil && shapeMethods[fd.Name.Name] && receiver(fd) == "RunMsg":
 				fail(fd.Pos(), "RunMsg.%s is declared: it %s", fd.Name.Name, shapeWhy)
 			}
-			if fd.Body == nil || fd.Name.Name == "Propose" || strings.HasPrefix(f.path, "spec/") {
-				continue // a Propose implementation delegates; the baseline's tree grower proposes at its own width
+			if fd.Body == nil || fd.Name.Name == "Propose" {
+				continue // a Propose implementation delegates
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if c, ok := n.(*ast.CallExpr); ok && selector(c.Fun, "", "Propose") {
-					proposeCalls = append(proposeCalls, c.Pos())
+					proposeCalls = append(proposeCalls, call{c.Pos(), pkg, fd.Name.Name})
 				}
 				return true
 			})
@@ -158,12 +164,12 @@ func TestStructure(t *testing.T) {
 	}
 
 	const machine = "ROADMAP, Serving architecture: each session's speculation state is a core.Chain, the one PipeInfer machine"
-	if len(proposeCalls) != 1 || !strings.HasPrefix(fset.Position(proposeCalls[0]).Filename, filepath.Join("..", "core")) {
+	if len(proposeCalls) != 1 || proposeCalls[0].pkg != "spec" || proposeCalls[0].fun != "Grow" {
 		where := make([]string, len(proposeCalls))
-		for i, p := range proposeCalls {
-			where[i] = fset.Position(p).String()
+		for i, c := range proposeCalls {
+			where[i] = fmt.Sprintf("%s (%s.%s)", fset.Position(c.pos), c.pkg, c.fun)
 		}
-		t.Errorf("want one chain drafter, core.Chain.Draft's Propose call, found %d Propose call sites outside internal/spec: %v (%s)", len(proposeCalls), where, machine)
+		t.Errorf("want one drafter, spec.Grow's Propose call, found %d Propose call sites outside Propose implementations: %v (%s; a chain is a width-1 tree)", len(proposeCalls), where, machine)
 	}
 	if pendingTypes != 1 {
 		t.Errorf("want one pending-token type (core.Pending), found %d (%s)", pendingTypes, machine)

@@ -4,6 +4,10 @@
 // branches mutually invisible, evaluated by the target model, and then
 // verified token by token against the target's output distributions.
 //
+// Grow is the one drafter: the speculative baseline's tree and
+// PipeInfer's chain — a width-1 tree (core.Chain.Draft) — both grow
+// through it, so the strategies differ in schedule, not in how they draft.
+//
 // Both verification modes from the literature are provided: greedy
 // verification (used by every experiment in the paper, guaranteeing
 // bit-identical output to non-speculative greedy decoding) and the
@@ -13,6 +17,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/token"
@@ -156,18 +161,23 @@ type GrowParams struct {
 // confidence expands next, and expansion stops when every frontier
 // candidate falls below Cutoff or the tree reaches MaxNodes. The returned
 // tree may be empty if even the first proposal is below the cutoff.
+//
+// Each expansion's context — prefix, then the path to the node it
+// expands — is built in place past len(prefix), so a prefix with MaxNodes
+// tokens of spare capacity is never copied; the tokens up to len(prefix)
+// are never written.
 func Grow(p Proposer, prefix []token.Token, basePos int32, params GrowParams) *Tree {
 	t := NewTree(basePos)
 	if params.MaxNodes <= 0 {
 		return t
 	}
 	type frontier struct {
-		parent int // node to expand (-1 = root expansion)
-		ctx    []token.Token
+		parent int     // node to expand (-1 = root expansion)
 		cum    float32 // cumulative confidence along the path
 		depth  int
 	}
-	queue := []frontier{{parent: -1, ctx: prefix, cum: 1, depth: 0}}
+	ctx := prefix
+	queue := []frontier{{parent: -1, cum: 1, depth: 0}}
 	for len(queue) > 0 && t.Len() < params.MaxNodes {
 		// Pick the highest-cumulative-confidence frontier entry.
 		best := 0
@@ -182,7 +192,12 @@ func Grow(p Proposer, prefix []token.Token, basePos int32, params GrowParams) *T
 			continue
 		}
 
-		toks, probs := p.Propose(f.ctx, params.Width)
+		ctx = ctx[:len(prefix)]
+		for n := f.parent; n >= 0; n = t.Nodes[n].Parent {
+			ctx = append(ctx, t.Nodes[n].Token)
+		}
+		slices.Reverse(ctx[len(prefix):])
+		toks, probs := p.Propose(ctx, params.Width)
 		for i, tok := range toks {
 			if probs[i] < params.Cutoff {
 				continue
@@ -193,10 +208,7 @@ func Grow(p Proposer, prefix []token.Token, basePos int32, params GrowParams) *T
 			} else {
 				idx = t.AddChild(f.parent, tok, probs[i])
 			}
-			ctx := make([]token.Token, 0, len(f.ctx)+1)
-			ctx = append(ctx, f.ctx...)
-			ctx = append(ctx, tok)
-			queue = append(queue, frontier{parent: idx, ctx: ctx, cum: f.cum * probs[i], depth: f.depth + 1})
+			queue = append(queue, frontier{parent: idx, cum: f.cum * probs[i], depth: f.depth + 1})
 			if t.Len() >= params.MaxNodes {
 				break
 			}
