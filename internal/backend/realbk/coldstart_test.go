@@ -3,6 +3,8 @@ package realbk
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
 	"github.com/pipeinfer/pipeinfer/internal/telemetry"
+	"github.com/pipeinfer/pipeinfer/internal/token"
 	"github.com/pipeinfer/pipeinfer/internal/trace"
 )
 
@@ -178,11 +181,50 @@ func TestPerNodeMemSumsToModel(t *testing.T) {
 	})
 }
 
+// TestMain derives every lazy head's draft on the spot, on the head
+// goroutine, the moment its first run is on the wire, so that the draft is
+// ready at the first decode step. Every speculative gate in this package
+// then speculates from its first token on, whatever the host's
+// scheduling: on its own goroutine the derivation finishes whenever the
+// host gets to it, and the head decodes without speculation until then.
+// TestDecodeWhileDraftHeld holds the derivation back instead (holdDraft),
+// and TestDraftDerivesInBackground runs it as a serve does (deriveAsync).
+func TestMain(m *testing.M) {
+	deriveOn = func(derive func()) { derive() }
+	os.Exit(m.Run())
+}
+
+// holdDraft holds the next lazy head's derivation back, on its own
+// goroutine, until release is called; release returns once the draft is
+// derived, so the head can draft from its next step on.
+func holdDraft(t *testing.T) (release func()) {
+	t.Helper()
+	prev := deriveOn
+	gate, derived := make(chan struct{}), make(chan struct{})
+	var open sync.Once
+	deriveOn = func(derive func()) {
+		go func() {
+			<-gate
+			derive()
+			close(derived)
+		}()
+	}
+	release = func() {
+		open.Do(func() { close(gate) })
+		<-derived
+	}
+	t.Cleanup(func() {
+		open.Do(func() { close(gate) })
+		deriveOn = prev
+	})
+	return release
+}
+
 // TestDraftBuildFollowsFirstPrefill: the head derives its draft only once
 // the first run — the first prefill — has been handed to the transport,
 // so the derivation overlaps the prefill's transit instead of delaying
-// it. Order is read off the head's flight ring, not off a clock. The same
-// serve must also publish every rank's build time.
+// it, and speculates only once the draft is ready (derivationOrder). The
+// same serve must also publish every rank's build time.
 func TestDraftBuildFollowsFirstPrefill(t *testing.T) {
 	reg := telemetry.New()
 	var mu sync.Mutex
@@ -205,29 +247,7 @@ func TestDraftBuildFollowsFirstPrefill(t *testing.T) {
 	if out.Stats.Proposed == 0 {
 		t.Fatal("the serve never drafted")
 	}
-	var head []trace.FlightEvent
-	for _, n := range reg.DumpFlight("test").Nodes {
-		if n.Name == "head" {
-			head = n.Events
-		}
-	}
-	launch, builds := -1, 0
-	for i, e := range head {
-		switch e.Kind {
-		case trace.FlightLaunch:
-			if launch < 0 {
-				launch = i
-			}
-		case trace.FlightBuild:
-			builds++
-			if launch < 0 {
-				t.Fatalf("draft derivation began at event %d, before any run was launched", i)
-			}
-		}
-	}
-	if builds != 1 {
-		t.Fatalf("head recorded %d draft derivations, want exactly 1", builds)
-	}
+	derivationOrder(t, reg)
 
 	// A dedicated head holds no target layers; the stages split the four.
 	if want := map[int][2]int{0: {0, 0}, 1: {0, 2}, 2: {2, 4}}; fmt.Sprint(ready) != fmt.Sprint(want) {
@@ -241,5 +261,198 @@ func TestDraftBuildFollowsFirstPrefill(t *testing.T) {
 		if !strings.Contains(prom.String(), fmt.Sprintf("pipeinfer_model_build_seconds{rank=%q}", rank)) {
 			t.Fatalf("/metrics lacks pipeinfer_model_build_seconds for %s:\n%s", rank, prom.String())
 		}
+	}
+}
+
+// derivationOrder reads the order of the head's events off its flight
+// ring, not off a clock: first launch, derivation begun, draft ready,
+// first speculative launch, with exactly one of each build event.
+func derivationOrder(t *testing.T, reg *telemetry.Registry) {
+	t.Helper()
+	var head []trace.FlightEvent
+	for _, n := range reg.DumpFlight("test").Nodes {
+		if n.Name == "head" {
+			head = n.Events
+		}
+	}
+	launch, began, readied, spec := -1, -1, -1, -1
+	builds, readies := 0, 0
+	for i, e := range head {
+		switch {
+		case e.Kind == trace.FlightLaunch:
+			if launch < 0 {
+				launch = i
+			}
+			if spec < 0 && engine.RunKind(e.RunKind()) == engine.KindSpec {
+				spec = i
+			}
+		case e.Kind == trace.FlightBuild && e.Arg == trace.BuildBegin:
+			began, builds = i, builds+1
+		case e.Kind == trace.FlightBuild && e.Arg == trace.BuildReady:
+			readied, readies = i, readies+1
+		}
+	}
+	if builds != 1 || readies != 1 {
+		t.Fatalf("head recorded %d draft derivations and %d ready events, want exactly 1 of each", builds, readies)
+	}
+	if !(0 <= launch && launch < began && began < readied && readied < spec) {
+		t.Fatalf("head events out of order: first launch %d, derivation %d, ready %d, first speculative launch %d",
+			launch, began, readied, spec)
+	}
+}
+
+// TestDecodeWhileDraftHeld: a draft that is not ready yet costs
+// speculation, never progress. With the head's derivation held back, the
+// one-session serves of PipeInfer and of the speculative baseline keep
+// streaming the target's greedy tokens and propose nothing. Released
+// mid-request, the head catches its draft up on the accepted context and
+// speculates, and the stream stays the reference. Held past the end of
+// the request, the derivation still settles before the serve returns,
+// and the head is charged its draft all the same.
+func TestDecodeWhileDraftHeld(t *testing.T) {
+	const maxNew, releaseAt = 32, 8
+	for _, strategy := range []engine.Strategy{engine.StrategyPipeInfer, engine.StrategySpeculative} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			opts := testOpts(strategy, 3, 0.01)
+			opts.CFG.MaxNew, opts.CFG.SpecCutoff = maxNew, 0.02
+			ref, err := ReferenceGreedy(opts, maxNew)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(what string, got []token.Token) {
+				t.Helper()
+				if !slices.Equal(got, ref) {
+					t.Fatalf("%s: streamed %v\nreference %v", what, got, ref)
+				}
+			}
+
+			// Released once releaseAt tokens have streamed.
+			release := holdDraft(t)
+			reg := telemetry.New()
+			so := opts.oneSession()
+			so.Obs = reg
+			var got []token.Token
+			so.OnToken = func(_ int, tok token.Token) {
+				if got = append(got, tok); len(got) == releaseAt {
+					if p := reg.Snapshot().Proposed; p != 0 {
+						t.Errorf("%d tokens proposed while the draft was held", p)
+					}
+					release()
+				}
+			}
+			// A head that fails while its draft is held waits in Settle for
+			// a release that never comes: within turns that into a failure.
+			var early ServeOutcome
+			if err := within(t, 30*time.Second, "the serve", func() (err error) {
+				early, err = spawn(so, strategy)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			same("released mid-request", got)
+			if early.Stats.Proposed == 0 {
+				t.Fatal("the head never speculated once its draft was ready")
+			}
+
+			// Held until the request has ended.
+			release = holdDraft(t)
+			so = opts.oneSession()
+			got = nil
+			streamed, served := make(chan struct{}), make(chan struct{})
+			so.OnToken = func(_ int, tok token.Token) {
+				if got = append(got, tok); len(got) == maxNew {
+					close(streamed)
+				}
+			}
+			var late ServeOutcome
+			go func() {
+				defer close(served)
+				late, err = spawn(so, strategy)
+			}()
+			select {
+			case <-streamed:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the request never finished while its draft was held")
+			}
+			select {
+			case <-served:
+				t.Fatal("the serve returned with the draft derivation still running")
+			case <-time.After(20 * time.Millisecond):
+			}
+			release()
+			select {
+			case <-served:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the serve never returned after the release")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("held past the request", got)
+			if late.Stats.Proposed != 0 {
+				t.Fatalf("%d tokens proposed with the draft held throughout", late.Stats.Proposed)
+			}
+			if late.PerNodeMem[0] != early.PerNodeMem[0] {
+				t.Fatalf("head charged %d bytes with its draft held throughout, %d with it released", late.PerNodeMem[0], early.PerNodeMem[0])
+			}
+		})
+	}
+}
+
+// TestDraftDerivesInBackground runs the derivation as a serve does, on a
+// goroutine of its own (deriveAsync), under the one-session serves of
+// PipeInfer and of the speculative baseline. The head goes on decoding
+// the target's greedy stream while the draft derives; once the draft is
+// ready it speculates, and the stream stays the reference.
+func TestDraftDerivesInBackground(t *testing.T) {
+	const maxNew, waitAt = 32, 4
+	for _, strategy := range []engine.Strategy{engine.StrategyPipeInfer, engine.StrategySpeculative} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			prev := deriveOn
+			derived := make(chan struct{})
+			deriveOn = func(derive func()) {
+				deriveAsync(func() {
+					defer close(derived)
+					derive()
+				})
+			}
+			t.Cleanup(func() { deriveOn = prev })
+
+			opts := testOpts(strategy, 3, 0.01)
+			opts.CFG.MaxNew, opts.CFG.SpecCutoff = maxNew, 0.02
+			ref, err := ReferenceGreedy(opts, maxNew)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.New()
+			so := opts.oneSession()
+			so.Obs = reg
+			var got []token.Token
+			so.OnToken = func(_ int, tok token.Token) {
+				// Give a slow host's derivation the time to finish before
+				// the request does; the head sees it ready at its own pace.
+				if got = append(got, tok); len(got) == waitAt {
+					select {
+					case <-derived:
+					case <-time.After(30 * time.Second):
+						t.Error("the draft derivation never finished")
+					}
+				}
+			}
+			var out ServeOutcome
+			if err := within(t, 60*time.Second, "the serve", func() (err error) {
+				out, err = spawn(so, strategy)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, ref) {
+				t.Fatalf("streamed %v\nreference %v", got, ref)
+			}
+			if out.Stats.Proposed == 0 {
+				t.Fatal("the head never speculated once its draft was ready")
+			}
+			derivationOrder(t, reg)
+		})
 	}
 }

@@ -179,10 +179,11 @@ type draftStream struct {
 // context lineage) plus logits-based result parsing.
 type Head struct {
 	draft *model.Runner
-	// build, while non-nil, is a draft still to be derived (NewLazyHead);
-	// ready is non-nil once StartDraft has put it on its own goroutine
-	// and closes when draft is set. Both are touched only by the
-	// goroutine that drives the head.
+	// build, when non-nil, derives the draft (NewLazyHead); ready is
+	// non-nil once StartDraft has put the derivation on its way and
+	// closes when draft is set. Only the derivation writes draft before
+	// ready closes; everything else is touched only by the goroutine that
+	// drives the head.
 	build func() *model.Runner
 	ready chan struct{}
 
@@ -204,25 +205,49 @@ func NewHead(draft *model.Runner, vocab int) *Head {
 // build derives it, on its own goroutine, once StartDraft says the first
 // run is on its way down the pipeline — weight derivation is the bulk of
 // a cold start, and run ahead of the first prefill it would sit squarely
-// in the time to first token.
+// in the time to first token. Until it has finished the head answers
+// Ready with false and decodes without speculation.
 func NewLazyHead(build func() *model.Runner, vocab int) *Head {
 	return &Head{build: build, vocab: vocab}
 }
 
+// deriveAsync runs a lazy head's derivation on a goroutine of its own, so
+// that the head keeps decoding while it runs.
+func deriveAsync(derive func()) { go derive() }
+
+// deriveOn puts a lazy head's derivation on its way. Tests in this
+// package replace it to derive the draft on the spot, so that it is ready
+// at the first decode step, or to hold it back until they release it.
+var deriveOn = deriveAsync
+
 // StartDraft begins deriving a lazy head's draft, once; later calls and
-// calls on a head built with NewHead do nothing. The head's first
-// Propose waits for the derivation to finish (and starts it, if nothing
-// has): it blocks rather than answer "no proposal", which the engines
-// read as a confidence stall and answer by decaying the cutoff.
+// calls on a head built with NewHead do nothing. Ready tells when the
+// derivation has finished; nothing waits for it but Settle.
 func (h *Head) StartDraft() {
 	if h.build == nil || h.ready != nil {
 		return
 	}
-	h.ready = make(chan struct{})
-	go func() {
-		defer close(h.ready)
-		h.draft = h.build()
-	}()
+	ready, build := make(chan struct{}), h.build
+	h.ready = ready
+	deriveOn(func() {
+		defer close(ready)
+		h.draft = build()
+	})
+}
+
+// Ready reports, without blocking, whether the head can draft: always on
+// a head built with NewHead, and on a lazy head once its derivation has
+// finished.
+func (h *Head) Ready() bool {
+	if h.build == nil {
+		return true
+	}
+	select {
+	case <-h.ready: // nil until StartDraft: never ready before it
+		return true
+	default:
+		return false
+	}
 }
 
 // Settle waits for a draft derivation in flight, so that none outlives
@@ -235,11 +260,11 @@ func (h *Head) Settle() {
 
 // Propose runs the draft model incrementally over ctx and returns the
 // top-width tokens of its output distribution with their probabilities.
+// The first call after the draft became ready evaluates the whole context
+// in one batch (ensure); calling it before Ready has said so is a bug.
 func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32) {
-	if h.build != nil {
-		h.StartDraft()
-		h.Settle()
-		h.build = nil
+	if !h.Ready() {
+		panic("realbk: Propose before the draft is ready")
 	}
 	if h.draft == nil || len(ctx) == 0 {
 		return nil, nil

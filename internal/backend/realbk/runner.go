@@ -146,9 +146,11 @@ func (p *plan) build(rank int, shared *weights) (*model.Model, error) {
 // it holds: the inline stage worker where the head is stage 0, and, when
 // the strategy drafts, a backend whose draft model is derived only once
 // the first run — the first prefill — is on the wire, overlapping its
-// transit instead of delaying it. The caller owes the backend a Settle
-// on every path out.
+// transit instead of delaying it, while the head decodes without
+// speculation. The flight ring marks both ends of the derivation. The
+// caller owes the backend a Settle on every path out.
 func (p *plan) newHead(ep comm.Endpoint, part *model.Model, shared *weights, drafts bool) (*engine.Head, *Head, *Worker, error) {
+	var h *engine.Head
 	bk := NewHead(nil, p.mcfg.VocabSize)
 	if drafts {
 		bk = NewLazyHead(func() *model.Runner {
@@ -156,7 +158,9 @@ func (p *plan) newHead(ep comm.Endpoint, part *model.Model, shared *weights, dra
 			start := time.Now()
 			d := model.NewDraft(target, p.noise, p.seed^0xd4af)
 			p.obs.SetModelBuild("draft", time.Since(start))
-			return model.NewRunner(d, p.kv.Cells)
+			r := model.NewRunner(d, p.kv.Cells)
+			h.Flight.Record(ep.Now(), trace.FlightBuild, 0, trace.BuildReady)
+			return r
 		}, p.mcfg.VocabSize)
 	}
 	var local engine.Worker
@@ -171,7 +175,7 @@ func (p *plan) newHead(ep comm.Endpoint, part *model.Model, shared *weights, dra
 	}
 	if drafts {
 		h.AfterFirstLaunch = func() {
-			h.Flight.Record(ep.Now(), trace.FlightBuild, 0, 0)
+			h.Flight.Record(ep.Now(), trace.FlightBuild, 0, trace.BuildBegin)
 			bk.StartDraft()
 		}
 	}

@@ -153,6 +153,9 @@ func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32) 
 	return h.O.Propose(ctx, width)
 }
 
+// Ready is always true: the simulated draft exists from the start.
+func (h *Head) Ready() bool { return true }
+
 // Results interprets a run's (virtual) logits: row i's target choice is
 // replayed from its context (run.Ctx) and the run's token placements.
 // Row-path reconstruction stays per session automatically: disjoint

@@ -83,14 +83,17 @@ func (c *Chain) depth(cfg *engine.Config, specInflight bool) int {
 // Draft appends one speculative run's worth of tokens past the frontier
 // to out: the draft model's top choice, one at a time, while its
 // confidence clears the cutoff — spec.Grow at width 1, the reactive
-// cutoff its threshold. Nothing is drafted when the gate is shut or the
-// frontier has reached limit tokens; a first candidate that falls short
-// decays the cutoff, so the chain scales utilisation back up while it
-// waits (§IV-B.2). Pending is untouched until Launched: a draft the
-// driver does not launch is simply drafted again.
+// cutoff its threshold. Nothing is drafted when the gate is shut, the
+// frontier has reached limit tokens or the head cannot draft yet
+// (HeadBackend.Ready: its draft is still being derived, and the session
+// decodes without speculation meanwhile); none of these touches the
+// cutoff. A first candidate that falls short decays it, so the chain
+// scales utilisation back up while it waits (§IV-B.2). Pending is
+// untouched until Launched: a draft the driver does not launch is simply
+// drafted again.
 func (c *Chain) Draft(bk engine.HeadBackend, cfg *engine.Config, specInflight bool, limit int, scratch *[]token.Token, out []token.Token) []token.Token {
 	n := c.depth(cfg, specInflight)
-	if n == 0 || len(c.Accepted)+len(c.Pending) >= limit {
+	if n == 0 || len(c.Accepted)+len(c.Pending) >= limit || !bk.Ready() {
 		return out
 	}
 	// n tokens of spare room: Grow builds each context in place.

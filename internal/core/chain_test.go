@@ -14,13 +14,18 @@ import (
 // are the whole world.
 
 // drafter proposes the token one past the context's last, at confidence
-// conf[len(ctx)] (default 1), and counts how often it was asked.
+// conf[len(ctx)] (default 1), and counts how often it was asked. A
+// deriving drafter is not ready yet.
 type drafter struct {
-	conf  map[int]float32
-	calls int
+	conf     map[int]float32
+	calls    int
+	deriving bool
 }
 
 func (d *drafter) Propose(ctx []token.Token, _ int) ([]token.Token, []float32) {
+	if d.deriving {
+		panic("Propose before the drafter is ready")
+	}
 	d.calls++
 	p, ok := d.conf[len(ctx)]
 	if !ok {
@@ -28,6 +33,7 @@ func (d *drafter) Propose(ctx []token.Token, _ int) ([]token.Token, []float32) {
 	}
 	return []token.Token{ctx[len(ctx)-1] + 1}, []float32{p}
 }
+func (d *drafter) Ready() bool                                      { return !d.deriving }
 func (*drafter) Results(*engine.Run, uint64, []byte) engine.Results { return nil }
 func (*drafter) RowBytes() int                                      { return 0 }
 func (*drafter) MemoryBytes() int64                                 { return 0 }
@@ -214,6 +220,16 @@ func TestDraft(t *testing.T) {
 		t.Fatalf("stall drafted %v, cutoff %v", out, c.Cutoff)
 	}
 
+	// A head still deriving its draft: no draft, no Propose, no decay —
+	// and the same chain drafts in full once it is ready.
+	c, d = chainAt(), &drafter{deriving: true}
+	if out = c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); len(out) != 0 || c.Cutoff != 0.5 {
+		t.Fatalf("drafted %v before the draft was ready, cutoff %v", out, c.Cutoff)
+	}
+	if d.deriving = false; !slices.Equal(c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil), []token.Token{16, 17}) {
+		t.Fatal("a ready drafter did not draft")
+	}
+
 	// Frontier limit: no draft, no Propose, no decay.
 	c, d = chainAt(), &drafter{}
 	if out = c.Draft(d, &cfg, false, 6, &scratch, nil); len(out) != 0 || d.calls != 0 || c.Cutoff != 0.5 {
@@ -260,6 +276,23 @@ func TestDraftOneBatchAtATime(t *testing.T) {
 		if len(out) != tc.drafted || d.calls != tc.drafted || c.Cutoff != 0.5 {
 			t.Errorf("%s: drafted %d in %d proposals, cutoff %v; want %d", tc.name, len(out), d.calls, c.Cutoff, tc.drafted)
 		}
+	}
+}
+
+// TestDraftRoundWaitsForReady: the speculative baseline's tree is empty
+// while the head cannot draft — nothing proposed, the session decodes —
+// and grows once it can.
+func TestDraftRoundWaitsForReady(t *testing.T) {
+	cfg := testCfg
+	cfg.TreeWidth, cfg.SpecCutoff = 1, 0.3
+	var scratch []token.Token
+	c, d := &Chain{Accepted: []token.Token{10, 11, 12}}, &drafter{deriving: true}
+	if tr := c.DraftRound(d, &cfg, 4, &scratch); tr.Len() != 0 || tr.BasePos != 3 {
+		t.Fatalf("drafted a %d-node tree at %d before the draft was ready", tr.Len(), tr.BasePos)
+	}
+	d.deriving = false
+	if tr := c.DraftRound(d, &cfg, 4, &scratch); tr.Len() != 4 || d.calls != 4 {
+		t.Fatalf("a ready drafter grew %d nodes in %d proposals, want 4", tr.Len(), d.calls)
 	}
 }
 

@@ -23,8 +23,11 @@ type Round struct {
 // cfg.TreeWidth candidates per expansion, at most maxNodes nodes, at the
 // fixed cutoff cfg.SpecCutoff. Its roots sit past the anchor, the last
 // accepted token, whose KV is not cached yet. An empty tree means nothing
-// cleared the cutoff.
+// cleared the cutoff, or the head cannot draft yet (HeadBackend.Ready).
 func (c *Chain) DraftRound(bk engine.HeadBackend, cfg *engine.Config, maxNodes int, scratch *[]token.Token) *spec.Tree {
+	if !bk.Ready() {
+		return spec.NewTree(int32(len(c.Accepted)))
+	}
 	ctx := slices.Grow(append((*scratch)[:0], c.Accepted...), maxNodes)
 	*scratch = ctx[:0]
 	return spec.Grow(bk, ctx, int32(len(ctx)), spec.GrowParams{Cutoff: cfg.SpecCutoff, MaxNodes: maxNodes, Width: cfg.TreeWidth})

@@ -455,6 +455,11 @@ type HeadBackend interface {
 	// Propose returns up to width draft continuations of ctx with
 	// confidences in descending order (spec.Proposer contract).
 	Propose(ctx []token.Token, width int) ([]token.Token, []float32)
+	// Ready reports, without blocking, whether the head can draft now.
+	// A head whose draft is still being derived answers false, and
+	// Propose may be called only once it has answered true: until then
+	// the head decodes without speculation.
+	Ready() bool
 	// Results interprets a completed run's result frame, which the head
 	// has already checked against the run: rows holds RowBytes bytes for
 	// each row run.Msg.ResultRow(i, dead) selects — dead being the

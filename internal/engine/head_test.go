@@ -18,6 +18,7 @@ type nopHeadBackend struct{ rowBytes int }
 
 func (nopHeadBackend) Propose([]token.Token, int) ([]token.Token, []float32) { return nil, nil }
 func (nopHeadBackend) Results(*Run, uint64, []byte) Results                  { return nil }
+func (nopHeadBackend) Ready() bool                                           { return true }
 func (b nopHeadBackend) RowBytes() int                                       { return b.rowBytes }
 func (nopHeadBackend) MemoryBytes() int64                                    { return 0 }
 

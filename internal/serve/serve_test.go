@@ -30,6 +30,7 @@ type nopBackend struct{}
 
 func (nopBackend) Propose([]token.Token, int) ([]token.Token, []float32) { return nil, nil }
 func (nopBackend) Results(*engine.Run, uint64, []byte) engine.Results    { return nil }
+func (nopBackend) Ready() bool                                           { return true }
 func (nopBackend) RowBytes() int                                         { return 0 }
 func (nopBackend) MemoryBytes() int64                                    { return 0 }
 
@@ -279,10 +280,12 @@ func TestBrownoutLadder(t *testing.T) {
 // scriptBackend is a deterministic model pair for white-box scheduler
 // tests: the target's token at position p is scriptTok(p) whatever came
 // before, and the draft proposes it — except at every fifth position,
-// where it is wrong, so chains are rejected and runs cancelled.
+// where it is wrong, so chains are rejected and runs cancelled. While
+// deriving, the draft is not ready and must not be asked.
 type scriptBackend struct {
 	// reads records every (run, row) the scheduler sampled.
-	reads []scriptRead
+	reads    []scriptRead
+	deriving bool
 }
 
 type scriptRead struct {
@@ -294,6 +297,9 @@ type scriptRead struct {
 func scriptTok(pos int) token.Token { return token.Token(int(token.NumSpecial) + pos%200) }
 
 func (b *scriptBackend) Propose(ctx []token.Token, _ int) ([]token.Token, []float32) {
+	if b.deriving {
+		panic("serve: Propose before the draft is ready")
+	}
 	t := scriptTok(len(ctx))
 	if len(ctx)%5 == 0 {
 		t++
@@ -305,6 +311,7 @@ func (b *scriptBackend) Results(run *engine.Run, _ uint64, _ []byte) engine.Resu
 	return scriptResults{b, run.Msg}
 }
 
+func (b *scriptBackend) Ready() bool      { return !b.deriving }
 func (*scriptBackend) RowBytes() int      { return 0 }
 func (*scriptBackend) MemoryBytes() int64 { return 0 }
 
@@ -488,5 +495,54 @@ func TestDisplacedDecodeStepStillLaunches(t *testing.T) {
 	}
 	if results[1].Stats.PrefillDone < results[0].Stats.Done {
 		t.Fatal("the prompt that did not fit prefilled before the session holding its pages finished")
+	}
+}
+
+// TestDecodeWhileDraftDerives: a head that cannot draft yet
+// (HeadBackend.Ready) costs speculation, never progress. Under both
+// drafting schedules — PipeInfer's continuous chain and the speculative
+// baseline's rounds — the session samples the target's tokens while the
+// draft is being derived, proposes nothing and keeps its base cutoff,
+// then speculates once the draft is ready.
+func TestDecodeWhileDraftDerives(t *testing.T) {
+	const prompt, maxNew, held = 5, 24, 8
+	p := make([]token.Token, prompt)
+	for i := range p {
+		p[i] = scriptTok(i)
+	}
+	for _, rounds := range []bool{false, true} {
+		s, bk, _ := scriptServe(t, Config{Speculate: !rounds, MaxSessions: 1, SeqsPerSession: 9},
+			[]Request{{Prompt: p, MaxNew: maxNew}})
+		s.rounds, bk.deriving = rounds, true
+		// Fill the pipeline, then drain it: on one inline stage a result
+		// waits the moment its run launches.
+		until := func(stop func() bool) {
+			for !stop() {
+				s.admit()
+				for s.tryLaunch() {
+				}
+				for s.h.Inflight() > 0 {
+					if err := s.handleResult(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		until(func() bool { return s.TotalAccepted() >= held })
+		if sess := s.slots[0]; s.h.Stats.Proposed.Load() != 0 || sess.Cutoff != s.h.CFG.SpecCutoff {
+			t.Fatalf("rounds=%v: %d tokens proposed, cutoff %v before the draft was ready; want 0, %v",
+				rounds, s.h.Stats.Proposed.Load(), sess.Cutoff, s.h.CFG.SpecCutoff)
+		}
+		bk.deriving = false
+		until(s.Done)
+		results := s.results
+		for i, tok := range results[0].Tokens {
+			if tok != scriptTok(prompt+i) {
+				t.Fatalf("rounds=%v: token %d is %d, the target says %d", rounds, i, tok, scriptTok(prompt+i))
+			}
+		}
+		if len(results[0].Tokens) != maxNew || results[0].Stats.Proposed == 0 {
+			t.Fatalf("rounds=%v: %d tokens, %d proposed once the draft was ready", rounds, len(results[0].Tokens), results[0].Stats.Proposed)
+		}
 	}
 }

@@ -23,7 +23,7 @@ const (
 	FlightFail               // watchdog declared a run failed
 	FlightTrip               // repeated-failure breaker tripped
 	FlightRecover            // session recovered by prefix recompute
-	FlightBuild              // head began deriving its draft weights
+	FlightBuild              // head's draft derivation began or became ready
 )
 
 var flightKindNames = [...]string{
@@ -51,6 +51,7 @@ func (k FlightKind) String() string {
 //	result          ResultData | ResultCancelled
 //	cancel          WholeRun, or the session slot whose rows were masked
 //	accept          tokens accepted
+//	build           BuildBegin or BuildReady
 type FlightEvent struct {
 	At   time.Duration
 	Run  uint32
@@ -78,6 +79,14 @@ func (e FlightEvent) Rows() int      { return int(e.Arg & (1<<runRowBits - 1)) }
 const (
 	ResultData int32 = 1 << iota
 	ResultCancelled
+)
+
+// Build-event Args: the head began deriving its draft weights; the head
+// found the derivation finished and can draft from then on. The accept
+// events between the two are the tokens it decoded without speculation.
+const (
+	BuildBegin int32 = iota
+	BuildReady
 )
 
 // WholeRun is a cancel event's Arg when the entire run was cancelled

@@ -245,6 +245,11 @@ func (d *FlightDump) Render(runKind func(uint8) string) string {
 			}
 		case FlightAccept:
 			note = fmt.Sprintf("n=%d", e.Arg)
+		case FlightBuild:
+			note = "draft derivation began"
+			if e.Arg == BuildReady {
+				note = "draft ready"
+			}
 		}
 		fmt.Fprintf(&sb, "%-10s  %-12s  %-7s  %3d  %s\n",
 			e.At.Round(time.Microsecond), e.Node, e.Kind, e.Run, note)
