@@ -178,6 +178,52 @@ func TestSimServeOversubscribed(t *testing.T) {
 	}
 }
 
+// TestSimServeOversubscribedSpeculative is the speculative side of the
+// memory-pressure protocol at paper scale: 16 speculating tenants, each
+// needing 36 cells (five pages) for its prompt and stream, over 8 slots
+// in 160 cells and over 16 slots in 256. Pressure must reclaim
+// speculative pages (OpDropSpec, the protocol's first rung) and park
+// sessions, and every session must still reproduce its oracle stream
+// exactly; the stages' visibility check fails the serve if a chain ever
+// reaches them ahead of the decode row re-evaluating a reclaimed token.
+// Virtual time makes the counts deterministic.
+func TestSimServeOversubscribedSpeculative(t *testing.T) {
+	const maxNew = 24
+	for _, tc := range []struct{ slots, cells int }{{8, 160}, {16, 256}} {
+		opts := ServeOptions{
+			Cluster:     cost.ClusterC().Take(4),
+			Pair:        cost.CPUPairs()[0],
+			CFG:         engine.Config{MaxNew: maxNew},
+			Sessions:    16,
+			PromptLen:   12,
+			Seed:        5,
+			Speculate:   true,
+			MaxSessions: tc.slots,
+			KVCells:     tc.cells,
+			KVPageSize:  8,
+		}
+		out, err := Serve(opts)
+		if err != nil {
+			t.Fatalf("%d slots, %d cells: %v", tc.slots, tc.cells, err)
+		}
+		for i, res := range out.Results {
+			ref := ServeReference(opts, i, maxNew)
+			if len(res.Tokens) != len(ref) {
+				t.Fatalf("%d slots, %d cells: session %d: %d tokens, want %d", tc.slots, tc.cells, i, len(res.Tokens), len(ref))
+			}
+			for j := range ref {
+				if res.Tokens[j] != ref[j] {
+					t.Fatalf("%d slots, %d cells: session %d deviated from its oracle stream at token %d", tc.slots, tc.cells, i, j)
+				}
+			}
+		}
+		if out.Stats.SpecDrops == 0 || out.Stats.Preemptions == 0 {
+			t.Fatalf("%d slots, %d cells: %d spec drops / %d preemptions — the pressure protocol's speculative rung never engaged",
+				tc.slots, tc.cells, out.Stats.SpecDrops, out.Stats.Preemptions)
+		}
+	}
+}
+
 // TestSimServeSharedPrefixParity is the PR-9 acceptance gate at paper
 // scale: 16 tenants sharing a 64-token system prompt recycled through 4
 // slots with the prefix cache on, plain over a half-provisioned KV cache

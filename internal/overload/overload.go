@@ -8,22 +8,22 @@
 //
 // Each item is ranked by a scalar key derived from three signals:
 //
-//	key(it) = eff(it) − PriorityBias·Priority + AgingRate·Arrived
+//	key(it) = eff(it) − priorityBias·Priority + agingRate·Arrived
 //
 // where eff(it) is the item's effective deadline — its TTFT deadline
-// when set, else its completion deadline, else Arrived+Horizon (so
+// when set, else its completion deadline, else Arrived+horizon (so
 // deadline-less items order FIFO among themselves at a fixed virtual
 // urgency). Smaller keys pop first; ties break on the item ID, which
 // makes the order total.
 //
 // The aging term is what prevents starvation: it is the static form of
 // the usual "urgency grows while waiting" rule. Comparing two items at
-// any instant t, the dynamic key eff − PriorityBias·Priority −
-// AgingRate·(t − Arrived) differs from the static key only by the
-// common offset AgingRate·t, so the ordering is time-invariant and can
+// any instant t, the dynamic key eff − priorityBias·Priority −
+// agingRate·(t − Arrived) differs from the static key only by the
+// common offset agingRate·t, so the ordering is time-invariant and can
 // be computed once at push. Because a newcomer arriving at time T has
 // eff ≥ T (an already-expired deadline is shed, not queued), its key
-// grows without bound as (1+AgingRate)·T while any resident item's key
+// grows without bound as (1+agingRate)·T while any resident item's key
 // is fixed — only finitely many later arrivals can overtake a waiting
 // item, no matter their priority.
 //
@@ -50,7 +50,7 @@ type Item struct {
 	// breaks ordering ties, making the queue order total.
 	ID int
 	// Priority biases ordering: higher-priority items rank as if their
-	// deadline were PriorityBias earlier per priority unit.
+	// deadline were priorityBias earlier per priority unit.
 	Priority int
 	// Arrived is when the request was submitted.
 	Arrived time.Duration
@@ -66,33 +66,17 @@ type Item struct {
 	Cost int
 }
 
-// Config tunes the queue's ordering and bound.
-type Config struct {
-	// Bound caps the number of queued items; Push fails beyond it.
-	// 0 = unbounded.
-	Bound int
-	// Horizon is the virtual urgency assigned to deadline-less items:
-	// they order as if due Horizon after arrival (default 30s).
-	Horizon time.Duration
-	// PriorityBias is the deadline credit per priority unit (default 1s).
-	PriorityBias time.Duration
-	// AgingRate weighs arrival age into the ordering key, in (0, 1]
-	// (default 0.5). Larger values converge toward FIFO faster.
-	AgingRate float64
-}
-
-func (c Config) normalize() Config {
-	if c.Horizon <= 0 {
-		c.Horizon = 30 * time.Second
-	}
-	if c.PriorityBias <= 0 {
-		c.PriorityBias = time.Second
-	}
-	if c.AgingRate <= 0 || c.AgingRate > 1 {
-		c.AgingRate = 0.5
-	}
-	return c
-}
+// The ordering key's constants (see the package doc).
+const (
+	// horizon is the virtual urgency assigned to deadline-less items:
+	// they order as if due horizon after arrival.
+	horizon = 30 * time.Second
+	// priorityBias is the deadline credit per priority unit.
+	priorityBias = time.Second
+	// agingRate weighs arrival age into the ordering key, in (0, 1];
+	// larger values converge toward FIFO faster.
+	agingRate = 0.5
+)
 
 type entry struct {
 	it  Item
@@ -102,41 +86,40 @@ type entry struct {
 // Queue is the bounded deadline-aware admission queue: a binary heap
 // over the static ordering key. Not safe for concurrent use.
 type Queue struct {
-	cfg     Config
+	bound   int
 	items   []entry
 	costSum int
 	shedBuf []Item
 }
 
-// New builds an empty queue.
-func New(cfg Config) *Queue {
-	return &Queue{cfg: cfg.normalize()}
+// New builds an empty queue holding at most bound items (0: unbounded).
+func New(bound int) *Queue {
+	return &Queue{bound: bound}
 }
 
 // Len reports the number of queued items.
 func (q *Queue) Len() int { return len(q.items) }
 
 // Bound reports the configured capacity (0 = unbounded).
-func (q *Queue) Bound() int { return q.cfg.Bound }
+func (q *Queue) Bound() int { return q.bound }
 
 // Full reports whether the queue is at its bound.
-func (q *Queue) Full() bool { return q.cfg.Bound > 0 && len(q.items) >= q.cfg.Bound }
+func (q *Queue) Full() bool { return q.bound > 0 && len(q.items) >= q.bound }
 
 // CostSum is the total predicted service demand (token rows) waiting in
 // the queue — the backlog the sustainable-rate admission check prices.
 func (q *Queue) CostSum() int { return q.costSum }
 
 // keyOf computes the item's static ordering key (see the package doc).
-func (q *Queue) keyOf(it Item) float64 {
+func keyOf(it Item) float64 {
 	eff := it.TTFTDeadline
 	if eff == 0 {
 		eff = it.Deadline
 	}
 	if eff == 0 {
-		eff = it.Arrived + q.cfg.Horizon
+		eff = it.Arrived + horizon
 	}
-	return float64(eff) - float64(q.cfg.PriorityBias)*float64(it.Priority) +
-		q.cfg.AgingRate*float64(it.Arrived)
+	return float64(eff) - float64(priorityBias)*float64(it.Priority) + agingRate*float64(it.Arrived)
 }
 
 // less is the heap order: smaller key first, item ID breaking ties.
@@ -153,7 +136,7 @@ func (q *Queue) Push(it Item) bool {
 	if q.Full() {
 		return false
 	}
-	q.items = append(q.items, entry{it: it, key: q.keyOf(it)})
+	q.items = append(q.items, entry{it: it, key: keyOf(it)})
 	q.costSum += it.Cost
 	q.up(len(q.items) - 1)
 	return true

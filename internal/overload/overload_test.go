@@ -7,23 +7,30 @@ import (
 	"time"
 )
 
-// refKey recomputes the ordering key independently of Queue.keyOf so
-// the property and fuzz tests are a genuine cross-check of the heap
+// The ordering key's constants as the reference states them, apart from
+// the package's own.
+const (
+	refHorizon = 30 * time.Second
+	refBias    = time.Second
+	refAging   = 0.5
+)
+
+// refKey recomputes the ordering key independently of keyOf so the
+// property and fuzz tests are a genuine cross-check of the heap
 // implementation, not a tautology.
-func refKey(cfg Config, it Item) float64 {
+func refKey(it Item) float64 {
 	eff := it.TTFTDeadline
 	if eff == 0 {
 		eff = it.Deadline
 	}
 	if eff == 0 {
-		eff = it.Arrived + cfg.Horizon
+		eff = it.Arrived + refHorizon
 	}
-	return float64(eff) - float64(cfg.PriorityBias)*float64(it.Priority) +
-		cfg.AgingRate*float64(it.Arrived)
+	return float64(eff) - float64(refBias)*float64(it.Priority) + refAging*float64(it.Arrived)
 }
 
-func refLess(cfg Config, a, b Item) bool {
-	ka, kb := refKey(cfg, a), refKey(cfg, b)
+func refLess(a, b Item) bool {
+	ka, kb := refKey(a), refKey(b)
 	if ka != kb {
 		return ka < kb
 	}
@@ -50,21 +57,20 @@ func randItem(r *rand.Rand, id int) Item {
 // one of less(a,b) / less(b,a) holds for distinct items (IDs are
 // unique), never both, and the relation is transitive.
 func TestKeyTotalOrder(t *testing.T) {
-	cfg := Config{}.normalize()
 	r := rand.New(rand.NewSource(1))
 	items := make([]Item, 64)
 	for i := range items {
 		items[i] = randItem(r, i)
 	}
 	for _, a := range items {
-		if refLess(cfg, a, a) {
+		if refLess(a, a) {
 			t.Fatalf("less(a,a) for %+v", a)
 		}
 		for _, b := range items {
 			if a.ID == b.ID {
 				continue
 			}
-			ab, ba := refLess(cfg, a, b), refLess(cfg, b, a)
+			ab, ba := refLess(a, b), refLess(b, a)
 			if ab == ba {
 				t.Fatalf("not a strict total order: less(a,b)=%v less(b,a)=%v for %+v %+v", ab, ba, a, b)
 			}
@@ -72,7 +78,7 @@ func TestKeyTotalOrder(t *testing.T) {
 	}
 	for trial := 0; trial < 1000; trial++ {
 		a, b, c := items[r.Intn(64)], items[r.Intn(64)], items[r.Intn(64)]
-		if refLess(cfg, a, b) && refLess(cfg, b, c) && !refLess(cfg, a, c) {
+		if refLess(a, b) && refLess(b, c) && !refLess(a, c) {
 			t.Fatalf("transitivity broken for %+v %+v %+v", a, b, c)
 		}
 	}
@@ -82,7 +88,7 @@ func TestKeyTotalOrder(t *testing.T) {
 // first, and waiting never hurts — an item's rank relative to a fixed
 // newcomer only improves as the gap between their arrivals grows.
 func TestAgingMonotone(t *testing.T) {
-	q := New(Config{})
+	q := New(0)
 	old := Item{ID: 1, Arrived: 0}
 	young := Item{ID: 0, Arrived: 500 * time.Millisecond}
 	q.Push(young)
@@ -91,10 +97,9 @@ func TestAgingMonotone(t *testing.T) {
 		t.Fatalf("earlier arrival should pop first, got ID %d", it.ID)
 	}
 	// Monotone in age: keys strictly increase with Arrived.
-	cfg := Config{}.normalize()
-	prev := refKey(cfg, Item{ID: 2, Arrived: 0})
+	prev := refKey(Item{ID: 2, Arrived: 0})
 	for ms := 1; ms <= 1000; ms *= 2 {
-		k := refKey(cfg, Item{ID: 2, Arrived: time.Duration(ms) * time.Millisecond})
+		k := refKey(Item{ID: 2, Arrived: time.Duration(ms) * time.Millisecond})
 		if k <= prev {
 			t.Fatalf("aging not monotone at %dms: key %v <= %v", ms, k, prev)
 		}
@@ -106,17 +111,16 @@ func TestAgingMonotone(t *testing.T) {
 // adversarial stream of high-priority tight-deadline arrivals. One item
 // is popped per tick while the adversary pushes one per tick; the
 // resident item must pop within the bound implied by the aging rate:
-// once (1+aging)·T − bias·maxPrio exceeds Horizon, no newcomer can
-// outrank it.
+// once (1+aging)·T − bias·maxPrio exceeds the horizon, no newcomer can
+// outrank it. The tick is scaled to the horizon: a thousand ticks or so.
 func TestNoStarvation(t *testing.T) {
-	cfg := Config{Horizon: 10 * time.Second, PriorityBias: time.Second, AgingRate: 0.5}
-	q := New(cfg)
+	q := New(0)
 	const victim = 0
 	q.Push(Item{ID: victim, Priority: -2, Arrived: 0})
-	tick := 10 * time.Millisecond
-	// Bound: newcomer key exceeds the victim's (Horizon + bias·(prio
-	// gap)) once (1+aging)·T > Horizon + bias·(maxPrio − victimPrio).
-	limit := int(float64(cfg.Horizon+6*cfg.PriorityBias)/(1.5*float64(tick))) + 2
+	tick := refHorizon / 1000
+	// Bound: newcomer key exceeds the victim's (horizon + bias·(prio
+	// gap)) once (1+aging)·T > horizon + bias·(maxPrio − victimPrio).
+	limit := int(float64(refHorizon+6*refBias)/((1+refAging)*float64(tick))) + 2
 	for i := 1; ; i++ {
 		if i > 10*limit {
 			t.Fatalf("victim not popped after %d ticks (limit %d)", i, 10*limit)
@@ -141,7 +145,7 @@ func TestNoStarvation(t *testing.T) {
 // wait estimate, items whose deadline is inside that wait go too.
 // Deadline-less items are never shed.
 func TestShedProvablyUnmeetable(t *testing.T) {
-	q := New(Config{})
+	q := New(0)
 	q.Push(Item{ID: 0})                                                  // no deadline: never shed
 	q.Push(Item{ID: 1, TTFTDeadline: 100 * time.Millisecond})            // expired at now=200ms
 	q.Push(Item{ID: 2, TTFTDeadline: 300 * time.Millisecond, Cost: 100}) // alive without estimate
@@ -168,7 +172,7 @@ func TestShedProvablyUnmeetable(t *testing.T) {
 // TestBoundAndCost: Push respects the bound and CostSum tracks queued
 // demand through push/pop/shed.
 func TestBoundAndCost(t *testing.T) {
-	q := New(Config{Bound: 2})
+	q := New(2)
 	if !q.Push(Item{ID: 0, Cost: 10}) || !q.Push(Item{ID: 1, Cost: 20}) {
 		t.Fatal("pushes under bound must succeed")
 	}
@@ -192,11 +196,13 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 0, 5, 4, 3, 2, 1, 1, 1, 1, 1})
 	f.Add([]byte{2, 255, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg := Config{Bound: 8, Horizon: time.Second, PriorityBias: 100 * time.Millisecond, AgingRate: 0.5}
-		q := New(cfg)
+		// Generated times are in units of a tenth of the priority bias,
+		// so ages, deadlines and the horizon all compete with it.
+		const bound, unit = 8, refBias / 10
+		q := New(bound)
 		var ref []Item
 		minWait := func(it Item) time.Duration {
-			return time.Duration(it.Cost) * time.Millisecond
+			return time.Duration(it.Cost) * unit / 10
 		}
 		nextID := 0
 		for i := 0; i+1 <= len(data); {
@@ -210,19 +216,19 @@ func FuzzQueueOrder(f *testing.F) {
 				it := Item{
 					ID:       nextID,
 					Priority: int(data[i]%5) - 2,
-					Arrived:  time.Duration(data[i+1]) * 10 * time.Millisecond,
+					Arrived:  time.Duration(data[i+1]) * unit,
 					Cost:     int(data[i+4]),
 				}
 				if data[i+2]%2 == 0 {
-					it.TTFTDeadline = it.Arrived + time.Duration(1+int(data[i+2]))*10*time.Millisecond
+					it.TTFTDeadline = it.Arrived + time.Duration(1+int(data[i+2]))*unit
 				}
 				if data[i+3]%2 == 0 {
-					it.Deadline = it.Arrived + time.Duration(1+int(data[i+3]))*20*time.Millisecond
+					it.Deadline = it.Arrived + time.Duration(1+int(data[i+3]))*2*unit
 				}
 				i += 5
 				nextID++
 				got := q.Push(it)
-				want := len(ref) < cfg.Bound
+				want := len(ref) < bound
 				if got != want {
 					t.Fatalf("Push accept=%v, reference=%v at %d items", got, want, len(ref))
 				}
@@ -239,7 +245,7 @@ func FuzzQueueOrder(f *testing.F) {
 				}
 				best := 0
 				for j := 1; j < len(ref); j++ {
-					if refLess(cfg, ref[j], ref[best]) {
+					if refLess(ref[j], ref[best]) {
 						best = j
 					}
 				}
@@ -251,7 +257,7 @@ func FuzzQueueOrder(f *testing.F) {
 				if i >= len(data) {
 					return
 				}
-				now := time.Duration(data[i]) * 10 * time.Millisecond
+				now := time.Duration(data[i]) * unit
 				i++
 				shed := q.Shed(now, minWait)
 				var want []Item
@@ -302,7 +308,7 @@ func FuzzQueueOrder(f *testing.F) {
 			}
 			best := 0
 			for j := 1; j < len(ref); j++ {
-				if refLess(cfg, ref[j], ref[best]) {
+				if refLess(ref[j], ref[best]) {
 					best = j
 				}
 			}

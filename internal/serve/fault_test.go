@@ -5,55 +5,6 @@ import (
 	"time"
 )
 
-// TestBreakerTripAndReset pins the graceful-degradation breaker's state
-// machine: consecutive watchdog failures trip it (batch width clamps to
-// 1, one trip counted), interleaved successes reset the failure streak,
-// and a sustained healthy streak closes it again.
-func TestBreakerTripAndReset(t *testing.T) {
-	s, err := New(testHead(t), Config{MaxBatch: 8, RunTimeout: time.Second}, req(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A near-trip streak is cleared by one success.
-	s.noteFailure()
-	s.noteFailure()
-	s.noteSuccess()
-	s.noteFailure()
-	s.noteFailure()
-	if s.tripped {
-		t.Fatal("breaker tripped below the failure threshold")
-	}
-	if w := s.effectiveWidth(); w != 4 {
-		t.Fatalf("healthy breaker clamped width to %d, want 4", w)
-	}
-	s.noteFailure()
-	if !s.tripped || s.h.Stats.BreakerTrips.Load() != 1 {
-		t.Fatalf("3 consecutive failures: tripped=%v trips=%d", s.tripped, s.h.Stats.BreakerTrips.Load())
-	}
-	if w := s.effectiveWidth(); w != 1 {
-		t.Fatalf("open breaker width %d, want 1", w)
-	}
-	// Further failures don't double-count the trip.
-	s.noteFailure()
-	if s.h.Stats.BreakerTrips.Load() != 1 {
-		t.Fatalf("re-counted trip: %d", s.h.Stats.BreakerTrips.Load())
-	}
-	// A sustained healthy streak closes it.
-	for i := 0; i < breakerResetAfter-1; i++ {
-		s.noteSuccess()
-		if !s.tripped {
-			t.Fatalf("breaker closed after only %d successes", i+1)
-		}
-	}
-	s.noteSuccess()
-	if s.tripped {
-		t.Fatal("breaker still open after the reset streak")
-	}
-	if w := s.effectiveWidth(); w != 4 {
-		t.Fatalf("closed breaker width %d, want 4", w)
-	}
-}
-
 // TestDeadlineFloorAndCap pins the watchdog budget's bounds: with no
 // fitted cost model the configured floor applies verbatim, and the cap —
 // runTimeoutCap floors — clamps whatever the prediction would stretch it

@@ -23,10 +23,7 @@ func (s *Scheduler) probePrefix(sess *session) {
 	}
 	s.prefix.Ref(e)
 	sess.prefixEntry, sess.prefixLen = e, n
-	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpMapShared,
-		Src: sess.ns.Canonical(), Dst: kvcache.SeqID(e), P1: int32(n)})
-	s.ops = ops[:0]
-	s.sendKV(ops)
+	s.sendOp(kvcache.Op{Kind: kvcache.OpMapShared, Src: sess.ns.Canonical(), Dst: kvcache.SeqID(e), P1: int32(n)})
 	sess.fillSent, sess.fillDone = n, n
 	sess.stats.PrefixHits++
 	sess.stats.PrefixHitTokens += n
@@ -76,10 +73,7 @@ func (s *Scheduler) publishPrefix(sess *session) {
 			return
 		}
 	}
-	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpSharePrefix,
-		Src: sess.ns.Canonical(), Dst: kvcache.SeqID(e), P1: int32(l)})
-	s.ops = ops[:0]
-	s.sendKV(ops)
+	s.sendOp(kvcache.Op{Kind: kvcache.OpSharePrefix, Src: sess.ns.Canonical(), Dst: kvcache.SeqID(e), P1: int32(l)})
 	s.observePrefixOcc()
 }
 
@@ -93,9 +87,7 @@ func (s *Scheduler) evictColdest() bool {
 	}
 	e, ok := s.prefix.EvictLRU()
 	if ok {
-		ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpUnrefPrefix, Dst: kvcache.SeqID(e)})
-		s.ops = ops[:0]
-		s.sendKV(ops)
+		s.sendOp(kvcache.Op{Kind: kvcache.OpUnrefPrefix, Dst: kvcache.SeqID(e)})
 		s.observePrefixOcc()
 	}
 	return ok

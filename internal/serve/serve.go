@@ -79,15 +79,24 @@
 //     large batch at a time under engine.Config.DisableContinuous) and
 //     the largest same-depth group launches as one speculative run, each
 //     chain in a fresh partition of its own namespace. Optional work:
-//     skipped under memory pressure, while the failure breaker is open
-//     and under brown-out.
+//     skipped when it does not fit the shadow cache, and whenever the
+//     optimism level (below) is off its bottom rung.
 //
 // The speculative baseline (Drive with engine.StrategySpeculative:
 // SpecInfer with one draft model, §V-A) adds one rule ahead of the
 // passes, draft-then-await: a decoding session that has just sampled and
 // has nothing in flight grows a tree (core.Chain.DraftRound) and launches
 // it behind its anchor as one speculative run, then waits for it; an
-// empty tree falls through to pass 1's decode row (launchRound).
+// empty tree falls through to pass 1's decode row (launchRound). It
+// drafts only at the optimism level's bottom rung, as pass 3 does.
+//
+// The optimism level is one ordered ladder of optional work given up:
+// full, then no speculation, then also half the prefill-chunk budget,
+// then also batch width 1. It is a pure function of three signals (the
+// failure breaker's streaks, queue occupancy, queued TTFT slack against
+// the observed queue wait), recomputed at every admission pass; the
+// launch passes, the width rule and the chunk budget read nothing else
+// for how much to speculate and batch.
 //
 // A solo run is the one-group case: one session's rows compose to an
 // untagged message (ranged, for a prefill chunk), so per-row session tags
@@ -145,18 +154,16 @@
 // run's budget (engine.Head.AwaitResultWithin over comm.Waiter), and
 // results carry their run's ID so a lost result is detected the moment a
 // newer one arrives (per-stream FIFO order makes the gap a proof, not a
-// guess). A
-// failed run's sessions are recovered through the same machinery
+// guess). A failed run's sessions are recovered through the machinery
 // preemption built: in-flight runs cancelled, the namespace evicted
 // pipeline-wide (kvcache.OpEvictShard), the session parked, and
 // prefix-recompute readmission re-derives the greedy stream
-// bit-identically — the lost result's sampled token falls out of the
-// recomputed prefill. Other sessions' rows of a shared run complete
-// normally. Repeated consecutive failures trip a
-// degradation breaker (speculation off, batch width one) so a
+// bit-identically, the lost result's sampled token included. Other
+// sessions' rows of a shared run complete normally. Three consecutive
+// failures trip a breaker, the optimism level's top rung, so a
 // persistently faulty link degrades throughput instead of feeding an
-// evict/readmit storm; sustained healthy completions reset it. Counters:
-// Stats.RunTimeouts, Recoveries, BreakerTrips.
+// evict/readmit storm; sixteen healthy completions in a row close it.
+// Counters: Stats.RunTimeouts, Recoveries, BreakerTrips.
 //
 // # Prefix reuse (PR 9)
 //
@@ -198,11 +205,11 @@
 // has converged, beyond the sustainable-rate estimate that proves the
 // queued backlog alone pushes the request past its TTFT budget — with a
 // distinguishable ErrOverloaded result (surfaced as 503 + Retry-After
-// through /readyz). Between healthy and shedding sits the brown-out
-// ladder: as the queue fills (or queued TTFT slack falls under the
-// observed queue wait), speculation is dropped first, then the
-// prefill-chunk budget is halved — optional work degrades before any
-// mandatory work is refused or shed.
+// through /readyz). Between healthy and shedding sits brown-out, the
+// optimism level's middle rungs: as the queue fills (or queued TTFT slack
+// falls under the observed queue wait), speculation is dropped first,
+// then the prefill-chunk budget is halved — optional work degrades before
+// any mandatory work is refused or shed.
 //
 // Steady-state decode is allocation-free: run messages, tracking records
 // and wire buffers all cycle through pools, so a session decoding
@@ -211,6 +218,7 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -501,12 +509,13 @@ type Scheduler struct {
 	queue  *overload.Queue
 	closed bool
 
-	// Brown-out ladder (PR 10): level 0 healthy, 1 speculation dropped,
-	// 2 prefill-chunk budget also halved. stepsSinceShed drives the
-	// /readyz "shed recently" overload window; queueWaitEMA tracks the
-	// recently observed admission waits the slack escalation rule
-	// compares deadline headroom against.
-	brownout       int
+	// level is the optimism level (optimism.go), recomputed from
+	// failStreak/okStreak (the breaker), the queue and queueWaitEMA (the
+	// recently observed admission waits queued TTFT slack is compared
+	// against). stepsSinceShed drives the /readyz "shed recently" window.
+	level          optimism
+	failStreak     int
+	okStreak       int
 	stepsSinceShed int
 	queueWaitEMA   time.Duration
 
@@ -544,16 +553,6 @@ type Scheduler struct {
 	// observations it is fed.
 	runCost      metrics.CostEMA
 	lastResultAt time.Duration
-
-	// Degradation breaker (PR 6): failStreak counts consecutive
-	// watchdog-failed runs; at breakerTripAfter the breaker trips —
-	// speculation is disabled and the batch width collapses to one — so
-	// a persistently faulty link degrades throughput instead of feeding
-	// an evict/readmit storm with speculative work that will be lost.
-	// okStreak consecutive healthy completions reset it.
-	failStreak int
-	okStreak   int
-	tripped    bool
 
 	// obs mirrors cfg.Obs (nil when telemetry is disabled; every call on
 	// it is nil-safe and allocation-free).
@@ -627,7 +626,7 @@ func build(h *engine.Head, cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		h:       h,
 		cfg:     cfg,
-		queue:   overload.New(overload.Config{Bound: cfg.MaxQueue}),
+		queue:   overload.New(cfg.MaxQueue),
 		slots:   make([]*session, cfg.MaxSessions),
 		specCap: max(2, h.CFG.MaxInflight/cfg.MaxSessions),
 		// A fresh scheduler has not shed recently.
@@ -870,21 +869,13 @@ func (s *Scheduler) stateDump() string {
 // idle reports a scheduler with nothing to do right now: an empty
 // admission queue, no active sessions, nothing in flight.
 func (s *Scheduler) idle() bool {
-	if s.queue.Len() > 0 || s.h.Inflight() > 0 {
-		return false
-	}
-	for _, sl := range s.slots {
-		if sl != nil {
-			return false
-		}
-	}
-	return true
+	return s.queue.Len() == 0 && s.h.Inflight() == 0 && s.freeSlots() == len(s.slots)
 }
 
 // admit sheds queued requests whose TTFT deadline is provably
 // unmeetable, moves the most urgent survivors into free session slots,
 // then publishes the step's admission pressure (queue depth and wait
-// histograms, health gauges) and recomputes the brown-out level.
+// histograms, health gauges) and recomputes the optimism level.
 func (s *Scheduler) admit() {
 	defer s.observePressure()
 	if s.stepsSinceShed < shedRecentWindow {
@@ -898,13 +889,7 @@ func (s *Scheduler) admit() {
 	// feasible one could use — and a running session is never shed.
 	s.shedUnmeetable(now)
 	for s.queue.Len() > 0 {
-		slot := -1
-		for i, sl := range s.slots {
-			if sl == nil {
-				slot = i
-				break
-			}
-		}
+		slot := slices.Index(s.slots, nil)
 		if slot < 0 {
 			return
 		}
@@ -965,119 +950,65 @@ func (s *Scheduler) shedUnmeetable(now time.Duration) {
 	}
 }
 
-// observePressure recomputes the brown-out level and streams the
-// scheduler's admission state into the telemetry registry: how many
-// requests still wait for a slot, how many slots are occupied, and
-// whether admission is overloaded (queue at bound or a shed within the
-// last window). Atomics only; brown-out is computed even without
-// telemetry because it gates speculation.
+// observePressure is where the optimism level is recomputed (ladder): on
+// every Submit, and at every admission pass, after the last result's
+// breaker update and before any launch. It then streams the admission
+// state into telemetry: the brown-out rung, queued requests, occupied
+// slots, and whether admission is overloaded (queue at bound or a shed
+// within the last window). Atomics only.
 func (s *Scheduler) observePressure() {
-	s.updateBrownout()
+	sig := signals{failStreak: s.failStreak, queued: s.queue.Len(), bound: s.queue.Bound(), wait: s.queueWaitEMA}
+	if sig.wait > 0 && sig.queued > 0 {
+		sig.slack, sig.hasSlack = s.queue.MinTTFTSlack(s.h.EP.Now())
+	}
+	var brownout optimism
+	s.level, brownout = ladder(sig)
 	if s.obs == nil {
 		return
 	}
-	active := 0
-	for _, sl := range s.slots {
-		if sl != nil {
-			active++
-		}
-	}
-	queued := s.queue.Len()
-	s.obs.ObserveQueueDepth(queued)
-	s.obs.SetPressure(queued, active, len(s.slots))
+	s.obs.SetBrownout(int(brownout))
+	s.obs.ObserveQueueDepth(sig.queued)
+	s.obs.SetPressure(sig.queued, len(s.slots)-s.freeSlots(), len(s.slots))
 	s.obs.SetOverloaded(s.queue.Full() || s.stepsSinceShed < shedRecentWindow)
 }
 
-// updateBrownout recomputes the brown-out level (PR 10): optional work
-// degrades before admission refuses or sheds mandatory work. The
-// bounded queue's occupancy escalates first — at half the bound
-// speculation is dropped (level 1, the same lever the PR-6 breaker
-// pulls), at three quarters the prefill-chunk budget is halved on top
-// (level 2). Independently, when the tightest queued TTFT slack falls
-// under the recently observed queue wait, the same ladder engages even
-// far from the bound.
-func (s *Scheduler) updateBrownout() {
-	lvl := 0
-	if b := s.queue.Bound(); b > 0 {
-		switch q := s.queue.Len(); {
-		case 4*q >= 3*b:
-			lvl = 2
-		case 2*q >= b:
-			lvl = 1
+// freeSlots counts the unoccupied session slots.
+func (s *Scheduler) freeSlots() (n int) {
+	for _, sl := range s.slots {
+		if sl == nil {
+			n++
 		}
 	}
-	if lvl < 2 && s.queueWaitEMA > 0 && s.queue.Len() > 0 {
-		if slack, ok := s.queue.MinTTFTSlack(s.h.EP.Now()); ok {
-			switch {
-			case slack < s.queueWaitEMA:
-				lvl = 2
-			case slack < 2*s.queueWaitEMA && lvl < 1:
-				lvl = 1
-			}
-		}
-	}
-	if lvl != s.brownout {
-		s.brownout = lvl
-		s.obs.SetBrownout(lvl)
-	}
+	return n
 }
 
 // --- launching ---
-
-// chunkBudget is one run's prefill token budget: Config.PrefillChunk, or
-// without chunking a bound no prompt reaches (a chunk is then the whole
-// remaining range, and tryLaunch allows one per run), small enough that
-// position + budget cannot overflow.
-func (s *Scheduler) chunkBudget() int {
-	if s.cfg.PrefillChunk > 0 {
-		return s.cfg.PrefillChunk
-	}
-	return 1 << 30
-}
 
 // tryLaunch admits at most one run — the first of the three passes of the
 // package doc's Scheduling section that finds work — visiting sessions
 // round-robin from just past the last one launched, so every session gets
 // a fair share of the global in-flight budget. The width bound is
 // MaxBatch, or the adaptive controller's pick in auto mode
-// (effectiveWidth).
+// (effectiveWidth). Speculation, in pass 3 and in the baseline's rounds,
+// happens only at the optimism level's bottom rung.
 func (s *Scheduler) tryLaunch() bool {
 	if s.h.Inflight() >= s.h.CFG.MaxInflight {
 		return false
 	}
-	if s.rounds && s.launchRound() {
+	if s.rounds && s.level == optFull && s.launchRound() {
 		return true
 	}
 	n := len(s.slots)
 	width := s.effectiveWidth()
 
 	// Pass 1: non-speculative decode steps and prefill chunks, charged
-	// against one conservative collective room account: each row group
-	// pays the free-list pages its shard cannot absorb (kvpage.PagesShort)
-	// out of a shared budget.
+	// against one conservative collective page account.
 	ready := s.ready[:0]
 	chunks := s.chunkSel[:0]
 	lens := s.chunkLen[:0]
 	var blocked, displaced *session
 	blockedNeed := 0
 	freePages := -1
-	charge := func(sess *session, cells int) bool {
-		if s.kv == nil {
-			return true
-		}
-		need := s.kv.PagesShort(sess.canonSet, cells)
-		if need == 0 {
-			return true
-		}
-		if freePages < 0 {
-			freePages = s.kv.FreePages()
-		}
-		if freePages < need {
-			return false
-		}
-		freePages -= need
-		return true
-	}
 	for i := 0; i < n; i++ {
 		sess := s.slots[(s.rr+i)%n]
 		if sess == nil {
@@ -1092,7 +1023,7 @@ func (s *Scheduler) tryLaunch() bool {
 			if len(ready) >= width {
 				continue
 			}
-			if !charge(sess, 1) {
+			if !s.charge(&freePages, sess.canonSet, 1) {
 				if blocked == nil {
 					blocked, blockedNeed = sess, 1
 				}
@@ -1107,19 +1038,10 @@ func (s *Scheduler) tryLaunch() bool {
 		// Shortest-remaining-prefill-first: the session closest to its
 		// first token launches first, so a burst of prompts completes one
 		// by one instead of serialising every session's TTFT behind the
-		// longest prompt at the head of the FIFO (insertion sort: the
-		// list is near-sorted across steps, and allocation-free always).
-		for i := 1; i < len(chunks); i++ {
-			c := chunks[i]
-			rem := c.fillTarget - c.fillSent
-			j := i - 1
-			for j >= 0 && (chunks[j].fillTarget-chunks[j].fillSent > rem ||
-				(chunks[j].fillTarget-chunks[j].fillSent == rem && chunks[j].slot > c.slot)) {
-				chunks[j+1] = chunks[j]
-				j--
-			}
-			chunks[j+1] = c
-		}
+		// longest prompt at the head of the FIFO (slot order breaks ties).
+		slices.SortFunc(chunks, func(a, b *session) int {
+			return cmp.Or((a.fillTarget-a.fillSent)-(b.fillTarget-b.fillSent), a.slot-b.slot)
+		})
 		// One group slot is kept for prefill work so a decode-saturated
 		// step cannot starve sessions mid-prompt; the displaced decode step
 		// stays ready and is retried next step, and its page charge is
@@ -1128,7 +1050,7 @@ func (s *Scheduler) tryLaunch() bool {
 		// is exact).
 		if len(ready) == width {
 			displaced = ready[width-1]
-			if s.kv != nil && freePages >= 0 {
+			if s.kv != nil {
 				freePages += s.kv.PagesShort(displaced.canonSet, 1)
 			}
 			ready = ready[:width-1]
@@ -1136,15 +1058,9 @@ func (s *Scheduler) tryLaunch() bool {
 		// The per-session chunk sizes admitted (and charged) here are
 		// recorded and staged verbatim, so the KV charge and the staged
 		// cells can never drift apart.
-		budget, groups := s.chunkBudget(), width-len(ready)
-		switch {
-		case s.cfg.PrefillChunk == 0:
+		budget, groups := s.chunkBudget(s.level), width-len(ready)
+		if s.cfg.PrefillChunk == 0 {
 			groups = 1
-		case s.brownout >= 2 && budget > 1:
-			// Brown-out level 2: halve the per-run prefill share so decode
-			// rows — already-admitted sessions racing their deadlines —
-			// keep the capacity. Admission slows; it does not stop.
-			budget = (budget + 1) / 2
 		}
 		kept := 0
 		for _, sess := range chunks {
@@ -1152,7 +1068,7 @@ func (s *Scheduler) tryLaunch() bool {
 				break
 			}
 			k := min(sess.fillTarget-sess.fillSent, budget)
-			if !charge(sess, k) {
+			if !s.charge(&freePages, sess.canonSet, k) {
 				if blocked == nil {
 					blocked, blockedNeed = sess, k
 				}
@@ -1194,21 +1110,8 @@ func (s *Scheduler) tryLaunch() bool {
 	}
 
 	// Pass 3: same-depth speculative batching, bounded by the same
-	// effective width as pass 1. The open breaker and the brown-out
-	// ladder both disable speculation: under repeated faults every
-	// drafted chain is work the next failure throws away, and under
-	// overload it is optional compute taken from queued mandatory work.
-	if s.specOK() {
-		return s.tryLaunchSpecBatch(width)
-	}
-	return false
-}
-
-// specOK gates speculative work: off while the PR-6 breaker is open or
-// the PR-10 brown-out ladder is engaged — under pressure, speculation
-// is the first work to go.
-func (s *Scheduler) specOK() bool {
-	return s.cfg.Speculate && !s.tripped && s.brownout == 0
+	// effective width as pass 1.
+	return s.cfg.Speculate && s.level == optFull && s.tryLaunchSpecBatch(width)
 }
 
 // effectiveWidth picks this step's batch-width bound: MaxBatch in static
@@ -1221,11 +1124,11 @@ func (s *Scheduler) specOK() bool {
 // overhead-to-row-cost ratio, a wider batch buys almost no throughput
 // and only adds per-step latency).
 func (s *Scheduler) effectiveWidth() int {
-	if s.tripped {
-		return 1 // breaker open: minimise work lost to the next failure
-	}
 	capW := s.cfg.MaxBatch
-	if !s.cfg.AutoBatch || capW <= 1 {
+	switch {
+	case s.level >= optWidth1:
+		return 1 // minimise work lost to the next failure
+	case !s.cfg.AutoBatch || capW <= 1:
 		return capW
 	}
 	demand := s.queue.Len() // queued requests become work on admission
@@ -1234,23 +1137,9 @@ func (s *Scheduler) effectiveWidth() int {
 			demand++
 		}
 	}
-	if demand > capW {
-		demand = capW
-	}
-	if demand < 1 {
-		demand = 1
-	}
-	if s.h.Inflight() == 0 {
-		return demand
-	}
-	if r := s.runCost.Ratio(); r > 0 {
-		justified := int(8*r + 0.5)
-		if justified < 2 {
-			justified = 2
-		}
-		if demand > justified {
-			demand = justified
-		}
+	demand = max(1, min(demand, capW))
+	if r := s.runCost.Ratio(); r > 0 && s.h.Inflight() > 0 {
+		demand = min(demand, max(2, int(8*r+0.5)))
 	}
 	return demand
 }
@@ -1312,7 +1201,9 @@ func (s *Scheduler) readmit(sess *session) bool {
 		s.cfg.OnReadmit(sess.req)
 	}
 	s.probePrefix(sess)
-	s.launchRows(nil, append(s.chunkSel[:0], sess), append(s.chunkLen[:0], s.chunkBudget()))
+	// Readmission launches alone, with no decode row to keep capacity for:
+	// its chunk is never degraded.
+	s.launchRows(nil, append(s.chunkSel[:0], sess), append(s.chunkLen[:0], s.chunkBudget(optFull)))
 	return true
 }
 
@@ -1320,6 +1211,25 @@ func (s *Scheduler) readmit(sess *session) bool {
 // reclamation (always true without a shadow cache).
 func (s *Scheduler) roomFor(sess *session, n int) bool {
 	return s.kv == nil || s.kv.CanPlace(sess.canonSet, n)
+}
+
+// charge is the conservative collective page account one launch's row
+// groups share (pass 1 and pass 3): cells rows pay the free-list pages
+// their shard cannot absorb (kvpage.PagesShort) out of *free, the
+// shadow's free pages as the account's first charge reads them (-1
+// before). Without a shadow every charge fits.
+func (s *Scheduler) charge(free *int, set kvcache.SeqSet, cells int) bool {
+	if s.kv == nil {
+		return true
+	}
+	if *free < 0 {
+		*free = s.kv.FreePages()
+	}
+	if need := s.kv.PagesShort(set, cells); need <= *free {
+		*free -= need
+		return true
+	}
+	return false
 }
 
 // ensureRoom makes room for an n-cell canonical launch, escalating
@@ -1334,26 +1244,19 @@ func (s *Scheduler) ensureRoom(sess *session, n int) bool {
 	}
 	// Stage 1: speculation is optional work — reclaim every session's
 	// unverified chains (including the requester's own).
-	for _, other := range s.slots {
-		if other == nil || other.state != stateDecode {
-			continue
-		}
-		if s.dropSpecPages(other) && s.roomFor(sess, n) {
-			return true
-		}
+	fits := func() bool { return s.roomFor(sess, n) }
+	if s.reclaimSpec(nil, fits) {
+		return true
 	}
 	// Stage 2: preempt idle sessions, lowest priority first, never one
 	// strictly more important than the requester.
-	for {
-		victim := s.pickVictim(sess)
-		if victim == nil {
-			return false
-		}
+	for victim := s.pickVictim(sess); victim != nil; victim = s.pickVictim(sess) {
 		s.preempt(victim)
-		if s.roomFor(sess, n) {
+		if fits() {
 			return true
 		}
 	}
+	return false
 }
 
 // evictPrefixFor evicts unreferenced trie entries, coldest first, until n
@@ -1365,6 +1268,21 @@ func (s *Scheduler) evictPrefixFor(sess *session, n int) bool {
 		}
 	}
 	return true
+}
+
+// reclaimSpec drops decoding sessions' speculative pages, one session at
+// a time, until fits reports room, and reports whether it does in the
+// end. Sessions riding msg (nil: none) keep theirs.
+func (s *Scheduler) reclaimSpec(msg *engine.RunMsg, fits func() bool) bool {
+	for _, other := range s.slots {
+		if other == nil || other.state != stateDecode || (msg != nil && msg.InvolvesSession(uint16(other.slot))) {
+			continue
+		}
+		if s.dropSpecPages(other) && fits() {
+			return true
+		}
+	}
+	return fits()
 }
 
 // dropSpecPages discards a session's speculative state end to end: the
@@ -1396,15 +1314,13 @@ func (s *Scheduler) dropSpecPages(sess *session) bool {
 		redoLast = redoLast || carriesAccepted(sess, toks)
 		return true
 	})
-	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpDropSpec,
-		Src: sess.ns.Base, Dst: kvcache.SeqID(sess.ns.Width)})
+	s.ops = append(s.ops[:0], kvcache.Op{Kind: kvcache.OpDropSpec, Src: sess.ns.Base, Dst: kvcache.SeqID(sess.ns.Width)})
 	if redoLast {
 		last := int32(len(sess.Accepted) - 1)
-		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqRm, Src: sess.ns.Canonical(), P0: last, P1: last + 1})
+		s.ops = append(s.ops, kvcache.Op{Kind: kvcache.OpSeqRm, Src: sess.ns.Canonical(), P0: last, P1: last + 1})
 		sess.wantNonSpec = true
 	}
-	s.ops = ops[:0]
-	s.sendKV(ops)
+	s.sendKV(s.ops)
 	sess.stats.SpecDrops++
 	s.h.Stats.SpecDrops.Add(1)
 	return true
@@ -1455,10 +1371,7 @@ func (s *Scheduler) park(sess *session) {
 	// registry hold keep them alive), and readmission re-probes the trie.
 	s.unrefPrefix(sess)
 	sess.prefixLen = 0
-	ops := append(s.ops[:0], kvcache.Op{Kind: kvcache.OpEvictShard,
-		Src: sess.ns.Base, Dst: kvcache.SeqID(sess.ns.Width)})
-	s.ops = ops[:0]
-	s.sendKV(ops)
+	s.sendOp(kvcache.Op{Kind: kvcache.OpEvictShard, Src: sess.ns.Base, Dst: kvcache.SeqID(sess.ns.Width)})
 }
 
 // preempt parks an idle session under memory pressure, crediting the
@@ -1510,7 +1423,11 @@ func (s *Scheduler) launch(msg *engine.RunMsg, ctxs [][]token.Token, seqs []kvca
 		for i, tp := range msg.Tokens {
 			meta[i] = kvcache.TokenMeta{Pos: tp.Pos, Seqs: tp.Seqs}
 		}
-		if !s.kv.CanPlaceRows(meta) && !s.reclaimFor(msg, meta) {
+		// Short of room, a mandatory run reclaims other sessions'
+		// speculative pages; a speculative one is optional work, dropped
+		// rather than paid for out of other sessions' chains.
+		if !s.kv.CanPlaceRows(meta) && (msg.Kind == engine.KindSpec ||
+			!s.reclaimSpec(msg, func() bool { return s.kv.CanPlaceRows(meta) })) {
 			s.rejectLaunch(msg)
 			return nil
 		}
@@ -1531,25 +1448,6 @@ func (s *Scheduler) launch(msg *engine.RunMsg, ctxs [][]token.Token, seqs []kvca
 		run.Deadline = s.h.EP.Now() + s.runBudget(msg.Len(), s.h.Inflight())
 	}
 	return run
-}
-
-// reclaimFor is the in-launch pressure escalation: when the dry run
-// fails, reclaim speculative pages from sessions not riding in msg and
-// retry. Speculative launches never reclaim — optional work is dropped,
-// not paid for out of other sessions' chains.
-func (s *Scheduler) reclaimFor(msg *engine.RunMsg, meta []kvcache.TokenMeta) bool {
-	if msg.Kind == engine.KindSpec {
-		return false
-	}
-	for _, other := range s.slots {
-		if other == nil || other.state != stateDecode || msg.InvolvesSession(uint16(other.slot)) {
-			continue
-		}
-		if s.dropSpecPages(other) && s.kv.CanPlaceRows(meta) {
-			return true
-		}
-	}
-	return s.kv.CanPlaceRows(meta)
 }
 
 // rejectLaunch degrades a launch the shadow cannot place even after
@@ -1628,6 +1526,12 @@ func (s *Scheduler) sendKV(ops []kvcache.Op) {
 		s.kv.ApplyAll(ops)
 	}
 	s.h.SendKV(ops)
+}
+
+// sendOp sends one KV operation as a transaction of its own.
+func (s *Scheduler) sendOp(op kvcache.Op) {
+	s.ops = append(s.ops[:0], op)
+	s.sendKV(s.ops)
 }
 
 // stageDecodeRow stages one session's single-token decode step into the
@@ -1761,7 +1665,10 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 	freePages := -1
 	for i := 0; i < n && len(sel) < width; i++ {
 		sess := s.slots[(s.rr+i)%n]
-		if sess == nil || sess.state != stateDecode || sess.alloc == nil {
+		// A session owing a decode row (wantNonSpec) has a last token the
+		// stages do not hold yet: freshly sampled, or removed by
+		// dropSpecPages to be evaluated again. That row goes first.
+		if sess == nil || sess.state != stateDecode || sess.alloc == nil || sess.wantNonSpec {
 			continue
 		}
 		if s.inflight(sess) >= s.specCap || sess.alloc.Available() == 0 {
@@ -1776,18 +1683,10 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 			continue
 		}
 		// Speculation is optional work: skip the candidate under memory
-		// pressure (conservative multi-shard account, never escalating).
-		if s.kv != nil {
-			if need := s.kv.PagesShort(sess.canonSet, drafted); need > 0 {
-				if freePages < 0 {
-					freePages = s.kv.FreePages()
-				}
-				if freePages < need {
-					s.specBuf = s.specBuf[:before]
-					continue
-				}
-				freePages -= need
-			}
+		// pressure (the same page account as pass 1, never escalating).
+		if !s.charge(&freePages, sess.canonSet, drafted) {
+			s.specBuf = s.specBuf[:before]
+			continue
 		}
 		sel = append(sel, sess)
 		lens = append(lens, drafted)
@@ -1968,48 +1867,7 @@ func (s *Scheduler) watchdogWait() time.Duration {
 	if oldest.Deadline == 0 {
 		return runTimeoutCap * s.cfg.RunTimeout
 	}
-	d := oldest.Deadline - s.h.EP.Now()
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// Breaker thresholds: consecutive watchdog failures that trip it, and
-// consecutive healthy completions that reset it.
-const (
-	breakerTripAfter  = 3
-	breakerResetAfter = 16
-)
-
-// noteFailure records one watchdog-failed run against the degradation
-// breaker.
-func (s *Scheduler) noteFailure() {
-	s.okStreak = 0
-	s.failStreak++
-	if s.failStreak >= breakerTripAfter && !s.tripped {
-		s.tripped = true
-		s.h.Stats.BreakerTrips.Add(1)
-		s.h.Flight.Record(s.h.EP.Now(), trace.FlightTrip, 0, int32(s.failStreak))
-		if s.obs != nil {
-			s.obs.SetTripped(true)
-			s.obs.DumpFlight("breaker tripped: consecutive watchdog failures")
-		}
-	}
-}
-
-// noteSuccess records one healthy completion; a sustained streak closes
-// the breaker again.
-func (s *Scheduler) noteSuccess() {
-	s.failStreak = 0
-	if !s.tripped {
-		return
-	}
-	s.okStreak++
-	if s.okStreak >= breakerResetAfter {
-		s.tripped, s.okStreak = false, 0
-		s.obs.SetTripped(false)
-	}
+	return max(0, oldest.Deadline-s.h.EP.Now())
 }
 
 // recoverFailed consumes a watchdog-failed run: its result is lost (a
@@ -2023,9 +1881,7 @@ func (s *Scheduler) noteSuccess() {
 func (s *Scheduler) recoverFailed(run *engine.Run) {
 	s.h.Flight.Record(s.h.EP.Now(), trace.FlightRecover, run.Msg.ID, int32(run.Msg.Len()))
 	s.noteFailure()
-	if s.obs != nil {
-		s.obs.DumpFlight("watchdog: run result lost or overdue")
-	}
+	s.obs.DumpFlight("watchdog: run result lost or overdue")
 	// The next completion gap spans the failure, not one run's service
 	// time: drop the cost model's anchor.
 	s.lastResultAt = 0
@@ -2269,13 +2125,11 @@ func (s *Scheduler) enterDrain(sess *session) {
 // recycled slot starts from an empty namespace — and records the result.
 func (s *Scheduler) finalize(sess *session) {
 	s.unrefPrefix(sess)
-	ops := s.ops[:0]
-	for i := 0; i < sess.ns.Width; i++ {
-		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqRm,
-			Src: sess.ns.Base + kvcache.SeqID(i), P0: 0, P1: 1 << 30})
+	s.ops = s.ops[:0]
+	for i := range sess.ns.Width {
+		s.ops = append(s.ops, kvcache.Op{Kind: kvcache.OpSeqRm, Src: sess.ns.Base + kvcache.SeqID(i), P1: 1 << 30})
 	}
-	s.ops = ops[:0]
-	s.sendKV(ops)
+	s.sendKV(s.ops)
 	sess.stats.Done = s.h.EP.Now()
 	sess.stats.Generated = sess.generated()
 	// SLO scoring (PR 10): a deadline-carrying request hits only if
@@ -2283,14 +2137,8 @@ func (s *Scheduler) finalize(sess *session) {
 	// completion) against the TTFT deadline, completion against the full
 	// one. Both timestamps and deadlines are endpoint-clock absolutes.
 	if sess.ttftDL > 0 || sess.deadline > 0 {
-		hit := true
-		if sess.ttftDL > 0 && sess.stats.PrefillDone > sess.ttftDL {
-			hit = false
-		}
-		if sess.deadline > 0 && sess.stats.Done > sess.deadline {
-			hit = false
-		}
-		if hit {
+		if (sess.ttftDL == 0 || sess.stats.PrefillDone <= sess.ttftDL) &&
+			(sess.deadline == 0 || sess.stats.Done <= sess.deadline) {
 			sess.stats.DeadlineHits = 1
 			s.h.Stats.DeadlineHits.Add(1)
 		} else {

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
+	"github.com/pipeinfer/pipeinfer/internal/comm/faultcomm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
@@ -238,42 +240,6 @@ func TestShedUnmeetable(t *testing.T) {
 	}
 	if s.slots[0] == nil || s.slots[0].req != pi {
 		t.Fatal("the deadline-less request should hold the slot")
-	}
-}
-
-// TestBrownoutLadder checks the degradation order: queue occupancy at
-// half the bound drops speculation (level 1), at three quarters it also
-// halves the prefill share (level 2), and draining steps back down.
-// Speculation must be the first thing to go — specOK gates on level 0.
-func TestBrownoutLadder(t *testing.T) {
-	s, err := NewLive(testHead(t), Config{
-		Speculate: true, SeqsPerSession: 4, MaxSessions: 1, MaxQueue: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.brownout != 0 || !s.specOK() {
-		t.Fatal("fresh scheduler must be healthy with speculation on")
-	}
-	for i := 0; i < 4; i++ { // 2*4 >= 8: level 1
-		s.Submit(req(1)[0])
-	}
-	if s.brownout != 1 || s.specOK() {
-		t.Fatalf("at half bound: level %d, specOK %v; want 1, false", s.brownout, s.specOK())
-	}
-	for i := 0; i < 2; i++ { // 4*6 >= 3*8: level 2
-		s.Submit(req(1)[0])
-	}
-	if s.brownout != 2 {
-		t.Fatalf("at three-quarter bound: level %d, want 2", s.brownout)
-	}
-	// Drain below half the bound: the ladder steps back to healthy.
-	for s.queue.Len() > 3 {
-		s.queue.Pop()
-	}
-	s.observePressure()
-	if s.brownout != 0 || !s.specOK() {
-		t.Fatalf("after drain: level %d, specOK %v; want 0, true", s.brownout, s.specOK())
 	}
 }
 
@@ -543,6 +509,64 @@ func TestDecodeWhileDraftDerives(t *testing.T) {
 		}
 		if len(results[0].Tokens) != maxNew || results[0].Stats.Proposed == 0 {
 			t.Fatalf("rounds=%v: %d tokens, %d proposed once the draft was ready", rounds, len(results[0].Tokens), results[0].Stats.Proposed)
+		}
+	}
+}
+
+// TestBaselineDoesNotDraftWhileTripped drives the speculative baseline
+// (Drive, engine.StrategySpeculative) over a head and one remote stage
+// whose first three result frames are lost: each loss fails its run at
+// the watchdog and parks the session, the third trips the breaker, and
+// the serve ends before sixteen healthy completions could close it. From
+// the trip on the baseline must not draft, so no tree is ever launched —
+// and the stream is still the target's. The same serve without the lost
+// frames does draft, so the check is not vacuous.
+func TestBaselineDoesNotDraftWhileTripped(t *testing.T) {
+	const prompt, maxNew = 5, 8
+	p := make([]token.Token, prompt)
+	for i := range p {
+		p[i] = scriptTok(i)
+	}
+	for _, lose := range []bool{false, true} {
+		plan := &faultcomm.Plan{}
+		if lose {
+			for n := 1; n <= breakerTripAfter; n++ {
+				plan.Rules = append(plan.Rules, faultcomm.Rule{Src: 1, Dst: 0, Tag: int(comm.TagResult), Kind: faultcomm.Drop, Nth: n})
+			}
+		}
+		cl := chancomm.New(2)
+		topo := engine.Topology{Head: 0, Stages: []int{1}}
+		h, err := engine.NewHead(faultcomm.Wrap(cl.Endpoint(0), plan), topo, engine.Config{MaxNew: maxNew}, &scriptBackend{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stage := make(chan error, 1)
+		go func() { stage <- engine.WorkerLoop(cl.Endpoint(1), topo, nopWorker{}, engine.WorkerObs{}) }()
+		results, err := Drive(h, engine.StrategySpeculative,
+			Config{MaxSessions: 1, SeqsPerSession: 9, RunTimeout: 50 * time.Millisecond},
+			[]Request{{Prompt: p, MaxNew: maxNew}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-stage; err != nil {
+			t.Fatal(err)
+		}
+		for i, tok := range results[0].Tokens {
+			if tok != scriptTok(prompt+i) {
+				t.Fatalf("lose=%v: token %d is %d, the target says %d", lose, i, tok, scriptTok(prompt+i))
+			}
+		}
+		st := h.Stats.Snapshot()
+		if len(results[0].Tokens) != maxNew {
+			t.Fatalf("lose=%v: %d tokens, want %d", lose, len(results[0].Tokens), maxNew)
+		}
+		switch {
+		case !lose && st.Proposed == 0:
+			t.Fatal("the baseline drafted no tree on a healthy pipeline")
+		case lose && (st.BreakerTrips != 1 || st.Recoveries < breakerTripAfter):
+			t.Fatalf("%d breaker trips, %d recoveries from %d lost results; want 1 trip", st.BreakerTrips, st.Recoveries, breakerTripAfter)
+		case lose && st.Proposed != 0:
+			t.Fatalf("the baseline proposed %d tree nodes with the breaker open", st.Proposed)
 		}
 	}
 }

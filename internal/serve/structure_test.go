@@ -20,7 +20,7 @@ import (
 
 // serveLines is the scheduler's line ratchet: internal/serve/serve.go may
 // shrink, and a change that shrinks it lowers this number; none raises it.
-const serveLines = 2304
+const serveLines = 2152
 
 // retired names may not be declared or referenced anywhere (a comment may
 // still name them: comments are not part of the syntax tree).
@@ -33,7 +33,14 @@ var retired = map[string]string{
 	"fullCancel":          "a whole-run cancel sentinel; engine.Head.CancelSession decides what stages hear (ROADMAP, Batching architecture: one cancel rule)",
 	"RunIterative":        "a second driver; iterative inference is a serve without speculation (ROADMAP, Serving architecture: one driver)",
 	"RunSpeculative":      "a second driver; the speculative baseline is a serve under the draft-then-await rule (ROADMAP, Serving architecture: one driver)",
+	"specOK":              "a second speculation gate; pass 3 and launchRound read the optimism level (ROADMAP, Overload control architecture: one optimism level)",
+	"updateBrownout":      "a second degradation ladder; the optimism level is recomputed by ladder alone (ROADMAP, Overload control architecture: one optimism level)",
 }
+
+// degradationFields may not be declared on serve.Scheduler: the breaker
+// and brown-out are rungs of the one optimism level. (telemetry's atomics
+// of the same names are the scrape-side mirrors and stay.)
+var degradationFields = map[string]bool{"tripped": true, "brownout": true}
 
 // shapeMethods are RunMsg methods that read a run's shape off its wire
 // sections; a run's shape is its row groups (RunMsg.Groups).
@@ -146,6 +153,15 @@ func TestStructure(t *testing.T) {
 				}
 				if st, ok := n.Type.(*ast.StructType); ok && pkg == "core" && holdsHead(st) {
 					fail(n.Pos(), "core.%s holds an engine.Head: a driver in core; core is the machine and serve drives it (ROADMAP, Serving architecture: one driver)", n.Name.Name)
+				}
+				if st, ok := n.Type.(*ast.StructType); ok && pkg == "serve" && n.Name.Name == "Scheduler" {
+					for _, fld := range st.Fields.List {
+						for _, name := range fld.Names {
+							if degradationFields[name.Name] {
+								fail(name.Pos(), "serve.Scheduler declares %s: a second degradation state; the breaker and brown-out are rungs of the one optimism level (ROADMAP, Overload control architecture: one optimism level)", name.Name)
+							}
+						}
+					}
 				}
 			case *ast.CallExpr:
 				switch {
