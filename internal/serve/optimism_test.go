@@ -48,13 +48,9 @@ func launchTriple(t *testing.T, l optimism) (spec bool, width, chunk int) {
 }
 
 // TestOptimismLadder is the one table over the optimism level: which
-// signals put the scheduler on which rung, what each rung leaves its
+// signals put the scheduler on which rung, and what each rung leaves its
 // launches (speculation, batch width, prefill-chunk budget — every rung
-// gives up what the one below gives up), and how the breaker and the
-// queue move it: three consecutive failures trip the breaker once, a
-// success clears a shorter streak, sixteen healthy completions in a row
-// close it, and a queue filling then draining steps the brown-out rungs up
-// and back down.
+// gives up what the one below gives up).
 func TestOptimismLadder(t *testing.T) {
 	const wait = time.Second
 	rungs := []struct {
@@ -85,8 +81,13 @@ func TestOptimismLadder(t *testing.T) {
 				r.name, level, spec, width, chunk, r.spec, r.width, r.chunk)
 		}
 	}
+}
 
-	// The breaker's hysteresis, through the scheduler's own updates.
+// TestBreakerTripAndReset drives the breaker's hysteresis through the
+// scheduler's own updates: three consecutive failures trip it once, a
+// success clears a shorter streak, and breakerResetAfter healthy
+// completions in a row close it.
+func TestBreakerTripAndReset(t *testing.T) {
 	s, err := New(testHead(t), Config{MaxBatch: 8, RunTimeout: time.Second}, req(4))
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +129,13 @@ func TestOptimismLadder(t *testing.T) {
 	if w := s.effectiveWidth(); w != 4 {
 		t.Fatalf("closed breaker width %d, want 4", w)
 	}
+}
 
-	// Brown-out, through Submit and admission: speculation goes first.
-	s, err = NewLive(testHead(t), Config{Speculate: true, SeqsPerSession: 4, MaxSessions: 1, MaxQueue: 8})
+// TestBrownoutLadder fills a live scheduler's queue through Submit and
+// admission: speculation goes first, then half the prefill chunk, and a
+// drain below half the bound steps the ladder back to healthy.
+func TestBrownoutLadder(t *testing.T) {
+	s, err := NewLive(testHead(t), Config{Speculate: true, SeqsPerSession: 4, MaxSessions: 1, MaxQueue: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
