@@ -19,15 +19,6 @@ import (
 
 func main() {
 	const nodes = 4
-	addrs, err := tcpcomm.FreeAddrs(nodes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("mesh addresses:")
-	for rank, a := range addrs {
-		fmt.Printf("  rank %d: %s\n", rank, a)
-	}
-
 	cfg := pipeinfer.TinyModel()
 	tk, err := pipeinfer.NewTokenizer(cfg.VocabSize)
 	if err != nil {
@@ -48,19 +39,19 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// One listener and one socket per peer for every rank, on loopback.
+	eps, err := tcpcomm.DialLoopback(nodes, tcpcomm.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("TCP mesh of %d ranks up on loopback\n", nodes)
 	outcomes := make([]realbk.Outcome, nodes)
 	errs := make([]error, nodes)
 	var wg sync.WaitGroup
-	for rank := 0; rank < nodes; rank++ {
-		rank := rank
+	for rank, ep := range eps {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ep, err := tcpcomm.Dial(tcpcomm.Config{Rank: rank, Addrs: addrs})
-			if err != nil {
-				errs[rank] = err
-				return
-			}
 			defer ep.Close()
 			outcomes[rank], errs[rank] = realbk.RunRank(ep, opts)
 		}()

@@ -360,8 +360,8 @@ func TestBatchedRowCancel(t *testing.T) {
 		for i, tok := range prompts[s] {
 			msg.Tokens[i] = engine.TokenPlace{Tok: tok, Pos: int32(i), Seqs: set}
 		}
-		h.Launch(msg, nil, nil)
-		if _, _, ok, err := h.AwaitResult(); err != nil || !ok {
+		h.Launch(&engine.Run{Msg: msg})
+		if _, _, ok, _, err := h.AwaitResult(); err != nil || !ok {
 			t.Fatalf("prefill session %d: ok=%v err=%v", s, ok, err)
 		}
 	}
@@ -419,7 +419,8 @@ func TestBatchedRowCancel(t *testing.T) {
 			t.Fatal(*workerErr)
 		}
 		// Phase 2: batched decode + cancel enqueued first, then served.
-		run := h.Launch(batchedMsg(), nil, nil)
+		run := &engine.Run{Msg: batchedMsg()}
+		h.Launch(run)
 		if cancelSlot >= 0 {
 			h.CancelSession(uint16(cancelSlot), []*engine.Run{run}, true)
 			if h.SessionInflight(uint16(cancelSlot)) != 1 {
@@ -427,7 +428,7 @@ func TestBatchedRowCancel(t *testing.T) {
 			}
 		}
 		wg, workerErr = runWorker(cl, topo, w)
-		got, res, ok, err := h.AwaitResult()
+		got, res, ok, _, err := h.AwaitResult()
 		if err != nil || !ok {
 			t.Fatalf("batched run: ok=%v err=%v", ok, err)
 		}

@@ -45,23 +45,17 @@ func TestGreedyParityMatrix(t *testing.T) {
 			}
 			return out.Tokens, ref
 		}
-		addrs, err := tcpcomm.FreeAddrs(opts.Nodes)
+		eps, err := tcpcomm.DialLoopback(opts.Nodes, tcpcomm.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs := make([]Outcome, opts.Nodes)
-		errs := make([]error, opts.Nodes)
+		outs := make([]Outcome, len(eps))
+		errs := make([]error, len(eps))
 		var wg sync.WaitGroup
-		for rank := 0; rank < opts.Nodes; rank++ {
-			rank := rank
+		for rank, ep := range eps {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ep, err := tcpcomm.Dial(tcpcomm.Config{Rank: rank, Addrs: addrs})
-				if err != nil {
-					errs[rank] = err
-					return
-				}
 				defer ep.Close()
 				outs[rank], errs[rank] = RunRank(ep, opts)
 			}()

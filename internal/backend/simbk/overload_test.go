@@ -2,12 +2,14 @@ package simbk
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/serve"
+	"github.com/pipeinfer/pipeinfer/internal/telemetry"
 )
 
 // TestServeOverloadParity is the overload-control correctness wall at
@@ -132,5 +134,47 @@ func TestSimServeOverloadBoundedQueue(t *testing.T) {
 				t.Fatalf("session %d deviated from its oracle stream at token %d", i, j)
 			}
 		}
+	}
+}
+
+// TestSimServeRegistryKeepsSchedule pins that attaching a telemetry
+// registry observes a serve without steering it. TTFT shedding and the
+// sustainable-rate refusal both read the scheduler's run-cost model, so
+// the model must learn from every result whether or not anything is
+// watching: 20 speculating sessions over 4 slots behind a 16-deep queue,
+// every request carrying a 26 s TTFT deadline, serve to the same virtual
+// instant, the same counters and the same results with a registry and
+// without one.
+func TestSimServeRegistryKeepsSchedule(t *testing.T) {
+	serveWith := func(obs *telemetry.Registry) ServeOutcome {
+		out, err := Serve(ServeOptions{
+			Cluster:     cost.ClusterC().Take(4),
+			Pair:        cost.CPUPairs()[0],
+			CFG:         engine.Config{MaxNew: 32},
+			Sessions:    20,
+			PromptLen:   12,
+			Seed:        42,
+			MaxSessions: 4,
+			MaxQueue:    16,
+			Speculate:   true,
+			SLOFor: func(int) (int, time.Duration, time.Duration) {
+				return 0, 26 * time.Second, 0
+			},
+			Obs: obs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	plain, watched := serveWith(nil), serveWith(telemetry.New())
+	if plain.Stats.Done != watched.Stats.Done {
+		t.Fatalf("done at %v without a registry, %v with one", plain.Stats.Done, watched.Stats.Done)
+	}
+	if !reflect.DeepEqual(plain.Stats, watched.Stats) {
+		t.Fatalf("stats differ:\nwithout a registry %+v\nwith one           %+v", plain.Stats, watched.Stats)
+	}
+	if !reflect.DeepEqual(plain.Results, watched.Results) {
+		t.Fatal("results differ with a registry attached")
 	}
 }

@@ -8,7 +8,9 @@
 //     and tag are received in send order (MPI §3.5), the property
 //     PipeInfer's transaction ordering is built on;
 //   - Iprobe: non-blocking test for a waiting message, which continuous
-//     speculation uses to detect head-node idleness (§IV-B).
+//     speculation uses to detect head-node idleness (§IV-B);
+//   - WaitRecv: a receive wait bounded by the node-local clock, which the
+//     head's run watchdog waits on.
 //
 // Two implementations exist: chancomm (real goroutines, wall clock) and
 // simcomm (discrete-event simulation, virtual clock). Engine code cannot
@@ -72,14 +74,13 @@ func (t Tag) String() string {
 	}
 }
 
-// Waiter is an optional Endpoint capability: a bounded wait for message
-// availability. The serving layer's run watchdog needs to wait for the
-// oldest in-flight run's result *or* its deadline, whichever comes first —
-// a blocking Recv cannot express the deadline, and an Iprobe poll loop
-// would either burn a core (real transports) or never let virtual time
-// advance (simulated ones). Each transport waits natively: condition
-// variables with a timer under chancomm/tcpcomm, a scheduled wake-up
-// event under simcomm.
+// Waiter is the bounded wait every Endpoint provides. The head's run
+// watchdog waits for the oldest in-flight run's result *or* its deadline,
+// whichever comes first — a blocking Recv cannot express the deadline,
+// and an Iprobe poll loop would either burn a core (real transports) or
+// never let virtual time advance (simulated ones). Each transport waits
+// natively: condition variables with a timer under chancomm/tcpcomm, a
+// scheduled wake-up event under simcomm.
 type Waiter interface {
 	// WaitRecv blocks until Recv(src, tag) would return without blocking
 	// or until d has elapsed on the node-local clock, and reports whether
@@ -103,6 +104,8 @@ type Endpoint interface {
 	Recv(src int, tag Tag) []byte
 	// Iprobe reports whether Recv(src, tag) would return immediately.
 	Iprobe(src int, tag Tag) bool
+	// Waiter bounds a wait for a message by the node-local clock.
+	Waiter
 	// Now returns the node-local clock (wall time or virtual time).
 	Now() time.Duration
 	// Elapse accounts for d of local computation: simulated endpoints

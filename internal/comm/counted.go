@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // LinkCounters accumulates per-endpoint traffic totals. All fields are
 // atomic (and therefore 64-bit-aligned on every platform), so the
@@ -40,28 +37,11 @@ func (ce counted) Recv(src int, tag Tag) []byte {
 	return b
 }
 
-// countedWaiter preserves the optional Waiter capability of the wrapped
-// endpoint: losing it would silently degrade the run watchdog to
-// polling.
-type countedWaiter struct {
-	counted
-}
-
-func (cw countedWaiter) WaitRecv(src int, tag Tag, d time.Duration) bool {
-	return cw.Endpoint.(Waiter).WaitRecv(src, tag, d)
-}
-
 // Counted wraps ep so every Send/Recv updates c. The wrapper adds two
-// atomic adds per frame and no allocations; it forwards the Waiter
-// capability when the underlying endpoint has it. A nil c returns ep
-// unwrapped.
+// atomic adds per frame and no allocations. A nil c returns ep unwrapped.
 func Counted(ep Endpoint, c *LinkCounters) Endpoint {
 	if c == nil {
 		return ep
 	}
-	ce := counted{Endpoint: ep, c: c}
-	if _, ok := ep.(Waiter); ok {
-		return countedWaiter{ce}
-	}
-	return ce
+	return counted{Endpoint: ep, c: c}
 }

@@ -218,31 +218,24 @@ type streamKey struct {
 	tag comm.Tag
 }
 
-// Endpoint wraps an inner endpoint with the plan's faults. It implements
-// comm.Endpoint and comm.Waiter; the inner endpoint must implement
-// comm.Waiter too (all three transports do) so held messages can be
-// waited out without busy-polling or breaking virtual time.
+// Endpoint wraps an inner endpoint with the plan's faults. It waits held
+// messages out in the inner endpoint's WaitRecv, without busy-polling or
+// breaking virtual time.
 type Endpoint struct {
-	inner  comm.Endpoint
-	waiter comm.Waiter
-	plan   *Plan
-	pend   map[streamKey][]held
-	seen   map[streamKey]uint64
+	inner comm.Endpoint
+	plan  *Plan
+	pend  map[streamKey][]held
+	seen  map[streamKey]uint64
 }
 
 // Wrap applies plan to every receive on ep. A nil plan passes through
 // with no held state.
 func Wrap(ep comm.Endpoint, plan *Plan) *Endpoint {
-	w, ok := ep.(comm.Waiter)
-	if !ok {
-		panic("faultcomm: inner endpoint must implement comm.Waiter")
-	}
 	return &Endpoint{
-		inner:  ep,
-		waiter: w,
-		plan:   plan,
-		pend:   make(map[streamKey][]held),
-		seen:   make(map[streamKey]uint64),
+		inner: ep,
+		plan:  plan,
+		pend:  make(map[streamKey][]held),
+		seen:  make(map[streamKey]uint64),
 	}
 }
 
@@ -367,7 +360,7 @@ func (e *Endpoint) Recv(src int, tag comm.Tag) []byte {
 				wait = q[0].release - e.inner.Now()
 			}
 			if wait > 0 {
-				e.waiter.WaitRecv(src, tag, wait)
+				e.inner.WaitRecv(src, tag, wait)
 			}
 			continue
 		}
@@ -401,6 +394,6 @@ func (e *Endpoint) WaitRecv(src int, tag comm.Tag, d time.Duration) bool {
 		if wait <= 0 {
 			return false
 		}
-		e.waiter.WaitRecv(src, tag, wait)
+		e.inner.WaitRecv(src, tag, wait)
 	}
 }

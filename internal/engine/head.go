@@ -28,8 +28,8 @@ type Run struct {
 	// namespaces — each id is returned to the namespace that owns it.
 	Seqs []kvcache.SeqID
 	// Deadline, when > 0, is the node-local time by which the run's result
-	// must arrive before the serving watchdog declares it failed. Set by
-	// the scheduler at launch from the CostEMA service-time fit.
+	// must arrive before AwaitResult declares it failed: the serving
+	// watchdog sets it at launch from the CostEMA service-time fit.
 	Deadline time.Duration
 	// FailedLive marks a watchdog-failed run that was still live when it
 	// failed: its result carried state some session needed. A run the
@@ -70,9 +70,8 @@ type Head struct {
 	// the FIFO head (its arrival proved the oldest run's result lost); it
 	// is re-examined after the failed run is popped.
 	pendingResult []byte
-	// freeRuns recycles consumed Run records (see Recycle): the speculative
-	// baseline lets records be garbage collected, the serving layer returns
-	// them here so steady-state decode launches allocate nothing.
+	// freeRuns holds recycled run records, each with its message and
+	// context storage (NewRun, Recycle).
 	freeRuns []*Run
 	// sessInflight counts in-flight runs per session slot (RunMsg.Session),
 	// the accounting the serving layer's fair admission is built on.
@@ -135,22 +134,26 @@ func (h *Head) SessionInflight(s uint16) int {
 	return h.sessInflight[s]
 }
 
-// newRun returns a zeroed tracking record, reusing a recycled one if
-// available.
-func (h *Head) newRun() *Run {
+// NewRun hands out a run record to compose into: a recycled one, whose
+// message and context storage keep their capacity, or a fresh one. The
+// caller Launches it or hands it back through Recycle.
+func (h *Head) NewRun() *Run {
 	if n := len(h.freeRuns); n > 0 {
 		r := h.freeRuns[n-1]
 		h.freeRuns = h.freeRuns[:n-1]
 		return r
 	}
-	return &Run{}
+	return &Run{Msg: &RunMsg{}}
 }
 
-// Recycle returns a consumed run record to the head's free list so the
-// next Launch reuses it. Only callers that drop every reference to the
-// record (and anything derived from its pointer identity) may recycle.
+// Recycle empties a run record, its message and its context array and
+// returns them to the free list NewRun draws from. Only callers that drop
+// every reference to the record, its message and anything derived from
+// their pointer identity may recycle.
 func (h *Head) Recycle(run *Run) {
-	*run = Run{}
+	msg := run.Msg
+	*msg = RunMsg{Tokens: msg.Tokens[:0], RowSessions: msg.RowSessions[:0], RowRanges: msg.RowRanges[:0]}
+	*run = Run{Msg: msg, Ctxs: run.Ctxs[:0]}
 	h.freeRuns = append(h.freeRuns, run)
 }
 
@@ -176,24 +179,22 @@ func DistinctSessions(msg *RunMsg) int {
 	return n
 }
 
-// Launch assigns an ID, evaluates the head's inline stage if present, and
-// sends the run down the pipeline. ctxs are the rows' contexts (see
-// Run.Ctxs). It returns the tracking record.
-func (h *Head) Launch(msg *RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *Run {
-	run := h.launch(msg, ctxs, seqs)
+// Launch assigns the run's message an ID, queues the run in the FIFO,
+// evaluates the head's inline stage if present, and sends the run down
+// the pipeline.
+func (h *Head) Launch(run *Run) {
+	h.launch(run)
 	if f := h.AfterFirstLaunch; f != nil {
 		h.AfterFirstLaunch = nil
 		f()
 	}
-	return run
 }
 
-func (h *Head) launch(msg *RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *Run {
+func (h *Head) launch(run *Run) {
+	msg := run.Msg
 	h.nextID++
 	msg.ID = h.nextID
 	msg.DeadSessions = 0
-	run := h.newRun()
-	run.Msg, run.Ctxs, run.Seqs = msg, ctxs, seqs
 	h.inflight.push(run)
 	h.adjustSessInflight(msg, 1)
 	h.Stats.RunsLaunched.Add(1)
@@ -211,7 +212,7 @@ func (h *Head) launch(msg *RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *
 			// Single-node: the inline stage is the whole pipeline. The
 			// pooled result frame is released when AwaitResult consumes it.
 			h.localResults.push(ResultPayload(ResultFrame{ID: msg.ID, OK: ok, Dead: msg.DeadSessions, Rows: out}))
-			return run
+			return
 		}
 		var payload []byte
 		pw := 0
@@ -229,7 +230,7 @@ func (h *Head) launch(msg *RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *
 		comm.PutBuf(enc)
 		h.EP.Send(next, comm.TagActivation, payload, pw)
 		comm.PutBuf(payload)
-		return run
+		return
 	}
 
 	// Dedicated head (PipeInfer): ship tokens to the first target stage.
@@ -238,7 +239,6 @@ func (h *Head) launch(msg *RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *
 	enc := msg.AppendEncode(comm.GetBuf(msg.EncodedSize()))
 	h.EP.Send(first, comm.TagRun, enc, len(enc))
 	comm.PutBuf(enc)
-	return run
 }
 
 // ResultWaiting reports whether a completed run's result can be consumed
@@ -302,99 +302,56 @@ func (h *Head) checkResult(msg *RunMsg, f ResultFrame) error {
 	return nil
 }
 
-// AwaitResult blocks for the oldest in-flight run's result and pops it
-// from the FIFO. ok is false when the run was cancelled (empty payload).
-// Result frames carry their run's ID: a frame below the FIFO head's ID is
-// a late or duplicated delivery of an already-failed run and is silently
-// discarded; one above it means the oldest run's result is lost, which
-// only the deadline-bounded AwaitResultWithin can recover from, so here
-// it is an error.
-func (h *Head) AwaitResult() (run *Run, res Results, ok bool, err error) {
+// AwaitResult waits for the oldest in-flight run's result and pops the
+// run from the FIFO. ok is false when the run was cancelled (empty
+// payload). Result frames carry their run's ID: a frame below the FIFO
+// head's ID is a late or duplicated delivery of an already-failed run and
+// is silently discarded; one above it means the oldest run's result is
+// lost, since per-stream FIFO order delivers results in launch order.
+//
+// The oldest run's Deadline is the wait's budget. Without one the wait
+// blocks in Recv and a lost result is an error. With one, the run is
+// declared failed, and failed is true, when the deadline passes with
+// nothing to show or a newer run's result arrives first; that frame is
+// kept for the next await. A failed run is popped, counted in
+// Stats.RunTimeouts, and signalled cancelled pipeline-wide; the caller
+// owns recovering its sessions. Results a single-node head produces
+// locally never fail.
+func (h *Head) AwaitResult() (run *Run, res Results, ok, failed bool, err error) {
 	if h.inflight.len() == 0 {
-		return nil, nil, false, fmt.Errorf("engine: AwaitResult with empty pipeline")
-	}
-	if h.localResults.len() > 0 {
-		return h.consumeResult(h.localResults.pop())
-	}
-	want := h.inflight.at(0).Msg.ID
-	for {
-		var payload []byte
-		if h.pendingResult != nil {
-			payload, h.pendingResult = h.pendingResult, nil
-		} else {
-			payload = h.EP.Recv(h.Topo.LastStage(), comm.TagResult)
-		}
-		f, perr := ParseResult(payload)
-		if perr != nil {
-			comm.PutBuf(payload)
-			return nil, nil, false, perr
-		}
-		if f.ID == want {
-			return h.consumeResult(payload)
-		}
-		comm.PutBuf(payload)
-		if int32(f.ID-want) < 0 {
-			continue // stale: a failed run's late or duplicated result
-		}
-		return nil, nil, false, fmt.Errorf("engine: result for run %d while awaiting run %d (result lost?)", f.ID, want)
-	}
-}
-
-// AwaitResultWithin is AwaitResult bounded by the oldest run's watchdog
-// budget: it waits up to d for that run's result and otherwise declares
-// the run failed — either the deadline passed with nothing to show, or a
-// newer run's result arrived first, which per-stream FIFO order turns
-// into proof that the oldest result is lost. A failed run is popped,
-// counted in Stats.RunTimeouts, and signalled cancelled pipeline-wide;
-// the caller owns recovering its sessions. Endpoints without the
-// comm.Waiter capability fall back to the blocking AwaitResult.
-func (h *Head) AwaitResultWithin(d time.Duration) (run *Run, res Results, ok bool, failed bool, err error) {
-	if h.inflight.len() == 0 {
-		return nil, nil, false, false, fmt.Errorf("engine: AwaitResultWithin with empty pipeline")
+		return nil, nil, false, false, fmt.Errorf("engine: AwaitResult with empty pipeline")
 	}
 	if h.localResults.len() > 0 {
 		run, res, ok, err = h.consumeResult(h.localResults.pop())
 		return run, res, ok, false, err
 	}
-	waiter, canWait := h.EP.(comm.Waiter)
-	if !canWait || h.Topo.FirstRemote() < 0 {
-		run, res, ok, err = h.AwaitResult()
-		return run, res, ok, false, err
-	}
-	last := h.Topo.LastStage()
-	want := h.inflight.at(0).Msg.ID
-	start := h.EP.Now()
+	last, oldest := h.Topo.LastStage(), h.inflight.at(0)
+	want, deadline := oldest.Msg.ID, oldest.Deadline
 	for {
-		var payload []byte
-		if h.pendingResult != nil {
-			payload, h.pendingResult = h.pendingResult, nil
-		} else {
-			rem := d - (h.EP.Now() - start)
-			if rem < 0 {
-				rem = 0
-			}
-			if !waiter.WaitRecv(last, comm.TagResult, rem) {
+		payload := h.pendingResult
+		h.pendingResult = nil
+		if payload == nil {
+			if deadline > 0 && !h.EP.WaitRecv(last, comm.TagResult, max(0, deadline-h.EP.Now())) {
 				return h.failOldest(), nil, false, true, nil
 			}
 			payload = h.EP.Recv(last, comm.TagResult)
 		}
 		f, perr := ParseResult(payload)
-		if perr != nil {
+		switch {
+		case perr != nil:
 			comm.PutBuf(payload)
 			return nil, nil, false, false, perr
-		}
-		switch {
 		case f.ID == want:
 			run, res, ok, err = h.consumeResult(payload)
 			return run, res, ok, false, err
 		case int32(f.ID-want) < 0:
 			comm.PutBuf(payload) // stale: a failed run's late or duplicated result
-		default:
-			// FIFO order: a newer result can only arrive after the older
-			// one, so the oldest run's result is gone. Keep the frame for
-			// the next await.
+		case deadline > 0:
 			h.pendingResult = payload
 			return h.failOldest(), nil, false, true, nil
+		default:
+			comm.PutBuf(payload)
+			return nil, nil, false, false, fmt.Errorf("engine: result for run %d while awaiting run %d (result lost?)", f.ID, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
@@ -67,8 +68,8 @@ func TestSessionInflightByGroups(t *testing.T) {
 	if got := DistinctSessions(wide); got != 16 {
 		t.Fatalf("64-row / 16-group run fans out to %d sessions, want 16", got)
 	}
-	h.Launch(solo, nil, nil)
-	h.Launch(wide, nil, nil)
+	h.Launch(&Run{Msg: solo})
+	h.Launch(&Run{Msg: wide})
 	for s := uint16(0); s < 20; s++ {
 		want := 0
 		if s < 16 {
@@ -85,7 +86,7 @@ func TestSessionInflightByGroups(t *testing.T) {
 		t.Fatalf("batched runs/rows %d/%d, want 1/16", st.BatchedRuns, st.BatchedRows)
 	}
 	for h.Inflight() > 0 {
-		if _, _, _, err := h.AwaitResult(); err != nil {
+		if _, _, _, _, err := h.AwaitResult(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +142,8 @@ func TestCancelSession(t *testing.T) {
 							msg, steps = wideMsg(groups, 2), wide(kind == KindSpec || cleanup)
 						}
 						msg.Kind = kind
-						run := h.Launch(msg, nil, nil)
+						run := &Run{Msg: msg}
+						h.Launch(run)
 						var masked uint64
 						for _, st := range steps {
 							h.CancelSession(st.slot, []*Run{run}, cleanup)
@@ -195,8 +197,10 @@ func TestCancelSessionOneBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := h.Launch(&RunMsg{Kind: KindSpec, Tokens: make([]TokenPlace, 2)}, nil, nil)
-	nonSpec := h.Launch(&RunMsg{Kind: KindNonSpec, Tokens: make([]TokenPlace, 1)}, nil, nil)
+	spec := &Run{Msg: &RunMsg{Kind: KindSpec, Tokens: make([]TokenPlace, 2)}}
+	nonSpec := &Run{Msg: &RunMsg{Kind: KindNonSpec, Tokens: make([]TokenPlace, 1)}}
+	h.Launch(spec)
+	h.Launch(nonSpec)
 	h.CancelSession(0, []*Run{spec, nonSpec}, false)
 	got := DecodeCancel(cl.Endpoint(1).Recv(0, comm.TagCancel))
 	if want := []CancelSig{{ID: spec.Msg.ID, Sessions: 1}, {ID: nonSpec.Msg.ID}}; !slices.Equal(got, want) {
@@ -221,11 +225,12 @@ func TestHeadChecksResultFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	answer := func(f ResultFrame) error {
-		run := h.Launch(wideMsg(3, 2), nil, nil)
+		run := &Run{Msg: wideMsg(3, 2)}
+		h.Launch(run)
 		h.CancelSession(1, []*Run{run}, false)
 		f.ID, f.OK = run.Msg.ID, true
 		cl.Endpoint(1).Send(0, comm.TagResult, ResultPayload(f), 0)
-		_, _, ok, err := h.AwaitResult()
+		_, _, ok, _, err := h.AwaitResult()
 		if ok != (err == nil) {
 			t.Fatalf("ok=%v with err=%v", ok, err)
 		}
@@ -256,4 +261,98 @@ func TestHeadChecksResultFrame(t *testing.T) {
 	if h.Inflight() != 0 {
 		t.Fatalf("%d runs left in flight", h.Inflight())
 	}
+}
+
+// TestAwaitResult is the head's one await as a table over two runs in
+// flight to one remote stage, whose result frames the test sends by hand.
+// Frames are named by their offset from the oldest run's ID: -1 is a
+// failed run's late duplicate, 0 the awaited result, +1 the newer run's
+// result overtaking a lost one. The oldest run's Deadline is the await's
+// budget. A stale frame is dropped either way; a newer frame fails the
+// oldest run under a budget — counted, marked, signalled to the stage in
+// one broadcast, and consumed by the next await — and is an error
+// without one; a budget that runs out on an empty mailbox fails the
+// oldest run too.
+func TestAwaitResult(t *testing.T) {
+	cases := []struct {
+		name   string
+		budget time.Duration // the oldest run's; 0 is none
+		frames []int
+		failed bool
+		err    string
+	}{
+		{"stale dropped, match consumed", 0, []int{-1, 0}, false, ""},
+		{"stale dropped under a budget", time.Minute, []int{-1, 0}, false, ""},
+		{"newer frame fails the oldest under a budget", time.Minute, []int{1}, true, ""},
+		{"newer frame without a budget is an error", 0, []int{1}, false, "result lost"},
+		{"budget expires on an empty mailbox", 20 * time.Millisecond, nil, true, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cl := chancomm.New(2)
+			h, err := NewHead(cl.Endpoint(0), Topology{Head: 0, Stages: []int{1}}, Config{}, nopHeadBackend{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stage := cl.Endpoint(1)
+			oldest := &Run{Msg: wideMsg(2, 1)}
+			newer := &Run{Msg: &RunMsg{Kind: KindNonSpec, Tokens: make([]TokenPlace, 1)}}
+			h.Launch(oldest)
+			h.Launch(newer)
+			if c.budget > 0 {
+				oldest.Deadline = h.EP.Now() + c.budget
+			}
+			for _, off := range c.frames {
+				stage.Send(0, comm.TagResult, ResultPayload(ResultFrame{ID: oldest.Msg.ID + uint32(off), OK: true}), 0)
+			}
+			run, _, ok, failed, err := h.AwaitResult()
+			cancels := 0
+			for ; stage.Iprobe(0, comm.TagCancel); cancels++ {
+				got := DecodeCancel(stage.Recv(0, comm.TagCancel))
+				if want := []CancelSig{{ID: oldest.Msg.ID, Sessions: 0b11}}; !slices.Equal(got, want) {
+					t.Fatalf("stage read %+v, want %+v", got, want)
+				}
+			}
+			timeouts := h.Stats.RunTimeouts.Load()
+			if c.err != "" {
+				if err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Fatalf("err = %v, want one mentioning %q", err, c.err)
+				}
+				if timeouts != 0 || cancels != 0 || h.Inflight() != 2 {
+					t.Fatalf("a failed await moved the head: %d timeouts, %d cancels, %d in flight", timeouts, cancels, h.Inflight())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			if c.failed {
+				want = 1
+			}
+			if run != oldest || failed != c.failed || ok == c.failed {
+				t.Fatalf("popped run %d ok=%v failed=%v, want run %d failed=%v", run.Msg.ID, ok, failed, oldest.Msg.ID, c.failed)
+			}
+			if timeouts != int64(want) || cancels != want || run.FailedLive != c.failed || run.Cancelled != c.failed {
+				t.Fatalf("%d timeouts, %d cancel broadcasts, FailedLive %v, Cancelled %v; want %d, %d, %v, %v",
+					timeouts, cancels, run.FailedLive, run.Cancelled, want, want, c.failed, c.failed)
+			}
+			if c.failed && len(c.frames) > 0 {
+				// The frame that proved the loss is the next await's.
+				if run, _, ok, failed, err := h.AwaitResult(); err != nil || run != newer || !ok || failed {
+					t.Fatalf("next await: run %v ok=%v failed=%v err=%v, want the newer run's result", run == newer, ok, failed, err)
+				}
+			}
+		})
+	}
+	t.Run("a single-node head's local results never fail", func(t *testing.T) {
+		h := soloHead(t)
+		run := &Run{Msg: &RunMsg{Kind: KindNonSpec, Tokens: make([]TokenPlace, 1)}}
+		h.Launch(run)
+		run.Deadline = 1 // long past
+		got, _, ok, failed, err := h.AwaitResult()
+		if err != nil || got != run || !ok || failed || h.Stats.RunTimeouts.Load() != 0 {
+			t.Fatalf("local result: ok=%v failed=%v err=%v, %d timeouts", ok, failed, err, h.Stats.RunTimeouts.Load())
+		}
+	})
 }

@@ -150,14 +150,15 @@
 // With Config.RunTimeout set, the scheduler arms a run watchdog: every
 // launched run carries a deadline (runTimeoutMult times the EMA cost
 // model's service-time prediction, clamped to [RunTimeout,
-// runTimeoutCap x RunTimeout]), result waits are bounded by the oldest
-// run's budget (engine.Head.AwaitResultWithin over comm.Waiter), and
-// results carry their run's ID so a lost result is detected the moment a
-// newer one arrives (per-stream FIFO order makes the gap a proof, not a
-// guess). A failed run's sessions are recovered through the machinery
-// preemption built: in-flight runs cancelled, the namespace evicted
-// pipeline-wide (kvcache.OpEvictShard), the session parked, and
-// prefix-recompute readmission re-derives the greedy stream
+// runTimeoutCap x RunTimeout]). The head's one result await
+// (engine.Head.AwaitResult) takes the oldest run's deadline as its
+// budget and waits in WaitRecv; without a deadline it blocks in Recv.
+// Results carry their run's ID, so under a budget a lost result is
+// detected the moment a newer one arrives (per-stream FIFO order makes
+// the gap a proof, not a guess). A failed run's sessions are recovered
+// through the machinery preemption built: in-flight runs cancelled, the
+// namespace evicted pipeline-wide (kvcache.OpEvictShard), the session
+// parked, and prefix-recompute readmission re-derives the greedy stream
 // bit-identically, the lost result's sampled token included. Other
 // sessions' rows of a shared run complete normally. Three consecutive
 // failures trip a breaker, the optimism level's top rung, so a
@@ -211,10 +212,12 @@
 // then the prefill-chunk budget is halved — optional work degrades before
 // any mandatory work is refused or shed.
 //
-// Steady-state decode is allocation-free: run messages, tracking records
-// and wire buffers all cycle through pools, so a session decoding
-// mid-stream performs no heap allocation per accepted token (gated by
-// TestServeStepAllocs and TestServeBatchedStepAllocs in backend/realbk).
+// Steady-state decode is allocation-free: a run record cycles through
+// the head's free list with its message and context storage
+// (engine.Head.NewRun and Recycle), and wire buffers through comm's
+// pool, so a session decoding mid-stream performs no heap allocation per
+// accepted token (gated by TestServeStepAllocs and
+// TestServeBatchedStepAllocs in backend/realbk).
 package serve
 
 import (
@@ -547,10 +550,11 @@ type Scheduler struct {
 	// composer builds every run from the step's staged row groups.
 	composer batch.Composer
 
-	// runCost is the adaptive width controller's EMA-fitted per-run cost
-	// model (Config.AutoBatch, and the watchdog's deadline derivation
-	// under Config.RunTimeout); lastResultAt anchors the service-time
-	// observations it is fed.
+	// runCost is the EMA-fitted per-run cost model, fed by every result:
+	// the adaptive width controller (Config.AutoBatch), the watchdog's
+	// deadlines (Config.RunTimeout), TTFT shedding and the
+	// sustainable-rate refusal read it; lastResultAt anchors the
+	// service-time observations it is fed.
 	runCost      metrics.CostEMA
 	lastResultAt time.Duration
 
@@ -559,7 +563,6 @@ type Scheduler struct {
 	obs *telemetry.Registry
 
 	// Reusable scratch: all uses are synchronous within one step.
-	msgPool  []*engine.RunMsg
 	ops      []kvcache.Op
 	txn      []kvcache.Op // one consumed result's KV transaction
 	victims  []*engine.Run
@@ -572,7 +575,6 @@ type Scheduler struct {
 	specSel  []*session
 	specBuf  []token.Token
 	specLen  []int
-	ctxPool  [][][]token.Token
 }
 
 // New validates the configuration and builds a scheduler over h with
@@ -1144,15 +1146,13 @@ func (s *Scheduler) effectiveWidth() int {
 	return demand
 }
 
-// observeRunCost feeds the adaptive width controller's cost model: while
-// results arrive back to back with more work still in flight, the gap
-// between consecutive completions approximates one run's service time at
-// its row count, which is what lets the EMA separate fixed per-run
-// overhead from marginal per-row cost.
+// observeRunCost feeds the run-cost model on every result, registry or
+// not, so observing a serve never steers it. While results arrive back
+// to back with more work still in flight, the gap between consecutive
+// completions approximates one run's service time at its row count,
+// which is what lets the EMA separate fixed per-run overhead from
+// marginal per-row cost.
 func (s *Scheduler) observeRunCost(run *engine.Run) {
-	if !s.cfg.AutoBatch && s.cfg.RunTimeout == 0 && s.obs == nil {
-		return
-	}
 	now := s.h.EP.Now()
 	if s.lastResultAt > 0 && s.h.Inflight() > 0 {
 		s.runCost.Observe(run.Msg.Len(), now-s.lastResultAt)
@@ -1385,26 +1385,6 @@ func (s *Scheduler) preempt(victim *session) {
 	}
 }
 
-// getMsg returns a pooled run message for the composer to fill (putMsg
-// emptied it).
-func (s *Scheduler) getMsg() *engine.RunMsg {
-	if k := len(s.msgPool); k > 0 {
-		m := s.msgPool[k-1]
-		s.msgPool = s.msgPool[:k-1]
-		return m
-	}
-	return &engine.RunMsg{}
-}
-
-func (s *Scheduler) putMsg(m *engine.RunMsg) {
-	m.Tokens = m.Tokens[:0]
-	m.RowSessions = m.RowSessions[:0]
-	m.RowRanges = m.RowRanges[:0]
-	m.DeadSessions = 0
-	m.KVOps = nil
-	s.msgPool = append(s.msgPool, m)
-}
-
 // launch mirrors the run into the shadow cache — its KV ops, then one
 // occupied cell per token, rows placed per owning shard — and hands it to
 // the head. ensureRoom/roomFor (or the batch collection's collective
@@ -1412,9 +1392,10 @@ func (s *Scheduler) putMsg(m *engine.RunMsg) {
 // with an allocation-free dry run before mutating anything, and if the
 // shadow disagrees it degrades gracefully instead of panicking:
 // speculative work is dropped, mandatory work parks its sessions for
-// prefix-recompute readmission, and the caller sees nil and unwinds its
-// staging.
-func (s *Scheduler) launch(msg *engine.RunMsg, ctxs [][]token.Token, seqs []kvcache.SeqID) *engine.Run {
+// prefix-recompute readmission, and the caller sees false and unwinds
+// its staging.
+func (s *Scheduler) launch(run *engine.Run) bool {
+	msg := run.Msg
 	if s.kv != nil {
 		if cap(s.rowMeta) < len(msg.Tokens) {
 			s.rowMeta = make([]kvcache.TokenMeta, len(msg.Tokens))
@@ -1429,7 +1410,7 @@ func (s *Scheduler) launch(msg *engine.RunMsg, ctxs [][]token.Token, seqs []kvca
 		if !s.kv.CanPlaceRows(meta) && (msg.Kind == engine.KindSpec ||
 			!s.reclaimSpec(msg, func() bool { return s.kv.CanPlaceRows(meta) })) {
 			s.rejectLaunch(msg)
-			return nil
+			return false
 		}
 		s.kv.ApplyAll(msg.KVOps)
 		cells, err := s.kv.PlaceRowsInto(s.kvCells[:0], meta)
@@ -1440,14 +1421,14 @@ func (s *Scheduler) launch(msg *engine.RunMsg, ctxs [][]token.Token, seqs []kvca
 		}
 		s.kvCells = cells[:0]
 	}
-	run := s.h.Launch(msg, ctxs, seqs)
+	s.h.Launch(run)
 	if s.obs != nil {
 		s.obs.ObserveBatchWidth(engine.DistinctSessions(msg))
 	}
 	if s.cfg.RunTimeout > 0 {
 		run.Deadline = s.h.EP.Now() + s.runBudget(msg.Len(), s.h.Inflight())
 	}
-	return run
+	return true
 }
 
 // rejectLaunch degrades a launch the shadow cannot place even after
@@ -1611,13 +1592,16 @@ func (s *Scheduler) launchRows(ready, chunks []*session, lens []int) {
 	}
 }
 
-// launchComposed turns the composer's staged rows into a run message and
-// launches it; seqs are the speculative partitions the run holds and ops
-// the prefix-sharing KV operations it carries (both nil for
-// non-speculative runs).
+// launchComposed composes the staged rows into a run record the head
+// hands out and launches it, or hands the record back when the launch is
+// rejected; seqs are the speculative partitions the run holds and ops the
+// prefix-sharing KV operations it carries (both nil for non-speculative
+// runs).
 func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID, ops []kvcache.Op) *engine.Run {
-	msg := s.getMsg()
-	ctxs := s.composer.ComposeInto(msg, kind, s.getCtxs(), s.cfg.NeedCtx)
+	run := s.h.NewRun()
+	msg := run.Msg
+	run.Ctxs = s.composer.ComposeInto(msg, kind, run.Ctxs, s.cfg.NeedCtx)
+	run.Seqs = seqs
 	if len(seqs) > 0 {
 		msg.Seq = seqs[0]
 	} else {
@@ -1625,30 +1609,13 @@ func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID, op
 		msg.Seq = msg.Tokens[0].Seqs.Min()
 	}
 	msg.KVOps = ops
-	run := s.launch(msg, ctxs, seqs)
+	launched := s.launch(run)
 	msg.KVOps = nil // ops is scratch; launch consumed (or rejected) them
-	if run == nil {
-		s.putCtxs(ctxs)
-		s.putMsg(msg)
+	if !launched {
+		s.h.Recycle(run)
+		return nil
 	}
 	return run
-}
-
-// getCtxs returns a pooled per-row context array (nil until one has been
-// returned, which only context-carrying runs do).
-func (s *Scheduler) getCtxs() [][]token.Token {
-	if k := len(s.ctxPool); k > 0 {
-		c := s.ctxPool[k-1]
-		s.ctxPool = s.ctxPool[:k-1]
-		return c[:0]
-	}
-	return nil
-}
-
-func (s *Scheduler) putCtxs(c [][]token.Token) {
-	if c != nil {
-		s.ctxPool = append(s.ctxPool, c[:0])
-	}
 }
 
 // tryLaunchSpecBatch drafts chains for every speculation-eligible session
@@ -1778,28 +1745,14 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 // promoted cells — and drained sessions whose last in-flight run this was
 // are finalized.
 func (s *Scheduler) handleResult() error {
-	var (
-		run *engine.Run
-		res engine.Results
-		ok  bool
-		err error
-	)
-	if s.cfg.RunTimeout > 0 {
-		var failed bool
-		run, res, ok, failed, err = s.h.AwaitResultWithin(s.watchdogWait())
-		if err != nil {
-			return err
-		}
-		if failed {
-			s.recoverFailed(run)
-			s.rearmOldest()
-			return nil
-		}
-	} else {
-		run, res, ok, err = s.h.AwaitResult()
-		if err != nil {
-			return err
-		}
+	run, res, ok, failed, err := s.h.AwaitResult()
+	if err != nil {
+		return err
+	}
+	if failed {
+		s.recoverFailed(run)
+		s.rearmOldest()
+		return nil
 	}
 	s.noteSuccess()
 	s.observeRunCost(run)
@@ -1827,10 +1780,7 @@ func (s *Scheduler) handleResult() error {
 			err = gerr
 		}
 	}
-	txn = s.appendCleanup(run, txn)
-	s.txn = txn[:0]
-	s.sendKV(txn)
-	s.retire(run)
+	s.retire(run, txn)
 	return err
 }
 
@@ -1843,31 +1793,30 @@ func (s *Scheduler) sessionAt(slot uint16) *session {
 	return s.slots[slot]
 }
 
-// retire ends a consumed (or failed) run's life at the head: drained
-// sessions for which it was the last run in flight are finalized — its
-// result was the only thing holding their slot — and the run record, its
-// message and its contexts return to their pools (pending tokens
-// reference runs by ID, so nothing else points at them).
-func (s *Scheduler) retire(run *engine.Run) {
+// retire ends a consumed (or failed) run's life at the head. txn, the KV
+// transaction its result produced, gains the run's partition cleanup and
+// ships: a speculative run holds one partition per session riding it, and
+// each returns to the allocator of the session whose namespace holds it.
+// Drained sessions for which it was the last run in flight are finalized
+// — its result was the only thing holding their slot — and the run
+// record, with its message and contexts, returns to the head's free list
+// (pending tokens reference runs by ID, so nothing else points at them).
+func (s *Scheduler) retire(run *engine.Run, txn []kvcache.Op) {
+	for _, id := range run.Seqs {
+		txn = append(txn, kvcache.Op{Kind: kvcache.OpSeqRm, Src: id, P0: 0, P1: 1 << 30})
+		if sess := s.slots[int(id)/s.cfg.SeqsPerSession]; sess != nil && sess.alloc != nil {
+			sess.alloc.Free(id)
+		}
+	}
+	s.txn = txn[:0]
+	s.sendKV(txn)
 	msg := run.Msg
 	for lo := range msg.Groups() {
 		if sess := s.sessionAt(msg.RowSession(lo)); sess != nil && sess.state == stateDrain && s.inflight(sess) == 0 {
 			s.finalize(sess)
 		}
 	}
-	s.putCtxs(run.Ctxs)
 	s.h.Recycle(run)
-	s.putMsg(msg)
-}
-
-// watchdogWait returns how long AwaitResultWithin may block before the
-// oldest in-flight run is past its launch-time deadline.
-func (s *Scheduler) watchdogWait() time.Duration {
-	oldest := s.h.InflightAt(0)
-	if oldest.Deadline == 0 {
-		return runTimeoutCap * s.cfg.RunTimeout
-	}
-	return max(0, oldest.Deadline-s.h.EP.Now())
 }
 
 // recoverFailed consumes a watchdog-failed run: its result is lost (a
@@ -1895,10 +1844,7 @@ func (s *Scheduler) recoverFailed(run *engine.Run) {
 	}
 	// The failed run's partitions are freed exactly as a consumed run's
 	// would be.
-	txn := s.appendCleanup(run, s.txn[:0])
-	s.txn = txn[:0]
-	s.sendKV(txn)
-	s.retire(run)
+	s.retire(run, s.txn[:0])
 }
 
 // recoverSession parks a live session for fault recovery, crediting the
@@ -2091,22 +2037,6 @@ func carriesAccepted(sess *session, toks []engine.TokenPlace) bool {
 		}
 	}
 	return false
-}
-
-// appendCleanup returns the run's sequence partitions to their owning
-// sessions' allocators and appends the SeqRm ops that clear them on every
-// stage. A speculative run holds one partition per session riding it;
-// each id's owner follows from the static namespace partition.
-func (s *Scheduler) appendCleanup(run *engine.Run, ops []kvcache.Op) []kvcache.Op {
-	for _, id := range run.Seqs {
-		ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqRm, Src: id, P0: 0, P1: 1 << 30})
-		slot := int(id) / s.cfg.SeqsPerSession
-		if sess := s.slots[slot]; sess != nil && sess.alloc != nil {
-			sess.alloc.Free(id)
-		}
-	}
-	run.Seqs = nil
-	return ops
 }
 
 // enterDrain stops a finished session from launching, discards its
