@@ -31,7 +31,7 @@ type Worker struct {
 	layers int
 	isLast bool
 	cache  *kvpage.Cache
-	mask   kvcache.MaskBits // reusable visibility bitset, rebuilt per run
+	groups []kvpage.VisibleGroup // the surviving rows' visible lists, rebuilt per run
 	meta   []kvcache.TokenMeta
 	cells  []int
 	live   []int // surviving (unmasked) row indices
@@ -100,20 +100,24 @@ func (w *Worker) Eval(run *engine.RunMsg, _ []byte, cancelled func() bool) ([]by
 	return nil, w.ms.ActivationBytes(nl), true
 }
 
-// checkVisibility rebuilds the surviving rows' attention mask from cache
-// metadata (the reusable-bitset BuildMaskInto — no per-run allocation)
-// and asserts the multibuffering visibility invariant: the token at
+// checkVisibility lists the surviving rows' visible cells from cache
+// metadata, grouped by sequence set exactly as the real backend's stages
+// attend over them (kvpage.VisibleGroups, storage reused per run), and
+// asserts the multibuffering visibility invariant: the token at
 // session-local position p must see exactly p+1 cells — its full shared
 // prefix plus its own entry, each position once. Prefix-sharing ops,
 // promotions, eviction, page recycling and cross-session batching all
 // preserve it; a violation here is metadata corruption that the real
 // backend would surface as a parity mismatch.
 func (w *Worker) checkVisibility(run *engine.RunMsg, meta []kvcache.TokenMeta, live []int) {
-	w.cache.BuildMaskInto(&w.mask, meta)
-	for k, i := range live {
-		if got, want := w.mask.RowOnes(k), int(run.Tokens[i].Pos)+1; got != want {
-			panic(fmt.Sprintf("simbk: run %d token %d at pos %d sees %d cells, want %d",
-				run.ID, i, run.Tokens[i].Pos, got, want))
+	w.groups = w.cache.VisibleGroups(w.groups, meta)
+	for _, g := range w.groups {
+		for j, k := range g.Rows {
+			i := live[k]
+			if got, want := g.Lens[j], int(run.Tokens[i].Pos)+1; got != want {
+				panic(fmt.Sprintf("simbk: run %d token %d at pos %d sees %d cells, want %d",
+					run.ID, i, run.Tokens[i].Pos, got, want))
+			}
 		}
 	}
 }

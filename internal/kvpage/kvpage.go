@@ -63,6 +63,13 @@
 // reference regardless of how pages were recycled, evicted and
 // reallocated in between — the property the serving layer's bit-identical
 // parity gates depend on.
+//
+// The order also nests: rows of one batch with the same sequence set see
+// nested cell sets, so each row's list is a prefix of the deepest row's.
+// VisibleGroups lists each set's cells once and gives every row its
+// prefix length, and the model attends a group of rows over that one
+// list (tensor.AttentionGroup) — a prefill chunk's rows, or a speculative
+// micro-batch's, no longer re-derive and re-walk the same cells alone.
 package kvpage
 
 import (
@@ -1112,23 +1119,62 @@ func (c *Cache) VisibleCells(dst []int, q kvcache.TokenMeta) []int {
 	return dst
 }
 
-// BuildMaskInto fills dst with the attention mask for a batch:
-// dst.Get(t, i) is true iff batch token t may attend to cell i. Rows span
-// the whole cell space (mask consumers index by global cell id) but only
-// each token's shard is scanned to set bits.
-func (c *Cache) BuildMaskInto(dst *kvcache.MaskBits, batch []kvcache.TokenMeta) {
-	dst.Reset(len(batch), len(c.cells))
-	for t, q := range batch {
-		sh := &c.shards[c.shardOf(q.Seqs)]
-		for _, p := range sh.pages {
-			base := int(p) * c.pageSize
-			for s := 0; s < c.pageSize; s++ {
-				if c.Visible(q, base+s) {
-					dst.Set(t, base+s)
+// VisibleGroup is the visibility of the rows of a batch that share one
+// sequence set. Such rows see nested cell sets — a cell visible to a row
+// at position p is visible to every row of the set at a later position —
+// and since a visible list is sorted by (pos, cell), each row's list is
+// the prefix of the deepest row's list that ends at its own position.
+type VisibleGroup struct {
+	Seqs  kvcache.SeqSet
+	Pos   int32 // the deepest row's position
+	Cells []int // VisibleCells of the deepest row
+	Rows  []int // the group's batch rows, ascending
+	Lens  []int // row Rows[j] sees Cells[:Lens[j]]
+}
+
+// VisibleGroups partitions batch by sequence set, in order of each set's
+// first row, and lists every group's visible cells once: for every row i
+// of a group g, g.Cells[:g.Lens[j]] (with g.Rows[j] == i) is element for
+// element VisibleCells(nil, batch[i]). It reuses the groups in dst[:cap]
+// and the storage each holds, so a steady run of batches allocates
+// nothing; every group owns its slices, so no group's list aliases
+// another's.
+func (c *Cache) VisibleGroups(dst []VisibleGroup, batch []kvcache.TokenMeta) []VisibleGroup {
+	dst = dst[:0]
+	for i, q := range batch {
+		g := 0
+		for g < len(dst) && dst[g].Seqs != q.Seqs {
+			g++
+		}
+		if g == len(dst) {
+			if g == cap(dst) {
+				dst = append(dst, VisibleGroup{})
+			}
+			dst = dst[:g+1]
+			dst[g].Seqs, dst[g].Pos = q.Seqs, q.Pos
+			dst[g].Rows, dst[g].Lens = dst[g].Rows[:0], dst[g].Lens[:0]
+		}
+		dst[g].Pos = max(dst[g].Pos, q.Pos)
+		dst[g].Rows = append(dst[g].Rows, i)
+	}
+	for g := range dst {
+		grp := &dst[g]
+		grp.Cells = c.VisibleCells(grp.Cells[:0], kvcache.TokenMeta{Pos: grp.Pos, Seqs: grp.Seqs})
+		for _, i := range grp.Rows {
+			// The first cell past the row's position, by binary search.
+			lo, hi := 0, len(grp.Cells)
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if c.cells[grp.Cells[mid]].Pos <= batch[i].Pos {
+					lo = mid + 1
+				} else {
+					hi = mid
 				}
 			}
+			grp.Lens = append(grp.Lens, lo)
 		}
 	}
+	return dst
 }
 
 // Apply executes one pipelined cache op against the paged store — the

@@ -447,3 +447,22 @@ func TestCanPlaceRowsPredictsPlacement(t *testing.T) {
 		}
 	}
 }
+
+// BuildMaskInto fills dst with the attention mask for a batch:
+// dst.Get(t, i) is true iff batch token t may attend to cell i. Rows span
+// the whole cell space (mask consumers index by global cell id) but only
+// each token's shard is scanned to set bits.
+func (c *Cache) BuildMaskInto(dst *kvcache.MaskBits, batch []kvcache.TokenMeta) {
+	dst.Reset(len(batch), len(c.cells))
+	for t, q := range batch {
+		sh := &c.shards[c.shardOf(q.Seqs)]
+		for _, p := range sh.pages {
+			base := int(p) * c.pageSize
+			for s := 0; s < c.pageSize; s++ {
+				if c.Visible(q, base+s) {
+					dst.Set(t, base+s)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
+	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/quant"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
@@ -82,4 +83,36 @@ func BenchmarkPrefill32(b *testing.B) {
 		}
 		r.Reset()
 	}
+}
+
+// BenchmarkBatchForChunk is the visibility layer number: BatchFor of a
+// 64-row prefill chunk (the fourth of a 256-token prompt) beside 15 other
+// sessions' contexts, placement and grouped visible lists included. The
+// chunk is rolled back after each call.
+func BenchmarkBatchForChunk(b *testing.B) {
+	const sessions, ctx, chunk = 16, 192, 64
+	cache := kvpage.New(kvpage.Config{Cells: sessions*288 + 256, PageSize: 16, ShardSeqs: 1})
+	sc := NewScratch(TinyConfig())
+	toks := make([]token.Token, chunk)
+	meta := make([]kvcache.TokenMeta, chunk)
+	fill := func(seq kvcache.SeqID, pos0, n int) {
+		for j := range n {
+			meta[j] = kvcache.TokenMeta{Pos: int32(pos0 + j), Seqs: kvcache.NewSeqSet(seq)}
+		}
+		if _, err := sc.BatchFor(cache, toks[:n], meta[:n]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for s := range sessions {
+		for p := 0; p < ctx; p += chunk {
+			fill(kvcache.SeqID(s), p, chunk)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill(7, ctx, chunk)
+		cache.SeqRm(7, ctx, ctx+chunk)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/row")
 }

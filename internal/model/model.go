@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
+	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/quant"
 	"github.com/pipeinfer/pipeinfer/internal/tensor"
 	"github.com/pipeinfer/pipeinfer/internal/token"
@@ -158,25 +159,35 @@ func (s *KVStore) layer(l int) int {
 
 // Batch bundles the per-token placement metadata for one evaluation:
 // Meta[i] gives position and sequence membership, Cells[i] the cache cell
-// the token's K/V rows are written to, and Visible[i] the cells token i may
-// attend to (computed by the caller from kvcache metadata; it includes the
-// cells of earlier tokens in the same batch).
+// the token's K/V rows are written to, and Groups the cells each token may
+// attend to (computed by the caller from kvcache metadata; they include the
+// cells of earlier tokens in the same batch). Every row belongs to exactly
+// one group and attends over its prefix of the group's list: row
+// g.Rows[j] sees g.Cells[:g.Lens[j]] (see kvpage.VisibleGroups).
 type Batch struct {
-	Tokens  []token.Token
-	Meta    []kvcache.TokenMeta
-	Cells   []int
-	Visible [][]int
+	Tokens []token.Token
+	Meta   []kvcache.TokenMeta
+	Cells  []int
+	Groups []kvpage.VisibleGroup
 }
 
 // Len returns the number of tokens in the batch.
 func (b *Batch) Len() int { return len(b.Tokens) }
 
-// Validate checks that the parallel slices agree.
+// Validate checks that the parallel slices agree and that the groups
+// hold one list length per row and as many rows as the batch.
 func (b *Batch) Validate() error {
 	n := len(b.Tokens)
-	if len(b.Meta) != n || len(b.Cells) != n || len(b.Visible) != n {
-		return fmt.Errorf("model: batch slices disagree: tokens=%d meta=%d cells=%d vis=%d",
-			n, len(b.Meta), len(b.Cells), len(b.Visible))
+	rows := 0
+	for _, g := range b.Groups {
+		if len(g.Lens) != len(g.Rows) {
+			return fmt.Errorf("model: batch group has %d rows but %d list lengths", len(g.Rows), len(g.Lens))
+		}
+		rows += len(g.Rows)
+	}
+	if len(b.Meta) != n || len(b.Cells) != n || rows != n {
+		return fmt.Errorf("model: batch slices disagree: tokens=%d meta=%d cells=%d grouped rows=%d",
+			n, len(b.Meta), len(b.Cells), rows)
 	}
 	return nil
 }
@@ -212,16 +223,18 @@ func (m *Model) ForwardLayers(lo, hi int, x tensor.Mat, kv *KVStore, batch *Batc
 
 // ForwardLayersScratch is ForwardLayers evaluating through a persistent
 // Scratch, the steady-state zero-allocation decode path: every buffer the
-// pass needs (normed hidden state, query projections, attention scores,
-// MLP activations) lives in s and is reused across calls.
+// pass needs (normed hidden state, query projections, attention panels
+// and scores, MLP activations) lives in s and is reused across calls.
 //
-// Each layer runs as batched phases over blocks of rowBlock rows — norm,
-// QKV projection, RoPE and K/V store for every block, then attention,
-// Wo + residual, norm, gate/up, SiLUMul, down + residual per block — so
-// every projection is one multi-row product. The kernels compute each
-// output in one canonical order (see package tensor), so a row's
-// activations, and the K/V rows it stores, are bit-identical whatever
-// other rows share the batch.
+// Each layer runs as batched phases — norm, QKV projection, RoPE and K/V
+// store per block of rowBlock rows; attention per group of rows sharing
+// a visible list (tensor.AttentionGroup packs the list once per layer,
+// whatever blocks its rows span); then Wo + residual, norm, gate/up,
+// SiLUMul, down + residual per block — so every projection is one
+// multi-row product. The kernels compute each output in one canonical
+// order (see package tensor), so a row's activations, and the K/V rows it
+// stores, are bit-identical whatever other rows share the batch or its
+// group.
 func (m *Model) ForwardLayersScratch(lo, hi int, x tensor.Mat, kv *KVStore, batch *Batch, perLayer func(layer int) bool, s *Scratch) (tensor.Mat, bool) {
 	if err := batch.Validate(); err != nil {
 		panic(err)
@@ -235,6 +248,9 @@ func (m *Model) ForwardLayersScratch(lo, hi int, x tensor.Mat, kv *KVStore, batc
 	headDim := cfg.HeadDim()
 	scale := float32(1.0 / math.Sqrt(float64(headDim)))
 	s.shape(cfg, n)
+	if !s.rope.Is(headDim, cfg.RopeBase) {
+		s.rope = tensor.RoPEFor(headDim, cfg.RopeBase)
+	}
 
 	for l := lo; l < hi; l++ {
 		lay := &m.Layers[l]
@@ -256,23 +272,24 @@ func (m *Model) ForwardLayersScratch(lo, hi int, x tensor.Mat, kv *KVStore, batc
 			lay.Wv.MatMulTQ(v, h)
 			for b := b0; b < b1; b++ {
 				pos := int(batch.Meta[b].Pos)
-				tensor.RoPE(q.Row(b-b0), headDim, pos, cfg.RopeBase)
-				tensor.RoPE(k.Row(b-b0), headDim, pos, cfg.RopeBase)
+				s.rope.Rotate(q.Row(b-b0), pos)
+				s.rope.Rotate(k.Row(b-b0), pos)
 				copy(lk.Row(batch.Cells[b]), k.Row(b-b0))
 				copy(lv.Row(batch.Cells[b]), v.Row(b-b0))
 			}
 		}
 
-		// Attention per token over its visible cells, then the output
-		// projection and MLP with residual connections.
+		// Attention per group of rows over their shared visible list.
+		for _, g := range batch.Groups {
+			tensor.AttentionGroup(s.attn, s.q, g.Rows, g.Lens, lk, lv, headDim, g.Cells, scale, &s.panels)
+		}
+
+		// The output projection and MLP with residual connections.
 		for b0 := 0; b0 < n; b0 += rowBlock {
 			b1 := min(b0+rowBlock, n)
 			xb := x.RowSpan(b0, b1)
-			h, attn, proj := s.h.RowSpan(0, b1-b0), s.attn.RowSpan(0, b1-b0), s.proj.RowSpan(0, b1-b0)
+			h, attn, proj := s.h.RowSpan(0, b1-b0), s.attn.RowSpan(b0, b1), s.proj.RowSpan(0, b1-b0)
 			gate, up := s.gate.RowSpan(0, b1-b0), s.up.RowSpan(0, b1-b0)
-			for b := b0; b < b1; b++ {
-				tensor.Attention(attn.Row(b-b0), s.q.Row(b), lk, lv, headDim, batch.Visible[b], scale, &s.scores)
-			}
 			lay.Wo.MatMulTQ(proj, attn)
 			tensor.Add(xb.Data, xb.Data, proj.Data)
 

@@ -288,9 +288,10 @@ func TestPipelineSplitMatchesWhole(t *testing.T) {
 		for i, cell := range cells {
 			c.Occupy(cell, meta[i].Pos, meta[i].Seqs)
 		}
-		b := &Batch{Tokens: toks, Meta: meta, Cells: cells, Visible: make([][]int, len(toks))}
+		b := &Batch{Tokens: toks, Meta: meta, Cells: cells}
 		for i := range toks {
-			b.Visible[i] = c.VisibleCells(nil, meta[i])
+			vis := c.VisibleCells(nil, meta[i])
+			b.Groups = append(b.Groups, kvpage.VisibleGroup{Cells: vis, Rows: []int{i}, Lens: []int{len(vis)}})
 		}
 		return b
 	}

@@ -48,18 +48,7 @@ func (r *Runner) PrepareBatch(toks []token.Token, meta []kvcache.TokenMeta) (*Ba
 	if len(toks) != len(meta) {
 		return nil, fmt.Errorf("model: %d tokens vs %d metadata entries", len(toks), len(meta))
 	}
-	cells, err := r.Cache.FindSlots(len(toks), meta[0].Seqs)
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range cells {
-		r.Cache.Occupy(c, meta[i].Pos, meta[i].Seqs)
-	}
-	batch := &Batch{Tokens: toks, Meta: meta, Cells: cells, Visible: make([][]int, len(toks))}
-	for i := range toks {
-		batch.Visible[i] = r.Cache.VisibleCells(nil, meta[i])
-	}
-	return batch, nil
+	return new(Scratch).BatchFor(r.Cache, toks, meta)
 }
 
 // Eval runs the full model over the batch tokens and returns the logits

@@ -18,8 +18,8 @@ const rowBlock = 32
 // stage worker) needs for forward passes, so that a steady-state decode
 // step performs zero heap allocations. The forward buffers are
 // row-batched matrices sized to the widest block seen (at most rowBlock
-// rows; only the query projections span the whole batch) and reused
-// across calls.
+// rows; only the query projections and the attention outputs span the
+// whole batch) and reused across calls.
 //
 // A Scratch must not be shared between concurrent evaluations: each
 // Runner and each stage worker owns its own.
@@ -27,18 +27,19 @@ type Scratch struct {
 	// Per-layer forward buffers, one row per token of the current block.
 	h    tensor.Mat // Dim: normed hidden state
 	k, v tensor.Mat // KVDim: the block's K/V rows, staged for the store
-	attn tensor.Mat // Dim: concatenated attention head outputs
 	proj tensor.Mat // Dim: Wo / WDown projection
 	gate tensor.Mat // FFNDim
 	up   tensor.Mat // FFNDim
 
-	q      tensor.Mat // batch.Len() x Dim query projections
-	scores tensor.Vec // attention scores, grown by tensor.Attention
+	q      tensor.Mat         // batch.Len() x Dim query projections
+	attn   tensor.Mat         // batch.Len() x Dim concatenated attention head outputs
+	panels tensor.AttnScratch // attention panels and scores
+	rope   *tensor.RoPETable  // resolved once, then only checked per pass
 
 	// Batch assembly (cache placement + visibility).
-	cells []int
-	vis   [][]int
-	batch Batch
+	cells  []int
+	groups []kvpage.VisibleGroup
+	batch  Batch
 
 	// Activation / logits staging for runner-style whole-model evaluation.
 	x      tensor.Mat
@@ -57,11 +58,11 @@ func NewScratch(cfg Config) *Scratch {
 // shape sizes the forward buffers for an n-row batch.
 func (s *Scratch) shape(cfg Config, n int) {
 	ensureMat(&s.q, n, cfg.Dim)
+	ensureMat(&s.attn, n, cfg.Dim)
 	n = min(n, rowBlock)
 	ensureMat(&s.h, n, cfg.Dim)
 	ensureMat(&s.k, n, cfg.KVDim())
 	ensureMat(&s.v, n, cfg.KVDim())
-	ensureMat(&s.attn, n, cfg.Dim)
 	ensureMat(&s.proj, n, cfg.Dim)
 	ensureMat(&s.gate, n, cfg.FFNDim)
 	ensureMat(&s.up, n, cfg.FFNDim)
@@ -78,29 +79,21 @@ func ensureMat(dst *tensor.Mat, rows, cols int) {
 }
 
 // BatchFor assembles the evaluation batch for toks/meta against the paged
-// cache: it finds and occupies cache cells and computes per-token
-// visibility, all into reused scratch storage. Rows are placed grouped by
-// owning shard (kvpage.PlaceRowsInto), so a cross-session batched run —
-// rows grouped per session, one namespace shard each — keeps every
-// session's cells and visibility inside its own shard; a single-session
-// batch behaves exactly as before. The returned batch (and its slices)
-// alias the scratch and are valid until the next BatchFor call.
+// cache: it finds and occupies cache cells and lists the visible cells
+// once per sequence set (kvpage.VisibleGroups), all into reused scratch
+// storage. Rows are placed grouped by owning shard (kvpage.PlaceRowsInto),
+// so a cross-session batched run — rows grouped per session, one
+// namespace shard each — keeps every session's cells and visibility
+// inside its own shard; a single-session batch behaves exactly as before.
+// The returned batch (and its slices) alias the scratch and are valid
+// until the next BatchFor call.
 func (s *Scratch) BatchFor(cache *kvpage.Cache, toks []token.Token, meta []kvcache.TokenMeta) (*Batch, error) {
-	n := len(toks)
 	cells, err := cache.PlaceRowsInto(s.cells[:0], meta)
 	if err != nil {
 		return nil, err
 	}
 	s.cells = cells
-	if cap(s.vis) < n {
-		vis := make([][]int, n)
-		copy(vis, s.vis)
-		s.vis = vis
-	}
-	s.vis = s.vis[:n]
-	for i := range toks {
-		s.vis[i] = cache.VisibleCells(s.vis[i][:0], meta[i])
-	}
-	s.batch = Batch{Tokens: toks, Meta: meta, Cells: cells, Visible: s.vis}
+	s.groups = cache.VisibleGroups(s.groups, meta)
+	s.batch = Batch{Tokens: toks, Meta: meta, Cells: cells, Groups: s.groups}
 	return &s.batch, nil
 }

@@ -83,3 +83,38 @@ func BenchmarkTopK(b *testing.B) {
 		TopK(x, 4)
 	}
 }
+
+// BenchmarkAttentionGroup is the group kernel's layer number: ns per row
+// for a 64-row prefill chunk over lists of 129-192 cells (the chunk after
+// two earlier ones), TinyConfig heads, through AttentionGroup beside the
+// per-row kernel on the same rows.
+func BenchmarkAttentionGroup(b *testing.B) {
+	const rows, heads, kv, headDim = 64, 4, 2, 16
+	rng := NewRNG(7)
+	q, k, v, cells := attnCase(rng, heads, kv, headDim, 512, 192)
+	qm := NewMat(rows, len(q))
+	rng.FillNormal(qm.Data, 1)
+	idx, ns := make([]int, rows), make([]int, rows)
+	for j := range idx {
+		idx[j], ns[j] = j, 129+j
+	}
+	out := NewMat(rows, len(q))
+	b.Run("group", func(b *testing.B) {
+		var sc AttnScratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			AttentionGroup(out, qm, idx, ns, k, v, headDim, cells, 0.25, &sc)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	})
+	b.Run("row", func(b *testing.B) {
+		var scratch Vec
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range idx {
+				Attention(out.Row(j), qm.Row(j), k, v, headDim, cells[:ns[j]], 0.25, &scratch)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	})
+}

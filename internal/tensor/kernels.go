@@ -125,32 +125,112 @@ func SiLUMul(dst, a, b Vec) {
 // The result depends only on this row's q, cells and the K/V rows they
 // name — never on which other rows the caller evaluates around it.
 func Attention(out, q Vec, k, v Mat, headDim int, cells []int, scale float32, scratch *Vec) {
-	if headDim <= 0 || len(q)%headDim != 0 || k.Cols%headDim != 0 || k.Cols == 0 ||
-		len(out) != len(q) || v.Cols != k.Cols || v.Rows != k.Rows ||
-		(len(q)/headDim)%(k.Cols/headDim) != 0 ||
+	checkAttention(len(out), len(q), k, v, headDim)
+	checkCells(cells, k.Rows)
+	attendRow(out, q, k, v, headDim, cells, scale, scratch)
+}
+
+// AttnScratch is AttentionGroup's working storage, grown as needed and
+// reused across calls: the score rows, one KV head's packed K and V
+// panels, and the list padded to whole blocks of eight cells.
+type AttnScratch struct {
+	scores, kt, vt Vec
+	idx            []int
+}
+
+// panelRows is the smallest group AttentionGroup packs panels for. Below
+// it the pack costs more than the panel kernels save, so smaller groups
+// take Attention's per-row kernel. Measured with TinyConfig heads over
+// 260-cell lists in 16-cell pages (Xeon, AVX2 kernels), panel against
+// per-row time per row: 1.54x at one row, 1.11x at two, 0.93x at three,
+// 0.84x at four, 0.67x at 64.
+const panelRows = 3
+
+// AttentionGroup is Attention for rows of q that attend over prefixes of
+// one visible list: for each j, out.Row(rows[j]) receives exactly the bits
+// Attention(out.Row(rows[j]), q.Row(rows[j]), k, v, headDim,
+// cells[:ns[j]], scale, ·) writes. Rows of one sequence set in a batch are
+// such a group (see kvpage.VisibleGroups).
+//
+// On the assembly kernels a group of panelRows rows or more with 16-float
+// heads (TinyConfig's, the only head size the forward pass runs) packs
+// the list once per KV head — K transposed, eight cells per vector, V
+// back to back — and computes each row's scores eight cells per vector
+// and its V sum with no per-cell address arithmetic. Every score, softmax
+// and output element keeps the per-row kernel's arithmetic order: lane l
+// of the dot product's accumulator is a vector of its own, the eight fold
+// in REDUCE8's tree, and V goes into the same four interleaved
+// accumulators. Smaller groups, other head sizes, and every host on the
+// portable twin run the per-row kernel. Either way the cell ids are
+// checked once per call.
+func AttentionGroup(out, q Mat, rows, ns []int, k, v Mat, headDim int, cells []int, scale float32, sc *AttnScratch) {
+	checkAttention(out.Cols, q.Cols, k, v, headDim)
+	if len(rows) != len(ns) {
+		panic(fmt.Sprintf("tensor: AttentionGroup has %d rows but %d list lengths", len(rows), len(ns)))
+	}
+	n := 0
+	for j, r := range rows {
+		if ns[j] < 0 || ns[j] > len(cells) || r < 0 || r >= q.Rows || r >= out.Rows {
+			panic(fmt.Sprintf("tensor: AttentionGroup row %d attends over %d of %d cells (q %d rows, out %d)",
+				r, ns[j], len(cells), q.Rows, out.Rows))
+		}
+		n = max(n, ns[j])
+		if ns[j] == 0 {
+			clear(out.Row(r))
+		}
+	}
+	checkCells(cells[:n], k.Rows)
+	if simdOn && headDim == 16 && len(rows) >= panelRows {
+		attentionGroupAsm(out, q, rows, ns, k, v, headDim, cells, scale, sc)
+		return
+	}
+	for j, r := range rows {
+		attendRow(out.Row(r), q.Row(r), k, v, headDim, cells[:ns[j]], scale, &sc.scores)
+	}
+}
+
+// checkAttention panics unless q and out rows of the given widths fit the
+// K/V matrices: whole heads, a whole number of query heads per KV head.
+func checkAttention(outLen, qLen int, k, v Mat, headDim int) {
+	if headDim <= 0 || qLen%headDim != 0 || k.Cols%headDim != 0 || k.Cols == 0 ||
+		outLen != qLen || v.Cols != k.Cols || v.Rows != k.Rows ||
+		(qLen/headDim)%(k.Cols/headDim) != 0 ||
 		len(k.Data) < k.Rows*k.Cols || len(v.Data) < v.Rows*v.Cols {
 		panic(fmt.Sprintf("tensor: Attention shape mismatch: q=%d out=%d k=%dx%d v=%dx%d headDim=%d",
-			len(q), len(out), k.Rows, k.Cols, v.Rows, v.Cols, headDim))
+			qLen, outLen, k.Rows, k.Cols, v.Rows, v.Cols, headDim))
 	}
+}
+
+// checkCells panics if a cell id falls outside the rows-row K/V store: the
+// kernels index K/V rows by raw cell id, so a bad id must fail here rather
+// than read out of bounds (a negative id wraps to huge).
+func checkCells(cells []int, rows int) {
+	var top uint
+	for _, c := range cells {
+		top = max(top, uint(c))
+	}
+	if len(cells) > 0 && top >= uint(rows) {
+		panic(fmt.Sprintf("tensor: Attention cell id outside the %d-row K/V store", rows))
+	}
+}
+
+// grow returns (*buf)[:n], reallocating when the capacity falls short.
+func grow(buf *Vec, n int) Vec {
+	if cap(*buf) < n {
+		*buf = make(Vec, max(n, 2*cap(*buf), 128))
+	}
+	return (*buf)[:n]
+}
+
+// attendRow is Attention past its checks.
+func attendRow(out, q Vec, k, v Mat, headDim int, cells []int, scale float32, scratch *Vec) {
 	n := len(cells)
 	if n == 0 {
 		clear(out)
 		return
 	}
-	// The kernels index K/V rows by raw cell id, so a bad id must fail
-	// here rather than read out of bounds (a negative id wraps to huge).
-	var top uint
-	for _, c := range cells {
-		top = max(top, uint(c))
-	}
-	if top >= uint(k.Rows) {
-		panic(fmt.Sprintf("tensor: Attention cell id outside the %d-row K/V store", k.Rows))
-	}
 	n8 := (n + 7) &^ 7
-	if cap(*scratch) < 2*n8 {
-		*scratch = make(Vec, max(2*n8, 2*cap(*scratch), 128))
-	}
-	scores := (*scratch)[:2*n8]
+	scores := grow(scratch, 2*n8)
 	if simdOn && headDim%8 == 0 {
 		attentionAsm(out, q, k, v, headDim, cells, scale, scores)
 		return

@@ -400,3 +400,108 @@ func TestProjectionSubranges(t *testing.T) {
 		}
 	})
 }
+
+// groupCase builds an AttentionGroup problem: a qRows-row query matrix
+// of which size scattered rows attend over prefixes of one list of
+// listLen scattered cells, the longest prefix the whole list.
+func groupCase(rng *RNG, heads, kv, headDim, size, listLen int) (q Mat, k, v Mat, rows, ns, cells []int) {
+	qRows := size + int(rng.Uint64()%4)
+	q = NewMat(qRows, heads*headDim)
+	rng.FillNormal(q.Data, 1)
+	_, k, v, cells = attnCase(rng, heads, kv, headDim, listLen+7+int(rng.Uint64()%40), listLen)
+	perm := make([]int, qRows)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := qRows - 1; i > 0; i-- {
+		j := int(rng.Uint64() % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	rows = perm[:size]
+	ns = make([]int, size)
+	for j := range ns {
+		if rng.Uint64()%2 == 0 {
+			ns[j] = max(listLen-size+1+j, 0) // a prefill chunk's staircase
+		} else {
+			ns[j] = int(rng.Uint64() % uint64(listLen+1))
+		}
+	}
+	ns[int(rng.Uint64()%uint64(size))] = listLen
+	return q, k, v, rows, ns, cells
+}
+
+// checkGroupBits requires every row AttentionGroup writes to equal, bit
+// for bit, Attention over the row's own prefix of the list, through a
+// scratch that earlier, larger calls have left dirty.
+func checkGroupBits(t testing.TB, q, k, v Mat, headDim int, rows, ns, cells []int, sc *AttnScratch) {
+	t.Helper()
+	scale := float32(1 / math.Sqrt(float64(headDim)))
+	out := NewMat(q.Rows, q.Cols)
+	for i := range out.Data {
+		out.Data[i] = float32(math.NaN())
+	}
+	AttentionGroup(out, q, rows, ns, k, v, headDim, cells, scale, sc)
+	want := make(Vec, q.Cols)
+	var scratch Vec
+	for j, r := range rows {
+		Attention(want, q.Row(r), k, v, headDim, cells[:ns[j]], scale, &scratch)
+		for i, w := range want {
+			if got := out.Row(r)[i]; math.Float32bits(got) != math.Float32bits(w) {
+				t.Fatalf("heads=%d kv=%d headDim=%d group of %d over %d cells: row %d (prefix %d) out[%d] = %v, per-row %v",
+					q.Cols/headDim, k.Cols/headDim, headDim, len(rows), len(cells), r, ns[j], i, got, w)
+			}
+		}
+	}
+}
+
+// TestAttentionGroupBitsEqualRows is the group kernel's bit contract:
+// whatever the group size (both sides of panelRows), list length, GQA
+// group and cell order, each row's output is the per-row kernel's.
+func TestAttentionGroupBitsEqualRows(t *testing.T) {
+	bothKernels(t, func(t *testing.T) {
+		rng := NewRNG(35)
+		var sc AttnScratch
+		for _, s := range []struct{ heads, kv, headDim int }{
+			{4, 2, 16}, // TinyConfig: GQA group of 2
+			{4, 4, 16}, // GQA group of 1
+			{3, 1, 8},  // a pair then a single head
+			{4, 2, 32},
+			{4, 2, 12}, // not a multiple of 8: per-row on every host
+		} {
+			for size := 1; size <= 64; size++ {
+				for _, listLen := range []int{0, 1, 7, 9, 13, 64, 129, 150} {
+					q, k, v, rows, ns, cells := groupCase(rng, s.heads, s.kv, s.headDim, size, listLen)
+					checkGroupBits(t, q, k, v, s.headDim, rows, ns, cells, &sc)
+				}
+			}
+		}
+	})
+}
+
+func TestAttentionGroupRejectsBadCell(t *testing.T) {
+	q, k, v, rows, ns, cells := groupCase(NewRNG(36), 4, 2, 16, 8, 20)
+	cells[5] = k.Rows
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a cell id outside the K/V store must panic, not read out of bounds")
+		}
+	}()
+	var sc AttnScratch
+	AttentionGroup(NewMat(q.Rows, q.Cols), q, rows, ns, k, v, 16, cells, 0.25, &sc)
+}
+
+func FuzzAttnGroup(f *testing.F) {
+	f.Add(uint64(1), uint8(5), uint8(40), uint8(1), uint8(0))
+	f.Add(uint64(2), uint8(64), uint8(150), uint8(0), uint8(1))
+	f.Add(uint64(3), uint8(1), uint8(0), uint8(2), uint8(2))
+	f.Add(uint64(4), uint8(17), uint8(9), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, size, listLen, kvHeads, shape uint8) {
+		rng := NewRNG(seed)
+		headDim := []int{8, 16, 32, 12}[shape%4]
+		groups := 1 + int(shape/4)%2
+		nKV := 1 + int(kvHeads)%3
+		var sc AttnScratch
+		q, k, v, rows, ns, cells := groupCase(rng, groups*nKV, nKV, headDim, 1+int(size)%64, int(listLen))
+		checkGroupBits(t, q, k, v, headDim, rows, ns, cells, &sc)
+	})
+}

@@ -51,6 +51,23 @@ func attnAccum1(out, p, v *float32, stride int, cells *int, n, hd int, sum float
 //go:noescape
 func attnAccum2(out0, out1, p0, p1, v *float32, stride int, cells *int, n, hd int, sum0, sum1 float32)
 
+// packPanels packs the K and V heads at k and v (rows stride bytes
+// apart, hd floats, hd a multiple of 8) of the 8*blocks cells listed at
+// cells into a K panel kt and a V panel vt. attnPanel16 writes s[i] =
+// scale * canonical dot of the 16-float head q with cell i of kt for
+// i < n, and -inf to the rest of the last group of eight, and returns the
+// largest score; attnPanelAccum16 is attnAccum1 over vt. See
+// simd_amd64.s for the panel layouts.
+//
+//go:noescape
+func packPanels(kt, vt, k, v *float32, stride int, cells *int, blocks, hd int)
+
+//go:noescape
+func attnPanel16(s, q, kt *float32, n int, scale float32) float32
+
+//go:noescape
+func attnPanelAccum16(out, p, vt *float32, n int, sum float32)
+
 // siluMulFMA computes dst[i] = a[i] / (1 + exp(-a[i])) * b[i] for n8 (a
 // multiple of 8) elements.
 //
@@ -105,6 +122,9 @@ var expTab = [...][8]float32{
 // negInf pads score rows to a multiple of 8 (its exp is exactly 0) and
 // seeds the score kernels' running maxima.
 var negInf = float32(math.Inf(-1))
+
+// laneMask[8-m:16-m] sets exactly the first m of eight lanes.
+var laneMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 
 func rep8(c float32) [8]float32 { return [8]float32{c, c, c, c, c, c, c, c} }
 
@@ -238,6 +258,48 @@ func attentionAsm(out, q Vec, k, v Mat, headDim int, cells []int, scale float32,
 			}
 			sum := softmaxExpFMA(&s0[0], n8, maxv)
 			attnAccum1(&out[h*headDim], &s0[0], vh, v.Cols, &cells[0], n, headDim, sum)
+		}
+	}
+}
+
+// attentionGroupAsm runs the panel kernels over 16-float heads: per KV
+// head it packs the group's list once (K transposed, eight cells per
+// vector, and V back to back), then gives every row its scores over its
+// own prefix of the panel, the softmax, and the V sum. Rows with an
+// empty list were cleared by the caller and are skipped.
+func attentionGroupAsm(out, q Mat, rows, ns []int, k, v Mat, headDim int, cells []int, scale float32, sc *AttnScratch) {
+	n := 0
+	for _, m := range ns {
+		n = max(n, m)
+	}
+	if n == 0 {
+		return
+	}
+	n8 := (n + 7) &^ 7
+	// The packer reads whole blocks of eight cells: pad the list with
+	// its last cell.
+	idx := sc.idx[:0]
+	idx = append(idx, cells[:n]...)
+	for len(idx) < n8 {
+		idx = append(idx, cells[n-1])
+	}
+	sc.idx = idx
+	kt, vt, s := grow(&sc.kt, n8*headDim), grow(&sc.vt, n8*headDim), grow(&sc.scores, n8)
+	groups := (q.Cols / headDim) / (k.Cols / headDim)
+	for kvh := 0; kvh*headDim < k.Cols; kvh++ {
+		off := kvh * headDim
+		packPanels(&kt[0], &vt[0], &k.Data[off], &v.Data[off], 4*k.Cols, &idx[0], n8/8, headDim)
+		for j, r := range rows {
+			m := ns[j]
+			if m == 0 {
+				continue
+			}
+			qr, or := q.Row(r), out.Row(r)
+			for h := kvh * groups; h < (kvh+1)*groups; h++ {
+				maxv := attnPanel16(&s[0], &qr[h*headDim], &kt[0], m, scale)
+				sum := softmaxExpFMA(&s[0], (m+7)&^7, maxv)
+				attnPanelAccum16(&or[h*headDim], &s[0], &vt[0], m, sum)
+			}
 		}
 	}
 }

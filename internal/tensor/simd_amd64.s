@@ -569,6 +569,312 @@ a2fold:
 	VZEROUPPER
 	RET
 
+// The panel kernels attend a group of rows over one packed list (see
+// attentionGroupAsm). A K panel holds the list's K heads transposed, one
+// 8-cell block after another: block b is hd vectors, vector d holding
+// dim d of cells 8b..8b+7. A V panel holds the list's V heads back to
+// back, hd floats per cell. The score and sum kernels take 16-float
+// heads. Every score and output element keeps the arithmetic of
+// attnScores1 and attnAccum1 exactly; only the addressing and which
+// accumulators are in flight together differ.
+
+// func packPanels(kt, vt, k, v *float32, stride int, cells *int, blocks, hd int)
+//
+// Packs the K and V heads at k and v (rows stride bytes apart) of the
+// 8*blocks cells listed at cells into the panels kt and vt. K goes
+// through an 8x8 transpose per group of eight dims: each YMM is loaded
+// as two 4-float halves, cell j's beside cell j+4's, so that unpacks and
+// shuffles within 128-bit lanes finish the transpose.
+TEXT ·packPanels(SB), NOSPLIT, $0-64
+	MOVQ kt+0(FP), DI
+	MOVQ vt+8(FP), BX
+	MOVQ cells+40(FP), SI
+	MOVQ hd+56(FP), R14
+	SHLQ $2, R14             // R14 = head bytes
+	MOVQ v+24(FP), R9
+	SUBQ k+16(FP), R9        // R9 = v - k
+
+ppblock:
+	MOVQ 0(SI), AX
+	IMULQ stride+32(FP), AX
+	ADDQ k+16(FP), AX
+	MOVQ 8(SI), DX
+	IMULQ stride+32(FP), DX
+	ADDQ k+16(FP), DX
+	MOVQ 16(SI), R8
+	IMULQ stride+32(FP), R8
+	ADDQ k+16(FP), R8
+	MOVQ 24(SI), R10
+	IMULQ stride+32(FP), R10
+	ADDQ k+16(FP), R10
+	MOVQ 32(SI), R11
+	IMULQ stride+32(FP), R11
+	ADDQ k+16(FP), R11
+	MOVQ 40(SI), R12
+	IMULQ stride+32(FP), R12
+	ADDQ k+16(FP), R12
+	MOVQ 48(SI), R13
+	IMULQ stride+32(FP), R13
+	ADDQ k+16(FP), R13
+	MOVQ 56(SI), R15
+	IMULQ stride+32(FP), R15
+	ADDQ k+16(FP), R15
+	XORQ CX, CX
+
+ppgroup:
+	VMOVUPS (AX)(CX*1), X0
+	VINSERTF128 $1, (R11)(CX*1), Y0, Y0
+	VMOVUPS (DX)(CX*1), X1
+	VINSERTF128 $1, (R12)(CX*1), Y1, Y1
+	VMOVUPS (R8)(CX*1), X2
+	VINSERTF128 $1, (R13)(CX*1), Y2, Y2
+	VMOVUPS (R10)(CX*1), X3
+	VINSERTF128 $1, (R15)(CX*1), Y3, Y3
+	VMOVUPS 16(AX)(CX*1), X4
+	VINSERTF128 $1, 16(R11)(CX*1), Y4, Y4
+	VMOVUPS 16(DX)(CX*1), X5
+	VINSERTF128 $1, 16(R12)(CX*1), Y5, Y5
+	VMOVUPS 16(R8)(CX*1), X6
+	VINSERTF128 $1, 16(R13)(CX*1), Y6, Y6
+	VMOVUPS 16(R10)(CX*1), X7
+	VINSERTF128 $1, 16(R15)(CX*1), Y7, Y7
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+	VMOVUPS Y0, (DI)(CX*8)
+	VMOVUPS Y1, 32(DI)(CX*8)
+	VMOVUPS Y2, 64(DI)(CX*8)
+	VMOVUPS Y3, 96(DI)(CX*8)
+	VMOVUPS Y4, 128(DI)(CX*8)
+	VMOVUPS Y5, 160(DI)(CX*8)
+	VMOVUPS Y6, 192(DI)(CX*8)
+	VMOVUPS Y7, 224(DI)(CX*8)
+	ADDQ $32, CX
+	CMPQ CX, R14
+	JLT  ppgroup
+	LEAQ (DI)(R14*8), DI
+
+	// V: the same eight cells' heads, one after another.
+	ADDQ R9, AX
+	ADDQ R9, DX
+	ADDQ R9, R8
+	ADDQ R9, R10
+	ADDQ R9, R11
+	ADDQ R9, R12
+	ADDQ R9, R13
+	ADDQ R9, R15
+	XORQ CX, CX
+ppv:
+	MOVQ BX, R9
+	VMOVUPS (AX)(CX*1), Y0
+	VMOVUPS Y0, (R9)(CX*1)
+	ADDQ R14, R9
+	VMOVUPS (DX)(CX*1), Y1
+	VMOVUPS Y1, (R9)(CX*1)
+	ADDQ R14, R9
+	VMOVUPS (R8)(CX*1), Y2
+	VMOVUPS Y2, (R9)(CX*1)
+	ADDQ R14, R9
+	VMOVUPS (R10)(CX*1), Y3
+	VMOVUPS Y3, (R9)(CX*1)
+	ADDQ R14, R9
+	VMOVUPS (R11)(CX*1), Y4
+	VMOVUPS Y4, (R9)(CX*1)
+	ADDQ R14, R9
+	VMOVUPS (R12)(CX*1), Y5
+	VMOVUPS Y5, (R9)(CX*1)
+	ADDQ R14, R9
+	VMOVUPS (R13)(CX*1), Y6
+	VMOVUPS Y6, (R9)(CX*1)
+	ADDQ R14, R9
+	VMOVUPS (R15)(CX*1), Y7
+	VMOVUPS Y7, (R9)(CX*1)
+	ADDQ $32, CX
+	CMPQ CX, R14
+	JLT  ppv
+	LEAQ (BX)(R14*8), BX
+	MOVQ v+24(FP), R9
+	SUBQ k+16(FP), R9
+	ADDQ $64, SI
+	DECQ blocks+48(FP)
+	JNZ  ppblock
+	VZEROUPPER
+	RET
+
+// PAIR(L, QA, QB, A) accumulates dims L and L+8 of the tile's eight cells
+// (K panel at R10) into A, q[L] in QA and q[L+8] in QB.
+#define PAIR(L, QA, QB, A) \
+	VFMADD231PS (L*32)(R10), QA, A; \
+	VFMADD231PS (L*32+256)(R10), QB, A
+
+// func attnPanel16(s, q, kt *float32, n int, scale float32) float32
+//
+// Eight cells per tile, one cell per lane, q's sixteen dims held in
+// registers. Accumulator l collects dims l and l+8 of every cell in
+// that order — lane l of attnScores1's accumulator — so folding the eight
+// in REDUCE8's tree is attnScores1's score, bit for bit: a first pass
+// over the tiles folds accumulators 0-3 to (a0+a1)+(a2+a3) into s, a
+// second folds 4-7 and adds the first pass's half (REDUCE8's last add),
+// then scales. Lanes past n are written as -inf (exp gives 0), so the
+// caller pads nothing. Returns the largest score.
+TEXT ·attnPanel16(SB), NOSPLIT, $0-44
+	MOVQ s+0(FP), R15
+	MOVQ q+8(FP), AX
+	MOVQ kt+16(FP), DI
+	MOVQ n+24(FP), R9
+	MOVQ R9, R11
+	ANDQ $-8, R11            // R11 = cells in whole tiles
+
+	VBROADCASTSS 0(AX), Y8
+	VBROADCASTSS 32(AX), Y9
+	VBROADCASTSS 4(AX), Y10
+	VBROADCASTSS 36(AX), Y11
+	VBROADCASTSS 8(AX), Y12
+	VBROADCASTSS 40(AX), Y13
+	VBROADCASTSS 12(AX), Y14
+	VBROADCASTSS 44(AX), Y15
+	MOVQ DI, R10
+	XORQ R8, R8
+p16a:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	PAIR(0, Y8, Y9, Y0)
+	PAIR(1, Y10, Y11, Y1)
+	PAIR(2, Y12, Y13, Y2)
+	PAIR(3, Y14, Y15, Y3)
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	VMOVUPS Y0, (R15)(R8*4)
+	ADDQ $512, R10
+	ADDQ $8, R8
+	CMPQ R8, R9
+	JLT  p16a
+
+	VBROADCASTSS 16(AX), Y8
+	VBROADCASTSS 48(AX), Y9
+	VBROADCASTSS 20(AX), Y10
+	VBROADCASTSS 52(AX), Y11
+	VBROADCASTSS 24(AX), Y12
+	VBROADCASTSS 56(AX), Y13
+	VBROADCASTSS 28(AX), Y14
+	VBROADCASTSS 60(AX), Y15
+	VBROADCASTSS scale+32(FP), Y4
+	VBROADCASTSS ·negInf(SB), Y5 // Y5 = lane maxima
+	VMOVAPS Y5, Y6
+	LEAQ ·laneMask+32(SB), DX
+	MOVQ DI, R10
+	XORQ R8, R8
+p16b:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	PAIR(4, Y8, Y9, Y0)
+	PAIR(5, Y10, Y11, Y1)
+	PAIR(6, Y12, Y13, Y2)
+	PAIR(7, Y14, Y15, Y3)
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	VADDPS (R15)(R8*4), Y0, Y0
+	VMULPS Y4, Y0, Y0
+	CMPQ R8, R11
+	JLT  p16store
+	MOVQ R8, CX              // the last, partial tile: lanes past n get -inf
+	SUBQ R9, CX
+	SHLQ $2, CX
+	VMOVUPS (DX)(CX*1), Y7
+	VBLENDVPS Y7, Y0, Y6, Y0
+p16store:
+	VMOVUPS Y0, (R15)(R8*4)
+	VMAXPS Y0, Y5, Y5
+	ADDQ $512, R10
+	ADDQ $8, R8
+	CMPQ R8, R9
+	JLT  p16b
+	VEXTRACTF128 $1, Y5, X0
+	VMAXPS X0, X5, X5
+	HMAX4(X5, X0)
+	VZEROUPPER
+	MOVSS X5, ret+40(FP)
+	RET
+
+// PACC(J, R0, R1, A0, A1) adds p[i+J] times the sixteen dims of a V
+// panel row (dims 0-7 at R0, 8-15 at R1) into accumulators A0 and A1.
+#define PACC(J, R0, R1, A0, A1) \
+	VBROADCASTSS J*4(AX)(R8*4), Y9; \
+	VFMADD231PS R0, Y9, A0; \
+	VFMADD231PS R1, Y9, A1
+
+// FOLD4(A0, A1, A2, A3) leaves (A0+A1)+(A2+A3), divided by Y15, in A0.
+#define FOLD4(A0, A1, A2, A3) \
+	VADDPS A1, A0, A0; \
+	VADDPS A3, A2, A2; \
+	VADDPS A2, A0, A0; \
+	VDIVPS Y15, A0, A0
+
+// func attnPanelAccum16(out, p, vt *float32, n int, sum float32)
+//
+// attnAccum1 over a V panel of 16-float heads, both groups of eight dims
+// in one pass (one broadcast of p[i] feeds both): cell i of each group
+// accumulates into accumulator i mod 4, the four fold as (a0+a1)+(a2+a3),
+// one division by sum.
+TEXT ·attnPanelAccum16(SB), NOSPLIT, $0-36
+	MOVQ out+0(FP), R13
+	MOVQ p+8(FP), AX
+	MOVQ vt+16(FP), R10
+	MOVQ n+24(FP), R9
+	MOVQ R9, R11
+	ANDQ $-4, R11            // R11 = cells covered by the unrolled loop
+	VBROADCASTSS sum+32(FP), Y15
+	ZERO8
+	XORQ R8, R8
+	CMPQ R8, R11
+	JGE  patail
+pafour:
+	PACC(0, (R10), 32(R10), Y0, Y4)
+	PACC(1, 64(R10), 96(R10), Y1, Y5)
+	PACC(2, 128(R10), 160(R10), Y2, Y6)
+	PACC(3, 192(R10), 224(R10), Y3, Y7)
+	ADDQ $256, R10
+	ADDQ $4, R8
+	CMPQ R8, R11
+	JLT  pafour
+patail:
+	MOVQ R9, SI
+	SUBQ R8, SI              // 0..3 cells left
+	JZ   pafold
+	PACC(0, (R10), 32(R10), Y0, Y4)
+	CMPQ SI, $2
+	JLT  pafold
+	PACC(1, 64(R10), 96(R10), Y1, Y5)
+	CMPQ SI, $3
+	JLT  pafold
+	PACC(2, 128(R10), 160(R10), Y2, Y6)
+pafold:
+	FOLD4(Y0, Y1, Y2, Y3)
+	VMOVUPS Y0, (R13)
+	FOLD4(Y4, Y5, Y6, Y7)
+	VMOVUPS Y4, 32(R13)
+	VZEROUPPER
+	RET
+
 // Offsets into ·bmTab, 32 bytes per constant replicated across four
 // 64-bit lanes.
 #define BM_GAMMA8  0

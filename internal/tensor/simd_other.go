@@ -19,3 +19,7 @@ func fillNormalAsm(*RNG, Vec, float32) int { return 0 }
 func attentionAsm(Vec, Vec, Mat, Mat, int, []int, float32, Vec) {
 	panic("tensor: no assembly kernels on this architecture")
 }
+
+func attentionGroupAsm(Mat, Mat, []int, []int, Mat, Mat, int, []int, float32, *AttnScratch) {
+	panic("tensor: no assembly kernels on this architecture")
+}

@@ -8,7 +8,12 @@
 // assembly on amd64 hosts that pass the CPUID probe with a portable Go
 // twin everywhere else (kernels.go): the blocked projection kernel behind
 // MatVec / MatMulT, the fused attention kernel behind Attention, and
-// SiLUMul, which shares attention's vectorised float32 exp.
+// SiLUMul, which shares attention's vectorised float32 exp. The
+// attention kernel has a group form, AttentionGroup, for rows that attend
+// over prefixes of one visible list (a prefill chunk's rows): it packs
+// the list's K heads transposed and its V heads back to back once per KV
+// head, scores eight cells per vector and sums V with no per-cell address
+// arithmetic, and writes each row the bits Attention writes for it alone.
 //
 // Canonical-order contract: every output element is computed in one fixed
 // arithmetic order — for a projection, one 8-lane accumulator walked over
@@ -16,7 +21,8 @@
 // blocking only chooses which independent outputs are in flight together.
 // A row's bits therefore never depend on how many rows ride beside it,
 // how a prefill was chunked, or how ParallelRange split the weight rows:
-// MatMulT row b equals MatVec of row b bit for bit, which is what keeps
+// MatMulT row b equals MatVec of row b, and an AttentionGroup row equals
+// Attention over the row's own list, bit for bit, which is what keeps
 // batched, chunked and recomputed evaluations bit-identical to the serial
 // reference by construction. MatMulT's own advantage is register tiling:
 // each weight row loaded from cache is applied to two activation rows,
