@@ -225,3 +225,96 @@ func TestServeBatchedStepAllocs(t *testing.T) {
 		t.Errorf("batched serving steady state allocates %.1f times per accepted token, want 0", allocs)
 	}
 }
+
+// TestServeStepAllocsTwoRanks is TestServeStepAllocs across a mailbox:
+// the head on rank 0 and one engine.WorkerLoop stage holding every layer
+// on rank 1, over chancomm. The stage decodes every run into one reused
+// message, every KV transaction into one reused op slice, and probes
+// cancellation through one closure built with the loop, so neither side
+// allocates per accepted token.
+func TestServeStepAllocsTwoRanks(t *testing.T) { twoRankAllocs(t, false) }
+
+// TestSpeculativeServeStepAllocs extends the two-rank gate to PipeInfer's
+// steady state with a ready draft: the chain grows into the scheduler's
+// tree, Propose answers from head-owned buffers, the pending chain shifts
+// in place, a run's partition list recycles with its record — and the
+// draft yields between layers through the head's probe, which the window
+// exercises (suspending, then resuming, every seventh probe on top of the
+// results that really wait), so the probe and the resumption allocate
+// nothing either.
+func TestSpeculativeServeStepAllocs(t *testing.T) { twoRankAllocs(t, true) }
+
+func twoRankAllocs(t *testing.T, speculate bool) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; gate enforced by the non-race job")
+	}
+	prev := tensor.SetParallelism(1)
+	defer tensor.SetParallelism(prev)
+
+	cfg := model.TinyConfig()
+	cfg.NLayers = 4
+	m, err := model.New(cfg, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxNew = 400
+	prompt := make([]token.Token, 8)
+	for i := range prompt {
+		prompt[i] = token.Token(token.NumSpecial + 3*i)
+	}
+	cells := len(prompt) + maxNew + 256
+	seqs := 1
+	bk := NewHead(nil, cfg.VocabSize)
+	if speculate {
+		seqs = 4
+		bk = NewHead(model.NewRunner(model.NewDraft(m, 0.01, 11^0xd4af), cells), cfg.VocabSize)
+	}
+	kv := kvpage.Config{Cells: cells, ShardSeqs: seqs}
+	cl := chancomm.New(2)
+	topo := engine.Topology{Head: 0, Stages: []int{1}}
+	stage := make(chan error, 1)
+	go func() {
+		stage <- engine.WorkerLoop(cl.Endpoint(1), topo, NewWorker(m, 0, cfg.NLayers, true, true, kv), engine.WorkerObs{})
+	}()
+	h, err := engine.NewHead(cl.Endpoint(0), topo, engine.Config{MaxNew: maxNew}, bk, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := 0
+	bk.YieldTo(func() bool {
+		probes++
+		return h.YieldDraft() || probes%7 == 0
+	})
+	sched, err := serve.New(h, serve.Config{
+		MaxSessions: 1, SeqsPerSession: seqs, Speculate: speculate, KV: kv,
+	}, []serve.Request{{Prompt: prompt, MaxNew: maxNew}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	genOne := func() {
+		start := sched.TotalAccepted()
+		for sched.TotalAccepted() == start {
+			if err := sched.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		genOne()
+	}
+	proposed, yields, probed := h.Stats.Proposed.Load(), h.Stats.DraftYields.Load(), probes
+	allocs := testing.AllocsPerRun(100, genOne)
+	if _, err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-stage; err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("speculate=%v: two-rank serving steady state allocates %.1f times per accepted token, want 0", speculate, allocs)
+	}
+	if speculate && (h.Stats.Proposed.Load() == proposed || h.Stats.DraftYields.Load() == yields || probes == probed) {
+		t.Errorf("the measured window proposed %d tokens, yielded %d drafts over %d probes: it never drafted and yielded",
+			h.Stats.Proposed.Load()-proposed, h.Stats.DraftYields.Load()-yields, probes-probed)
+	}
+}

@@ -163,12 +163,30 @@ func (w *Worker) MemoryBytes() int64 {
 // session its own incrementally maintained draft context.
 const maxDraftStreams = 16
 
+// catchUpSlice is the most tokens one draft evaluation takes. The
+// catch-up on a long context (the first Propose after the draft became
+// ready evaluates every token accepted so far) runs as evaluations of
+// this many tokens, each yielding between layers like a one-token step,
+// so a waiting result is held for at most one layer over catchUpSlice
+// rows. On the perf-lab host (2-vCPU Xeon, the lab's 6-layer model) a
+// layer over 4 rows takes about 13 µs against 48 µs over 16, while a
+// token costs 20 µs of catch-up in 4-row slices against 18 µs in 16-row
+// ones.
+const catchUpSlice = 4
+
 // draftStream is one incrementally evaluated draft-model context. Each
 // stream owns one sequence of the draft runner's cache; keeping several
 // lets the serving layer interleave Propose calls for many sessions
 // without re-evaluating a whole context on every session switch.
+//
+// evaluated is what the stream's cache holds, last the logits after its
+// final token. suspended, when not empty, is the slice past evaluated
+// whose evaluation the draft runner holds part-way (Head.susp names the
+// stream): its cells are placed, and its layers run on the next Propose
+// that extends it.
 type draftStream struct {
 	evaluated []token.Token
+	suspended []token.Token
 	last      tensor.Vec
 	haveLast  bool
 	lastUse   uint64
@@ -190,15 +208,23 @@ type Head struct {
 	vocab   int
 	streams []draftStream
 	tick    uint64
-	dist    tensor.Vec  // softmax staging for Propose
-	topk    []int       // TopKInto scratch
+	dist    tensor.Vec    // softmax staging for Propose
+	topk    []int         // TopKInto scratch
+	toks    []token.Token // Propose's results, reused across calls
+	probs   []float32
 	res     realResults // Results staging, reused across calls
+
+	// yield, when set (YieldTo), is asked between the draft's layers
+	// whether to stop for more urgent work; susp is the stream whose
+	// evaluation is suspended, -1 for none.
+	yield func() bool
+	susp  int
 }
 
 // NewHead builds the head backend. draft may be nil for the iterative
 // strategy, which never drafts.
 func NewHead(draft *model.Runner, vocab int) *Head {
-	return &Head{draft: draft, vocab: vocab}
+	return &Head{draft: draft, vocab: vocab, susp: -1}
 }
 
 // NewLazyHead builds a head backend whose draft model does not exist yet:
@@ -208,8 +234,16 @@ func NewHead(draft *model.Runner, vocab int) *Head {
 // in the time to first token. Until it has finished the head answers
 // Ready with false and decodes without speculation.
 func NewLazyHead(build func() *model.Runner, vocab int) *Head {
-	return &Head{build: build, vocab: vocab}
+	return &Head{build: build, vocab: vocab, susp: -1}
 }
+
+// YieldTo makes the draft preemptible: between any two layers of a draft
+// evaluation the head asks waiting, and when it says yes the evaluation
+// suspends and Propose reports a cut-short draft. The serving head passes
+// engine.Head.YieldDraft, so a drafting session's result that returns
+// mid-draft is consumed, and its successor launched, before the draft
+// goes on.
+func (h *Head) YieldTo(waiting func() bool) { h.yield = waiting }
 
 // deriveAsync runs a lazy head's derivation on a goroutine of its own, so
 // that the head keeps decoding while it runs.
@@ -259,19 +293,26 @@ func (h *Head) Settle() {
 }
 
 // Propose runs the draft model incrementally over ctx and returns the
-// top-width tokens of its output distribution with their probabilities.
-// The first call after the draft became ready evaluates the whole context
-// in one batch (ensure); calling it before Ready has said so is a bug.
-func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32) {
+// top-width tokens of its output distribution with their probabilities,
+// in head-owned buffers valid until the next Propose. The first call
+// after the draft became ready catches it up on the whole context
+// (ensure); calling it before Ready has said so is a bug. ok is false
+// when the evaluation yielded to a waiting result (YieldTo): nothing is
+// proposed, and the next Propose that extends the same context resumes
+// it from the next layer.
+func (h *Head) Propose(ctx []token.Token, width int) (toks []token.Token, probs []float32, ok bool) {
 	if !h.Ready() {
 		panic("realbk: Propose before the draft is ready")
 	}
 	if h.draft == nil || len(ctx) == 0 {
-		return nil, nil
+		return nil, nil, true
 	}
 	s, err := h.ensure(ctx)
 	if err != nil {
 		panic(fmt.Sprintf("realbk: draft evaluation failed: %v", err))
+	}
+	if s == nil {
+		return nil, nil, false
 	}
 	if cap(h.dist) < len(s.last) {
 		h.dist = make(tensor.Vec, len(s.last))
@@ -280,13 +321,12 @@ func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32) 
 	copy(dist, s.last)
 	tensor.Softmax(dist)
 	h.topk = tensor.TopKInto(h.topk, dist, width)
-	toks := make([]token.Token, len(h.topk))
-	probs := make([]float32, len(h.topk))
-	for i, j := range h.topk {
-		toks[i] = token.Token(j)
-		probs[i] = dist[j]
+	h.toks, h.probs = h.toks[:0], h.probs[:0]
+	for _, j := range h.topk {
+		h.toks = append(h.toks, token.Token(j))
+		h.probs = append(h.probs, dist[j])
 	}
-	return toks, probs
+	return h.toks, h.probs, true
 }
 
 // commonLen returns the length of the longest common prefix of a and b.
@@ -299,14 +339,31 @@ func commonLen(a, b []token.Token) int {
 }
 
 // ensure returns a draft stream whose KV cache covers ctx, re-evaluating
-// only the suffix past the longest common prefix. Contexts with no
-// common prefix get their own stream (up to maxDraftStreams, then LRU
-// eviction), so sessions proposing through a shared head keep
-// incremental drafting instead of thrashing one cache. The final logit
-// row is copied out of the runner's scratch so it survives later
-// evaluations; stream i lives in draft-cache sequence i.
+// only the suffix past the longest common prefix, in slices of at most
+// catchUpSlice tokens. Contexts with no common prefix get their own
+// stream (up to maxDraftStreams, then LRU eviction), so sessions
+// proposing through a shared head keep incremental drafting instead of
+// thrashing one cache. The final logit row is copied out of the runner's
+// scratch so it survives later evaluations; stream i lives in
+// draft-cache sequence i.
+//
+// A nil stream means the evaluation yielded: it stays suspended on the
+// runner, and the next ensure resumes it if ctx still extends its
+// tokens. Otherwise — the result it yielded to rejected them, or another
+// stream's context came first — that ensure drops it and removes its
+// cells, before anything else touches the runner.
 func (h *Head) ensure(ctx []token.Token) (*draftStream, error) {
 	h.tick++
+	if h.susp >= 0 {
+		s := &h.streams[h.susp]
+		if a := len(s.evaluated); commonLen(s.evaluated, ctx) == a && commonLen(s.suspended, ctx[a:]) == len(s.suspended) {
+			s.lastUse = h.tick
+			return h.evaluate(s, h.susp, ctx)
+		}
+		h.draft.Drop()
+		h.draft.Cache.SeqRm(kvcache.SeqID(h.susp), int32(len(s.evaluated)), math.MaxInt32)
+		s.suspended, h.susp = s.suspended[:0], -1
+	}
 	best, bestCommon := -1, 0
 	for i := range h.streams {
 		if c := commonLen(h.streams[i].evaluated, ctx); c > bestCommon {
@@ -358,17 +415,36 @@ func (h *Head) ensure(ctx []token.Token) (*draftStream, error) {
 		h.draft.Cache.SeqRm(seq, int32(common), math.MaxInt32)
 		s.evaluated = s.evaluated[:common]
 	}
-	// Completed sessions leave dead streams behind; reclaim their cells
-	// rather than letting the draft cache fill up (LRU order, never the
-	// stream being extended).
-	h.evictForSpace(best, len(ctx)-common)
-	logits, err := h.draft.EvalSeq(ctx[common:], int32(common), seq)
-	if err != nil {
-		return nil, err
+	return h.evaluate(s, best, ctx)
+}
+
+// evaluate extends stream s (sequence i) over ctx past what it holds, one
+// slice of at most catchUpSlice tokens at a time, resuming the suspended
+// slice first if there is one. It returns nil when an evaluation yields.
+func (h *Head) evaluate(s *draftStream, i int, ctx []token.Token) (*draftStream, error) {
+	for len(s.evaluated) < len(ctx) {
+		a := len(s.evaluated)
+		if len(s.suspended) == 0 {
+			s.suspended = append(s.suspended, ctx[a:min(len(ctx), a+catchUpSlice)]...)
+			// Completed sessions leave dead streams behind; reclaim their
+			// cells rather than letting the draft cache fill up (LRU
+			// order, never the stream being extended).
+			h.evictForSpace(i, len(s.suspended))
+			if err := h.draft.Start(s.suspended, int32(a), kvcache.SeqID(i)); err != nil {
+				s.suspended = s.suspended[:0]
+				return nil, err
+			}
+			h.susp = i
+		}
+		logits, done := h.draft.Resume(h.yield)
+		if !done {
+			return nil, nil
+		}
+		s.last = append(s.last[:0], logits...)
+		s.evaluated = append(s.evaluated, s.suspended...)
+		s.suspended, h.susp = s.suspended[:0], -1
+		s.haveLast = true
 	}
-	s.last = append(s.last[:0], logits.Row(logits.Rows-1)...)
-	s.evaluated = append(s.evaluated[:common], ctx[common:]...)
-	s.haveLast = true
 	return s, nil
 }
 
@@ -376,7 +452,8 @@ func (h *Head) ensure(ctx []token.Token) (*draftStream, error) {
 // buffers for reuse.
 func (h *Head) evictStream(i int) {
 	h.draft.Cache.SeqRm(kvcache.SeqID(i), 0, math.MaxInt32)
-	h.streams[i] = draftStream{evaluated: h.streams[i].evaluated[:0], last: h.streams[i].last}
+	st := &h.streams[i]
+	*st = draftStream{evaluated: st.evaluated[:0], suspended: st.suspended[:0], last: st.last}
 }
 
 // evictForSpace frees draft-cache cells until needed slots are available

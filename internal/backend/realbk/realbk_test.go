@@ -162,7 +162,7 @@ func TestRealDraftIncrementalReuse(t *testing.T) {
 	h := NewHead(d, cfg.VocabSize)
 
 	ctx := []token.Token{token.BOS, 10, 20}
-	t1, p1 := h.Propose(ctx, 2)
+	t1, p1, _ := h.Propose(ctx, 2)
 	if len(t1) != 2 || p1[0] < p1[1] {
 		t.Fatalf("propose shape wrong: %v %v", t1, p1)
 	}
@@ -179,9 +179,10 @@ func TestRealDraftIncrementalReuse(t *testing.T) {
 		t.Fatalf("after rollback draft cache holds %d cells, want 5", got)
 	}
 	// Same context again: no change, logits cached.
-	t3a, _ := h.Propose(ctx3, 1)
-	t3b, _ := h.Propose(ctx3, 1)
-	if t3a[0] != t3b[0] {
+	t3a, _, _ := h.Propose(ctx3, 1)
+	first := t3a[0] // Propose reuses its buffers
+	t3b, _, _ := h.Propose(ctx3, 1)
+	if first != t3b[0] {
 		t.Fatal("repeated propose diverged")
 	}
 }

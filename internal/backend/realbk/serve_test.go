@@ -204,8 +204,8 @@ func TestDraftStreamsInterleaved(t *testing.T) {
 	}
 	for step := 0; step < 6; step++ {
 		for c := range ctxs {
-			gotT, gotP := shared.Propose(ctxs[c], 2)
-			wantT, wantP := solo[c].Propose(ctxs[c], 2)
+			gotT, gotP, _ := shared.Propose(ctxs[c], 2)
+			wantT, wantP, _ := solo[c].Propose(ctxs[c], 2)
 			for i := range wantT {
 				if gotT[i] != wantT[i] || gotP[i] != wantP[i] {
 					t.Fatalf("step %d ctx %d: shared head proposed (%v,%v), dedicated head (%v,%v)",
@@ -276,9 +276,9 @@ func TestDraftStreamsNoPrefixThrash(t *testing.T) {
 	a := []token.Token{token.BOS, token.NumSpecial + 10, token.NumSpecial + 11, token.NumSpecial + 12}
 	bb := []token.Token{token.BOS, token.NumSpecial + 80, token.NumSpecial + 81, token.NumSpecial + 82}
 	for step := 0; step < 4; step++ {
-		ta, _ := h.Propose(a, 1)
-		tb, _ := h.Propose(bb, 1)
-		a = append(a, ta[0])
+		ta, _, _ := h.Propose(a, 1)
+		a = append(a, ta[0]) // before the next Propose reuses the buffer
+		tb, _, _ := h.Propose(bb, 1)
 		bb = append(bb, tb[0])
 	}
 	if len(h.streams) != 2 {

@@ -152,9 +152,12 @@ func NewHead(ep comm.Endpoint, node cost.NodeSpec, draft cost.ModelSpec, o *orac
 }
 
 // Propose charges one draft forward pass and returns the oracle proposal.
-func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32) {
+// The step is one atomic Elapse in virtual time: the simulated head never
+// cuts a draft short.
+func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32, bool) {
 	h.ep.Elapse(cost.DraftStepTime(h.node, h.draft))
-	return h.O.Propose(ctx, width)
+	toks, probs := h.O.Propose(ctx, width)
+	return toks, probs, true
 }
 
 // Ready is always true: the simulated draft exists from the start.

@@ -80,33 +80,44 @@ func (c *Chain) depth(cfg *engine.Config, specInflight bool) int {
 	return 4 * cfg.MicroBatch
 }
 
+// Scratch is the storage a caller lends the drafting methods and that
+// they reuse from call to call: the context each expansion is built in,
+// and the tree Draft grows its chain in.
+type Scratch struct {
+	Ctx  []token.Token
+	Tree spec.Tree
+}
+
 // Draft appends one speculative run's worth of tokens past the frontier
 // to out: the draft model's top choice, one at a time, while its
 // confidence clears the cutoff — spec.Grow at width 1, the reactive
 // cutoff its threshold. Nothing is drafted when the gate is shut, the
-// frontier has reached limit tokens or the head cannot draft yet
+// frontier has reached limit tokens, the head cannot draft yet
 // (HeadBackend.Ready: its draft is still being derived, and the session
-// decodes without speculation meanwhile); none of these touches the
-// cutoff. A first candidate that falls short decays it, so the chain
-// scales utilisation back up while it waits (§IV-B.2). Pending is
-// untouched until Launched: a draft the driver does not launch is simply
-// drafted again.
-func (c *Chain) Draft(bk engine.HeadBackend, cfg *engine.Config, specInflight bool, limit int, scratch *[]token.Token, out []token.Token) []token.Token {
+// decodes without speculation meanwhile) or the head cut a proposal short
+// to let a waiting result through (HeadBackend.Propose), which Draft
+// reports as yielded; none of these touches the cutoff. A first
+// candidate that falls short decays it, so the chain scales utilisation
+// back up while it waits (§IV-B.2). Pending is untouched until Launched:
+// a draft the scheduler does not launch is simply drafted again.
+func (c *Chain) Draft(bk engine.HeadBackend, cfg *engine.Config, specInflight bool, limit int, sc *Scratch, out []token.Token) (_ []token.Token, yielded bool) {
 	n := c.depth(cfg, specInflight)
 	if n == 0 || len(c.Accepted)+len(c.Pending) >= limit || !bk.Ready() {
-		return out
+		return out, false
 	}
 	// n tokens of spare room: Grow builds each context in place.
-	ctx := slices.Grow(c.Frontier((*scratch)[:0]), n)
-	*scratch = ctx[:0]
-	chain := spec.Grow(bk, ctx, int32(len(ctx)), spec.GrowParams{Cutoff: c.Cutoff, MaxNodes: n, Width: 1})
-	for _, nd := range chain.Nodes {
+	ctx := slices.Grow(c.Frontier(sc.Ctx[:0]), n)
+	sc.Ctx = ctx[:0]
+	if !spec.Grow(bk, &sc.Tree, ctx, int32(len(ctx)), spec.GrowParams{Cutoff: c.Cutoff, MaxNodes: n, Width: 1}) {
+		return out, true
+	}
+	for _, nd := range sc.Tree.Nodes {
 		out = append(out, nd.Token)
 	}
-	if chain.Len() == 0 {
+	if sc.Tree.Len() == 0 {
 		c.Cutoff = max(c.Cutoff-cfg.CutoffDecay, cutoffFloor)
 	}
-	return out
+	return out, false
 }
 
 // ShareOps appends the prefix-sharing ops that make partition dst see the
@@ -198,24 +209,27 @@ func (c *Chain) Verify(cfg *engine.Config, toks []engine.TokenPlace, res engine.
 	if a-1 < base {
 		return ops, Exhausted, fmt.Errorf("core: result gap: accepted end %d, run base %d", a, base)
 	}
-	promoted := len(ops)
 	out := Exhausted
+	k := 0 // pending tokens promoted
 	for i := a - 1 - base; i < len(toks) && len(c.Accepted) < limit && out == Exhausted; i++ {
 		next := res.Next(lo + i)
 		switch {
-		case len(c.Pending) == 0:
+		case k == len(c.Pending):
 			out = Bonus
-		case c.Pending[0].Tok != next:
+		case c.Pending[k].Tok != next:
 			out = Rejected
 		default:
 			pos := int32(len(c.Accepted))
 			ops = append(ops, kvcache.Op{Kind: kvcache.OpSeqCp,
-				Src: c.Pending[0].Seq, Dst: c.Canon, P0: pos, P1: pos + 1})
-			c.Pending = c.Pending[1:]
+				Src: c.Pending[k].Seq, Dst: c.Canon, P0: pos, P1: pos + 1})
+			k++
 		}
 		c.Accepted = append(c.Accepted, next)
 	}
-	if len(ops) > promoted {
+	if k > 0 {
+		// Shifted down, not resliced: Launched appends into the same
+		// storage for as long as the chain lives.
+		c.Pending = c.Pending[:copy(c.Pending, c.Pending[k:])]
 		c.Cutoff = cfg.SpecCutoff
 	}
 	return ops, out, nil

@@ -15,23 +15,29 @@ import (
 
 // drafter proposes the token one past the context's last, at confidence
 // conf[len(ctx)] (default 1), and counts how often it was asked. A
-// deriving drafter is not ready yet.
+// deriving drafter is not ready yet; a yielding one cuts the proposal
+// for a context of length yield short, once.
 type drafter struct {
 	conf     map[int]float32
 	calls    int
 	deriving bool
+	yield    int
 }
 
-func (d *drafter) Propose(ctx []token.Token, _ int) ([]token.Token, []float32) {
+func (d *drafter) Propose(ctx []token.Token, _ int) ([]token.Token, []float32, bool) {
 	if d.deriving {
 		panic("Propose before the drafter is ready")
 	}
 	d.calls++
+	if len(ctx) == d.yield {
+		d.yield = 0
+		return nil, nil, false
+	}
 	p, ok := d.conf[len(ctx)]
 	if !ok {
 		p = 1
 	}
-	return []token.Token{ctx[len(ctx)-1] + 1}, []float32{p}
+	return []token.Token{ctx[len(ctx)-1] + 1}, []float32{p}, true
 }
 func (d *drafter) Ready() bool                                      { return !d.deriving }
 func (*drafter) Results(*engine.Run, uint64, []byte) engine.Results { return nil }
@@ -196,11 +202,11 @@ func TestStaleAndValid(t *testing.T) {
 
 func TestDraft(t *testing.T) {
 	cfg := testCfg
-	var scratch []token.Token
+	var scratch Scratch
 
 	// Micro-batch deep, appended to out, chain untouched until Launched.
 	c, d := chainAt(), &drafter{}
-	out := c.Draft(d, &cfg, false, math.MaxInt, &scratch, []token.Token{1})
+	out, _ := c.Draft(d, &cfg, false, math.MaxInt, &scratch, []token.Token{1})
 	if !slices.Equal(out, []token.Token{1, 16, 17}) || len(c.Pending) != 3 || c.Cutoff != 0.5 {
 		t.Fatalf("drafted %v, pending %d, cutoff %v", out, len(c.Pending), c.Cutoff)
 	}
@@ -212,36 +218,46 @@ func TestDraft(t *testing.T) {
 	// The first candidate under the cutoff ends the draft; none at all is
 	// a stall and decays the cutoff.
 	c, d = chainAt(), &drafter{conf: map[int]float32{7: 0.4}}
-	if out = c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); !slices.Equal(out, []token.Token{16}) || c.Cutoff != 0.5 {
+	if out, _ = c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); !slices.Equal(out, []token.Token{16}) || c.Cutoff != 0.5 {
 		t.Fatalf("drafted %v past a low-confidence candidate, cutoff %v", out, c.Cutoff)
 	}
 	c, d = chainAt(), &drafter{conf: map[int]float32{6: 0.4}}
-	if out = c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); len(out) != 0 || c.Cutoff != 0.45 {
+	if out, _ = c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); len(out) != 0 || c.Cutoff != 0.45 {
 		t.Fatalf("stall drafted %v, cutoff %v", out, c.Cutoff)
 	}
 
 	// A head still deriving its draft: no draft, no Propose, no decay —
 	// and the same chain drafts in full once it is ready.
 	c, d = chainAt(), &drafter{deriving: true}
-	if out = c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); len(out) != 0 || c.Cutoff != 0.5 {
+	if out, _ = c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); len(out) != 0 || c.Cutoff != 0.5 {
 		t.Fatalf("drafted %v before the draft was ready, cutoff %v", out, c.Cutoff)
 	}
-	if d.deriving = false; !slices.Equal(c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil), []token.Token{16, 17}) {
+	if d.deriving = false; !slices.Equal(first(c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil)), []token.Token{16, 17}) {
 		t.Fatal("a ready drafter did not draft")
+	}
+
+	// A proposal cut short: nothing drafted, the cutoff untouched, and
+	// the caller told; the next draft is whole.
+	c, d = chainAt(), &drafter{yield: 7}
+	if out, yielded := c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); len(out) != 0 || !yielded || c.Cutoff != 0.5 || len(c.Pending) != 3 {
+		t.Fatalf("cut-short draft gave %v (yielded %v), cutoff %v, pending %d", out, yielded, c.Cutoff, len(c.Pending))
+	}
+	if out, yielded := c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil); !slices.Equal(out, []token.Token{16, 17}) || yielded {
+		t.Fatalf("draft after a yield gave %v (yielded %v)", out, yielded)
 	}
 
 	// Frontier limit: no draft, no Propose, no decay.
 	c, d = chainAt(), &drafter{}
-	if out = c.Draft(d, &cfg, false, 6, &scratch, nil); len(out) != 0 || d.calls != 0 || c.Cutoff != 0.5 {
+	if out, _ = c.Draft(d, &cfg, false, 6, &scratch, nil); len(out) != 0 || d.calls != 0 || c.Cutoff != 0.5 {
 		t.Fatalf("drafted %v at the frontier limit (%d proposals, cutoff %v)", out, d.calls, c.Cutoff)
 	}
-	if out = c.Draft(d, &cfg, false, 7, &scratch, nil); len(out) != 2 {
+	if out, _ = c.Draft(d, &cfg, false, 7, &scratch, nil); len(out) != 2 {
 		t.Fatalf("drafted %v one short of the frontier limit", out)
 	}
 
 	// Clamps: decay stops at 0.02, recovery at 0.95.
 	c, d = &Chain{Accepted: []token.Token{10}, Cutoff: 0.04}, &drafter{conf: map[int]float32{1: 0}}
-	c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil)
+	first(c.Draft(d, &cfg, false, math.MaxInt, &scratch, nil))
 	if c.Cutoff != 0.02 {
 		t.Fatalf("cutoff decayed to %v", c.Cutoff)
 	}
@@ -257,7 +273,7 @@ func TestDraft(t *testing.T) {
 func TestDraftOneBatchAtATime(t *testing.T) {
 	cfg := testCfg
 	cfg.DisableContinuous = true
-	var scratch []token.Token
+	var scratch Scratch
 	for _, tc := range []struct {
 		name         string
 		pending      bool
@@ -272,7 +288,7 @@ func TestDraftOneBatchAtATime(t *testing.T) {
 		if !tc.pending {
 			c.Drop()
 		}
-		out := c.Draft(d, &cfg, tc.specInflight, math.MaxInt, &scratch, nil)
+		out, _ := c.Draft(d, &cfg, tc.specInflight, math.MaxInt, &scratch, nil)
 		if len(out) != tc.drafted || d.calls != tc.drafted || c.Cutoff != 0.5 {
 			t.Errorf("%s: drafted %d in %d proposals, cutoff %v; want %d", tc.name, len(out), d.calls, c.Cutoff, tc.drafted)
 		}
@@ -285,16 +301,23 @@ func TestDraftOneBatchAtATime(t *testing.T) {
 func TestDraftRoundWaitsForReady(t *testing.T) {
 	cfg := testCfg
 	cfg.TreeWidth, cfg.SpecCutoff = 1, 0.3
-	var scratch []token.Token
+	var scratch Scratch
 	c, d := &Chain{Accepted: []token.Token{10, 11, 12}}, &drafter{deriving: true}
-	if tr := c.DraftRound(d, &cfg, 4, &scratch); tr.Len() != 0 || tr.BasePos != 3 {
+	if tr, _ := c.DraftRound(d, &cfg, 4, &scratch); tr.Len() != 0 || tr.BasePos != 3 {
 		t.Fatalf("drafted a %d-node tree at %d before the draft was ready", tr.Len(), tr.BasePos)
 	}
 	d.deriving = false
-	if tr := c.DraftRound(d, &cfg, 4, &scratch); tr.Len() != 4 || d.calls != 4 {
+	if tr, _ := c.DraftRound(d, &cfg, 4, &scratch); tr.Len() != 4 || d.calls != 4 {
 		t.Fatalf("a ready drafter grew %d nodes in %d proposals, want 4", tr.Len(), d.calls)
 	}
+	d.yield = 5
+	if tr, yielded := c.DraftRound(d, &cfg, 4, &scratch); tr.Len() != 0 || !yielded {
+		t.Fatalf("a cut-short round grew %d nodes (yielded %v)", tr.Len(), yielded)
+	}
 }
+
+// first is a Draft's tokens.
+func first(out []token.Token, _ bool) []token.Token { return out }
 
 func TestShareOps(t *testing.T) {
 	c := chainAt()

@@ -19,18 +19,21 @@ type Round struct {
 	Lin  *spec.Linear // one partition per leaf
 }
 
-// DraftRound grows a round's tree with the one drafter, spec.Grow:
-// cfg.TreeWidth candidates per expansion, at most maxNodes nodes, at the
-// fixed cutoff cfg.SpecCutoff. Its roots sit past the anchor, the last
-// accepted token, whose KV is not cached yet. An empty tree means nothing
-// cleared the cutoff, or the head cannot draft yet (HeadBackend.Ready).
-func (c *Chain) DraftRound(bk engine.HeadBackend, cfg *engine.Config, maxNodes int, scratch *[]token.Token) *spec.Tree {
+// DraftRound grows a round's tree, a new one the round will hold, with
+// the one drafter, spec.Grow: cfg.TreeWidth candidates per expansion, at
+// most maxNodes nodes, at the fixed cutoff cfg.SpecCutoff. Its roots sit
+// past the anchor, the last accepted token, whose KV is not cached yet.
+// An empty tree means nothing cleared the cutoff, the head cannot draft
+// yet (HeadBackend.Ready) or it cut a proposal short, which DraftRound
+// reports as yielded (HeadBackend.Propose).
+func (c *Chain) DraftRound(bk engine.HeadBackend, cfg *engine.Config, maxNodes int, sc *Scratch) (_ *spec.Tree, yielded bool) {
+	t := spec.NewTree(int32(len(c.Accepted)))
 	if !bk.Ready() {
-		return spec.NewTree(int32(len(c.Accepted)))
+		return t, false
 	}
-	ctx := slices.Grow(append((*scratch)[:0], c.Accepted...), maxNodes)
-	*scratch = ctx[:0]
-	return spec.Grow(bk, ctx, int32(len(ctx)), spec.GrowParams{Cutoff: cfg.SpecCutoff, MaxNodes: maxNodes, Width: cfg.TreeWidth})
+	ctx := slices.Grow(append(sc.Ctx[:0], c.Accepted...), maxNodes)
+	sc.Ctx = ctx[:0]
+	return t, !spec.Grow(bk, t, ctx, int32(len(ctx)), spec.GrowParams{Cutoff: cfg.SpecCutoff, MaxNodes: maxNodes, Width: cfg.TreeWidth})
 }
 
 // RoundRun lays a drafted tree out as a run over seqs, one partition per

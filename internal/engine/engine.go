@@ -18,6 +18,7 @@ package engine
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
@@ -292,23 +293,38 @@ func (r *RunMsg) AppendEncode(buf []byte) []byte {
 // read iff its flag is set, so every frame an earlier layout produced —
 // plain, tagged, tagged and ranged — decodes as it always did.
 func DecodeRunMsg(buf []byte) (*RunMsg, error) {
+	r := &RunMsg{}
+	if err := r.Decode(buf); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Decode is DecodeRunMsg into r, reusing the storage of r's slices, so a
+// stage that decodes every run into one message allocates nothing once
+// it has seen its widest run. On an error r holds a partial decode.
+func (r *RunMsg) Decode(buf []byte) error {
 	if len(buf) < 10 {
-		return nil, fmt.Errorf("engine: run message too short (%d bytes)", len(buf))
+		return fmt.Errorf("engine: run message too short (%d bytes)", len(buf))
 	}
 	kind := buf[4]
 	tagged, ranged := kind&kindTagged != 0, kind&kindRanged != 0
-	r := &RunMsg{
-		ID:      uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24,
-		Kind:    RunKind(kind &^ (kindTagged | kindRanged)),
-		Seq:     kvcache.SeqID(buf[5]),
-		Session: uint16(buf[6]) | uint16(buf[7])<<8,
+	*r = RunMsg{
+		ID:          uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24,
+		Kind:        RunKind(kind &^ (kindTagged | kindRanged)),
+		Seq:         kvcache.SeqID(buf[5]),
+		Session:     uint16(buf[6]) | uint16(buf[7])<<8,
+		Tokens:      r.Tokens[:0],
+		KVOps:       r.KVOps[:0],
+		RowSessions: r.RowSessions[:0],
+		RowRanges:   r.RowRanges[:0],
 	}
 	n := int(buf[8]) | int(buf[9])<<8
 	off := 10
 	if len(buf) < off+16*n+2 {
-		return nil, fmt.Errorf("engine: run message truncated")
+		return fmt.Errorf("engine: run message truncated")
 	}
-	r.Tokens = make([]TokenPlace, n)
+	r.Tokens = slices.Grow(r.Tokens, n)[:n]
 	for i := 0; i < n; i++ {
 		r.Tokens[i] = TokenPlace{
 			Tok:  token.Token(readU32(buf[off:])),
@@ -320,24 +336,24 @@ func DecodeRunMsg(buf []byte) (*RunMsg, error) {
 	nOps := int(buf[off]) | int(buf[off+1])<<8
 	off += 2
 	if 11*nOps > len(buf)-off {
-		return nil, fmt.Errorf("engine: run message truncated: %d KV ops need %d bytes, %d left",
+		return fmt.Errorf("engine: run message truncated: %d KV ops need %d bytes, %d left",
 			nOps, 11*nOps, len(buf)-off)
 	}
-	ops, err := kvcache.DecodeOps(buf[off : off+11*nOps])
+	ops, err := kvcache.AppendDecodeOps(r.KVOps, buf[off:off+11*nOps])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.KVOps = ops
 	off += 11 * nOps
 	if (tagged || ranged) && n == 0 {
-		return nil, fmt.Errorf("engine: run message flags per-row sections but has no token rows")
+		return fmt.Errorf("engine: run message flags per-row sections but has no token rows")
 	}
 	if tagged {
 		if len(buf) < off+2*n {
-			return nil, fmt.Errorf("engine: tagged run message truncated: %d row sessions need %d bytes, %d left",
+			return fmt.Errorf("engine: tagged run message truncated: %d row sessions need %d bytes, %d left",
 				n, 2*n, len(buf)-off)
 		}
-		r.RowSessions = make([]uint16, n)
+		r.RowSessions = slices.Grow(r.RowSessions, n)[:n]
 		for i := 0; i < n; i++ {
 			r.RowSessions[i] = uint16(buf[off]) | uint16(buf[off+1])<<8
 			off += 2
@@ -345,10 +361,10 @@ func DecodeRunMsg(buf []byte) (*RunMsg, error) {
 	}
 	if ranged {
 		if len(buf) < off+8*n {
-			return nil, fmt.Errorf("engine: ranged run message truncated: %d row ranges need %d bytes, %d left",
+			return fmt.Errorf("engine: ranged run message truncated: %d row ranges need %d bytes, %d left",
 				n, 8*n, len(buf)-off)
 		}
-		r.RowRanges = make([]RowRange, n)
+		r.RowRanges = slices.Grow(r.RowRanges, n)[:n]
 		for i := 0; i < n; i++ {
 			r.RowRanges[i] = RowRange{
 				Pos: int32(readU32(buf[off:])),
@@ -357,7 +373,7 @@ func DecodeRunMsg(buf []byte) (*RunMsg, error) {
 			off += 8
 		}
 	}
-	return r, nil
+	return nil
 }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -405,7 +421,12 @@ func appendCancelSig(buf []byte, s CancelSig) []byte {
 // DecodeCancel reverses EncodeCancelSigs, ignoring a trailing partial
 // entry.
 func DecodeCancel(buf []byte) []CancelSig {
-	sigs := make([]CancelSig, 0, len(buf)/cancelSigBytes)
+	return AppendDecodeCancel(make([]CancelSig, 0, len(buf)/cancelSigBytes), buf)
+}
+
+// AppendDecodeCancel is DecodeCancel appending to sigs, so a stage that
+// decodes into one reused slice allocates nothing once it has grown.
+func AppendDecodeCancel(sigs []CancelSig, buf []byte) []CancelSig {
 	for off := 0; off+cancelSigBytes <= len(buf); off += cancelSigBytes {
 		sigs = append(sigs, CancelSig{ID: readU32(buf[off:]), Sessions: readU64(buf[off+4:])})
 	}
@@ -429,13 +450,16 @@ type Worker interface {
 	// order. The worker loop frames them (ResultFrame); a worker never
 	// writes a result header.
 	//
-	// Buffer ownership: input is only read during the call — the worker
-	// must copy anything it needs afterwards. The returned payload may
+	// Buffer ownership: run and input are only read during the call — the
+	// worker loop decodes every run into one reused message — so the
+	// worker must copy anything it needs afterwards. The returned payload may
 	// alias worker-owned staging storage and is only valid until the
 	// worker's next Eval call; callers frame or copy it (DataPayload,
 	// ResultPayload) before evaluating another run.
 	Eval(run *RunMsg, input []byte, cancelled func() bool) (out []byte, wire int, ok bool)
 	// ApplyKV applies pipelined cache operations in transaction order.
+	// ops is only read during the call: the worker loop decodes every
+	// transaction into one reused slice.
 	ApplyKV(ops []kvcache.Op)
 	// MemoryBytes reports the stage's resident footprint (weights + KV).
 	MemoryBytes() int64
@@ -453,8 +477,14 @@ type Results interface {
 // drafter, virtual time for the simulated one).
 type HeadBackend interface {
 	// Propose returns up to width draft continuations of ctx with
-	// confidences in descending order (spec.Proposer contract).
-	Propose(ctx []token.Token, width int) ([]token.Token, []float32)
+	// confidences in descending order (spec.Proposer contract), in
+	// head-owned buffers valid until the next Propose. ok false is a
+	// cut-short draft: the head stopped its draft forward between layers
+	// because the drafting session's result was waiting (Head.YieldDraft),
+	// returns nothing, and the next Propose for the same context resumes
+	// from the next layer. The scheduler treats it as a head that is not
+	// Ready: it drafts nothing this time and consumes the result first.
+	Propose(ctx []token.Token, width int) (toks []token.Token, probs []float32, ok bool)
 	// Ready reports, without blocking, whether the head can draft now.
 	// A head whose draft is still being derived answers false, and
 	// Propose may be called only once it has answered true: until then
@@ -646,6 +676,10 @@ type Stats struct {
 	Overloads      int
 	DeadlineHits   int
 	DeadlineMisses int
+
+	// DraftYields counts drafts the head cut short between layers because
+	// a result was waiting (HeadBackend.Propose); each resumes later.
+	DraftYields int
 }
 
 // MeanBatch is the realised mean number of per-session steps coalesced

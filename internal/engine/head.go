@@ -76,6 +76,8 @@ type Head struct {
 	// sessInflight counts in-flight runs per session slot (RunMsg.Session),
 	// the accounting the serving layer's fair admission is built on.
 	sessInflight []int
+	// drafting is the session slot the head drafts for (DraftFor).
+	drafting uint16
 
 	// Stats holds live counters: atomically mutated on the hot path so
 	// telemetry can Snapshot() them mid-serve without stopping the
@@ -146,14 +148,14 @@ func (h *Head) NewRun() *Run {
 	return &Run{Msg: &RunMsg{}}
 }
 
-// Recycle empties a run record, its message and its context array and
-// returns them to the free list NewRun draws from. Only callers that drop
-// every reference to the record, its message and anything derived from
-// their pointer identity may recycle.
+// Recycle empties a run record, its message, its context array and its
+// partition list and returns them to the free list NewRun draws from.
+// Only callers that drop every reference to the record, its message and
+// anything derived from their pointer identity may recycle.
 func (h *Head) Recycle(run *Run) {
 	msg := run.Msg
 	*msg = RunMsg{Tokens: msg.Tokens[:0], RowSessions: msg.RowSessions[:0], RowRanges: msg.RowRanges[:0]}
-	*run = Run{Msg: msg, Ctxs: run.Ctxs[:0]}
+	*run = Run{Msg: msg, Ctxs: run.Ctxs[:0], Seqs: run.Seqs[:0]}
 	h.freeRuns = append(h.freeRuns, run)
 }
 
@@ -251,6 +253,22 @@ func (h *Head) ResultWaiting() bool {
 		return false
 	}
 	return h.EP.Iprobe(h.Topo.LastStage(), comm.TagResult)
+}
+
+// DraftFor names the session slot whose draft the head evaluates next,
+// the session YieldDraft asks about.
+func (h *Head) DraftFor(slot uint16) { h.drafting = slot }
+
+// YieldDraft is the drafter's probe between layers (§IV-B): a result is
+// waiting, and it is the drafting session's — the oldest run in flight,
+// whose result arrives first, carries its rows. Consuming it launches
+// that session's non-speculative successor, which the draft would
+// otherwise hold, and moves the frontier the draft extends. Another
+// session's result waits for the draft to finish: were a draft cut short
+// by every session's results, a head drafting for several would rarely
+// finish one. With one session the probe is ResultWaiting.
+func (h *Head) YieldDraft() bool {
+	return h.inflight.len() > 0 && h.inflight.at(0).Msg.InvolvesSession(h.drafting) && h.ResultWaiting()
 }
 
 // consumeResult pops the FIFO head, checks its result frame against it

@@ -17,11 +17,13 @@ import (
 // rows it takes to be rowBytes each.
 type nopHeadBackend struct{ rowBytes int }
 
-func (nopHeadBackend) Propose([]token.Token, int) ([]token.Token, []float32) { return nil, nil }
-func (nopHeadBackend) Results(*Run, uint64, []byte) Results                  { return nil }
-func (nopHeadBackend) Ready() bool                                           { return true }
-func (b nopHeadBackend) RowBytes() int                                       { return b.rowBytes }
-func (nopHeadBackend) MemoryBytes() int64                                    { return 0 }
+func (nopHeadBackend) Propose([]token.Token, int) ([]token.Token, []float32, bool) {
+	return nil, nil, true
+}
+func (nopHeadBackend) Results(*Run, uint64, []byte) Results { return nil }
+func (nopHeadBackend) Ready() bool                          { return true }
+func (b nopHeadBackend) RowBytes() int                      { return b.rowBytes }
+func (nopHeadBackend) MemoryBytes() int64                   { return 0 }
 
 // nopWorker is an inline stage that answers every run with zero-byte rows.
 type nopWorker struct{}

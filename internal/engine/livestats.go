@@ -57,6 +57,8 @@ type LiveStats struct {
 	DeadlineHits   atomic.Int64
 	DeadlineMisses atomic.Int64
 
+	DraftYields atomic.Int64
+
 	mu          sync.Mutex
 	prefillDone time.Duration
 	firstToken  time.Duration
@@ -165,6 +167,7 @@ var Counters = [...]Counter{
 	{"pipeinfer_shed_overload_total", "Submissions rejected at admission (queue bound or sustainable rate).", "overload control", "refused at admission", func(l *LiveStats) *atomic.Int64 { return &l.Overloads }, func(s *Stats) *int { return &s.Overloads }},
 	{"pipeinfer_deadline_hits_total", "Deadline-carrying served requests that met every configured deadline.", "", "", func(l *LiveStats) *atomic.Int64 { return &l.DeadlineHits }, func(s *Stats) *int { return &s.DeadlineHits }},
 	{"pipeinfer_deadline_misses_total", "Deadline-carrying served requests that missed a configured deadline.", "", "", func(l *LiveStats) *atomic.Int64 { return &l.DeadlineMisses }, func(s *Stats) *int { return &s.DeadlineMisses }},
+	{"pipeinfer_draft_yields_total", "Drafts the head cut short between layers to consume a waiting result.", "", "", func(l *LiveStats) *atomic.Int64 { return &l.DraftYields }, func(s *Stats) *int { return &s.DraftYields }},
 }
 
 // Summary says which of a serving run's mechanisms were configured, and

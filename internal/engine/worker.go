@@ -130,6 +130,7 @@ func ParseResult(p []byte) (ResultFrame, error) {
 // garbage collected.
 type cancelSet struct {
 	runs map[uint32]cancelEntry
+	sigs []CancelSig // drain's decode staging
 }
 
 // cancelEntry is what the entries received for one run add up to.
@@ -143,7 +144,8 @@ func newCancelSet() *cancelSet { return &cancelSet{runs: make(map[uint32]cancelE
 func (c *cancelSet) drain(ep comm.Endpoint, head int) {
 	for ep.Iprobe(head, comm.TagCancel) {
 		buf := ep.Recv(head, comm.TagCancel)
-		for _, sig := range DecodeCancel(buf) {
+		c.sigs = AppendDecodeCancel(c.sigs[:0], buf)
+		for _, sig := range c.sigs {
 			e := c.runs[sig.ID]
 			e.skip |= sig.Sessions
 			e.drop = e.drop || sig.Sessions == 0
@@ -238,10 +240,21 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 	obs.Meter.Open(ep.Now())
 	d := transact.NewDispatcher(ep, upstream)
 
+	// Every run decodes into one message, and one probe serves every
+	// evaluation, so a stage's steady state allocates nothing. The
+	// cut-short probe between layer chunks (§IV-D.2) makes the admission
+	// test below on what has arrived since.
+	run := &RunMsg{}
+	cancelled := func() bool {
+		cancels.drain(ep, topo.Head)
+		return run.AllMasked(cancels.skip(run.ID))
+	}
+	var kvOps []kvcache.Op
+
 	d.Register(transact.TypeDecode, func(ep comm.Endpoint, src int) error {
 		raw := ep.Recv(src, comm.TagRun)
-		run, err := DecodeRunMsg(raw)
-		comm.PutBuf(raw) // DecodeRunMsg never retains the wire buffer
+		err := run.Decode(raw)
+		comm.PutBuf(raw) // Decode never retains the wire buffer
 		if err != nil {
 			return err
 		}
@@ -263,17 +276,12 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 		// head guarantees their sequences are cleaned up afterwards, so a
 		// stage that learns of a mask late is safe), and a run with every
 		// row group masked — or one its upstream stage skipped — is not
-		// evaluated at all. The cut-short probe between layer chunks
-		// (§IV-D.2) makes the same test on what has arrived since.
+		// evaluated at all.
 		cancels.drain(ep, topo.Head)
 		run.DeadSessions = cancels.skip(run.ID)
 		var data []byte
 		w_, ok := 0, false
 		if inputOK && !run.AllMasked(run.DeadSessions) {
-			cancelled := func() bool {
-				cancels.drain(ep, topo.Head)
-				return run.AllMasked(cancels.skip(run.ID))
-			}
 			data, w_, ok = obs.eval(ep, w, run, input, cancelled)
 		}
 		last := downstream < 0
@@ -325,11 +333,12 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 
 	d.Register(transact.TypeKV, func(ep comm.Endpoint, src int) error {
 		raw := ep.Recv(src, comm.TagRun)
-		ops, err := kvcache.DecodeOps(raw)
+		ops, err := kvcache.AppendDecodeOps(kvOps[:0], raw)
 		if err != nil {
 			comm.PutBuf(raw)
 			return err
 		}
+		kvOps = ops
 		w.ApplyKV(ops)
 		if downstream >= 0 {
 			transact.Begin(ep, downstream, transact.TypeKV)

@@ -41,7 +41,7 @@ func (m *mockWorker) Eval(run *RunMsg, input []byte, cancelled func() bool) ([]b
 
 func (m *mockWorker) ApplyKV(ops []kvcache.Op) {
 	m.mu.Lock()
-	m.kvBatches = append(m.kvBatches, ops)
+	m.kvBatches = append(m.kvBatches, slices.Clone(ops)) // ops is only lent
 	m.mu.Unlock()
 }
 

@@ -142,10 +142,15 @@ func AppendOps(buf []byte, ops []Op) []byte {
 
 // DecodeOps reverses EncodeOps.
 func DecodeOps(buf []byte) ([]Op, error) {
+	return AppendDecodeOps(make([]Op, 0, len(buf)/11), buf)
+}
+
+// AppendDecodeOps is DecodeOps appending to ops, so a receiver that
+// decodes into one reused slice allocates nothing once it has grown.
+func AppendDecodeOps(ops []Op, buf []byte) ([]Op, error) {
 	if len(buf)%11 != 0 {
 		return nil, fmt.Errorf("kvcache: op buffer length %d not a multiple of 11", len(buf))
 	}
-	ops := make([]Op, 0, len(buf)/11)
 	for i := 0; i < len(buf); i += 11 {
 		ops = append(ops, Op{
 			Kind: OpKind(buf[i]),

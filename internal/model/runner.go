@@ -17,6 +17,12 @@ import (
 // buffers and are valid until the runner's next evaluation. Callers that
 // need results across evaluations must copy them out. A steady-state
 // single-token evaluation allocates nothing (see TestDecodeStepAllocs).
+//
+// A runner also holds at most one evaluation that can stop between layers
+// and go on later (Start, Resume): the drafter's, which yields to the
+// pipeline it feeds. While one is started and unfinished nothing else may
+// run on the runner — no Eval, and no cache operation but on cells the
+// caller knows are not the evaluation's.
 type Runner struct {
 	M     *Model
 	Cache *kvpage.Cache
@@ -24,6 +30,17 @@ type Runner struct {
 
 	sc     *Scratch
 	oneTok []token.Token // Greedy's single-token batch, reused
+
+	// The started evaluation: its tokens (the batch in sc aliases them,
+	// its activations are sc.x), the next layer it runs, and, during a
+	// Resume, the caller's yield probe. afterLayer is bound once, so a
+	// Resume builds no closure.
+	started    bool
+	next       int
+	toks       []token.Token
+	yield      func() bool
+	afterLayer func(layer int) bool
+	lastRow    [1]int
 }
 
 // NewRunner creates a runner with a single-shard paged cache of at least
@@ -31,13 +48,15 @@ type Runner struct {
 // rounded size so every cell indexes a tensor row).
 func NewRunner(m *Model, nCells int) *Runner {
 	cache := kvpage.NewCells(nCells)
-	return &Runner{
+	r := &Runner{
 		M:      m,
 		Cache:  cache,
 		Store:  NewKVStore(m.Cfg, 0, m.Cfg.NLayers, cache.Size()),
 		sc:     NewScratch(m.Cfg),
 		oneTok: make([]token.Token, 1),
 	}
+	r.afterLayer = r.layerDone
+	return r
 }
 
 // PrepareBatch occupies cache cells for the given token metadata and
@@ -59,6 +78,9 @@ func (r *Runner) Eval(toks []token.Token, meta []kvcache.TokenMeta) (tensor.Mat,
 	if len(toks) != len(meta) {
 		return tensor.Mat{}, fmt.Errorf("model: %d tokens vs %d metadata entries", len(toks), len(meta))
 	}
+	if r.started {
+		panic("model: Eval while an evaluation is suspended")
+	}
 	batch, err := r.sc.BatchFor(r.Cache, toks, meta)
 	if err != nil {
 		return tensor.Mat{}, err
@@ -74,16 +96,75 @@ func (r *Runner) Eval(toks []token.Token, meta []kvcache.TokenMeta) (tensor.Mat,
 // EvalSeq is a convenience wrapper evaluating toks at consecutive positions
 // startPos.. in a single sequence.
 func (r *Runner) EvalSeq(toks []token.Token, startPos int32, seq kvcache.SeqID) (tensor.Mat, error) {
-	if cap(r.sc.meta) < len(toks) {
-		r.sc.meta = make([]kvcache.TokenMeta, len(toks))
+	return r.Eval(toks, r.seqMeta(len(toks), startPos, seq))
+}
+
+// seqMeta fills the scratch metadata for n tokens at consecutive
+// positions startPos.. in seq.
+func (r *Runner) seqMeta(n int, startPos int32, seq kvcache.SeqID) []kvcache.TokenMeta {
+	if cap(r.sc.meta) < n {
+		r.sc.meta = make([]kvcache.TokenMeta, n)
 	}
-	meta := r.sc.meta[:len(toks)]
+	meta := r.sc.meta[:n]
 	seqs := kvcache.NewSeqSet(seq)
-	for i := range toks {
+	for i := range meta {
 		meta[i] = kvcache.TokenMeta{Pos: startPos + int32(i), Seqs: seqs}
 	}
-	return r.Eval(toks, meta)
+	return meta
 }
+
+// Start places toks at consecutive positions startPos.. in seq, as
+// EvalSeq would, and embeds them; Resume runs the layers. The cells stay
+// occupied whether or not the evaluation finishes: one that is abandoned
+// (Drop) leaves them to the caller's SeqRm.
+func (r *Runner) Start(toks []token.Token, startPos int32, seq kvcache.SeqID) error {
+	if r.started {
+		panic("model: Start while an evaluation is suspended")
+	}
+	r.toks = append(r.toks[:0], toks...)
+	if _, err := r.sc.BatchFor(r.Cache, r.toks, r.seqMeta(len(toks), startPos, seq)); err != nil {
+		return err
+	}
+	r.M.EmbedBatchInto(&r.sc.x, r.toks)
+	r.started, r.next = true, 0
+	return nil
+}
+
+// Resume runs the started evaluation's remaining layers in order. After
+// every layer but the last it asks yield (nil never yields); true
+// suspends the evaluation there, with its activations, batch and next
+// layer kept for the next Resume, and Resume returns false. So each
+// Resume runs at least one layer, and an evaluation finishes within
+// NLayers Resumes whatever yield says. Once the last layer has run,
+// Resume returns the logits of the batch's final token — bit for bit
+// EvalSeq's last row, since the layers and every row's arithmetic are
+// the same — aliasing the runner's scratch until its next evaluation.
+func (r *Runner) Resume(yield func() bool) (tensor.Vec, bool) {
+	if !r.started {
+		panic("model: Resume with no evaluation started")
+	}
+	r.yield = yield
+	x, done := r.M.ForwardLayersScratch(r.next, r.M.Cfg.NLayers, r.sc.x, r.Store, &r.sc.batch, r.afterLayer, r.sc)
+	r.yield = nil
+	if !done {
+		return nil, false
+	}
+	r.started = false
+	r.lastRow[0] = x.Rows - 1
+	return r.M.LogitsRowsInto(&r.sc.logits, x, r.lastRow[:], r.sc).Row(0), true
+}
+
+// layerDone is the started evaluation's per-layer probe: it notes the
+// next layer and suspends, unless the last layer has run, when yield
+// says so.
+func (r *Runner) layerDone(layer int) bool {
+	r.next = layer + 1
+	return r.next == r.M.Cfg.NLayers || r.yield == nil || !r.yield()
+}
+
+// Drop abandons the started evaluation, if any. Its cells stay occupied
+// until the caller removes them (Cache.SeqRm over its positions).
+func (r *Runner) Drop() { r.started = false }
 
 // Greedy generates maxNew tokens after prompt with greedy sampling,
 // returning only the generated tokens. It is the reference non-speculative
@@ -112,5 +193,9 @@ func (r *Runner) Greedy(prompt []token.Token, maxNew int) ([]token.Token, error)
 	return out, nil
 }
 
-// Reset clears the cache so the runner can be reused for a fresh sequence.
-func (r *Runner) Reset() { r.Cache.Clear() }
+// Reset clears the cache, and any started evaluation, so the runner can
+// be reused for a fresh sequence.
+func (r *Runner) Reset() {
+	r.started = false
+	r.Cache.Clear()
+}

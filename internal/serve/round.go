@@ -22,7 +22,11 @@ func (s *Scheduler) launchRound() bool {
 		if sess == nil || sess.state != stateDecode || !sess.wantNonSpec || sess.alloc == nil || s.inflight(sess) > 0 {
 			continue
 		}
-		tree := sess.DraftRound(s.h.BK, &s.h.CFG, min(s.h.CFG.TreeCap, sess.alloc.Available()), &s.ctx)
+		s.h.DraftFor(uint16(sess.slot))
+		tree, yielded := sess.DraftRound(s.h.BK, &s.h.CFG, min(s.h.CFG.TreeCap, sess.alloc.Available()), &s.draft)
+		if yielded {
+			s.h.Stats.DraftYields.Add(1)
+		}
 		if tree.Len() == 0 {
 			return false
 		}

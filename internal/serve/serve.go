@@ -566,7 +566,7 @@ type Scheduler struct {
 	ops      []kvcache.Op
 	txn      []kvcache.Op // one consumed result's KV transaction
 	victims  []*engine.Run
-	ctx      []token.Token
+	draft    core.Scratch
 	kvCells  []int
 	rowMeta  []kvcache.TokenMeta
 	ready    []*session
@@ -575,6 +575,7 @@ type Scheduler struct {
 	specSel  []*session
 	specBuf  []token.Token
 	specLen  []int
+	specSeqs []kvcache.SeqID
 }
 
 // New validates the configuration and builds a scheduler over h with
@@ -1601,7 +1602,7 @@ func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID, op
 	run := s.h.NewRun()
 	msg := run.Msg
 	run.Ctxs = s.composer.ComposeInto(msg, kind, run.Ctxs, s.cfg.NeedCtx)
-	run.Seqs = seqs
+	run.Seqs = append(run.Seqs, seqs...) // a record comes with its storage
 	if len(seqs) > 0 {
 		msg.Seq = seqs[0]
 	} else {
@@ -1625,9 +1626,7 @@ func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID, op
 // each chain as pending against the run. width is this step's batch-width
 // bound (the adaptive controller's pick in auto mode, MaxBatch otherwise).
 func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
-	n := len(s.slots)
-	sel := s.specSel[:0]
-	lens := s.specLen[:0]
+	n, sel, lens := len(s.slots), s.specSel[:0], s.specLen[:0]
 	s.specBuf = s.specBuf[:0]
 	freePages := -1
 	for i := 0; i < n && len(sel) < width; i++ {
@@ -1644,7 +1643,7 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 		// A draft changes nothing but the cutoff (decay on a stall), so a
 		// candidate left out of the launched group drafts again later.
 		before := len(s.specBuf)
-		s.specBuf = sess.Draft(s.h.BK, &s.h.CFG, sess.specRuns(), sess.prompt+sess.maxNew, &s.ctx, s.specBuf)
+		s.draftChain(sess)
 		drafted := len(s.specBuf) - before
 		if drafted == 0 {
 			continue
@@ -1676,7 +1675,7 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 	}
 
 	ops := s.ops[:0]
-	seqs := make([]kvcache.SeqID, 0, most)
+	seqs := s.specSeqs[:0]
 	off := 0
 	for k, sess := range sel {
 		toks := s.specBuf[off : off+lens[k]]
@@ -1708,7 +1707,7 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 			})
 		}
 	}
-	s.ops = ops[:0]
+	s.ops, s.specSeqs = ops[:0], seqs[:0]
 	run := s.launchComposed(engine.KindSpec, seqs, ops)
 	off = 0
 	for k, sess := range sel {

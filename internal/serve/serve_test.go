@@ -30,11 +30,11 @@ func testHead(t *testing.T) *engine.Head {
 
 type nopBackend struct{}
 
-func (nopBackend) Propose([]token.Token, int) ([]token.Token, []float32) { return nil, nil }
-func (nopBackend) Results(*engine.Run, uint64, []byte) engine.Results    { return nil }
-func (nopBackend) Ready() bool                                           { return true }
-func (nopBackend) RowBytes() int                                         { return 0 }
-func (nopBackend) MemoryBytes() int64                                    { return 0 }
+func (nopBackend) Propose([]token.Token, int) ([]token.Token, []float32, bool) { return nil, nil, true }
+func (nopBackend) Results(*engine.Run, uint64, []byte) engine.Results          { return nil }
+func (nopBackend) Ready() bool                                                 { return true }
+func (nopBackend) RowBytes() int                                               { return 0 }
+func (nopBackend) MemoryBytes() int64                                          { return 0 }
 
 type nopWorker struct{}
 
@@ -262,7 +262,7 @@ type scriptRead struct {
 
 func scriptTok(pos int) token.Token { return token.Token(int(token.NumSpecial) + pos%200) }
 
-func (b *scriptBackend) Propose(ctx []token.Token, _ int) ([]token.Token, []float32) {
+func (b *scriptBackend) Propose(ctx []token.Token, _ int) ([]token.Token, []float32, bool) {
 	if b.deriving {
 		panic("serve: Propose before the draft is ready")
 	}
@@ -270,7 +270,7 @@ func (b *scriptBackend) Propose(ctx []token.Token, _ int) ([]token.Token, []floa
 	if len(ctx)%5 == 0 {
 		t++
 	}
-	return []token.Token{t}, []float32{1}
+	return []token.Token{t}, []float32{1}, true
 }
 
 func (b *scriptBackend) Results(run *engine.Run, _ uint64, _ []byte) engine.Results {

@@ -20,7 +20,7 @@ import (
 
 // serveLines is the scheduler's line ratchet: internal/serve/serve.go may
 // shrink, and a change that shrinks it lowers this number; none raises it.
-const serveLines = 2082
+const serveLines = 2081
 
 // retired names may not be declared or referenced anywhere (a comment may
 // still name them: comments are not part of the syntax tree).

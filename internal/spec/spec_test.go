@@ -139,12 +139,17 @@ func TestLinearizeMutualExclusionProperty(t *testing.T) {
 type scriptedProposer struct {
 	toks  map[int][]token.Token
 	probs map[int][]float32
+	cut   map[int]int // context length -> proposals to cut short first
 }
 
-func (s *scriptedProposer) Propose(ctx []token.Token, width int) ([]token.Token, []float32) {
+func (s *scriptedProposer) Propose(ctx []token.Token, width int) ([]token.Token, []float32, bool) {
+	if s.cut[len(ctx)] > 0 {
+		s.cut[len(ctx)]--
+		return nil, nil, false
+	}
 	toks, ok := s.toks[len(ctx)]
 	if !ok {
-		return nil, nil
+		return nil, nil, true
 	}
 	if len(toks) > width {
 		toks = toks[:width]
@@ -153,7 +158,14 @@ func (s *scriptedProposer) Propose(ctx []token.Token, width int) ([]token.Token,
 	if len(probs) > len(toks) {
 		probs = probs[:len(toks)]
 	}
-	return toks, probs
+	return toks, probs, true
+}
+
+// grow is Grow into a fresh tree.
+func grow(p Proposer, prefix []token.Token, basePos int32, params GrowParams) *Tree {
+	t := NewTree(0)
+	Grow(p, t, prefix, basePos, params)
+	return t
 }
 
 func TestGrowRespectsCutoffAndCap(t *testing.T) {
@@ -169,7 +181,7 @@ func TestGrowRespectsCutoffAndCap(t *testing.T) {
 			3: {0.1}, // below cutoff
 		},
 	}
-	tr := Grow(p, []token.Token{1}, 5, GrowParams{Cutoff: 0.5, MaxNodes: 8, Width: 2})
+	tr := grow(p, []token.Token{1}, 5, GrowParams{Cutoff: 0.5, MaxNodes: 8, Width: 2})
 	// Expected: root 10 (0.9), child 20 (0.8); 11 and 30 cut off.
 	if tr.Len() != 2 {
 		t.Fatalf("tree size %d, want 2: %+v", tr.Len(), tr.Nodes)
@@ -186,7 +198,7 @@ func TestGrowRespectsCutoffAndCap(t *testing.T) {
 		toks:  map[int][]token.Token{1: {1, 2}, 2: {3, 4}, 3: {5, 6}},
 		probs: map[int][]float32{1: {0.9, 0.9}, 2: {0.9, 0.9}, 3: {0.9, 0.9}},
 	}
-	tr2 := Grow(p2, []token.Token{9}, 0, GrowParams{Cutoff: 0.5, MaxNodes: 3, Width: 2})
+	tr2 := grow(p2, []token.Token{9}, 0, GrowParams{Cutoff: 0.5, MaxNodes: 3, Width: 2})
 	if tr2.Len() != 3 {
 		t.Fatalf("cap violated: %d nodes", tr2.Len())
 	}
@@ -197,7 +209,7 @@ func TestGrowMaxDepth(t *testing.T) {
 		toks:  map[int][]token.Token{1: {1}, 2: {2}, 3: {3}, 4: {4}},
 		probs: map[int][]float32{1: {0.9}, 2: {0.9}, 3: {0.9}, 4: {0.9}},
 	}
-	tr := Grow(p, []token.Token{0}, 0, GrowParams{Cutoff: 0.1, MaxNodes: 10, Width: 1, MaxDepth: 2})
+	tr := grow(p, []token.Token{0}, 0, GrowParams{Cutoff: 0.1, MaxNodes: 10, Width: 1, MaxDepth: 2})
 	if tr.Len() != 2 {
 		t.Fatalf("MaxDepth violated: %d nodes", tr.Len())
 	}
@@ -377,5 +389,28 @@ func TestValidateTreeCatchesCorruption(t *testing.T) {
 	tr.Nodes[1].Depth = 5
 	if err := ValidateTree(tr); err == nil {
 		t.Fatal("expected depth error")
+	}
+}
+
+// TestGrowCutShort: a proposal cut short leaves the tree empty and Grow
+// reports it; grown again, the same tree comes out as if nothing had
+// happened, and a reused tree allocates nothing.
+func TestGrowCutShort(t *testing.T) {
+	p := &scriptedProposer{
+		toks:  map[int][]token.Token{1: {1}, 2: {2}, 3: {3}},
+		probs: map[int][]float32{1: {0.9}, 2: {0.9}, 3: {0.9}},
+		cut:   map[int]int{2: 1},
+	}
+	params := GrowParams{Cutoff: 0.1, MaxNodes: 3, Width: 1}
+	prefix := make([]token.Token, 1, 4)
+	tr := NewTree(0)
+	if Grow(p, tr, prefix, 1, params) || tr.Len() != 0 || tr.BasePos != 1 {
+		t.Fatalf("cut-short grow: %d nodes at base %d, want none at 1", tr.Len(), tr.BasePos)
+	}
+	if !Grow(p, tr, prefix, 1, params) || tr.Len() != 3 || tr.Nodes[2].Token != 3 || tr.Nodes[1].Children[0] != 2 {
+		t.Fatalf("regrown tree %+v", tr.Nodes)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Grow(p, tr, prefix, 1, params) }); allocs != 0 {
+		t.Fatalf("growing a reused tree allocates %.1f times, want 0", allocs)
 	}
 }

@@ -35,9 +35,22 @@ type Node struct {
 // Tree is a tree of speculative continuations rooted at absolute position
 // BasePos: every root token is a candidate for position BasePos, its
 // children for BasePos+1, and so on.
+//
+// A tree is reusable: Reset empties it and keeps its storage, so a caller
+// that grows one tree per draft allocates nothing once it has grown to
+// the largest draft.
 type Tree struct {
 	BasePos int32
 	Nodes   []Node
+
+	queue []frontier // Grow's frontier, reused
+}
+
+// frontier is a node Grow may expand next.
+type frontier struct {
+	parent int     // node to expand (-1 = root expansion)
+	cum    float32 // cumulative confidence along the path
+	depth  int
 }
 
 // NewTree creates an empty tree whose roots sit at position basePos.
@@ -45,13 +58,17 @@ func NewTree(basePos int32) *Tree {
 	return &Tree{BasePos: basePos}
 }
 
+// Reset empties t and roots it at basePos, keeping its storage.
+func (t *Tree) Reset(basePos int32) {
+	t.BasePos, t.Nodes = basePos, t.Nodes[:0]
+}
+
 // Len returns the number of nodes.
 func (t *Tree) Len() int { return len(t.Nodes) }
 
 // AddRoot appends a root candidate and returns its index.
 func (t *Tree) AddRoot(tok token.Token, prob float32) int {
-	t.Nodes = append(t.Nodes, Node{Token: tok, Prob: prob, Parent: -1, Depth: 0})
-	return len(t.Nodes) - 1
+	return t.add(Node{Token: tok, Prob: prob, Parent: -1, Depth: 0})
 }
 
 // AddChild appends a child of parent and returns its index.
@@ -59,11 +76,19 @@ func (t *Tree) AddChild(parent int, tok token.Token, prob float32) int {
 	if parent < 0 || parent >= len(t.Nodes) {
 		panic(fmt.Sprintf("spec: parent %d out of range", parent))
 	}
-	idx := len(t.Nodes)
-	t.Nodes = append(t.Nodes, Node{
-		Token: tok, Prob: prob, Parent: parent, Depth: t.Nodes[parent].Depth + 1,
-	})
+	idx := t.add(Node{Token: tok, Prob: prob, Parent: parent, Depth: t.Nodes[parent].Depth + 1})
 	t.Nodes[parent].Children = append(t.Nodes[parent].Children, idx)
+	return idx
+}
+
+// add appends n, handing it the child list storage of the node a Reset
+// left in that slot.
+func (t *Tree) add(n Node) int {
+	idx := len(t.Nodes)
+	if idx < cap(t.Nodes) {
+		n.Children = t.Nodes[:idx+1][idx].Children[:0]
+	}
+	t.Nodes = append(t.Nodes, n)
 	return idx
 }
 
@@ -144,8 +169,16 @@ func (t *Tree) Linearize(seqs []kvcache.SeqID) (*Linear, error) {
 // the real tiny draft model and for the simulated oracle draft.
 type Proposer interface {
 	// Propose returns up to width candidate next tokens for the sequence
-	// context ctx, with draft confidences in descending order.
-	Propose(ctx []token.Token, width int) ([]token.Token, []float32)
+	// context ctx, with draft confidences in descending order. The slices
+	// may be the proposer's own buffers, valid until its next Propose.
+	//
+	// ok false reports a cut-short draft: the proposer stopped its
+	// evaluation to let more urgent work run (the real head yields
+	// between layers to a waiting result) and returns no candidates. It
+	// keeps what it evaluated, and a later Propose for the same context
+	// resumes where it stopped; a proposer that never yields always
+	// answers true.
+	Propose(ctx []token.Token, width int) (toks []token.Token, probs []float32, ok bool)
 }
 
 // GrowParams bounds tree growth.
@@ -156,38 +189,35 @@ type GrowParams struct {
 	MaxDepth int     // maximum depth (0 = unlimited)
 }
 
-// Grow expands a speculation tree from the given accepted prefix using a
-// best-first policy: the frontier node with the highest cumulative draft
-// confidence expands next, and expansion stops when every frontier
-// candidate falls below Cutoff or the tree reaches MaxNodes. The returned
-// tree may be empty if even the first proposal is below the cutoff.
+// Grow empties t, roots it at basePos and expands it from the given
+// accepted prefix using a best-first policy: the frontier node with the
+// highest cumulative draft confidence expands next, and expansion stops
+// when every frontier candidate falls below Cutoff or the tree reaches
+// MaxNodes. The tree may stay empty if even the first proposal is below
+// the cutoff. Grow reports false when p cut a proposal short; t is then
+// left empty, as if nothing had been drafted.
 //
 // Each expansion's context — prefix, then the path to the node it
 // expands — is built in place past len(prefix), so a prefix with MaxNodes
 // tokens of spare capacity is never copied; the tokens up to len(prefix)
 // are never written.
-func Grow(p Proposer, prefix []token.Token, basePos int32, params GrowParams) *Tree {
-	t := NewTree(basePos)
+func Grow(p Proposer, t *Tree, prefix []token.Token, basePos int32, params GrowParams) bool {
+	t.Reset(basePos)
 	if params.MaxNodes <= 0 {
-		return t
-	}
-	type frontier struct {
-		parent int     // node to expand (-1 = root expansion)
-		cum    float32 // cumulative confidence along the path
-		depth  int
+		return true
 	}
 	ctx := prefix
-	queue := []frontier{{parent: -1, cum: 1, depth: 0}}
-	for len(queue) > 0 && t.Len() < params.MaxNodes {
+	t.queue = append(t.queue[:0], frontier{parent: -1, cum: 1, depth: 0})
+	for len(t.queue) > 0 && t.Len() < params.MaxNodes {
 		// Pick the highest-cumulative-confidence frontier entry.
 		best := 0
-		for i := 1; i < len(queue); i++ {
-			if queue[i].cum > queue[best].cum {
+		for i := 1; i < len(t.queue); i++ {
+			if t.queue[i].cum > t.queue[best].cum {
 				best = i
 			}
 		}
-		f := queue[best]
-		queue = append(queue[:best], queue[best+1:]...)
+		f := t.queue[best]
+		t.queue = append(t.queue[:best], t.queue[best+1:]...)
 		if params.MaxDepth > 0 && f.depth >= params.MaxDepth {
 			continue
 		}
@@ -197,7 +227,11 @@ func Grow(p Proposer, prefix []token.Token, basePos int32, params GrowParams) *T
 			ctx = append(ctx, t.Nodes[n].Token)
 		}
 		slices.Reverse(ctx[len(prefix):])
-		toks, probs := p.Propose(ctx, params.Width)
+		toks, probs, ok := p.Propose(ctx, params.Width)
+		if !ok {
+			t.Reset(basePos)
+			return false
+		}
 		for i, tok := range toks {
 			if probs[i] < params.Cutoff {
 				continue
@@ -208,11 +242,11 @@ func Grow(p Proposer, prefix []token.Token, basePos int32, params GrowParams) *T
 			} else {
 				idx = t.AddChild(f.parent, tok, probs[i])
 			}
-			queue = append(queue, frontier{parent: idx, cum: f.cum * probs[i], depth: f.depth + 1})
+			t.queue = append(t.queue, frontier{parent: idx, cum: f.cum * probs[i], depth: f.depth + 1})
 			if t.Len() >= params.MaxNodes {
 				break
 			}
 		}
 	}
-	return t
+	return true
 }

@@ -337,6 +337,7 @@ func TestCounterFamiliesGolden(t *testing.T) {
 		{"pipeinfer_shed_overload_total", "Submissions rejected at admission (queue bound or sustainable rate)."},
 		{"pipeinfer_deadline_hits_total", "Deadline-carrying served requests that met every configured deadline."},
 		{"pipeinfer_deadline_misses_total", "Deadline-carrying served requests that missed a configured deadline."},
+		{"pipeinfer_draft_yields_total", "Drafts the head cut short between layers to consume a waiting result."},
 	}
 	r := New()
 	stats := engine.Stats{}
