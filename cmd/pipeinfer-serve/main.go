@@ -57,11 +57,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	pipeinfer "github.com/pipeinfer/pipeinfer"
+	"github.com/pipeinfer/pipeinfer/internal/backend/simbk"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/model"
 	"github.com/pipeinfer/pipeinfer/internal/telemetry"
@@ -298,7 +300,9 @@ func (slo sloOptions) summary(runTimeout time.Duration) engine.Summary {
 }
 
 // simServe serves on the discrete-event simulator at paper scale and
-// reports virtual-time throughput.
+// reports virtual-time throughput. Every served session is verified
+// against its target stream (simbk.ServeReference), and a mismatch exits
+// non-zero, as on the real path.
 func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, kvCells, kvPage int, prefix bool, sharedLen, batchSz, chunk int, autoBatch bool, runTO time.Duration, slo sloOptions, reg *telemetry.Registry) {
 	simOpts := pipeinfer.SimulateServeOptions{
 		Cluster:         pipeinfer.ClusterC().Take(nodes),
@@ -335,10 +339,15 @@ func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, k
 		sessions, nodes, speculate)
 	var ttftSum, ttftMean time.Duration
 	served := 0
+	mismatch := false
 	for i, res := range out.Results {
 		if res.Err != nil {
 			fmt.Printf("session %d: not served (%v)\n", i, res.Err)
 			continue
+		}
+		if !slices.Equal(res.Tokens, simbk.ServeReference(simOpts, i, simOpts.CFG.Defaults().MaxNew)) {
+			mismatch = true
+			fmt.Printf("session %d: MISMATCH against its target stream\n", i)
 		}
 		served++
 		ttftSum += res.Stats.TimeToFirst()
@@ -358,6 +367,11 @@ func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, k
 	}
 	out.Stats.WriteSummary(os.Stdout, sum)
 	printTelemetry(reg)
+	if mismatch {
+		fmt.Println("correctness: MISMATCH against greedy reference")
+		os.Exit(1)
+	}
+	fmt.Println("correctness: every session identical to its greedy reference")
 }
 
 func fatal(err error) {

@@ -551,7 +551,7 @@ func TestWholePromptPrefillShipsOneLogitsRow(t *testing.T) {
 		plain.Tokens[p] = engine.TokenPlace{Tok: tok, Pos: int32(p), Seqs: set}
 	}
 	ranged := &engine.RunMsg{}
-	c.ComposeInto(ranged, engine.KindPrefill, nil, false)
+	c.ComposeInto(ranged, engine.KindPrefill)
 
 	eval := func(msg *engine.RunMsg) []byte {
 		w := NewWorker(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: 64, ShardSeqs: 1})

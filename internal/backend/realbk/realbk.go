@@ -212,7 +212,7 @@ type Head struct {
 	topk    []int         // TopKInto scratch
 	toks    []token.Token // Propose's results, reused across calls
 	probs   []float32
-	res     realResults // Results staging, reused across calls
+	res     engine.RowTokens // Results staging, reused across calls
 
 	// yield, when set (YieldTo), is asked between the draft's layers
 	// whether to stop for more urgent work; susp is the stream whose
@@ -479,32 +479,13 @@ func (h *Head) evictForSpace(keep, needed int) {
 	}
 }
 
-// Results decodes the final stage's logits, eagerly: the greedy target
-// choice for every row the frame carries is extracted immediately, indexed
-// by the row's position in the run message, so the payload buffer can be
-// released to the message pool as soon as Results returns. A row the
-// frame leaves out — masked at a stage, or a prefill chunk row that never
-// samples — is marked absent; the head has masked at least those sessions
-// itself (it issued every mask), so the serving demux never asks for one.
-// The returned value aliases head-owned staging and is valid until the
-// next Results call — every engine consumes it before awaiting another
-// result, which keeps the serving layer's accepted-token path
-// allocation-free.
+// Results decodes the final stage's logits, eagerly: each row's greedy
+// target choice is its logits row's argmax (engine.RowTokens). The
+// returned value aliases head-owned staging and is valid until the next
+// Results call — every engine consumes it before awaiting another result,
+// which keeps the serving layer's accepted-token path allocation-free.
 func (h *Head) Results(run *engine.Run, dead uint64, rows []byte) engine.Results {
-	msg := run.Msg
-	if cap(h.res.next) < msg.Len() {
-		h.res.next = make([]token.Token, msg.Len())
-	}
-	h.res.next = h.res.next[:msg.Len()]
-	k := 0
-	for i := range h.res.next {
-		h.res.next[i] = -1
-		if msg.ResultRow(i, dead) {
-			h.res.next[i] = token.Token(argmaxRow(rows, k, h.vocab))
-			k++
-		}
-	}
-	return &h.res
+	return h.res.Fill(run.Msg, dead, rows, h.RowBytes(), argmaxLogits)
 }
 
 // RowBytes is one logits row: vocab float32s.
@@ -518,23 +499,6 @@ func (h *Head) MemoryBytes() int64 {
 		return 0
 	}
 	return h.draft.M.Bytes() + h.draft.Store.Bytes()
-}
-
-type realResults struct {
-	next []token.Token
-}
-
-// Next returns the argmax of logits row i (greedy target choice). A
-// negative entry marks a row its result frame left out — asking for it is
-// a demux bug.
-func (r *realResults) Next(i int) token.Token {
-	if i < 0 || i >= len(r.next) {
-		panic(fmt.Sprintf("realbk: result row %d of %d", i, len(r.next)))
-	}
-	if r.next[i] < 0 {
-		panic(fmt.Sprintf("realbk: result row %d is not in its result frame", i))
-	}
-	return r.next[i]
 }
 
 // --- float32 wire codec ---
@@ -605,19 +569,18 @@ func decodeRow(buf []byte, row, cols int) tensor.Vec {
 	return out
 }
 
-// argmaxRow decodes logits row `row` from the wire payload on the fly and
-// returns the index of its maximum (ties to the lowest index, matching
+// argmaxLogits decodes one logits row from the wire payload on the fly
+// and returns the index of its maximum (ties to the lowest index, matching
 // tensor.ArgMax), without staging the row as a float slice.
-func argmaxRow(buf []byte, row, cols int) int {
-	off := 4 * row * cols
+func argmaxLogits(row []byte) token.Token {
 	best := float32(math.Inf(-1))
 	bi := 0
-	for i := 0; i < cols; i++ {
-		v := math.Float32frombits(uint32(buf[off+4*i]) | uint32(buf[off+4*i+1])<<8 |
-			uint32(buf[off+4*i+2])<<16 | uint32(buf[off+4*i+3])<<24)
+	for i := 0; i < len(row)/4; i++ {
+		v := math.Float32frombits(uint32(row[4*i]) | uint32(row[4*i+1])<<8 |
+			uint32(row[4*i+2])<<16 | uint32(row[4*i+3])<<24)
 		if v > best {
 			best, bi = v, i
 		}
 	}
-	return bi
+	return token.Token(bi)
 }

@@ -209,6 +209,8 @@ func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float6
 	var out ServeOutcome
 	var runErr error
 	workers := make([]*Worker, len(topo.Stages))
+	targets := make([]*oracle.Oracle, len(topo.Stages))
+	targets[len(targets)-1] = o // the last stage samples the target
 	// One timeline ring per recording goroutine, the head's first: events
 	// at the same instant read in that order (a launch, then the inline
 	// stage's evaluation of it).
@@ -245,8 +247,7 @@ func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float6
 				ep = comm.Counted(ep, opts.Obs.RegisterLink(fmt.Sprintf("rank%d", rank)))
 			}
 			obs := stageObs(rank)
-			w := NewWorker(ep, opts.Cluster.Nodes[rank], opts.Pair.Target,
-				splits[si], si == len(topo.Stages)-1, kv)
+			w := NewWorker(ep, opts.Cluster.Nodes[rank], opts.Pair.Target, splits[si], targets[si], kv)
 			workers[si] = w
 			if err := engine.WorkerLoop(ep, topo, w, obs); err != nil && runErr == nil {
 				runErr = fmt.Errorf("simbk: stage %d: %w", si, err)
@@ -265,8 +266,7 @@ func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float6
 		bk := NewHead(ep, opts.Cluster.Nodes[topo.Head], opts.Pair.Draft, o)
 		var local engine.Worker
 		if topo.HeadIsStage() {
-			w := NewWorker(ep, opts.Cluster.Nodes[topo.Head], opts.Pair.Target,
-				splits[0], len(topo.Stages) == 1, kv)
+			w := NewWorker(ep, opts.Cluster.Nodes[topo.Head], opts.Pair.Target, splits[0], targets[0], kv)
 			workers[0] = w
 			local = w
 		}
@@ -294,8 +294,6 @@ func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float6
 			OnRecover:      opts.OnRecover,
 			PrefixCache:    opts.PrefixCache,
 			Obs:            opts.Obs,
-			// The simulated backend replays the oracle over run contexts.
-			NeedCtx: true,
 		}, reqs)
 		if err != nil {
 			// The stages are parked in their worker loops and only the head

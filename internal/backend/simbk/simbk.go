@@ -1,14 +1,17 @@
 // Package simbk is the simulated-cluster backend: pipeline workers charge
 // the cost model against the virtual clock instead of computing tensors,
-// and the head interprets results through the deterministic oracle model
-// pair. Because the engines only interact with the backend through the
-// engine.Worker / engine.HeadBackend interfaces, the scheduling behaviour
-// being measured here is byte-for-byte the same code that the real-compute
-// backend validates for correctness.
+// and the last stage samples the deterministic oracle's target model over
+// the tokens its KV cells hold, as the real backend's last stage computes
+// logits over its cells. Because the engines only interact with the
+// backend through the engine.Worker / engine.HeadBackend interfaces, the
+// scheduling behaviour being measured here is byte-for-byte the same code
+// that the real-compute backend validates for correctness.
 package simbk
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
@@ -24,26 +27,39 @@ import (
 // It maintains full KV cache *metadata* (paged slot allocation, sequence
 // sets) so the multibuffering protocol is exercised and validated at
 // paper scale; only the tensor arithmetic is replaced by virtual time.
+// The last stage also records the token each occupied cell was written
+// for — what a real cell's keys and values encode — and samples over the
+// cells a row sees, so a row that sees the wrong cells answers the wrong
+// token.
 type Worker struct {
 	ep     comm.Endpoint
 	node   cost.NodeSpec
 	ms     cost.ModelSpec
 	layers int
-	isLast bool
+	target *oracle.Oracle // the last stage's sampler; nil elsewhere
 	cache  *kvpage.Cache
 	groups []kvpage.VisibleGroup // the surviving rows' visible lists, rebuilt per run
 	meta   []kvcache.TokenMeta
 	cells  []int
-	live   []int // surviving (unmasked) row indices
+	live   []int         // surviving (unmasked) row indices
+	toks   []token.Token // last stage: the token each cell holds, by cell id
+	ctx    []token.Token // last stage: one group's visible tokens
+	next   []token.Token // last stage: each surviving row's target choice
+	out    []byte        // last stage: the result rows, one token id each
 }
 
 // NewWorker builds a simulated stage with a paged KV metadata cache
-// sized by kv.
-func NewWorker(ep comm.Endpoint, node cost.NodeSpec, ms cost.ModelSpec, layers int, isLast bool, kv kvpage.Config) *Worker {
-	return &Worker{
-		ep: ep, node: node, ms: ms, layers: layers, isLast: isLast,
+// sized by kv. target is the model the last stage samples; it is nil for
+// every other stage.
+func NewWorker(ep comm.Endpoint, node cost.NodeSpec, ms cost.ModelSpec, layers int, target *oracle.Oracle, kv kvpage.Config) *Worker {
+	w := &Worker{
+		ep: ep, node: node, ms: ms, layers: layers, target: target,
 		cache: kvpage.New(kv),
 	}
+	if target != nil {
+		w.toks = make([]token.Token, w.cache.Size())
+	}
+	return w
 }
 
 // Eval charges the stage time for the batch, layer chunk by layer chunk,
@@ -51,8 +67,9 @@ func NewWorker(ep comm.Endpoint, node cost.NodeSpec, ms cost.ModelSpec, layers i
 // points). KV metadata is updated exactly as the real backend would:
 // rows of a batched run are placed per owning shard, and rows masked out
 // by per-session cancellation are skipped entirely (no occupancy, no
-// charged compute). The last stage's rows are virtual: it returns no bytes
-// and charges the wire for a logits row per result row.
+// charged compute). The last stage answers each result row with the
+// target's choice over the row's visible cells (one 4-byte token id) and
+// charges the wire for a logits row per result row.
 func (w *Worker) Eval(run *engine.RunMsg, _ []byte, cancelled func() bool) ([]byte, int, bool) {
 	live := w.live[:0]
 	for i := 0; i < run.Len(); i++ {
@@ -77,6 +94,11 @@ func (w *Worker) Eval(run *engine.RunMsg, _ []byte, cancelled func() bool) ([]by
 		panic(fmt.Sprintf("simbk: stage cache exhausted: %v", err))
 	}
 	w.cells = cells[:0]
+	if w.target != nil {
+		for k, c := range cells {
+			w.toks[c] = run.Tokens[live[k]].Tok
+		}
+	}
 	w.checkVisibility(run, meta, live)
 	total := cost.StageTime(w.node, w.ms, w.layers, nl)
 	chunk := total / time.Duration(w.layers)
@@ -86,18 +108,42 @@ func (w *Worker) Eval(run *engine.RunMsg, _ []byte, cancelled func() bool) ([]by
 			return nil, 0, false
 		}
 	}
-	if w.isLast {
-		// Logits travel to the head for every result row: ranged
-		// (chunked-prefill) runs leave intermediate chunk rows out.
-		rows := 0
-		for _, i := range live {
+	if w.target != nil {
+		// A token id travels to the head for every result row, charged as
+		// a logits row: ranged (chunked-prefill) runs leave intermediate
+		// chunk rows out.
+		w.sample(run)
+		out := w.out[:0]
+		for k, i := range live {
 			if run.ResultRow(i, run.DeadSessions) {
-				rows++
+				out = binary.LittleEndian.AppendUint32(out, uint32(w.next[k]))
 			}
 		}
-		return nil, rows * w.ms.VocabSize * 4, true
+		w.out = out
+		return out, len(out) * w.ms.VocabSize, true // a logits row per 4-byte id
 	}
 	return nil, w.ms.ActivationBytes(nl), true
+}
+
+// sample picks the target's next token for every surviving result row
+// from the tokens of the cells the row sees: its group's position-sorted
+// visible list, cut at the row's own cell (checkVisibility's groups).
+func (w *Worker) sample(run *engine.RunMsg) {
+	w.next = slices.Grow(w.next[:0], len(w.live))[:len(w.live)]
+	for _, g := range w.groups {
+		w.ctx = w.ctx[:0]
+		for j, k := range g.Rows {
+			if !run.ResultRow(w.live[k], run.DeadSessions) {
+				continue
+			}
+			if len(w.ctx) == 0 {
+				for _, c := range g.Cells {
+					w.ctx = append(w.ctx, w.toks[c])
+				}
+			}
+			w.next[k] = w.target.TargetNext(w.ctx[:g.Lens[j]])
+		}
+	}
 }
 
 // checkVisibility lists the surviving rows' visible cells from cache
@@ -137,13 +183,14 @@ func (w *Worker) MemoryBytes() int64 {
 }
 
 // Head is the simulated head backend: drafting charges draft-model step
-// time and defers token choice to the oracle; results are interpreted by
-// replaying the oracle's target stream over the run's context.
+// time and defers token choice to the oracle; results are the token ids
+// the last stage picked.
 type Head struct {
 	ep    comm.Endpoint
 	node  cost.NodeSpec
 	draft cost.ModelSpec
 	O     *oracle.Oracle
+	res   engine.RowTokens // Results staging, reused across calls
 }
 
 // NewHead builds the simulated head backend.
@@ -163,50 +210,20 @@ func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32, 
 // Ready is always true: the simulated draft exists from the start.
 func (h *Head) Ready() bool { return true }
 
-// Results interprets a run's (virtual) logits: row i's target choice is
-// replayed from its context (run.Ctx) and the run's token placements.
-// Row-path reconstruction stays per session automatically: disjoint
-// namespaces mean a row's parent can only be an earlier row of the same
-// session.
-func (h *Head) Results(run *engine.Run, _ uint64, _ []byte) engine.Results {
+// Results charges the sampling time and decodes the last stage's token
+// ids (engine.RowTokens). The returned value is valid until the next
+// Results call.
+func (h *Head) Results(run *engine.Run, dead uint64, rows []byte) engine.Results {
 	h.ep.Elapse(cost.SampleTime)
-	return &simResults{o: h.O, run: run}
+	return h.res.Fill(run.Msg, dead, rows, h.RowBytes(), decodeID)
 }
 
-// RowBytes is zero: the simulated rows are virtual.
-func (h *Head) RowBytes() int { return 0 }
+// RowBytes is one token id: the last stage samples over its cells and
+// sends the choice, while charging the wire for a logits row.
+func (h *Head) RowBytes() int { return 4 }
+
+// decodeID reads one result row: a little-endian token id.
+func decodeID(row []byte) token.Token { return token.Token(binary.LittleEndian.Uint32(row)) }
 
 // MemoryBytes reports the draft model footprint.
 func (h *Head) MemoryBytes() int64 { return int64(h.draft.Bytes()) }
-
-type simResults struct {
-	o   *oracle.Oracle
-	run *engine.Run
-}
-
-// Next reconstructs the root-to-i path through the batch (parent = the
-// unique earlier token one position up sharing a sequence) and asks the
-// oracle for the target's next token.
-func (r *simResults) Next(i int) token.Token {
-	prefix := r.run.Ctx(i)
-	toks := r.run.Msg.Tokens
-	var rev []token.Token
-	cur := i
-	for cur >= 0 {
-		rev = append(rev, toks[cur].Tok)
-		parent := -1
-		for j := range toks {
-			if toks[j].Pos == toks[cur].Pos-1 && toks[j].Seqs.Intersects(toks[cur].Seqs) {
-				parent = j
-				break
-			}
-		}
-		cur = parent
-	}
-	ctx := make([]token.Token, 0, len(prefix)+len(rev))
-	ctx = append(ctx, prefix...)
-	for j := len(rev) - 1; j >= 0; j-- {
-		ctx = append(ctx, rev[j])
-	}
-	return r.o.TargetNext(ctx)
-}

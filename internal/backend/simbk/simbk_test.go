@@ -1,11 +1,17 @@
 package simbk
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
+	"github.com/pipeinfer/pipeinfer/internal/kvcache"
+	"github.com/pipeinfer/pipeinfer/internal/kvpage"
+	"github.com/pipeinfer/pipeinfer/internal/oracle"
 	"github.com/pipeinfer/pipeinfer/internal/serve"
+	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
 func baseOpts(strategy engine.Strategy, nodes int, alpha float64) Options {
@@ -347,5 +353,63 @@ func TestOneSessionOutcome(t *testing.T) {
 		if out.Stats.Done != st.Done || runCounters(out.Stats) != runCounters(st) {
 			t.Fatalf("%v: Run differs from its one-session serve", s)
 		}
+	}
+}
+
+// TestLastStageSamplesItsCells: the last stage answers a row with the
+// target's choice over the tokens its KV cells hold, not over anything the
+// run carries. A decode row carries one token; the rest of its context
+// comes from the prompt's cells, and once one of those cells is removed
+// and placed again with another token, the same decode row answers for
+// the new context.
+func TestLastStageSamplesItsCells(t *testing.T) {
+	o := oracle.New(simVocab, 0.7, 7)
+	w := NewWorker(chancomm.New(1).Endpoint(0), cost.ClusterC().Nodes[0], cost.PairDolphinTiny.Target, 2, o,
+		kvpage.Config{Cells: 64, PageSize: 8})
+	seq := kvcache.NewSeqSet(0)
+	// eval runs one row per token from position pos0 and returns every
+	// row's answer.
+	eval := func(pos0 int, toks ...token.Token) []token.Token {
+		t.Helper()
+		msg := &engine.RunMsg{Kind: engine.KindNonSpec}
+		for i, tok := range toks {
+			msg.Tokens = append(msg.Tokens, engine.TokenPlace{Tok: tok, Pos: int32(pos0 + i), Seqs: seq})
+		}
+		out, wire, ok := w.Eval(msg, nil, func() bool { return false })
+		if !ok || len(out) != 4*len(toks) || wire != len(toks)*4*cost.PairDolphinTiny.Target.VocabSize {
+			t.Fatalf("%d rows answered with %d bytes, %d on the wire (ok %v)", len(toks), len(out), wire, ok)
+		}
+		got := make([]token.Token, len(toks))
+		for i := range got {
+			got[i] = decodeID(out[4*i:])
+		}
+		return got
+	}
+
+	prompt := Prompt(simVocab, 12, 3)
+	n := len(prompt)
+	for i, got := range eval(0, prompt...) {
+		if want := o.TargetNext(prompt[:i+1]); got != want {
+			t.Fatalf("prompt row %d answered %d, want %d", i, got, want)
+		}
+	}
+	x := token.Token(100)
+	before := eval(n, x)[0]
+	if want := o.TargetNext(append(slices.Clone(prompt), x)); before != want {
+		t.Fatalf("decode row answered %d, want %d", before, want)
+	}
+
+	// Rewrite the prompt's last position: its cell and the decode row's go,
+	// another token takes the position, and the decode row runs again.
+	w.ApplyKV([]kvcache.Op{{Kind: kvcache.OpSeqRm, Src: 0, P0: int32(n - 1), P1: int32(n + 1)}})
+	y := prompt[n-1] + 1
+	eval(n-1, y)
+	ctx := append(slices.Clone(prompt[:n-1]), y, x)
+	after := eval(n, x)[0]
+	if want := o.TargetNext(ctx); after != want {
+		t.Fatalf("after the rewrite the decode row answered %d, want %d (%d before)", after, want, before)
+	}
+	if after == before {
+		t.Fatalf("the rewrite left the answer at %d: pick another token", after)
 	}
 }

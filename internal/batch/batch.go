@@ -35,16 +35,16 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
-// Row is one staged token row: a session's single decode token, or one
-// token of a session's speculative chain segment.
+// Row is one staged token row: a session's single decode token, one token
+// of a prefill chunk, or one token of a session's speculative chain
+// segment. A row carries no context: the stages hold its prefix in the KV
+// cells its sequence set sees, and every backend's last stage reads it
+// from there.
 type Row struct {
 	Session uint16
 	Tok     token.Token
 	Pos     int32
 	Seqs    kvcache.SeqSet
-	// Ctx is the row's session context for context-carrying backends
-	// (nil otherwise). Rows of one session share the same slice.
-	Ctx []token.Token
 	// Range, when Len > 0, tags the row with the (position, length)
 	// range its chunk covers a prefix of (engine.RunMsg.RowRanges):
 	// prefill-chunk rows carry the session's full remaining prefill
@@ -93,11 +93,7 @@ func (c *Composer) Rows() int { return len(c.rows) }
 // tags iff it has more than one group — one session's rows travel
 // untagged, Session naming the owner — and per-row ranges iff some row is
 // ranged. The two are independent.
-//
-// When needCtx is set, each row's context is appended to ctxs (which the
-// caller pools alongside the run record) and the extended slice is
-// returned; otherwise ctxs is returned untouched.
-func (c *Composer) ComposeInto(msg *engine.RunMsg, kind engine.RunKind, ctxs [][]token.Token, needCtx bool) [][]token.Token {
+func (c *Composer) ComposeInto(msg *engine.RunMsg, kind engine.RunKind) {
 	n := len(c.rows)
 	if n == 0 {
 		panic("batch: composing an empty batch")
@@ -143,10 +139,6 @@ func (c *Composer) ComposeInto(msg *engine.RunMsg, kind engine.RunKind, ctxs [][
 			}
 			msg.RowRanges[i] = rr
 		}
-		if needCtx {
-			ctxs = append(ctxs, r.Ctx)
-		}
 	}
 	c.Reset()
-	return ctxs
 }

@@ -11,20 +11,17 @@ import (
 )
 
 // TestComposeInto checks composition of staged rows into a multi-session
-// run: row order, per-row session tags, distinct-session count and
-// context collection.
+// run: row order, per-row session tags and distinct-session count.
 func TestComposeInto(t *testing.T) {
 	var c Composer
-	ctxA := []token.Token{1, 2}
-	ctxB := []token.Token{3}
-	c.Stage(Row{Session: 2, Tok: 10, Pos: 5, Seqs: kvcache.NewSeqSet(2), Ctx: ctxA})
-	c.Stage(Row{Session: 2, Tok: 11, Pos: 6, Seqs: kvcache.NewSeqSet(2), Ctx: ctxA})
-	c.Stage(Row{Session: 7, Tok: 12, Pos: 1, Seqs: kvcache.NewSeqSet(7), Ctx: ctxB})
+	c.Stage(Row{Session: 2, Tok: 10, Pos: 5, Seqs: kvcache.NewSeqSet(2)})
+	c.Stage(Row{Session: 2, Tok: 11, Pos: 6, Seqs: kvcache.NewSeqSet(2)})
+	c.Stage(Row{Session: 7, Tok: 12, Pos: 1, Seqs: kvcache.NewSeqSet(7)})
 	if c.Sessions() != 2 || c.Rows() != 3 {
 		t.Fatalf("staged %d sessions / %d rows", c.Sessions(), c.Rows())
 	}
 	msg := &engine.RunMsg{}
-	ctxs := c.ComposeInto(msg, engine.KindSpec, nil, true)
+	c.ComposeInto(msg, engine.KindSpec)
 	if len(msg.RowSessions) != 3 || msg.Len() != 3 || msg.Kind != engine.KindSpec {
 		t.Fatalf("composed %+v", msg)
 	}
@@ -33,9 +30,6 @@ func TestComposeInto(t *testing.T) {
 	}
 	if msg.Tokens[1].Tok != 11 || msg.Tokens[2].Pos != 1 {
 		t.Fatalf("tokens %v", msg.Tokens)
-	}
-	if len(ctxs) != 3 || &ctxs[0][0] != &ctxA[0] || &ctxs[2][0] != &ctxB[0] {
-		t.Fatalf("contexts not collected per row")
 	}
 	if c.Rows() != 0 || c.Sessions() != 0 {
 		t.Fatal("composer not reset after compose")
@@ -56,7 +50,7 @@ func TestComposeIntoRanges(t *testing.T) {
 	c.Stage(Row{Session: 3, Tok: 21, Pos: 5, Seqs: kvcache.NewSeqSet(3), Range: rng})
 	c.Stage(Row{Session: 1, Tok: 30, Pos: 8, Seqs: kvcache.NewSeqSet(1)})
 	msg := &engine.RunMsg{}
-	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
+	c.ComposeInto(msg, engine.KindNonSpec)
 	if len(msg.RowRanges) != 3 {
 		t.Fatalf("ranged composition: %+v", msg)
 	}
@@ -73,7 +67,7 @@ func TestComposeIntoRanges(t *testing.T) {
 	// drop the ranges again.
 	c.Stage(Row{Session: 1, Tok: 31, Pos: 9, Seqs: kvcache.NewSeqSet(1)})
 	c.Stage(Row{Session: 3, Tok: 22, Pos: 6, Seqs: kvcache.NewSeqSet(3)})
-	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
+	c.ComposeInto(msg, engine.KindNonSpec)
 	if len(msg.RowRanges) != 0 {
 		t.Fatal("pure decode batch still carries ranges")
 	}
@@ -136,19 +130,15 @@ func TestGroups(t *testing.T) {
 func TestComposeOneGroup(t *testing.T) {
 	var c Composer
 	canon, part := kvcache.NewSeqSet(8), kvcache.NewSeqSet(9)
-	ctx := []token.Token{1, 2, 3}
 
 	// A decode row.
-	c.Stage(Row{Session: 2, Tok: 40, Pos: 17, Seqs: canon, Ctx: ctx})
+	c.Stage(Row{Session: 2, Tok: 40, Pos: 17, Seqs: canon})
 	msg := &engine.RunMsg{ID: 7, Seq: 8}
-	ctxs := c.ComposeInto(msg, engine.KindNonSpec, nil, true)
+	c.ComposeInto(msg, engine.KindNonSpec)
 	want := &engine.RunMsg{ID: 7, Kind: engine.KindNonSpec, Seq: 8, Session: 2,
 		Tokens: []engine.TokenPlace{{Tok: 40, Pos: 17, Seqs: canon}}}
 	if len(msg.RowSessions) != 0 || len(msg.RowRanges) != 0 || !bytes.Equal(msg.Encode(), want.Encode()) {
 		t.Fatalf("one decode row composed to %+v", msg)
-	}
-	if len(ctxs) != 1 || &ctxs[0][0] != &ctx[0] {
-		t.Fatal("the untagged run's context is not its row's")
 	}
 
 	// A 3-token speculative chain with its prefix-sharing ops, composed
@@ -158,7 +148,7 @@ func TestComposeOneGroup(t *testing.T) {
 	}
 	msg.Seq = 9
 	msg.KVOps = []kvcache.Op{{Kind: kvcache.OpSeqCp, Src: 8, Dst: 9, P0: 0, P1: 18}}
-	c.ComposeInto(msg, engine.KindSpec, nil, false)
+	c.ComposeInto(msg, engine.KindSpec)
 	want = &engine.RunMsg{ID: 7, Kind: engine.KindSpec, Seq: 9, Session: 2,
 		Tokens: []engine.TokenPlace{
 			{Tok: 50, Pos: 18, Seqs: part}, {Tok: 51, Pos: 19, Seqs: part}, {Tok: 52, Pos: 20, Seqs: part},
@@ -171,7 +161,7 @@ func TestComposeOneGroup(t *testing.T) {
 	// Two groups: tagged.
 	c.Stage(Row{Session: 2, Tok: 40, Pos: 17, Seqs: canon})
 	c.Stage(Row{Session: 5, Tok: 41, Pos: 3, Seqs: kvcache.NewSeqSet(20)})
-	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
+	c.ComposeInto(msg, engine.KindNonSpec)
 	if len(msg.RowSessions) != 2 || len(msg.RowRanges) != 0 || msg.RowSessions[0] != 2 || msg.RowSessions[1] != 5 {
 		t.Fatalf("two groups composed to %+v", msg)
 	}
@@ -180,7 +170,7 @@ func TestComposeOneGroup(t *testing.T) {
 	rng := engine.RowRange{Pos: 0, Len: 2}
 	c.Stage(Row{Session: 5, Tok: 60, Pos: 0, Seqs: canon, Range: rng})
 	c.Stage(Row{Session: 5, Tok: 61, Pos: 1, Seqs: canon, Range: rng})
-	c.ComposeInto(msg, engine.KindPrefill, nil, false)
+	c.ComposeInto(msg, engine.KindPrefill)
 	if len(msg.RowSessions) != 0 || len(msg.RowRanges) != 2 || msg.Session != 5 || msg.SamplingRow(0) || !msg.SamplingRow(1) {
 		t.Fatalf("one ranged group composed to %+v", msg)
 	}
@@ -200,7 +190,7 @@ func TestResultFrameRoundTrip(t *testing.T) {
 		c.Stage(Row{Session: s, Tok: token.Token(10 + i), Pos: int32(i), Seqs: kvcache.NewSeqSet(kvcache.SeqID(i))})
 	}
 	msg := &engine.RunMsg{}
-	c.ComposeInto(msg, engine.KindNonSpec, nil, false)
+	c.ComposeInto(msg, engine.KindNonSpec)
 	payload := []byte{0xaa, 0xbb, 0xcc}
 	f, err := engine.ParseResult(engine.ResultPayload(engine.ResultFrame{ID: 3, OK: true, Dead: 1 << 5, Rows: payload}))
 	if err != nil {

@@ -472,6 +472,42 @@ type Results interface {
 	Next(i int) token.Token
 }
 
+// RowTokens is the Results value every head backend fills, eagerly, so the
+// frame's buffer can return to the pool as soon as Results returns: each
+// row's greedy target choice by its position in the run message. A row the
+// frame leaves out — masked at a stage, or a prefill chunk row that never
+// samples — is absent; the head issued every mask, so the serving demux
+// never asks for one.
+type RowTokens struct {
+	next []token.Token
+}
+
+// Fill decodes a run's result rows into r, storage reused: rows holds
+// rowBytes bytes for each row msg.ResultRow(i, dead) selects, back to back
+// in row order, and decode turns one into its token. It returns r, which
+// is valid until the next Fill.
+func (r *RowTokens) Fill(msg *RunMsg, dead uint64, rows []byte, rowBytes int, decode func(row []byte) token.Token) *RowTokens {
+	r.next = slices.Grow(r.next[:0], msg.Len())[:msg.Len()]
+	k := 0
+	for i := range r.next {
+		r.next[i] = -1
+		if msg.ResultRow(i, dead) {
+			r.next[i] = decode(rows[k*rowBytes : (k+1)*rowBytes])
+			k++
+		}
+	}
+	return r
+}
+
+// Next returns row i's target choice. Asking for a row the result frame
+// left out is a demux bug.
+func (r *RowTokens) Next(i int) token.Token {
+	if i < 0 || i >= len(r.next) || r.next[i] < 0 {
+		panic(fmt.Sprintf("engine: result row %d of %d is not in its result frame", i, len(r.next)))
+	}
+	return r.next[i]
+}
+
 // HeadBackend is the head node's compute: the draft model plus result
 // interpretation. Drafting must consume time (wall time for the real
 // drafter, virtual time for the simulated one).
@@ -494,12 +530,12 @@ type HeadBackend interface {
 	// has already checked against the run: rows holds RowBytes bytes for
 	// each row run.Msg.ResultRow(i, dead) selects — dead being the
 	// sessions the last stage had masked out — back to back in row order.
-	// Row i's context, which the simulated backend uses to reproduce
-	// target choices, is run.Ctx(i).
+	// Both backends decode them into a RowTokens.
 	Results(run *Run, dead uint64, rows []byte) Results
-	// RowBytes is the size of one result row on the wire: a vocab-sized
-	// logits row for the real backend, zero for one whose rows are
-	// virtual.
+	// RowBytes is the size of one result row in the frame: a vocab-sized
+	// logits row for the real backend; a 4-byte token id for the
+	// simulated one, whose last stage picks the target token from its
+	// cells and still charges the wire a logits row.
 	RowBytes() int
 	// MemoryBytes reports the head's resident footprint (draft model).
 	MemoryBytes() int64

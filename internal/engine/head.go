@@ -6,7 +6,6 @@ import (
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
-	"github.com/pipeinfer/pipeinfer/internal/token"
 	"github.com/pipeinfer/pipeinfer/internal/trace"
 	"github.com/pipeinfer/pipeinfer/internal/transact"
 )
@@ -15,13 +14,7 @@ import (
 // (§IV-A.1: "each run of the target pipeline is tracked in a data
 // structure ... placed in a FIFO queue").
 type Run struct {
-	Msg *RunMsg
-	// Ctxs holds the token contexts the run's rows extend — the accepted
-	// sequence before the row's own chain — for backends that interpret
-	// results from context (the simulated one): one per row (rows of one
-	// session share a slice), one that every row shares, or none. Read it
-	// through Ctx.
-	Ctxs      [][]token.Token
+	Msg       *RunMsg
 	Cancelled bool
 	// Seqs are the sequence partitions this run holds; freed and cleaned
 	// when the run completes. For batched runs they span several sessions'
@@ -36,18 +29,6 @@ type Run struct {
 	// scheduler had already cancelled produces an expected-missing result
 	// and needs cleanup only, not session recovery.
 	FailedLive bool
-}
-
-// Ctx returns the context token row i extends (nil when the run carries
-// none).
-func (r *Run) Ctx(i int) []token.Token {
-	switch len(r.Ctxs) {
-	case 0:
-		return nil
-	case 1:
-		return r.Ctxs[0]
-	}
-	return r.Ctxs[i]
 }
 
 // Head drives the pipeline from rank 0: launching runs, shipping KV
@@ -71,7 +52,7 @@ type Head struct {
 	// is re-examined after the failed run is popped.
 	pendingResult []byte
 	// freeRuns holds recycled run records, each with its message and
-	// context storage (NewRun, Recycle).
+	// partition storage (NewRun, Recycle).
 	freeRuns []*Run
 	// sessInflight counts in-flight runs per session slot (RunMsg.Session),
 	// the accounting the serving layer's fair admission is built on.
@@ -137,7 +118,7 @@ func (h *Head) SessionInflight(s uint16) int {
 }
 
 // NewRun hands out a run record to compose into: a recycled one, whose
-// message and context storage keep their capacity, or a fresh one. The
+// message and partition list keep their capacity, or a fresh one. The
 // caller Launches it or hands it back through Recycle.
 func (h *Head) NewRun() *Run {
 	if n := len(h.freeRuns); n > 0 {
@@ -148,14 +129,14 @@ func (h *Head) NewRun() *Run {
 	return &Run{Msg: &RunMsg{}}
 }
 
-// Recycle empties a run record, its message, its context array and its
-// partition list and returns them to the free list NewRun draws from.
-// Only callers that drop every reference to the record, its message and
-// anything derived from their pointer identity may recycle.
+// Recycle empties a run record, its message and its partition list and
+// returns them to the free list NewRun draws from. Only callers that drop
+// every reference to the record, its message and anything derived from
+// their pointer identity may recycle.
 func (h *Head) Recycle(run *Run) {
 	msg := run.Msg
 	*msg = RunMsg{Tokens: msg.Tokens[:0], RowSessions: msg.RowSessions[:0], RowRanges: msg.RowRanges[:0]}
-	*run = Run{Msg: msg, Ctxs: run.Ctxs[:0], Seqs: run.Seqs[:0]}
+	*run = Run{Msg: msg, Seqs: run.Seqs[:0]}
 	h.freeRuns = append(h.freeRuns, run)
 }
 
@@ -290,9 +271,9 @@ func (h *Head) consumeResult(payload []byte) (run *Run, res Results, ok bool, er
 		comm.PutBuf(payload)
 		return run, nil, false, nil
 	}
-	// Backends consume the rows inside Results (the real backend extracts
-	// greedy choices eagerly; the simulated one replays the oracle), so
-	// the wire buffer can return to the pool here.
+	// Backends consume the rows inside Results (both decode every row's
+	// greedy choice eagerly into a RowTokens), so the wire buffer can
+	// return to the pool here.
 	if err = h.checkResult(run.Msg, f); err == nil {
 		res = h.BK.Results(run, f.Dead, f.Rows)
 	}

@@ -4,7 +4,6 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/batch"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
-	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
 // launchRound is the speculative baseline's draft-then-await rule (Drive,
@@ -35,12 +34,8 @@ func (s *Scheduler) launchRound() bool {
 			seqs[j], _ = sess.alloc.Alloc() // no more leaves than nodes
 		}
 		round, rows, ops := sess.RoundRun(tree, seqs, nil, s.ops[:0])
-		var ctx []token.Token
-		if a := len(sess.Accepted); s.cfg.NeedCtx {
-			ctx = sess.Accepted[: a-1 : a-1] // below the anchor; accepted is append-only
-		}
 		for _, tp := range rows {
-			s.composer.Stage(batch.Row{Session: uint16(sess.slot), Tok: tp.Tok, Pos: tp.Pos, Seqs: tp.Seqs, Ctx: ctx})
+			s.composer.Stage(batch.Row{Session: uint16(sess.slot), Tok: tp.Tok, Pos: tp.Pos, Seqs: tp.Seqs})
 		}
 		s.ops = ops[:0]
 		if s.launchComposed(engine.KindSpec, seqs, ops) == nil {

@@ -34,9 +34,9 @@
 //
 // Stages need no per-session state: they demux runs purely through
 // engine.RunMsg.Session and the sequence sets carried in token
-// placements. Cancellation signals carry globally unique run IDs, so one
-// session's early cancellation (§IV-D) can never kill another session's
-// runs.
+// placements, and read each row's context from the cells its set sees;
+// no run carries one. Cancellation signals carry globally unique run
+// IDs, so one session's early cancellation (§IV-D) never kills another's.
 //
 // # Scheduling
 //
@@ -307,11 +307,6 @@ type Config struct {
 	// Speculate enables per-session continuous speculation (requires a
 	// drafting head backend and SeqsPerSession >= 2).
 	Speculate bool
-	// NeedCtx must be set for backends whose Results interpretation needs
-	// the run's context tokens (the simulated backend). The real backend
-	// decodes logits directly and leaves it false, which keeps the decode
-	// hot path snapshot-free.
-	NeedCtx bool
 	// OnToken, when non-nil, streams every accepted token as it is
 	// sampled, tagged with the request index.
 	OnToken func(req int, tok token.Token)
@@ -1520,18 +1515,11 @@ func (s *Scheduler) sendOp(op kvcache.Op) {
 // composer.
 func (s *Scheduler) stageDecodeRow(sess *session) {
 	a := len(sess.Accepted)
-	var ctx []token.Token
-	if s.cfg.NeedCtx {
-		// Accepted tokens are append-only, so the context prefix can
-		// alias the session buffer instead of snapshotting.
-		ctx = sess.Accepted[: a-1 : a-1]
-	}
 	s.composer.Stage(batch.Row{
 		Session: uint16(sess.slot),
 		Tok:     sess.Accepted[a-1],
 		Pos:     int32(a - 1),
 		Seqs:    sess.canonSet,
-		Ctx:     ctx,
 	})
 	sess.wantNonSpec = false
 	sess.stats.RunsLaunched++
@@ -1546,20 +1534,12 @@ func (s *Scheduler) stageChunk(sess *session, budget int) {
 	lo := sess.fillSent
 	hi := min(lo+budget, sess.fillTarget)
 	rng := engine.RowRange{Pos: int32(lo), Len: int32(sess.fillTarget - lo)}
-	var ctx []token.Token
-	if s.cfg.NeedCtx {
-		// The chunk's context is the already-recomputed (or mapped)
-		// prefix; accepted is append-only and frozen during prefill, so
-		// aliasing is safe.
-		ctx = sess.Accepted[:lo:lo]
-	}
 	for p := lo; p < hi; p++ {
 		s.composer.Stage(batch.Row{
 			Session: uint16(sess.slot),
 			Tok:     sess.Accepted[p],
 			Pos:     int32(p),
 			Seqs:    sess.canonSet,
-			Ctx:     ctx,
 			Range:   rng,
 		})
 	}
@@ -1601,7 +1581,7 @@ func (s *Scheduler) launchRows(ready, chunks []*session, lens []int) {
 func (s *Scheduler) launchComposed(kind engine.RunKind, seqs []kvcache.SeqID, ops []kvcache.Op) *engine.Run {
 	run := s.h.NewRun()
 	msg := run.Msg
-	run.Ctxs = s.composer.ComposeInto(msg, kind, run.Ctxs, s.cfg.NeedCtx)
+	s.composer.ComposeInto(msg, kind)
 	run.Seqs = append(run.Seqs, seqs...) // a record comes with its storage
 	if len(seqs) > 0 {
 		msg.Seq = seqs[0]
@@ -1691,19 +1671,12 @@ func (s *Scheduler) tryLaunchSpecBatch(width int) bool {
 		// Prefix sharing stays inside the session's namespace.
 		ops = sess.ShareOps(ops, seq)
 		base := len(sess.Accepted) + len(sess.Pending)
-		var runCtx []token.Token
-		if s.cfg.NeedCtx {
-			// The prefix includes pending tokens, which are rewritten on
-			// rejection — this snapshot must be real.
-			runCtx = sess.Frontier(make([]token.Token, 0, base))
-		}
 		for i, t := range toks {
 			s.composer.Stage(batch.Row{
 				Session: uint16(sess.slot),
 				Tok:     t,
 				Pos:     int32(base + i),
 				Seqs:    kvcache.NewSeqSet(seq),
-				Ctx:     runCtx,
 			})
 		}
 	}

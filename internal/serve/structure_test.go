@@ -20,7 +20,7 @@ import (
 
 // serveLines is the scheduler's line ratchet: internal/serve/serve.go may
 // shrink, and a change that shrinks it lowers this number; none raises it.
-const serveLines = 2081
+const serveLines = 2054
 
 // retired names may not be declared or referenced anywhere (a comment may
 // still name them: comments are not part of the syntax tree).
@@ -39,8 +39,10 @@ var retired = map[string]string{
 	"countedWaiter":       "a wrapper kept only to forward an optional capability; WaitRecv is part of comm.Endpoint (ROADMAP, Fault tolerance architecture: one await)",
 	"getMsg":              "a second pool; run messages recycle with their run record through engine.Head.NewRun and Recycle (ROADMAP, Performance architecture: pooled messaging)",
 	"putMsg":              "a second pool; run messages recycle with their run record through engine.Head.NewRun and Recycle (ROADMAP, Performance architecture: pooled messaging)",
-	"getCtxs":             "a second pool; context arrays recycle with their run record through engine.Head.NewRun and Recycle (ROADMAP, Performance architecture: pooled messaging)",
-	"putCtxs":             "a second pool; context arrays recycle with their run record through engine.Head.NewRun and Recycle (ROADMAP, Performance architecture: pooled messaging)",
+	"getCtxs":             "a second pool; no run carries row contexts, so there are no context arrays to pool (ROADMAP, Batching architecture: one result frame, one Results)",
+	"putCtxs":             "a second pool; no run carries row contexts, so there are no context arrays to pool (ROADMAP, Batching architecture: one result frame, one Results)",
+	"NeedCtx":             "a side channel for row contexts; the head keeps none, and simbk's last stage reads each row's context from its KV cells (ROADMAP, Batching architecture: one result frame, one Results)",
+	"Ctxs":                "row contexts on the run record; the head keeps none, and simbk's last stage reads each row's context from its KV cells (ROADMAP, Batching architecture: one result frame, one Results)",
 }
 
 // degradationFields may not be declared on serve.Scheduler: the breaker
