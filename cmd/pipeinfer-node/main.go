@@ -2,7 +2,8 @@
 // PipeInfer cluster over TCP. Start one process per rank with identical
 // flags (only -rank differs); every rank derives identical model weights
 // from the shared seed, so no weight files need distributing. Rank 0 is
-// the head: it drives generation and prints the result.
+// the head: it drives generation, prints the result and checks it against
+// the single-model greedy reference (a mismatch exits 1).
 //
 // Example (three shells, or backgrounded):
 //
@@ -46,9 +47,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer"
 	"github.com/pipeinfer/pipeinfer/internal/backend/realbk"
 	"github.com/pipeinfer/pipeinfer/internal/comm/tcpcomm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
@@ -141,7 +144,7 @@ func main() {
 		return
 	}
 
-	out, err := realbk.RunRank(ep, realbk.Options{
+	opts := pipeinfer.GenerateOptions{
 		Nodes:      len(addrs),
 		Strategy:   strategy,
 		CFG:        engine.Config{MaxNew: *tokens},
@@ -150,22 +153,34 @@ func main() {
 		DraftNoise: float32(*noise),
 		Prompt:     tk.Encode(*promptText),
 		OnWeights:  weightsReady,
-	})
+	}
+	out, err := realbk.RunRank(ep, opts)
 	if err != nil {
 		fatal(err)
 	}
-	if *rank == 0 {
-		fmt.Printf("output: %q\n", tk.Decode(out.Tokens))
-		fmt.Printf("speed: %.1f tok/s  TTFT: %v  ITL: %v  acceptance: %.0f%%  cancelled: %d/%d runs\n",
-			out.Stats.Speed(), out.Stats.TTFT().Round(time.Microsecond),
-			out.Stats.ITL().Round(time.Microsecond), out.Stats.AcceptanceRate()*100,
-			out.Stats.RunsCancelled, out.Stats.RunsLaunched)
-		if n := ep.Reconnects(); n > 0 {
-			fmt.Printf("fault tolerance: %d links re-established\n", n)
-		}
-	} else {
+	if *rank != 0 {
 		fmt.Fprintf(os.Stderr, "rank %d done\n", *rank)
+		return
 	}
+	fmt.Printf("output: %q\n", tk.Decode(out.Tokens))
+	fmt.Printf("speed: %.1f tok/s  TTFT: %v  ITL: %v  acceptance: %.0f%%  cancelled: %d/%d runs\n",
+		out.Stats.Speed(), out.Stats.TTFT().Round(time.Microsecond),
+		out.Stats.ITL().Round(time.Microsecond), out.Stats.AcceptanceRate()*100,
+		out.Stats.RunsCancelled, out.Stats.RunsLaunched)
+	if n := ep.Reconnects(); n > 0 {
+		fmt.Printf("fault tolerance: %d links re-established\n", n)
+	}
+	// The head checks what the cluster generated against the single-model
+	// greedy reference, so a deployment doubles as a correctness check.
+	ref, err := pipeinfer.ReferenceGreedy(opts, opts.CFG.Defaults().MaxNew)
+	if err != nil {
+		fatal(err)
+	}
+	if !slices.Equal(out.Tokens, ref) {
+		fmt.Println("correctness: MISMATCH against greedy reference")
+		os.Exit(1)
+	}
+	fmt.Println("correctness: output identical to single-model greedy reference")
 }
 
 // weightsReady reports the end of this rank's cold start: the layers it
@@ -232,13 +247,22 @@ func serveCluster(ep *tcpcomm.Endpoint, addrs []string, tk *token.Tokenizer, cfg
 	}
 	wall := time.Since(start)
 	total := 0
+	mismatch := false
 	for i, res := range out.Results {
 		if res.Err != nil {
 			fmt.Printf("session %d: not served (%v)\n", i, res.Err)
 			continue
 		}
 		total += res.Stats.Generated
-		fmt.Printf("session %d: %q (%d tok)\n", i, tk.Decode(res.Tokens), len(res.Tokens))
+		ref, err := pipeinfer.ReferenceGreedy(pipeinfer.GenerateOptions{
+			ModelCfg: cfg, Seed: seed, Prompt: reqs[i].Prompt,
+		}, engine.Config{MaxNew: tokens}.Defaults().MaxNew)
+		if err != nil {
+			fatal(err)
+		}
+		ok := slices.Equal(res.Tokens, ref)
+		mismatch = mismatch || !ok
+		fmt.Printf("session %d: %q (%d tok, verified=%v)\n", i, tk.Decode(res.Tokens), len(res.Tokens), ok)
 	}
 	fmt.Printf("aggregate: %d tokens in %v (%.1f tok/s); runs: %d launched, %d cancelled\n",
 		total, wall.Round(time.Millisecond), float64(total)/wall.Seconds(),
@@ -252,6 +276,11 @@ func serveCluster(ep *tcpcomm.Endpoint, addrs []string, tk *token.Tokenizer, cfg
 		}
 	}
 	out.Stats.WriteSummary(os.Stdout, sum)
+	if mismatch {
+		fmt.Println("correctness: MISMATCH against greedy reference")
+		os.Exit(1)
+	}
+	fmt.Println("correctness: every session identical to its greedy reference")
 }
 
 func fatal(err error) {

@@ -216,7 +216,7 @@ func main() {
 		}
 		ref, err := pipeinfer.ReferenceGreedy(pipeinfer.GenerateOptions{
 			ModelCfg: cfg, Seed: *seed, Prompt: reqs[i].Prompt,
-		}, *tokens)
+		}, opts.CFG.Defaults().MaxNew)
 		if err != nil {
 			fatal(err)
 		}

@@ -16,7 +16,7 @@ func wrapPlan(p *faultcomm.Plan) func(int, comm.Endpoint) comm.Endpoint {
 
 // TestServeFaultRecoveryParity is the PR-6 acceptance gate on the real
 // backend: 16 concurrent sessions served through a seeded fault plan —
-// dropped result frames (lost results), delayed activations, a
+// dropped result frames (lost results), delayed run frames, a
 // transiently stalled stage link (partition window) — must each produce
 // greedy output bit-identical to their serial single-model reference,
 // with the watchdog detecting the losses and session recovery (evict +
@@ -36,15 +36,16 @@ func TestServeFaultRecoveryParity(t *testing.T) {
 		{
 			// Iterative pipeline: head is stage 0, results flow 1 -> 0.
 			// Three results are dropped outright (the seq fence proves each
-			// lost when its successor arrives), activations jitter, and the
-			// head->stage link blacks out for a real-time window mid-run.
+			// lost when its successor arrives), run frames and the
+			// activations they carry jitter, and the head->stage link
+			// blacks out for a real-time window mid-run.
 			name: "iterative-drops-and-partition", nodes: 2, width: 1,
 			timeout: 8 * time.Millisecond,
 			plan: &faultcomm.Plan{Seed: 42, Rules: []faultcomm.Rule{
 				{Src: 1, Dst: 0, Tag: int(comm.TagResult), Kind: faultcomm.Drop, Nth: 5},
 				{Src: 1, Dst: 0, Tag: int(comm.TagResult), Kind: faultcomm.Drop, Nth: 23},
 				{Src: 1, Dst: 0, Tag: int(comm.TagResult), Kind: faultcomm.Drop, Nth: 40},
-				{Src: 0, Dst: 1, Tag: int(comm.TagActivation), Kind: faultcomm.Delay, Prob: 0.05, Delay: 300 * time.Microsecond},
+				{Src: 0, Dst: 1, Tag: int(comm.TagRun), Kind: faultcomm.Delay, Prob: 0.05, Delay: 300 * time.Microsecond},
 				{Src: 0, Dst: 1, Tag: -1, Kind: faultcomm.Partition, From: 2 * time.Millisecond, Until: 14 * time.Millisecond},
 			}},
 		},
@@ -114,6 +115,13 @@ func TestServeFaultRecoveryParity(t *testing.T) {
 			}
 			if tc.plan.Stats().Total() == 0 {
 				t.Fatal("the fault plan injected nothing — the test exercised a clean run")
+			}
+			// A delay rule that matches no traffic (a stream nothing sends
+			// on any more) would leave the case testing less than it says.
+			for _, r := range tc.plan.Rules {
+				if r.Kind == faultcomm.Delay && tc.plan.LinkStats(r.Src, r.Dst).Delayed == 0 {
+					t.Fatalf("delay rule %+v held no message", r)
+				}
 			}
 			if out.Stats.RunTimeouts == 0 {
 				t.Fatalf("faults injected (%+v) but the watchdog never declared a run failed", tc.plan.Stats())

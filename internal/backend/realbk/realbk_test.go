@@ -99,6 +99,7 @@ func TestRealSpeculativeWideTrees(t *testing.T) {
 // PipeInfer must accept speculated tokens (not just fall through to
 // corrective sampling).
 func TestRealPipeInferAcceptsDraftTokens(t *testing.T) {
+	noYield(t)
 	opts := testOpts(engine.StrategyPipeInfer, 3, 0.01)
 	opts.CFG.MaxNew = 24
 	out, err := Run(opts)
@@ -117,6 +118,7 @@ func TestRealPipeInferAcceptsDraftTokens(t *testing.T) {
 // early inference cancellation without corrupting output (covered by the
 // equality test); here we check the machinery fires.
 func TestRealCancellationOnNoisyDraft(t *testing.T) {
+	noYield(t)
 	opts := testOpts(engine.StrategyPipeInfer, 3, 1.5)
 	opts.CFG.MaxNew = 24
 	out, err := Run(opts)
@@ -305,6 +307,7 @@ func TestRealErrors(t *testing.T) {
 // acceptance, which comes no later than completion; and the run counters
 // the Outcome takes from the head's aggregate are the one session's own.
 func TestOneSessionOutcome(t *testing.T) {
+	noYield(t)
 	counters := func(s engine.Stats) [5]int {
 		return [5]int{s.Proposed, s.Accepted, s.RunsLaunched, s.RunsCancelled, s.Superfluous}
 	}

@@ -13,7 +13,7 @@ import (
 
 // TestSimServeFaultRecoveryParity replays the PR-6 fault-tolerance
 // acceptance in virtual time, where every scale is exact and free:
-// dropped result frames, delayed activations, and a 15-virtual-second
+// dropped result frames, delayed run frames, and a 15-virtual-second
 // network blackout mid-run must leave all 16 sessions bit-identical to
 // their oracle streams, with the watchdog catching the losses and
 // eviction + prefix-recompute repairing them. Virtual-time scales: runs
@@ -40,7 +40,7 @@ func TestSimServeFaultRecoveryParity(t *testing.T) {
 			plan: &faultcomm.Plan{Seed: 11, Rules: []faultcomm.Rule{
 				{Src: 2, Dst: 0, Tag: int(comm.TagResult), Kind: faultcomm.Drop, Nth: 40},
 				{Src: 2, Dst: 0, Tag: int(comm.TagResult), Kind: faultcomm.Drop, Nth: 150},
-				{Src: 1, Dst: 2, Tag: int(comm.TagActivation), Kind: faultcomm.Delay, Prob: 0.03, Delay: 20 * time.Millisecond},
+				{Src: 1, Dst: 2, Tag: int(comm.TagRun), Kind: faultcomm.Delay, Prob: 0.03, Delay: 20 * time.Millisecond},
 				{Src: 2, Dst: 0, Tag: -1, Kind: faultcomm.Partition, From: 5 * time.Second, Until: 20 * time.Second},
 			}},
 		},
@@ -90,6 +90,13 @@ func TestSimServeFaultRecoveryParity(t *testing.T) {
 			}
 			if tc.plan.Stats().Total() == 0 {
 				t.Fatal("the fault plan injected nothing — the test exercised a clean run")
+			}
+			// A delay rule that matches no traffic (a stream nothing sends
+			// on any more) would leave the case testing less than it says.
+			for _, r := range tc.plan.Rules {
+				if r.Kind == faultcomm.Delay && tc.plan.LinkStats(r.Src, r.Dst).Delayed == 0 {
+					t.Fatalf("delay rule %+v held no message", r)
+				}
 			}
 			if out.Stats.RunTimeouts == 0 {
 				t.Fatalf("faults injected (%+v) but the watchdog never declared a run failed", tc.plan.Stats())

@@ -8,7 +8,6 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/token"
-	"github.com/pipeinfer/pipeinfer/internal/transact"
 )
 
 // TestSimServeGreedyParity is the serving correctness wall at paper
@@ -455,11 +454,10 @@ func TestSimServeBatchedFasterThanUnbatched(t *testing.T) {
 
 // specWatch wraps the head's endpoint and keeps, per session, the number
 // of its speculative runs between launch and result: every run leaves the
-// head as a decode transaction's header and comes back as a result frame
-// carrying its ID.
+// head as a run frame, which starts with its message, and comes back as a
+// result frame carrying its ID.
 type specWatch struct {
 	comm.Endpoint
-	decode  bool                // the transaction just announced is a decode
 	riders  map[uint32][]uint16 // speculative run ID -> sessions riding it
 	live    map[uint16]int
 	maxLive int
@@ -467,10 +465,7 @@ type specWatch struct {
 }
 
 func (w *specWatch) Send(dst int, tag comm.Tag, payload []byte, wire int) {
-	switch {
-	case tag == comm.TagStart:
-		w.decode = transact.Type(payload[0]) == transact.TypeDecode
-	case tag == comm.TagRun && w.decode:
+	if tag == comm.TagRun && engine.FrameOpOf(payload) == engine.OpRun {
 		msg, err := engine.DecodeRunMsg(payload)
 		if err != nil {
 			panic(err)

@@ -28,17 +28,22 @@ import (
 type Tag uint8
 
 const (
-	// TagStart carries transaction-start announcements (§IV-A.2).
-	TagStart Tag = iota
-	// TagRun carries run headers (batch metadata, KV ops).
-	TagRun
-	// TagActivation carries inter-stage activation tensors.
+	// TagRun carries the pipeline operations, one frame each, that the
+	// head issues and every stage forwards downstream: runs (header and,
+	// past the first target stage, activation), KV transactions and
+	// shutdown (see engine.WorkerLoop). One stream per link orders them.
+	TagRun Tag = iota
+	// TagActivation is a second data stream the engine never sends on
+	// (an activation travels in its run's frame); transport tests and
+	// benchmarks use it.
 	TagActivation
 	// TagResult carries final-stage results (logits) to the head.
 	TagResult
 	// TagCancel carries early-inference-cancellation signals (§IV-D).
 	TagCancel
-	// TagControl carries shutdown and miscellaneous control traffic.
+	// TagControl is a stream outside the pipeline's operations: the
+	// engine never sends on it (shutdown is a TagRun frame); transport
+	// tests and the benchmark's round-trip probe do.
 	TagControl
 
 	// NumTags is the number of distinct tags.
@@ -46,19 +51,19 @@ const (
 )
 
 // WireVersion names the payload formats every rank of one cluster must
-// share: the engine's run, activation, result and cancel messages. A
+// share: the engine's run, KV, shutdown, result and cancel frames. A
 // transport between processes refuses a peer of another version when it
 // connects (tcpcomm's hello) instead of decoding frames it does not know.
 // Bump it with any change to those formats or to what their fields mean;
-// version 0 is a peer from before versions existed, and version 2 is the
-// one in which a cancel entry's zero mask stopped meaning "skip the run".
-const WireVersion = 2
+// version 0 is a peer from before versions existed, version 2 the one in
+// which a cancel entry's zero mask stopped meaning "skip the run", and
+// version 3 the one in which each pipeline operation became one frame on
+// TagRun (no start message, no separate activation message).
+const WireVersion = 3
 
 // String names the tag for traces.
 func (t Tag) String() string {
 	switch t {
-	case TagStart:
-		return "start"
 	case TagRun:
 		return "run"
 	case TagActivation:

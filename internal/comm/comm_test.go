@@ -13,7 +13,7 @@ import (
 )
 
 func TestTagString(t *testing.T) {
-	if comm.TagStart.String() != "start" || comm.TagCancel.String() != "cancel" {
+	if comm.TagRun.String() != "run" || comm.TagCancel.String() != "cancel" || comm.NumTags.String() != "tag(5)" {
 		t.Fatal("tag names wrong")
 	}
 }

@@ -11,11 +11,12 @@
 // failures above the transport (a crashed-and-restarted peer, an
 // application-level retransmit). The engine protocol tolerates loss and
 // duplication only on the result and cancel streams (results are
-// ID-fenced and cancels are advisory); dropping transaction traffic
-// (start/run/activation) desynchronises a stage's dispatcher
-// irrecoverably, so plans against a live pipeline should restrict Drop
-// and Dup to comm.TagResult / comm.TagCancel and use Delay or Partition
-// — which hold and release, never lose — on everything else.
+// ID-fenced and cancels are advisory); dropping or duplicating a frame on
+// the run stream (a run with its activation, a KV transaction, shutdown)
+// desynchronises the stages irrecoverably, so plans against a live
+// pipeline should restrict Drop and Dup to comm.TagResult / comm.TagCancel
+// and use Delay or Partition — which hold and release, never lose — on
+// everything else.
 package faultcomm
 
 import (

@@ -454,8 +454,8 @@ type Worker interface {
 	// worker loop decodes every run into one reused message — so the
 	// worker must copy anything it needs afterwards. The returned payload may
 	// alias worker-owned staging storage and is only valid until the
-	// worker's next Eval call; callers frame or copy it (DataPayload,
-	// ResultPayload) before evaluating another run.
+	// worker's next Eval call; callers copy it into a frame (a run frame's
+	// activation, a ResultFrame) before evaluating another run.
 	Eval(run *RunMsg, input []byte, cancelled func() bool) (out []byte, wire int, ok bool)
 	// ApplyKV applies pipelined cache operations in transaction order.
 	// ops is only read during the call: the worker loop decodes every

@@ -314,20 +314,32 @@ func TestRunMsgRowMasks(t *testing.T) {
 }
 
 func TestPayloadFraming(t *testing.T) {
-	if _, ok := PayloadData(EmptyPayload()); ok {
-		t.Fatal("empty payload has data")
+	if _, ok, err := parseActivation(appendActivation(nil, false, []byte{9})); ok || err != nil {
+		t.Fatalf("empty activation: ok=%v err=%v", ok, err)
 	}
-	data, ok := PayloadData(DataPayload([]byte{1, 2, 3}))
-	if !ok || len(data) != 3 || data[2] != 3 {
-		t.Fatalf("data payload broken: %v %v", data, ok)
+	data, ok, err := parseActivation(appendActivation(nil, true, []byte{1, 2, 3}))
+	if !ok || err != nil || !bytes.Equal(data, []byte{1, 2, 3}) {
+		t.Fatalf("data activation broken: %v %v %v", data, ok, err)
 	}
 	// Zero-length data is still "data" (sim backend marker payloads).
-	data, ok = PayloadData(DataPayload(nil))
-	if !ok || len(data) != 0 {
-		t.Fatal("zero-length data payload broken")
+	data, ok, err = parseActivation(appendActivation(nil, true, nil))
+	if !ok || err != nil || len(data) != 0 {
+		t.Fatal("zero-length data activation broken")
 	}
-	if _, ok := PayloadData(nil); ok {
-		t.Fatal("nil payload has data")
+	for _, bad := range [][]byte{nil, {2}, {payloadEmpty, 0}} {
+		if _, _, err := parseActivation(bad); err == nil {
+			t.Fatalf("activation %v parsed", bad)
+		}
+	}
+	// A run frame starts with its message, whatever follows the header.
+	msg := &RunMsg{ID: 7, Tokens: []TokenPlace{{Tok: 5, Pos: 3, Seqs: 1}}}
+	f := append(appendActivation(msg.AppendEncode(nil), true, []byte{4}), byte(OpRun))
+	got, err := DecodeRunMsg(f)
+	if err != nil || got.ID != 7 || got.EncodedSize() != msg.EncodedSize() || FrameOpOf(f) != OpRun {
+		t.Fatalf("run frame decodes as %+v, %v", got, err)
+	}
+	if FrameOpOf(nil) != 0 {
+		t.Fatal("an empty frame names an op")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/trace"
-	"github.com/pipeinfer/pipeinfer/internal/transact"
 )
 
 // Run is the head-side tracking record for one in-flight pipeline run
@@ -197,31 +196,13 @@ func (h *Head) launch(run *Run) {
 			h.localResults.push(ResultPayload(ResultFrame{ID: msg.ID, OK: ok, Dead: msg.DeadSessions, Rows: out}))
 			return
 		}
-		var payload []byte
-		pw := 0
-		if ok {
-			// Copies the worker's staging buffer into a pooled payload.
-			payload = DataPayload(out)
-			pw = wire + 1
-		} else {
-			payload = EmptyPayload()
-			pw = len(payload)
-		}
-		transact.Begin(h.EP, next, transact.TypeDecode)
-		enc := msg.AppendEncode(comm.GetBuf(msg.EncodedSize()))
-		h.EP.Send(next, comm.TagRun, enc, len(enc))
-		comm.PutBuf(enc)
-		h.EP.Send(next, comm.TagActivation, payload, pw)
-		comm.PutBuf(payload)
+		f := msg.AppendEncode(comm.GetBuf(msg.EncodedSize() + len(out) + 2))
+		sendRun(h.EP, next, f, true, ok, out, wire)
 		return
 	}
 
 	// Dedicated head (PipeInfer): ship tokens to the first target stage.
-	first := h.Topo.Stages[0]
-	transact.Begin(h.EP, first, transact.TypeDecode)
-	enc := msg.AppendEncode(comm.GetBuf(msg.EncodedSize()))
-	h.EP.Send(first, comm.TagRun, enc, len(enc))
-	comm.PutBuf(enc)
+	sendRun(h.EP, h.Topo.Stages[0], msg.AppendEncode(comm.GetBuf(msg.EncodedSize()+1)), false, false, nil, 0)
 }
 
 // ResultWaiting reports whether a completed run's result can be consumed
@@ -452,8 +433,9 @@ func (h *Head) broadcastCancel(payload []byte) {
 	}
 }
 
-// SendKV ships cache operations as a pipelined KV transaction: applied to
-// the inline stage immediately and forwarded stage to stage (§IV-C.3).
+// SendKV ships cache operations as a pipelined KV transaction, one KV
+// frame: applied to the inline stage immediately and forwarded stage to
+// stage (§IV-C.3).
 func (h *Head) SendKV(ops []kvcache.Op) {
 	if len(ops) == 0 {
 		return
@@ -465,16 +447,17 @@ func (h *Head) SendKV(ops []kvcache.Op) {
 	if next < 0 {
 		return
 	}
-	transact.Begin(h.EP, next, transact.TypeKV)
-	enc := kvcache.AppendOps(comm.GetBuf(11*len(ops)), ops)
-	h.EP.Send(next, comm.TagRun, enc, len(enc))
-	comm.PutBuf(enc)
+	f := append(kvcache.AppendOps(comm.GetBuf(11*len(ops)+1), ops), byte(OpKV))
+	h.EP.Send(next, comm.TagRun, f, len(f))
+	comm.PutBuf(f)
 }
 
-// Shutdown propagates the shutdown transaction through the pipeline.
+// Shutdown sends the shutdown frame down the pipeline.
 func (h *Head) Shutdown() {
 	if next := h.Topo.FirstRemote(); next >= 0 {
-		transact.Begin(h.EP, next, transact.TypeShutdown)
+		f := append(comm.GetBuf(1), byte(OpShutdown))
+		h.EP.Send(next, comm.TagRun, f, 1)
+		comm.PutBuf(f)
 	}
 }
 

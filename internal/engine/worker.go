@@ -6,36 +6,94 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/trace"
-	"github.com/pipeinfer/pipeinfer/internal/transact"
 )
 
-// Payload framing: the first byte of every activation/result payload says
-// whether it carries data. Cancelled runs forward empty payloads so that
-// message ordering and per-node state stay intact (§IV-D.2).
+// Every pipeline operation the head issues travels downstream as one
+// frame on comm.TagRun, and every stage forwards it as one frame; the
+// frame's last byte names the operation:
+//
+//	run:      RunMsg encoding | [activation] | OpRun
+//	KV:       encoded KV ops | OpKV
+//	shutdown: OpShutdown
+//
+// A run frame carries an activation past the first target stage: a
+// marker, then, unless the run was cancelled upstream, the activation
+// rows. Its header's length is the decoded message's EncodedSize, so no
+// length prefix is needed, and the op byte sits last so that a run frame
+// starts with its message. The paper announces each operation on a start
+// tag before its typed messages (§IV-A.2) to make every stage execute the
+// operations in the order they were issued; one FIFO stream per link
+// gives the same order here.
+type FrameOp byte
+
+// The pipeline operations. Zero is none of them, so an all-zero frame is
+// an error.
+const (
+	OpRun FrameOp = 1 + iota
+	OpKV
+	OpShutdown
+)
+
+// FrameOpOf reads a frame's op byte; 0 for an empty frame.
+func FrameOpOf(frame []byte) FrameOp {
+	if len(frame) == 0 {
+		return 0
+	}
+	return FrameOp(frame[len(frame)-1])
+}
+
+// Activation markers: the first byte of an activation says whether it
+// carries data. Cancelled runs forward the empty marker so that message
+// ordering and per-node state stay intact (§IV-D.2).
 const (
 	payloadEmpty byte = 0
 	payloadData  byte = 1
 )
 
-// EmptyPayload returns the marker payload forwarded for cancelled runs.
-// The buffer comes from the message pool; release it with comm.PutBuf
-// after Send.
-func EmptyPayload() []byte { return append(comm.GetBuf(1), payloadEmpty) }
-
-// DataPayload frames a copy of data for the wire in a pooled buffer
-// (release with comm.PutBuf after Send). Copying here is what lets
-// workers return payloads that alias their reusable staging buffers.
-func DataPayload(data []byte) []byte {
-	out := append(comm.GetBuf(1+len(data)), payloadData)
-	return append(out, data...)
+// appendActivation appends an activation to a run frame: the empty
+// marker, or the data marker and a copy of data. Copying here is what
+// lets workers return payloads that alias their reusable staging buffers.
+func appendActivation(f []byte, ok bool, data []byte) []byte {
+	if !ok {
+		return append(f, payloadEmpty)
+	}
+	return append(append(f, payloadData), data...)
 }
 
-// PayloadData unwraps a framed payload; ok is false for the empty marker.
-func PayloadData(p []byte) (data []byte, ok bool) {
-	if len(p) == 0 || p[0] == payloadEmpty {
-		return nil, false
+// parseActivation reverses appendActivation; ok is false for the empty
+// marker. A missing or unknown marker, or bytes after the empty one, is
+// an error.
+func parseActivation(p []byte) (data []byte, ok bool, err error) {
+	switch {
+	case len(p) == 0:
+		return nil, false, fmt.Errorf("engine: run frame carries no activation")
+	case p[0] == payloadData:
+		return p[1:], true, nil
+	case p[0] != payloadEmpty:
+		return nil, false, fmt.Errorf("engine: activation has unknown marker %d", p[0])
+	case len(p) > 1:
+		return nil, false, fmt.Errorf("engine: empty activation carries %d bytes", len(p)-1)
 	}
-	return p[1:], true
+	return nil, false, nil
+}
+
+// sendRun completes the run frame f, which holds the run's encoding, and
+// sends it to dst. A frame for a stage past the first target stage (act)
+// carries the activation, whose data is charged wire bytes. The frame is
+// charged its op byte, its header and, with an activation, the marker
+// and the data's wire bytes.
+func sendRun(ep comm.Endpoint, dst int, f []byte, act, ok bool, data []byte, wire int) {
+	charge := len(f) + 1
+	if act {
+		f = appendActivation(f, ok, data)
+		charge++
+		if ok {
+			charge += wire
+		}
+	}
+	f = append(f, byte(OpRun))
+	ep.Send(dst, comm.TagRun, f, charge)
+	comm.PutBuf(f)
 }
 
 // A result frame (last stage → head) is
@@ -201,12 +259,13 @@ func (o WorkerObs) eval(ep comm.Endpoint, w Worker, run *RunMsg, input []byte, c
 	return out, wire, ok
 }
 
-// WorkerLoop is the main loop of every non-head pipeline rank: a
-// transaction server that evaluates decode runs over its layer shard,
-// applies pipelined KV operations, honours cancellation signals, and
-// forwards transactions downstream in order. obs observes the stage's
-// evaluations (the zero value observes nothing). It returns when the
-// shutdown transaction arrives.
+// WorkerLoop is the main loop of every non-head pipeline rank. It
+// receives the pipeline's operations from upstream, one frame each, in the
+// order they were issued: it evaluates runs over its layer shard, applies
+// KV transactions, honours cancellation signals, and forwards each
+// operation downstream as one frame. obs observes the stage's evaluations
+// (the zero value observes nothing). It returns when the shutdown frame
+// arrives, and with an error on a frame it cannot read.
 func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error {
 	rank := ep.Rank()
 	stageIdx := -1
@@ -238,7 +297,6 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 	// The bubble-fraction window opens at serve start, not first eval:
 	// a stage that idles before its first run is genuinely bubbling.
 	obs.Meter.Open(ep.Now())
-	d := transact.NewDispatcher(ep, upstream)
 
 	// Every run decodes into one message, and one probe serves every
 	// evaluation, so a stage's steady state allocates nothing. The
@@ -251,18 +309,20 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 	}
 	var kvOps []kvcache.Op
 
-	d.Register(transact.TypeDecode, func(ep comm.Endpoint, src int) error {
-		raw := ep.Recv(src, comm.TagRun)
-		err := run.Decode(raw)
-		comm.PutBuf(raw) // Decode never retains the wire buffer
-		if err != nil {
+	// evalRun executes one run frame's body; it only reads body.
+	evalRun := func(body []byte) error {
+		if err := run.Decode(body); err != nil {
 			return err
 		}
-		var input, inputBuf []byte
-		inputOK := true
+		hdr := run.EncodedSize()
+		input, inputOK := []byte(nil), true
 		if expectsActivation {
-			inputBuf = ep.Recv(src, comm.TagActivation)
-			input, inputOK = PayloadData(inputBuf)
+			var err error
+			if input, inputOK, err = parseActivation(body[hdr:]); err != nil {
+				return fmt.Errorf("engine: run %d: %w", run.ID, err)
+			}
+		} else if len(body) > hdr {
+			return fmt.Errorf("engine: run %d: first-stage frame carries %d bytes past its header", run.ID, len(body)-hdr)
 		}
 
 		// Pipelined KV operations apply in transaction order even for
@@ -280,80 +340,70 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 		cancels.drain(ep, topo.Head)
 		run.DeadSessions = cancels.skip(run.ID)
 		var data []byte
-		w_, ok := 0, false
+		wire, ok := 0, false
 		if inputOK && !run.AllMasked(run.DeadSessions) {
-			data, w_, ok = obs.eval(ep, w, run, input, cancelled)
+			data, wire, ok = obs.eval(ep, w, run, input, cancelled)
 		}
-		last := downstream < 0
+		if downstream >= 0 {
+			// The header travels on as it arrived; the activation is
+			// this stage's output, copied out of the worker's staging.
+			f := append(comm.GetBuf(hdr+len(data)+2), body[:hdr]...)
+			sendRun(ep, downstream, f, true, ok, data, wire)
+			cancels.gc(run.ID)
+			return nil
+		}
 		// The last stage answers a run it skipped, or one the head asked to
 		// be computed without a result, with the empty marker: the head
 		// knows it cancelled them, and dropping the logits transfer is the
-		// "final sampling is skipped" saving of §IV-D.3.
-		ok = ok && !(last && cancels.drop(run.ID))
-		cancels.gc(run.ID)
-
-		// Eval's payload aliases worker staging; ResultPayload / DataPayload
-		// copy it into a pooled wire buffer. A result frame additionally
+		// "final sampling is skipped" saving of §IV-D.3. A result frame
 		// carries the run ID, so the head can fence late, duplicated, or
 		// lost results on a faulty link, and the sessions this stage masked
 		// out, which name the rows the frame leaves out.
-		var out []byte
-		wire := 0
-		switch {
-		case last && ok:
-			f := ResultFrame{ID: run.ID, OK: true, Dead: run.DeadSessions, Rows: data}
-			out, wire = ResultPayload(f), w_+f.headerLen()
-		case last:
-			out = ResultPayload(ResultFrame{ID: run.ID})
-			wire = len(out)
-		case ok:
-			out, wire = DataPayload(data), w_+1
-		default:
-			out = EmptyPayload()
-			wire = len(out)
+		f := ResultFrame{ID: run.ID}
+		if ok && !cancels.drop(run.ID) {
+			f = ResultFrame{ID: run.ID, OK: true, Dead: run.DeadSessions, Rows: data}
 		}
-		// input was only read by Eval; its buffer is done.
-		if inputBuf != nil {
-			comm.PutBuf(inputBuf)
-		}
-
-		if !last {
-			transact.Begin(ep, downstream, transact.TypeDecode)
-			enc := run.AppendEncode(comm.GetBuf(run.EncodedSize()))
-			ep.Send(downstream, comm.TagRun, enc, len(enc))
-			comm.PutBuf(enc)
-			ep.Send(downstream, comm.TagActivation, out, wire)
-			comm.PutBuf(out)
-			return nil
+		cancels.gc(run.ID)
+		out := ResultPayload(f) // copies the rows out of the worker's staging
+		if f.OK {
+			wire += f.headerLen()
+		} else {
+			wire = len(out)
 		}
 		ep.Send(topo.Head, comm.TagResult, out, wire)
 		comm.PutBuf(out)
 		return nil
-	})
+	}
 
-	d.Register(transact.TypeKV, func(ep comm.Endpoint, src int) error {
-		raw := ep.Recv(src, comm.TagRun)
-		ops, err := kvcache.AppendDecodeOps(kvOps[:0], raw)
+	for {
+		frame := ep.Recv(upstream, comm.TagRun)
+		var err error
+		switch op := FrameOpOf(frame); op {
+		case OpRun:
+			err = evalRun(frame[:len(frame)-1])
+		case OpKV:
+			if kvOps, err = kvcache.AppendDecodeOps(kvOps[:0], frame[:len(frame)-1]); err == nil {
+				w.ApplyKV(kvOps)
+				if downstream >= 0 {
+					ep.Send(downstream, comm.TagRun, frame, len(frame))
+				}
+			}
+		case OpShutdown:
+			if len(frame) != 1 {
+				err = fmt.Errorf("engine: shutdown frame carries %d bytes", len(frame)-1)
+				break
+			}
+			if downstream >= 0 {
+				ep.Send(downstream, comm.TagRun, frame, 1)
+			}
+			comm.PutBuf(frame)
+			return nil
+		default:
+			err = fmt.Errorf("engine: %d-byte frame names no pipeline operation (op %d)", len(frame), op)
+		}
+		comm.PutBuf(frame)
 		if err != nil {
-			comm.PutBuf(raw)
 			return err
 		}
-		kvOps = ops
-		w.ApplyKV(ops)
-		if downstream >= 0 {
-			transact.Begin(ep, downstream, transact.TypeKV)
-			ep.Send(downstream, comm.TagRun, raw, len(raw))
-		}
-		comm.PutBuf(raw)
-		return nil
-	})
-
-	d.Register(transact.TypeShutdown, func(ep comm.Endpoint, src int) error {
-		if downstream >= 0 {
-			transact.Begin(ep, downstream, transact.TypeShutdown)
-		}
-		return nil
-	})
-
-	return d.Serve()
+	}
 }

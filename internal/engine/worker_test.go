@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
-	"github.com/pipeinfer/pipeinfer/internal/transact"
 )
 
 // mockWorker scripts stage behaviour and records everything it sees.
@@ -57,14 +58,33 @@ func pipeline2(t *testing.T, w Worker) (headEP comm.Endpoint, done chan error, t
 	return c.Endpoint(0), done, topo
 }
 
+// frame appends the op byte to a frame's body.
+func frame(body []byte, op FrameOp) []byte { return append(slices.Clip(body), byte(op)) }
+
+// runFrame is msg's run frame; act is the activation a stage past the
+// first target stage receives (nil for the first).
+func runFrame(msg *RunMsg, act ...byte) []byte {
+	return frame(append(msg.Encode(), act...), OpRun)
+}
+
 func sendDecode(ep comm.Endpoint, dst int, msg *RunMsg) {
-	transact.Begin(ep, dst, transact.TypeDecode)
-	enc := msg.Encode()
-	ep.Send(dst, comm.TagRun, enc, len(enc))
+	f := runFrame(msg)
+	ep.Send(dst, comm.TagRun, f, len(f))
 }
 
 func sendShutdown(ep comm.Endpoint, dst int) {
-	transact.Begin(ep, dst, transact.TypeShutdown)
+	ep.Send(dst, comm.TagRun, frame(nil, OpShutdown), 1)
+}
+
+// resultRows parses a result frame and returns its rows; ok is false for
+// the empty marker.
+func resultRows(t *testing.T, p []byte) ([]byte, bool) {
+	t.Helper()
+	f, err := ParseResult(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Rows, f.OK
 }
 
 func TestWorkerLoopEvaluatesAndReturnsResult(t *testing.T) {
@@ -73,10 +93,9 @@ func TestWorkerLoopEvaluatesAndReturnsResult(t *testing.T) {
 
 	msg := &RunMsg{ID: 1, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}}}
 	sendDecode(ep, 1, msg)
-	payload := ep.Recv(1, comm.TagResult)
-	data, ok := PayloadData(payload)
-	if !ok || data[0] != 1 {
-		t.Fatalf("result payload wrong: %v ok=%v", data, ok)
+	data, ok := resultRows(t, ep.Recv(1, comm.TagResult))
+	if !ok || !bytes.Equal(data, []byte{1}) {
+		t.Fatalf("result rows wrong: %v ok=%v", data, ok)
 	}
 	sendShutdown(ep, 1)
 	if err := <-done; err != nil {
@@ -232,9 +251,8 @@ func TestWorkerLoopKVTransactionOrdering(t *testing.T) {
 	// KV txn, then decode, then KV txn: ApplyKV calls must interleave in
 	// exactly that order (run messages carry their own ops batch too).
 	ops1 := []kvcache.Op{{Kind: kvcache.OpSeqCp, Src: 0, Dst: 1, P0: 0, P1: 5}}
-	transact.Begin(ep, 1, transact.TypeKV)
-	enc := kvcache.EncodeOps(ops1)
-	ep.Send(1, comm.TagRun, enc, len(enc))
+	f := frame(kvcache.EncodeOps(ops1), OpKV)
+	ep.Send(1, comm.TagRun, f, len(f))
 
 	msg := &RunMsg{ID: 1, Kind: KindNonSpec,
 		Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}},
@@ -242,9 +260,8 @@ func TestWorkerLoopKVTransactionOrdering(t *testing.T) {
 	sendDecode(ep, 1, msg)
 
 	ops3 := []kvcache.Op{{Kind: kvcache.OpSeqKeep, Src: 0}}
-	transact.Begin(ep, 1, transact.TypeKV)
-	enc3 := kvcache.EncodeOps(ops3)
-	ep.Send(1, comm.TagRun, enc3, len(enc3))
+	f = frame(kvcache.EncodeOps(ops3), OpKV)
+	ep.Send(1, comm.TagRun, f, len(f))
 
 	ep.Recv(1, comm.TagResult)
 	sendShutdown(ep, 1)
@@ -275,15 +292,11 @@ func TestWorkerLoopForwardsDownstream(t *testing.T) {
 	ep := c.Endpoint(0)
 	msg := &RunMsg{ID: 1, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}}}
 	sendDecode(ep, 1, msg)
-	payload := ep.Recv(2, comm.TagResult) // final stage delivers to head
-	data, ok := PayloadData(payload)
-	if !ok {
-		t.Fatal("no result data")
-	}
-	// Stage 2 prepends its run ID to stage 1's output (which itself
-	// prepended to nil input... stage1 is first: input nil).
-	if data[0] != 1 {
-		t.Fatalf("relay payload wrong: %v", data)
+	data, ok := resultRows(t, ep.Recv(2, comm.TagResult)) // final stage delivers to head
+	// Each stage prepends the run ID to its input: stage 1 is first (no
+	// input), and stage 2's input is stage 1's output.
+	if !ok || !bytes.Equal(data, []byte{1, 1}) {
+		t.Fatalf("relay rows wrong: %v ok=%v", data, ok)
 	}
 	sendShutdown(ep, 1) // must propagate 1 -> 2
 	if err := <-done1; err != nil {
@@ -323,21 +336,108 @@ func TestWorkerLoopEmptyInputSkipsEval(t *testing.T) {
 	// Pose as stage 1: forward a decode with an empty activation payload.
 	ep1 := c.Endpoint(1)
 	msg := &RunMsg{ID: 9, Kind: KindSpec, Seq: 1, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 2}}}
-	transact.Begin(ep1, 2, transact.TypeDecode)
-	enc := msg.Encode()
-	ep1.Send(2, comm.TagRun, enc, len(enc))
-	ep1.Send(2, comm.TagActivation, EmptyPayload(), 1)
+	f := runFrame(msg, payloadEmpty)
+	ep1.Send(2, comm.TagRun, f, len(f))
 
 	headEP := c.Endpoint(0)
-	payload := headEP.Recv(2, comm.TagResult)
-	if _, ok := PayloadData(payload); ok {
+	if _, ok := resultRows(t, headEP.Recv(2, comm.TagResult)); ok {
 		t.Fatal("empty input produced a data result")
 	}
 	if len(w2.evals) != 0 {
 		t.Fatal("stage evaluated a cancelled run's empty input")
 	}
-	transact.Begin(ep1, 2, transact.TypeShutdown)
+	sendShutdown(ep1, 2)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorkerLoopRejectsMalformedFrames: a frame a stage cannot read — an
+// empty one, an unknown op, a truncated run, an activation that is
+// missing or unknown — makes WorkerLoop return an error, never panic, and
+// nothing is evaluated.
+func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
+	msg := &RunMsg{ID: 3, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}, {Tok: 6, Pos: 1, Seqs: 1}}}
+	enc := msg.Encode()
+	cases := []struct {
+		name  string
+		stage int // 1: the first target stage; 2: the stage behind it
+		frame []byte
+	}{
+		{"empty frame", 1, []byte{}},
+		{"zero op", 1, []byte{0}},
+		{"unknown op", 1, frame(enc, 0x7f)},
+		{"run truncated in its header", 1, frame(enc[:6], OpRun)},
+		{"run truncated in its tokens", 1, frame(enc[:len(enc)-3], OpRun)},
+		{"first stage with bytes past the header", 1, runFrame(msg, payloadData, 1)},
+		{"run without activation", 2, runFrame(msg)},
+		{"unknown activation marker", 2, runFrame(msg, 7, 1, 2)},
+		{"empty activation with bytes", 2, runFrame(msg, payloadEmpty, 1)},
+		{"KV ops of a partial length", 1, frame(make([]byte, 12), OpKV)},
+		{"shutdown with a body", 1, frame([]byte{1}, OpShutdown)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := chancomm.New(3)
+			topo := Topology{Head: 0, Stages: []int{1, 2}}
+			w := newMockWorker()
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Errorf("panic: %v", p)
+					}
+				}()
+				done <- WorkerLoop(c.Endpoint(tc.stage), topo, w, WorkerObs{})
+			}()
+			c.Endpoint(tc.stage-1).Send(tc.stage, comm.TagRun, tc.frame, len(tc.frame))
+			select {
+			case err := <-done:
+				if err == nil || strings.HasPrefix(err.Error(), "panic") {
+					t.Fatalf("WorkerLoop returned %v, want an error", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("WorkerLoop accepted the frame and waits for the next")
+			}
+			if len(w.evals) != 0 {
+				t.Fatalf("a malformed frame was evaluated: %v", w.evals)
+			}
+		})
+	}
+}
+
+// chargeEP records the wire bytes each Send is charged.
+type chargeEP struct {
+	comm.Endpoint
+	charged []int
+}
+
+func (e *chargeEP) Send(dst int, tag comm.Tag, p []byte, wire int) {
+	e.charged = append(e.charged, wire)
+	e.Endpoint.Send(dst, tag, p, wire)
+}
+
+// TestFrameCharges: a frame is charged what the operation's messages were
+// charged when it took several (a start byte, the header, the activation
+// marker and wire), so simulated time cannot tell the two apart.
+func TestFrameCharges(t *testing.T) {
+	c := chancomm.New(2)
+	ep := &chargeEP{Endpoint: c.Endpoint(0)}
+	msg := &RunMsg{ID: 1, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}}}
+	hdr := msg.EncodedSize()
+	sendRun(ep, 1, msg.AppendEncode(nil), false, false, nil, 0)
+	sendRun(ep, 1, msg.AppendEncode(nil), true, false, nil, 0)
+	sendRun(ep, 1, msg.AppendEncode(nil), true, true, []byte{1, 2}, 4096)
+	h := &Head{EP: ep, Topo: Topology{Head: 0, Stages: []int{1}}}
+	h.SendKV([]kvcache.Op{{Kind: kvcache.OpSeqRm}, {Kind: kvcache.OpSeqCp}})
+	h.Shutdown()
+	want := []int{1 + hdr, 1 + hdr + 1, 1 + hdr + 1 + 4096, 1 + 11*2, 1}
+	if !slices.Equal(ep.charged, want) {
+		t.Fatalf("charged %v, want %v", ep.charged, want)
+	}
+	for i, op := range []FrameOp{OpRun, OpRun, OpRun, OpKV, OpShutdown} {
+		if got := FrameOpOf(c.Endpoint(1).Recv(0, comm.TagRun)); got != op {
+			t.Fatalf("frame %d is op %d, want %d", i, got, op)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package serve_test
 
-// The tree's structural guards: one test that parses every non-test Go
-// file under internal/ and checks, on declarations and call sites rather
-// than text, that what a subtraction removed stays removed. A later "one
+// The tree's structural guards: one test that parses every Go file under
+// internal/ and checks, on declarations and call sites rather than text,
+// that what a subtraction removed stays removed. Test files are held to
+// the wire rules only (wireRules); every other rule reads the program. A later "one
 // X" change adds a rule here. Every failure names the invariant and the
 // ROADMAP section that records it.
 
@@ -59,6 +60,7 @@ const shapeWhy = "reads a run's shape off its wire sections; use RunMsg.Groups (
 type file struct {
 	path string // slash-separated, relative to internal/
 	ast  *ast.File
+	test bool
 }
 
 func parseInternal(t *testing.T) (*token.FileSet, []file) {
@@ -75,7 +77,7 @@ func parseInternal(t *testing.T) (*token.FileSet, []file) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -83,7 +85,7 @@ func parseInternal(t *testing.T) (*token.FileSet, []file) {
 			return err
 		}
 		rel, _ := filepath.Rel("..", path)
-		files = append(files, file{filepath.ToSlash(rel), f})
+		files = append(files, file{filepath.ToSlash(rel), f, strings.HasSuffix(path, "_test.go")})
 		return nil
 	})
 	if err != nil {
@@ -127,6 +129,10 @@ func TestStructure(t *testing.T) {
 	var proposeCalls []call
 	pendingTypes := 0
 	for _, f := range files {
+		wireRules(f, fail)
+		if f.test {
+			continue
+		}
 		pkg := f.ast.Name.Name
 		for _, decl := range f.ast.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -210,6 +216,41 @@ func TestStructure(t *testing.T) {
 	if n := strings.Count(string(src), "\n"); n > serveLines {
 		t.Errorf("internal/serve/serve.go has %d lines, over the %d it may only shrink from (ROADMAP, Open item 4: the scheduler split)", n, serveLines)
 	}
+}
+
+// oneFrame is why the wire rules hold.
+const oneFrame = "each pipeline operation is one frame on comm.TagRun, ordered by the link's FIFO stream (ROADMAP, Performance architecture: one frame per pipeline operation)"
+
+// wireRules holds every file, tests included, to one frame per pipeline
+// operation: nothing imports the retired transaction layer, nothing names
+// the transaction-start tag, and nothing sends on comm.TagActivation but
+// comm's own tests, which use it as a second stream.
+func wireRules(f file, fail func(token.Pos, string, ...any)) {
+	for _, im := range f.ast.Imports {
+		if strings.HasSuffix(strings.Trim(im.Path.Value, `"`), "/internal/transact") {
+			fail(im.Pos(), "internal/transact is imported: a start message per operation; %s", oneFrame)
+		}
+	}
+	inComm := f.ast.Name.Name == "comm"
+	commTest := f.test && strings.HasPrefix(f.path, "comm/")
+	ast.Inspect(f.ast, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if n.Name == "TagStart" {
+				fail(n.Pos(), "TagStart: a transaction-start message; %s", oneFrame)
+			}
+		case *ast.CallExpr:
+			if !selector(n.Fun, "", "Send") || commTest {
+				break
+			}
+			for _, a := range n.Args {
+				if selector(a, "comm", "TagActivation") || inComm && isIdent(a, "TagActivation") {
+					fail(a.Pos(), "a Send on TagActivation: an activation travels in its run's frame; %s", oneFrame)
+				}
+			}
+		}
+		return true
+	})
 }
 
 // isIdent reports whether e is the bare identifier name.
