@@ -344,12 +344,13 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 		if inputOK && !run.AllMasked(run.DeadSessions) {
 			data, wire, ok = obs.eval(ep, w, run, input, cancelled)
 		}
+		drop := cancels.drop(run.ID)
+		cancels.gc(run.ID)
 		if downstream >= 0 {
 			// The header travels on as it arrived; the activation is
 			// this stage's output, copied out of the worker's staging.
 			f := append(comm.GetBuf(hdr+len(data)+2), body[:hdr]...)
 			sendRun(ep, downstream, f, true, ok, data, wire)
-			cancels.gc(run.ID)
 			return nil
 		}
 		// The last stage answers a run it skipped, or one the head asked to
@@ -360,10 +361,9 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 		// lost results on a faulty link, and the sessions this stage masked
 		// out, which name the rows the frame leaves out.
 		f := ResultFrame{ID: run.ID}
-		if ok && !cancels.drop(run.ID) {
+		if ok && !drop {
 			f = ResultFrame{ID: run.ID, OK: true, Dead: run.DeadSessions, Rows: data}
 		}
-		cancels.gc(run.ID)
 		out := ResultPayload(f) // copies the rows out of the worker's staging
 		if f.OK {
 			wire += f.headerLen()
