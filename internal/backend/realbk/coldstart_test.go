@@ -194,17 +194,6 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// noYield keeps the serving heads the test builds from yielding their
-// draft to a waiting result. A serve of one short request whose draft
-// yields can finish without completing a chain, so a test asserting what
-// speculation does there (a proposal, an acceptance, a cancellation)
-// would assert on timing; TestDraftYieldsToResult covers yields.
-func noYield(t *testing.T) {
-	t.Helper()
-	draftYields = false
-	t.Cleanup(func() { draftYields = true })
-}
-
 // holdDraft holds the next lazy head's derivation back, on its own
 // goroutine, until release is called; release returns once the draft is
 // derived, so the head can draft from its next step on.

@@ -118,8 +118,8 @@ func TestServeFaultRecoveryParity(t *testing.T) {
 			}
 			// A delay rule that matches no traffic (a stream nothing sends
 			// on any more) would leave the case testing less than it says.
-			for _, r := range tc.plan.Rules {
-				if r.Kind == faultcomm.Delay && tc.plan.LinkStats(r.Src, r.Dst).Delayed == 0 {
+			for i, r := range tc.plan.Rules {
+				if r.Kind == faultcomm.Delay && tc.plan.RuleHits(i) == 0 {
 					t.Fatalf("delay rule %+v held no message", r)
 				}
 			}

@@ -254,11 +254,6 @@ func deriveAsync(derive func()) { go derive() }
 // at the first decode step, or to hold it back until they release it.
 var deriveOn = deriveAsync
 
-// draftYields says whether a serving head's draft yields to a waiting
-// result (YieldTo). Tests in this package turn it off where a serve must
-// speculate whatever the timing; TestDraftYieldsToResult covers yields.
-var draftYields = true
-
 // StartDraft begins deriving a lazy head's draft, once; later calls and
 // calls on a head built with NewHead do nothing. Ready tells when the
 // derivation has finished; nothing waits for it but Settle.

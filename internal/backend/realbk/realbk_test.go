@@ -2,7 +2,10 @@ package realbk
 
 import (
 	"testing"
+	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/comm"
+	"github.com/pipeinfer/pipeinfer/internal/comm/faultcomm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/model"
 	"github.com/pipeinfer/pipeinfer/internal/quant"
@@ -22,6 +25,27 @@ func testOpts(strategy engine.Strategy, nodes int, noise float32) Options {
 		DraftNoise: noise,
 		Prompt:     []token.Token{token.BOS, 10, 45, 200, 33, 7, 99, 120},
 	}
+}
+
+// slowResults serves opts as Run does, over a pipeline whose results
+// reach the head late (holdResults).
+func slowResults(opts Options) (ServeOutcome, error) {
+	so := opts.oneSession()
+	so.WrapEndpoint = wrapPlan(holdResults())
+	return spawn(so, opts.Strategy)
+}
+
+// holdResults is a fault plan that holds every result 5 ms on the head's
+// side of the link. The serving head's draft yields to its session's
+// waiting result (Head.YieldTo), and the test draft is as large as the
+// target, so it takes longer than an in-process round trip: a short
+// one-session serve can finish with every draft cut short, and whether it
+// speculates at all is timing. Held results make the round trip longer
+// than a draft, as a draft far smaller than the target or stages across a
+// network do: with yields on, the drafts finish and every run speculates.
+func holdResults() *faultcomm.Plan {
+	return &faultcomm.Plan{Rules: []faultcomm.Rule{
+		{Src: -1, Dst: 0, Tag: int(comm.TagResult), Kind: faultcomm.Delay, Delay: 5 * time.Millisecond}}}
 }
 
 // TestRealOutputEquality is the backbone §V-B check on real tensor math:
@@ -99,10 +123,9 @@ func TestRealSpeculativeWideTrees(t *testing.T) {
 // PipeInfer must accept speculated tokens (not just fall through to
 // corrective sampling).
 func TestRealPipeInferAcceptsDraftTokens(t *testing.T) {
-	noYield(t)
 	opts := testOpts(engine.StrategyPipeInfer, 3, 0.01)
 	opts.CFG.MaxNew = 24
-	out, err := Run(opts)
+	out, err := outcome(slowResults(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +141,9 @@ func TestRealPipeInferAcceptsDraftTokens(t *testing.T) {
 // early inference cancellation without corrupting output (covered by the
 // equality test); here we check the machinery fires.
 func TestRealCancellationOnNoisyDraft(t *testing.T) {
-	noYield(t)
 	opts := testOpts(engine.StrategyPipeInfer, 3, 1.5)
 	opts.CFG.MaxNew = 24
-	out, err := Run(opts)
+	out, err := outcome(slowResults(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,13 +329,12 @@ func TestRealErrors(t *testing.T) {
 // acceptance, which comes no later than completion; and the run counters
 // the Outcome takes from the head's aggregate are the one session's own.
 func TestOneSessionOutcome(t *testing.T) {
-	noYield(t)
 	counters := func(s engine.Stats) [5]int {
 		return [5]int{s.Proposed, s.Accepted, s.RunsLaunched, s.RunsCancelled, s.Superfluous}
 	}
 	for _, s := range []engine.Strategy{engine.StrategyPipeInfer, engine.StrategyIterative, engine.StrategySpeculative} {
 		opts := testOpts(s, 3, 0.3)
-		served, err := spawn(opts.oneSession(), s)
+		served, err := slowResults(opts)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}

@@ -174,9 +174,7 @@ func (p *plan) newHead(ep comm.Endpoint, part *model.Model, shared *weights, dra
 		return nil, nil, nil, err
 	}
 	if drafts {
-		if draftYields {
-			bk.YieldTo(h.YieldDraft)
-		}
+		bk.YieldTo(h.YieldDraft)
 		h.AfterFirstLaunch = func() {
 			h.Flight.Record(ep.Now(), trace.FlightBuild, 0, trace.BuildBegin)
 			bk.StartDraft()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
+	"github.com/pipeinfer/pipeinfer/internal/comm/faultcomm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
@@ -105,9 +106,11 @@ func TestDraftResumesWhereItStopped(t *testing.T) {
 // TestDraftYieldsToResult is a speculating serve over a head and two
 // WorkerLoop stages whose results arrive mid-draft: at every ninth layer
 // boundary the head's probe waits for the oldest run's result before it
-// answers — a draft slower than the pipeline, at any number of Ps — on
-// top of the results that arrive on their own. The drafts yield and
-// resume, and the output is the greedy reference's.
+// answers — a draft slower than the pipeline, at any number of Ps. The
+// results reach the head late (holdResults), so no draft is cut short by
+// a result that came on its own: those can cut every draft, and the serve
+// would then speculate only by timing. The drafts yield and resume,
+// proposals are made, and the output is the greedy reference's.
 func TestDraftYieldsToResult(t *testing.T) {
 	cfg := serveModel(4)
 	const seed, maxNew = 23, 48
@@ -125,7 +128,7 @@ func TestDraftYieldsToResult(t *testing.T) {
 		go func() { stages <- engine.WorkerLoop(cl.Endpoint(1+i), topo, w, engine.WorkerObs{}) }()
 	}
 	bk := NewHead(model.NewRunner(model.NewDraft(m, 0.01, seed^0xd4af), 512), cfg.VocabSize)
-	h, err := engine.NewHead(cl.Endpoint(0), topo, engine.Config{MaxNew: maxNew}, bk, nil)
+	h, err := engine.NewHead(faultcomm.Wrap(cl.Endpoint(0), holdResults()), topo, engine.Config{MaxNew: maxNew}, bk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

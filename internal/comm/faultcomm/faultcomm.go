@@ -155,22 +155,25 @@ type Plan struct {
 	mu      sync.Mutex
 	total   Stats
 	perLink map[Link]*Stats
+	perRule []int
 }
 
-// record counts one injected fault on src → dst.
-func (p *Plan) record(kind Kind, src, dst int) {
+// record counts one fault injected by Rules[ri] on src → dst.
+func (p *Plan) record(ri, src, dst int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.perLink == nil {
 		p.perLink = make(map[Link]*Stats)
+		p.perRule = make([]int, len(p.Rules))
 	}
+	p.perRule[ri]++
 	ls := p.perLink[Link{src, dst}]
 	if ls == nil {
 		ls = &Stats{}
 		p.perLink[Link{src, dst}] = ls
 	}
 	for _, s := range []*Stats{&p.total, ls} {
-		switch kind {
+		switch p.Rules[ri].Kind {
 		case Delay:
 			s.Delayed++
 		case Drop:
@@ -192,6 +195,17 @@ func (p *Plan) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.total
+}
+
+// RuleHits returns the number of faults Rules[i] injected: zero for a rule
+// that matched no message, which a test can tell from a rule that fired.
+func (p *Plan) RuleHits(i int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if i < len(p.perRule) {
+		return p.perRule[i]
+	}
+	return 0
 }
 
 // LinkStats returns the counters for the src → dst link.
@@ -288,28 +302,28 @@ func (e *Endpoint) admit(k streamKey, buf []byte) {
 		switch r.Kind {
 		case Delay:
 			release = now + r.Delay
-			e.plan.record(Delay, k.src, dst)
+			e.plan.record(ri, k.src, dst)
 		case Drop:
 			comm.PutBuf(buf)
-			e.plan.record(Drop, k.src, dst)
+			e.plan.record(ri, k.src, dst)
 			return
 		case Dup:
 			cp := append(comm.GetBuf(len(buf)), buf...)
 			e.pend[k] = append(e.pend[k], held{buf, release}, held{cp, release})
-			e.plan.record(Dup, k.src, dst)
+			e.plan.record(ri, k.src, dst)
 			return
 		case Corrupt:
 			if len(buf) > 0 {
 				buf[len(buf)/2] ^= 0xA5
 			}
-			e.plan.record(Corrupt, k.src, dst)
+			e.plan.record(ri, k.src, dst)
 		case Stall:
 			release = stalledForever
-			e.plan.record(Stall, k.src, dst)
+			e.plan.record(ri, k.src, dst)
 		case Partition:
 			if now >= r.From && now < r.Until {
 				release = r.Until
-				e.plan.record(Partition, k.src, dst)
+				e.plan.record(ri, k.src, dst)
 			} else {
 				continue // outside the outage window: keep matching
 			}

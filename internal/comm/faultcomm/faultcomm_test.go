@@ -149,6 +149,29 @@ func TestDelayReleases(t *testing.T) {
 	}
 }
 
+// TestRuleHits: two delay rules share a link, and only one matches its
+// traffic. The link's counters cannot tell them apart; RuleHits can.
+func TestRuleHits(t *testing.T) {
+	p := &Plan{Rules: []Rule{
+		{Src: 0, Dst: 1, Tag: int(comm.TagRun), Kind: Delay, Delay: time.Millisecond},
+		{Src: 0, Dst: 1, Tag: int(comm.TagResult), Kind: Delay, Every: 2, Delay: time.Millisecond},
+	}}
+	s, r := pair(p)
+	send(s, 1, comm.TagResult, 7, 4)
+	for i := 0; i < 4; i++ {
+		if !r.WaitRecv(0, comm.TagResult, time.Second) {
+			t.Fatal("delayed message never released")
+		}
+		comm.PutBuf(r.Recv(0, comm.TagResult))
+	}
+	if got := p.LinkStats(0, 1).Delayed; got != 2 {
+		t.Fatalf("link delayed %d, want 2", got)
+	}
+	if a, b, c := p.RuleHits(0), p.RuleHits(1), p.RuleHits(2); a != 0 || b != 2 || c != 0 {
+		t.Fatalf("rule hits %d, %d, %d (out of range), want 0, 2, 0", a, b, c)
+	}
+}
+
 func TestWaitRecvTimeout(t *testing.T) {
 	_, r := pair(&Plan{})
 	start := time.Now()
