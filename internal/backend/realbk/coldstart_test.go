@@ -117,11 +117,11 @@ func TestPerNodeMemSumsToModel(t *testing.T) {
 		}
 		cell := int64(2 * mcfg.KVDim() * 4)
 		total := int64(0)
-		for si := range p.topo.Stages {
-			total += int64(p.hi[si]-p.lo[si]) * int64(kvpage.New(p.kv).Size()) * cell
+		for _, layers := range p.Split {
+			total += int64(layers) * int64(kvpage.New(p.Serve.KV).Size()) * cell
 		}
 		if opts.Speculate {
-			total += int64(mcfg.NLayers) * int64(kvpage.NewCells(p.kv.Cells).Size()) * cell
+			total += int64(mcfg.NLayers) * int64(kvpage.NewCells(p.Serve.KV.Cells).Size()) * cell
 		}
 		return total
 	}

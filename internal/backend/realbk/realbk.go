@@ -1,8 +1,10 @@
 // Package realbk is the real-compute backend: pipeline workers evaluate
-// genuine transformer layer shards (internal/model) over in-process
-// message passing, and the head runs a real draft model. It executes the
-// same engine code as the simulated backend, providing the ground-truth
-// correctness validation: under greedy sampling every strategy must
+// genuine transformer layer shards (internal/model), and the head runs a
+// real draft model. Its ranks serve through the same rank routine as the
+// simulated backend's (backend.ServeRank), which it hands only its source
+// of tokens — model layers, and a draft derived lazily from the weights
+// its ranks share — so it is the ground-truth correctness validation of
+// the protocol simbk times: under greedy sampling every strategy must
 // reproduce the single-node reference output bit for bit (§V-B).
 package realbk
 
@@ -16,6 +18,7 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/model"
 	"github.com/pipeinfer/pipeinfer/internal/tensor"
 	"github.com/pipeinfer/pipeinfer/internal/token"
+	"github.com/pipeinfer/pipeinfer/internal/trace"
 )
 
 // Worker evaluates one contiguous layer shard of the target model.
@@ -124,7 +127,7 @@ func (w *Worker) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) (
 			}
 		}
 		w.samp = samp
-		enc = encodeMatInto(enc, w.m.LogitsRowsInto(&w.out, x, samp, w.sc))
+		enc = encodeVecInto(enc, w.m.LogitsRowsInto(&w.out, x, samp, w.sc).Data)
 	} else {
 		if len(w.zeros) < 4*w.m.Cfg.Dim {
 			w.zeros = make([]byte, 4*w.m.Cfg.Dim)
@@ -244,6 +247,27 @@ func NewLazyHead(build func() *model.Runner, vocab int) *Head {
 // mid-draft is consumed, and its successor launched, before the draft
 // goes on.
 func (h *Head) YieldTo(waiting func() bool) { h.yield = waiting }
+
+// Attach hands a lazy head the serving head eh that drives it: the draft
+// yields to eh's waiting results (YieldTo), its derivation starts once
+// eh's first run is on the wire (StartDraft), and eh's flight ring marks
+// both ends of the derivation. A head built with NewHead needs none of it.
+func (h *Head) Attach(eh *engine.Head) {
+	if h.build == nil {
+		return
+	}
+	h.YieldTo(eh.YieldDraft)
+	build := h.build
+	h.build = func() *model.Runner {
+		r := build()
+		eh.Flight.Record(eh.EP.Now(), trace.FlightBuild, 0, trace.BuildReady)
+		return r
+	}
+	eh.AfterFirstLaunch = func() {
+		eh.Flight.Record(eh.EP.Now(), trace.FlightBuild, 0, trace.BuildBegin)
+		h.StartDraft()
+	}
+}
 
 // deriveAsync runs a lazy head's derivation on a goroutine of its own, so
 // that the head keeps decoding while it runs.
@@ -503,20 +527,8 @@ func (h *Head) MemoryBytes() int64 {
 
 // --- float32 wire codec ---
 
-func encodeMat(m tensor.Mat) []byte {
-	return encodeMatInto(make([]byte, 0, 4*len(m.Data)), m)
-}
-
-// encodeMatInto appends the little-endian f32 encoding of m to buf.
-func encodeMatInto(buf []byte, m tensor.Mat) []byte {
-	for _, v := range m.Data {
-		bits := math.Float32bits(v)
-		buf = append(buf, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
-	}
-	return buf
-}
-
-// encodeVecInto appends the little-endian f32 encoding of one row.
+// encodeVecInto appends the little-endian f32 encoding of v (a row, or a
+// whole matrix's data) to buf.
 func encodeVecInto(buf []byte, v tensor.Vec) []byte {
 	for _, f := range v {
 		bits := math.Float32bits(f)
@@ -547,26 +559,6 @@ func decodeRowsInto(dst *tensor.Mat, buf []byte, rows, cols int, sel []int) tens
 		}
 	}
 	return *dst
-}
-
-// decodeMat decodes a whole rows x cols payload.
-func decodeMat(buf []byte, rows, cols int) tensor.Mat {
-	sel := make([]int, rows)
-	for i := range sel {
-		sel[i] = i
-	}
-	var m tensor.Mat
-	return decodeRowsInto(&m, buf, rows, cols, sel)
-}
-
-func decodeRow(buf []byte, row, cols int) tensor.Vec {
-	out := make(tensor.Vec, cols)
-	off := 4 * row * cols
-	for i := range out {
-		out[i] = math.Float32frombits(uint32(buf[off+4*i]) | uint32(buf[off+4*i+1])<<8 |
-			uint32(buf[off+4*i+2])<<16 | uint32(buf[off+4*i+3])<<24)
-	}
-	return out
 }
 
 // argmaxLogits decodes one logits row from the wire payload on the fly

@@ -1,9 +1,11 @@
 package realbk
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/backend"
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/faultcomm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
@@ -125,7 +127,7 @@ func TestRealSpeculativeWideTrees(t *testing.T) {
 func TestRealPipeInferAcceptsDraftTokens(t *testing.T) {
 	opts := testOpts(engine.StrategyPipeInfer, 3, 0.01)
 	opts.CFG.MaxNew = 24
-	out, err := outcome(slowResults(opts))
+	out, err := backend.Solo(slowResults(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestRealPipeInferAcceptsDraftTokens(t *testing.T) {
 func TestRealCancellationOnNoisyDraft(t *testing.T) {
 	opts := testOpts(engine.StrategyPipeInfer, 3, 1.5)
 	opts.CFG.MaxNew = 24
-	out, err := outcome(slowResults(opts))
+	out, err := backend.Solo(slowResults(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +340,7 @@ func TestOneSessionOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
-		out, err := outcome(served, nil)
+		out, err := backend.Solo(served, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -359,4 +361,30 @@ func TestOneSessionOutcome(t *testing.T) {
 			t.Fatalf("%v: the serve never speculated", s)
 		}
 	}
+}
+
+// encodeMat encodes a whole matrix as the float32 wire codec does.
+func encodeMat(m tensor.Mat) []byte {
+	return encodeVecInto(make([]byte, 0, 4*len(m.Data)), m.Data)
+}
+
+// decodeMat decodes a whole rows x cols payload.
+func decodeMat(buf []byte, rows, cols int) tensor.Mat {
+	sel := make([]int, rows)
+	for i := range sel {
+		sel[i] = i
+	}
+	var m tensor.Mat
+	return decodeRowsInto(&m, buf, rows, cols, sel)
+}
+
+// decodeRow decodes one row of a rows x cols payload.
+func decodeRow(buf []byte, row, cols int) tensor.Vec {
+	out := make(tensor.Vec, cols)
+	off := 4 * row * cols
+	for i := range out {
+		out[i] = math.Float32frombits(uint32(buf[off+4*i]) | uint32(buf[off+4*i+1])<<8 |
+			uint32(buf[off+4*i+2])<<16 | uint32(buf[off+4*i+3])<<24)
+	}
+	return out
 }

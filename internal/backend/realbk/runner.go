@@ -5,14 +5,12 @@ import (
 	"sync"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/backend"
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
-	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
 	"github.com/pipeinfer/pipeinfer/internal/serve"
-	"github.com/pipeinfer/pipeinfer/internal/telemetry"
 	"github.com/pipeinfer/pipeinfer/internal/token"
-	"github.com/pipeinfer/pipeinfer/internal/trace"
 )
 
 // Options configures one real-compute generation.
@@ -38,55 +36,17 @@ type Options struct {
 }
 
 // Outcome is the result of a real generation.
-type Outcome struct {
-	Tokens []token.Token
-	Stats  engine.Stats
-	// PerNodeMem holds resident bytes per rank; in distributed runs each
-	// rank fills only its own slot.
-	PerNodeMem []int64
-}
+type Outcome = backend.Outcome
 
-func (o *Options) defaults() {
-	if o.ModelCfg.Dim == 0 {
-		o.ModelCfg = model.TinyConfig()
-	}
-	if o.Nodes <= 0 {
-		o.Nodes = 1
-	}
-	if o.DraftNoise == 0 {
-		o.DraftNoise = 0.05
-	}
-}
-
-// plan is the rank-independent execution layout every rank derives
-// deterministically from ServeOptions (buildServePlan).
+// plan is the rank-independent layout every rank derives
+// deterministically from ServeOptions (buildServePlan): the pipeline's,
+// and what the weights derive from and who hears that they are ready.
 type plan struct {
-	cfg    engine.Config
-	topo   engine.Topology
-	lo, hi []int
-	// kv sizes every stage's paged KV cache; all ranks derive the same
-	// config so their metadata stores evolve in lock-step.
-	kv kvpage.Config
-
-	// What the weights derive from, and who hears that they are ready.
+	backend.Plan
 	mcfg      model.Config
 	seed      uint64
 	noise     float32
-	obs       *telemetry.Registry
 	onWeights func(rank, lo, hi int, took time.Duration)
-}
-
-func (p *plan) stageIdx(rank int) int {
-	for i, s := range p.topo.Stages {
-		if s == rank {
-			return i
-		}
-	}
-	return -1
-}
-
-func (p *plan) newWorker(part *model.Model, si int) *Worker {
-	return NewWorker(part, p.lo[si], p.hi[si], si == 0, si == len(p.topo.Stages)-1, p.kv)
 }
 
 // weights is how the ranks of one process share what they derived: every
@@ -120,67 +80,61 @@ func (w *weights) target() *model.Model {
 	return model.Join(w.parts...)
 }
 
-// build derives the slice of the target this rank evaluates — a stage's
+// source is where the ranks of one process get their compute: weights
+// derived from the plan, shared between them.
+type source struct {
+	*plan
+	shared *weights
+}
+
+// build derives sl, the slice of the target a rank evaluates — a stage's
 // layers, or on a dedicated head nothing but the model's name — and
 // publishes it to the ranks it shares weights with.
-func (p *plan) build(rank int, shared *weights) (*model.Model, error) {
-	lo, hi, first, last := 0, 0, false, false
-	if si := p.stageIdx(rank); si >= 0 {
-		lo, hi, first, last = p.lo[si], p.hi[si], si == 0, si == len(p.topo.Stages)-1
-	}
+func (s source) build(rank int, sl backend.Slice) (*model.Model, error) {
 	start := time.Now()
-	part, err := model.NewStage(p.mcfg, p.seed, lo, hi, first, last)
-	shared.publish(part)
+	part, err := model.NewStage(s.mcfg, s.seed, sl.Lo, sl.Hi, sl.First, sl.Last)
+	s.shared.publish(part)
 	if err != nil {
 		return nil, err
 	}
 	took := time.Since(start)
-	p.obs.SetModelBuild(fmt.Sprintf("rank%d", rank), took)
-	if p.onWeights != nil {
-		p.onWeights(rank, lo, hi, took)
+	s.Serve.Obs.SetModelBuild(fmt.Sprintf("rank%d", rank), took)
+	if s.onWeights != nil {
+		s.onWeights(rank, sl.Lo, sl.Hi, took)
 	}
 	return part, nil
 }
 
-// newHead assembles the head rank around part, the slice of the target
-// it holds: the inline stage worker where the head is stage 0, and, when
-// the strategy drafts, a backend whose draft model is derived only once
-// the first run — the first prefill — is on the wire, overlapping its
-// transit instead of delaying it, while the head decodes without
-// speculation. The flight ring marks both ends of the derivation. The
-// caller owes the backend a Settle on every path out.
-func (p *plan) newHead(ep comm.Endpoint, part *model.Model, shared *weights, drafts bool) (*engine.Head, *Head, *Worker, error) {
-	var h *engine.Head
-	bk := NewHead(nil, p.mcfg.VocabSize)
-	if drafts {
-		bk = NewLazyHead(func() *model.Runner {
-			target := shared.target()
-			start := time.Now()
-			d := model.NewDraft(target, p.noise, p.seed^0xd4af)
-			p.obs.SetModelBuild("draft", time.Since(start))
-			r := model.NewRunner(d, p.kv.Cells)
-			h.Flight.Record(ep.Now(), trace.FlightBuild, 0, trace.BuildReady)
-			return r
-		}, p.mcfg.VocabSize)
-	}
-	var local engine.Worker
-	var localWorker *Worker
-	if p.topo.HeadIsStage() {
-		localWorker = p.newWorker(part, 0)
-		local = localWorker
-	}
-	h, err := engine.NewHead(ep, p.topo, p.cfg, bk, local)
+// Stage derives the stage's layers and builds its worker over them.
+func (s source) Stage(ep comm.Endpoint, sl backend.Slice) (backend.Stage, error) {
+	part, err := s.build(ep.Rank(), sl)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if drafts {
-		bk.YieldTo(h.YieldDraft)
-		h.AfterFirstLaunch = func() {
-			h.Flight.Record(ep.Now(), trace.FlightBuild, 0, trace.BuildBegin)
-			bk.StartDraft()
+	return NewWorker(part, sl.Lo, sl.Hi, sl.First, sl.Last, sl.KV), nil
+}
+
+// Head builds the head's backend; a dedicated head derives its (empty)
+// slice of the target here, since no Stage call does. When the strategy
+// drafts, the draft model is derived only once the first run — the first
+// prefill — is on the wire (Head.Attach), overlapping its transit instead
+// of delaying it, while the head decodes without speculation.
+func (s source) Head(ep comm.Endpoint, drafts, inline bool) (backend.Head, error) {
+	if !inline {
+		if _, err := s.build(ep.Rank(), backend.Slice{}); err != nil {
+			return nil, err
 		}
 	}
-	return h, bk, localWorker, nil
+	if !drafts {
+		return NewHead(nil, s.mcfg.VocabSize), nil
+	}
+	return NewLazyHead(func() *model.Runner {
+		target := s.shared.target()
+		start := time.Now()
+		d := model.NewDraft(target, s.noise, s.seed^0xd4af)
+		s.Serve.Obs.SetModelBuild("draft", time.Since(start))
+		return model.NewRunner(d, s.Serve.KV.Cells)
+	}, s.mcfg.VocabSize), nil
 }
 
 // oneSession is the one-session serve a single-request run is: the run's
@@ -189,7 +143,6 @@ func (p *plan) newHead(ep comm.Endpoint, part *model.Model, shared *weights, dra
 // MaxSeqs partitions. The strategy picks the topology and the schedule
 // (serve.Drive).
 func (o Options) oneSession() ServeOptions {
-	o.defaults()
 	so := ServeOptions{
 		Nodes: o.Nodes, CFG: o.CFG, ModelCfg: o.ModelCfg, Seed: o.Seed,
 		Speculate:   o.Strategy == engine.StrategyPipeInfer,
@@ -204,39 +157,28 @@ func (o Options) oneSession() ServeOptions {
 	return so
 }
 
-// outcome is a rank's share of a single-request run: the head's tokens and
-// statistics (serve.Solo), every rank's resident bytes.
-func outcome(out ServeOutcome, err error) (Outcome, error) {
-	if err != nil {
-		return Outcome{}, err
-	}
-	o := Outcome{PerNodeMem: out.PerNodeMem}
-	if out.Results != nil {
-		o.Tokens, o.Stats, err = serve.Solo(out.Results, out.Stats)
-	}
-	return o, err
-}
-
 // RunRank executes one pipeline rank over the given endpoint. All ranks
 // must be constructed with identical Options. Rank 0 returns the full
 // outcome (generated tokens, stats); worker ranks return only their local
 // memory accounting. This is the entry point cmd/pipeinfer-node uses to
 // run PipeInfer across separate OS processes connected by tcpcomm.
 func RunRank(ep comm.Endpoint, opts Options) (Outcome, error) {
-	return outcome(serveRank(ep, opts.oneSession(), newWeights(1), opts.Strategy))
+	return backend.Solo(serveRank(ep, opts.oneSession(), newWeights(1), opts.Strategy))
 }
 
 // Run spawns one goroutine per pipeline rank connected by chancomm and
 // executes the selected strategy end to end, merging per-rank memory
 // accounting into one outcome — the one-session serve of Serve's spawn.
 func Run(opts Options) (Outcome, error) {
-	return outcome(spawn(opts.oneSession(), opts.Strategy))
+	return backend.Solo(spawn(opts.oneSession(), opts.Strategy))
 }
 
 // ReferenceGreedy produces the single-runner greedy output every strategy
 // must match exactly.
 func ReferenceGreedy(opts Options, maxNew int) ([]token.Token, error) {
-	opts.defaults()
+	if opts.ModelCfg.Dim == 0 {
+		opts.ModelCfg = model.TinyConfig()
+	}
 	target, err := model.New(opts.ModelCfg, opts.Seed)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package simbk
 
 import (
+	"github.com/pipeinfer/pipeinfer/internal/backend"
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/oracle"
@@ -34,11 +35,7 @@ type Options struct {
 }
 
 // Outcome is the result of a simulated generation.
-type Outcome struct {
-	Tokens     []token.Token
-	Stats      engine.Stats
-	PerNodeMem []int64
-}
+type Outcome = backend.Outcome
 
 // simVocab is the oracle vocabulary: it only influences token identity,
 // not wire sizes (those use the model spec); a compact vocab keeps
@@ -60,12 +57,7 @@ func Prompt(vocab, n int, seed uint64) []token.Token {
 // outcome, including per-node memory accounting for Fig 7a.
 func Run(opts Options) (Outcome, error) {
 	so, reqs := opts.oneSession()
-	out, err := simulate(so, opts.Strategy, opts.SplitWeights, reqs)
-	if err != nil {
-		return Outcome{}, err
-	}
-	toks, stats, err := serve.Solo(out.Results, out.Stats)
-	return Outcome{Tokens: toks, Stats: stats, PerNodeMem: out.PerNodeMem}, err
+	return backend.Solo(simulate(so, opts.Strategy, opts.SplitWeights, reqs))
 }
 
 // oneSession is the one-session serve a single-request run is: the run's
@@ -94,14 +86,18 @@ func (o Options) oneSession() (ServeOptions, []serve.Request) {
 // Reference returns the target stream the generation must equal under
 // greedy sampling (the §V-B zero-deviation check).
 func Reference(opts Options, maxNew int) []token.Token {
-	alpha := opts.Pair.Acceptance
-	if opts.AcceptanceOverride > 0 {
-		alpha = opts.AcceptanceOverride
-	}
-	o := oracle.New(simVocab, alpha, opts.Seed)
 	if opts.PromptLen <= 0 {
 		opts.PromptLen = 128
 	}
-	prompt := Prompt(simVocab, opts.PromptLen, opts.Seed)
-	return o.TargetStream(prompt, maxNew)
+	return newOracle(opts.Pair, opts.AcceptanceOverride, opts.Seed).TargetStream(Prompt(simVocab, opts.PromptLen, opts.Seed), maxNew)
+}
+
+// newOracle is the oracle of a pair at its acceptance rate, or at
+// override when that is set.
+func newOracle(pair cost.Pair, override float64, seed uint64) *oracle.Oracle {
+	alpha := pair.Acceptance
+	if override > 0 {
+		alpha = override
+	}
+	return oracle.New(simVocab, alpha, seed)
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/backend"
 	"github.com/pipeinfer/pipeinfer/internal/comm"
-	"github.com/pipeinfer/pipeinfer/internal/comm/simcomm"
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/oracle"
 	"github.com/pipeinfer/pipeinfer/internal/serve"
-	"github.com/pipeinfer/pipeinfer/internal/simnet"
 	"github.com/pipeinfer/pipeinfer/internal/telemetry"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 	"github.com/pipeinfer/pipeinfer/internal/trace"
@@ -36,32 +35,24 @@ type ServeOptions struct {
 	// drafting head (PipeInfer topology); without it every rank is a
 	// target stage.
 	Speculate bool
-	// MaxSessions bounds concurrent session slots (default min(4,
-	// Sessions)); SeqsPerSession is the per-session namespace width
-	// (default 4 when speculating, else 1).
+	// MaxSessions, SeqsPerSession, MaxBatch, PrefillChunk, AutoBatch,
+	// PrefixCache, MaxQueue, RunTimeout and OnRecover are serve.Config's
+	// fields of the same names, as in realbk.ServeOptions (slots default
+	// to min(4, Sessions)); the run watchdog runs in virtual time.
 	MaxSessions    int
 	SeqsPerSession int
+	MaxBatch       int
+	PrefillChunk   int
+	AutoBatch      bool
+	PrefixCache    bool
+	MaxQueue       int
+	RunTimeout     time.Duration
+	OnRecover      func(req int)
 	// KVCells overrides the per-stage KV capacity in cells (default:
 	// every session slot fully provisioned); undersizing engages the
 	// memory-pressure protocol. KVPageSize sets the page granularity.
 	KVCells    int
 	KVPageSize int
-	// MaxBatch is the batch width: up to MaxBatch sessions' row groups
-	// are composed into one multi-row pipeline run (internal/batch). 0 or
-	// 1 is width 1.
-	MaxBatch int
-	// PrefillChunk splits prompt prefills into chunks of at most this
-	// many tokens per composed run (chunked cross-session prefill,
-	// shortest-remaining-first; 0 = a prompt's whole remaining range is
-	// one chunk, one such chunk per run). AutoBatch replaces the static
-	// width with the adaptive controller (MaxBatch becomes the cap).
-	PrefillChunk int
-	AutoBatch    bool
-	// PrefixCache enables cross-session prompt-prefix reuse (PR 9):
-	// completed cold prefills publish their page-aligned prompt prefix as
-	// refcounted shared KV pages, and later admissions whose prompt
-	// matches map the chain read-only instead of recomputing it.
-	PrefixCache bool
 	// SharedPromptLen, when > 0, prepends a common system prompt of that
 	// many tokens to every request's otherwise-distinct prompt — the
 	// multi-tenant shape prefix reuse targets. ServeReference derives its
@@ -70,10 +61,6 @@ type ServeOptions struct {
 	SharedPromptLen int
 	// AcceptanceOverride, when > 0, replaces Pair.Acceptance.
 	AcceptanceOverride float64
-	// MaxQueue bounds the admission queue (PR 10): submissions past the
-	// bound settle immediately as serve.ErrOverloaded results. 0 keeps
-	// the queue unbounded.
-	MaxQueue int
 	// SLOFor, when non-nil, assigns request i its service class: a
 	// priority plus TTFT and completion deadlines measured from the
 	// simulation's virtual t=0 (0 disables a deadline). Requests whose
@@ -81,16 +68,10 @@ type ServeOptions struct {
 	// (serve.ErrShedDeadline) without consuming pipeline work; the
 	// remaining sessions still reproduce ServeReference exactly.
 	SLOFor func(i int) (priority int, ttftDeadline, deadline time.Duration)
-	// RunTimeout arms the head's run watchdog in virtual time (PR 6):
-	// failed runs recover their sessions by eviction + prefix-recompute
-	// readmission. 0 disables.
-	RunTimeout time.Duration
 	// WrapEndpoint, when non-nil, wraps each rank's endpoint before the
 	// engine sees it — the fault-injection hook (faultcomm over simcomm
 	// perturbs the run in exact virtual time).
 	WrapEndpoint func(rank int, ep comm.Endpoint) comm.Endpoint
-	// OnRecover, when non-nil, observes fault recovery on the head.
-	OnRecover func(req int)
 	// Trace, when non-nil, receives the pipeline's timeline: every rank's
 	// flight ring and the head's, as in Options.Trace.
 	Trace *trace.Set
@@ -103,11 +84,7 @@ type ServeOptions struct {
 }
 
 // ServeOutcome is the result of a serving simulation.
-type ServeOutcome struct {
-	Results    []serve.Result
-	Stats      engine.Stats
-	PerNodeMem []int64
-}
+type ServeOutcome = backend.ServeOutcome
 
 func (o *ServeOptions) defaults() {
 	if o.Sessions <= 0 {
@@ -116,15 +93,7 @@ func (o *ServeOptions) defaults() {
 	if o.PromptLen <= 0 {
 		o.PromptLen = 128
 	}
-	sc := serve.Config{
-		MaxSessions:    o.MaxSessions,
-		SeqsPerSession: o.SeqsPerSession,
-		Speculate:      o.Speculate,
-	}.Normalize(o.Sessions)
-	o.MaxSessions, o.SeqsPerSession = sc.MaxSessions, sc.SeqsPerSession
-	if o.CFG.MaxInflight <= 0 {
-		o.CFG.MaxInflight = max(12, o.MaxSessions+2)
-	}
+	backend.Defaults(&o.CFG, &o.MaxSessions, &o.SeqsPerSession, o.Speculate, o.Sessions)
 }
 
 // servePrompt builds request i's deterministic prompt: an optional
@@ -144,12 +113,7 @@ func servePrompt(opts *ServeOptions, i int) []token.Token {
 // per-session analogue of Reference.
 func ServeReference(opts ServeOptions, i, maxNew int) []token.Token {
 	opts.defaults()
-	alpha := opts.Pair.Acceptance
-	if opts.AcceptanceOverride > 0 {
-		alpha = opts.AcceptanceOverride
-	}
-	o := oracle.New(simVocab, alpha, opts.Seed)
-	return o.TargetStream(servePrompt(&opts, i), maxNew)
+	return newOracle(opts.Pair, opts.AcceptanceOverride, opts.Seed).TargetStream(servePrompt(&opts, i), maxNew)
 }
 
 // Serve runs a multi-session serving simulation and returns per-request
@@ -183,109 +147,27 @@ func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float6
 	}
 	cfg := opts.CFG.Defaults()
 
-	alpha := opts.Pair.Acceptance
-	if opts.AcceptanceOverride > 0 {
-		alpha = opts.AcceptanceOverride
-	}
-	o := oracle.New(simVocab, alpha, opts.Seed)
+	src := &source{nodes: opts.Cluster.Nodes, pair: opts.Pair, o: newOracle(opts.Pair, opts.AcceptanceOverride, opts.Seed)}
 
-	splits := cost.UniformSplit(opts.Pair.Target.NLayers, len(topo.Stages))
+	split := cost.UniformSplit(opts.Pair.Target.NLayers, len(topo.Stages))
 	if splitWeights != nil {
 		if len(splitWeights) != len(topo.Stages) {
 			return ServeOutcome{}, fmt.Errorf("simbk: %d split weights for %d stages",
 				len(splitWeights), len(topo.Stages))
 		}
-		splits = cost.SplitLayers(opts.Pair.Target.NLayers, splitWeights)
+		split = cost.SplitLayers(opts.Pair.Target.NLayers, splitWeights)
 	}
 	cells := opts.MaxSessions*(opts.SharedPromptLen+opts.PromptLen+cfg.MaxNew+4*opts.SeqsPerSession*cfg.MicroBatch) + 256
 	if opts.KVCells > 0 {
 		cells = opts.KVCells
 	}
-	kv := kvpage.Config{Cells: cells, PageSize: opts.KVPageSize, ShardSeqs: opts.SeqsPerSession}
-
-	k := simnet.NewKernel()
-	cl := simcomm.New(k, n, func(int) *simnet.Link { return opts.Cluster.Link.NewLink() })
-
-	var out ServeOutcome
-	var runErr error
-	workers := make([]*Worker, len(topo.Stages))
-	targets := make([]*oracle.Oracle, len(topo.Stages))
-	targets[len(targets)-1] = o // the last stage samples the target
-	// One timeline ring per recording goroutine, the head's first: events
-	// at the same instant read in that order (a launch, then the inline
-	// stage's evaluation of it).
-	headRing := opts.Trace.Ring("head", 0)
-	rings := make(map[int]*trace.Ring, len(topo.Stages))
-	for _, rank := range topo.Stages {
-		rings[rank] = opts.Trace.Ring(fmt.Sprintf("rank%d", rank), 0)
-	}
-	// stageObs registers a stage: its meter with the registry, and its
-	// one flight ring on whichever of the timeline set and the registry's
-	// the caller supplied (all nil, and so inert, with neither).
-	stageObs := func(rank int) engine.WorkerObs {
-		name := fmt.Sprintf("rank%d", rank)
-		ring := rings[rank]
-		if ring == nil {
-			ring = opts.Obs.Flight().Ring(name, 0)
-		} else {
-			opts.Obs.Flight().Attach(name, ring)
-		}
-		return engine.WorkerObs{Meter: opts.Obs.RegisterStage(name), Flight: ring}
-	}
-
-	for si, rank := range topo.Stages {
-		if rank == topo.Head {
-			continue
-		}
-		si, rank := si, rank
-		k.Spawn(fmt.Sprintf("stage%d", si), func(p *simnet.Proc) {
-			ep := comm.Endpoint(cl.Bind(rank, p))
-			if opts.WrapEndpoint != nil {
-				ep = opts.WrapEndpoint(rank, ep)
-			}
-			if opts.Obs != nil {
-				ep = comm.Counted(ep, opts.Obs.RegisterLink(fmt.Sprintf("rank%d", rank)))
-			}
-			obs := stageObs(rank)
-			w := NewWorker(ep, opts.Cluster.Nodes[rank], opts.Pair.Target, splits[si], targets[si], kv)
-			workers[si] = w
-			if err := engine.WorkerLoop(ep, topo, w, obs); err != nil && runErr == nil {
-				runErr = fmt.Errorf("simbk: stage %d: %w", si, err)
-			}
-		})
-	}
-
-	k.Spawn("head", func(p *simnet.Proc) {
-		ep := comm.Endpoint(cl.Bind(topo.Head, p))
-		if opts.WrapEndpoint != nil {
-			ep = opts.WrapEndpoint(topo.Head, ep)
-		}
-		if opts.Obs != nil {
-			ep = comm.Counted(ep, opts.Obs.RegisterLink(fmt.Sprintf("rank%d", topo.Head)))
-		}
-		bk := NewHead(ep, opts.Cluster.Nodes[topo.Head], opts.Pair.Draft, o)
-		var local engine.Worker
-		if topo.HeadIsStage() {
-			w := NewWorker(ep, opts.Cluster.Nodes[topo.Head], opts.Pair.Target, splits[0], targets[0], kv)
-			workers[0] = w
-			local = w
-		}
-		h, err := engine.NewHead(ep, topo, cfg, bk, local)
-		if err != nil {
-			runErr = err
-			return
-		}
-		// serve.New registers the head's ring with Obs itself.
-		h.Flight = headRing
-		if local != nil {
-			h.LocalObs = stageObs(topo.Head)
-			h.LocalObs.Meter.Open(ep.Now())
-		}
-		results, err := serve.Drive(h, strategy, serve.Config{
+	p := &backend.Plan{
+		Nodes: n, Strategy: strategy, Topo: topo, CFG: cfg, Split: split,
+		Serve: serve.Config{
 			MaxSessions:    opts.MaxSessions,
 			SeqsPerSession: opts.SeqsPerSession,
 			Speculate:      opts.Speculate,
-			KV:             kv,
+			KV:             kvpage.Config{Cells: cells, PageSize: opts.KVPageSize, ShardSeqs: opts.SeqsPerSession},
 			MaxBatch:       opts.MaxBatch,
 			PrefillChunk:   opts.PrefillChunk,
 			AutoBatch:      opts.AutoBatch,
@@ -294,51 +176,34 @@ func simulate(opts ServeOptions, strategy engine.Strategy, splitWeights []float6
 			OnRecover:      opts.OnRecover,
 			PrefixCache:    opts.PrefixCache,
 			Obs:            opts.Obs,
-		}, reqs)
-		if err != nil {
-			// The stages are parked in their worker loops and only the head
-			// can release them; left there, the kernel reports their
-			// deadlock in place of this error — a configuration error the
-			// scheduler refused to start on included.
-			h.Shutdown()
-			runErr = fmt.Errorf("simbk: head: %w", err)
-			return
-		}
-		out.Results = results
-		out.Stats = h.Stats.Snapshot()
-		out.PerNodeMem = make([]int64, n)
-		if strategy != engine.StrategyIterative {
-			// Only the speculative strategies host a draft model (§V-B:
-			// "iterative inference maintained lower memory requirements
-			// due to the lack of a speculative model").
-			out.PerNodeMem[topo.Head] += bk.MemoryBytes()
-		}
-		for si, w := range workers {
-			if w != nil {
-				out.PerNodeMem[topo.Stages[si]] += w.MemoryBytes()
-			}
-		}
-	})
+		},
+		Requests:     reqs,
+		WrapEndpoint: opts.WrapEndpoint,
+		Rings:        backend.OpenRings(opts.Trace, topo),
+	}
+	return backend.Simulate(p, opts.Cluster.Link, func(int) backend.Source { return src })
+}
 
-	if err := k.Run(); err != nil {
-		return ServeOutcome{}, fmt.Errorf("simbk: simulation: %w", err)
+// source is where a simulated pipeline's ranks get their compute: the
+// cost model of each rank's node and of the model pair, and one oracle,
+// which the head drafts from and the last stage samples.
+type source struct {
+	nodes []cost.NodeSpec
+	pair  cost.Pair
+	o     *oracle.Oracle
+}
+
+// Stage builds a simulated stage over the slice's layers; the last one
+// samples the target.
+func (s *source) Stage(ep comm.Endpoint, sl backend.Slice) (backend.Stage, error) {
+	var target *oracle.Oracle
+	if sl.Last {
+		target = s.o
 	}
-	if runErr != nil {
-		return ServeOutcome{}, runErr
-	}
-	// End-state self-check: metadata invariants hold on every stage and —
-	// every finished session having removed its namespace — no cell is
-	// still occupied.
-	for si, w := range workers {
-		if w == nil {
-			continue
-		}
-		if err := w.Cache().CheckInvariants(); err != nil {
-			return ServeOutcome{}, fmt.Errorf("simbk: stage %d KV corruption: %w", si, err)
-		}
-		if used := w.Cache().Used(); used != 0 {
-			return ServeOutcome{}, fmt.Errorf("simbk: stage %d KV leak: %d cells occupied after serving", si, used)
-		}
-	}
-	return out, nil
+	return NewWorker(ep, s.nodes[ep.Rank()], s.pair.Target, sl.Hi-sl.Lo, target, sl.KV), nil
+}
+
+// Head builds the simulated head, whose oracle draft exists from the start.
+func (s *source) Head(ep comm.Endpoint, _, _ bool) (backend.Head, error) {
+	return NewHead(ep, s.nodes[ep.Rank()], s.pair.Draft, s.o), nil
 }

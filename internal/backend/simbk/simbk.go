@@ -2,10 +2,12 @@
 // the cost model against the virtual clock instead of computing tensors,
 // and the last stage samples the deterministic oracle's target model over
 // the tokens its KV cells hold, as the real backend's last stage computes
-// logits over its cells. Because the engines only interact with the
-// backend through the engine.Worker / engine.HeadBackend interfaces, the
-// scheduling behaviour being measured here is byte-for-byte the same code
-// that the real-compute backend validates for correctness.
+// logits over its cells. Its ranks serve through the same rank routine as
+// the real-compute backend's (backend.ServeRank), on the virtual-clock
+// spawn (backend.Simulate): simbk supplies only its source of tokens and
+// time (the oracle, placement and roofline charges), so the scheduling
+// behaviour measured here is byte-for-byte the code the real-compute
+// backend validates for correctness.
 package simbk
 
 import (
@@ -209,6 +211,13 @@ func (h *Head) Propose(ctx []token.Token, width int) ([]token.Token, []float32, 
 
 // Ready is always true: the simulated draft exists from the start.
 func (h *Head) Ready() bool { return true }
+
+// Attach does nothing: the simulated head needs nothing of the head
+// driving it.
+func (h *Head) Attach(*engine.Head) {}
+
+// Settle does nothing: the simulated head runs nothing on its own.
+func (h *Head) Settle() {}
 
 // Results charges the sampling time and decodes the last stage's token
 // ids (engine.RowTokens). The returned value is valid until the next

@@ -54,12 +54,14 @@ const (
 // share: the engine's run, KV, shutdown, result and cancel frames. A
 // transport between processes refuses a peer of another version when it
 // connects (tcpcomm's hello) instead of decoding frames it does not know.
-// Bump it with any change to those formats or to what their fields mean;
+// Bump it with any change to those formats, to what their fields mean or
+// to that handshake;
 // version 0 is a peer from before versions existed, version 2 the one in
-// which a cancel entry's zero mask stopped meaning "skip the run", and
+// which a cancel entry's zero mask stopped meaning "skip the run",
 // version 3 the one in which each pipeline operation became one frame on
-// TagRun (no start message, no separate activation message).
-const WireVersion = 3
+// TagRun (no start message, no separate activation message), and version
+// 4 the one in which tcpcomm's accepting side answers a hello with its own.
+const WireVersion = 4
 
 // String names the tag for traces.
 func (t Tag) String() string {

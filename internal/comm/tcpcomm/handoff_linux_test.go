@@ -3,7 +3,6 @@ package tcpcomm
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"net"
 	"runtime"
 	"syscall"
@@ -32,7 +31,8 @@ func TestSendReachesPeerWhileSenderRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The test is rank 1, by hand: accept rank 0's dial, read its hello.
+	// The test is rank 1, by hand: accept rank 0's dial, read its hello
+	// and answer with rank 1's.
 	ln, err := net.Listen("tcp", addrs[1])
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +41,12 @@ func TestSendReachesPeerWhileSenderRuns(t *testing.T) {
 	accepted := make(chan net.Conn, 1)
 	go func() {
 		c, err := ln.Accept()
+		if err == nil {
+			_, _, err = readHello(c)
+		}
+		if err == nil {
+			_, err = c.Write(hello(1))
+		}
 		if err != nil {
 			close(accepted)
 			return
@@ -57,10 +63,6 @@ func TestSendReachesPeerWhileSenderRuns(t *testing.T) {
 		t.Fatal("rank 0 never dialled")
 	}
 	defer peer.Close()
-	var hello [helloSize]byte
-	if _, err := io.ReadFull(peer, hello[:]); err != nil {
-		t.Fatal(err)
-	}
 	raw, err := peer.(*net.TCPConn).SyscallConn()
 	if err != nil {
 		t.Fatal(err)

@@ -68,12 +68,16 @@ const frameHeader = 4 + 1 + 4 + 4
 // space and never reaches the stream queues.
 const heartbeatTag = 0xFF
 
-// The hello is the dialing side's first word on every connection, at mesh
+// The hello is each side's first word on every connection, at mesh
 // establishment and at reconnection alike: a little-endian u32 carrying
-// the dialer's rank in the low 16 bits and its comm.WireVersion beside it
-// in the high 16. The accepting side refuses a peer of another version, so
-// a peer from before versions existed — whose hello is its bare rank —
-// reads as version 0 and is refused too.
+// the sender's rank in the low 16 bits and its comm.WireVersion beside it
+// in the high 16. The dialer sends its hello and the accepting side
+// answers with its own, whatever the dialer's, so that both sides learn
+// the other's version and each refuses a peer of another one. A peer
+// from before versions existed — whose hello is its bare rank — reads as
+// version 0; one from before hellos were answered refuses a dialer of
+// another version by closing the connection, which the dialer reads as a
+// refusal too (greet).
 const helloSize = 4
 
 func hello(rank int) []byte {
@@ -89,6 +93,9 @@ func readHello(conn net.Conn) (rank int, version uint32, err error) {
 	w := binary.LittleEndian.Uint32(b[:])
 	return int(w & 0xffff), w >> 16, nil
 }
+
+// refusal is a peer refusing a link for good: redialing cannot change it.
+type refusal struct{ error }
 
 // checkVersion refuses, on behalf of rank self, a peer whose hello names
 // another wire version.
@@ -268,6 +275,9 @@ func Dial(cfg Config) (*Endpoint, error) {
 				return
 			}
 			src, version, err := readHello(conn)
+			if err == nil {
+				_, err = conn.Write(hello(cfg.Rank))
+			}
 			if err == nil && src >= cfg.Rank {
 				err = fmt.Errorf("tcpcomm: bad hello rank %d", src)
 			}
@@ -332,11 +342,12 @@ func (e *Endpoint) dialPeer(peer int, deadline time.Time) (net.Conn, error) {
 	for {
 		conn, err := net.DialTimeout("tcp", e.cfg.Addrs[peer], time.Second)
 		if err == nil {
-			if _, werr := conn.Write(hello(e.rank)); werr != nil {
-				conn.Close()
-				err = werr
-			} else {
+			if err = e.greet(conn, peer, deadline); err == nil {
 				return conn, nil
+			}
+			conn.Close()
+			if errors.As(err, new(refusal)) {
+				return nil, err
 			}
 		}
 		if time.Now().After(deadline) {
@@ -356,6 +367,33 @@ func (e *Endpoint) dialPeer(peer int, deadline time.Time) (net.Conn, error) {
 	}
 }
 
+// greet sends this rank's hello on a fresh connection to peer and reads
+// the answer: the link is up only once peer has answered with its own
+// hello, as rank peer and in this build's wire version. A peer of another
+// version, or one that closes the connection in place of an answer (a
+// build from before hellos were answered refusing this one's version),
+// refuses the link for good.
+func (e *Endpoint) greet(conn net.Conn, peer int, deadline time.Time) error {
+	if _, err := conn.Write(hello(e.rank)); err != nil {
+		return err
+	}
+	conn.SetReadDeadline(deadline)
+	defer conn.SetReadDeadline(time.Time{})
+	src, version, err := readHello(conn)
+	switch {
+	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+		return refusal{fmt.Errorf("tcpcomm: rank %d closed the connection on rank %d's hello: it refuses this build's wire version %d", peer, e.rank, comm.WireVersion)}
+	case err != nil:
+		return err
+	case src != peer:
+		return refusal{fmt.Errorf("tcpcomm: rank %d answered as rank %d", peer, src)}
+	}
+	if err := checkVersion(e.rank, peer, version); err != nil {
+		return refusal{err}
+	}
+	return nil
+}
+
 // acceptLoop re-accepts reconnections for the endpoint's lifetime: a
 // dialing peer's hello identifies which broken link the fresh connection
 // repairs, and reconnect() on that link picks it up. A cluster rank that
@@ -370,6 +408,9 @@ func (e *Endpoint) acceptLoop() {
 		go func(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			src, version, err := readHello(conn)
+			if err == nil {
+				_, err = conn.Write(hello(e.rank))
+			}
 			if err != nil || src >= e.size || src == e.rank {
 				conn.Close()
 				return
@@ -466,6 +507,9 @@ func (e *Endpoint) reconnect(peer int, failed net.Conn) net.Conn {
 	if e.rank < peer {
 		c, err := e.dialPeer(peer, deadline)
 		if err != nil {
+			if errors.As(err, new(refusal)) {
+				e.fail(err)
+			}
 			return nil
 		}
 		conn = c

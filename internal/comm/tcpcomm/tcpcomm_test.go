@@ -335,11 +335,15 @@ func helloFrom(t *testing.T, addr string, rank int, version uint32) net.Conn {
 	}
 }
 
-// refused checks that the accepting side closed conn, and that err names
+// refused checks that the accepting side answered conn's hello with its
+// own, in this build's wire version, then closed conn, and that err names
 // the peer's wire version and this build's.
 func refused(t *testing.T, conn net.Conn, err error, version uint32) {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, v, herr := readHello(conn); herr != nil || v != comm.WireVersion {
+		t.Fatalf("the refusing side answered version %d (read: %v), want its own hello in version %d", v, herr, comm.WireVersion)
+	}
 	if _, rerr := conn.Read(make([]byte, 1)); rerr == nil || errors.Is(rerr, os.ErrDeadlineExceeded) {
 		t.Fatalf("the refused connection is still open (read: %v)", rerr)
 	}
@@ -371,6 +375,69 @@ func TestDialRefusesOtherWireVersion(t *testing.T) {
 		}()
 		conn := helloFrom(t, addrs[1], 0, v)
 		refused(t, conn, <-errc, v)
+	}
+}
+
+// fakePeer listens as rank 1 of addrs, accepts one connection, reads its
+// hello, writes answer (nothing when nil) and closes the connection: the
+// data, if any, reaches the dialer before the close does.
+func fakePeer(t *testing.T, addrs []string, answer []byte) {
+	t.Helper()
+	ln, err := net.Listen("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, _, err := readHello(conn); err == nil && answer != nil {
+			conn.Write(answer)
+		}
+	}()
+}
+
+// TestDialRefusedByOtherWireVersion: rank 0 dials a rank 1 that answers
+// its hello with the hello of another wire version. Rank 0's Dial must
+// fail, naming both versions, rather than count the link as up.
+func TestDialRefusedByOtherWireVersion(t *testing.T) {
+	for _, v := range []uint32{comm.WireVersion - 1, comm.WireVersion + 1} {
+		addrs, err := FreeAddrs(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fakePeer(t, addrs, binary.LittleEndian.AppendUint32(nil, v<<16|1))
+		ep, err := Dial(Config{Rank: 0, Addrs: addrs, DialTimeout: 10 * time.Second})
+		if ep != nil {
+			ep.Close()
+		}
+		want := fmt.Sprintf("speaks wire version %d, this build speaks %d", v, comm.WireVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("answered in wire version %d: Dial returned %v, want an error containing %q", v, err, want)
+		}
+	}
+}
+
+// TestDialRefusedByClosedConnection: rank 0 dials a rank 1 that closes
+// the connection on its hello, as a build from before hellos were
+// answered refuses another version. Rank 0's Dial must fail, naming the
+// peer, instead of counting the link as up or redialing until its
+// timeout.
+func TestDialRefusedByClosedConnection(t *testing.T) {
+	addrs, err := FreeAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fakePeer(t, addrs, nil)
+	ep, err := Dial(Config{Rank: 0, Addrs: addrs, DialTimeout: 10 * time.Second})
+	if ep != nil {
+		ep.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "rank 1 closed the connection") {
+		t.Fatalf("Dial returned %v, want the error naming rank 1's refusal", err)
 	}
 }
 

@@ -46,6 +46,13 @@ var retired = map[string]string{
 	"Ctxs":                "row contexts on the run record; the head keeps none, and simbk's last stage reads each row's context from its KV cells (ROADMAP, Batching architecture: one result frame, one Results)",
 }
 
+// rankCalls are what only the rank routine calls: a head assembled, a
+// stage's loop run, a head's schedule driven. Each has one call site
+// under internal/, and all three share one function.
+var rankCalls = []struct{ pkg, name string }{{"engine", "NewHead"}, {"engine", "WorkerLoop"}, {"serve", "Drive"}}
+
+const rankWhy = "both backends serve through one rank routine and differ only in their token source (ROADMAP, Serving architecture: one driver, one rank routine)"
+
 // degradationFields may not be declared on serve.Scheduler: the breaker
 // and brown-out are rungs of the one optimism level. (telemetry's atomics
 // of the same names are the scrape-side mirrors and stay.)
@@ -127,6 +134,7 @@ func TestStructure(t *testing.T) {
 		pkg, fun string
 	}
 	var proposeCalls []call
+	rankSites := make([][]call, len(rankCalls))
 	pendingTypes := 0
 	for _, f := range files {
 		wireRules(f, fail)
@@ -145,12 +153,26 @@ func TestStructure(t *testing.T) {
 			case fd.Recv != nil && shapeMethods[fd.Name.Name] && receiver(fd) == "RunMsg":
 				fail(fd.Pos(), "RunMsg.%s is declared: it %s", fd.Name.Name, shapeWhy)
 			}
-			if fd.Body == nil || fd.Name.Name == "Propose" {
-				continue // a Propose implementation delegates
+			if fd.Body == nil {
+				continue
+			}
+			fun := fd.Name.Name
+			if fd.Recv != nil {
+				fun = receiver(fd) + "." + fun
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if c, ok := n.(*ast.CallExpr); ok && selector(c.Fun, "", "Propose") {
-					proposeCalls = append(proposeCalls, call{c.Pos(), pkg, fd.Name.Name})
+				c, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				// A Propose implementation delegates.
+				if selector(c.Fun, "", "Propose") && fd.Name.Name != "Propose" {
+					proposeCalls = append(proposeCalls, call{c.Pos(), pkg, fun})
+				}
+				for i, rc := range rankCalls {
+					if selector(c.Fun, rc.pkg, rc.name) || pkg == rc.pkg && isIdent(c.Fun, rc.name) {
+						rankSites[i] = append(rankSites[i], call{c.Pos(), pkg, fun})
+					}
 				}
 				return true
 			})
@@ -204,6 +226,22 @@ func TestStructure(t *testing.T) {
 			where[i] = fmt.Sprintf("%s (%s.%s)", fset.Position(c.pos), c.pkg, c.fun)
 		}
 		t.Errorf("want one drafter, spec.Grow's Propose call, found %d Propose call sites outside Propose implementations: %v (%s; a chain is a width-1 tree)", len(proposeCalls), where, machine)
+	}
+	var routine string
+	for i, rc := range rankCalls {
+		where := make([]string, len(rankSites[i]))
+		for j, c := range rankSites[i] {
+			where[j] = fmt.Sprintf("%s (%s.%s)", fset.Position(c.pos), c.pkg, c.fun)
+		}
+		if len(where) != 1 {
+			t.Errorf("want one call site of %s.%s under internal/, found %d: %v (%s)", rc.pkg, rc.name, len(where), where, rankWhy)
+			continue
+		}
+		if fn := rankSites[i][0].pkg + "." + rankSites[i][0].fun; routine == "" {
+			routine = fn
+		} else if fn != routine {
+			t.Errorf("%s.%s is called in %s, not in %s with the others: %s (%s)", rc.pkg, rc.name, fn, routine, where[0], rankWhy)
+		}
 	}
 	if pendingTypes != 1 {
 		t.Errorf("want one pending-token type (core.Pending), found %d (%s)", pendingTypes, machine)
