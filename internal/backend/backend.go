@@ -1,11 +1,12 @@
-// Package backend is the one rank routine, ServeRank, that both backends
-// serve through. The real-compute backend (realbk) and the simulated one
-// (simbk) differ only in where a rank's tokens come from, the Source each
-// hands the routine (model layers and a model draft, or roofline charges
-// and the oracle), and in the clock their ranks run on: realbk's spawn
-// runs them as goroutines over chancomm on the wall clock, Simulate as
-// simnet processes over simcomm in virtual time, and a rank that is a
-// process of its own (tcpcomm) calls ServeRank directly. Everything else reaches the routine
+// Package backend is the one rank routine, ServeRank, and the one
+// pipeline stage, Stage, that both backends serve through. The
+// real-compute backend (realbk) and the simulated one (simbk) differ only
+// in where a rank's tokens come from, the Source each hands the routine
+// (model layers and a model draft, or roofline charges and the oracle),
+// and in the clock their ranks run on: realbk's spawn runs them as
+// goroutines over chancomm on the wall clock, Simulate as simnet processes
+// over simcomm in virtual time, and a rank that is a process of its own
+// (tcpcomm) calls ServeRank directly. Everything else reaches the routine
 // as data, a Plan; it never asks which backend or transport it serves.
 package backend
 
@@ -64,38 +65,37 @@ func OpenRings(set *trace.Set, topo engine.Topology) Rings {
 }
 
 // Slice is what one stage holds: target layers [Lo, Hi), the embedding
-// when First and the output head when Last, and a KV cache sized by KV.
+// when First and the output head when Last, and a KV cache of Cells cells
+// (Serve.KV's capacity in whole pages).
 type Slice struct {
 	Lo, Hi      int
 	First, Last bool
-	KV          kvpage.Config
+	Cells       int
 }
 
-// slice is what stage si of p holds.
-func (p *Plan) slice(si int) Slice {
+// stage builds stage si of p on ep's rank: its cache, sized by the
+// serve's KV, and the layers src builds over the slice it holds.
+func (p *Plan) stage(ep comm.Endpoint, src Source, si int) (*Stage, error) {
 	lo := 0
 	for _, n := range p.Split[:si] {
 		lo += n
 	}
-	return Slice{Lo: lo, Hi: lo + p.Split[si], First: si == 0, Last: si == len(p.Split)-1, KV: p.Serve.KV}
+	cache := kvpage.New(p.Serve.KV)
+	l, err := src.Stage(ep, Slice{Lo: lo, Hi: lo + p.Split[si], First: si == 0, Last: si == len(p.Split)-1, Cells: cache.Size()})
+	if err != nil {
+		return nil, err
+	}
+	return NewStage(cache, l), nil
 }
 
 // Source is where a backend's ranks get their compute and their tokens.
 type Source interface {
-	// Stage builds the worker of a stage over the slice it holds, on ep's
+	// Stage builds the layers of a stage over the slice it holds, on ep's
 	// rank: a stage rank, or the head holding stage 0.
-	Stage(ep comm.Endpoint, s Slice) (Stage, error)
+	Stage(ep comm.Endpoint, s Slice) (Layers, error)
 	// Head builds the head's backend; drafts says whether the strategy
 	// drafts, inline whether Stage has built the head's stage 0.
 	Head(ep comm.Endpoint, drafts, inline bool) (Head, error)
-}
-
-// Stage is a stage worker with the cache a serve must drain and its
-// resident bytes.
-type Stage interface {
-	engine.Worker
-	Cache() *kvpage.Cache
-	MemoryBytes() int64
 }
 
 // Head is a head backend. Attach hands it the head driving it before the
@@ -171,24 +171,24 @@ func ServeRank(ep comm.Endpoint, p *Plan, src Source) (ServeOutcome, error) {
 		if si < 0 {
 			return ServeOutcome{}, fmt.Errorf("rank %d has no role", rank)
 		}
-		w, err := src.Stage(ep, p.slice(si))
+		w, err := p.stage(ep, src, si)
 		if err != nil {
 			return ServeOutcome{}, err
 		}
 		if err := engine.WorkerLoop(ep, p.Topo, w, p.stageObs(rank)); err != nil {
 			return ServeOutcome{}, fmt.Errorf("stage %d: %w", si, err)
 		}
-		if err := drained(w); err != nil {
+		if err := w.drained(); err != nil {
 			return ServeOutcome{}, fmt.Errorf("stage %d: %w", si, err)
 		}
 		out.PerNodeMem[rank] = w.MemoryBytes()
 		return out, nil
 	}
 
-	var local Stage
+	var local *Stage
 	var inline engine.Worker // an untyped nil when the head holds no stage
 	if p.Topo.HeadIsStage() {
-		w, err := src.Stage(ep, p.slice(0))
+		w, err := p.stage(ep, src, 0)
 		if err != nil {
 			return ServeOutcome{}, err
 		}
@@ -224,7 +224,7 @@ func ServeRank(ep comm.Endpoint, p *Plan, src Source) (ServeOutcome, error) {
 		return ServeOutcome{}, err
 	}
 	if local != nil {
-		if err := drained(local); err != nil {
+		if err := local.drained(); err != nil {
 			return ServeOutcome{}, fmt.Errorf("head stage: %w", err)
 		}
 		out.PerNodeMem[rank] += local.MemoryBytes()
@@ -251,19 +251,6 @@ func (p *Plan) stageObs(rank int) engine.WorkerObs {
 		reg.Flight().Attach(name, ring)
 	}
 	return engine.WorkerObs{Meter: reg.RegisterStage(name), Flight: ring}
-}
-
-// drained asserts a stage's end state: structurally consistent metadata
-// and — every finished session having removed its whole namespace — an
-// empty cache with every page back on the free list.
-func drained(w Stage) error {
-	if err := w.Cache().CheckInvariants(); err != nil {
-		return fmt.Errorf("KV corruption: %w", err)
-	}
-	if used := w.Cache().Used(); used != 0 {
-		return fmt.Errorf("KV leak: %d cells still occupied after serving", used)
-	}
-	return nil
 }
 
 // Simulate runs every rank of p in virtual time: one simnet process per

@@ -30,7 +30,7 @@ func TestEvalAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: 256})
+	w := newStage(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: 256})
 
 	seqs := kvcache.NewSeqSet(kvcache.Canonical)
 	prefill := &engine.RunMsg{ID: 1, Kind: engine.KindPrefill, Tokens: make([]engine.TokenPlace, 16)}
@@ -88,7 +88,7 @@ func TestServeStepAllocs(t *testing.T) {
 	for i := range prompt {
 		prompt[i] = token.Token(token.NumSpecial + 3*i)
 	}
-	w := NewWorker(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: len(prompt) + maxNew + 64})
+	w := newStage(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: len(prompt) + maxNew + 64})
 	bk := NewHead(nil, cfg.VocabSize)
 	cl := chancomm.New(1)
 	topo := engine.Topology{Head: 0, Stages: []int{0}}
@@ -96,9 +96,9 @@ func TestServeStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// KV enables the shadow-cache admission path: the zero-alloc gate
-	// covers pressure *checking* (the common case); only actual
-	// preemption events may allocate.
+	// The shadow cache gates every launch: the zero-alloc gate covers
+	// pressure *checking* (the common case); only actual preemption
+	// events may allocate.
 	sched, err := serve.New(h, serve.Config{
 		MaxSessions: 1, SeqsPerSession: 1,
 		KV: kvpage.Config{Cells: len(prompt) + maxNew + 64},
@@ -182,7 +182,7 @@ func TestServeBatchedStepAllocs(t *testing.T) {
 		reqs[s] = serve.Request{Prompt: prompt, MaxNew: maxNew, Deadline: time.Hour}
 	}
 	cells := sessions*(24+maxNew) + 256
-	w := NewWorker(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: cells, PageSize: 8, ShardSeqs: 1})
+	w := newStage(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: cells, PageSize: 8, ShardSeqs: 1})
 	bk := NewHead(nil, cfg.VocabSize)
 	cl := chancomm.New(1)
 	topo := engine.Topology{Head: 0, Stages: []int{0}}
@@ -274,7 +274,7 @@ func twoRankAllocs(t *testing.T, speculate bool) {
 	topo := engine.Topology{Head: 0, Stages: []int{1}}
 	stage := make(chan error, 1)
 	go func() {
-		stage <- engine.WorkerLoop(cl.Endpoint(1), topo, NewWorker(m, 0, cfg.NLayers, true, true, kv), engine.WorkerObs{})
+		stage <- engine.WorkerLoop(cl.Endpoint(1), topo, newStage(m, 0, cfg.NLayers, true, true, kv), engine.WorkerObs{})
 	}()
 	h, err := engine.NewHead(cl.Endpoint(0), topo, engine.Config{MaxNew: maxNew}, bk, nil)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pipeinfer/pipeinfer/internal/backend"
 	"github.com/pipeinfer/pipeinfer/internal/batch"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/tcpcomm"
@@ -352,12 +353,15 @@ func TestBatchedRowCancel(t *testing.T) {
 		}
 		prompts[s] = p
 	}
+	// Each session prefills all but its prompt's last token, which the
+	// batched decode then evaluates at its own position.
 	prefill := func(h *engine.Head, s int) {
 		ns := kvcache.NamespaceFor(s, 1)
 		set := kvcache.NewSeqSet(ns.Canonical())
+		p := prompts[s][:len(prompts[s])-1]
 		msg := &engine.RunMsg{Kind: engine.KindPrefill, Seq: ns.Canonical(), Session: uint16(s),
-			Tokens: make([]engine.TokenPlace, len(prompts[s]))}
-		for i, tok := range prompts[s] {
+			Tokens: make([]engine.TokenPlace, len(p))}
+		for i, tok := range p {
 			msg.Tokens[i] = engine.TokenPlace{Tok: tok, Pos: int32(i), Seqs: set}
 		}
 		h.Launch(&engine.Run{Msg: msg})
@@ -382,7 +386,7 @@ func TestBatchedRowCancel(t *testing.T) {
 	}
 
 	// runWorker serves the queued transactions until shutdown.
-	runWorker := func(cl *chancomm.Cluster, topo engine.Topology, w *Worker) (*sync.WaitGroup, *error) {
+	runWorker := func(cl *chancomm.Cluster, topo engine.Topology, w *backend.Stage) (*sync.WaitGroup, *error) {
 		var wg sync.WaitGroup
 		var workerErr error
 		wg.Add(1)
@@ -402,7 +406,8 @@ func TestBatchedRowCancel(t *testing.T) {
 	runPipeline := func(cancelSlot int) (next []token.Token, stageUsed int, maskedPanics bool) {
 		cl := chancomm.New(2)
 		topo := engine.Topology{Head: 0, Stages: []int{1}}
-		w := NewWorker(m, 0, cfg.NLayers, true, true, kv)
+		cache := kvpage.New(kv)
+		w := backend.NewStage(cache, NewWorker(m, 0, cfg.NLayers, true, true, cache.Size()))
 		bk := NewHead(nil, cfg.VocabSize)
 		h, err := engine.NewHead(cl.Endpoint(0), topo, engine.Config{MaxNew: 4}, bk, nil)
 		if err != nil {
@@ -451,7 +456,7 @@ func TestBatchedRowCancel(t *testing.T) {
 		if *workerErr != nil {
 			t.Fatal(*workerErr)
 		}
-		return next, w.Cache().Used(), maskedPanics
+		return next, cache.Used(), maskedPanics
 	}
 
 	clean, cleanUsed, _ := runPipeline(-1)
@@ -470,7 +475,7 @@ func TestBatchedRowCancel(t *testing.T) {
 		t.Fatal("the masked row's result was still delivered")
 	}
 	// The masked row must not have occupied a stage cell: one cell per
-	// prompt token plus one per surviving decode row.
+	// prefilled token plus one per surviving decode row.
 	if want := cleanUsed - 1; maskedUsed != want {
 		t.Fatalf("stage occupies %d cells with a masked row, want %d (clean run: %d)",
 			maskedUsed, want, cleanUsed)
@@ -554,7 +559,7 @@ func TestWholePromptPrefillShipsOneLogitsRow(t *testing.T) {
 	c.ComposeInto(ranged, engine.KindPrefill)
 
 	eval := func(msg *engine.RunMsg) []byte {
-		w := NewWorker(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: 64, ShardSeqs: 1})
+		w := newStage(m, 0, cfg.NLayers, true, true, kvpage.Config{Cells: 64, ShardSeqs: 1})
 		out, _, ok := w.Eval(msg, nil, func() bool { return false })
 		if !ok {
 			t.Fatal("evaluation cancelled")

@@ -1,118 +1,80 @@
-// Package realbk is the real-compute backend: pipeline workers evaluate
+// Package realbk is the real-compute backend: pipeline stages evaluate
 // genuine transformer layer shards (internal/model), and the head runs a
-// real draft model. Its ranks serve through the same rank routine as the
-// simulated backend's (backend.ServeRank), which it hands only its source
-// of tokens — model layers, and a draft derived lazily from the weights
-// its ranks share — so it is the ground-truth correctness validation of
-// the protocol simbk times: under greedy sampling every strategy must
-// reproduce the single-node reference output bit for bit (§V-B).
+// real draft model. Its ranks serve through the same rank routine and
+// stage as the simulated backend's (backend.ServeRank, backend.Stage),
+// which it hands only its source of tokens — model layers, and a draft
+// derived lazily from the weights its ranks share — so it is the
+// ground-truth correctness validation of the protocol simbk times: under
+// greedy sampling every strategy must reproduce the single-node reference
+// output bit for bit (§V-B).
 package realbk
 
 import (
 	"fmt"
 	"math"
 
+	"github.com/pipeinfer/pipeinfer/internal/backend"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
-	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
 	"github.com/pipeinfer/pipeinfer/internal/tensor"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 	"github.com/pipeinfer/pipeinfer/internal/trace"
 )
 
-// Worker evaluates one contiguous layer shard of the target model.
-//
-// All evaluation state (batch assembly, activations, the encoded output
-// payload) lives in per-worker staging buffers reused across runs, so a
-// steady-state decode run performs no heap allocation. The payload
-// returned by Eval aliases the staging buffer and is valid until the
-// worker's next Eval call — the engine worker loop copies it into a
-// pooled wire buffer before evaluating the next run.
+// Worker is a stage's layers (backend.Layers): one contiguous layer
+// shard of the target model. All evaluation state (batch, activations,
+// the encoded output payload) lives in per-worker staging buffers reused
+// across runs, so a steady-state decode run performs no heap allocation.
+// The payload returned by Eval aliases the staging buffer and is valid
+// until the worker's next Eval call — the engine worker loop copies it
+// into a pooled wire buffer before evaluating the next run.
 type Worker struct {
 	m     *model.Model
 	lo    int
 	hi    int
 	first bool
 	last  bool
-	cache *kvpage.Cache
 	store *model.KVStore
 
-	sc   *model.Scratch
-	toks []token.Token
-	meta []kvcache.TokenMeta
-	x    tensor.Mat // activation staging (embedding or decoded upstream payload)
-	out  tensor.Mat // logits staging for the last stage
-	enc  []byte     // encoded output payload staging
-
-	// Row staging: live (unmasked) row indices, a reusable zero row for
-	// masked slots of inter-stage payloads, and the result-row selection.
-	live  []int
-	zeros []byte
-	samp  []int
+	sc    *model.Scratch
+	batch model.Batch
+	x     tensor.Mat // activation staging (embedding or decoded upstream payload)
+	out   tensor.Mat // logits staging for the last stage
+	enc   []byte     // encoded output payload staging
+	zeros []byte     // a zero row for masked slots of inter-stage payloads
 }
 
-// NewWorker builds a stage worker over layers [lo, hi). The paged KV
-// metadata cache is sized by kv (capacity rounded up to whole pages; the
-// K/V tensor store matches the rounded size, rows indexed by cell id =
-// page*pageSize + slot). kv.ShardSeqs is the serving layer's per-session
-// namespace width; zero means one shard over every id.
-func NewWorker(m *model.Model, lo, hi int, first, last bool, kv kvpage.Config) *Worker {
-	cache := kvpage.New(kv)
+// NewWorker builds the layers of a stage over [lo, hi) whose cache holds
+// cells cells: the K/V tensor store has a row per cell id (page*pageSize
+// + slot).
+func NewWorker(m *model.Model, lo, hi int, first, last bool, cells int) *Worker {
 	return &Worker{
 		m: m, lo: lo, hi: hi, first: first, last: last,
-		cache: cache,
-		store: model.NewKVStore(m.Cfg, lo, hi, cache.Size()),
+		store: model.NewKVStore(m.Cfg, lo, hi, cells),
 		sc:    model.NewScratch(m.Cfg),
 	}
 }
 
-// Eval implements engine.Worker with real tensor computation. Only live
-// rows — all of them, unless per-session cancellation has masked some
-// sessions out of the run — are placed in the cache and computed; per-row
-// sequence sets keep every session's attention inside its own shard, so
-// each row's arithmetic is bit-identical to its solo run. Between stages the
-// activation payload keeps the run's full row shape (masked rows
-// zero-filled), so per-stage differences in cancellation knowledge can
-// never skew decoding. The last stage projects the result rows only
-// (RunMsg.ResultRow) — every live row of an unranged run; of a ranged
+// Eval implements backend.Layers with real tensor computation over the
+// placed rows; per-row sequence sets keep every session's attention inside
+// its own shard, so each row's arithmetic is bit-identical to its solo
+// run. Between stages the activation payload keeps the run's full row
+// shape (masked rows zero-filled), so per-stage differences in
+// cancellation knowledge can never skew decoding. The last stage projects
+// the result rows only — every live row of an unranged run; of a ranged
 // (chunked-prefill) run the rows computing their range's final position,
 // so an intermediate prompt chunk never pays the vocab-sized projection.
 // The per-layer hook doubles as the cancellation probe point.
-func (w *Worker) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) ([]byte, int, bool) {
-	n := run.Len()
-	live := w.live[:0]
-	for i := 0; i < n; i++ {
-		if !run.RowDead(i) {
-			live = append(live, i)
-		}
-	}
-	w.live = live
-	nl := len(live)
-	if nl == 0 {
-		return nil, 0, false
-	}
-	if cap(w.toks) < nl {
-		w.toks = make([]token.Token, nl)
-		w.meta = make([]kvcache.TokenMeta, nl)
-	}
-	toks, meta := w.toks[:nl], w.meta[:nl]
-	for k, i := range live {
-		toks[k] = run.Tokens[i].Tok
-		meta[k] = kvcache.TokenMeta{Pos: run.Tokens[i].Pos, Seqs: run.Tokens[i].Seqs}
-	}
-	b, err := w.sc.BatchFor(w.cache, toks, meta)
-	if err != nil {
-		panic(fmt.Sprintf("realbk: stage cache exhausted: %v", err))
-	}
-
+func (w *Worker) Eval(run *engine.RunMsg, input []byte, rows *backend.Rows, cancelled func() bool) ([]byte, int, bool) {
+	w.batch = model.Batch{Tokens: rows.Toks, Meta: rows.Meta, Cells: rows.Cells, Groups: rows.Groups}
 	var x tensor.Mat
 	if w.first {
-		x = w.m.EmbedBatchInto(&w.x, toks)
+		x = w.m.EmbedBatchInto(&w.x, rows.Toks)
 	} else {
-		x = decodeRowsInto(&w.x, input, n, w.m.Cfg.Dim, live)
+		x = decodeRowsInto(&w.x, input, run.Len(), w.m.Cfg.Dim, rows.Live)
 	}
-	x, ok := w.m.ForwardLayersScratch(w.lo, w.hi, x, w.store, b, func(int) bool {
+	x, ok := w.m.ForwardLayersScratch(w.lo, w.hi, x, w.store, &w.batch, func(int) bool {
 		return !cancelled()
 	}, w.sc)
 	if !ok {
@@ -120,37 +82,25 @@ func (w *Worker) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) (
 	}
 	enc := w.enc[:0]
 	if w.last {
-		samp := w.samp[:0]
-		for k, i := range live {
-			if run.ResultRow(i, run.DeadSessions) {
-				samp = append(samp, k)
-			}
-		}
-		w.samp = samp
-		enc = encodeVecInto(enc, w.m.LogitsRowsInto(&w.out, x, samp, w.sc).Data)
+		enc = encodeVecInto(enc, w.m.LogitsRowsInto(&w.out, x, rows.Result, w.sc).Data)
 	} else {
-		if len(w.zeros) < 4*w.m.Cfg.Dim {
-			w.zeros = make([]byte, 4*w.m.Cfg.Dim)
+		row := 4 * w.m.Cfg.Dim
+		if len(w.zeros) < row {
+			w.zeros = make([]byte, row)
 		}
 		li := 0
-		for i := 0; i < n; i++ {
-			if li < nl && live[li] == i {
+		for i := range run.Len() {
+			if li < len(rows.Live) && rows.Live[li] == i {
 				enc = encodeVecInto(enc, x.Row(li))
 				li++
 			} else {
-				enc = append(enc, w.zeros[:4*w.m.Cfg.Dim]...)
+				enc = append(enc, w.zeros[:row]...)
 			}
 		}
 	}
 	w.enc = enc
 	return enc, len(enc), true
 }
-
-// ApplyKV applies pipelined cache metadata operations.
-func (w *Worker) ApplyKV(ops []kvcache.Op) { w.cache.ApplyAll(ops) }
-
-// Cache exposes the metadata cache for test assertions.
-func (w *Worker) Cache() *kvpage.Cache { return w.cache }
 
 // MemoryBytes reports resident weights plus KV storage. m is the slice
 // of the target this stage built (model.NewStage), so its footprint is

@@ -9,6 +9,7 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/faultcomm"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
+	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
 	"github.com/pipeinfer/pipeinfer/internal/quant"
 	"github.com/pipeinfer/pipeinfer/internal/tensor"
@@ -27,6 +28,13 @@ func testOpts(strategy engine.Strategy, nodes int, noise float32) Options {
 		DraftNoise: noise,
 		Prompt:     []token.Token{token.BOS, 10, 45, 200, 33, 7, 99, 120},
 	}
+}
+
+// newStage builds a stage over layers [lo, hi) of m, with a cache kv
+// sizes, as the rank routine builds one.
+func newStage(m *model.Model, lo, hi int, first, last bool, kv kvpage.Config) *backend.Stage {
+	cache := kvpage.New(kv)
+	return backend.NewStage(cache, NewWorker(m, lo, hi, first, last, cache.Size()))
 }
 
 // slowResults serves opts as Run does, over a pipeline whose results

@@ -106,12 +106,12 @@ func (s source) build(rank int, sl backend.Slice) (*model.Model, error) {
 }
 
 // Stage derives the stage's layers and builds its worker over them.
-func (s source) Stage(ep comm.Endpoint, sl backend.Slice) (backend.Stage, error) {
+func (s source) Stage(ep comm.Endpoint, sl backend.Slice) (backend.Layers, error) {
 	part, err := s.build(ep.Rank(), sl)
 	if err != nil {
 		return nil, err
 	}
-	return NewWorker(part, sl.Lo, sl.Hi, sl.First, sl.Last, sl.KV), nil
+	return NewWorker(part, sl.Lo, sl.Hi, sl.First, sl.Last, sl.Cells), nil
 }
 
 // Head builds the head's backend; a dedicated head derives its (empty)

@@ -124,7 +124,7 @@ func TestDraftYieldsToResult(t *testing.T) {
 	topo := engine.Topology{Head: 0, Stages: []int{1, 2}}
 	stages := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		w := NewWorker(m, 2*i, 2*i+2, i == 0, i == 1, kv)
+		w := newStage(m, 2*i, 2*i+2, i == 0, i == 1, kv)
 		go func() { stages <- engine.WorkerLoop(cl.Endpoint(1+i), topo, w, engine.WorkerObs{}) }()
 	}
 	bk := NewHead(model.NewRunner(model.NewDraft(m, 0.01, seed^0xd4af), 512), cfg.VocabSize)

@@ -195,12 +195,12 @@ type source struct {
 
 // Stage builds a simulated stage over the slice's layers; the last one
 // samples the target.
-func (s *source) Stage(ep comm.Endpoint, sl backend.Slice) (backend.Stage, error) {
+func (s *source) Stage(ep comm.Endpoint, sl backend.Slice) (backend.Layers, error) {
 	var target *oracle.Oracle
 	if sl.Last {
 		target = s.o
 	}
-	return NewWorker(ep, s.nodes[ep.Rank()], s.pair.Target, sl.Hi-sl.Lo, target, sl.KV), nil
+	return NewWorker(ep, s.nodes[ep.Rank()], s.pair.Target, sl.Hi-sl.Lo, target, sl.Cells), nil
 }
 
 // Head builds the simulated head, whose oracle draft exists from the start.

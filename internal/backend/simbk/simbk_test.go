@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/pipeinfer/pipeinfer/internal/backend"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
@@ -364,8 +365,8 @@ func TestOneSessionOutcome(t *testing.T) {
 // the new context.
 func TestLastStageSamplesItsCells(t *testing.T) {
 	o := oracle.New(simVocab, 0.7, 7)
-	w := NewWorker(chancomm.New(1).Endpoint(0), cost.ClusterC().Nodes[0], cost.PairDolphinTiny.Target, 2, o,
-		kvpage.Config{Cells: 64, PageSize: 8})
+	cache := kvpage.New(kvpage.Config{Cells: 64, PageSize: 8})
+	w := backend.NewStage(cache, NewWorker(chancomm.New(1).Endpoint(0), cost.ClusterC().Nodes[0], cost.PairDolphinTiny.Target, 2, o, cache.Size()))
 	seq := kvcache.NewSeqSet(0)
 	// eval runs one row per token from position pos0 and returns every
 	// row's answer.

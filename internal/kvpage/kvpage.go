@@ -283,14 +283,6 @@ func (c *Cache) ShardUsed(seqs kvcache.SeqSet) int {
 	return len(sh.pages)*c.pageSize - sh.free
 }
 
-// ShardFree reports the free cells inside pages already mapped to the
-// shard owning seqs (excluding the global free list). The serving
-// layer's batch composer uses it together with FreePages to account
-// multi-shard placements conservatively before admitting a batch.
-func (c *Cache) ShardFree(seqs kvcache.SeqSet) int {
-	return c.shards[c.shardOf(seqs)].free
-}
-
 // FreePages reports the number of unmapped pages on the global free list.
 func (c *Cache) FreePages() int { return len(c.freePages) }
 

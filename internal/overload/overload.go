@@ -158,14 +158,6 @@ func (q *Queue) Pop() (Item, bool) {
 	return it, true
 }
 
-// Peek returns the most urgent item without removing it.
-func (q *Queue) Peek() (Item, bool) {
-	if len(q.items) == 0 {
-		return Item{}, false
-	}
-	return q.items[0].it, true
-}
-
 // MinTTFTSlack reports the smallest remaining TTFT budget among queued
 // deadline-carrying items; ok is false when none carries one.
 func (q *Queue) MinTTFTSlack(now time.Duration) (time.Duration, bool) {

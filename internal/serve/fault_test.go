@@ -12,7 +12,7 @@ import (
 // alike.
 func TestDeadlineFloorAndCap(t *testing.T) {
 	const floor = 100 * time.Millisecond
-	s, err := New(testHead(t), Config{RunTimeout: floor}, req(2))
+	s, err := New(testHead(t), Config{KV: testKV, RunTimeout: floor}, req(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func launchTriple(t *testing.T, l optimism) (spec bool, width, chunk int) {
 	}
 	reqs := []Request{{Prompt: prompt(4), MaxNew: 40}, {Prompt: prompt(4), MaxNew: 40},
 		{Prompt: prompt(4), MaxNew: 40}, {Prompt: prompt(4), MaxNew: 40}}
-	s, _, _ := scriptServe(t, Config{Speculate: true, MaxSessions: 4, MaxBatch: 4, PrefillChunk: 32}, reqs)
+	s, _, _ := scriptServe(t, Config{KV: testKV, Speculate: true, MaxSessions: 4, MaxBatch: 4, PrefillChunk: 32}, reqs)
 	s.admit()
 	if !s.tryLaunch() || s.handleResult() != nil {
 		t.Fatal("the short prompts did not prefill in one run")
@@ -38,7 +38,7 @@ func launchTriple(t *testing.T, l optimism) (spec bool, width, chunk int) {
 	}
 	spec = s.h.Stats.Proposed.Load() > 0
 
-	long, _, _ := scriptServe(t, Config{MaxSessions: 1, PrefillChunk: 32}, []Request{{Prompt: prompt(40), MaxNew: 4}})
+	long, _, _ := scriptServe(t, Config{KV: testKV, MaxSessions: 1, PrefillChunk: 32}, []Request{{Prompt: prompt(40), MaxNew: 4}})
 	long.admit()
 	long.level = l
 	if !long.tryLaunch() {
@@ -88,7 +88,7 @@ func TestOptimismLadder(t *testing.T) {
 // success clears a shorter streak, and breakerResetAfter healthy
 // completions in a row close it.
 func TestBreakerTripAndReset(t *testing.T) {
-	s, err := New(testHead(t), Config{MaxBatch: 8, RunTimeout: time.Second}, req(4))
+	s, err := New(testHead(t), Config{KV: testKV, MaxBatch: 8, RunTimeout: time.Second}, req(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBreakerTripAndReset(t *testing.T) {
 // admission: speculation goes first, then half the prefill chunk, and a
 // drain below half the bound steps the ladder back to healthy.
 func TestBrownoutLadder(t *testing.T) {
-	s, err := NewLive(testHead(t), Config{Speculate: true, SeqsPerSession: 4, MaxSessions: 1, MaxQueue: 8})
+	s, err := NewLive(testHead(t), Config{KV: testKV, Speculate: true, SeqsPerSession: 4, MaxSessions: 1, MaxQueue: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

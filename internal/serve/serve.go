@@ -168,8 +168,8 @@
 //
 // # Prefix reuse (PR 9)
 //
-// With Config.PrefixCache (and a shadow cache), completed cold prefills
-// publish their prompt's page-aligned prefix into a block-hash trie
+// With Config.PrefixCache, completed cold prefills publish their prompt's
+// page-aligned prefix into a block-hash trie
 // (internal/prefixcache) keyed over prompt tokens at KV-page
 // granularity, and the underlying pages become immutable, refcounted
 // shared pages (kvcache.OpSharePrefix). Admission probes the trie: a hit
@@ -311,9 +311,7 @@ type Config struct {
 	// sampled, tagged with the request index.
 	OnToken func(req int, tok token.Token)
 	// KV mirrors the stage caches' paged layout at the head: the shadow
-	// cache admission control runs against. KV.Cells == 0 disables
-	// memory-pressure handling (the scheduler then assumes stages are
-	// provisioned for the worst case, as pre-PR-3 callers did).
+	// cache admission control runs against. KV.Cells must be positive.
 	KV kvpage.Config
 	// OnPreempt / OnReadmit, when non-nil, observe the memory-pressure
 	// protocol: a request parked (KV footprint evicted pipeline-wide) and
@@ -365,8 +363,7 @@ type Config struct {
 	// prompt matches map the published chain read-only into their own
 	// shard instead of recomputing it — prefill starts at the divergence
 	// point, so a shared system prompt is computed once and TTFT for hit
-	// sessions drops to the divergent suffix. Requires the shadow cache
-	// (KV.Cells > 0); ignored without it.
+	// sessions drops to the divergent suffix.
 	PrefixCache bool
 	// MaxQueue bounds the admission queue (PR 10): at most MaxQueue
 	// requests wait for a session slot, and a Submit beyond the bound is
@@ -526,20 +523,20 @@ type Scheduler struct {
 
 	total int // accepted tokens across all sessions
 
-	// kv is the head-side shadow of every stage's paged KV metadata (nil
-	// when Config.KV is unset): launches occupy it, KV transactions apply
-	// to it, and admission control reads it. Because stages replay the
-	// head's transaction stream in order — and skip occupancy only for
-	// runs cancelled in flight — the shadow is a conservative (never
-	// under-counting) bound on any stage's occupancy at the matching
-	// point of the stream, which is what makes its CanPlace verdicts safe.
+	// kv is the head-side shadow of every stage's paged KV metadata:
+	// launches occupy it, KV transactions apply to it, and admission
+	// control reads it. Because stages replay the head's transaction
+	// stream in order — and skip occupancy only for runs cancelled in
+	// flight — the shadow is a conservative (never under-counting) bound
+	// on any stage's occupancy at the matching point of the stream, which
+	// is what makes its CanPlace verdicts safe.
 	kv *kvpage.Cache
 
 	// prefix is the shared-prefix trie (PR 9; nil unless
-	// Config.PrefixCache and a shadow cache): prompt-token block hashes
-	// to published shared-prefix entries. Pure head-side policy — the
-	// refcounted page chains it hands out are resolved per cache by the
-	// transaction stream.
+	// Config.PrefixCache): prompt-token block hashes to published
+	// shared-prefix entries. Pure head-side policy — the refcounted page
+	// chains it hands out are resolved per cache by the transaction
+	// stream.
 	prefix *prefixcache.Table
 
 	// composer builds every run from the step's staged row groups.
@@ -615,12 +612,17 @@ func build(h *engine.Head, cfg Config) (*Scheduler, error) {
 		return nil, fmt.Errorf("serve: %d sessions x %d seqs exceed the %d sequence ids",
 			cfg.MaxSessions, cfg.SeqsPerSession, kvcache.MaxSeqs)
 	}
+	if cfg.KV.Cells <= 0 {
+		return nil, fmt.Errorf("serve: the shadow cache needs KV.Cells > 0, got %d", cfg.KV.Cells)
+	}
 	if cfg.AutoBatch && cfg.MaxBatch <= 1 {
 		// Auto mode without an explicit cap: the controller may widen all
 		// the way to one row group per session slot.
 		cfg.MaxBatch = cfg.MaxSessions
 	}
 	cfg.MaxBatch = max(1, min(cfg.MaxBatch, cfg.MaxSessions))
+	// The shadow must partition shards exactly like the stages do.
+	cfg.KV.ShardSeqs = cfg.SeqsPerSession
 	s := &Scheduler{
 		h:       h,
 		cfg:     cfg,
@@ -629,15 +631,10 @@ func build(h *engine.Head, cfg Config) (*Scheduler, error) {
 		specCap: max(2, h.CFG.MaxInflight/cfg.MaxSessions),
 		// A fresh scheduler has not shed recently.
 		stepsSinceShed: shedRecentWindow,
+		kv:             kvpage.New(cfg.KV),
 	}
-	if cfg.KV.Cells > 0 {
-		// The shadow must partition shards exactly like the stages do.
-		cfg.KV.ShardSeqs = cfg.SeqsPerSession
-		s.cfg.KV = cfg.KV
-		s.kv = kvpage.New(cfg.KV)
-		if cfg.PrefixCache {
-			s.prefix = prefixcache.New(prefixcache.Config{PageSize: s.kv.PageSize()})
-		}
+	if cfg.PrefixCache {
+		s.prefix = prefixcache.New(prefixcache.Config{PageSize: s.kv.PageSize()})
 	}
 	// The flight recorder is always on: a bounded ring of binary events
 	// costs two atomic stores per record and is what makes a watchdog
@@ -680,7 +677,7 @@ func (s *Scheduler) Submit(r Request) int {
 		s.reject(i, fmt.Errorf("%w: request %d submitted after Close", ErrInvalid, i))
 	case len(r.Prompt) == 0:
 		s.reject(i, fmt.Errorf("%w: request %d has an empty prompt", ErrInvalid, i))
-	case s.cfg.KV.Cells > 0 && len(r.Prompt)+r.MaxNew > s.cfg.KV.Cells:
+	case len(r.Prompt)+r.MaxNew > s.cfg.KV.Cells:
 		// Oversubscription is fine — preemption parks whole sessions —
 		// but a single request that cannot fit alone can never finish.
 		s.reject(i, fmt.Errorf("%w: request %d needs %d KV cells but capacity is %d",
@@ -842,11 +839,8 @@ var stateNames = [...]string{statePrefill: "prefill", stateDecode: "decode", sta
 // stateDump renders what a stalled scheduler holds, for the error that
 // says so: queue, shadow cache, prefix trie and every occupied slot.
 func (s *Scheduler) stateDump() string {
-	d := fmt.Sprintf("%d queued", s.queue.Len())
-	if s.kv != nil {
-		d += fmt.Sprintf("; shadow %d/%d cells used, %d free pages, %d shared pages",
-			s.kv.Used(), s.kv.Size(), s.kv.FreePages(), s.kv.SharedPages())
-	}
+	d := fmt.Sprintf("%d queued; shadow %d/%d cells used, %d free pages, %d shared pages",
+		s.queue.Len(), s.kv.Used(), s.kv.Size(), s.kv.FreePages(), s.kv.SharedPages())
 	if s.prefix != nil {
 		d += fmt.Sprintf("; trie %d entries over %d tokens", s.prefix.Len(), s.prefix.Tokens())
 	}
@@ -854,12 +848,10 @@ func (s *Scheduler) stateDump() string {
 		if sess == nil {
 			continue
 		}
-		d += fmt.Sprintf("; slot %d: request %d %s, accepted %d of %d+%d, fill %d/%d/%d, maps entry %d over %d, %d runs in flight",
+		d += fmt.Sprintf("; slot %d: request %d %s, accepted %d of %d+%d, fill %d/%d/%d, maps entry %d over %d, %d runs in flight, shard %d cells",
 			sess.slot, sess.req, stateNames[sess.state], len(sess.Accepted), sess.prompt, sess.maxNew,
-			sess.fillTarget, sess.fillSent, sess.fillDone, sess.prefixEntry, sess.prefixLen, s.inflight(sess))
-		if s.kv != nil {
-			d += fmt.Sprintf(", shard %d cells", s.kv.ShardUsed(sess.canonSet))
-		}
+			sess.fillTarget, sess.fillSent, sess.fillDone, sess.prefixEntry, sess.prefixLen, s.inflight(sess),
+			s.kv.ShardUsed(sess.canonSet))
 	}
 	return d
 }
@@ -1048,9 +1040,7 @@ func (s *Scheduler) tryLaunch() bool {
 		// is exact).
 		if len(ready) == width {
 			displaced = ready[width-1]
-			if s.kv != nil {
-				freePages += s.kv.PagesShort(displaced.canonSet, 1)
-			}
+			freePages += s.kv.PagesShort(displaced.canonSet, 1)
 			ready = ready[:width-1]
 		}
 		// The per-session chunk sizes admitted (and charged) here are
@@ -1204,20 +1194,17 @@ func (s *Scheduler) readmit(sess *session) bool {
 }
 
 // roomFor reports whether n cells fit the session's shard without any
-// reclamation (always true without a shadow cache).
+// reclamation.
 func (s *Scheduler) roomFor(sess *session, n int) bool {
-	return s.kv == nil || s.kv.CanPlace(sess.canonSet, n)
+	return s.kv.CanPlace(sess.canonSet, n)
 }
 
 // charge is the conservative collective page account one launch's row
 // groups share (pass 1 and pass 3): cells rows pay the free-list pages
 // their shard cannot absorb (kvpage.PagesShort) out of *free, the
 // shadow's free pages as the account's first charge reads them (-1
-// before). Without a shadow every charge fits.
+// before).
 func (s *Scheduler) charge(free *int, set kvcache.SeqSet, cells int) bool {
-	if s.kv == nil {
-		return true
-	}
 	if *free < 0 {
 		*free = s.kv.FreePages()
 	}
@@ -1392,31 +1379,29 @@ func (s *Scheduler) preempt(victim *session) {
 // its staging.
 func (s *Scheduler) launch(run *engine.Run) bool {
 	msg := run.Msg
-	if s.kv != nil {
-		if cap(s.rowMeta) < len(msg.Tokens) {
-			s.rowMeta = make([]kvcache.TokenMeta, len(msg.Tokens))
-		}
-		meta := s.rowMeta[:len(msg.Tokens)]
-		for i, tp := range msg.Tokens {
-			meta[i] = kvcache.TokenMeta{Pos: tp.Pos, Seqs: tp.Seqs}
-		}
-		// Short of room, a mandatory run reclaims other sessions'
-		// speculative pages; a speculative one is optional work, dropped
-		// rather than paid for out of other sessions' chains.
-		if !s.kv.CanPlaceRows(meta) && (msg.Kind == engine.KindSpec ||
-			!s.reclaimSpec(msg, func() bool { return s.kv.CanPlaceRows(meta) })) {
-			s.rejectLaunch(msg)
-			return false
-		}
-		s.kv.ApplyAll(msg.KVOps)
-		cells, err := s.kv.PlaceRowsInto(s.kvCells[:0], meta)
-		if err != nil {
-			// CanPlaceRows dry-ran this exact grouping; failing here means
-			// the shadow's own bookkeeping is inconsistent.
-			panic(fmt.Sprintf("serve: shadow cache placement diverged from dry run: %v", err))
-		}
-		s.kvCells = cells[:0]
+	if cap(s.rowMeta) < len(msg.Tokens) {
+		s.rowMeta = make([]kvcache.TokenMeta, len(msg.Tokens))
 	}
+	meta := s.rowMeta[:len(msg.Tokens)]
+	for i, tp := range msg.Tokens {
+		meta[i] = kvcache.TokenMeta{Pos: tp.Pos, Seqs: tp.Seqs}
+	}
+	// Short of room, a mandatory run reclaims other sessions' speculative
+	// pages; a speculative one is optional work, dropped rather than paid
+	// for out of other sessions' chains.
+	if !s.kv.CanPlaceRows(meta) && (msg.Kind == engine.KindSpec ||
+		!s.reclaimSpec(msg, func() bool { return s.kv.CanPlaceRows(meta) })) {
+		s.rejectLaunch(msg)
+		return false
+	}
+	s.kv.ApplyAll(msg.KVOps)
+	cells, err := s.kv.PlaceRowsInto(s.kvCells[:0], meta)
+	if err != nil {
+		// CanPlaceRows dry-ran this exact grouping; failing here means the
+		// shadow's own bookkeeping is inconsistent.
+		panic(fmt.Sprintf("serve: shadow cache placement diverged from dry run: %v", err))
+	}
+	s.kvCells = cells[:0]
 	s.h.Launch(run)
 	if s.obs != nil {
 		s.obs.ObserveBatchWidth(engine.DistinctSessions(msg))
@@ -1499,9 +1484,7 @@ func (s *Scheduler) rearmOldest() {
 // sendKV applies a KV transaction to the shadow cache and ships it down
 // the pipeline.
 func (s *Scheduler) sendKV(ops []kvcache.Op) {
-	if s.kv != nil {
-		s.kv.ApplyAll(ops)
-	}
+	s.kv.ApplyAll(ops)
 	s.h.SendKV(ops)
 }
 

@@ -42,6 +42,10 @@ func (nopWorker) Eval(*engine.RunMsg, []byte, func() bool) ([]byte, int, bool) {
 func (nopWorker) ApplyKV([]kvcache.Op)                                         {}
 func (nopWorker) MemoryBytes() int64                                           { return 0 }
 
+// testKV is a shadow cache every test request fits, several sessions at
+// once.
+var testKV = kvpage.Config{Cells: 1024}
+
 func req(n int) []Request {
 	out := make([]Request, n)
 	for i := range out {
@@ -51,8 +55,8 @@ func req(n int) []Request {
 }
 
 // TestNewValidation pins the configuration contract: empty request sets,
-// namespace overflow of the 64-id space, and speculation without spec
-// partitions are all rejected up front. (Per-request problems like an
+// namespace overflow of the 64-id space, speculation without spec
+// partitions and a missing shadow cache are all rejected up front. (Per-request problems like an
 // empty prompt are no longer configuration errors — they settle as error
 // Results; see TestSubmitPerRequestValidation.)
 func TestNewValidation(t *testing.T) {
@@ -62,9 +66,10 @@ func TestNewValidation(t *testing.T) {
 		reqs []Request
 		want string
 	}{
-		{"no-requests", Config{}, nil, "no requests"},
-		{"namespace-overflow", Config{MaxSessions: 17, SeqsPerSession: 4}, req(17), "exceed"},
-		{"speculate-width-1", Config{Speculate: true, SeqsPerSession: 1}, req(2), "SeqsPerSession"},
+		{"no-requests", Config{KV: testKV}, nil, "no requests"},
+		{"namespace-overflow", Config{KV: testKV, MaxSessions: 17, SeqsPerSession: 4}, req(17), "exceed"},
+		{"speculate-width-1", Config{KV: testKV, Speculate: true, SeqsPerSession: 1}, req(2), "SeqsPerSession"},
+		{"no-shadow-cache", Config{}, req(2), "KV.Cells"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,14 +84,14 @@ func TestNewValidation(t *testing.T) {
 // TestNewDefaults checks the derived defaults: slot count bounded by the
 // request count, width 1 without speculation, 4 with.
 func TestNewDefaults(t *testing.T) {
-	s, err := New(testHead(t), Config{}, req(2))
+	s, err := New(testHead(t), Config{KV: testKV}, req(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s.slots) != 2 || s.cfg.SeqsPerSession != 1 {
 		t.Fatalf("defaults: %d slots width %d", len(s.slots), s.cfg.SeqsPerSession)
 	}
-	s, err = New(testHead(t), Config{Speculate: true}, req(8))
+	s, err = New(testHead(t), Config{KV: testKV, Speculate: true}, req(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func TestNewDefaults(t *testing.T) {
 		t.Fatalf("speculative defaults: %d slots width %d", len(s.slots), s.cfg.SeqsPerSession)
 	}
 	// MaxNew defaulting comes from the engine config.
-	s, err = New(testHead(t), Config{}, []Request{{Prompt: []token.Token{token.BOS}}})
+	s, err = New(testHead(t), Config{KV: testKV}, []Request{{Prompt: []token.Token{token.BOS}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestNewDefaults(t *testing.T) {
 // reused lowest-first with a fresh namespace. With uniform priorities and
 // no deadlines the bounded queue degenerates to arrival order.
 func TestAdmissionRoundRobin(t *testing.T) {
-	s, err := New(testHead(t), Config{MaxSessions: 2}, req(5))
+	s, err := New(testHead(t), Config{KV: testKV, MaxSessions: 2}, req(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestSubmitPerRequestValidation(t *testing.T) {
 // rejected, an open idle scheduler's Step is a no-op, and Run fails fast
 // rather than spinning when intake is open with nothing in flight.
 func TestLiveIntake(t *testing.T) {
-	s, err := NewLive(testHead(t), Config{MaxSessions: 1})
+	s, err := NewLive(testHead(t), Config{KV: testKV, MaxSessions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestLiveIntake(t *testing.T) {
 // ErrOverloaded and count in Stats.Overloads, and the overload gauge
 // trips for /readyz.
 func TestOverloadReject(t *testing.T) {
-	s, err := NewLive(testHead(t), Config{MaxSessions: 1, MaxQueue: 2})
+	s, err := NewLive(testHead(t), Config{KV: testKV, MaxSessions: 1, MaxQueue: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +225,7 @@ func TestOverloadReject(t *testing.T) {
 // can take a slot — with ErrShedDeadline, a Sheds count, and the
 // overload window armed; deadline-less requests are untouched.
 func TestShedUnmeetable(t *testing.T) {
-	s, err := NewLive(testHead(t), Config{MaxSessions: 1})
+	s, err := NewLive(testHead(t), Config{KV: testKV, MaxSessions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +347,7 @@ func TestOneTransactionPerResult(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = Request{Prompt: p, MaxNew: maxNew}
 		}
-		s, _, w := scriptServe(t, Config{Speculate: true, MaxSessions: sessions, MaxBatch: sessions}, reqs)
+		s, _, w := scriptServe(t, Config{KV: testKV, Speculate: true, MaxSessions: sessions, MaxBatch: sessions}, reqs)
 		results, promoted := 0, 0
 		for !s.Done() {
 			// Fill the pipeline, then drain it: the sessions' steps line
@@ -398,7 +403,7 @@ func TestWholePromptPrefillIsOneRangedRun(t *testing.T) {
 	for i := range p {
 		p[i] = scriptTok(i)
 	}
-	s, bk, _ := scriptServe(t, Config{MaxSessions: 1}, []Request{{Prompt: p, MaxNew: 2}})
+	s, bk, _ := scriptServe(t, Config{KV: testKV, MaxSessions: 1}, []Request{{Prompt: p, MaxNew: 2}})
 	if err := s.Step(); err != nil { // admit + launch
 		t.Fatal(err)
 	}
@@ -477,7 +482,7 @@ func TestDecodeWhileDraftDerives(t *testing.T) {
 		p[i] = scriptTok(i)
 	}
 	for _, rounds := range []bool{false, true} {
-		s, bk, _ := scriptServe(t, Config{Speculate: !rounds, MaxSessions: 1, SeqsPerSession: 9},
+		s, bk, _ := scriptServe(t, Config{KV: testKV, Speculate: !rounds, MaxSessions: 1, SeqsPerSession: 9},
 			[]Request{{Prompt: p, MaxNew: maxNew}})
 		s.rounds, bk.deriving = rounds, true
 		// Fill the pipeline, then drain it: on one inline stage a result
@@ -543,7 +548,7 @@ func TestBaselineDoesNotDraftWhileTripped(t *testing.T) {
 		stage := make(chan error, 1)
 		go func() { stage <- engine.WorkerLoop(cl.Endpoint(1), topo, nopWorker{}, engine.WorkerObs{}) }()
 		results, err := Drive(h, engine.StrategySpeculative,
-			Config{MaxSessions: 1, SeqsPerSession: 9, RunTimeout: 50 * time.Millisecond},
+			Config{KV: testKV, MaxSessions: 1, SeqsPerSession: 9, RunTimeout: 50 * time.Millisecond},
 			[]Request{{Prompt: p, MaxNew: maxNew}})
 		if err != nil {
 			t.Fatal(err)

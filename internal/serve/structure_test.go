@@ -15,13 +15,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // serveLines is the scheduler's line ratchet: internal/serve/serve.go may
 // shrink, and a change that shrinks it lowers this number; none raises it.
-const serveLines = 2054
+const serveLines = 2037
 
 // retired names may not be declared or referenced anywhere (a comment may
 // still name them: comments are not part of the syntax tree).
@@ -52,6 +53,12 @@ var retired = map[string]string{
 var rankCalls = []struct{ pkg, name string }{{"engine", "NewHead"}, {"engine", "WorkerLoop"}, {"serve", "Drive"}}
 
 const rankWhy = "both backends serve through one rank routine and differ only in their token source (ROADMAP, Serving architecture: one driver, one rank routine)"
+
+// placeCalls are what only the stage places and checks rows with: under
+// internal/backend each is called in one function.
+var placeCalls = []string{"PlaceRowsInto", "VisibleGroups"}
+
+const stageWhy = "both backends' stages place rows, check what each sees and apply KV operations in one type, backend.Stage, and differ only in their Layers (ROADMAP, Serving architecture: one rank routine, one stage)"
 
 // degradationFields may not be declared on serve.Scheduler: the breaker
 // and brown-out are rungs of the one optimism level. (telemetry's atomics
@@ -135,6 +142,10 @@ func TestStructure(t *testing.T) {
 	}
 	var proposeCalls []call
 	rankSites := make([][]call, len(rankCalls))
+	placeFuncs := make([]map[string]token.Pos, len(placeCalls))
+	for i := range placeFuncs {
+		placeFuncs[i] = map[string]token.Pos{}
+	}
 	pendingTypes := 0
 	for _, f := range files {
 		wireRules(f, fail)
@@ -142,12 +153,15 @@ func TestStructure(t *testing.T) {
 			continue
 		}
 		pkg := f.ast.Name.Name
+		inBackend := strings.HasPrefix(f.path, "backend/")
 		for _, decl := range f.ast.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
 			switch {
+			case inBackend && fd.Recv != nil && fd.Name.Name == "ApplyKV" && !(pkg == "backend" && receiver(fd) == "Stage"):
+				fail(fd.Pos(), "%s.%s.ApplyKV is declared: a second stage; %s", pkg, receiver(fd), stageWhy)
 			case fd.Recv == nil && pkg == "core" && fd.Name.Name == "Run":
 				fail(fd.Pos(), "core.Run is declared: a second driver; a single request is a one-session serve (ROADMAP, Serving architecture: one driver)")
 			case fd.Recv != nil && shapeMethods[fd.Name.Name] && receiver(fd) == "RunMsg":
@@ -174,6 +188,11 @@ func TestStructure(t *testing.T) {
 						rankSites[i] = append(rankSites[i], call{c.Pos(), pkg, fun})
 					}
 				}
+				for i, name := range placeCalls {
+					if inBackend && selector(c.Fun, "", name) {
+						placeFuncs[i][pkg+"."+fun] = c.Pos()
+					}
+				}
 				return true
 			})
 		}
@@ -189,6 +208,13 @@ func TestStructure(t *testing.T) {
 				}
 				if st, ok := n.Type.(*ast.StructType); ok && pkg == "core" && holdsHead(st) {
 					fail(n.Pos(), "core.%s holds an engine.Head: a driver in core; core is the machine and serve drives it (ROADMAP, Serving architecture: one driver)", n.Name.Name)
+				}
+				if st, ok := n.Type.(*ast.StructType); ok && inBackend && !(pkg == "backend" && n.Name.Name == "Stage") {
+					for _, fld := range st.Fields.List {
+						if star, ok := fld.Type.(*ast.StarExpr); ok && selector(star.X, "kvpage", "Cache") {
+							fail(fld.Pos(), "%s.%s holds a *kvpage.Cache: a second stage cache; %s", pkg, n.Name.Name, stageWhy)
+						}
+					}
 				}
 				if st, ok := n.Type.(*ast.StructType); ok && pkg == "serve" && n.Name.Name == "Scheduler" {
 					for _, fld := range st.Fields.List {
@@ -242,6 +268,17 @@ func TestStructure(t *testing.T) {
 		} else if fn != routine {
 			t.Errorf("%s.%s is called in %s, not in %s with the others: %s (%s)", rc.pkg, rc.name, fn, routine, where[0], rankWhy)
 		}
+	}
+	for i, name := range placeCalls {
+		if len(placeFuncs[i]) == 1 {
+			continue
+		}
+		where := make([]string, 0, len(placeFuncs[i]))
+		for fn, pos := range placeFuncs[i] {
+			where = append(where, fmt.Sprintf("%s (%s)", fset.Position(pos), fn))
+		}
+		slices.Sort(where)
+		t.Errorf("want %s called in one function under internal/backend, found %d: %v (%s)", name, len(where), where, stageWhy)
 	}
 	if pendingTypes != 1 {
 		t.Errorf("want one pending-token type (core.Pending), found %d (%s)", pendingTypes, machine)

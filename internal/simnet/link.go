@@ -37,6 +37,3 @@ func (l *Link) Transmit(now Time, n int) Time {
 	l.busyUntil = start + xmit
 	return l.busyUntil + l.Latency
 }
-
-// BusyUntil reports when the link becomes idle.
-func (l *Link) BusyUntil() Time { return l.busyUntil }

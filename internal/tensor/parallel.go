@@ -30,9 +30,6 @@ func SetParallelism(n int) int {
 	return int(maxWorkers.Swap(int32(n)))
 }
 
-// Parallelism reports the current kernel concurrency bound.
-func Parallelism() int { return int(maxWorkers.Load()) }
-
 // minChunk is the smallest per-chunk row count worth handing to another
 // goroutine: below this, pool handoff overhead dominates the kernel.
 const minChunk = 64
