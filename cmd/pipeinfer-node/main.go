@@ -76,7 +76,7 @@ func main() {
 		sessions   = flag.Int("serve", 0, "serve this many concurrent requests instead of one generation (must match on all ranks)")
 		kvCells    = flag.Int("kv-cells", 0, "per-stage KV capacity in cells (0 = fully provisioned; needs -serve; must match on all ranks)")
 		kvPage     = flag.Int("kv-page", 0, "KV page size in cells (0 = default 16; must match on all ranks)")
-		prefix     = flag.Bool("prefix-cache", true, "shared-prefix reuse: publish completed prompt prefixes and map them read-only into later sessions sharing them (needs -serve and -kv-cells > 0; must match on all ranks)")
+		prefix     = flag.Bool("prefix-cache", true, "shared-prefix reuse: publish completed prompt prefixes and map them read-only into later sessions sharing them (needs -serve; must match on all ranks)")
 		runTimeout = flag.Duration("run-timeout", 0, "run watchdog floor: a run without a result past its deadline fails and its sessions recover by evict + prefix recompute (0 = off; needs -serve; rank 0 only)")
 		priority   = flag.Int("priority", 0, "service class for every request: higher priorities rank earlier in the admission queue (needs -serve; rank 0 only)")
 		ttftSLO    = flag.Duration("ttft-slo", 0, "time-to-first-token budget from serve start; queued requests whose budget is provably blown are shed before any compute (0 = off; needs -serve; rank 0 only)")
@@ -270,7 +270,7 @@ func serveCluster(ep *tcpcomm.Endpoint, addrs []string, tk *token.Tokenizer, cfg
 	// A TCP mesh heals its links whether or not the watchdog is armed,
 	// so the fault-tolerance line always prints.
 	sum := engine.Summary{Watchdog: true, Overload: slo.maxQueue > 0 || slo.ttftSLO > 0 || slo.deadline > 0}
-	if prefix && kvCells > 0 {
+	if prefix {
 		for _, r := range reqs {
 			sum.PromptTokens += len(r.Prompt)
 		}

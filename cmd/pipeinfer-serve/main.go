@@ -112,7 +112,7 @@ func main() {
 		sim       = flag.Bool("sim", false, "serve on the simulated 70B-scale cluster instead")
 		kvCells   = flag.Int("kv-cells", 0, "per-stage KV capacity in cells (0 = fully provisioned; smaller values oversubscribe and engage eviction/preemption)")
 		kvPage    = flag.Int("kv-page", 0, "KV page size in cells (0 = default 16)")
-		prefix    = flag.Bool("prefix-cache", true, "shared-prefix reuse: publish completed prompt prefixes in a block-hash trie and map them read-only into later sessions sharing them, skipping recompute (needs -kv-cells > 0; ignored otherwise)")
+		prefix    = flag.Bool("prefix-cache", true, "shared-prefix reuse: publish completed prompt prefixes in a block-hash trie and map them read-only into later sessions sharing them, skipping recompute")
 		sharedLen = flag.Int("shared-prompt", 0, "prepend this many common system-prompt tokens to every session (sim mode; pairs with -prefix-cache to demonstrate shared-prefix reuse)")
 		batchStr  = flag.String("batch", "0", "cross-session batching: coalesce up to this many sessions' steps into one multi-row pipeline run (0/1 = width 1; \"auto\" = adaptive width, \"auto:N\" = adaptive capped at N)")
 		chunk     = flag.Int("prefill-chunk", 0, "chunked cross-session prefill: per-run prompt token budget; prompts split into chunks that batch across sessions and ride with decode rows (0 = whole-prompt prefills)")
@@ -245,7 +245,7 @@ func main() {
 			(ttftSum / time.Duration(len(out.Results))).Round(time.Millisecond), len(out.Results))
 	}
 	sum := slo.summary(*runTO)
-	if *prefix && *kvCells > 0 {
+	if *prefix {
 		for _, r := range reqs {
 			sum.PromptTokens += len(r.Prompt)
 		}
@@ -362,7 +362,7 @@ func simServe(nodes, sessions, slots, tokens int, seed uint64, speculate bool, k
 		out.Stats.Speed(), out.Stats.AcceptanceRate()*100,
 		ttftMean.Round(time.Millisecond))
 	sum := slo.summary(runTO)
-	if prefix && kvCells > 0 {
+	if prefix {
 		sum.PromptTokens = sessions * (64 + sharedLen)
 	}
 	out.Stats.WriteSummary(os.Stdout, sum)

@@ -203,13 +203,13 @@ func TestRealDraftIncrementalReuse(t *testing.T) {
 	// Extend: only the suffix should need evaluation.
 	ctx2 := append(append([]token.Token{}, ctx...), t1[0])
 	h.Propose(ctx2, 1)
-	if got := d.Cache.SeqLen(0); got != 4 {
+	if got := d.Cache.Used(); got != 4 {
 		t.Fatalf("draft cache holds %d cells, want 4", got)
 	}
 	// Diverge: rollback to the common prefix then re-evaluate.
 	ctx3 := append(append([]token.Token{}, ctx...), 99, 98)
 	h.Propose(ctx3, 1)
-	if got := d.Cache.SeqLen(0); got != 5 {
+	if got := d.Cache.Used(); got != 5 {
 		t.Fatalf("after rollback draft cache holds %d cells, want 5", got)
 	}
 	// Same context again: no change, logits cached.

@@ -1,12 +1,14 @@
 package simbk
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
+	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
@@ -567,6 +569,105 @@ func TestSimServeIterativeHeadHoldsNoDraft(t *testing.T) {
 	for r, m := range out.PerNodeMem {
 		if m != out.PerNodeMem[1] {
 			t.Fatalf("rank %d holds %d bytes, stage rank 1 holds %d: %v", r, m, out.PerNodeMem[1], out.PerNodeMem)
+		}
+	}
+}
+
+// nsCheckEP is the head's endpoint in TestSimServeOpsStayInNamespace: it
+// decodes every KV frame and every run frame's KV ops the head sends and
+// holds each op to the namespace contract. It panics on a violation, in
+// the head's Send: an op that leaves its namespace corrupts another
+// session's cells, and the stage that evaluates that session next would
+// otherwise panic first, with no word of the op.
+type nsCheckEP struct {
+	comm.Endpoint
+	width int
+	kinds map[kvcache.OpKind]int
+	run   engine.RunMsg
+	ops   []kvcache.Op
+}
+
+func (e *nsCheckEP) Send(dst int, tag comm.Tag, p []byte, wire int) {
+	if tag == comm.TagRun {
+		var err error
+		body := p[:len(p)-1]
+		switch engine.FrameOpOf(p) {
+		case engine.OpKV:
+			e.ops, err = kvcache.AppendDecodeOps(e.ops[:0], body)
+		case engine.OpRun:
+			err = e.run.Decode(body)
+			e.ops = append(e.ops[:0], e.run.KVOps...)
+		default:
+			e.ops = e.ops[:0]
+		}
+		if err != nil {
+			panic(fmt.Sprintf("the head sent a frame its stages cannot decode: %v", err))
+		}
+		// A run carries one session (MaxBatch 1), so a frame is one
+		// session's: its first op names the namespace every op of the
+		// frame must stay in.
+		ns := -1
+		for _, o := range e.ops {
+			if o.Kind == kvcache.OpUnrefPrefix {
+				continue // the scheduler's own registry hold, no session's
+			}
+			if ns < 0 {
+				ns = int(o.Src) / e.width
+			}
+			if !kvcache.NamespaceFor(ns, e.width).ValidOp(o) {
+				panic(fmt.Sprintf("the head sent %v in a frame of namespace %d (ops %v)", o, ns, e.ops))
+			}
+			e.kinds[o.Kind]++
+		}
+	}
+	e.Endpoint.Send(dst, tag, p, wire)
+}
+
+// TestSimServeOpsStayInNamespace holds a live serve to the isolation
+// contract the serve package rests on (kvcache.Namespace.ValidOp): in one
+// multi-session speculative serve with prefix reuse under memory
+// pressure, every KV op the head sends — in KV frames and in run frames —
+// names only ids of the namespace of the session it is issued for, and
+// every kind the contract covers is sent.
+func TestSimServeOpsStayInNamespace(t *testing.T) {
+	const width = 4
+	ep := &nsCheckEP{width: width, kinds: map[kvcache.OpKind]int{}}
+	opts := ServeOptions{
+		Cluster:         cost.ClusterC().Take(4),
+		Pair:            cost.CPUPairs()[0],
+		CFG:             engine.Config{MaxNew: 24},
+		Sessions:        16,
+		PromptLen:       8,
+		SharedPromptLen: 64,
+		Seed:            5,
+		Speculate:       true,
+		MaxSessions:     4,
+		SeqsPerSession:  width,
+		MaxBatch:        1,
+		KVCells:         256, // 13 prefix hits, 92 speculative drops, 3 preemptions
+		KVPageSize:      8,
+		PrefixCache:     true,
+		WrapEndpoint: func(rank int, e comm.Endpoint) comm.Endpoint {
+			if rank != 0 {
+				return e
+			}
+			ep.Endpoint = e
+			return ep
+		},
+	}
+	if _, err := Serve(opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []struct {
+		kind kvcache.OpKind
+		name string
+	}{
+		{kvcache.OpSeqCp, "OpSeqCp"}, {kvcache.OpSeqRm, "OpSeqRm"},
+		{kvcache.OpDropSpec, "OpDropSpec"}, {kvcache.OpEvictShard, "OpEvictShard"},
+		{kvcache.OpSharePrefix, "OpSharePrefix"}, {kvcache.OpMapShared, "OpMapShared"},
+	} {
+		if ep.kinds[k.kind] == 0 {
+			t.Errorf("the serve sent no %s, so the check never saw one (ops checked per kind: %v)", k.name, ep.kinds)
 		}
 	}
 }

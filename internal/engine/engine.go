@@ -404,28 +404,19 @@ type CancelSig struct {
 // cancelSigBytes is the fixed wire size of one cancellation entry.
 const cancelSigBytes = 12
 
-// EncodeCancelSigs packs cancellation entries.
-func EncodeCancelSigs(sigs []CancelSig) []byte {
-	buf := make([]byte, 0, cancelSigBytes*len(sigs))
+// AppendCancelSigs appends the wire encoding of sigs to buf and returns
+// it, so the head packs a cancel payload into a pooled buffer.
+func AppendCancelSigs(buf []byte, sigs ...CancelSig) []byte {
 	for _, s := range sigs {
-		buf = appendCancelSig(buf, s)
+		buf = appendU32(buf, s.ID)
+		buf = appendU64(buf, s.Sessions)
 	}
 	return buf
 }
 
-func appendCancelSig(buf []byte, s CancelSig) []byte {
-	buf = appendU32(buf, s.ID)
-	return appendU64(buf, s.Sessions)
-}
-
-// DecodeCancel reverses EncodeCancelSigs, ignoring a trailing partial
-// entry.
-func DecodeCancel(buf []byte) []CancelSig {
-	return AppendDecodeCancel(make([]CancelSig, 0, len(buf)/cancelSigBytes), buf)
-}
-
-// AppendDecodeCancel is DecodeCancel appending to sigs, so a stage that
-// decodes into one reused slice allocates nothing once it has grown.
+// AppendDecodeCancel reverses AppendCancelSigs, appending to sigs and
+// ignoring a trailing partial entry, so a stage that decodes into one
+// reused slice allocates nothing once it has grown.
 func AppendDecodeCancel(sigs []CancelSig, buf []byte) []CancelSig {
 	for off := 0; off+cancelSigBytes <= len(buf); off += cancelSigBytes {
 		sigs = append(sigs, CancelSig{ID: readU32(buf[off:]), Sessions: readU64(buf[off+4:])})

@@ -69,7 +69,7 @@ func TestRunMsgRoundtripProperty(t *testing.T) {
 		}
 		for i := 0; i < rng.Intn(4); i++ {
 			msg.KVOps = append(msg.KVOps, kvcache.Op{
-				Kind: kvcache.OpKind(rng.Intn(3)),
+				Kind: kvcache.OpKind(rng.Intn(2)), // OpSeqCp or OpSeqRm
 				Src:  kvcache.SeqID(rng.Intn(64)),
 				Dst:  kvcache.SeqID(rng.Intn(64)),
 				P0:   int32(rng.Intn(1 << 20)),
@@ -112,7 +112,7 @@ func TestDecodeRunMsgErrors(t *testing.T) {
 
 func TestCancelCodec(t *testing.T) {
 	// Compute-without-result entries are mask 0.
-	dec := DecodeCancel(EncodeCancelSigs([]CancelSig{{ID: 1}, {ID: 1 << 20}, {ID: 0xFFFFFFFF}}))
+	dec := AppendDecodeCancel(nil, AppendCancelSigs(nil, CancelSig{ID: 1}, CancelSig{ID: 1 << 20}, CancelSig{ID: 0xFFFFFFFF}))
 	if len(dec) != 3 || dec[0].ID != 1 || dec[2].ID != 0xFFFFFFFF {
 		t.Fatalf("cancel roundtrip: %v", dec)
 	}
@@ -123,11 +123,11 @@ func TestCancelCodec(t *testing.T) {
 	}
 	// Skip entries round-trip too.
 	sigs := []CancelSig{{ID: 9, Sessions: 1 << 5}, {ID: 10}}
-	dec = DecodeCancel(EncodeCancelSigs(sigs))
+	dec = AppendDecodeCancel(nil, AppendCancelSigs(nil, sigs...))
 	if len(dec) != 2 || dec[0] != sigs[0] || dec[1] != sigs[1] {
 		t.Fatalf("row-mask roundtrip: %v", dec)
 	}
-	if len(DecodeCancel(nil)) != 0 {
+	if len(AppendDecodeCancel(nil, nil)) != 0 {
 		t.Fatal("empty cancel payload")
 	}
 }
@@ -495,7 +495,7 @@ func TestLiveStatsAcceptSummary(t *testing.T) {
 // cancelSet on rank 1.
 func cancelSetOf(sigs ...CancelSig) *cancelSet {
 	cl := chancomm.New(2)
-	cl.Endpoint(0).Send(1, comm.TagCancel, EncodeCancelSigs(sigs), 0)
+	cl.Endpoint(0).Send(1, comm.TagCancel, AppendCancelSigs(nil, sigs...), 0)
 	c := newCancelSet()
 	c.drain(cl.Endpoint(1), 0)
 	return c

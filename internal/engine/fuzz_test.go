@@ -123,19 +123,19 @@ func FuzzDecodeRunMsg(f *testing.F) {
 // mask-0 "compute, send no result" or a skip mask — they are.
 func FuzzDecodeCancel(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeCancelSigs([]CancelSig{{ID: 1}}))
-	f.Add(EncodeCancelSigs([]CancelSig{{ID: 7}, {ID: 0xdeadbeef}, {ID: 0}, {ID: 1 << 30}}))
-	f.Add(EncodeCancelSigs([]CancelSig{{ID: 12, Sessions: 1 << 63}, {ID: 13, Sessions: 5}}))
+	f.Add(AppendCancelSigs(nil, CancelSig{ID: 1}))
+	f.Add(AppendCancelSigs(nil, CancelSig{ID: 7}, CancelSig{ID: 0xdeadbeef}, CancelSig{ID: 0}, CancelSig{ID: 1 << 30}))
+	f.Add(AppendCancelSigs(nil, CancelSig{ID: 12, Sessions: 1 << 63}, CancelSig{ID: 13, Sessions: 5}))
 	f.Add([]byte{1, 2, 3}) // trailing partial group
 	// One run's (id, 0) beside a one-group run's skip of session 0, the
 	// entries a single-request pipeline sends.
-	f.Add(EncodeCancelSigs([]CancelSig{{ID: 40}, {ID: 41, Sessions: 1}}))
+	f.Add(AppendCancelSigs(nil, CancelSig{ID: 40}, CancelSig{ID: 41, Sessions: 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sigs := DecodeCancel(data)
+		sigs := AppendDecodeCancel(nil, data)
 		if len(sigs) != len(data)/cancelSigBytes {
 			t.Fatalf("decoded %d entries from %d bytes", len(sigs), len(data))
 		}
-		enc := EncodeCancelSigs(sigs)
+		enc := AppendCancelSigs(nil, sigs...)
 		if !bytes.Equal(enc, data[:cancelSigBytes*len(sigs)]) {
 			t.Fatalf("re-encoding differs: %x vs %x", enc, data[:cancelSigBytes*len(sigs)])
 		}

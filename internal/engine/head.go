@@ -357,7 +357,7 @@ func (h *Head) failOldest() *Run {
 			for lo := range run.Msg.Groups() {
 				all |= 1 << run.Msg.RowSession(lo)
 			}
-			payload := appendCancelSig(comm.GetBuf(cancelSigBytes), CancelSig{ID: run.Msg.ID, Sessions: all})
+			payload := AppendCancelSigs(comm.GetBuf(cancelSigBytes), CancelSig{ID: run.Msg.ID, Sessions: all})
 			h.broadcastCancel(payload)
 			comm.PutBuf(payload)
 		}
@@ -412,9 +412,9 @@ func (h *Head) CancelSession(slot uint16, runs []*Run, cleanup bool) {
 		}
 		switch {
 		case msg.Kind == KindSpec || cleanup:
-			payload = appendCancelSig(payload, CancelSig{ID: msg.ID, Sessions: bit})
+			payload = AppendCancelSigs(payload, CancelSig{ID: msg.ID, Sessions: bit})
 		case whole:
-			payload = appendCancelSig(payload, CancelSig{ID: msg.ID})
+			payload = AppendCancelSigs(payload, CancelSig{ID: msg.ID})
 		}
 	}
 	if len(payload) > 0 && !h.CFG.DisableCancel {

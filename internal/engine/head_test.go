@@ -155,7 +155,7 @@ func TestCancelSession(t *testing.T) {
 								if n > 0 {
 									t.Fatalf("slot %d: one cancel sent more than one message", st.slot)
 								}
-								got = DecodeCancel(stage.Recv(0, comm.TagCancel))
+								got = AppendDecodeCancel(nil, stage.Recv(0, comm.TagCancel))
 							}
 							var want []CancelSig
 							for _, m := range st.want {
@@ -204,7 +204,7 @@ func TestCancelSessionOneBroadcast(t *testing.T) {
 	h.Launch(spec)
 	h.Launch(nonSpec)
 	h.CancelSession(0, []*Run{spec, nonSpec}, false)
-	got := DecodeCancel(cl.Endpoint(1).Recv(0, comm.TagCancel))
+	got := AppendDecodeCancel(nil, cl.Endpoint(1).Recv(0, comm.TagCancel))
 	if want := []CancelSig{{ID: spec.Msg.ID, Sessions: 1}, {ID: nonSpec.Msg.ID}}; !slices.Equal(got, want) {
 		t.Fatalf("entries %+v, want %+v", got, want)
 	}
@@ -310,7 +310,7 @@ func TestAwaitResult(t *testing.T) {
 			run, _, ok, failed, err := h.AwaitResult()
 			cancels := 0
 			for ; stage.Iprobe(0, comm.TagCancel); cancels++ {
-				got := DecodeCancel(stage.Recv(0, comm.TagCancel))
+				got := AppendDecodeCancel(nil, stage.Recv(0, comm.TagCancel))
 				if want := []CancelSig{{ID: oldest.Msg.ID, Sessions: 0b11}}; !slices.Equal(got, want) {
 					t.Fatalf("stage read %+v, want %+v", got, want)
 				}

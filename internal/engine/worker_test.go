@@ -113,7 +113,7 @@ func TestWorkerLoopCancelSkipsSpecRun(t *testing.T) {
 	// Skip session 0's rows of run 1 before it arrives: chancomm delivers
 	// a Send before it returns, so the worker sees the entry when it
 	// decides, skips the evaluation and returns the empty marker.
-	ep.Send(1, comm.TagCancel, EncodeCancelSigs([]CancelSig{{ID: 1, Sessions: 1}}), 0)
+	ep.Send(1, comm.TagCancel, AppendCancelSigs(nil, CancelSig{ID: 1, Sessions: 1}), 0)
 	msg := &RunMsg{ID: 1, Kind: KindSpec, Seq: 2, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 4}}}
 	sendDecode(ep, 1, msg)
 	payload := ep.Recv(1, comm.TagResult)
@@ -133,7 +133,7 @@ func TestWorkerLoopNonSpecNeverSkipped(t *testing.T) {
 	w := newMockWorker()
 	ep, done, _ := pipeline2(t, w)
 
-	ep.Send(1, comm.TagCancel, EncodeCancelSigs([]CancelSig{{ID: 7}}), 0)
+	ep.Send(1, comm.TagCancel, AppendCancelSigs(nil, CancelSig{ID: 7}), 0)
 	msg := &RunMsg{ID: 7, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}}}
 	sendDecode(ep, 1, msg)
 	payload := ep.Recv(1, comm.TagResult)
@@ -217,7 +217,7 @@ func TestWorkerLoopStageRule(t *testing.T) {
 					msg.ID, msg.Kind = 9, kind
 				}
 				if sigs := tc.sigs(msg.ID); sigs != nil {
-					ep.Send(1, comm.TagCancel, EncodeCancelSigs(sigs), 0)
+					ep.Send(1, comm.TagCancel, AppendCancelSigs(nil, sigs...), 0)
 				}
 				sendDecode(ep, 1, msg)
 				f, err := ParseResult(ep.Recv(1, comm.TagResult))
@@ -251,7 +251,7 @@ func TestWorkerLoopKVTransactionOrdering(t *testing.T) {
 	// KV txn, then decode, then KV txn: ApplyKV calls must interleave in
 	// exactly that order (run messages carry their own ops batch too).
 	ops1 := []kvcache.Op{{Kind: kvcache.OpSeqCp, Src: 0, Dst: 1, P0: 0, P1: 5}}
-	f := frame(kvcache.EncodeOps(ops1), OpKV)
+	f := frame(kvcache.AppendOps(nil, ops1), OpKV)
 	ep.Send(1, comm.TagRun, f, len(f))
 
 	msg := &RunMsg{ID: 1, Kind: KindNonSpec,
@@ -259,8 +259,8 @@ func TestWorkerLoopKVTransactionOrdering(t *testing.T) {
 		KVOps:  []kvcache.Op{{Kind: kvcache.OpSeqRm, Src: 3, P0: 0, P1: 9}}}
 	sendDecode(ep, 1, msg)
 
-	ops3 := []kvcache.Op{{Kind: kvcache.OpSeqKeep, Src: 0}}
-	f = frame(kvcache.EncodeOps(ops3), OpKV)
+	ops3 := []kvcache.Op{{Kind: kvcache.OpEvictShard, Src: 4, Dst: 4}}
+	f = frame(kvcache.AppendOps(nil, ops3), OpKV)
 	ep.Send(1, comm.TagRun, f, len(f))
 
 	ep.Recv(1, comm.TagResult)
@@ -273,7 +273,7 @@ func TestWorkerLoopKVTransactionOrdering(t *testing.T) {
 	}
 	if w.kvBatches[0][0].Kind != kvcache.OpSeqCp ||
 		w.kvBatches[1][0].Kind != kvcache.OpSeqRm ||
-		w.kvBatches[2][0].Kind != kvcache.OpSeqKeep {
+		w.kvBatches[2][0].Kind != kvcache.OpEvictShard {
 		t.Fatalf("kv op order broken: %v", w.kvBatches)
 	}
 }
@@ -359,6 +359,15 @@ func TestWorkerLoopEmptyInputSkipsEval(t *testing.T) {
 func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
 	msg := &RunMsg{ID: 3, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}, {Tok: 6, Pos: 1, Seqs: 1}}}
 	enc := msg.Encode()
+	// A KV frame of a well-formed op and o, and a run carrying o.
+	kv := func(o kvcache.Op) []byte {
+		return frame(kvcache.AppendOps(nil, []kvcache.Op{{Kind: kvcache.OpSeqRm, Src: 1, P1: 1}, o}), OpKV)
+	}
+	runWith := func(o kvcache.Op) []byte {
+		m := *msg
+		m.KVOps = []kvcache.Op{o}
+		return frame(m.Encode(), OpRun)
+	}
 	cases := []struct {
 		name  string
 		stage int // 1: the first target stage; 2: the stage behind it
@@ -374,6 +383,16 @@ func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
 		{"unknown activation marker", 2, runFrame(msg, 7, 1, 2)},
 		{"empty activation with bytes", 2, runFrame(msg, payloadEmpty, 1)},
 		{"KV ops of a partial length", 1, frame(make([]byte, 12), OpKV)},
+		{"KV op of an unknown kind", 1, kv(kvcache.Op{Kind: 9})},
+		{"KV op of the retired kind 2", 1, kv(kvcache.Op{Kind: 2})},
+		{"KV op naming sequence 200", 1, kv(kvcache.Op{Kind: kvcache.OpSeqRm, Src: 200, P1: 1})},
+		{"KV copy to a sequence past the ids", 1, kv(kvcache.Op{Kind: kvcache.OpSeqCp, Src: 0, Dst: kvcache.MaxSeqs, P1: 1})},
+		{"KV share from a sequence past the ids", 1, kv(kvcache.Op{Kind: kvcache.OpSharePrefix, Src: kvcache.MaxSeqs, P1: 8})},
+		{"KV map into a sequence past the ids", 1, kv(kvcache.Op{Kind: kvcache.OpMapShared, Src: 255, P1: 8})},
+		{"KV namespace window past the ids", 1, kv(kvcache.Op{Kind: kvcache.OpDropSpec, Src: 60, Dst: 8})},
+		{"KV empty namespace window", 1, kv(kvcache.Op{Kind: kvcache.OpEvictShard, Src: 4, Dst: 0})},
+		{"run carrying a KV op of an unknown kind", 1, runWith(kvcache.Op{Kind: 9})},
+		{"run carrying a KV op naming sequence 200", 1, runWith(kvcache.Op{Kind: kvcache.OpSeqCp, Src: 0, Dst: 200, P1: 1})},
 		{"shutdown with a body", 1, frame([]byte{1}, OpShutdown)},
 	}
 	for _, tc := range cases {

@@ -10,7 +10,7 @@
 // belongs to. Sequence copy/remove operations manipulate only this
 // metadata — the underlying K/V tensors are shared between sequences — which
 // is why the paper describes multibuffering "buffer swaps" as near-zero
-// cost. Attention masks are derived from the metadata: a query token
+// cost. Attention visibility is derived from the metadata: a query token
 // belonging to sequence set Q sees a cell C iff Q ∩ C.Seqs ≠ ∅ and
 // C.Pos ≤ Q.Pos (causality). Assigning each speculative run its own
 // sequence id therefore guarantees the runs cannot observe one another's
@@ -102,17 +102,6 @@ func (s SeqSet) Empty() bool { return s == 0 }
 // Count returns the number of member sequences.
 func (s SeqSet) Count() int { return bits.OnesCount64(uint64(s)) }
 
-// IDs expands the set into a sorted slice of sequence ids.
-func (s SeqSet) IDs() []SeqID {
-	out := make([]SeqID, 0, s.Count())
-	for id := SeqID(0); id < MaxSeqs; id++ {
-		if s.Has(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // Cell is one KV cache slot.
 type Cell struct {
 	// Pos is the absolute position of the cached token, or -1 if empty.
@@ -124,8 +113,8 @@ type Cell struct {
 // Empty reports whether the cell holds no entry.
 func (c Cell) Empty() bool { return c.Seqs.Empty() }
 
-// TokenMeta describes one batch token's placement for mask construction
-// and cache writes.
+// TokenMeta describes one batch token's placement for visibility and
+// cache writes.
 type TokenMeta struct {
 	Pos  int32
 	Seqs SeqSet
@@ -252,26 +241,6 @@ func (c *Cache) SeqRm(seq SeqID, p0, p1 int32) int {
 		}
 	}
 	return freed
-}
-
-// SeqKeep removes every sequence except seq from all cells; cells not in
-// seq become free. Used to collapse back to the canonical sequence.
-func (c *Cache) SeqKeep(seq SeqID) {
-	for i := range c.cells {
-		cell := &c.cells[i]
-		if cell.Empty() {
-			continue
-		}
-		if cell.Seqs.Has(seq) {
-			cell.Seqs = NewSeqSet(seq)
-		} else {
-			cell.Seqs = 0
-			if !c.held(i) {
-				cell.Pos = -1
-				c.used--
-			}
-		}
-	}
 }
 
 // RemoveSeqs strips every sequence in mask from all cells; cells left with
@@ -435,87 +404,6 @@ func (c *Cache) VisibleCells(dst []int, q TokenMeta) []int {
 		}
 	}
 	return dst
-}
-
-// MaskBits is a reusable bitset attention mask: one row of Cols bits per
-// batch token, packed 64 cells to the word. Reset reshapes it in place,
-// reusing the backing words, so building a mask every run allocates
-// nothing in steady state — the replacement for BuildMask's per-batch
-// [][]bool.
-type MaskBits struct {
-	words []uint64
-	rows  int
-	cols  int
-	wpr   int // words per row
-}
-
-// Reset reshapes the mask to rows x cols and clears every bit.
-func (m *MaskBits) Reset(rows, cols int) {
-	m.rows, m.cols = rows, cols
-	m.wpr = (cols + 63) / 64
-	n := rows * m.wpr
-	if cap(m.words) < n {
-		m.words = make([]uint64, n)
-	}
-	m.words = m.words[:n]
-	for i := range m.words {
-		m.words[i] = 0
-	}
-}
-
-// Rows and Cols report the current shape.
-func (m *MaskBits) Rows() int { return m.rows }
-
-// Cols reports the number of cells per row.
-func (m *MaskBits) Cols() int { return m.cols }
-
-// Set marks cell i visible to batch token t.
-func (m *MaskBits) Set(t, i int) { m.words[t*m.wpr+i/64] |= 1 << uint(i%64) }
-
-// Get reports whether cell i is visible to batch token t.
-func (m *MaskBits) Get(t, i int) bool {
-	return m.words[t*m.wpr+i/64]&(1<<uint(i%64)) != 0
-}
-
-// RowOnes counts the cells visible to batch token t.
-func (m *MaskBits) RowOnes(t int) int {
-	n := 0
-	for _, w := range m.words[t*m.wpr : (t+1)*m.wpr] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// BuildMaskInto fills dst with the attention mask for a batch:
-// dst.Get(t, i) is true iff batch token t may attend to cell i. The batch
-// tokens' own cells must already be occupied (the standard unified-KV
-// convention: a token attends to itself through its cache entry).
-func (c *Cache) BuildMaskInto(dst *MaskBits, batch []TokenMeta) {
-	dst.Reset(len(batch), len(c.cells))
-	for t, q := range batch {
-		for i := range c.cells {
-			if c.Visible(q, i) {
-				dst.Set(t, i)
-			}
-		}
-	}
-}
-
-// BuildMask is the allocating convenience form of BuildMaskInto, kept for
-// tests and one-shot callers: mask[t][i] is true iff batch token t may
-// attend to cell i.
-func (c *Cache) BuildMask(batch []TokenMeta) [][]bool {
-	var bits MaskBits
-	c.BuildMaskInto(&bits, batch)
-	mask := make([][]bool, len(batch))
-	for t := range batch {
-		row := make([]bool, len(c.cells))
-		for i := range c.cells {
-			row[i] = bits.Get(t, i)
-		}
-		mask[t] = row
-	}
-	return mask
 }
 
 // CheckInvariants validates internal consistency (used by property tests

@@ -58,10 +58,9 @@ func (ns Namespace) SpecAllocator() *SeqAllocator {
 // (OpDropSpec, OpEvictShard) are valid only when they target exactly
 // this namespace; the shared-prefix ops (OpSharePrefix, OpMapShared) only
 // when the donor/mapping sequence is the session's canonical id (Dst
-// carries an entry id there, not a sequence). OpSeqKeep — which clears
-// every other sequence in the cache — and OpUnrefPrefix — which drops a
-// scheduler-owned registry hold no session owns — are never valid on a
-// session's behalf.
+// carries an entry id there, not a sequence). OpUnrefPrefix — which
+// drops a scheduler-owned registry hold no session owns — is never valid
+// on a session's behalf.
 func (ns Namespace) ValidOp(o Op) bool {
 	switch o.Kind {
 	case OpSeqCp:

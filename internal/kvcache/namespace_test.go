@@ -72,8 +72,8 @@ func TestNamespaceValidOp(t *testing.T) {
 		{Op{Kind: OpSeqCp, Src: 4, Dst: 8}, false}, // crosses namespaces
 		{Op{Kind: OpSeqCp, Src: 0, Dst: 4}, false}, // foreign source
 		{Op{Kind: OpSeqRm, Src: 3}, false},         // foreign removal
-		{Op{Kind: OpSeqKeep, Src: 4}, false},       // keep clears everyone
-		{Op{Kind: OpSeqKeep, Src: 0}, false},       // even on the canonical id
+		{Op{Kind: OpUnrefPrefix, Dst: 4}, false},   // the scheduler's hold, no session's
+		{Op{Kind: OpKind(2), Src: 4}, false},       // the retired keep
 	}
 	for i, tc := range cases {
 		if got := ns.ValidOp(tc.op); got != tc.ok {

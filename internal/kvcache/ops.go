@@ -13,8 +13,9 @@ const (
 	OpSeqCp OpKind = iota
 	// OpSeqRm removes Src over [P0, P1).
 	OpSeqRm
-	// OpSeqKeep drops every sequence except Src.
-	OpSeqKeep
+	// 2 is retired (the decoder rejects it), so the kinds after it keep
+	// their wire values.
+	_
 	// OpDropSpec clears a namespace's speculative partitions: every
 	// sequence in [Src+1, Src+Dst) is removed from all cells (Src is the
 	// namespace base, Dst its width). Cells shared with the canonical
@@ -68,8 +69,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("cp(%d->%d, [%d,%d))", o.Src, o.Dst, o.P0, o.P1)
 	case OpSeqRm:
 		return fmt.Sprintf("rm(%d, [%d,%d))", o.Src, o.P0, o.P1)
-	case OpSeqKeep:
-		return fmt.Sprintf("keep(%d)", o.Src)
 	case OpDropSpec:
 		return fmt.Sprintf("dropspec(ns %d+%d)", o.Src, o.Dst)
 	case OpEvictShard:
@@ -100,8 +99,6 @@ func (o Op) Apply(c *Cache) {
 		c.SeqCp(o.Src, o.Dst, o.P0, o.P1)
 	case OpSeqRm:
 		c.SeqRm(o.Src, o.P0, o.P1)
-	case OpSeqKeep:
-		c.SeqKeep(o.Src)
 	case OpDropSpec:
 		c.RemoveSeqs(o.SpecSet())
 	case OpEvictShard:
@@ -124,11 +121,6 @@ func ApplyAll(c *Cache, ops []Op) {
 	}
 }
 
-// EncodeOps serialises ops into a compact wire format (for comm messages).
-func EncodeOps(ops []Op) []byte {
-	return AppendOps(make([]byte, 0, len(ops)*11), ops)
-}
-
 // AppendOps appends the wire encoding of ops to buf and returns it,
 // letting callers serialise into pooled message buffers.
 func AppendOps(buf []byte, ops []Op) []byte {
@@ -140,27 +132,55 @@ func AppendOps(buf []byte, ops []Op) []byte {
 	return buf
 }
 
-// DecodeOps reverses EncodeOps.
-func DecodeOps(buf []byte) ([]Op, error) {
-	return AppendDecodeOps(make([]Op, 0, len(buf)/11), buf)
-}
-
-// AppendDecodeOps is DecodeOps appending to ops, so a receiver that
-// decodes into one reused slice allocates nothing once it has grown.
+// AppendDecodeOps decodes buf's ops, appending them to ops, so a receiver
+// that decodes into one reused slice allocates nothing once it has grown.
+// It rejects what no sender encodes — an unknown kind (the retired 2
+// among them), a sequence id at or above MaxSeqs, and a namespace op
+// whose window is empty or ends past MaxSeqs — so a malformed frame is
+// an error for the stage loop to return, not a panic in a cache.
 func AppendDecodeOps(ops []Op, buf []byte) ([]Op, error) {
 	if len(buf)%11 != 0 {
 		return nil, fmt.Errorf("kvcache: op buffer length %d not a multiple of 11", len(buf))
 	}
 	for i := 0; i < len(buf); i += 11 {
-		ops = append(ops, Op{
+		o := Op{
 			Kind: OpKind(buf[i]),
 			Src:  SeqID(buf[i+1]),
 			Dst:  SeqID(buf[i+2]),
 			P0:   readI32(buf[i+3:]),
 			P1:   readI32(buf[i+7:]),
-		})
+		}
+		if err := o.check(); err != nil {
+			return nil, err
+		}
+		ops = append(ops, o)
 	}
 	return ops, nil
+}
+
+// check reports whether o is an op a sender could have encoded: a known
+// kind whose sequence ids, and namespace window, lie inside [0, MaxSeqs).
+// Dst carries an entry id, not a sequence id, in the shared-prefix ops.
+func (o Op) check() error {
+	var end SeqID // one past the largest sequence id o names
+	switch o.Kind {
+	case OpSeqCp:
+		end = max(o.Src, o.Dst) + 1
+	case OpSeqRm, OpSharePrefix, OpMapShared:
+		end = o.Src + 1
+	case OpDropSpec, OpEvictShard:
+		if o.Dst < 1 {
+			return fmt.Errorf("kvcache: %v has an empty namespace window", o)
+		}
+		end = o.Src + o.Dst
+	case OpUnrefPrefix:
+	default:
+		return fmt.Errorf("kvcache: unknown op kind %d", o.Kind)
+	}
+	if end > MaxSeqs {
+		return fmt.Errorf("kvcache: %v names a sequence id past %d", o, MaxSeqs-1)
+	}
+	return nil
 }
 
 func appendI32(b []byte, v int32) []byte {

@@ -2,6 +2,7 @@ package kvpage
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -12,7 +13,8 @@ import (
 // diffHarness drives identical operation sequences through the paged
 // cache and the flat reference cache and holds them to identical
 // observable behaviour: occupancy, per-sequence lengths and max
-// positions, and visible-cell sets (compared as position/sequence-set
+// positions (the flat store's scans against the paged store's visible
+// cells), and visible-cell sets (compared as position/sequence-set
 // multisets — cell numbering is an implementation detail).
 type diffHarness struct {
 	t     testing.TB
@@ -80,7 +82,7 @@ func (d *diffHarness) apply(op kvcache.Op) {
 	op.Apply(d.flat)
 	d.paged.Apply(op)
 	switch op.Kind {
-	case kvcache.OpSeqRm, kvcache.OpSeqKeep, kvcache.OpDropSpec, kvcache.OpEvictShard,
+	case kvcache.OpSeqRm, kvcache.OpDropSpec, kvcache.OpEvictShard,
 		kvcache.OpMapShared, kvcache.OpUnrefPrefix:
 		d.resyncNextPos()
 	}
@@ -143,7 +145,7 @@ func (d *diffHarness) unrefStep(pick int) {
 
 func (d *diffHarness) resyncNextPos() {
 	for id := kvcache.SeqID(0); id < kvcache.MaxSeqs; id++ {
-		d.nextPos[id] = d.paged.SeqMaxPos(id) + 1
+		d.nextPos[id] = d.flat.SeqMaxPos(id) + 1
 	}
 }
 
@@ -170,17 +172,20 @@ func (d *diffHarness) compare() {
 		}
 	}
 	for id := kvcache.SeqID(0); id < kvcache.MaxSeqs; id++ {
-		if pl, fl := d.paged.SeqLen(id), d.flat.SeqLen(id); pl != fl {
+		// A query past every position sees all of the sequence's cells,
+		// the deepest last: its length and max position.
+		all := d.paged.VisibleCells(nil, kvcache.TokenMeta{Pos: math.MaxInt32, Seqs: kvcache.NewSeqSet(id)})
+		if pl, fl := len(all), d.flat.SeqLen(id); pl != fl {
 			t.Fatalf("seq %d length diverged: paged %d, flat %d", id, pl, fl)
 		}
-		if pm, fm := d.paged.SeqMaxPos(id), d.flat.SeqMaxPos(id); pm != fm {
-			t.Fatalf("seq %d max-pos diverged: paged %d, flat %d", id, pm, fm)
-		}
-		if d.paged.SeqLen(id) == 0 {
+		if len(all) == 0 {
 			continue
 		}
+		if pm, fm := d.paged.Cell(all[len(all)-1]).Pos, d.flat.SeqMaxPos(id); pm != fm {
+			t.Fatalf("seq %d max-pos diverged: paged %d, flat %d", id, pm, fm)
+		}
 		// Visible-set equality for a query at the sequence frontier.
-		q := kvcache.TokenMeta{Pos: d.paged.SeqMaxPos(id), Seqs: kvcache.NewSeqSet(id)}
+		q := kvcache.TokenMeta{Pos: d.flat.SeqMaxPos(id), Seqs: kvcache.NewSeqSet(id)}
 		var pv, fv []string
 		for _, c := range d.paged.VisibleCells(nil, q) {
 			cell := d.paged.Cell(c)
@@ -213,7 +218,7 @@ func (d *diffHarness) compare() {
 }
 
 // step decodes one pseudo-random operation and applies it to both caches.
-func (d *diffHarness) step(rng *rand.Rand, allowKeep bool) {
+func (d *diffHarness) step(rng *rand.Rand) {
 	w := d.shardWidth()
 	shard := rng.Intn(min(d.nShards(), 8))
 	base := kvcache.SeqID(shard * w)
@@ -247,23 +252,21 @@ func (d *diffHarness) step(rng *rand.Rand, allowKeep bool) {
 		d.mapStep(d.seqInShard(shard, rng.Intn(w)), rng.Intn(16), rng.Intn(4))
 	case k < 99:
 		d.unrefStep(rng.Intn(16))
-	case allowKeep:
-		d.apply(kvcache.Op{Kind: kvcache.OpSeqKeep, Src: d.seqInShard(shard, rng.Intn(w))})
 	}
 }
 
 // TestDifferentialRandomOps is the paged-vs-flat property test: long
-// random op sequences (occupy / cp / rm / keep / drop-spec / evict)
-// through both stores, with full-state comparison along the way.
+// random op sequences (occupy / cp / rm / drop-spec / evict / share /
+// map / unref) through both stores, with full-state comparison along the
+// way.
 func TestDifferentialRandomOps(t *testing.T) {
 	configs := []struct {
-		name      string
-		cfg       Config
-		allowKeep bool
+		name string
+		cfg  Config
 	}{
-		{"multi-shard", Config{Cells: 256, PageSize: 8, ShardSeqs: 4}, false},
-		{"single-shard", Config{Cells: 128, PageSize: 16}, true},
-		{"tiny-pages", Config{Cells: 96, PageSize: 2, ShardSeqs: 8}, false},
+		{"multi-shard", Config{Cells: 256, PageSize: 8, ShardSeqs: 4}},
+		{"single-shard", Config{Cells: 128, PageSize: 16}},
+		{"tiny-pages", Config{Cells: 96, PageSize: 2, ShardSeqs: 8}},
 	}
 	for _, tc := range configs {
 		tc := tc
@@ -272,7 +275,7 @@ func TestDifferentialRandomOps(t *testing.T) {
 				d := newDiffHarness(t, tc.cfg)
 				rng := rand.New(rand.NewSource(seed))
 				for i := 0; i < 3000; i++ {
-					d.step(rng, tc.allowKeep)
+					d.step(rng)
 					if i%101 == 0 {
 						d.compare()
 					}

@@ -15,24 +15,19 @@
 // stores — which index rows by cell — address paged storage with no
 // translation layer.
 //
-// Every sequence operation (slot finding, copy/remove/keep, visibility)
-// walks only the owning shard's page list, so its cost is O(session
-// footprint) and independent of how full the rest of the cache is. The
-// cache additionally maintains per-sequence length and max-position
-// counters, updated exactly on Occupy/SeqCp/SeqRm/SeqKeep/eviction, so
-// SeqLen and SeqMaxPos are O(1); CheckInvariants asserts them against a
-// brute-force scan.
+// Every sequence operation (slot finding, copy/remove, visibility) walks
+// only the owning shard's page list, so its cost is O(session footprint)
+// and independent of how full the rest of the cache is.
 //
 // # Eviction
 //
 // Pages whose last cell is released return to the free list immediately,
-// so one session's churn becomes another session's capacity. Two bulk
-// reclamation primitives back the serving layer's memory-pressure
-// protocol, both expressible as pipelined kvcache ops (so every stage
-// replays them in transaction order): DropSpec frees a namespace's
-// speculative-only cells (kvcache.OpDropSpec), EvictShard frees a
-// namespace's entire footprint (kvcache.OpEvictShard) so the parked
-// session can be readmitted later by re-prefilling its accepted prefix.
+// so one session's churn becomes another session's capacity. One bulk
+// reclamation primitive, RemoveSeqs, backs both of the serving layer's
+// memory-pressure ops, which every stage replays in transaction order
+// (Apply): kvcache.OpDropSpec frees a namespace's speculative-only cells,
+// kvcache.OpEvictShard its entire footprint, so the parked session can be
+// readmitted later by re-prefilling its accepted prefix.
 //
 // # Shared prefixes
 //
@@ -45,8 +40,8 @@
 // from the serving layer's prefix trie (pageHolds). Cells are
 // append-only, so a session's first token past its mapped prefix simply
 // places into fresh private pages — nothing is ever copied. Eviction
-// composes: the ordinary strip operations (SeqRm, DropSpec, EvictShard)
-// remove a session's bits and delist pages rather than free them, a
+// composes: the ordinary strip operations (SeqRm, RemoveSeqs) remove a
+// session's bits and delist pages rather than free them, a
 // registry hold keeps drained cells resident for future mappings, and a
 // page returns to the free list only when both counts reach zero. All of
 // it is driven by three pipelined ops (kvcache.OpSharePrefix, OpMapShared,
@@ -136,16 +131,13 @@ type Cache struct {
 	shards    []shard
 	used      int
 
-	seqLen [kvcache.MaxSeqs]int32
-	seqMax [kvcache.MaxSeqs]int32
-
 	// Shared-prefix state. pageShards[p] counts the shard page lists
 	// containing shared page p; pageHolds[p] counts the registered prefix
 	// entries whose chain includes p. A shared page frees only when both
 	// reach zero; a cell on a held page stays resident after its sequence
 	// set drains (Pos kept, counted in used) so a later MapShared can
 	// revive it. pageUsed stays pinned at pageSize for shared pages, which
-	// is what keeps FindSlots from ever allocating into them.
+	// is what keeps FindSlotsInto from ever allocating into them.
 	pageShards []int32
 	pageHolds  []int32
 	entries    map[int][]int32 // entry id -> page chain in position order
@@ -184,9 +176,6 @@ func New(cfg Config) *Cache {
 	for p := nPages - 1; p >= 0; p-- {
 		c.pageOwner[p] = noPage
 		c.freePages = append(c.freePages, int32(p))
-	}
-	for i := range c.seqMax {
-		c.seqMax[i] = -1
 	}
 	return c
 }
@@ -252,21 +241,7 @@ func (c *Cache) Clear() {
 		c.shards[s].pages = c.shards[s].pages[:0]
 		c.shards[s].free = 0
 	}
-	for i := range c.seqLen {
-		c.seqLen[i] = 0
-		c.seqMax[i] = -1
-	}
 	c.used = 0
-}
-
-// FreeCells reports the cache-wide free capacity (free cells inside
-// mapped pages plus unmapped pages).
-func (c *Cache) FreeCells() int {
-	n := len(c.freePages) * c.pageSize
-	for s := range c.shards {
-		n += c.shards[s].free
-	}
-	return n
 }
 
 // CanPlace reports whether n cells can be found for the shard owning
@@ -301,20 +276,14 @@ func (c *Cache) PagesShort(seqs kvcache.SeqSet, n int) int {
 	return (n - free + c.pageSize - 1) / c.pageSize
 }
 
-// FindSlots locates n free cells for the shard owning seqs and returns
-// their indices without occupying them (allocating convenience form).
-func (c *Cache) FindSlots(n int, seqs kvcache.SeqSet) ([]int, error) {
-	return c.FindSlotsInto(make([]int, 0, n), n, seqs)
-}
-
 // FindSlotsInto finds n free cells for the shard owning seqs, appending
-// into a caller-provided slice (typically scratch[:0]) — the
-// allocation-free variant the decode hot path uses every run. Partially
-// filled pages already owned by the shard are consumed first (scan
-// order), then whole pages are mapped from the free list. The caller must
-// Occupy every returned cell before the next FindSlots; mapped pages stay
-// with the shard until their cells drain. Only the owning shard's pages
-// are ever touched: cost is O(session footprint), not O(cache).
+// into a caller-provided slice (typically scratch[:0]), so the decode hot
+// path allocates nothing. Partially filled pages already owned by the
+// shard are consumed first (scan order), then whole pages are mapped from
+// the free list. The caller must Occupy every returned cell before the
+// next FindSlotsInto; mapped pages stay with the shard until their cells
+// drain. Only the owning shard's pages are ever touched: cost is
+// O(session footprint), not O(cache).
 func (c *Cache) FindSlotsInto(dst []int, n int, seqs kvcache.SeqSet) ([]int, error) {
 	si := c.shardOf(seqs)
 	sh := &c.shards[si]
@@ -352,7 +321,7 @@ func (c *Cache) FindSlotsInto(dst []int, n int, seqs kvcache.SeqSet) ([]int, err
 // PlaceRowsInto finds and occupies one cell per row of a (possibly
 // multi-session) batch, appending the cell indices to dst and returning
 // the extended slice. Consecutive rows sharing a shard are placed with
-// one FindSlots pass over that shard and occupied immediately, so a
+// one FindSlotsInto pass over that shard and occupied immediately, so a
 // cross-session batched run — whose rows are grouped per session, one
 // namespace shard each — places every session's rows inside its own
 // shard: attention isolation and the O(session footprint) cost bound both
@@ -457,8 +426,8 @@ func (c *Cache) unmapPage(si int, p int32) {
 }
 
 // Occupy claims cell i for a token at position pos belonging to seqs. The
-// cell's page must already be mapped to the owning shard (FindSlots does
-// this). Occupying a non-empty cell is a bug in the caller and panics.
+// cell's page must already be mapped to the owning shard (FindSlotsInto
+// does this). Occupying a non-empty cell is a bug in the caller and panics.
 func (c *Cache) Occupy(i int, pos int32, seqs kvcache.SeqSet) {
 	if seqs.Empty() {
 		panic("kvpage: Occupy with empty sequence set")
@@ -476,18 +445,10 @@ func (c *Cache) Occupy(i int, pos int32, seqs kvcache.SeqSet) {
 	c.pageUsed[p]++
 	c.shards[si].free--
 	c.used++
-	for s := seqs; s != 0; {
-		id := s.Min()
-		s = s.Remove(id)
-		c.seqLen[id]++
-		if pos > c.seqMax[id] {
-			c.seqMax[id] = pos
-		}
-	}
 }
 
 // release frees occupied cell i of shard si, unmapping its page when it
-// drains. Counters for the cell's sequences are the caller's business.
+// drains.
 func (c *Cache) release(si int, i int) {
 	c.cells[i] = kvcache.Cell{Pos: -1}
 	p := int32(i / c.pageSize)
@@ -520,10 +481,6 @@ func (c *Cache) SeqCp(src, dst kvcache.SeqID, p0, p1 int32) int {
 			if !cell.Seqs.Has(dst) {
 				cell.Seqs = cell.Seqs.Add(dst)
 				n++
-				c.seqLen[dst]++
-				if cell.Pos > c.seqMax[dst] {
-					c.seqMax[dst] = cell.Pos
-				}
 			}
 		}
 	}
@@ -531,19 +488,16 @@ func (c *Cache) SeqCp(src, dst kvcache.SeqID, p0, p1 int32) int {
 }
 
 // SeqRm removes sequence seq from cells with position in [p0, p1); cells
-// left with no sequences free (and drained pages unmap). The shard is
-// scanned once, recomputing seq's length and max-pos exactly. It returns
-// the number of cells freed.
+// left with no sequences free (and drained pages unmap). Only seq's shard
+// is scanned. It returns the number of cells freed.
 func (c *Cache) SeqRm(seq kvcache.SeqID, p0, p1 int32) int {
 	si := c.shardOfSeq(seq)
 	sh := &c.shards[si]
 	freed := 0
-	remain := int32(0)
-	remainMax := int32(-1)
 	for pi := 0; pi < len(sh.pages); pi++ {
 		p := sh.pages[pi]
 		if c.pageOwner[p] == sharedOwner {
-			if c.seqRmShared(si, p, seq, p0, p1, &remain, &remainMax, &freed) {
+			if c.seqRmShared(si, p, seq, p0, p1, &freed) {
 				pi--
 			}
 			continue
@@ -552,14 +506,7 @@ func (c *Cache) SeqRm(seq kvcache.SeqID, p0, p1 int32) int {
 		drained := false
 		for s := 0; s < c.pageSize; s++ {
 			cell := &c.cells[base+s]
-			if cell.Empty() || !cell.Seqs.Has(seq) {
-				continue
-			}
-			if cell.Pos < p0 || cell.Pos >= p1 {
-				remain++
-				if cell.Pos > remainMax {
-					remainMax = cell.Pos
-				}
+			if cell.Empty() || !cell.Seqs.Has(seq) || cell.Pos < p0 || cell.Pos >= p1 {
 				continue
 			}
 			cell.Seqs = cell.Seqs.Remove(seq)
@@ -578,8 +525,6 @@ func (c *Cache) SeqRm(seq kvcache.SeqID, p0, p1 int32) int {
 			pi--
 		}
 	}
-	c.seqLen[seq] = remain
-	c.seqMax[seq] = remainMax
 	return freed
 }
 
@@ -591,7 +536,7 @@ func (c *Cache) SeqRm(seq kvcache.SeqID, p0, p1 int32) int {
 // entirely once its last listing and last registry hold are gone);
 // seqRmShared reports whether it delisted, so the caller iterating the
 // swap-removed page list can revisit the slot.
-func (c *Cache) seqRmShared(si int, p int32, seq kvcache.SeqID, p0, p1 int32, remain, remainMax *int32, freed *int) bool {
+func (c *Cache) seqRmShared(si int, p int32, seq kvcache.SeqID, p0, p1 int32, freed *int) bool {
 	base := int(p) * c.pageSize
 	held := c.pageHolds[p] > 0
 	sset := c.shardSet(si)
@@ -601,20 +546,13 @@ func (c *Cache) seqRmShared(si int, p int32, seq kvcache.SeqID, p0, p1 int32, re
 		if cell.Pos < 0 {
 			continue // already dead (drained while unheld)
 		}
-		if cell.Seqs.Has(seq) {
-			if cell.Pos < p0 || cell.Pos >= p1 {
-				*remain++
-				if cell.Pos > *remainMax {
-					*remainMax = cell.Pos
-				}
-			} else {
-				cell.Seqs = cell.Seqs.Remove(seq)
-				if cell.Seqs.Empty() && !held {
-					cell.Pos = -1
-					c.used--
-					*freed++
-					continue
-				}
+		if cell.Seqs.Has(seq) && cell.Pos >= p0 && cell.Pos < p1 {
+			cell.Seqs = cell.Seqs.Remove(seq)
+			if cell.Seqs.Empty() && !held {
+				cell.Pos = -1
+				c.used--
+				*freed++
+				continue
 			}
 		}
 		if cell.Seqs.Intersects(sset) {
@@ -667,40 +605,6 @@ func (c *Cache) freeShared(p int32) {
 	c.freePages = append(c.freePages, p)
 }
 
-// seqKeepShared is SeqKeep's pass over one shared page listed in shard
-// si; same lifecycle as seqRmShared. Reports whether the page was
-// delisted from si.
-func (c *Cache) seqKeepShared(si int, p int32, seq kvcache.SeqID) bool {
-	base := int(p) * c.pageSize
-	held := c.pageHolds[p] > 0
-	sset := c.shardSet(si)
-	shardBits := false
-	for s := 0; s < c.pageSize; s++ {
-		cell := &c.cells[base+s]
-		if cell.Pos < 0 {
-			continue
-		}
-		if cell.Seqs.Has(seq) {
-			cell.Seqs = kvcache.NewSeqSet(seq)
-		} else if !cell.Seqs.Empty() {
-			cell.Seqs = 0
-			if !held {
-				cell.Pos = -1
-				c.used--
-				continue
-			}
-		}
-		if cell.Seqs.Intersects(sset) {
-			shardBits = true
-		}
-	}
-	if shardBits {
-		return false
-	}
-	c.unlistShared(si, p)
-	return true
-}
-
 // removeSeqsShared is RemoveSeqs's pass over one shared page listed in
 // shard si; same lifecycle as seqRmShared. Reports whether the page was
 // delisted from si.
@@ -732,53 +636,6 @@ func (c *Cache) removeSeqsShared(si int, p int32, mask kvcache.SeqSet, freed *in
 	}
 	c.unlistShared(si, p)
 	return true
-}
-
-// SeqKeep removes every sequence except seq from all cells of every
-// shard; cells not in seq free. The single-request engines use it to
-// collapse back to the canonical sequence (it is forbidden while sessions
-// share a cache — kvcache.Namespace.ValidOp).
-func (c *Cache) SeqKeep(seq kvcache.SeqID) {
-	for si := range c.shards {
-		sh := &c.shards[si]
-		for pi := 0; pi < len(sh.pages); pi++ {
-			p := sh.pages[pi]
-			if c.pageOwner[p] == sharedOwner {
-				if c.seqKeepShared(si, p, seq) {
-					pi--
-				}
-				continue
-			}
-			base := int(p) * c.pageSize
-			drained := false
-			for s := 0; s < c.pageSize; s++ {
-				cell := &c.cells[base+s]
-				if cell.Empty() {
-					continue
-				}
-				if cell.Seqs.Has(seq) {
-					cell.Seqs = kvcache.NewSeqSet(seq)
-					continue
-				}
-				cell.Seqs = 0
-				cell.Pos = -1
-				c.pageUsed[p]--
-				sh.free++
-				c.used--
-				drained = c.pageUsed[p] == 0
-			}
-			if drained {
-				c.unmapPage(si, p)
-				pi--
-			}
-		}
-	}
-	for id := range c.seqLen {
-		if kvcache.SeqID(id) != seq {
-			c.seqLen[id] = 0
-			c.seqMax[id] = -1
-		}
-	}
 }
 
 // RemoveSeqs strips every sequence in mask from all cells of the mask's
@@ -825,26 +682,8 @@ func (c *Cache) RemoveSeqs(mask kvcache.SeqSet) int {
 			pi--
 		}
 	}
-	for s := mask; s != 0; {
-		id := s.Min()
-		s = s.Remove(id)
-		c.seqLen[id] = 0
-		c.seqMax[id] = -1
-	}
 	return freed
 }
-
-// DropSpec frees a namespace's speculative-only cells, keeping everything
-// the canonical sequence still references (kvcache.OpDropSpec applied
-// locally). It returns the number of cells freed.
-func (c *Cache) DropSpec(ns kvcache.Namespace) int {
-	return c.RemoveSeqs(ns.Set().Remove(ns.Canonical()))
-}
-
-// EvictShard frees a namespace's entire footprint, returning all of its
-// pages to the free list (kvcache.OpEvictShard applied locally). It
-// returns the number of cells freed.
-func (c *Cache) EvictShard(ns kvcache.Namespace) int { return c.RemoveSeqs(ns.Set()) }
 
 // collectChain gathers the pages holding sequence src's cells for
 // positions [0, limit), in position order (page k covers positions
@@ -993,10 +832,6 @@ func (c *Cache) MapShared(dst kvcache.SeqID, entry int, limit int32) int {
 			}
 			cell.Seqs = cell.Seqs.Add(dst)
 			n++
-			c.seqLen[dst]++
-			if cell.Pos > c.seqMax[dst] {
-				c.seqMax[dst] = cell.Pos
-			}
 		}
 	}
 	return n
@@ -1063,14 +898,6 @@ func (c *Cache) SharedPages() int {
 	}
 	return n
 }
-
-// SeqMaxPos returns the largest position present in seq, or -1 if none —
-// O(1) from the maintained counter.
-func (c *Cache) SeqMaxPos(seq kvcache.SeqID) int32 { return c.seqMax[seq] }
-
-// SeqLen returns the number of cells belonging to seq — O(1) from the
-// maintained counter.
-func (c *Cache) SeqLen(seq kvcache.SeqID) int { return int(c.seqLen[seq]) }
 
 // Visible reports whether a query token described by q may attend to cell
 // i: they must share a sequence and the cell must not be in the query's
@@ -1177,8 +1004,6 @@ func (c *Cache) Apply(o kvcache.Op) {
 		c.SeqCp(o.Src, o.Dst, o.P0, o.P1)
 	case kvcache.OpSeqRm:
 		c.SeqRm(o.Src, o.P0, o.P1)
-	case kvcache.OpSeqKeep:
-		c.SeqKeep(o.Src)
 	case kvcache.OpDropSpec:
 		c.RemoveSeqs(o.SpecSet())
 	case kvcache.OpEvictShard:
@@ -1204,9 +1029,8 @@ func (c *Cache) ApplyAll(ops []kvcache.Op) {
 // CheckInvariants validates internal consistency: cell/counter agreement,
 // page accounting, shard ownership (every occupied cell's sequences lie
 // inside its page's shard window — for shared pages, inside the union of
-// the windows of the shards listing them), free-list integrity, the
-// per-sequence length/max-pos counters against a brute-force scan, and
-// the shared-prefix reference counts against the shard page lists and the
+// the windows of the shards listing them), free-list integrity, and the
+// shared-prefix reference counts against the shard page lists and the
 // entry registry. A shared page may appear in many shards' lists but is
 // counted exactly once in the global page accounting and contributes zero
 // free cells to every shard listing it.
@@ -1242,11 +1066,6 @@ func (c *Cache) CheckInvariants() error {
 				}
 			}
 		}
-	}
-	var bruteLen [kvcache.MaxSeqs]int32
-	var bruteMax [kvcache.MaxSeqs]int32
-	for i := range bruteMax {
-		bruteMax[i] = -1
 	}
 	used := 0
 	sharedPages := 0
@@ -1308,14 +1127,6 @@ func (c *Cache) CheckInvariants() error {
 				return fmt.Errorf("kvpage: cell %d seqs %#x escape shard %d",
 					base+s, uint64(cell.Seqs), owner)
 			}
-			for ss := cell.Seqs; ss != 0; {
-				id := ss.Min()
-				ss = ss.Remove(id)
-				bruteLen[id]++
-				if cell.Pos > bruteMax[id] {
-					bruteMax[id] = cell.Pos
-				}
-			}
 		}
 		if !shared && pUsed != c.pageUsed[p] {
 			return fmt.Errorf("kvpage: page %d used counter %d != actual %d", p, c.pageUsed[p], pUsed)
@@ -1326,14 +1137,6 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if used != c.used {
 		return fmt.Errorf("kvpage: used counter %d != actual %d", c.used, used)
-	}
-	for id := range c.seqLen {
-		if c.seqLen[id] != bruteLen[id] {
-			return fmt.Errorf("kvpage: seq %d len counter %d != brute-force %d", id, c.seqLen[id], bruteLen[id])
-		}
-		if c.seqMax[id] != bruteMax[id] {
-			return fmt.Errorf("kvpage: seq %d max-pos counter %d != brute-force %d", id, c.seqMax[id], bruteMax[id])
-		}
 	}
 	mapped := 0
 	for si := range c.shards {

@@ -1,6 +1,7 @@
 package kvpage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,13 +15,19 @@ func checkInv(t *testing.T, c *Cache) {
 	}
 }
 
+// seqCells lists the cells of sequence seq in position order: what a
+// query past every position sees.
+func seqCells(c *Cache, seq kvcache.SeqID) []int {
+	return c.VisibleCells(nil, kvcache.TokenMeta{Pos: math.MaxInt32, Seqs: kvcache.NewSeqSet(seq)})
+}
+
 func TestPageRounding(t *testing.T) {
 	c := New(Config{Cells: 17, PageSize: 16})
 	if c.Size() != 32 {
 		t.Fatalf("17 cells at page 16 should round to 32, got %d", c.Size())
 	}
-	if c.FreeCells() != 32 {
-		t.Fatalf("fresh cache should be all free, got %d", c.FreeCells())
+	if c.FreePages() != 2 {
+		t.Fatalf("fresh cache should have both pages free, got %d", c.FreePages())
 	}
 	checkInv(t, c)
 }
@@ -33,10 +40,7 @@ func TestShardMappingAndRelease(t *testing.T) {
 	s0 := kvcache.NewSeqSet(0) // shard 0
 	s1 := kvcache.NewSeqSet(4) // shard 1
 
-	cells, err := c.FindSlots(10, s0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := mustSlots(t, c, 10, s0)
 	for i, cell := range cells {
 		c.Occupy(cell, int32(i), s0)
 	}
@@ -44,19 +48,12 @@ func TestShardMappingAndRelease(t *testing.T) {
 	if got := c.ShardUsed(s0); got != 10 {
 		t.Fatalf("shard 0 used %d, want 10", got)
 	}
-	if got := c.SeqLen(0); got != 10 {
-		t.Fatalf("seq 0 len %d, want 10", got)
-	}
-	if got := c.SeqMaxPos(0); got != 9 {
-		t.Fatalf("seq 0 max %d, want 9", got)
+	if got := seqCells(c, 0); len(got) != 10 || c.Cell(got[9]).Pos != 9 {
+		t.Fatalf("seq 0 holds %d cells, want 10 up to pos 9", len(got))
 	}
 
 	// Cross-shard isolation: shard 1 allocates distinct pages.
-	cells1, err := c.FindSlots(4, s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cell := range cells1 {
+	for i, cell := range mustSlots(t, c, 4, s1) {
 		c.Occupy(cell, int32(i), s1)
 		if cell/8 == cells[0]/8 {
 			t.Fatalf("shard 1 cell %d shares page with shard 0", cell)
@@ -72,11 +69,11 @@ func TestShardMappingAndRelease(t *testing.T) {
 	if got := c.ShardUsed(s0); got != 0 {
 		t.Fatalf("drained shard still uses %d cells", got)
 	}
-	if c.SeqMaxPos(0) != -1 || c.SeqLen(0) != 0 {
-		t.Fatal("drained seq counters not reset")
+	if got := seqCells(c, 0); len(got) != 0 {
+		t.Fatalf("drained seq still holds %d cells", len(got))
 	}
-	if c.FreeCells() != c.Size()-4 {
-		t.Fatalf("free %d, want %d", c.FreeCells(), c.Size()-4)
+	if c.FreePages() != 7 {
+		t.Fatalf("%d pages free, want 7 (shard 1 holds one)", c.FreePages())
 	}
 }
 
@@ -89,11 +86,7 @@ func TestCapacityIsPerShard(t *testing.T) {
 	s1 := kvcache.NewSeqSet(32) // shard 1
 	// One token per shard: each maps one page.
 	for _, s := range []kvcache.SeqSet{s0, s1} {
-		cells, err := c.FindSlots(1, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Occupy(cells[0], 0, s)
+		c.Occupy(mustSlots(t, c, 1, s)[0], 0, s)
 	}
 	if c.CanPlace(s0, 16) {
 		t.Fatal("shard 0 cannot hold 16 more cells: 15 in its page, none unmapped")
@@ -101,7 +94,7 @@ func TestCapacityIsPerShard(t *testing.T) {
 	if !c.CanPlace(s0, 15) {
 		t.Fatal("shard 0 should hold 15 more cells in its partial page")
 	}
-	if _, err := c.FindSlots(16, s0); err == nil {
+	if _, err := c.FindSlotsInto(nil, 16, s0); err == nil {
 		t.Fatal("expected per-shard exhaustion")
 	}
 }
@@ -121,11 +114,7 @@ func TestSharedPrefixFootprint(t *testing.T) {
 	)
 	fill := func(c *Cache, set kvcache.SeqSet, n, base int) {
 		t.Helper()
-		cells, err := c.FindSlots(n, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, cell := range cells {
+		for i, cell := range mustSlots(t, c, n, set) {
 			c.Occupy(cell, int32(base+i), set)
 		}
 	}
@@ -180,42 +169,35 @@ func TestEvictionPrimitives(t *testing.T) {
 	canon := kvcache.NewSeqSet(ns.Canonical())
 
 	// Canonical prefix of 6 cells, spec chain of 3 in seq 5 sharing it.
-	cells, err := c.FindSlots(6, canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cell := range cells {
+	for i, cell := range mustSlots(t, c, 6, canon) {
 		c.Occupy(cell, int32(i), canon)
 	}
 	c.SeqCp(ns.Canonical(), 5, 0, 6)
 	spec := kvcache.NewSeqSet(5)
-	sc, err := c.FindSlots(3, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cell := range sc {
+	for i, cell := range mustSlots(t, c, 3, spec) {
 		c.Occupy(cell, int32(6+i), spec)
 	}
 	checkInv(t, c)
 
-	// DropSpec frees only the spec-only cells; the shared prefix stays.
-	if freed := c.DropSpec(ns); freed != 3 {
-		t.Fatalf("DropSpec freed %d, want 3", freed)
-	}
+	// OpDropSpec frees only the spec-only cells; the shared prefix stays.
+	c.Apply(kvcache.Op{Kind: kvcache.OpDropSpec, Src: ns.Base, Dst: kvcache.SeqID(ns.Width)})
 	checkInv(t, c)
-	if got := c.SeqLen(ns.Canonical()); got != 6 {
-		t.Fatalf("canonical len %d after DropSpec, want 6", got)
+	if c.Used() != 6 {
+		t.Fatalf("%d cells used after OpDropSpec, want the 6 of the prefix", c.Used())
 	}
-	if c.SeqLen(5) != 0 || c.SeqMaxPos(5) != -1 {
-		t.Fatal("spec seq counters not cleared")
+	if got := seqCells(c, ns.Canonical()); len(got) != 6 {
+		t.Fatalf("canonical holds %d cells after OpDropSpec, want 6", len(got))
+	}
+	if got := seqCells(c, 5); len(got) != 0 {
+		t.Fatalf("spec seq still holds %d cells", len(got))
 	}
 
-	// EvictShard frees everything and returns the pages.
-	if freed := c.EvictShard(ns); freed != 6 {
-		t.Fatalf("EvictShard freed %d, want 6", freed)
+	// Removing the whole namespace frees everything and returns the pages.
+	if freed := c.RemoveSeqs(ns.Set()); freed != 6 {
+		t.Fatalf("RemoveSeqs freed %d, want 6", freed)
 	}
 	checkInv(t, c)
-	if c.Used() != 0 || c.FreeCells() != c.Size() {
+	if c.Used() != 0 || c.FreePages()*c.PageSize() != c.Size() {
 		t.Fatal("eviction left occupancy behind")
 	}
 
@@ -232,7 +214,7 @@ func TestEvictionPrimitives(t *testing.T) {
 
 func mustSlots(t *testing.T, c *Cache, n int, seqs kvcache.SeqSet) []int {
 	t.Helper()
-	cells, err := c.FindSlots(n, seqs)
+	cells, err := c.FindSlotsInto(nil, n, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +252,7 @@ func TestVisibleCellsPositionOrder(t *testing.T) {
 	}
 }
 
-func TestBuildMaskIntoShardIsolation(t *testing.T) {
+func TestVisibleCellsShardIsolation(t *testing.T) {
 	c := New(Config{Cells: 64, PageSize: 8, ShardSeqs: 4})
 	a := kvcache.NewSeqSet(0)
 	b := kvcache.NewSeqSet(4)
@@ -280,52 +262,22 @@ func TestBuildMaskIntoShardIsolation(t *testing.T) {
 	for i, cell := range mustSlots(t, c, 5, b) {
 		c.Occupy(cell, int32(i), b)
 	}
-	var mask kvcache.MaskBits
-	c.BuildMaskInto(&mask, []kvcache.TokenMeta{
-		{Pos: 2, Seqs: a},
-		{Pos: 4, Seqs: b},
-	})
-	if got := mask.RowOnes(0); got != 3 {
-		t.Fatalf("shard-0 query sees %d cells, want 3", got)
+	va := c.VisibleCells(nil, kvcache.TokenMeta{Pos: 2, Seqs: a})
+	vb := c.VisibleCells(nil, kvcache.TokenMeta{Pos: 4, Seqs: b})
+	if len(va) != 3 {
+		t.Fatalf("shard-0 query sees %d cells, want 3", len(va))
 	}
-	if got := mask.RowOnes(1); got != 5 {
-		t.Fatalf("shard-1 query sees %d cells, want 5", got)
+	if len(vb) != 5 {
+		t.Fatalf("shard-1 query sees %d cells, want 5", len(vb))
 	}
-	// No cross-shard visibility, bit by bit.
-	for i := 0; i < c.Size(); i++ {
-		if mask.Get(0, i) && mask.Get(1, i) {
-			t.Fatalf("cell %d visible to both namespaces", i)
+	// No cross-shard visibility, cell by cell.
+	for _, i := range va {
+		for _, j := range vb {
+			if i == j {
+				t.Fatalf("cell %d visible to both namespaces", i)
+			}
 		}
 	}
-}
-
-// TestSeqCpCountersExact drives copy/remove interleavings and checks the
-// O(1) counters stay exact (CheckInvariants holds them to a brute-force
-// scan).
-func TestSeqCpCountersExact(t *testing.T) {
-	c := New(Config{Cells: 64, PageSize: 8})
-	canon := kvcache.NewSeqSet(0)
-	for i, cell := range mustSlots(t, c, 12, canon) {
-		c.Occupy(cell, int32(i), canon)
-	}
-	c.SeqCp(0, 3, 4, 9)
-	if got := c.SeqLen(3); got != 5 {
-		t.Fatalf("seq 3 len %d, want 5", got)
-	}
-	if got := c.SeqMaxPos(3); got != 8 {
-		t.Fatalf("seq 3 max %d, want 8", got)
-	}
-	checkInv(t, c)
-	c.SeqRm(3, 8, 9)
-	if got := c.SeqMaxPos(3); got != 7 {
-		t.Fatalf("seq 3 max %d after rm, want 7", got)
-	}
-	checkInv(t, c)
-	c.SeqKeep(0)
-	if c.SeqLen(3) != 0 || c.SeqLen(0) != 12 {
-		t.Fatal("SeqKeep counters wrong")
-	}
-	checkInv(t, c)
 }
 
 // TestFindSlotsAllocFree pins the hot path: steady-state slot finding,
@@ -374,11 +326,7 @@ func TestPagesShort(t *testing.T) {
 	}
 	// Occupy 5 cells: one page mapped, 3 free cells absorb small
 	// placements.
-	cells, err := c.FindSlots(5, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cell := range cells {
+	for i, cell := range mustSlots(t, c, 5, seqs) {
 		c.Occupy(cell, int32(i), seqs)
 	}
 	if got := c.PagesShort(seqs, 3); got != 0 {
@@ -421,21 +369,31 @@ func TestCanPlaceRowsPredictsPlacement(t *testing.T) {
 					pos[sh]++
 				}
 			}
-			used, free, pages := c.Used(), c.FreeCells(), c.FreePages()
+			used, pages := c.Used(), c.FreePages()
+			var shardUsed [4]int
+			for sh := range shardUsed {
+				shardUsed[sh] = c.ShardUsed(kvcache.NewSeqSet(kvcache.SeqID(sh * 4)))
+			}
 			ok := c.CanPlaceRows(metas)
 			if again := c.CanPlaceRows(metas); again != ok {
 				t.Fatalf("trial %d step %d: dry run not idempotent (%v then %v)", trial, step, ok, again)
 			}
-			if c.Used() != used || c.FreeCells() != free || c.FreePages() != pages {
+			if c.Used() != used || c.FreePages() != pages {
 				t.Fatalf("trial %d step %d: dry run mutated the cache", trial, step)
 			}
+			for sh := range shardUsed {
+				if c.ShardUsed(kvcache.NewSeqSet(kvcache.SeqID(sh*4))) != shardUsed[sh] {
+					t.Fatalf("trial %d step %d: dry run mutated shard %d", trial, step, sh)
+				}
+			}
+			checkInv(t, c)
 			cells, err := c.PlaceRowsInto(nil, metas)
 			if ok && err != nil {
 				t.Fatalf("trial %d step %d: CanPlaceRows approved a failing placement: %v", trial, step, err)
 			}
 			if !ok && err == nil {
-				t.Fatalf("trial %d step %d: CanPlaceRows rejected a succeeding placement (%d rows, %d free)",
-					trial, step, len(metas), free)
+				t.Fatalf("trial %d step %d: CanPlaceRows rejected a succeeding placement (%d rows, %d pages free)",
+					trial, step, len(metas), pages)
 			}
 			if err != nil {
 				break // placement may have partially applied; start a fresh trial
@@ -444,25 +402,6 @@ func TestCanPlaceRowsPredictsPlacement(t *testing.T) {
 				t.Fatalf("trial %d step %d: placed %d cells for %d rows", trial, step, len(cells), len(metas))
 			}
 			checkInv(t, c)
-		}
-	}
-}
-
-// BuildMaskInto fills dst with the attention mask for a batch:
-// dst.Get(t, i) is true iff batch token t may attend to cell i. Rows span
-// the whole cell space (mask consumers index by global cell id) but only
-// each token's shard is scanned to set bits.
-func (c *Cache) BuildMaskInto(dst *kvcache.MaskBits, batch []kvcache.TokenMeta) {
-	dst.Reset(len(batch), len(c.cells))
-	for t, q := range batch {
-		sh := &c.shards[c.shardOf(q.Seqs)]
-		for _, p := range sh.pages {
-			base := int(p) * c.pageSize
-			for s := 0; s < c.pageSize; s++ {
-				if c.Visible(q, base+s) {
-					dst.Set(t, base+s)
-				}
-			}
 		}
 	}
 }

@@ -141,9 +141,6 @@ func (e *CostEMA) Observe(rows int, d time.Duration) {
 	e.n++
 }
 
-// Samples reports how many observations have been folded in.
-func (e *CostEMA) Samples() int { return e.n }
-
 // fit solves the 2x2 normal equations; ok is false until the samples
 // show enough row-count variation to separate overhead from row cost.
 func (e *CostEMA) fit() (a, b float64, ok bool) {
@@ -185,11 +182,4 @@ func (e *CostEMA) Ratio() float64 {
 		return 0
 	}
 	return a / b
-}
-
-// DurationSummary renders a seconds summary as a duration string.
-func DurationSummary(s Summary) string {
-	return fmt.Sprintf("%v ± %v",
-		time.Duration(s.Mean*float64(time.Second)).Round(time.Millisecond),
-		time.Duration(s.Std*float64(time.Second)).Round(time.Millisecond))
 }

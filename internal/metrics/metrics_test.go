@@ -77,14 +77,6 @@ func TestSpeedPerGiBZeroMemory(t *testing.T) {
 	}
 }
 
-func TestDurationSummary(t *testing.T) {
-	s := Summarize([]float64{0.5, 1.5})
-	got := DurationSummary(s)
-	if !strings.Contains(got, "1s") {
-		t.Fatalf("duration summary %q", got)
-	}
-}
-
 // TestCostEMA checks the adaptive width controller's cost model: fed
 // exact T = a + b·n samples at varying row counts, the exponentially
 // forgotten least-squares fit must recover the overhead, the per-row
@@ -100,8 +92,8 @@ func TestCostEMA(t *testing.T) {
 		n := 1 + i%8
 		e.Observe(n, overhead+time.Duration(n)*perRow)
 	}
-	if e.Samples() != 60 {
-		t.Fatalf("samples %d", e.Samples())
+	if e.n != 60 {
+		t.Fatalf("samples %d", e.n)
 	}
 	if got := e.Overhead(); got < 0.0045 || got > 0.0055 {
 		t.Fatalf("overhead %v, want ~0.005", got)
@@ -132,7 +124,7 @@ func TestCostEMA(t *testing.T) {
 	// Garbage observations are ignored.
 	flat.Observe(0, time.Second)
 	flat.Observe(3, -time.Second)
-	if flat.Samples() != 50 {
+	if flat.n != 50 {
 		t.Fatal("degenerate observations were counted")
 	}
 }

@@ -192,14 +192,9 @@ func (b *Batch) Validate() error {
 	return nil
 }
 
-// EmbedBatch gathers embedding rows for the batch tokens.
-func (m *Model) EmbedBatch(toks []token.Token) tensor.Mat {
-	var x tensor.Mat
-	return m.EmbedBatchInto(&x, toks)
-}
-
-// EmbedBatchInto gathers embedding rows into dst, reusing its backing
-// storage across calls (the zero-allocation decode path).
+// EmbedBatchInto gathers the batch tokens' embedding rows into dst,
+// reusing its backing storage across calls (the zero-allocation decode
+// path).
 func (m *Model) EmbedBatchInto(dst *tensor.Mat, toks []token.Token) tensor.Mat {
 	ensureMat(dst, len(toks), m.Cfg.Dim)
 	for i, t := range toks {
@@ -211,20 +206,15 @@ func (m *Model) EmbedBatchInto(dst *tensor.Mat, toks []token.Token) tensor.Mat {
 	return *dst
 }
 
-// ForwardLayers evaluates layers [lo, hi) over the batch, reading input
-// activations x (batch.Len() rows) and returning the output activations.
-// K/V rows for each token are written into kv at the batch's cells. An
-// optional perLayer hook runs after each layer (the cancellation probe
-// point); returning false aborts the evaluation early and ForwardLayers
-// returns (zero matrix, false).
-func (m *Model) ForwardLayers(lo, hi int, x tensor.Mat, kv *KVStore, batch *Batch, perLayer func(layer int) bool) (tensor.Mat, bool) {
-	return m.ForwardLayersScratch(lo, hi, x, kv, batch, perLayer, NewScratch(m.Cfg))
-}
-
-// ForwardLayersScratch is ForwardLayers evaluating through a persistent
-// Scratch, the steady-state zero-allocation decode path: every buffer the
+// ForwardLayersScratch evaluates layers [lo, hi) over the batch, reading
+// input activations x (batch.Len() rows, updated in place) and returning
+// the output activations. K/V rows for each token are written into kv at
+// the batch's cells. An optional perLayer hook runs after each layer (the
+// cancellation probe point); returning false aborts the evaluation early
+// and ForwardLayersScratch returns (zero matrix, false). Every buffer the
 // pass needs (normed hidden state, query projections, attention panels
-// and scores, MLP activations) lives in s and is reused across calls.
+// and scores, MLP activations) lives in s and is reused across calls, so
+// the steady-state decode path allocates nothing.
 //
 // Each layer runs as batched phases — norm, QKV projection, RoPE and K/V
 // store per block of rowBlock rows; attention per group of rows sharing
@@ -310,15 +300,9 @@ func (m *Model) ForwardLayersScratch(lo, hi int, x tensor.Mat, kv *KVStore, batc
 	return x, true
 }
 
-// Logits applies the final norm and output head to activations x,
-// returning one logit row per batch token.
-func (m *Model) Logits(x tensor.Mat) tensor.Mat {
-	var out tensor.Mat
-	return m.LogitsInto(&out, x, NewScratch(m.Cfg))
-}
-
-// LogitsInto is Logits writing into dst (backing storage reused across
-// calls) with the norm staging buffer taken from s.
+// LogitsInto applies the final norm and output head to activations x,
+// writing one logit row per batch token into dst (backing storage reused
+// across calls) with the norm staging buffer taken from s.
 func (m *Model) LogitsInto(dst *tensor.Mat, x tensor.Mat, s *Scratch) tensor.Mat {
 	ensureMat(dst, x.Rows, m.Cfg.VocabSize)
 	m.logitsRows(*dst, x, nil, s)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
@@ -232,7 +233,8 @@ func TestRowBitsIndependentOfBatchMix(t *testing.T) {
 		mixTok = append(mixTok, toks[s][ctxLen[s]:]...)
 		mixMeta = append(mixMeta, metaFor(s, ctxLen[s], len(toks[s]))...)
 	}
-	mixed := eval(shared, store, sc, mixTok, mixMeta).Clone()
+	mixed := eval(shared, store, sc, mixTok, mixMeta)
+	mixed.Data = slices.Clone(mixed.Data)
 
 	row := 0
 	for s := 0; s < sessions; s++ {
@@ -296,16 +298,17 @@ func TestPipelineSplitMatchesWhole(t *testing.T) {
 		return b
 	}
 
-	x := m.EmbedBatch(toks)
-	x, ok := m.ForwardLayers(0, split, x, storeA, prep(cacheA), nil)
+	sc := NewScratch(cfg)
+	x := m.EmbedBatchInto(new(tensor.Mat), toks)
+	x, ok := m.ForwardLayersScratch(0, split, x, storeA, prep(cacheA), nil, sc)
 	if !ok {
 		t.Fatal("stage A aborted")
 	}
-	x, ok = m.ForwardLayers(split, cfg.NLayers, x, storeB, prep(cacheB), nil)
+	x, ok = m.ForwardLayersScratch(split, cfg.NLayers, x, storeB, prep(cacheB), nil, sc)
 	if !ok {
 		t.Fatal("stage B aborted")
 	}
-	got := m.Logits(x)
+	got := m.LogitsInto(new(tensor.Mat), x, sc)
 
 	for b := 0; b < want.Rows; b++ {
 		wr, gr := want.Row(b), got.Row(b)
@@ -428,17 +431,18 @@ func TestDraftAlignmentMonotonic(t *testing.T) {
 func TestPerLayerHookAbort(t *testing.T) {
 	m := tinyModel(t, 9)
 	r := NewRunner(m, 32)
-	batch, err := r.PrepareBatch([]token.Token{token.BOS},
+	sc := NewScratch(m.Cfg)
+	batch, err := sc.BatchFor(r.Cache, []token.Token{token.BOS},
 		[]kvcache.TokenMeta{{Pos: 0, Seqs: kvcache.NewSeqSet(0)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := m.EmbedBatch(batch.Tokens)
+	x := m.EmbedBatchInto(new(tensor.Mat), batch.Tokens)
 	calls := 0
-	_, ok := m.ForwardLayers(0, m.Cfg.NLayers, x, r.Store, batch, func(l int) bool {
+	_, ok := m.ForwardLayersScratch(0, m.Cfg.NLayers, x, r.Store, batch, func(l int) bool {
 		calls++
 		return calls < 2 // abort after the second layer
-	})
+	}, sc)
 	if ok {
 		t.Fatal("expected aborted evaluation")
 	}

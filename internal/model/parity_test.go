@@ -1,9 +1,11 @@
 package model
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/quant"
+	"github.com/pipeinfer/pipeinfer/internal/tensor"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
@@ -16,7 +18,7 @@ func dequantizedTwin(m *Model) *Model {
 	cfg := m.Cfg
 	cfg.Quant = quant.F32
 	d := &Model{Cfg: cfg}
-	d.Embed = m.Embed.Clone()
+	d.Embed = tensor.Mat{Rows: m.Embed.Rows, Cols: m.Embed.Cols, Data: slices.Clone(m.Embed.Data)}
 	d.Layers = make([]Layer, len(m.Layers))
 	for l, src := range m.Layers {
 		d.Layers[l] = Layer{

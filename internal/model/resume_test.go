@@ -69,9 +69,11 @@ func TestResumeBitsEqualUninterrupted(t *testing.T) {
 				}
 			}
 			sameKV(t, "resumed", r, ref, prefix+n)
-			if r.Cache.Used() != ref.Cache.Used() || r.Cache.SeqLen(kvcache.Canonical) != ref.Cache.SeqLen(kvcache.Canonical) {
+			canon := kvcache.TokenMeta{Pos: math.MaxInt32, Seqs: kvcache.NewSeqSet(kvcache.Canonical)}
+			rSeq, refSeq := len(r.Cache.VisibleCells(nil, canon)), len(ref.Cache.VisibleCells(nil, canon))
+			if r.Cache.Used() != ref.Cache.Used() || rSeq != refSeq {
 				t.Fatalf("n=%d at=%d: %d cells used (seq %d), uninterrupted %d (seq %d)", n, at,
-					r.Cache.Used(), r.Cache.SeqLen(kvcache.Canonical), ref.Cache.Used(), ref.Cache.SeqLen(kvcache.Canonical))
+					r.Cache.Used(), rSeq, ref.Cache.Used(), refSeq)
 			}
 			if err := r.Cache.CheckInvariants(); err != nil {
 				t.Fatal(err)

@@ -59,17 +59,6 @@ func NewRunner(m *Model, nCells int) *Runner {
 	return r
 }
 
-// PrepareBatch occupies cache cells for the given token metadata and
-// computes per-token visibility. It must be called before evaluation; the
-// returned batch feeds ForwardLayers. Unlike the internal scratch path it
-// returns freshly allocated slices the caller may retain.
-func (r *Runner) PrepareBatch(toks []token.Token, meta []kvcache.TokenMeta) (*Batch, error) {
-	if len(toks) != len(meta) {
-		return nil, fmt.Errorf("model: %d tokens vs %d metadata entries", len(toks), len(meta))
-	}
-	return new(Scratch).BatchFor(r.Cache, toks, meta)
-}
-
 // Eval runs the full model over the batch tokens and returns the logits
 // (one row per token). Cache cells are occupied as a side effect. The
 // returned matrix aliases the runner's scratch and is valid until the

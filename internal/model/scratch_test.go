@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
@@ -62,7 +63,7 @@ func (g *groupedTraffic) batch() (*Batch, error) {
 		}
 		g.entries = g.entries[:0]
 		for s := range 4 {
-			g.cache.EvictShard(kvcache.Namespace{Base: kvcache.SeqID(s * trafficSeqs), Width: trafficSeqs})
+			g.cache.RemoveSeqs(kvcache.Namespace{Base: kvcache.SeqID(s * trafficSeqs), Width: trafficSeqs}.Set())
 		}
 		g.next = [kvcache.MaxSeqs]int32{}
 		return nil, nil
@@ -89,9 +90,9 @@ func (g *groupedTraffic) churn() {
 	case 2: // roll a sequence back
 		g.cache.SeqRm(seq, int32(g.intn(int(g.next[seq])+1)), 1<<30)
 	case 3:
-		g.cache.DropSpec(ns)
+		g.cache.Apply(kvcache.Op{Kind: kvcache.OpDropSpec, Src: ns.Base, Dst: kvcache.SeqID(ns.Width)})
 	case 4: // preempt: the session's pages recycle
-		g.cache.EvictShard(ns)
+		g.cache.RemoveSeqs(ns.Set())
 	case 5:
 		entry := len(g.entries)
 		if limit := g.next[ns.Base] / ps * ps; entry < 8 && limit > 0 && g.cache.CanShare(ns.Base, limit) {
@@ -101,7 +102,7 @@ func (g *groupedTraffic) churn() {
 	case 6: // admit a new session over a published prefix
 		if len(g.entries) > 0 {
 			entry := g.entries[g.intn(len(g.entries))]
-			g.cache.EvictShard(ns)
+			g.cache.RemoveSeqs(ns.Set())
 			g.cache.MapShared(ns.Base, entry, g.cache.EntryLen(entry))
 		}
 	case 7:
@@ -110,8 +111,14 @@ func (g *groupedTraffic) churn() {
 			g.entries = g.entries[:n-1]
 		}
 	}
+	var vis []int
 	for id := kvcache.SeqID(0); id < kvcache.MaxSeqs; id++ {
-		g.next[id] = g.cache.SeqMaxPos(id) + 1
+		// One past the sequence's deepest cell, the last it sees.
+		vis = g.cache.VisibleCells(vis[:0], kvcache.TokenMeta{Pos: math.MaxInt32, Seqs: kvcache.NewSeqSet(id)})
+		g.next[id] = 0
+		if n := len(vis); n > 0 {
+			g.next[id] = g.cache.Cell(vis[n-1]).Pos + 1
+		}
 	}
 }
 

@@ -48,21 +48,6 @@ func (t Type) String() string {
 	}
 }
 
-// BytesPerWeight reports the storage cost of one weight in format t,
-// including the per-block scale overhead.
-func (t Type) BytesPerWeight() float64 {
-	switch t {
-	case F32:
-		return 4
-	case Q8:
-		return (BlockSize + 4) / float64(BlockSize) // int8 + f32 scale per block
-	case Q4:
-		return (BlockSize/2 + 4) / float64(BlockSize)
-	default:
-		panic("quant: unknown type")
-	}
-}
-
 // Mat is a block-quantized row-major matrix. Each row is quantized
 // independently in blocks of BlockSize weights; Cols must therefore be a
 // multiple of BlockSize for Q8/Q4 matrices.

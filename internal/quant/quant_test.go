@@ -130,18 +130,6 @@ func TestBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestBytesPerWeight(t *testing.T) {
-	if F32.BytesPerWeight() != 4 {
-		t.Fatal("F32 bytes/weight")
-	}
-	if math.Abs(Q8.BytesPerWeight()-1.125) > 1e-9 {
-		t.Fatalf("Q8 bytes/weight: %v", Q8.BytesPerWeight())
-	}
-	if math.Abs(Q4.BytesPerWeight()-0.625) > 1e-9 {
-		t.Fatalf("Q4 bytes/weight: %v", Q4.BytesPerWeight())
-	}
-}
-
 func TestTypeString(t *testing.T) {
 	if F32.String() != "F32" || Q8.String() != "Q8_0" || Q4.String() != "Q4_0" {
 		t.Fatal("Type.String names wrong")

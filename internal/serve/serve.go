@@ -22,9 +22,9 @@
 // The contract every session must honour:
 //
 //   - every KV operation a session issues names only ids inside its own
-//     namespace (kvcache.Namespace.ValidOp);
-//   - kvcache.OpSeqKeep is forbidden — it would clear every other
-//     session's entries;
+//     namespace (kvcache.Namespace.ValidOp, which simbk's
+//     TestSimServeOpsStayInNamespace holds every op a serve sends to);
+//     only kvcache.OpUnrefPrefix, the scheduler's own prefix hold, is not;
 //   - token positions are session-local (each request counts from 0);
 //     disjoint sequence sets are what keep equal positions of different
 //     sessions from seeing each other, not the positions themselves;

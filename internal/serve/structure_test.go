@@ -3,9 +3,10 @@ package serve_test
 // The tree's structural guards: one test that parses every Go file under
 // internal/ and checks, on declarations and call sites rather than text,
 // that what a subtraction removed stays removed. Test files are held to
-// the wire rules only (wireRules); every other rule reads the program. A later "one
-// X" change adds a rule here. Every failure names the invariant and the
-// ROADMAP section that records it.
+// the wire rules only (wireRules); every other rule reads the program,
+// and one (testOnlyExports) reads every program file of the module. A
+// later "one X" change adds a rule here. Every failure names the
+// invariant and the ROADMAP section that records it.
 
 import (
 	"fmt"
@@ -284,6 +285,8 @@ func TestStructure(t *testing.T) {
 		t.Errorf("want one pending-token type (core.Pending), found %d (%s)", pendingTypes, machine)
 	}
 
+	testOnlyExports(t)
+
 	src, err := os.ReadFile(filepath.Join("..", "serve", "serve.go"))
 	if err != nil {
 		t.Fatal(err)
@@ -359,4 +362,111 @@ func holdsHead(st *ast.StructType) bool {
 		}
 	}
 	return false
+}
+
+// testOnlyExports fails on every exported function or method declared
+// under internal/ whose name no program file of the module (cmd/,
+// examples/, bench/, the root package and internal/ itself, tests
+// excluded) mentions, save the references and seams tests keep on
+// purpose (testSeams), and on every testSeams entry that no longer names
+// such a declaration. The check is by name: a method counts as used when
+// any program file mentions an identifier of its name.
+func testOnlyExports(t *testing.T) {
+	t.Helper()
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	type decl struct {
+		pos       token.Pos
+		pkg, name string
+	}
+	var decls []decl
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != root && (n == "testdata" || n[0] == '.') {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
+		declared := map[*ast.Ident]bool{} // a declared name is not a use of it
+		for _, dcl := range f.Decls {
+			if fd, ok := dcl.(*ast.FuncDecl); ok {
+				declared[fd.Name] = true
+				if internal && fd.Name.IsExported() {
+					name := fd.Name.Name
+					if fd.Recv != nil {
+						name = receiver(fd) + "." + name
+					}
+					decls = append(decls, decl{fd.Pos(), f.Name.Name, name})
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const why = "delete it, or give its tests the form production calls (ROADMAP, Open item 19: delete what nothing needs)"
+	seamHit := map[string]bool{}
+	for _, d := range decls {
+		short := d.name[strings.LastIndexByte(d.name, '.')+1:]
+		if used[short] {
+			continue
+		}
+		full, typ := d.pkg+"."+d.name, d.pkg+"."+strings.TrimSuffix(d.name, "."+short)
+		switch {
+		case testSeams[full] != "":
+			seamHit[full] = true
+		case d.name != short && testSeams[typ] != "":
+			seamHit[typ] = true
+		default:
+			t.Errorf("%s: %s is exported and only tests call it: %s", fset.Position(d.pos), full, why)
+		}
+	}
+	for name := range testSeams {
+		if !seamHit[name] {
+			t.Errorf("testSeams lists %s, which no longer declares an exported function only tests call: drop the entry", name)
+		}
+	}
+}
+
+// testSeams are the exported names under internal/ that only tests call,
+// each kept as a reference a test compares against or a seam a test
+// drives, with the tests that use it. A type's name covers its methods.
+var testSeams = map[string]string{
+	"kvcache.Cache":                 "the flat reference cell store: kvpage's TestDifferentialRandomOps and FuzzDifferentialOps hold the paged store to it",
+	"kvcache.Namespace.ValidOp":     "the namespace contract: TestNamespaceValidOp, and simbk's TestSimServeOpsStayInNamespace on every op a serve sends",
+	"kvpage.Cache.EntryLen":         "TestDifferentialRandomOps compares each shared entry's length with the flat reference's",
+	"tensor.Attention":              "the per-row attention reference: TestAttentionGroupBitsEqualRows, TestAttentionMatchesReference",
+	"tensor.RoPE":                   "the direct rotation reference: TestRoPECachedMatchesDirect",
+	"tensor.Dot":                    "the dot-product reference: TestDotUnrolledMatchesNaive",
+	"quant.DotQ8":                   "the Q8 row kernel reference: TestDotQPublicAPI",
+	"quant.DotQ4":                   "the Q4 row kernel reference: TestDotQPublicAPI",
+	"quant.Quantize":                "builds the frozen reference models and the dequantized twin: TestRangeBuildBitsEqualWhole, TestQuantizedGreedyMatchesDequantized",
+	"quant.Mat.Dequantize":          "the dequantized twin and the round-trip tests: TestQuantizedGreedyMatchesDequantized, TestF32Roundtrip",
+	"spec.ValidateTree":             "the tree invariants the property tests check: TestLinearizeMutualExclusionProperty",
+	"faultcomm.Plan.RuleHits":       "the proof a fault rule fired: TestServeFaultRecoveryParity, TestSimServeFaultRecoveryParity",
+	"faultcomm.Plan.LinkStats":      "per-link fault counts: TestNthDropAndFIFO, TestRuleHits",
+	"tcpcomm.Endpoint.FramesLost":   "the reconnect replay's loss count: TestOutageKeepsOrderAndDedups",
+	"serve.NewLive":                 "live intake, driven step by step: TestLiveIntake, TestBrownoutLadder",
+	"serve.Scheduler.TotalAccepted": "the serving alloc gates step until it advances: TestServeStepAllocs",
+	"simnet.eventHeap.Less":         "container/heap calls it through heap.Interface",
 }

@@ -8,11 +8,10 @@
 // PipeInfer's chain — a width-1 tree (core.Chain.Draft) — both grow
 // through it, so the strategies differ in schedule, not in how they draft.
 //
-// Both verification modes from the literature are provided: greedy
-// verification (used by every experiment in the paper, guaranteeing
-// bit-identical output to non-speculative greedy decoding) and the
-// SpecInfer stochastic token verification algorithm the paper adopts for
-// sampling without distribution drift (§IV-E).
+// Verification is greedy (VerifyGreedy), as in every experiment in the
+// paper: it guarantees output bit-identical to non-speculative greedy
+// decoding. The SpecInfer stochastic verifier the paper adopts for
+// sampling (§IV-E) is not implemented, since no path here samples.
 package spec
 
 import (
@@ -102,19 +101,6 @@ func (t *Tree) Leaves() []int {
 		if len(n.Children) == 0 {
 			out = append(out, i)
 		}
-	}
-	return out
-}
-
-// PathTo returns the tokens from the root down to and including node i.
-func (t *Tree) PathTo(i int) []token.Token {
-	var rev []token.Token
-	for n := i; n >= 0; n = t.Nodes[n].Parent {
-		rev = append(rev, t.Nodes[n].Token)
-	}
-	out := make([]token.Token, len(rev))
-	for j := range rev {
-		out[j] = rev[len(rev)-1-j]
 	}
 	return out
 }

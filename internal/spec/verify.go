@@ -3,7 +3,6 @@ package spec
 import (
 	"fmt"
 
-	"github.com/pipeinfer/pipeinfer/internal/tensor"
 	"github.com/pipeinfer/pipeinfer/internal/token"
 )
 
@@ -60,143 +59,6 @@ func rootIndices(t *Tree) []int {
 		}
 	}
 	return roots
-}
-
-// Dist is a probability distribution over the vocabulary.
-type Dist = []float32
-
-// StochasticResult reports the outcome of SpecInfer-style stochastic
-// verification.
-type StochasticResult struct {
-	Accepted      []token.Token
-	AcceptedNodes []int
-	Bonus         token.Token
-}
-
-// VerifyStochastic implements SpecInfer's multi-step token tree
-// verification with rejection sampling. distAtBase is the target
-// distribution for position BasePos; dist(i) the target distribution
-// produced at node i; draftDist(i) the full draft distribution the
-// proposal at node i was sampled from, or nil if the drafter is
-// deterministic (greedy drafting, as the paper's implementation uses).
-// rng drives the acceptance coin flips and residual sampling.
-//
-// At each level the candidate children are tried in order. With a sampled
-// draft, child c with token x is accepted with probability
-// min(1, p_target(x)/q_draft(x)) and on rejection the target is replaced
-// by the residual norm(max(0, p-q)). With a deterministic draft (q is a
-// point mass on x) the same rule reduces to accepting with probability
-// p_target(x) and renormalising with x removed. Both constructions
-// preserve the target model's output distribution exactly.
-func VerifyStochastic(t *Tree, distAtBase Dist, dist func(node int) Dist, draftDist func(node int) Dist, rng *tensor.RNG) StochasticResult {
-	var res StochasticResult
-	cur := append(Dist(nil), distAtBase...)
-	candidates := rootIndices(t)
-	for {
-		accepted := -1
-		for _, c := range candidates {
-			x := t.Nodes[c].Token
-			pTarget := cur[x]
-			var q Dist
-			if draftDist != nil {
-				q = draftDist(c)
-			}
-			if q == nil {
-				// Deterministic proposal: accept with probability p(x).
-				if rng.Float32() < pTarget {
-					accepted = c
-					break
-				}
-				cur = residualPoint(cur, x)
-				continue
-			}
-			qx := q[x]
-			if qx <= 0 {
-				qx = 1e-9
-			}
-			if ratio := pTarget / qx; ratio >= 1 || rng.Float32() < ratio {
-				accepted = c
-				break
-			}
-			cur = residualSub(cur, q)
-		}
-		if accepted == -1 {
-			res.Bonus = token.Token(sampleDist(cur, rng))
-			return res
-		}
-		res.Accepted = append(res.Accepted, t.Nodes[accepted].Token)
-		res.AcceptedNodes = append(res.AcceptedNodes, accepted)
-		cur = append(cur[:0], dist(accepted)...)
-		candidates = t.Nodes[accepted].Children
-		if len(candidates) == 0 {
-			res.Bonus = token.Token(sampleDist(cur, rng))
-			return res
-		}
-	}
-}
-
-// residualPoint is the rejection residual for a point-mass proposal at x:
-// r(y) = p(y) / (1 - p(x)) for y != x, r(x) = 0.
-func residualPoint(p Dist, x token.Token) Dist {
-	out := append(Dist(nil), p...)
-	out[x] = 0
-	return renorm(out, x)
-}
-
-// residualSub is the standard speculative-sampling residual for a sampled
-// proposal from q: r(y) = max(0, p(y) - q(y)) / Z.
-func residualSub(p, q Dist) Dist {
-	out := make(Dist, len(p))
-	for i := range p {
-		if d := p[i] - q[i]; d > 0 {
-			out[i] = d
-		}
-	}
-	return renorm(out, 0)
-}
-
-// renorm normalises out to sum 1; if all mass vanished (degenerate case:
-// the target was a point mass on the rejected token) it falls back to a
-// point mass on fallback.
-func renorm(out Dist, fallback token.Token) Dist {
-	var z float64
-	for _, v := range out {
-		z += float64(v)
-	}
-	if z <= 0 {
-		out[fallback] = 1
-		return out
-	}
-	inv := float32(1 / z)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
-func sampleDist(p Dist, rng *tensor.RNG) int {
-	u := rng.Float32()
-	var acc float32
-	for i, v := range p {
-		acc += v
-		if u < acc {
-			return i
-		}
-	}
-	// Floating point slack: return the last token with nonzero mass.
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] > 0 {
-			return i
-		}
-	}
-	return len(p) - 1
-}
-
-// SoftmaxDist converts a logit row into a Dist.
-func SoftmaxDist(logits []float32) Dist {
-	d := append(Dist(nil), logits...)
-	tensor.Softmax(d)
-	return d
 }
 
 // ValidateTree checks structural invariants used by property tests:

@@ -77,10 +77,11 @@ func BenchmarkTopK(b *testing.B) {
 	rng := NewRNG(7)
 	x := make(Vec, 288) // TinyConfig vocab
 	rng.FillNormal(x, 1)
+	idx := make([]int, 0, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TopK(x, 4)
+		idx = TopKInto(idx, x, 4)
 	}
 }
 

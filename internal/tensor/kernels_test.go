@@ -58,7 +58,7 @@ func TestExpAccuracy(t *testing.T) {
 		}
 		rng := NewRNG(21)
 		for i := 0; i < 100000; i++ {
-			xs = append(xs, -rng.Float32()*float32(-expLo))
+			xs = append(xs, -float32(rng.Float64())*float32(-expLo))
 		}
 		worst := 0
 		for i, got := range expVia(xs) {

@@ -55,11 +55,6 @@ func unmix(z uint64) uint64 {
 	return z ^ z>>30 ^ z>>60
 }
 
-// Float32 returns a uniform value in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) / (1 << 24)
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)

@@ -94,7 +94,7 @@ func TestTopKIntoMatchesReference(t *testing.T) {
 		}
 		k := int(rng.Uint64() % uint64(n+3))
 		want := refTopK(x, k)
-		got := TopK(x, k)
+		got := TopKInto(nil, x, k)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: len %d != %d", trial, len(got), len(want))
 		}

@@ -84,13 +84,6 @@ func (m Mat) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 // Set assigns the element at row i, column j.
 func (m Mat) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
-// Clone returns a deep copy of m.
-func (m Mat) Clone() Mat {
-	out := NewMat(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
 // Bytes reports the storage footprint of the matrix in bytes.
 func (m Mat) Bytes() int64 { return int64(len(m.Data)) * 4 }
 
@@ -181,23 +174,6 @@ func Add(dst, a, b Vec) {
 	}
 }
 
-// Mul computes dst = a * b elementwise (Hadamard product).
-func Mul(dst, a, b Vec) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("tensor: Mul length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
-// Scale multiplies every element of dst by alpha.
-func Scale(dst Vec, alpha float32) {
-	for i := range dst {
-		dst[i] *= alpha
-	}
-}
-
 // RMSNorm writes the root-mean-square normalisation of x, scaled by weight
 // w, into dst: dst[i] = x[i] / rms(x) * w[i]. eps stabilises the division.
 func RMSNorm(dst, x, w Vec, eps float32) {
@@ -238,15 +214,6 @@ func Softmax(x Vec) {
 	}
 }
 
-// GELU applies the tanh-approximated Gaussian error linear unit in place.
-func GELU(x Vec) {
-	const c = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range x {
-		t := float64(c) * (float64(v) + 0.044715*float64(v)*float64(v)*float64(v))
-		x[i] = float32(0.5 * float64(v) * (1.0 + math.Tanh(t)))
-	}
-}
-
 // ArgMax returns the index of the largest element of x. Ties resolve to the
 // lowest index so greedy sampling is deterministic.
 func ArgMax(x Vec) int {
@@ -262,18 +229,10 @@ func ArgMax(x Vec) int {
 	return bi
 }
 
-// TopK returns the indices of the k largest elements of x in descending
-// value order. k is clamped to len(x). Ties resolve to the lowest index.
-func TopK(x Vec, k int) []int {
-	if k > len(x) {
-		k = len(x)
-	}
-	return TopKInto(make([]int, 0, k), x, k)
-}
-
-// TopKInto is TopK over a caller-provided index slice, appending the
-// result into idx[:0] and returning it — the allocation-free variant the
-// draft proposer calls once per speculation step. A small partial
+// TopKInto writes the indices of the k largest elements of x, in
+// descending value order, into idx[:0] and returns it. k is clamped to
+// len(x); ties resolve to the lowest index. The draft proposer calls it
+// once per speculation step with a reused slice. A small partial
 // insertion selection replaces the per-call map the previous
 // implementation used: k is tiny (speculation branch width), so the
 // shifted prefix stays within a cache line.

@@ -209,15 +209,15 @@ func TestArgMaxDeterministicTies(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	x := Vec{0.1, 0.9, 0.5, 0.7}
-	got := TopK(x, 3)
+	got := TopKInto(nil, x, 3)
 	want := []int{1, 3, 2}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("TopK: got %v want %v", got, want)
+			t.Fatalf("TopKInto: got %v want %v", got, want)
 		}
 	}
-	if len(TopK(x, 10)) != 4 {
-		t.Fatalf("TopK should clamp k to len(x)")
+	if len(TopKInto(nil, x, 10)) != 4 {
+		t.Fatalf("TopKInto should clamp k to len(x)")
 	}
 }
 
@@ -247,18 +247,9 @@ func TestElementwiseOps(t *testing.T) {
 	if dst[0] != 5 || dst[2] != 9 {
 		t.Fatalf("Add wrong: %v", dst)
 	}
-	Mul(dst, a, b)
-	if dst[1] != 10 {
-		t.Fatalf("Mul wrong: %v", dst)
-	}
-	copy(dst, a)
-	Scale(dst, 0.5)
-	if dst[0] != 0.5 || dst[2] != 1.5 {
-		t.Fatalf("Scale wrong: %v", dst)
-	}
 }
 
-func TestSiLUAndGELUShapes(t *testing.T) {
+func TestSiLUShape(t *testing.T) {
 	x := Vec{-2, -1, 0, 1, 2}
 	s := make(Vec, len(x))
 	SiLUMul(s, x, Vec{1, 1, 1, 1, 1})
@@ -267,15 +258,6 @@ func TestSiLUAndGELUShapes(t *testing.T) {
 	}
 	if s[4] <= s[3] {
 		t.Fatalf("SiLU not increasing for positive inputs: %v", s)
-	}
-	g := make(Vec, len(x))
-	copy(g, x)
-	GELU(g)
-	if g[2] != 0 {
-		t.Fatalf("GELU(0) != 0: %v", g[2])
-	}
-	if !almostEqual(g[4], 2*0.9772, 2e-2) { // GELU(2) ~ 2*Phi(2)
-		t.Fatalf("GELU(2) = %v, want ~1.954", g[4])
 	}
 }
 
@@ -290,16 +272,6 @@ func TestRNGDeterminism(t *testing.T) {
 	c := NewRNG(43)
 	if NewRNG(42).Uint64() == c.Uint64() {
 		t.Fatal("RNG streams identical for different seeds")
-	}
-}
-
-func TestRNGFloat32Range(t *testing.T) {
-	r := NewRNG(9)
-	for i := 0; i < 1000; i++ {
-		v := r.Float32()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float32 out of range: %v", v)
-		}
 	}
 }
 
@@ -323,11 +295,6 @@ func TestMatHelpers(t *testing.T) {
 	}
 	if m.Bytes() != 24 {
 		t.Fatalf("Bytes: got %d want 24", m.Bytes())
-	}
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) == 9 {
-		t.Fatal("Clone aliases original storage")
 	}
 	r := m.Row(1)
 	if r[2] != 7 {

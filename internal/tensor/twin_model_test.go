@@ -2,6 +2,7 @@ package tensor_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
@@ -80,27 +81,28 @@ func TestTwinPipelineSplitMatchesWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = want.Clone()
+	want.Data = slices.Clone(want.Data)
 
 	split := cfg.NLayers / 2
-	x := m.EmbedBatch(toks)
+	x := m.EmbedBatchInto(new(tensor.Mat), toks)
+	sc := model.NewScratch(cfg)
 	for _, stage := range [][2]int{{0, split}, {split, cfg.NLayers}} {
 		r := model.NewRunner(m, 64) // a stage's own cache; its store is rebuilt for the layer range
 		meta := make([]kvcache.TokenMeta, len(toks))
 		for i := range toks {
 			meta[i] = kvcache.TokenMeta{Pos: int32(i), Seqs: kvcache.NewSeqSet(kvcache.Canonical)}
 		}
-		b, err := r.PrepareBatch(toks, meta)
+		b, err := sc.BatchFor(r.Cache, toks, meta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var ok bool
-		x, ok = m.ForwardLayers(stage[0], stage[1], x, model.NewKVStore(cfg, stage[0], stage[1], r.Cache.Size()), b, nil)
+		x, ok = m.ForwardLayersScratch(stage[0], stage[1], x, model.NewKVStore(cfg, stage[0], stage[1], r.Cache.Size()), b, nil, sc)
 		if !ok {
 			t.Fatalf("stage %v aborted", stage)
 		}
 	}
-	got := m.Logits(x)
+	got := m.LogitsInto(new(tensor.Mat), x, sc)
 
 	chunked := model.NewRunner(m, 64)
 	if _, err := chunked.EvalSeq(toks[:4], 0, kvcache.Canonical); err != nil {
