@@ -7,12 +7,9 @@
 package pipeinfer_test
 
 import (
-	"sort"
 	"sync"
 	"testing"
-	"time"
 
-	"github.com/pipeinfer/pipeinfer"
 	"github.com/pipeinfer/pipeinfer/internal/cost"
 	"github.com/pipeinfer/pipeinfer/internal/engine"
 	"github.com/pipeinfer/pipeinfer/internal/harness"
@@ -214,111 +211,6 @@ func BenchmarkSweepAcceptance(b *testing.B) {
 		// acceptance — the "near-zero slowdown" headline.
 		b.ReportMetric(fig.Series[2].Points[0].Y/fig.Series[0].Points[0].Y, "pipe/iter@a0.1")
 	}
-}
-
-// --- PR 10: goodput under overload ---
-
-// BenchmarkServeOverloadGoodput measures the overload-control headline
-// in exact virtual time: deadline-met goodput (tokens from sessions that
-// met every configured deadline, per virtual second) at 1x/2x/4x
-// oversubscription of a 4-slot simulated cluster. One deadline-free 1x
-// wave calibrates the virtual service time; the shed arm then gives
-// every request a TTFT SLO of 3/4 of that wave (the first wave hits it
-// comfortably, anything still queued becomes provably unmeetable and is
-// shed before compute), while the no-shed control carries only a
-// completion deadline of 1.5 waves, which cannot be shed — excess waves
-// serve anyway, miss, and dilute goodput. The gate: shed-arm goodput at
-// 4x stays within 15% of 1x, while the control collapses.
-func BenchmarkServeOverloadGoodput(b *testing.B) {
-	const (
-		slots  = 4
-		maxNew = 24
-	)
-	base := pipeinfer.SimulateServeOptions{
-		Cluster:     pipeinfer.ClusterC().Take(4),
-		Pair:        pipeinfer.CPUPairs()[0],
-		CFG:         pipeinfer.Config{MaxNew: maxNew},
-		PromptLen:   12,
-		Seed:        42,
-		MaxSessions: slots,
-	}
-	calib := base
-	calib.Sessions = slots
-	cal, err := pipeinfer.SimulateServe(calib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wave := cal.Stats.Done
-	ttftSLO := wave * 3 / 4
-	complSLO := wave * 3 / 2
-
-	type arm struct {
-		goodput float64 // deadline-met tokens per virtual second
-		hitRate float64 // over served (non-shed) sessions
-		shed    int
-		p50     time.Duration
-		p99     time.Duration
-	}
-	run := func(mult int, shed bool) arm {
-		opts := base
-		opts.Sessions = slots * mult
-		if shed {
-			opts.SLOFor = func(int) (int, time.Duration, time.Duration) { return 0, ttftSLO, 0 }
-		} else {
-			opts.SLOFor = func(int) (int, time.Duration, time.Duration) { return 0, 0, complSLO }
-		}
-		out, err := pipeinfer.SimulateServe(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var a arm
-		served, goodTok := 0, 0
-		ttfts := make([]time.Duration, 0, opts.Sessions)
-		for _, res := range out.Results {
-			if res.Err != nil {
-				a.shed++
-				continue
-			}
-			served++
-			if res.Stats.DeadlineHits == 1 {
-				goodTok += res.Stats.Generated
-			}
-			ttfts = append(ttfts, res.Stats.TimeToFirst())
-		}
-		if served == 0 || out.Stats.Done <= 0 {
-			b.Fatalf("degenerate arm: %d served, elapsed %v", served, out.Stats.Done)
-		}
-		sort.Slice(ttfts, func(i, j int) bool { return ttfts[i] < ttfts[j] })
-		a.goodput = float64(goodTok) / out.Stats.Done.Seconds()
-		a.hitRate = float64(out.Stats.DeadlineHits) / float64(served)
-		a.p50 = ttfts[len(ttfts)/2]
-		a.p99 = ttfts[len(ttfts)*99/100]
-		return a
-	}
-
-	var x1, x2, x4, ctl arm
-	for i := 0; i < b.N; i++ {
-		x1 = run(1, true)
-		x2 = run(2, true)
-		x4 = run(4, true)
-		ctl = run(4, false)
-	}
-	if ratio := x4.goodput / x1.goodput; ratio < 0.85 || ratio > 1.15 {
-		b.Fatalf("shed goodput at 4x is %.2fx of 1x, want within 15%%", ratio)
-	}
-	if ctl.goodput > 0.6*x1.goodput {
-		b.Fatalf("no-shed control held %.0f of %.0f tok/s at 4x — overload should collapse it",
-			ctl.goodput, x1.goodput)
-	}
-	b.ReportMetric(x1.goodput, "good_tok/s_1x")
-	b.ReportMetric(x2.goodput, "good_tok/s_2x")
-	b.ReportMetric(x4.goodput, "good_tok/s_4x")
-	b.ReportMetric(ctl.goodput, "good_tok/s_4x_noshed")
-	b.ReportMetric(x4.goodput/x1.goodput, "4x/1x")
-	b.ReportMetric(x4.hitRate, "hit_rate_4x")
-	b.ReportMetric(float64(x4.shed), "shed_4x")
-	b.ReportMetric(x4.p50.Seconds(), "ttft_p50_s_4x")
-	b.ReportMetric(x4.p99.Seconds(), "ttft_p99_s_4x")
 }
 
 // --- Scaling microbenches beyond the paper figures ---

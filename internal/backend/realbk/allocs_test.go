@@ -40,6 +40,9 @@ func TestEvalAllocs(t *testing.T) {
 		}
 	}
 	notCancelled := func() bool { return false }
+	if err := w.Place(prefill); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, ok := w.Eval(prefill, nil, notCancelled); !ok {
 		t.Fatal("prefill failed")
 	}
@@ -50,10 +53,15 @@ func TestEvalAllocs(t *testing.T) {
 	}}
 	rollback := []kvcache.Op{{Kind: kvcache.OpSeqRm, Src: kvcache.Canonical, P0: pos, P1: pos + 1}}
 	run := func() {
+		if err := w.Place(step); err != nil {
+			t.Fatal(err)
+		}
 		if _, _, ok := w.Eval(step, nil, notCancelled); !ok {
 			t.Fatal("decode step failed")
 		}
-		w.ApplyKV(rollback)
+		if err := w.ApplyKV(rollback); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 3; i++ {
 		run()

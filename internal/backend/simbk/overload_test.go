@@ -95,6 +95,61 @@ func TestServeOverloadParity(t *testing.T) {
 	}
 }
 
+// TestSimServeOverloadGoodput is the overload-control headline in exact
+// virtual time: deadline-met goodput (tokens from sessions that met every
+// configured deadline, per virtual second) at 1x and 4x oversubscription
+// of a 4-slot cluster. One deadline-free 1x wave calibrates the service
+// time; the shed arm then gives every request a TTFT SLO of 3/4 of that
+// wave (the first wave meets it, anything still queued becomes provably
+// unmeetable and is shed before compute), while the no-shed control
+// carries only a completion deadline of 1.5 waves, which cannot be shed:
+// excess waves serve anyway, miss, and dilute goodput. Shed goodput at 4x
+// must stay within 15 % of 1x, and the control must fall to 0.6 of 1x or
+// below.
+func TestSimServeOverloadGoodput(t *testing.T) {
+	const slots = 4
+	base := ServeOptions{
+		Cluster:     cost.ClusterC().Take(4),
+		Pair:        cost.CPUPairs()[0],
+		CFG:         engine.Config{MaxNew: 24},
+		Sessions:    slots,
+		PromptLen:   12,
+		Seed:        42,
+		MaxSessions: slots,
+	}
+	cal, err := Serve(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wave := cal.Stats.Done
+	goodput := func(mult int, ttft, compl time.Duration) float64 {
+		opts := base
+		opts.Sessions = slots * mult
+		opts.SLOFor = func(int) (int, time.Duration, time.Duration) { return 0, ttft, compl }
+		out, err := Serve(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := 0
+		for _, res := range out.Results {
+			if res.Err == nil && res.Stats.DeadlineHits == 1 {
+				good += res.Stats.Generated
+			}
+		}
+		if good == 0 || out.Stats.Done <= 0 {
+			t.Fatalf("%dx: %d deadline-met tokens in %v", mult, good, out.Stats.Done)
+		}
+		return float64(good) / out.Stats.Done.Seconds()
+	}
+	x1, x4 := goodput(1, wave*3/4, 0), goodput(4, wave*3/4, 0)
+	if ratio := x4 / x1; ratio < 0.85 || ratio > 1.15 {
+		t.Errorf("shed goodput at 4x is %.2fx of 1x (%.2f / %.2f tok/s), want within 15%%", ratio, x4, x1)
+	}
+	if ctl := goodput(4, 0, wave*3/2); ctl > 0.6*x1 {
+		t.Errorf("the no-shed control held %.2f of %.2f tok/s at 4x, want at most 0.6 of it", ctl, x1)
+	}
+}
+
 // TestSimServeOverloadBoundedQueue checks the admission-control arm in
 // simulation: with MaxQueue set, submissions past the bound settle as
 // ErrOverloaded while in-bound sessions still reproduce their oracle

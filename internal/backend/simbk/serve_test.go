@@ -225,6 +225,43 @@ func TestSimServeOversubscribedSpeculative(t *testing.T) {
 	}
 }
 
+// TestSimServeTightPrefixSpeculative: speculation with the prefix cache
+// on over a tight cache. 16 speculating sessions with 64-token prompts
+// decode 48 tokens each through 4 slots on 3 nodes in 448, 512 and 640
+// cells of 8-cell pages; completed prompts are published as shared pages.
+// Every session must reproduce its oracle stream, and Serve's end-state
+// check requires every stage cache to drain. A stage that skipped
+// placement for the rows its own view of the cancel stream had masked
+// laid its shards out over other pages than the head's shadow, and ran
+// out of pages the shadow counted as free ("stage cache exhausted").
+func TestSimServeTightPrefixSpeculative(t *testing.T) {
+	const maxNew = 48
+	for _, cells := range []int{448, 512, 640} {
+		opts := ServeOptions{
+			Cluster:     cost.ClusterC().Take(3),
+			Pair:        cost.CPUPairs()[0],
+			CFG:         engine.Config{MaxNew: maxNew},
+			Sessions:    16,
+			PromptLen:   64,
+			Seed:        7,
+			Speculate:   true,
+			MaxSessions: 4,
+			KVCells:     cells,
+			KVPageSize:  8,
+			PrefixCache: true,
+		}
+		out, err := Serve(opts)
+		if err != nil {
+			t.Fatalf("%d cells: %v", cells, err)
+		}
+		for i, res := range out.Results {
+			if ref := ServeReference(opts, i, maxNew); !slices.Equal(res.Tokens, ref) {
+				t.Fatalf("%d cells: session %d served %v, want its oracle stream %v", cells, i, res.Tokens, ref)
+			}
+		}
+	}
+}
+
 // TestSimServeSharedPrefixParity is the PR-9 acceptance gate at paper
 // scale: 16 tenants sharing a 64-token system prompt recycled through 4
 // slots with the prefix cache on, plain over a half-provisioned KV cache

@@ -376,6 +376,9 @@ func TestLastStageSamplesItsCells(t *testing.T) {
 		for i, tok := range toks {
 			msg.Tokens = append(msg.Tokens, engine.TokenPlace{Tok: tok, Pos: int32(pos0 + i), Seqs: seq})
 		}
+		if err := w.Place(msg); err != nil {
+			t.Fatal(err)
+		}
 		out, wire, ok := w.Eval(msg, nil, func() bool { return false })
 		if !ok || len(out) != 4*len(toks) || wire != len(toks)*4*cost.PairDolphinTiny.Target.VocabSize {
 			t.Fatalf("%d rows answered with %d bytes, %d on the wire (ok %v)", len(toks), len(out), wire, ok)
@@ -402,7 +405,9 @@ func TestLastStageSamplesItsCells(t *testing.T) {
 
 	// Rewrite the prompt's last position: its cell and the decode row's go,
 	// another token takes the position, and the decode row runs again.
-	w.ApplyKV([]kvcache.Op{{Kind: kvcache.OpSeqRm, Src: 0, P0: int32(n - 1), P1: int32(n + 1)}})
+	if err := w.ApplyKV([]kvcache.Op{{Kind: kvcache.OpSeqRm, Src: 0, P0: int32(n - 1), P1: int32(n + 1)}}); err != nil {
+		t.Fatal(err)
+	}
 	y := prompt[n-1] + 1
 	eval(n-1, y)
 	ctx := append(slices.Clone(prompt[:n-1]), y, x)

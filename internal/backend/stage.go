@@ -11,10 +11,10 @@ import (
 
 // Stage is a pipeline stage of either backend (engine.Worker): it owns the
 // stage's KV cache, applies the head's cache operations in transaction
-// order (§IV-C's multibuffering), and places every run's live rows before
-// its Layers see them. Rows masked out by per-session cancellation are
-// skipped entirely: no occupancy, no compute. All staging is reused
-// across runs, so a steady-state decode run allocates nothing here.
+// order (§IV-C's multibuffering) and places every row of every run, as
+// the head's shadow does at launch, so the two caches are replicas;
+// cancellation decides only which placed rows its Layers compute. All
+// staging is reused, so a steady-state decode run allocates nothing here.
 type Stage struct {
 	cache  *kvpage.Cache
 	layers Layers
@@ -52,28 +52,44 @@ func NewStage(cache *kvpage.Cache, layers Layers) *Stage {
 	return &Stage{cache: cache, layers: layers}
 }
 
-// Eval places the run's live rows, checks what each sees, picks the result
-// rows and hands the placement to the stage's layers. A run with no live
-// row is not evaluated.
-func (s *Stage) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) ([]byte, int, bool) {
+// Place applies the run's KV operations and gives every row of the run a
+// cell, whatever its cancellation. A tight cache is an error: the head's
+// shadow, which made the same placement at launch, had room.
+func (s *Stage) Place(run *engine.RunMsg) error {
+	if err := s.ApplyKV(run.KVOps); err != nil {
+		return err
+	}
 	r := &s.rows
-	r.Live, r.Toks, r.Meta, r.Result = r.Live[:0], r.Toks[:0], r.Meta[:0], r.Result[:0]
-	for i, t := range run.Tokens {
-		if run.RowDead(i) {
-			continue
-		}
-		r.Live = append(r.Live, i)
+	r.Toks, r.Meta = r.Toks[:0], r.Meta[:0]
+	for _, t := range run.Tokens {
 		r.Toks = append(r.Toks, t.Tok)
 		r.Meta = append(r.Meta, kvcache.TokenMeta{Pos: t.Pos, Seqs: t.Seqs})
 	}
-	if len(r.Live) == 0 {
+	var err error
+	if r.Cells, err = s.cache.PlaceRowsInto(r.Cells[:0], r.Meta); err != nil {
+		return fmt.Errorf("backend: stage cache exhausted: %w", err)
+	}
+	return nil
+}
+
+// Eval evaluates the placed run (Place): it keeps the rows no cancellation
+// masked, checks what each sees, picks the result rows and hands them to
+// the stage's layers. A run with no live row is not evaluated.
+func (s *Stage) Eval(run *engine.RunMsg, input []byte, cancelled func() bool) ([]byte, int, bool) {
+	r := &s.rows
+	r.Live, r.Result = r.Live[:0], r.Result[:0]
+	for i := range r.Toks {
+		if !run.RowDead(i) {
+			k := len(r.Live)
+			r.Live = append(r.Live, i)
+			r.Toks[k], r.Meta[k], r.Cells[k] = r.Toks[i], r.Meta[i], r.Cells[i]
+		}
+	}
+	n := len(r.Live)
+	r.Toks, r.Meta, r.Cells = r.Toks[:n], r.Meta[:n], r.Cells[:n]
+	if n == 0 {
 		return nil, 0, false
 	}
-	cells, err := s.cache.PlaceRowsInto(r.Cells[:0], r.Meta)
-	if err != nil {
-		panic(fmt.Sprintf("backend: stage cache exhausted: %v", err))
-	}
-	r.Cells = cells
 	r.Groups = s.cache.VisibleGroups(r.Groups, r.Meta)
 	r.checkVisibility(run)
 	for k, i := range r.Live {
@@ -101,8 +117,9 @@ func (r *Rows) checkVisibility(run *engine.RunMsg) {
 	}
 }
 
-// ApplyKV applies pipelined cache operations to the stage's cache.
-func (s *Stage) ApplyKV(ops []kvcache.Op) { s.cache.ApplyAll(ops) }
+// ApplyKV applies pipelined cache operations to the stage's cache, or
+// returns the first it cannot apply.
+func (s *Stage) ApplyKV(ops []kvcache.Op) error { return s.cache.ApplyAll(ops) }
 
 // MemoryBytes reports the layers' resident footprint.
 func (s *Stage) MemoryBytes() int64 { return s.layers.MemoryBytes() }

@@ -67,7 +67,9 @@ func TestStageChecksVisibility(t *testing.T) {
 						t.Fatalf("prefill of sequence %d: %s", seq, got)
 					}
 				}
-				st.ApplyKV(tc.ops)
+				if err := st.ApplyKV(tc.ops); err != nil {
+					t.Fatal(err)
+				}
 				decode := &engine.RunMsg{ID: 3, Kind: engine.KindNonSpec}
 				for seq := range 2 {
 					decode.Tokens = append(decode.Tokens, engine.TokenPlace{
@@ -90,6 +92,9 @@ func evalPanic(t *testing.T, st *backend.Stage, run *engine.RunMsg) (msg string)
 			msg = fmt.Sprint(r)
 		}
 	}()
+	if err := st.Place(run); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, ok := st.Eval(run, nil, func() bool { return false }); !ok {
 		t.Fatalf("run %d was not evaluated", run.ID)
 	}

@@ -79,12 +79,6 @@ func (c *Composer) Stage(r Row) {
 	c.rows = append(c.rows, r)
 }
 
-// Sessions reports the number of distinct sessions staged.
-func (c *Composer) Sessions() int { return c.nsess }
-
-// Rows reports the number of rows staged.
-func (c *Composer) Rows() int { return len(c.rows) }
-
 // ComposeInto writes the staged rows into msg as one run and resets the
 // composer. msg's Tokens, RowSessions and RowRanges slices are resized in
 // place (pooled messages keep their storage).

@@ -17,12 +17,9 @@ func TestComposeInto(t *testing.T) {
 	c.Stage(Row{Session: 2, Tok: 10, Pos: 5, Seqs: kvcache.NewSeqSet(2)})
 	c.Stage(Row{Session: 2, Tok: 11, Pos: 6, Seqs: kvcache.NewSeqSet(2)})
 	c.Stage(Row{Session: 7, Tok: 12, Pos: 1, Seqs: kvcache.NewSeqSet(7)})
-	if c.Sessions() != 2 || c.Rows() != 3 {
-		t.Fatalf("staged %d sessions / %d rows", c.Sessions(), c.Rows())
-	}
 	msg := &engine.RunMsg{}
 	c.ComposeInto(msg, engine.KindSpec)
-	if len(msg.RowSessions) != 3 || msg.Len() != 3 || msg.Kind != engine.KindSpec {
+	if len(msg.RowSessions) != 3 || msg.Len() != 3 || engine.DistinctSessions(msg) != 2 || msg.Kind != engine.KindSpec {
 		t.Fatalf("composed %+v", msg)
 	}
 	if msg.RowSessions[0] != 2 || msg.RowSessions[2] != 7 || msg.Session != 2 {
@@ -31,8 +28,9 @@ func TestComposeInto(t *testing.T) {
 	if msg.Tokens[1].Tok != 11 || msg.Tokens[2].Pos != 1 {
 		t.Fatalf("tokens %v", msg.Tokens)
 	}
-	if c.Rows() != 0 || c.Sessions() != 0 {
-		t.Fatal("composer not reset after compose")
+	c.Stage(Row{Session: 7, Tok: 13, Pos: 2, Seqs: kvcache.NewSeqSet(7)})
+	if c.ComposeInto(msg, engine.KindNonSpec); msg.Len() != 1 || len(msg.RowSessions) != 0 || msg.Session != 7 {
+		t.Fatalf("composer not reset after compose: next run %+v", msg)
 	}
 }
 
@@ -79,7 +77,7 @@ func TestComposeIntoRanges(t *testing.T) {
 		},
 		RowSessions: []uint16{1, 3},
 	}
-	if !bytes.Equal(msg.Encode(), plain.Encode()) {
+	if !bytes.Equal(msg.AppendEncode(nil), plain.AppendEncode(nil)) {
 		t.Fatal("pure decode batch encoding differs from the pre-range format")
 	}
 }
@@ -137,7 +135,7 @@ func TestComposeOneGroup(t *testing.T) {
 	c.ComposeInto(msg, engine.KindNonSpec)
 	want := &engine.RunMsg{ID: 7, Kind: engine.KindNonSpec, Seq: 8, Session: 2,
 		Tokens: []engine.TokenPlace{{Tok: 40, Pos: 17, Seqs: canon}}}
-	if len(msg.RowSessions) != 0 || len(msg.RowRanges) != 0 || !bytes.Equal(msg.Encode(), want.Encode()) {
+	if len(msg.RowSessions) != 0 || len(msg.RowRanges) != 0 || !bytes.Equal(msg.AppendEncode(nil), want.AppendEncode(nil)) {
 		t.Fatalf("one decode row composed to %+v", msg)
 	}
 
@@ -154,7 +152,7 @@ func TestComposeOneGroup(t *testing.T) {
 			{Tok: 50, Pos: 18, Seqs: part}, {Tok: 51, Pos: 19, Seqs: part}, {Tok: 52, Pos: 20, Seqs: part},
 		},
 		KVOps: msg.KVOps}
-	if len(msg.RowSessions) != 0 || !bytes.Equal(msg.Encode(), want.Encode()) {
+	if len(msg.RowSessions) != 0 || !bytes.Equal(msg.AppendEncode(nil), want.AppendEncode(nil)) {
 		t.Fatalf("one speculative chain composed to %+v", msg)
 	}
 
@@ -174,7 +172,7 @@ func TestComposeOneGroup(t *testing.T) {
 	if len(msg.RowSessions) != 0 || len(msg.RowRanges) != 2 || msg.Session != 5 || msg.SamplingRow(0) || !msg.SamplingRow(1) {
 		t.Fatalf("one ranged group composed to %+v", msg)
 	}
-	if dec, err := engine.DecodeRunMsg(msg.Encode()); err != nil || len(dec.RowRanges) != 2 || dec.RowSession(1) != 5 {
+	if dec, err := engine.DecodeRunMsg(msg.AppendEncode(nil)); err != nil || len(dec.RowRanges) != 2 || dec.RowSession(1) != 5 {
 		t.Fatalf("one ranged group decoded to %+v, %v", dec, err)
 	}
 }

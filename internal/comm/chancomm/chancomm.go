@@ -64,9 +64,6 @@ func New(n int) *Cluster {
 // Endpoint returns the endpoint for the given rank.
 func (c *Cluster) Endpoint(rank int) comm.Endpoint { return c.eps[rank] }
 
-// Size returns the number of endpoints.
-func (c *Cluster) Size() int { return len(c.eps) }
-
 type endpoint struct {
 	cluster *Cluster
 	rank    int

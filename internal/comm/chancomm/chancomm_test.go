@@ -23,9 +23,6 @@ func TestSelfSendPanics(t *testing.T) {
 
 func TestSizeAndRank(t *testing.T) {
 	c := New(3)
-	if c.Size() != 3 {
-		t.Fatal("cluster size")
-	}
 	for i := 0; i < 3; i++ {
 		ep := c.Endpoint(i)
 		if ep.Rank() != i || ep.Size() != 3 {

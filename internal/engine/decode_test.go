@@ -25,7 +25,7 @@ func TestDecodeRunMsgTruncated(t *testing.T) {
 			{Kind: kvcache.OpSeqRm, Src: 3, P0: 0, P1: 1 << 30},
 		},
 	}
-	full := msg.Encode()
+	full := msg.AppendEncode(nil)
 	if len(full) != msg.EncodedSize() {
 		t.Fatalf("EncodedSize %d != wire length %d", msg.EncodedSize(), len(full))
 	}

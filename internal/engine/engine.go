@@ -113,8 +113,8 @@ type RunMsg struct {
 	// wire-encoded: the head sets bits as it cancels a session's share
 	// (Head.CancelSession), and every stage derives its own view from the
 	// skip entries it has received by the time it evaluates the run — so
-	// per-stage views may lag, which is safe because skipped rows'
-	// sequences are always cleaned up namespace-wide afterwards. The last
+	// per-stage views may lag, which changes only what a stage computes,
+	// never what it places (Worker.Place). The last
 	// stage's view travels back in its result frame (ResultFrame.Dead),
 	// naming the rows the frame leaves out.
 	DeadSessions uint64
@@ -229,11 +229,6 @@ const (
 	kindTagged = 0x80
 	kindRanged = 0x40
 )
-
-// Encode serialises the message.
-func (r *RunMsg) Encode() []byte {
-	return r.AppendEncode(make([]byte, 0, r.EncodedSize()))
-}
 
 // EncodedSize reports the wire size of the message, so senders can size
 // pooled buffers exactly.
@@ -392,10 +387,10 @@ func readU64(b []byte) uint64 {
 // CancelSig is one cancellation signal entry (§IV-D.2, per session): the
 // run's unique ID and a session mask, whose meaning Head.CancelSession
 // decides alone. A non-zero Sessions says "skip these sessions' rows" —
-// stages neither evaluate them nor give them cache cells, and a run with
-// every row group named is skipped whole. Sessions == 0 says "compute
-// the run but send no result": the last stage answers with the empty
-// marker, §IV-D.3's skipped final sampling for a non-speculative run.
+// stages place them like every row but do not evaluate them, and a run
+// with every row group named is not evaluated at all. Sessions == 0 says
+// "compute the run but send no result": the last stage answers with the
+// empty marker, §IV-D.3's skipped final sampling for a non-speculative run.
 type CancelSig struct {
 	ID       uint32
 	Sessions uint64
@@ -428,11 +423,16 @@ func AppendDecodeCancel(sigs []CancelSig, buf []byte) []CancelSig {
 // evaluates its layer shard with tensors; the simulated one charges the
 // cost model.
 type Worker interface {
-	// Eval evaluates the stage's layer range for the run. input is the
-	// upstream activation payload (nil for the first target stage, which
-	// embeds the run tokens itself). cancelled is polled between layer
-	// chunks (§IV-D.2 probe points); when it returns true the evaluation
-	// stops immediately and Eval returns (nil, 0, false).
+	// Place applies the run's KVOps and gives every row a cache cell, for
+	// every run frame the stage receives, masked, cancelled or skipped
+	// alike, as the head's shadow did at launch.
+	Place(run *RunMsg) error
+	// Eval evaluates the stage's layer range over the rows outside
+	// run.DeadSessions of the run last placed. input is the upstream
+	// activation (nil for the first target stage, which embeds the run
+	// tokens itself). cancelled is polled between layer chunks (§IV-D.2
+	// probe points); when it returns true the evaluation stops at once
+	// and Eval returns (nil, 0, false).
 	//
 	// On completion it returns the payload to forward downstream plus the
 	// wire size to charge the interconnect. That is an activation, or —
@@ -448,10 +448,10 @@ type Worker interface {
 	// worker's next Eval call; callers copy it into a frame (a run frame's
 	// activation, a ResultFrame) before evaluating another run.
 	Eval(run *RunMsg, input []byte, cancelled func() bool) (out []byte, wire int, ok bool)
-	// ApplyKV applies pipelined cache operations in transaction order.
-	// ops is only read during the call: the worker loop decodes every
-	// transaction into one reused slice.
-	ApplyKV(ops []kvcache.Op)
+	// ApplyKV applies a KV transaction's ops in order, or returns the
+	// first it cannot apply. ops is only read during the call: the worker
+	// loop decodes every transaction into one reused slice.
+	ApplyKV(ops []kvcache.Op) error
 	// MemoryBytes reports the stage's resident footprint (weights + KV).
 	MemoryBytes() int64
 }

@@ -36,7 +36,7 @@ func TestRunMsgRoundtrip(t *testing.T) {
 			{Kind: kvcache.OpSeqRm, Src: 3, P0: 0, P1: 1 << 30},
 		},
 	}
-	dec, err := DecodeRunMsg(msg.Encode())
+	dec, err := DecodeRunMsg(msg.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRunMsgRoundtripProperty(t *testing.T) {
 				P1:   int32(rng.Intn(1 << 20)),
 			})
 		}
-		dec, err := DecodeRunMsg(msg.Encode())
+		dec, err := DecodeRunMsg(msg.AppendEncode(nil))
 		if err != nil {
 			return false
 		}
@@ -143,7 +143,7 @@ func TestRunMsgV3Codec(t *testing.T) {
 		},
 		RowSessions: []uint16{3, 5},
 	}
-	enc := msg.Encode()
+	enc := msg.AppendEncode(nil)
 	if len(enc) != msg.EncodedSize() {
 		t.Fatalf("EncodedSize %d != %d", msg.EncodedSize(), len(enc))
 	}
@@ -190,7 +190,7 @@ func TestRunMsgV2V3Compat(t *testing.T) {
 		t.Fatalf("plain frame decoded wrong: %+v", msg)
 	}
 	// And a one-group message still encodes to the identical bytes.
-	if got := msg.Encode(); len(got) != len(v2) {
+	if got := msg.AppendEncode(nil); len(got) != len(v2) {
 		t.Fatalf("re-encoded plain frame is %d bytes, want %d", len(got), len(v2))
 	} else {
 		for i := range got {
@@ -218,7 +218,7 @@ func TestRunMsgRangedRoundTrip(t *testing.T) {
 		RowSessions: []uint16{2, 2, 2, 0},
 		RowRanges:   []RowRange{{Pos: 4, Len: 3}, {Pos: 4, Len: 3}, {Pos: 4, Len: 3}, {Pos: 12, Len: 1}},
 	}
-	enc := msg.Encode()
+	enc := msg.AppendEncode(nil)
 	if len(enc) != msg.EncodedSize() {
 		t.Fatalf("EncodedSize %d != %d", msg.EncodedSize(), len(enc))
 	}
@@ -244,7 +244,7 @@ func TestRunMsgRangedRoundTrip(t *testing.T) {
 	}
 	// An unranged tagged frame still samples every row.
 	msg.RowRanges = nil
-	dec, err = DecodeRunMsg(msg.Encode())
+	dec, err = DecodeRunMsg(msg.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestRunMsgRangedRoundTrip(t *testing.T) {
 	// prefill chunk completing its range.
 	chunk := &RunMsg{ID: 13, Kind: KindPrefill, Seq: 8, Session: 2,
 		Tokens: msg.Tokens[:3], RowRanges: []RowRange{{Pos: 4, Len: 3}, {Pos: 4, Len: 3}, {Pos: 4, Len: 3}}}
-	enc = chunk.Encode()
+	enc = chunk.AppendEncode(nil)
 	if len(enc) != chunk.EncodedSize() {
 		t.Fatalf("EncodedSize %d != %d", chunk.EncodedSize(), len(enc))
 	}

@@ -33,7 +33,7 @@ func fuzzSeedMsgs() []*RunMsg {
 // and the encoding followed by each trailing-garbage tail.
 func addRunMsgSeeds(f *testing.F, msgs []*RunMsg, tails ...[]byte) {
 	for _, m := range msgs {
-		enc := m.Encode()
+		enc := m.AppendEncode(nil)
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2])
 		for _, tail := range tails {

@@ -187,7 +187,9 @@ func (h *Head) launch(run *Run) {
 	h.record(trace.FlightLaunch, msg.ID, trace.RunArg(uint8(msg.Kind), msg.Len()))
 
 	if h.Local != nil {
-		h.Local.ApplyKV(msg.KVOps)
+		if err := h.Local.Place(msg); err != nil {
+			panic(fmt.Sprintf("engine: inline stage refused run %d: %v", msg.ID, err))
+		}
 		out, wire, ok := h.LocalObs.eval(h.EP, h.Local, msg, nil, func() bool { return false })
 		next := h.Topo.FirstRemote()
 		if next < 0 {
@@ -441,7 +443,9 @@ func (h *Head) SendKV(ops []kvcache.Op) {
 		return
 	}
 	if h.Local != nil {
-		h.Local.ApplyKV(ops)
+		if err := h.Local.ApplyKV(ops); err != nil {
+			panic(fmt.Sprintf("engine: inline stage refused a KV transaction: %v", err))
+		}
 	}
 	next := h.Topo.FirstRemote()
 	if next < 0 {

@@ -29,7 +29,8 @@ func (nopHeadBackend) MemoryBytes() int64                   { return 0 }
 type nopWorker struct{}
 
 func (nopWorker) Eval(*RunMsg, []byte, func() bool) ([]byte, int, bool) { return nil, 0, true }
-func (nopWorker) ApplyKV([]kvcache.Op)                                  {}
+func (nopWorker) Place(*RunMsg) error                                   { return nil }
+func (nopWorker) ApplyKV([]kvcache.Op) error                            { return nil }
 func (nopWorker) MemoryBytes() int64                                    { return 0 }
 
 // soloHead builds a single-node head whose inline stage is the whole

@@ -261,11 +261,12 @@ func (o WorkerObs) eval(ep comm.Endpoint, w Worker, run *RunMsg, input []byte, c
 
 // WorkerLoop is the main loop of every non-head pipeline rank. It
 // receives the pipeline's operations from upstream, one frame each, in the
-// order they were issued: it evaluates runs over its layer shard, applies
-// KV transactions, honours cancellation signals, and forwards each
-// operation downstream as one frame. obs observes the stage's evaluations
-// (the zero value observes nothing). It returns when the shutdown frame
-// arrives, and with an error on a frame it cannot read.
+// order they were issued: it applies KV transactions and places every
+// run, evaluates what no cancellation skipped over its layer shard, and
+// forwards each operation downstream as one frame. obs observes the
+// stage's evaluations (the zero value observes nothing). It returns when
+// the shutdown frame arrives, and with an error on a frame it cannot read
+// or apply.
 func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error {
 	rank := ep.Rank()
 	stageIdx := -1
@@ -325,16 +326,17 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 			return fmt.Errorf("engine: run %d: first-stage frame carries %d bytes past its header", run.ID, len(body)-hdr)
 		}
 
-		// Pipelined KV operations apply in transaction order even for
-		// cancelled runs: they are metadata-only and the head's cleanup
-		// ops account for them (§IV-C.3).
-		w.ApplyKV(run.KVOps)
+		// KV operations and placement follow the transaction stream alone
+		// (§IV-C.3), cancelled or not: the stage's cache stays the head's
+		// shadow's replica, and the head's cleanup ops remove what a
+		// cancelled run placed.
+		if err := w.Place(run); err != nil {
+			return fmt.Errorf("engine: run %d: %w", run.ID, err)
+		}
 
 		// One rule, whatever the run's kind or shape; the head decided what
 		// each entry means. The sessions the skip entries name are masked
-		// out: their rows are neither evaluated nor given cache cells (the
-		// head guarantees their sequences are cleaned up afterwards, so a
-		// stage that learns of a mask late is safe), and a run with every
+		// out: their placed rows are not evaluated, and a run with every
 		// row group masked — or one its upstream stage skipped — is not
 		// evaluated at all.
 		cancels.drain(ep, topo.Head)
@@ -383,10 +385,10 @@ func WorkerLoop(ep comm.Endpoint, topo Topology, w Worker, obs WorkerObs) error 
 			err = evalRun(frame[:len(frame)-1])
 		case OpKV:
 			if kvOps, err = kvcache.AppendDecodeOps(kvOps[:0], frame[:len(frame)-1]); err == nil {
-				w.ApplyKV(kvOps)
-				if downstream >= 0 {
-					ep.Send(downstream, comm.TagRun, frame, len(frame))
-				}
+				err = w.ApplyKV(kvOps)
+			}
+			if err == nil && downstream >= 0 {
+				ep.Send(downstream, comm.TagRun, frame, len(frame))
 			}
 		case OpShutdown:
 			if len(frame) != 1 {

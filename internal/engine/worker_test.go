@@ -12,11 +12,13 @@ import (
 	"github.com/pipeinfer/pipeinfer/internal/comm"
 	"github.com/pipeinfer/pipeinfer/internal/comm/chancomm"
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
+	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 )
 
 // mockWorker scripts stage behaviour and records everything it sees.
 type mockWorker struct {
 	mu        sync.Mutex
+	placed    []uint32
 	evals     []uint32
 	kvBatches [][]kvcache.Op
 	// cancelAfter, when >= 0, makes Eval report cancellation after that
@@ -40,10 +42,18 @@ func (m *mockWorker) Eval(run *RunMsg, input []byte, cancelled func() bool) ([]b
 	return out, len(out), true
 }
 
-func (m *mockWorker) ApplyKV(ops []kvcache.Op) {
+func (m *mockWorker) Place(run *RunMsg) error {
+	m.mu.Lock()
+	m.placed = append(m.placed, run.ID)
+	m.mu.Unlock()
+	return m.ApplyKV(run.KVOps)
+}
+
+func (m *mockWorker) ApplyKV(ops []kvcache.Op) error {
 	m.mu.Lock()
 	m.kvBatches = append(m.kvBatches, slices.Clone(ops)) // ops is only lent
 	m.mu.Unlock()
+	return nil
 }
 
 func (m *mockWorker) MemoryBytes() int64 { return 42 }
@@ -64,7 +74,7 @@ func frame(body []byte, op FrameOp) []byte { return append(slices.Clip(body), by
 // runFrame is msg's run frame; act is the activation a stage past the
 // first target stage receives (nil for the first).
 func runFrame(msg *RunMsg, act ...byte) []byte {
-	return frame(append(msg.Encode(), act...), OpRun)
+	return frame(append(msg.AppendEncode(nil), act...), OpRun)
 }
 
 func sendDecode(ep comm.Endpoint, dst int, msg *RunMsg) {
@@ -352,13 +362,39 @@ func TestWorkerLoopEmptyInputSkipsEval(t *testing.T) {
 	}
 }
 
+// cacheWorker is a mockWorker whose KV operations apply to a paged cache
+// of width-4 shards and 8-cell pages, in which sequence 0 holds one page
+// published as shared entry 1.
+type cacheWorker struct {
+	*mockWorker
+	cache *kvpage.Cache
+}
+
+func newCacheWorker(t *testing.T) cacheWorker {
+	cache := kvpage.New(kvpage.Config{Cells: 32, PageSize: 8, ShardSeqs: 4})
+	meta := make([]kvcache.TokenMeta, 8)
+	for p := range meta {
+		meta[p] = kvcache.TokenMeta{Pos: int32(p), Seqs: kvcache.NewSeqSet(0)}
+	}
+	if _, err := cache.PlaceRowsInto(nil, meta); err != nil {
+		t.Fatal(err)
+	}
+	cache.SharePrefix(0, 1, 8)
+	return cacheWorker{newMockWorker(), cache}
+}
+
+func (w cacheWorker) Place(run *RunMsg) error { return w.ApplyKV(run.KVOps) }
+
+func (w cacheWorker) ApplyKV(ops []kvcache.Op) error { return w.cache.ApplyAll(ops) }
+
 // TestWorkerLoopRejectsMalformedFrames: a frame a stage cannot read — an
 // empty one, an unknown op, a truncated run, an activation that is
-// missing or unknown — makes WorkerLoop return an error, never panic, and
-// nothing is evaluated.
+// missing or unknown — or a KV op that decodes but that the stage's cache
+// cannot apply makes WorkerLoop return an error, never panic, and nothing
+// is evaluated.
 func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
 	msg := &RunMsg{ID: 3, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}, {Tok: 6, Pos: 1, Seqs: 1}}}
-	enc := msg.Encode()
+	enc := msg.AppendEncode(nil)
 	// A KV frame of a well-formed op and o, and a run carrying o.
 	kv := func(o kvcache.Op) []byte {
 		return frame(kvcache.AppendOps(nil, []kvcache.Op{{Kind: kvcache.OpSeqRm, Src: 1, P1: 1}, o}), OpKV)
@@ -366,7 +402,7 @@ func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
 	runWith := func(o kvcache.Op) []byte {
 		m := *msg
 		m.KVOps = []kvcache.Op{o}
-		return frame(m.Encode(), OpRun)
+		return frame(m.AppendEncode(nil), OpRun)
 	}
 	cases := []struct {
 		name  string
@@ -393,13 +429,23 @@ func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
 		{"KV empty namespace window", 1, kv(kvcache.Op{Kind: kvcache.OpEvictShard, Src: 4, Dst: 0})},
 		{"run carrying a KV op of an unknown kind", 1, runWith(kvcache.Op{Kind: 9})},
 		{"run carrying a KV op naming sequence 200", 1, runWith(kvcache.Op{Kind: kvcache.OpSeqCp, Src: 0, Dst: 200, P1: 1})},
+		{"KV copy across shards", 1, kv(kvcache.Op{Kind: kvcache.OpSeqCp, Src: 0, Dst: 4, P1: 8})},
+		{"KV map of an unregistered entry", 1, kv(kvcache.Op{Kind: kvcache.OpMapShared, Src: 0, Dst: 7, P1: 8})},
+		{"KV unref of an unregistered entry", 1, kv(kvcache.Op{Kind: kvcache.OpUnrefPrefix, Dst: 7})},
+		{"KV namespace window across shards", 1, kv(kvcache.Op{Kind: kvcache.OpDropSpec, Src: 2, Dst: 4})},
+		{"KV share of a part page", 1, kv(kvcache.Op{Kind: kvcache.OpSharePrefix, Src: 0, Dst: 2, P1: 4})},
+		{"KV share of a sequence with no cells", 1, kv(kvcache.Op{Kind: kvcache.OpSharePrefix, Src: 4, Dst: 2, P1: 8})},
+		{"KV share under a live entry", 1, kv(kvcache.Op{Kind: kvcache.OpSharePrefix, Src: 0, Dst: 1, P1: 8})},
+		{"KV map to a part page", 1, kv(kvcache.Op{Kind: kvcache.OpMapShared, Src: 4, Dst: 1, P1: 4})},
+		{"KV map past the chain", 1, kv(kvcache.Op{Kind: kvcache.OpMapShared, Src: 4, Dst: 1, P1: 16})},
+		{"run carrying a copy across shards", 1, runWith(kvcache.Op{Kind: kvcache.OpSeqCp, Src: 0, Dst: 4, P1: 8})},
 		{"shutdown with a body", 1, frame([]byte{1}, OpShutdown)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := chancomm.New(3)
 			topo := Topology{Head: 0, Stages: []int{1, 2}}
-			w := newMockWorker()
+			w := newCacheWorker(t)
 			done := make(chan error, 1)
 			go func() {
 				defer func() {

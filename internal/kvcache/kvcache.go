@@ -99,9 +99,6 @@ func (s SeqSet) Intersects(o SeqSet) bool { return s&o != 0 }
 // Empty reports whether the set has no members.
 func (s SeqSet) Empty() bool { return s == 0 }
 
-// Count returns the number of member sequences.
-func (s SeqSet) Count() int { return bits.OnesCount64(uint64(s)) }
-
 // Cell is one KV cache slot.
 type Cell struct {
 	// Pos is the absolute position of the cached token, or -1 if empty.

@@ -33,15 +33,6 @@ func (ns Namespace) Contains(id SeqID) bool {
 	return id >= ns.Base && id < ns.Base+SeqID(ns.Width)
 }
 
-// Set returns the bitset holding every id in the namespace.
-func (ns Namespace) Set() SeqSet {
-	var s SeqSet
-	for i := 0; i < ns.Width; i++ {
-		s = s.Add(ns.Base + SeqID(i))
-	}
-	return s
-}
-
 // SpecAllocator returns a FIFO allocator over the namespace's
 // non-canonical ids, or nil for width-1 namespaces (which cannot host
 // speculative runs).

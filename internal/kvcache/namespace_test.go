@@ -1,6 +1,9 @@
 package kvcache
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 func TestNamespacePartitioning(t *testing.T) {
 	// 16 slots of width 4 tile the whole id space disjointly.
@@ -10,9 +13,9 @@ func TestNamespacePartitioning(t *testing.T) {
 		if ns.Canonical() != SeqID(slot*4) {
 			t.Fatalf("slot %d canonical %d", slot, ns.Canonical())
 		}
-		set := ns.Set()
-		if set.Count() != 4 {
-			t.Fatalf("slot %d set has %d ids", slot, set.Count())
+		set := Op{Kind: OpEvictShard, Src: ns.Base, Dst: SeqID(ns.Width)}.ShardSet()
+		if n := bits.OnesCount64(uint64(set)); n != 4 {
+			t.Fatalf("slot %d set has %d ids", slot, n)
 		}
 		if seen.Intersects(set) {
 			t.Fatalf("slot %d overlaps an earlier namespace", slot)
@@ -20,12 +23,12 @@ func TestNamespacePartitioning(t *testing.T) {
 		seen |= set
 		for id := SeqID(0); id < MaxSeqs; id++ {
 			if ns.Contains(id) != set.Has(id) {
-				t.Fatalf("slot %d: Contains(%d) disagrees with Set", slot, id)
+				t.Fatalf("slot %d: Contains(%d) disagrees with its eviction's set", slot, id)
 			}
 		}
 	}
-	if seen.Count() != MaxSeqs {
-		t.Fatalf("16x4 namespaces cover %d of %d ids", seen.Count(), MaxSeqs)
+	if n := bits.OnesCount64(uint64(seen)); n != MaxSeqs {
+		t.Fatalf("16x4 namespaces cover %d of %d ids", n, MaxSeqs)
 	}
 
 	defer func() {

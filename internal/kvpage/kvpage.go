@@ -69,6 +69,7 @@ package kvpage
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
 )
@@ -447,27 +448,15 @@ func (c *Cache) Occupy(i int, pos int32, seqs kvcache.SeqSet) {
 	c.used++
 }
 
-// release frees occupied cell i of shard si, unmapping its page when it
-// drains.
-func (c *Cache) release(si int, i int) {
-	c.cells[i] = kvcache.Cell{Pos: -1}
-	p := int32(i / c.pageSize)
-	c.pageUsed[p]--
-	c.shards[si].free++
-	c.used--
-	if c.pageUsed[p] == 0 {
-		c.unmapPage(si, p)
-	}
-}
-
 // SeqCp adds sequence dst to every cell that belongs to src with position
 // in [p0, p1) — the metadata-only "copy" behind multibuffering's buffer
 // swap and prefix sharing. Only src's shard is scanned; src and dst must
-// live in the same shard. It returns the number of cells affected.
-func (c *Cache) SeqCp(src, dst kvcache.SeqID, p0, p1 int32) int {
+// live in the same shard, or it is an error. It returns the number of
+// cells affected.
+func (c *Cache) SeqCp(src, dst kvcache.SeqID, p0, p1 int32) (int, error) {
 	si := c.shardOfSeq(src)
 	if c.shardOfSeq(dst) != si {
-		panic(fmt.Sprintf("kvpage: SeqCp %d->%d crosses shards", src, dst))
+		return 0, fmt.Errorf("kvpage: SeqCp %d->%d crosses shards", src, dst)
 	}
 	sh := &c.shards[si]
 	n := 0
@@ -484,7 +473,7 @@ func (c *Cache) SeqCp(src, dst kvcache.SeqID, p0, p1 int32) int {
 			}
 		}
 	}
-	return n
+	return n, nil
 }
 
 // SeqRm removes sequence seq from cells with position in [p0, p1); cells
@@ -640,15 +629,15 @@ func (c *Cache) removeSeqsShared(si int, p int32, mask kvcache.SeqSet, freed *in
 
 // RemoveSeqs strips every sequence in mask from all cells of the mask's
 // shard, freeing cells left with no sequences — the primitive behind the
-// eviction ops. All ids in mask must live in one shard. It returns the
-// number of cells freed.
-func (c *Cache) RemoveSeqs(mask kvcache.SeqSet) int {
+// eviction ops. All ids in mask must live in one shard, or it is an
+// error. It returns the number of cells freed.
+func (c *Cache) RemoveSeqs(mask kvcache.SeqSet) (int, error) {
 	if mask.Empty() {
-		return 0
+		return 0, nil
 	}
 	si := c.shardOf(mask)
 	if mask&^c.shardSet(si) != 0 {
-		panic(fmt.Sprintf("kvpage: RemoveSeqs mask %#x crosses shard %d", uint64(mask), si))
+		return 0, fmt.Errorf("kvpage: RemoveSeqs mask %#x crosses shard %d", uint64(mask), si)
 	}
 	sh := &c.shards[si]
 	freed := 0
@@ -682,7 +671,7 @@ func (c *Cache) RemoveSeqs(mask kvcache.SeqSet) int {
 			pi--
 		}
 	}
-	return freed
+	return freed, nil
 }
 
 // collectChain gathers the pages holding sequence src's cells for
@@ -758,19 +747,18 @@ func (c *Cache) CanShare(src kvcache.SeqID, limit int32) bool {
 // maps them, immutable until both reference counts drain — and the chain
 // is registered with one registry hold per page. The donor shard's
 // listing carries over, so the donor keeps seeing its own prefix. The
-// prefix must satisfy CanShare and the entry id must be free; violations
-// are bugs in the issuing scheduler and panic, exactly like a cache op
-// that names a foreign shard.
-func (c *Cache) SharePrefix(src kvcache.SeqID, entry int, limit int32) {
+// entry id must be free and the prefix must satisfy CanShare, or it is
+// an error and nothing changes.
+func (c *Cache) SharePrefix(src kvcache.SeqID, entry int, limit int32) error {
+	if _, dup := c.entries[entry]; dup {
+		return fmt.Errorf("kvpage: SharePrefix reuses live entry %d", entry)
+	}
 	chain, ok := c.collectChain(nil, src, limit)
 	if !ok {
-		panic(fmt.Sprintf("kvpage: SharePrefix seq %d limit %d is not whole-page shareable", src, limit))
+		return fmt.Errorf("kvpage: SharePrefix seq %d limit %d is not whole-page shareable", src, limit)
 	}
 	if c.entries == nil {
 		c.entries = make(map[int][]int32)
-	}
-	if _, dup := c.entries[entry]; dup {
-		panic(fmt.Sprintf("kvpage: SharePrefix reuses live entry %d", entry))
 	}
 	si := c.shardOfSeq(src)
 	for _, p := range chain {
@@ -788,23 +776,24 @@ func (c *Cache) SharePrefix(src kvcache.SeqID, entry int, limit int32) {
 		c.pageHolds[p]++
 	}
 	c.entries[entry] = chain
+	return nil
 }
 
 // MapShared maps the first limit cells of shared entry `entry` into
 // sequence dst (kvcache.OpMapShared applied locally): the covered chain
 // pages are listed in dst's shard (once — remapping is idempotent) and
 // dst's bit is added to their cells, so dst's attention sees the
-// donor-computed prefix with zero copying. limit must be a multiple of
-// the page size within the chain. It returns the number of cells newly
-// tagged.
-func (c *Cache) MapShared(dst kvcache.SeqID, entry int, limit int32) int {
+// donor-computed prefix with zero copying. The entry must be registered
+// and limit a multiple of the page size within its chain, or it is an
+// error. It returns the number of cells newly tagged.
+func (c *Cache) MapShared(dst kvcache.SeqID, entry int, limit int32) (int, error) {
 	chain, ok := c.entries[entry]
 	if !ok {
-		panic(fmt.Sprintf("kvpage: MapShared of unregistered entry %d", entry))
+		return 0, fmt.Errorf("kvpage: MapShared of unregistered entry %d", entry)
 	}
 	if limit < 0 || int(limit) > len(chain)*c.pageSize || int(limit)%c.pageSize != 0 {
-		panic(fmt.Sprintf("kvpage: MapShared limit %d invalid for entry %d chain of %d pages (page size %d)",
-			limit, entry, len(chain), c.pageSize))
+		return 0, fmt.Errorf("kvpage: MapShared limit %d invalid for entry %d chain of %d pages (page size %d)",
+			limit, entry, len(chain), c.pageSize)
 	}
 	si := c.shardOfSeq(dst)
 	sh := &c.shards[si]
@@ -834,19 +823,19 @@ func (c *Cache) MapShared(dst kvcache.SeqID, entry int, limit int32) int {
 			n++
 		}
 	}
-	return n
+	return n, nil
 }
 
 // UnrefPrefix drops the registry hold on shared entry `entry`
 // (kvcache.OpUnrefPrefix applied locally). Cells kept resident only by
 // the hold die; pages whose last hold and last shard listing are both
 // gone return to the free list. Sessions still mapping the chain are
-// untouched — their bits keep the pages alive until they drain. It
-// returns the number of cells freed.
-func (c *Cache) UnrefPrefix(entry int) int {
+// untouched — their bits keep the pages alive until they drain. An
+// unregistered entry is an error. It returns the number of cells freed.
+func (c *Cache) UnrefPrefix(entry int) (int, error) {
 	chain, ok := c.entries[entry]
 	if !ok {
-		panic(fmt.Sprintf("kvpage: UnrefPrefix of unregistered entry %d", entry))
+		return 0, fmt.Errorf("kvpage: UnrefPrefix of unregistered entry %d", entry)
 	}
 	delete(c.entries, entry)
 	freed := 0
@@ -876,7 +865,7 @@ func (c *Cache) UnrefPrefix(entry int) int {
 			}
 		}
 	}
-	return freed
+	return freed, nil
 }
 
 // EntryLen returns the chain length (in cells) of shared entry `entry`,
@@ -884,9 +873,6 @@ func (c *Cache) UnrefPrefix(entry int) int {
 func (c *Cache) EntryLen(entry int) int32 {
 	return int32(len(c.entries[entry]) * c.pageSize)
 }
-
-// Entries reports the number of registered shared-prefix entries.
-func (c *Cache) Entries() int { return len(c.entries) }
 
 // SharedPages reports the number of pages currently in the shared state.
 func (c *Cache) SharedPages() int {
@@ -997,33 +983,82 @@ func (c *Cache) VisibleGroups(dst []VisibleGroup, batch []kvcache.TokenMeta) []V
 }
 
 // Apply executes one pipelined cache op against the paged store — the
-// kvpage counterpart of kvcache.Op.Apply.
-func (c *Cache) Apply(o kvcache.Op) {
+// kvpage counterpart of kvcache.Op.Apply. An op that decodes but that
+// this cache's shards or state do not admit (a copy or window across
+// shards, a share, map or unref the entries or the layout cannot back)
+// is the error of the primitive that refuses it, before it mutates
+// anything.
+func (c *Cache) Apply(o kvcache.Op) error {
+	var err error
 	switch o.Kind {
 	case kvcache.OpSeqCp:
-		c.SeqCp(o.Src, o.Dst, o.P0, o.P1)
+		_, err = c.SeqCp(o.Src, o.Dst, o.P0, o.P1)
 	case kvcache.OpSeqRm:
 		c.SeqRm(o.Src, o.P0, o.P1)
 	case kvcache.OpDropSpec:
-		c.RemoveSeqs(o.SpecSet())
+		_, err = c.RemoveSeqs(o.SpecSet())
 	case kvcache.OpEvictShard:
-		c.RemoveSeqs(o.ShardSet())
+		_, err = c.RemoveSeqs(o.ShardSet())
 	case kvcache.OpSharePrefix:
-		c.SharePrefix(o.Src, int(o.Dst), o.P1)
+		err = c.SharePrefix(o.Src, int(o.Dst), o.P1)
 	case kvcache.OpMapShared:
-		c.MapShared(o.Src, int(o.Dst), o.P1)
+		_, err = c.MapShared(o.Src, int(o.Dst), o.P1)
 	case kvcache.OpUnrefPrefix:
-		c.UnrefPrefix(int(o.Dst))
+		_, err = c.UnrefPrefix(int(o.Dst))
 	default:
-		panic("kvpage: unknown op kind")
+		err = fmt.Errorf("kvpage: unknown op kind %d", o.Kind)
 	}
+	return err
 }
 
-// ApplyAll executes ops in order against c.
-func (c *Cache) ApplyAll(ops []kvcache.Op) {
+// ApplyAll executes ops in order against c, stopping at the first op that
+// cannot apply (Apply); the ops before it stay applied.
+func (c *Cache) ApplyAll(ops []kvcache.Op) error {
 	for _, o := range ops {
-		c.Apply(o)
+		if err := c.Apply(o); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// Diff reports the first difference between c and o, two caches of one
+// Config: a cell, a page's owner, occupancy or reference counts, the free
+// list, a shard's pages or free count, the occupied total or a shared
+// entry's chain. It is nil when c is o's replica, as a stage's cache is
+// the head's shadow at the same point of the transaction stream.
+func (c *Cache) Diff(o *Cache) error {
+	for i := range c.cells {
+		if c.cells[i] != o.cells[i] {
+			return fmt.Errorf("kvpage: cell %d holds %+v, not %+v", i, c.cells[i], o.cells[i])
+		}
+	}
+	for p := range c.pageOwner {
+		a := [4]int32{c.pageOwner[p], c.pageUsed[p], c.pageShards[p], c.pageHolds[p]}
+		if b := [4]int32{o.pageOwner[p], o.pageUsed[p], o.pageShards[p], o.pageHolds[p]}; a != b {
+			return fmt.Errorf("kvpage: page %d has owner, used, shards, holds %v, not %v", p, a, b)
+		}
+	}
+	if !slices.Equal(c.freePages, o.freePages) {
+		return fmt.Errorf("kvpage: free pages %v, not %v", c.freePages, o.freePages)
+	}
+	for si, sh := range c.shards {
+		if oh := o.shards[si]; !slices.Equal(sh.pages, oh.pages) || sh.free != oh.free {
+			return fmt.Errorf("kvpage: shard %d has pages %v, %d free, not %v, %d", si, sh.pages, sh.free, oh.pages, oh.free)
+		}
+	}
+	if c.used != o.used {
+		return fmt.Errorf("kvpage: %d cells used, not %d", c.used, o.used)
+	}
+	if len(c.entries) != len(o.entries) {
+		return fmt.Errorf("kvpage: %d shared entries, not %d", len(c.entries), len(o.entries))
+	}
+	for e, chain := range c.entries {
+		if oc, ok := o.entries[e]; !ok || !slices.Equal(chain, oc) {
+			return fmt.Errorf("kvpage: entry %d has chain %v, not %v", e, chain, oc)
+		}
+	}
+	return nil
 }
 
 // CheckInvariants validates internal consistency: cell/counter agreement,

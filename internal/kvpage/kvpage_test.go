@@ -193,8 +193,8 @@ func TestEvictionPrimitives(t *testing.T) {
 	}
 
 	// Removing the whole namespace frees everything and returns the pages.
-	if freed := c.RemoveSeqs(ns.Set()); freed != 6 {
-		t.Fatalf("RemoveSeqs freed %d, want 6", freed)
+	if freed, err := c.RemoveSeqs(kvcache.NewSeqSetRange(ns.Base, ns.Base+kvcache.SeqID(ns.Width))); err != nil || freed != 6 {
+		t.Fatalf("RemoveSeqs freed %d (%v), want 6", freed, err)
 	}
 	checkInv(t, c)
 	if c.Used() != 0 || c.FreePages()*c.PageSize() != c.Size() {
@@ -402,6 +402,34 @@ func TestCanPlaceRowsPredictsPlacement(t *testing.T) {
 				t.Fatalf("trial %d step %d: placed %d cells for %d rows", trial, step, len(cells), len(metas))
 			}
 			checkInv(t, c)
+		}
+	}
+}
+
+// TestDiffSeesRegistryState holds Diff to the state no cell or page owner
+// shows: two caches with identical cells, owners and page lists differ
+// when one holds a shared prefix under another entry id, or twice.
+func TestDiffSeesRegistryState(t *testing.T) {
+	shared := func(entries ...int) *Cache {
+		c := New(Config{Cells: 32, PageSize: 8, ShardSeqs: 4})
+		for pos := int32(0); pos < 8; pos++ {
+			if _, err := c.PlaceRowsInto(nil, []kvcache.TokenMeta{{Pos: pos, Seqs: kvcache.NewSeqSet(0)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range entries {
+			if err := c.SharePrefix(0, e, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	if err := shared(1).Diff(shared(1)); err != nil {
+		t.Fatalf("equal caches differ: %v", err)
+	}
+	for _, tc := range []struct{ a, b []int }{{[]int{1}, []int{2}}, {[]int{1, 2}, []int{1}}} {
+		if shared(tc.a...).Diff(shared(tc.b...)) == nil {
+			t.Errorf("entries %v and %v: Diff found no difference", tc.a, tc.b)
 		}
 	}
 }

@@ -81,7 +81,7 @@ func BenchmarkPrefill32(b *testing.B) {
 		if _, err := r.EvalSeq(prompt, 0, kvcache.Canonical); err != nil {
 			b.Fatal(err)
 		}
-		r.Reset()
+		r.Cache.Clear()
 	}
 }
 

@@ -181,10 +181,3 @@ func (r *Runner) Greedy(prompt []token.Token, maxNew int) ([]token.Token, error)
 	}
 	return out, nil
 }
-
-// Reset clears the cache, and any started evaluation, so the runner can
-// be reused for a fresh sequence.
-func (r *Runner) Reset() {
-	r.started = false
-	r.Cache.Clear()
-}

@@ -63,7 +63,7 @@ func (g *groupedTraffic) batch() (*Batch, error) {
 		}
 		g.entries = g.entries[:0]
 		for s := range 4 {
-			g.cache.RemoveSeqs(kvcache.Namespace{Base: kvcache.SeqID(s * trafficSeqs), Width: trafficSeqs}.Set())
+			g.cache.RemoveSeqs(kvcache.NewSeqSetRange(kvcache.SeqID(s*trafficSeqs), kvcache.SeqID((s+1)*trafficSeqs)))
 		}
 		g.next = [kvcache.MaxSeqs]int32{}
 		return nil, nil
@@ -92,7 +92,7 @@ func (g *groupedTraffic) churn() {
 	case 3:
 		g.cache.Apply(kvcache.Op{Kind: kvcache.OpDropSpec, Src: ns.Base, Dst: kvcache.SeqID(ns.Width)})
 	case 4: // preempt: the session's pages recycle
-		g.cache.RemoveSeqs(ns.Set())
+		g.cache.RemoveSeqs(kvcache.NewSeqSetRange(ns.Base, ns.Base+kvcache.SeqID(ns.Width)))
 	case 5:
 		entry := len(g.entries)
 		if limit := g.next[ns.Base] / ps * ps; entry < 8 && limit > 0 && g.cache.CanShare(ns.Base, limit) {
@@ -102,7 +102,7 @@ func (g *groupedTraffic) churn() {
 	case 6: // admit a new session over a published prefix
 		if len(g.entries) > 0 {
 			entry := g.entries[g.intn(len(g.entries))]
-			g.cache.RemoveSeqs(ns.Set())
+			g.cache.RemoveSeqs(kvcache.NewSeqSetRange(ns.Base, ns.Base+kvcache.SeqID(ns.Width)))
 			g.cache.MapShared(ns.Base, entry, g.cache.EntryLen(entry))
 		}
 	case 7:

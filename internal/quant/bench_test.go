@@ -21,7 +21,7 @@ func benchMatVec(b *testing.B, t Type) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.MatVec(dst, x)
+		q.MatVecQ(dst, x)
 	}
 }
 

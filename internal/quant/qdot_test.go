@@ -75,7 +75,7 @@ func TestQuantKernelsMatchSeedArithmetic(t *testing.T) {
 			want := make([]float32, rows)
 			seedMatVec(q, want, x)
 			got := make([]float32, rows)
-			q.MatVec(got, x)
+			q.MatVecQ(got, x)
 			for r := range want {
 				tol := 1e-4 * (1 + math.Abs(float64(want[r])))
 				if d := math.Abs(float64(got[r] - want[r])); d > tol {
@@ -167,10 +167,10 @@ func TestMatVecQParallelMatchesSerial(t *testing.T) {
 		q := Quantize(w, typ)
 		prev := tensor.SetParallelism(1)
 		serial := make([]float32, q.Rows)
-		q.MatVec(serial, x)
+		q.MatVecQ(serial, x)
 		tensor.SetParallelism(4)
 		par := make([]float32, q.Rows)
-		q.MatVec(par, x)
+		q.MatVecQ(par, x)
 		tensor.SetParallelism(prev)
 		for r := range serial {
 			if serial[r] != par[r] {

@@ -201,12 +201,6 @@ func (q Mat) Bytes() int64 {
 	}
 }
 
-// MatVec computes dst = q * x, consuming the quantized weights directly.
-// It is an alias of MatVecQ kept for API stability.
-func (q Mat) MatVec(dst, x []float32) {
-	q.MatVecQ(dst, x)
-}
-
 // MatVecQ is the quantized-domain matrix-vector product: every row is
 // evaluated block by block against x via DotQ8/DotQ4 (AVX2 kernels on
 // capable amd64 hosts) without ever staging a dequantized f32 row. Rows

@@ -69,7 +69,7 @@ func TestQuantizedMatVecMatchesDequantized(t *testing.T) {
 		tensor.NewRNG(5).FillNormal(x, 1)
 
 		got := make([]float32, 24)
-		q.MatVec(got, x)
+		q.MatVecQ(got, x)
 
 		want := make([]float32, 24)
 		tensor.MatVec(want, q.Dequantize(), x)
@@ -93,7 +93,7 @@ func TestQuantizedMatVecApproximatesF32(t *testing.T) {
 	for _, typ := range []Type{Q8, Q4} {
 		q := Quantize(m, typ)
 		got := make([]float32, 32)
-		q.MatVec(got, x)
+		q.MatVecQ(got, x)
 		// relative tolerance: Q4 is coarse but dot products over 256 terms
 		// should still land within a few percent of the exact value's scale.
 		var scale float64
@@ -183,7 +183,7 @@ func BenchmarkQ8MatVec(b *testing.B) {
 	b.SetBytes(q.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.MatVec(dst, x)
+		q.MatVecQ(dst, x)
 	}
 }
 

@@ -120,9 +120,9 @@
 // Stage KV caches are paged (internal/kvpage) and may be oversubscribed:
 // MaxSessions can exceed what the cache holds simultaneously. The
 // scheduler mirrors the stages' paged metadata in a head-side shadow
-// cache (Config.KV) — every stage replays the head's transaction stream
-// in order, so the shadow is a conservative upper bound on any stage's
-// occupancy — and gates every launch on it. When a launch would not fit:
+// cache (Config.KV), every stage's exact replica (each replays the head's
+// transaction stream, placing every run, cancelled or not), and gates
+// every launch on it. When a launch would not fit:
 //
 //  1. drop speculative pages pipeline-wide (kvcache.OpDropSpec per
 //     session: unverified chains are discarded, their runs cancelled,
@@ -524,12 +524,10 @@ type Scheduler struct {
 	total int // accepted tokens across all sessions
 
 	// kv is the head-side shadow of every stage's paged KV metadata:
-	// launches occupy it, KV transactions apply to it, and admission
-	// control reads it. Because stages replay the head's transaction
-	// stream in order — and skip occupancy only for runs cancelled in
-	// flight — the shadow is a conservative (never under-counting) bound
-	// on any stage's occupancy at the matching point of the stream, which
-	// is what makes its CanPlace verdicts safe.
+	// launches occupy it, KV transactions apply to it, admission control
+	// reads it. Stages replay the same stream and place every launched
+	// row, so at the matching point each stage's cache equals it cell for
+	// cell and page for page: its CanPlace verdicts hold on every stage.
 	kv *kvpage.Cache
 
 	// prefix is the shared-prefix trie (PR 9; nil unless
@@ -1369,14 +1367,13 @@ func (s *Scheduler) preempt(victim *session) {
 }
 
 // launch mirrors the run into the shadow cache — its KV ops, then one
-// occupied cell per token, rows placed per owning shard — and hands it to
-// the head. ensureRoom/roomFor (or the batch collection's collective
-// account) have already guaranteed the cells exist; launch re-verifies
-// with an allocation-free dry run before mutating anything, and if the
-// shadow disagrees it degrades gracefully instead of panicking:
+// occupied cell per token, rows placed per owning shard, as every stage
+// places it — and hands it to the head. ensureRoom/roomFor (or the batch
+// collection's collective account) have already guaranteed the cells
+// exist; launch re-verifies with an allocation-free dry run before
+// mutating anything, and if the shadow disagrees it degrades gracefully:
 // speculative work is dropped, mandatory work parks its sessions for
-// prefix-recompute readmission, and the caller sees false and unwinds
-// its staging.
+// prefix-recompute readmission, and the caller sees false.
 func (s *Scheduler) launch(run *engine.Run) bool {
 	msg := run.Msg
 	if cap(s.rowMeta) < len(msg.Tokens) {
@@ -1394,14 +1391,15 @@ func (s *Scheduler) launch(run *engine.Run) bool {
 		s.rejectLaunch(msg)
 		return false
 	}
-	s.kv.ApplyAll(msg.KVOps)
-	cells, err := s.kv.PlaceRowsInto(s.kvCells[:0], meta)
-	if err != nil {
-		// CanPlaceRows dry-ran this exact grouping; failing here means the
-		// shadow's own bookkeeping is inconsistent.
-		panic(fmt.Sprintf("serve: shadow cache placement diverged from dry run: %v", err))
+	err := s.kv.ApplyAll(msg.KVOps)
+	if err == nil {
+		s.kvCells, err = s.kv.PlaceRowsInto(s.kvCells[:0], meta)
 	}
-	s.kvCells = cells[:0]
+	if err != nil {
+		// The ops are the head's own and CanPlaceRows dry-ran this exact
+		// grouping: the shadow's own bookkeeping is inconsistent.
+		panic(fmt.Sprintf("serve: shadow cache diverged from its dry run: %v", err))
+	}
 	s.h.Launch(run)
 	if s.obs != nil {
 		s.obs.ObserveBatchWidth(engine.DistinctSessions(msg))
@@ -1484,7 +1482,9 @@ func (s *Scheduler) rearmOldest() {
 // sendKV applies a KV transaction to the shadow cache and ships it down
 // the pipeline.
 func (s *Scheduler) sendKV(ops []kvcache.Op) {
-	s.kv.ApplyAll(ops)
+	if err := s.kv.ApplyAll(ops); err != nil {
+		panic(fmt.Sprintf("serve: shadow cache refused the head's KV ops: %v", err))
+	}
 	s.h.SendKV(ops)
 }
 
@@ -1951,9 +1951,9 @@ func (s *Scheduler) noteAccept(sess *session, tok token.Token, fromPrefill bool)
 // call, and the cancellations are credited to the session's stats as well
 // as the aggregate. cleanup promises that the session's sequences are
 // cleaned up namespace-wide afterwards (chain drop, drain, eviction),
-// which is what lets stages skip the session's non-speculative rows;
-// without it stages still write their canonical cache entries (§IV-D.3
-// applied per row).
+// which is what lets stages skip computing the session's non-speculative
+// rows; without it stages still compute their canonical cache entries
+// (§IV-D.3 applied per row).
 func (s *Scheduler) cancelGroups(sess *session, cleanup bool, pick func(r *engine.Run, toks []engine.TokenPlace) bool) {
 	slot := uint16(sess.slot)
 	victims := s.victims[:0]

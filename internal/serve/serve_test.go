@@ -39,7 +39,8 @@ func (nopBackend) MemoryBytes() int64                                          {
 type nopWorker struct{}
 
 func (nopWorker) Eval(*engine.RunMsg, []byte, func() bool) ([]byte, int, bool) { return nil, 0, true }
-func (nopWorker) ApplyKV([]kvcache.Op)                                         {}
+func (nopWorker) Place(*engine.RunMsg) error                                   { return nil }
+func (nopWorker) ApplyKV([]kvcache.Op) error                                   { return nil }
 func (nopWorker) MemoryBytes() int64                                           { return 0 }
 
 // testKV is a shadow cache every test request fits, several sessions at
@@ -297,18 +298,16 @@ func (r scriptResults) Next(i int) token.Token {
 }
 
 // countingWorker is an inline stage that evaluates nothing and counts the
-// KV transactions the head ships (launches apply their own ops through
-// the same call, so those are told apart by arriving under a launch).
+// KV transactions the head ships (a launch's own ops arrive with its
+// placement, not here).
 type countingWorker struct {
 	nopWorker
-	launching bool
-	txns      int
+	txns int
 }
 
-func (w *countingWorker) ApplyKV([]kvcache.Op) {
-	if !w.launching {
-		w.txns++
-	}
+func (w *countingWorker) ApplyKV([]kvcache.Op) error {
+	w.txns++
+	return nil
 }
 
 // scriptServe builds a one-node scheduler over the scripted pair.
@@ -353,10 +352,8 @@ func TestOneTransactionPerResult(t *testing.T) {
 			// Fill the pipeline, then drain it: the sessions' steps line
 			// up, so at width 3 they share runs.
 			s.admit()
-			w.launching = true
 			for s.tryLaunch() {
 			}
-			w.launching = false
 			for s.h.Inflight() > 0 {
 				before, done, accepted := w.txns, s.done, s.h.Stats.Accepted.Load()
 				if err := s.handleResult(); err != nil {

@@ -11,10 +11,16 @@ package serve_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -365,22 +371,93 @@ func holdsHead(st *ast.StructType) bool {
 }
 
 // testOnlyExports fails on every exported function or method declared
-// under internal/ whose name no program file of the module (cmd/,
-// examples/, bench/, the root package and internal/ itself, tests
-// excluded) mentions, save the references and seams tests keep on
-// purpose (testSeams), and on every testSeams entry that no longer names
-// such a declaration. The check is by name: a method counts as used when
-// any program file mentions an identifier of its name.
+// under internal/ that no program file of the module (cmd/, examples/,
+// bench/, the root package and internal/ itself, tests excluded) uses,
+// save the references and seams tests keep on purpose (testSeams), and on
+// every testSeams entry that no longer names such a declaration. Uses are
+// resolved by go/types over the module's program files, so a name that
+// some other declaration shares hides nothing. A method that satisfies an
+// interface of the program, or of a package it imports, counts as used:
+// it is called through the interface.
 func testOnlyExports(t *testing.T) {
 	t.Helper()
-	fset := token.NewFileSet()
-	used := map[string]bool{}
-	type decl struct {
-		pos       token.Pos
-		pkg, name string
+	prog := checkProgram(t)
+	const why = "delete it, or give its tests the form production calls (ROADMAP, Open item 19: delete what nothing needs)"
+	seamHit := map[string]bool{}
+	for _, fn := range prog.decls {
+		if prog.used[fn] || prog.satisfies(fn) {
+			continue
+		}
+		full := fn.Pkg().Name() + "." + fn.Name()
+		typ := ""
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			typ = fn.Pkg().Name() + "." + namedOf(recv.Type()).Obj().Name()
+			full = typ + "." + fn.Name()
+		}
+		switch {
+		case testSeams[full] != "":
+			seamHit[full] = true
+		case typ != "" && testSeams[typ] != "":
+			seamHit[typ] = true
+		default:
+			t.Errorf("%s: %s is exported and only tests call it: %s", prog.fset.Position(fn.Pos()), full, why)
+		}
 	}
-	var decls []decl
+	for name := range testSeams {
+		if !seamHit[name] {
+			t.Errorf("testSeams lists %s, which no longer declares an exported function only tests call: drop the entry", name)
+		}
+	}
+}
+
+// program is the module's program files, type-checked: the exported
+// functions and methods declared under internal/, every function or
+// method a program file uses, and every interface the program or a
+// package it imports declares or spells out.
+type program struct {
+	fset   *token.FileSet
+	decls  []*types.Func
+	used   map[*types.Func]bool
+	ifaces []*types.Interface
+}
+
+// satisfies reports whether method fn's receiver type, or a pointer to it,
+// implements an interface of the program that has a method of fn's name.
+func (p *program) satisfies(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	named := namedOf(recv.Type())
+	for _, it := range p.ifaces {
+		for m := range it.Methods() {
+			if m.Name() == fn.Name() && (types.Implements(named, it) || types.Implements(types.NewPointer(named), it)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// namedOf strips a pointer from a receiver type.
+func namedOf(typ types.Type) *types.Named {
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	return typ.(*types.Named)
+}
+
+// checkProgram parses every program file of the module that the host's
+// build constraints select, and type-checks it package by package. The
+// standard library comes from its compiled export data, located with one
+// go list call.
+func checkProgram(t *testing.T) *program {
+	t.Helper()
+	const module = "github.com/pipeinfer/pipeinfer"
 	root := filepath.Join("..", "..")
+	p := &program{fset: token.NewFileSet(), used: map[*types.Func]bool{}}
+	dirs := map[string][]*ast.File{}
+	std := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -394,67 +471,115 @@ func testOnlyExports(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(p.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, _ := filepath.Rel(root, path)
-		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
-		declared := map[*ast.Ident]bool{} // a declared name is not a use of it
-		for _, dcl := range f.Decls {
-			if fd, ok := dcl.(*ast.FuncDecl); ok {
-				declared[fd.Name] = true
-				if internal && fd.Name.IsExported() {
-					name := fd.Name.Name
-					if fd.Recv != nil {
-						name = receiver(fd) + "." + name
-					}
-					decls = append(decls, decl{fd.Pos(), f.Name.Name, name})
-				}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		dirs[filepath.ToSlash(rel)] = append(dirs[filepath.ToSlash(rel)], f)
+		for _, im := range f.Imports {
+			if path := strings.Trim(im.Path.Value, `"`); !strings.HasPrefix(path, module) {
+				std[path] = true
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const why = "delete it, or give its tests the form production calls (ROADMAP, Open item 19: delete what nothing needs)"
-	seamHit := map[string]bool{}
-	for _, d := range decls {
-		short := d.name[strings.LastIndexByte(d.name, '.')+1:]
-		if used[short] {
-			continue
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}
+	out, err := exec.Command("go", append(args, slices.Sorted(maps.Keys(std))...)...).Output()
+	if err != nil {
+		t.Fatalf("go list of the standard library's export data: %v", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		export[path] = file
+	}
+	stdImp := importer.ForCompiler(p.fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(export[path]) })
+
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
 		}
-		full, typ := d.pkg+"."+d.name, d.pkg+"."+strings.TrimSuffix(d.name, "."+short)
-		switch {
-		case testSeams[full] != "":
-			seamHit[full] = true
-		case d.name != short && testSeams[typ] != "":
-			seamHit[typ] = true
-		default:
-			t.Errorf("%s: %s is exported and only tests call it: %s", fset.Position(d.pos), full, why)
+		rel, ok := strings.CutPrefix(path, module)
+		if !ok {
+			return stdImp.Import(path)
+		}
+		rel = strings.TrimPrefix(rel, "/")
+		if rel == "" {
+			rel = "."
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, p.fset, dirs[rel], info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = pkg
+		for _, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				p.used[fn.Origin()] = true
+			}
+		}
+		for _, tv := range info.Types {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
+				p.ifaces = append(p.ifaces, it)
+			}
+		}
+		for _, scope := range append([]*types.Package{pkg}, pkg.Imports()...) {
+			for _, name := range scope.Scope().Names() {
+				if tn, ok := scope.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+					p.ifaces = append(p.ifaces, tn.Type().Underlying().(*types.Interface))
+				}
+			}
+		}
+		for _, f := range dirs[rel] {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && strings.HasPrefix(rel, "internal/") {
+					p.decls = append(p.decls, info.Defs[fd.Name].(*types.Func))
+				}
+			}
+		}
+		return pkg, nil
+	}
+	for _, rel := range slices.Sorted(maps.Keys(dirs)) {
+		path := module
+		if rel != "." {
+			path += "/" + rel
+		}
+		if _, err := imp(path); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for name := range testSeams {
-		if !seamHit[name] {
-			t.Errorf("testSeams lists %s, which no longer declares an exported function only tests call: drop the entry", name)
-		}
-	}
+	p.ifaces = append(p.ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	return p
 }
+
+// importerFunc is a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // testSeams are the exported names under internal/ that only tests call,
 // each kept as a reference a test compares against or a seam a test
 // drives, with the tests that use it. A type's name covers its methods.
 var testSeams = map[string]string{
 	"kvcache.Cache":                 "the flat reference cell store: kvpage's TestDifferentialRandomOps and FuzzDifferentialOps hold the paged store to it",
+	"kvcache.New":                   "builds the flat reference cell store: kvpage's TestDifferentialRandomOps and FuzzDifferentialOps, and kvcache's own tests",
+	"kvcache.ApplyAll":              "applies ops to the flat reference cell store: TestOpApplyMatchesDirectCalls",
 	"kvcache.Namespace.ValidOp":     "the namespace contract: TestNamespaceValidOp, and simbk's TestSimServeOpsStayInNamespace on every op a serve sends",
 	"kvpage.Cache.EntryLen":         "TestDifferentialRandomOps compares each shared entry's length with the flat reference's",
+	"kvpage.Cache.Cell":             "reads a cell's metadata: TestShardMappingAndRelease, TestVisibleCellsPositionOrder, TestDifferentialRandomOps, model's scratch traffic tests",
+	"kvpage.Cache.Diff":             "the replica property: backend's TestStageReplicatesShadow holds a stage's cache equal to the head's shadow",
+	"tensor.Mat.At":                 "reads a matrix element: the tensor, model and realbk tests",
+	"tensor.Mat.Set":                "writes a matrix element: the tensor, model and realbk tests",
+	"simnet.Kernel.Now":             "the clock in kernel context and after Run returns: TestAdvanceOrdersEvents, TestScheduleClosure, TestScheduleInPastClampsToNow",
 	"tensor.Attention":              "the per-row attention reference: TestAttentionGroupBitsEqualRows, TestAttentionMatchesReference",
 	"tensor.RoPE":                   "the direct rotation reference: TestRoPECachedMatchesDirect",
 	"tensor.Dot":                    "the dot-product reference: TestDotUnrolledMatchesNaive",
@@ -466,7 +591,7 @@ var testSeams = map[string]string{
 	"faultcomm.Plan.RuleHits":       "the proof a fault rule fired: TestServeFaultRecoveryParity, TestSimServeFaultRecoveryParity",
 	"faultcomm.Plan.LinkStats":      "per-link fault counts: TestNthDropAndFIFO, TestRuleHits",
 	"tcpcomm.Endpoint.FramesLost":   "the reconnect replay's loss count: TestOutageKeepsOrderAndDedups",
+	"tcpcomm.Endpoint.Err":          "the refusal a rank records: TestReacceptRefusesOtherWireVersion",
 	"serve.NewLive":                 "live intake, driven step by step: TestLiveIntake, TestBrownoutLadder",
 	"serve.Scheduler.TotalAccepted": "the serving alloc gates step until it advances: TestServeStepAllocs",
-	"simnet.eventHeap.Less":         "container/heap calls it through heap.Interface",
 }

@@ -66,7 +66,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Proc is the handle a simulated process uses to interact with the kernel.
 type Proc struct {
 	k       *Kernel
-	id      int
 	name    string
 	resume  chan struct{}
 	done    bool
@@ -74,18 +73,12 @@ type Proc struct {
 	fn      func(*Proc)
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the process index.
-func (p *Proc) ID() int { return p.id }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
 // Spawn registers a process. All processes must be spawned before Run.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{k: k, id: len(k.procs), name: name, resume: make(chan struct{}), fn: fn}
+	p := &Proc{k: k, name: name, resume: make(chan struct{}), fn: fn}
 	k.procs = append(k.procs, p)
 	return p
 }

@@ -249,18 +249,3 @@ func TestScheduleInPastClampsToNow(t *testing.T) {
 		t.Fatalf("past event fired at %v, want clamped to 10ms", fired)
 	}
 }
-
-func TestProcIdentity(t *testing.T) {
-	k := NewKernel()
-	p := k.Spawn("alpha", func(p *Proc) {})
-	if p.Name() != "alpha" || p.ID() != 0 {
-		t.Fatalf("identity wrong: %s %d", p.Name(), p.ID())
-	}
-	q := k.Spawn("beta", func(p *Proc) {})
-	if q.ID() != 1 {
-		t.Fatal("second proc id")
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -34,9 +34,7 @@ const (
 // Tokenizer is a byte-level tokenizer: every byte value maps to one token,
 // offset past the special tokens. It is exactly invertible, which the
 // output-equality experiments rely on.
-type Tokenizer struct {
-	vocabSize int
-}
+type Tokenizer struct{}
 
 // NewTokenizer returns a byte-level tokenizer with the given vocabulary
 // size, which must be at least NumSpecial+256.
@@ -45,11 +43,8 @@ func NewTokenizer(vocabSize int) (*Tokenizer, error) {
 		return nil, fmt.Errorf("token: vocab size %d too small for byte-level coverage (need >= %d)",
 			vocabSize, NumSpecial+256)
 	}
-	return &Tokenizer{vocabSize: vocabSize}, nil
+	return &Tokenizer{}, nil
 }
-
-// VocabSize reports the vocabulary size.
-func (t *Tokenizer) VocabSize() int { return t.vocabSize }
 
 // Encode converts text to tokens, prepending BOS.
 func (t *Tokenizer) Encode(text string) []Token {
@@ -139,22 +134,6 @@ func Prompt(k PromptKind, seed uint64) string {
 	default:
 		panic("token: unknown prompt kind")
 	}
-}
-
-// PromptTokens encodes prompt kind k and pads or truncates it to exactly n
-// tokens (the paper uses 128-token prompts).
-func PromptTokens(t *Tokenizer, k PromptKind, n int, seed uint64) []Token {
-	toks := t.Encode(Prompt(k, seed))
-	if len(toks) >= n {
-		return toks[:n]
-	}
-	// Pad with corpus text rather than PAD tokens so the KV cache sees
-	// realistic content.
-	filler := t.Encode(Corpus(seed^0x5eed, 4*n))
-	for len(toks) < n {
-		toks = append(toks, filler[1+(len(toks)%(len(filler)-1))])
-	}
-	return toks[:n]
 }
 
 // corpusWords is a compact word list from which the synthetic corpus is

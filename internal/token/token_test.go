@@ -50,38 +50,6 @@ func TestDecodeSkipsSpecials(t *testing.T) {
 	}
 }
 
-func TestPromptTokensExactLength(t *testing.T) {
-	tk := mustTokenizer(t)
-	for _, k := range []PromptKind{PromptCode, PromptStory, PromptWikitext, PromptConcept, PromptPaper, PromptRoleplay} {
-		toks := PromptTokens(tk, k, 128, 7)
-		if len(toks) != 128 {
-			t.Fatalf("%v: len = %d, want 128", k, len(toks))
-		}
-	}
-}
-
-func TestPromptTokensDeterministic(t *testing.T) {
-	tk := mustTokenizer(t)
-	a := PromptTokens(tk, PromptWikitext, 128, 42)
-	b := PromptTokens(tk, PromptWikitext, 128, 42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("PromptTokens not deterministic")
-		}
-	}
-	c := PromptTokens(tk, PromptWikitext, 128, 43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical wikitext prompts")
-	}
-}
-
 func TestCorpusProperties(t *testing.T) {
 	s := Corpus(1, 500)
 	if len(s) != 500 {
