@@ -54,7 +54,8 @@ func NewStage(cache *kvpage.Cache, layers Layers) *Stage {
 
 // Place applies the run's KV operations and gives every row of the run a
 // cell, whatever its cancellation. A tight cache is an error: the head's
-// shadow, which made the same placement at launch, had room.
+// shadow, which made the same placement at launch, had room. So is a row
+// whose sequence set no shard holds, which no head sends.
 func (s *Stage) Place(run *engine.RunMsg) error {
 	if err := s.ApplyKV(run.KVOps); err != nil {
 		return err
@@ -67,7 +68,7 @@ func (s *Stage) Place(run *engine.RunMsg) error {
 	}
 	var err error
 	if r.Cells, err = s.cache.PlaceRowsInto(r.Cells[:0], r.Meta); err != nil {
-		return fmt.Errorf("backend: stage cache exhausted: %w", err)
+		return fmt.Errorf("backend: run %d cannot be placed: %w", run.ID, err)
 	}
 	return nil
 }

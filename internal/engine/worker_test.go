@@ -362,9 +362,9 @@ func TestWorkerLoopEmptyInputSkipsEval(t *testing.T) {
 	}
 }
 
-// cacheWorker is a mockWorker whose KV operations apply to a paged cache
-// of width-4 shards and 8-cell pages, in which sequence 0 holds one page
-// published as shared entry 1.
+// cacheWorker is a mockWorker whose KV operations and rows apply to a
+// paged cache of width-4 shards and 8-cell pages, in which sequence 0
+// holds one page published as shared entry 1.
 type cacheWorker struct {
 	*mockWorker
 	cache *kvpage.Cache
@@ -383,15 +383,27 @@ func newCacheWorker(t *testing.T) cacheWorker {
 	return cacheWorker{newMockWorker(), cache}
 }
 
-func (w cacheWorker) Place(run *RunMsg) error { return w.ApplyKV(run.KVOps) }
+// Place applies the run's KV operations and places its rows, as a
+// stage does.
+func (w cacheWorker) Place(run *RunMsg) error {
+	if err := w.ApplyKV(run.KVOps); err != nil {
+		return err
+	}
+	metas := make([]kvcache.TokenMeta, len(run.Tokens))
+	for i, t := range run.Tokens {
+		metas[i] = kvcache.TokenMeta{Pos: t.Pos, Seqs: t.Seqs}
+	}
+	_, err := w.cache.PlaceRowsInto(nil, metas)
+	return err
+}
 
 func (w cacheWorker) ApplyKV(ops []kvcache.Op) error { return w.cache.ApplyAll(ops) }
 
 // TestWorkerLoopRejectsMalformedFrames: a frame a stage cannot read — an
 // empty one, an unknown op, a truncated run, an activation that is
-// missing or unknown — or a KV op that decodes but that the stage's cache
-// cannot apply makes WorkerLoop return an error, never panic, and nothing
-// is evaluated.
+// missing or unknown — or a KV op or row that decodes but that the
+// stage's cache cannot apply or place makes WorkerLoop return an error,
+// never panic, and nothing is evaluated.
 func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
 	msg := &RunMsg{ID: 3, Kind: KindNonSpec, Tokens: []TokenPlace{{Tok: 5, Pos: 0, Seqs: 1}, {Tok: 6, Pos: 1, Seqs: 1}}}
 	enc := msg.AppendEncode(nil)
@@ -403,6 +415,12 @@ func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
 		m := *msg
 		m.KVOps = []kvcache.Op{o}
 		return frame(m.AppendEncode(nil), OpRun)
+	}
+	// A run whose second row has the sequence set seqs.
+	rowSeqs := func(seqs kvcache.SeqSet) []byte {
+		m := *msg
+		m.Tokens = []TokenPlace{msg.Tokens[0], {Tok: 6, Pos: 1, Seqs: seqs}}
+		return runFrame(&m)
 	}
 	cases := []struct {
 		name  string
@@ -439,6 +457,8 @@ func TestWorkerLoopRejectsMalformedFrames(t *testing.T) {
 		{"KV map to a part page", 1, kv(kvcache.Op{Kind: kvcache.OpMapShared, Src: 4, Dst: 1, P1: 4})},
 		{"KV map past the chain", 1, kv(kvcache.Op{Kind: kvcache.OpMapShared, Src: 4, Dst: 1, P1: 16})},
 		{"run carrying a copy across shards", 1, runWith(kvcache.Op{Kind: kvcache.OpSeqCp, Src: 0, Dst: 4, P1: 8})},
+		{"run row with an empty sequence set", 1, rowSeqs(0)},
+		{"run row with a sequence set across shards", 1, rowSeqs(kvcache.NewSeqSet(0, 4))},
 		{"shutdown with a body", 1, frame([]byte{1}, OpShutdown)},
 	}
 	for _, tc := range cases {

@@ -102,7 +102,7 @@ func TestFig10PromptVariance(t *testing.T) {
 	// The reproducible part of Fig 10: PipeInfer wins on every prompt.
 	// (The paper's stronger "flatter across prompts" observation does not
 	// reproduce under a pure-acceptance prompt model: cmd/pipeinfer-bench
-	// prints the figure, and ROADMAP.md Open item 4(b) files a claim that
+	// prints the figure, and ROADMAP.md Open item 8(b) files a claim that
 	// fails in our model as a finding, not a test to loosen.)
 	for i, pt := range fig.Series[0].Points {
 		if pt.Y <= fig.Series[1].Points[i].Y {

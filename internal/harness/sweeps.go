@@ -11,7 +11,7 @@ import (
 // Fig 8: they quantify the parameters §IV-B introduces (micro-batch size
 // 1-4, confidence cutoff recovery/decay) and the multibuffering capacity
 // (§IV-C sequence partitions). cmd/pipeinfer-bench renders them after
-// the paper's figures; ROADMAP.md Open item 4 turns them into checked
+// the paper's figures; ROADMAP.md Open item 8 turns them into checked
 // properties.
 
 // SweepMicroBatch measures PipeInfer speed as the continuous-speculation

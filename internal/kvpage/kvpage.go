@@ -327,8 +327,13 @@ func (c *Cache) FindSlotsInto(dst []int, n int, seqs kvcache.SeqSet) ([]int, err
 // namespace shard each — places every session's rows inside its own
 // shard: attention isolation and the O(session footprint) cost bound both
 // survive batching. For a uniform single-shard batch the behaviour is
-// exactly FindSlotsInto followed by per-row Occupy.
+// exactly FindSlotsInto followed by per-row Occupy. A row whose sequence
+// set no shard holds (checkRows) is an error, reported before any cell
+// is taken.
 func (c *Cache) PlaceRowsInto(dst []int, metas []kvcache.TokenMeta) ([]int, error) {
+	if err := c.checkRows(metas); err != nil {
+		return nil, err
+	}
 	for lo := 0; lo < len(metas); {
 		si := c.shardOf(metas[lo].Seqs)
 		hi := lo + 1
@@ -350,6 +355,21 @@ func (c *Cache) PlaceRowsInto(dst []int, metas []kvcache.TokenMeta) ([]int, erro
 	return dst, nil
 }
 
+// checkRows reports the first row whose sequence set no shard holds: an
+// empty set, or one with ids outside the window of the shard its lowest
+// id names.
+func (c *Cache) checkRows(metas []kvcache.TokenMeta) error {
+	for i, m := range metas {
+		if m.Seqs == 0 {
+			return fmt.Errorf("kvpage: row %d has an empty sequence set", i)
+		}
+		if m.Seqs&^c.shardSet(c.shardOf(m.Seqs)) != 0 {
+			return fmt.Errorf("kvpage: row %d's sequence set %#x spans shards of %d ids", i, uint64(m.Seqs), c.shardSeqs)
+		}
+	}
+	return nil
+}
+
 // CanPlaceRows reports whether PlaceRowsInto would succeed for metas,
 // without occupying anything: the same consecutive-shard grouping, each
 // group's demand charged first against its shard's simulated free cells
@@ -359,6 +379,9 @@ func (c *Cache) PlaceRowsInto(dst []int, metas []kvcache.TokenMeta) ([]int, erro
 // mutating the shadow, so an admission accounting bug degrades into a
 // graceful rejection instead of a mid-placement panic. Allocation-free.
 func (c *Cache) CanPlaceRows(metas []kvcache.TokenMeta) bool {
+	if c.checkRows(metas) != nil {
+		return false
+	}
 	budget := len(c.freePages)
 	ok := true
 	touched := c.dryTouched[:0]

@@ -345,6 +345,39 @@ func TestPagesShort(t *testing.T) {
 	}
 }
 
+// TestPlaceRowsRejectsUnplaceableSets: a row whose sequence set no shard
+// holds — empty, or spilling past its shard's window — fails the whole
+// placement before any cell is taken, and the dry run agrees.
+func TestPlaceRowsRejectsUnplaceableSets(t *testing.T) {
+	ok := kvcache.TokenMeta{Pos: 0, Seqs: kvcache.NewSeqSet(0, 3)}
+	for name, bad := range map[string]kvcache.SeqSet{
+		"empty set":              0,
+		"set across two shards":  kvcache.NewSeqSet(0, 4),
+		"ids far past its shard": kvcache.NewSeqSet(3, 60, 63),
+	} {
+		c := New(Config{Cells: 32, PageSize: 8, ShardSeqs: 4})
+		metas := []kvcache.TokenMeta{ok, ok, {Pos: 1, Seqs: bad}}
+		if c.CanPlaceRows(metas) {
+			t.Fatalf("%s: CanPlaceRows approved the placement", name)
+		}
+		if _, err := c.PlaceRowsInto(nil, metas); err == nil {
+			t.Fatalf("%s: PlaceRowsInto placed the rows", name)
+		}
+		if c.Used() != 0 || c.FreePages() != 4 {
+			t.Fatalf("%s: the failed placement took cells (%d used, %d pages free)", name, c.Used(), c.FreePages())
+		}
+		checkInv(t, c)
+	}
+	c := New(Config{Cells: 32, PageSize: 8, ShardSeqs: 4})
+	if !c.CanPlaceRows([]kvcache.TokenMeta{ok}) {
+		t.Fatal("CanPlaceRows rejected a set inside one shard")
+	}
+	if _, err := c.PlaceRowsInto(nil, []kvcache.TokenMeta{ok}); err != nil {
+		t.Fatal(err)
+	}
+	checkInv(t, c)
+}
+
 // TestCanPlaceRowsPredictsPlacement is the regression wall for the
 // serving layer's launch dry run (PR 6): across randomized batch
 // histories, CanPlaceRows must agree exactly with PlaceRowsInto — true

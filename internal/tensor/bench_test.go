@@ -53,20 +53,22 @@ func BenchmarkSoftmax128(b *testing.B) {
 }
 
 // BenchmarkFillNormal is the weight build's layer number: ns per variate
-// for the Box-Muller kernel and for its twin, the Norm loop, over a
-// 64x160 projection's worth.
+// on each Box-Muller tier — the AVX-512 kernel, the AVX2 kernel and their
+// twin, the Norm loop — over a 64x160 projection's worth.
 func BenchmarkFillNormal(b *testing.B) {
-	for _, k := range []struct {
-		name string
-		fill func(*RNG, Vec, float32)
-	}{{"kernel", (*RNG).FillNormal}, {"twin", fillNormalGo}} {
+	for _, k := range tiers {
 		b.Run(k.name, func(b *testing.B) {
+			restore, ok := useTier(k)
+			if !ok {
+				b.Skipf("this host's CPU cannot run the %s tier", k.name)
+			}
+			defer restore()
 			rng := NewRNG(7)
 			x := make(Vec, 64*160)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.fill(rng, x, 0.125)
+				rng.FillNormal(x, 0.125)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/variate")
 		})

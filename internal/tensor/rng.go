@@ -80,12 +80,14 @@ func (r *RNG) Norm() float32 {
 
 // FillNormal fills dst with normal variates scaled by std: Norm()*std for
 // each element in turn, bit for bit, and leaves r where those Norm calls
-// would. On amd64 hosts that pass the CPUID probe the Box-Muller kernel
-// computes whole groups of four; IEEE + - * / and sqrt round the same in a
-// vector lane as in a scalar register, so it is not merely close to the
-// Norm loop but equal to it, and hosts with and without it derive the
-// same weights. (The kernel uses no fused multiply-add because math's
-// code has none: Go on amd64 fuses only an explicit math.FMA.)
+// would. On amd64 hosts that pass the CPUID probe the Box-Muller kernels
+// compute the leading whole groups — of eight where the AVX-512 probe
+// also passes, then of four — and Norm the rest; IEEE + - * / and sqrt
+// round the same in a vector lane as in a scalar register, so each kernel
+// is not merely close to the Norm loop but equal to it, and hosts with
+// and without them derive the same weights. (The kernels use no fused
+// multiply-add because math's code has none: Go on amd64 fuses only an
+// explicit math.FMA.)
 func (r *RNG) FillNormal(dst Vec, std float32) {
 	if simdOn {
 		dst = dst[fillNormalAsm(r, dst, std):]

@@ -105,13 +105,15 @@ func checkFill(t testing.TB, what string, seed uint64, pre, off, n int, std floa
 	}
 }
 
-// TestFillNormalMatchesNorm holds the Box-Muller kernel to the Norm loop
-// bit for bit, with draws planted where its branch-free arithmetic could
-// part from the scalar code: the redraw of a zero first uniform, a zero
-// second uniform, log's reduction test at f1 == Sqrt2/2 exactly, and cos's
-// octant boundaries, up to 1-2^-53 where the octant rounds to 8. Each
-// plant sits in every lane of a kernel group, and every length and start
-// offset moves it further.
+// TestFillNormalMatchesNorm holds every Box-Muller tier to the Norm loop
+// bit for bit, with draws planted where the kernels' branch-free
+// arithmetic could part from the scalar code: the redraw of a zero first
+// uniform, a zero second uniform, log's reduction test at f1 == Sqrt2/2
+// exactly, and cos's octant boundaries, up to 1-2^-53 where the octant
+// rounds to 8. Each plant sits in every lane of an eight-lane group (and
+// so of a four-lane one), the lengths end in every mix of eight-lane
+// groups, a four-lane group and scalar variates, and every start offset
+// moves the plant further.
 func TestFillNormalMatchesNorm(t *testing.T) {
 	uniform := func(v uint64) uint64 { return v << 11 } // the draw whose Float64 is v*2^-53
 	type plant struct {
@@ -133,41 +135,67 @@ func TestFillNormalMatchesNorm(t *testing.T) {
 	}
 	plants = append(plants, octants)
 
-	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4*9 + 0, 4*9 + 1, 4*9 + 2, 4*9 + 3}
-	for _, p := range plants {
-		for _, out := range p.outputs {
-			for lane := range uint64(4) {
-				// Variate 4+lane: the second kernel group when nothing precedes it.
-				j := 2 * (4 + lane)
-				if p.second {
-					j++
-				}
-				seed := seedFor(j, out)
-				what := fmt.Sprintf("%s (draw %#x) in lane %d", p.what, out, lane)
-				for pre := range 4 {
-					for off := range 4 {
-						for _, n := range lengths {
-							checkFill(t, what, seed, pre, off, n, 0.125)
+	var lengths []int
+	for n := range 18 {
+		lengths = append(lengths, n)
+	}
+	for _, r := range []int{0, 1, 3, 4, 5, 7} {
+		lengths = append(lengths, 8*9+r)
+	}
+	EachTier(t, func(t *testing.T) {
+		for _, p := range plants {
+			for _, out := range p.outputs {
+				for lane := range uint64(8) {
+					// Variate 8+lane: the second eight-lane group when nothing precedes it.
+					j := 2 * (8 + lane)
+					if p.second {
+						j++
+					}
+					seed := seedFor(j, out)
+					what := fmt.Sprintf("%s (draw %#x) in lane %d", p.what, out, lane)
+					for pre := range 4 {
+						for off := range 4 {
+							for _, n := range lengths {
+								checkFill(t, what, seed, pre, off, n, 0.125)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
 
-	seeds := NewRNG(77)
-	for i := range 64 {
-		checkFill(t, "random seed", seeds.Uint64(), i%4, i/4%4, 4096+i%4, []float32{1, 0.125, 0.02, -3}[i%4])
-	}
+		seeds := NewRNG(77)
+		for i := range 64 {
+			checkFill(t, "random seed", seeds.Uint64(), i%4, i/4%4, 4096+i%8, []float32{1, 0.125, 0.02, -3}[i%4])
+		}
+	})
 }
 
+// FuzzFillNormal checks each input on every tier the host can run; the
+// tiers it cannot are named in the log.
 func FuzzFillNormal(f *testing.F) {
 	f.Add(uint64(1), uint16(0), float32(1))
 	f.Add(uint64(2), uint16(9), float32(0.125))
 	f.Add(seedFor(8, 0), uint16(64), float32(1))
 	f.Add(seedFor(9, (1<<53-1)<<11), uint16(37), float32(-3))
+	f.Add(seedFor(16, 0), uint16(28), float32(0.5)) // a redraw opening the second group of eight
 	f.Add(uint64(5), uint16(4000), float32(math.Inf(1)))
+	var run []tier
+	for _, k := range tiers {
+		if restore, ok := useTier(k); ok {
+			restore()
+			run = append(run, k)
+		} else {
+			f.Logf("skipping the %s tier: this host's CPU cannot run it", k.name)
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, std float32) {
-		checkFill(t, "fuzz", seed, int(n%4), int(n/4%4), int(n%4099), std)
+		for _, k := range run {
+			func() {
+				restore, _ := useTier(k)
+				defer restore()
+				checkFill(t, "fuzz on "+k.name, seed, int(n%4), int(n/4%4), int(n%4099), std)
+			}()
+		}
 	})
 }

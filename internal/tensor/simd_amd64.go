@@ -82,6 +82,12 @@ func siluMulFMA(dst, a, b *float32, n8 int)
 //go:noescape
 func boxMuller4(dst *float32, blocks int, lanes *[8]uint64, std float32) int
 
+// boxMuller8 is boxMuller4 over groups of eight, the uniforms of variate
+// i of the first group drawn from states lanes[i] and lanes[8+i].
+//
+//go:noescape
+func boxMuller8(dst *float32, blocks int, lanes *[16]uint64, std float32) int
+
 // simdOn reports whether the AVX2+FMA kernels are safe to use on this CPU.
 // Detection follows the Intel-documented protocol: the OS must have
 // enabled XMM/YMM state saving (OSXSAVE + XGETBV) in addition to the CPU
@@ -110,6 +116,25 @@ func detectSIMD() bool {
 	return b7&avx2 != 0
 }
 
+// bm8On reports whether FillNormal may run eight lanes wide: on top of
+// simdOn, the CPU must advertise AVX512F, AVX512DQ and AVX512VL and the
+// OS must save the opmask and ZMM state (XCR0 bits 5-7).
+var bm8On = simdOn && detectAVX512()
+
+func detectAVX512() bool {
+	_, b7, _, _ := cpuidex(7, 0)
+	const (
+		avx512f  = 1 << 16
+		avx512dq = 1 << 17
+		avx512vl = 1 << 31
+	)
+	if b7&avx512f == 0 || b7&avx512dq == 0 || b7&avx512vl == 0 {
+		return false
+	}
+	eax, _ := xgetbv0()
+	return eax&0xe6 == 0xe6 // XMM, YMM, opmask, ZMM0-15 upper halves and ZMM16-31
+}
+
 // expTab holds the vector exp's constants, each replicated across the
 // eight lanes so the assembly can use them as memory operands. The order
 // is fixed by the EXP_* offsets in simd_amd64.s.
@@ -128,10 +153,12 @@ var laneMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 
 func rep8(c float32) [8]float32 { return [8]float32{c, c, c, c, c, c, c, c} }
 
-// bmTab holds the Box-Muller kernel's constants as bit patterns, each
-// replicated across four 64-bit lanes; the order is fixed by the BM_*
-// offsets in simd_amd64.s. The log constants are math/log_amd64.s's, the
-// cos ones math's sin.go's, written as their bits.
+// bmTab holds the Box-Muller kernels' constants as bit patterns, each
+// replicated across four 64-bit lanes for boxMuller4 and read by
+// boxMuller8 as an embedded broadcast of its first lane; the order is
+// fixed by the BM_* offsets in simd_amd64.s. The log constants are
+// math/log_amd64.s's, the cos ones math's sin.go's, written as their bits;
+// the last four only the eight-lane kernel reads.
 var bmTab = [...][4]uint64{
 	rep4(8 * gamma % (1 << 64)), // eight draws
 	rep4(mixC1 & 0xffffffff), rep4(mixC1 >> 32), rep4(mixC2 & 0xffffffff), rep4(mixC2 >> 32),
@@ -150,29 +177,51 @@ var bmTab = [...][4]uint64{
 	rep4(0xbda8fa49a0861a9b), rep4(0x3e21ee9d7b4e3f05), rep4(0xbe927e4f7eac4bc6),
 	rep4(0x3efa01a019c844f5), rep4(0xbf56c16c16c14f91), rep4(0x3fa555555555554b), // cos
 	rep4(1), rep4(2), rep4(1 << 63),
+	rep4(mixC1), rep4(mixC2), rep4(16 * gamma % (1 << 64)), rep4(4), // whole multipliers, sixteen draws
 }
 
 func rep4(c uint64) [4]uint64 { return [4]uint64{c, c, c, c} }
 
 func repF(c float64) [4]uint64 { return rep4(math.Float64bits(c)) }
 
-// fillNormalAsm fills the leading whole groups of four of dst with
-// boxMuller4, advances r past the draws they took and returns how many
-// variates it wrote: all of len(dst)&^3 unless a first uniform of 0 (2^-53
-// per variate) stopped it, in which case Norm takes over at that group.
+// fillNormalAsm fills the leading whole groups of dst with the Box-Muller
+// kernels — groups of eight with boxMuller8 where bm8On, then groups of
+// four with boxMuller4 — advances r past the draws they took and returns
+// how many variates they wrote: all of len(dst)&^3 unless a first uniform
+// of 0 (2^-53 per variate) stopped a kernel, in which case Norm takes over
+// at that group.
 func fillNormalAsm(r *RNG, dst Vec, std float32) int {
-	blocks := len(dst) / 4
+	n := 0
+	if bm8On && len(dst) >= 8 {
+		var lanes [16]uint64
+		seedLanes(r, lanes[:])
+		blocks := len(dst) / 8
+		done := boxMuller8(&dst[0], blocks, &lanes, std)
+		r.Skip(16 * uint64(done))
+		if n = 8 * done; done < blocks {
+			return n
+		}
+	}
+	blocks := (len(dst) - n) / 4
 	if blocks == 0 {
-		return 0
+		return n
 	}
 	var lanes [8]uint64
-	for i := range 4 {
-		lanes[i] = r.state + uint64(2*i+1)*gamma
-		lanes[4+i] = r.state + uint64(2*i+2)*gamma
-	}
-	done := boxMuller4(&dst[0], blocks, &lanes, std)
+	seedLanes(r, lanes[:])
+	done := boxMuller4(&dst[n], blocks, &lanes, std)
 	r.Skip(8 * uint64(done))
-	return 4 * done
+	return n + 4*done
+}
+
+// seedLanes sets a kernel's lane states from r: variate i of its first
+// group reads its uniforms from draws 2i and 2i+1, the states in
+// lanes[i] and lanes[w+i] for a kernel w lanes wide.
+func seedLanes(r *RNG, lanes []uint64) {
+	w := len(lanes) / 2
+	for i := range w {
+		lanes[i] = r.state + uint64(2*i+1)*gamma
+		lanes[w+i] = r.state + uint64(2*i+2)*gamma
+	}
 }
 
 // projAsm reports whether projections by m take the assembly kernels: a

@@ -922,6 +922,10 @@ pafold:
 #define BM_IONE    1344
 #define BM_ITWO    1376
 #define BM_SIGN    1408
+#define BM_MIX1    1440
+#define BM_MIX2    1472
+#define BM_GAMMA16 1504
+#define BM_IFOUR   1536
 
 // MUL64(Z, LO, HI, T, U) multiplies the four 64-bit lanes of Z by the
 // constant whose low and high 32-bit halves sit at LO and HI, modulo
@@ -1102,6 +1106,161 @@ bmblock:
 	JMP  bmblock
 
 bmdone:
+	VZEROUPPER
+	MOVQ AX, ret+32(FP)
+	RET
+
+// MIX8 applies SplitMix64's output function to the eight states in Z and
+// keeps each draw's top 53 bits, the integer Float64 scales: one VPMULLQ
+// per multiply. T is scratch.
+#define MIX8(Z, T) \
+	VPSRLQ $30, Z, T; \
+	VPXORQ T, Z, Z; \
+	VPMULLQ.BCST BM_MIX1(R9), Z, Z; \
+	VPSRLQ $27, Z, T; \
+	VPXORQ T, Z, Z; \
+	VPMULLQ.BCST BM_MIX2(R9), Z, Z; \
+	VPSRLQ $31, Z, T; \
+	VPXORQ T, Z, Z; \
+	VPSRLQ $11, Z, Z
+
+// func boxMuller8(dst *float32, blocks int, lanes *[16]uint64, std float32) int
+//
+// boxMuller4 eight lanes wide (AVX-512 F, DQ and VL): the same operations
+// in the same order, each variate Norm()*std's bits, the states in
+// lanes[0:8] and lanes[8:16] advancing by 16 draws a block. The integer
+// multiplies are one VPMULLQ each, the exact 53-bit uniform one
+// VCVTUQQ2PD, and log's reduction step and cos's octant select and sign
+// act under mask registers instead of blends.
+TEXT ·boxMuller8(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ blocks+8(FP), CX
+	MOVQ lanes+16(FP), SI
+	VBROADCASTSS std+24(FP), Y13
+	LEAQ ·bmTab(SB), R9
+	VMOVDQU64 (SI), Z14      // Z14 = states of the first uniforms
+	VMOVDQU64 64(SI), Z15    // Z15 = states of the second uniforms
+	VBROADCASTSD BM_ONE(R9), Z9
+	XORQ AX, AX
+
+b8block:
+	CMPQ AX, CX
+	JGE  b8done
+	VMOVDQA64 Z14, Z0
+	MIX8(Z0, Z1)
+	VPTESTNMQ Z0, Z0, K1
+	KORTESTB K1, K1
+	JNZ  b8done              // a first uniform of 0: Norm redraws, leave it to Norm
+	VMOVDQA64 Z15, Z12
+	MIX8(Z12, Z1)
+	VPADDQ.BCST BM_GAMMA16(R9), Z14, Z14
+	VPADDQ.BCST BM_GAMMA16(R9), Z15, Z15
+	VCVTUQQ2PD Z0, Z0
+	VMULPD.BCST BM_TWOM53(R9), Z0, Z0   // Z0 = u1
+	VCVTUQQ2PD Z12, Z12
+	VMULPD.BCST BM_TWOM53(R9), Z12, Z12 // Z12 = u2
+
+	// log(u1), as math/log_amd64.s: f1, k = frexp(u1) from the bits.
+	VANDPD.BCST BM_MANT(R9), Z0, Z1
+	VORPD.BCST BM_HALF(R9), Z1, Z1      // Z1 = f1
+	VPSRLQ $52, Z0, Z2
+	VPORQ.BCST BM_MAG52(R9), Z2, Z2
+	VSUBPD.BCST BM_KBIAS(R9), Z2, Z2    // Z2 = k
+	// if f1 <= Sqrt2/2 { k -= 1; f1 *= 2 }
+	VCMPPD.BCST $2, BM_HSQRT2(R9), Z1, K1
+	VSUBPD Z9, Z2, K1, Z2
+	VMULPD.BCST BM_TWO(R9), Z1, K1, Z1
+	VSUBPD Z9, Z1, Z1                   // Z1 = f
+	VADDPD.BCST BM_TWO(R9), Z1, Z3
+	VDIVPD Z3, Z1, Z3                   // Z3 = s = f / (2 + f)
+	VMULPD Z3, Z3, Z4                   // Z4 = s2
+	VMULPD Z4, Z4, Z5                   // Z5 = s4
+	VMULPD.BCST BM_L7(R9), Z5, Z6
+	VADDPD.BCST BM_L5(R9), Z6, Z6
+	VMULPD Z5, Z6, Z6
+	VADDPD.BCST BM_L3(R9), Z6, Z6
+	VMULPD Z5, Z6, Z6
+	VADDPD.BCST BM_L1(R9), Z6, Z6
+	VMULPD Z6, Z4, Z4                   // Z4 = t1
+	VMULPD.BCST BM_L6(R9), Z5, Z6
+	VADDPD.BCST BM_L4(R9), Z6, Z6
+	VMULPD Z5, Z6, Z6
+	VADDPD.BCST BM_L2(R9), Z6, Z6
+	VMULPD Z6, Z5, Z5                   // Z5 = t2
+	VADDPD Z5, Z4, Z4                   // Z4 = R
+	VMULPD.BCST BM_HALF(R9), Z1, Z6
+	VMULPD Z1, Z6, Z6                   // Z6 = hfsq
+	VADDPD Z6, Z4, Z4
+	VMULPD Z4, Z3, Z3                   // s*(hfsq+R)
+	VMULPD.BCST BM_LN2LO(R9), Z2, Z4
+	VADDPD Z4, Z3, Z3
+	VSUBPD Z3, Z6, Z6
+	VSUBPD Z1, Z6, Z6
+	VMULPD.BCST BM_LN2HI(R9), Z2, Z2
+	VSUBPD Z6, Z2, Z0                   // Z0 = log(u1)
+	VMULPD.BCST BM_NEGTWO(R9), Z0, Z0
+	VSQRTPD Z0, Z0                      // Z0 = sqrt(-2 log u1)
+
+	// cos(2 pi u2), as math's sin.go: octant j = trunc(x*4/pi), bumped
+	// to even, and z = x - j*pi/4 in three parts.
+	VMULPD.BCST BM_TWOPI(R9), Z12, Z1   // Z1 = x
+	VMULPD.BCST BM_FOUROPI(R9), Z1, Z2
+	VCVTTPD2QQ Z2, Z2
+	VPANDQ.BCST BM_IONE(R9), Z2, Z3
+	VPADDQ Z3, Z2, Z2                   // Z2 = j
+	VCVTQQ2PD Z2, Z3                    // Z3 = y = float64(j)
+	VMULPD.BCST BM_PI4A(R9), Z3, Z4
+	VSUBPD Z4, Z1, Z1
+	VMULPD.BCST BM_PI4B(R9), Z3, Z4
+	VSUBPD Z4, Z1, Z1
+	VMULPD.BCST BM_PI4C(R9), Z3, Z4
+	VSUBPD Z4, Z1, Z1                   // Z1 = z
+	VMULPD Z1, Z1, Z4                   // Z4 = zz
+	// Both polynomials; octants 2 and 6 take the sine one.
+	VMULPD.BCST BM_S0(R9), Z4, Z5
+	VADDPD.BCST BM_S1(R9), Z5, Z5
+	VMULPD Z4, Z5, Z5
+	VADDPD.BCST BM_S2(R9), Z5, Z5
+	VMULPD Z4, Z5, Z5
+	VADDPD.BCST BM_S3(R9), Z5, Z5
+	VMULPD Z4, Z5, Z5
+	VADDPD.BCST BM_S4(R9), Z5, Z5
+	VMULPD Z4, Z5, Z5
+	VADDPD.BCST BM_S5(R9), Z5, Z5
+	VMULPD Z4, Z1, Z6
+	VMULPD Z6, Z5, Z5
+	VADDPD Z1, Z5, Z5                   // Z5 = z + z*zz*P(zz)
+	VMULPD.BCST BM_C0(R9), Z4, Z6
+	VADDPD.BCST BM_C1(R9), Z6, Z6
+	VMULPD Z4, Z6, Z6
+	VADDPD.BCST BM_C2(R9), Z6, Z6
+	VMULPD Z4, Z6, Z6
+	VADDPD.BCST BM_C3(R9), Z6, Z6
+	VMULPD Z4, Z6, Z6
+	VADDPD.BCST BM_C4(R9), Z6, Z6
+	VMULPD Z4, Z6, Z6
+	VADDPD.BCST BM_C5(R9), Z6, Z6
+	VMULPD Z4, Z4, Z7
+	VMULPD Z7, Z6, Z6
+	VMULPD.BCST BM_HALF(R9), Z4, Z7
+	VSUBPD Z7, Z9, Z8
+	VADDPD Z6, Z8, Z6                   // Z6 = 1 - 0.5*zz + zz*zz*Q(zz)
+	VPTESTMQ.BCST BM_ITWO(R9), Z2, K2
+	VMOVAPD Z5, K2, Z6
+	// Negative in octants 2 and 4: bit 2 of j+2.
+	VPADDQ.BCST BM_ITWO(R9), Z2, Z7
+	VPTESTMQ.BCST BM_IFOUR(R9), Z7, K3
+	VPXORQ.BCST BM_SIGN(R9), Z6, K3, Z6 // Z6 = cos(2 pi u2)
+
+	VMULPD Z6, Z0, Z0
+	VCVTPD2PS Z0, Y0
+	VMULPS Y13, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	INCQ AX
+	JMP  b8block
+
+b8done:
 	VZEROUPPER
 	MOVQ AX, ret+32(FP)
 	RET

@@ -32,11 +32,13 @@
 // per process, not across hosts.
 //
 // A fourth kernel derives the weights: RNG.FillNormal runs Box-Muller
-// four variates at a time in AVX2 (SplitMix64 lanes, math/log_amd64.s's
-// log and math's cos operation for operation, no FMA), and its twin is the
-// scalar Norm loop. Its contract is stronger than the forward pass's: the
-// kernel equals the twin bit for bit, generator state included, so every
-// host derives the same model from the same (cfg, seed).
+// over SplitMix64 lanes with math/log_amd64.s's log and math's cos
+// operation for operation and no FMA — eight variates at a time in
+// AVX-512 where the CPU has AVX512F/DQ/VL and the OS saves the ZMM and
+// opmask state, four at a time in AVX2 elsewhere and for a last group of
+// four — and its twin is the scalar Norm loop. Its contract is stronger than the forward pass's: each tier
+// equals the twin bit for bit, generator state included, so every host
+// derives the same model from the same (cfg, seed).
 //
 // Matrix products are parallelised across weight rows with a persistent
 // worker pool (see ParallelRange / SetParallelism). Hot-path contract:

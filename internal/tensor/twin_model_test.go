@@ -168,38 +168,43 @@ func weightBits(m *model.Model) []uint32 {
 	return out
 }
 
-// TestBuildBitsIndependentOfKernel: unlike the forward-pass kernels, the
-// Box-Muller kernel equals its twin bit for bit, so ranks with and without
-// AVX2 in one deployment derive one model — whole, as a stage, or as the
-// draft of a stage that holds only part of the target.
+// TestBuildBitsIndependentOfKernel: unlike the forward-pass kernels, each
+// Box-Muller tier equals the twin bit for bit, so ranks with and without
+// AVX-512 or AVX2 in one deployment derive one model — whole, as a stage,
+// or as the draft of a stage that holds only part of the target.
 func TestBuildBitsIndependentOfKernel(t *testing.T) {
-	if !tensor.SIMDAccelerated() {
-		t.Skip("the host runs the Go twin only: there is no second kernel to compare")
-	}
-	for _, typ := range []quant.Type{quant.F32, quant.Q8, quant.Q4} {
-		build := func(simd bool) map[string]*model.Model {
-			defer tensor.SetSIMDForTest(tensor.SetSIMDForTest(simd))
-			stage, err := model.NewStage(twinCfg(typ), 9, 1, 3, false, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return map[string]*model.Model{
-				"whole": twinModel(t, typ, 9),
-				"stage": stage,
-				"draft": model.NewDraft(stage, 0.05, 10),
-			}
+	typs := []quant.Type{quant.F32, quant.Q8, quant.Q4}
+	build := func(typ quant.Type) map[string]*model.Model {
+		stage, err := model.NewStage(twinCfg(typ), 9, 1, 3, false, true)
+		if err != nil {
+			t.Fatal(err)
 		}
-		host, twin := build(true), build(false)
-		for name, m := range host {
-			got, want := weightBits(m), weightBits(twin[name])
-			if len(got) != len(want) {
-				t.Fatalf("%v %s: %d weights on the kernel, %d on the twin", typ, name, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v %s: weight %d is %#x on the kernel, %#x on the twin", typ, name, i, got[i], want[i])
+		return map[string]*model.Model{
+			"whole": twinModel(t, typ, 9),
+			"stage": stage,
+			"draft": model.NewDraft(stage, 0.05, 10),
+		}
+	}
+	twin := map[quant.Type]map[string]*model.Model{}
+	func() {
+		defer tensor.SetSIMDForTest(tensor.SetSIMDForTest(false))
+		for _, typ := range typs {
+			twin[typ] = build(typ)
+		}
+	}()
+	tensor.EachTier(t, func(t *testing.T) {
+		for _, typ := range typs {
+			for name, m := range build(typ) {
+				got, want := weightBits(m), weightBits(twin[typ][name])
+				if len(got) != len(want) {
+					t.Fatalf("%v %s: %d weights on this tier, %d on the twin", typ, name, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%v %s: weight %d is %#x on this tier, %#x on the twin", typ, name, i, got[i], want[i])
+					}
 				}
 			}
 		}
-	}
+	})
 }
