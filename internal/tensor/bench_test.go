@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkDot256(b *testing.B) {
 	rng := NewRNG(7)
@@ -71,6 +74,73 @@ func BenchmarkFillNormal(b *testing.B) {
 				rng.FillNormal(x, 0.125)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/variate")
+		})
+	}
+}
+
+// BenchmarkMatMulT is the projections' layer number: ns per product on
+// each tier at the forward pass's weight shapes (rows x columns) for
+// batches of 6 (a quad and a pair: a decode batch), 8 and 64 activation
+// rows, on one goroutine.
+func BenchmarkMatMulT(b *testing.B) {
+	defer SetParallelism(SetParallelism(1))
+	for _, k := range tiers {
+		b.Run(k.name, func(b *testing.B) {
+			restore, ok := useTier(k)
+			if !ok {
+				b.Skipf("this host's CPU cannot run the %s tier", k.name)
+			}
+			defer restore()
+			for _, sh := range [][2]int{{64, 64}, {160, 64}, {64, 160}} {
+				for _, n := range []int{6, 8, 64} {
+					b.Run(fmt.Sprintf("%dx%d/n=%d", sh[0], sh[1], n), func(b *testing.B) {
+						rng := NewRNG(7)
+						w, x, dst := NewMat(sh[0], sh[1]), NewMat(n, sh[1]), NewMat(n, sh[0])
+						rng.FillNormal(w.Data, 0.1)
+						rng.FillNormal(x.Data, 1)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							MatMulT(dst, x, w)
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSoftmaxExp is the attention softmax's layer number: ns per
+// pass (p[i] = exp(p[i] - max), summed) on each tier over score rows of
+// 64, 136 and 256 cells.
+func BenchmarkSoftmaxExp(b *testing.B) {
+	for _, k := range tiers {
+		b.Run(k.name, func(b *testing.B) {
+			restore, ok := useTier(k)
+			if !ok {
+				b.Skipf("this host's CPU cannot run the %s tier", k.name)
+			}
+			defer restore()
+			for _, n := range []int{64, 136, 256} {
+				b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+					p := make(Vec, n)
+					NewRNG(7).FillNormal(p, 3)
+					const max = 10 // every pass's outputs stay inside the exp's range
+					var sum float32
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if simdOn {
+							sum += softmaxAsm(p, max)
+							continue
+						}
+						for j, v := range p {
+							p[j] = expGo(v - max)
+							sum += p[j]
+						}
+					}
+					_ = sum
+				})
+			}
 		})
 	}
 }

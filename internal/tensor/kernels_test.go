@@ -1,22 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
-
-// bothKernels runs f once on the kernels this host selects and, where
-// those are the assembly, once more on the portable Go twin.
-func bothKernels(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	t.Run("host", f)
-	if simdOn {
-		t.Run("twin", func(t *testing.T) {
-			defer SetSIMDForTest(SetSIMDForTest(false))
-			f(t)
-		})
-	}
-}
 
 // ulpDiff is the distance between two finite non-negative floats in
 // units in the last place.
@@ -30,7 +19,7 @@ func ulpDiff(a, b float32) int {
 
 // expVia evaluates the package's exp on xs (all <= 0) through whichever
 // kernel is selected: the assembly's exp is reached through the softmax
-// pass with a shift of 0.
+// pass with a shift of 0, sixteen values at a time.
 func expVia(xs []float32) []float32 {
 	out := make([]float32, len(xs))
 	if !simdOn {
@@ -39,18 +28,18 @@ func expVia(xs []float32) []float32 {
 		}
 		return out
 	}
-	var blk [8]float32
-	for i := 0; i < len(xs); i += 8 {
-		blk = [8]float32{}
+	var blk [16]float32
+	for i := 0; i < len(xs); i += 16 {
+		blk = [16]float32{}
 		n := copy(blk[:], xs[i:])
-		expAsm8(&blk)
+		softmaxAsm(blk[:], 0)
 		copy(out[i:], blk[:n])
 	}
 	return out
 }
 
 func TestExpAccuracy(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		const steps = 400000
 		xs := make([]float32, 0, steps+1)
 		for i := 0; i <= steps; i++ {
@@ -75,7 +64,7 @@ func TestExpAccuracy(t *testing.T) {
 }
 
 func TestExpEdges(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		negInf := float32(math.Inf(-1))
 		got := expVia([]float32{0, negInf, -1e30, -1000, -88, float32(expLo), float32(math.Nextafter32(float32(expLo), negInf))})
 		if got[0] != 1 {
@@ -95,6 +84,65 @@ func TestExpEdges(t *testing.T) {
 			t.Fatal("exp at the flush threshold itself must not flush")
 		}
 	})
+}
+
+// TestExpBitsIndependentOfTier: the sixteen-lane exp is the eight-lane
+// one bit for bit — every softmax element and sum, -inf padding and
+// flushed lanes included, and every SiLUMul element — for lengths ending
+// in a whole group of sixteen, a last group of eight and a padded tail.
+func TestExpBitsIndependentOfTier(t *testing.T) {
+	type result struct {
+		bits []uint32
+		sums []float32
+	}
+	on := func(k tier) (r result, ok bool) {
+		restore, ok := useTier(k)
+		if !ok {
+			return r, false
+		}
+		defer restore()
+		rng := NewRNG(45)
+		negInf := float32(math.Inf(-1))
+		for n8 := 8; n8 <= 272; n8 += 8 {
+			p := make(Vec, n8)
+			rng.FillNormal(p, 3)
+			p[int(rng.Uint64()%uint64(n8))] = -100 // flushed: below expLo after the shift
+			p[int(rng.Uint64()%uint64(n8))] = negInf
+			max := negInf
+			for _, v := range p {
+				max = float32(math.Max(float64(max), float64(v)))
+			}
+			r.sums = append(r.sums, softmaxAsm(p, max))
+			for _, v := range p {
+				r.bits = append(r.bits, math.Float32bits(v))
+			}
+		}
+		for n := 0; n <= 70; n++ {
+			a, b := make(Vec, n), make(Vec, n)
+			rng.FillNormal(a, 40) // past both clamps of the exp
+			rng.FillNormal(b, 2)
+			SiLUMul(a, a, b)
+			for _, v := range a {
+				r.bits = append(r.bits, math.Float32bits(v))
+			}
+		}
+		return r, true
+	}
+	want, ok := on(tier{"avx2", true, false})
+	got, wide := on(tier{"avx512", true, true})
+	if !ok || !wide {
+		t.Skip("this host's CPU cannot run both the avx512 and the avx2 tier")
+	}
+	for i := range want.sums {
+		if math.Float32bits(got.sums[i]) != math.Float32bits(want.sums[i]) {
+			t.Fatalf("softmax %d: sum %v on avx512, %v on avx2", i, got.sums[i], want.sums[i])
+		}
+	}
+	for i := range want.bits {
+		if got.bits[i] != want.bits[i] {
+			t.Fatalf("output %d: %#x on avx512, %#x on avx2", i, got.bits[i], want.bits[i])
+		}
+	}
 }
 
 // attnRef is the float64 scalar reference for Attention.
@@ -169,7 +217,7 @@ func checkAttn(t testing.TB, q Vec, k, v Mat, headDim int, cells []int) {
 }
 
 func TestAttentionMatchesReference(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		rng := NewRNG(31)
 		shapes := []struct{ heads, kv, headDim int }{
 			{4, 2, 16}, // TinyConfig: pairs sharing K/V loads
@@ -192,7 +240,7 @@ func TestAttentionMatchesReference(t *testing.T) {
 // TestAttentionSoftmaxNormalised: with every V row all ones the output is
 // the sum of the softmax probabilities.
 func TestAttentionSoftmaxNormalised(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		rng := NewRNG(32)
 		for _, n := range []int{1, 2, 7, 8, 9, 33, 256} {
 			q, k, v, cells := attnCase(rng, 4, 2, 16, 300, n)
@@ -214,7 +262,7 @@ func TestAttentionSoftmaxNormalised(t *testing.T) {
 // TestAttentionScratchReuse: a dirty, already grown scratch must not leak
 // into a later, shorter call.
 func TestAttentionScratchReuse(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		rng := NewRNG(33)
 		var scratch Vec
 		q, k, v, cells := attnCase(rng, 4, 2, 16, 64, 40)
@@ -264,35 +312,88 @@ func FuzzAttnKernel(f *testing.F) {
 // forwardShapes are the weight shapes of the forward pass (rows x cols).
 var forwardShapes = [][2]int{{64, 64}, {32, 64}, {160, 64}, {64, 160}, {288, 64}}
 
+// checkRowsEqualMatVec requires every row of dst = x * w^T to equal, bit
+// for bit, the mat-vec of that activation row alone.
+func checkRowsEqualMatVec(t testing.TB, what string, dst, x, w Mat) {
+	t.Helper()
+	row := make(Vec, w.Rows)
+	for b := 0; b < x.Rows; b++ {
+		MatVec(row, w, x.Row(b))
+		for o := range row {
+			if dst.At(b, o) != row[o] {
+				t.Fatalf("%s %dx%d n=%d: row %d out %d: MatMulT %v != MatVec %v",
+					what, w.Rows, w.Cols, x.Rows, b, o, dst.At(b, o), row[o])
+			}
+		}
+	}
+}
+
 // TestMatMulTRowsEqualMatVec is the canonical-order gate for projections:
 // every row of a multi-row product is bit-identical to the mat-vec of that
-// row alone, for every batch width and under a ParallelRange split.
+// row alone, for every batch width and under a ParallelRange split. The
+// widths put rows through the AVX-512 tile in quads and in a last pair
+// and through the mat-vec as an odd row; the shapes past the forward
+// pass's end in a partial weight block; and a split into ranges six rows
+// wide, narrower than the AVX-512 tile, takes the AVX2 tile.
 func TestMatMulTRowsEqualMatVec(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	shapes := append(slices.Clone(forwardShapes), [2]int{9, 64}, [2]int{13, 24}, [2]int{12, 160})
+	EachTier(t, func(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			prev := SetParallelism(par)
 			rng := NewRNG(41)
-			for _, sh := range forwardShapes {
+			for _, sh := range shapes {
 				w := NewMat(sh[0], sh[1])
 				rng.FillNormal(w.Data, 1)
-				for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64} {
+				for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 64, 66} {
 					x := NewMat(n, sh[1])
 					rng.FillNormal(x.Data, 1)
 					dst := NewMat(n, sh[0])
 					MatMulT(dst, x, w)
-					row := make(Vec, sh[0])
-					for b := 0; b < n; b++ {
-						MatVec(row, w, x.Row(b))
-						for o := range row {
-							if dst.At(b, o) != row[o] {
-								t.Fatalf("par=%d %dx%d n=%d: row %d out %d: MatMulT %v != MatVec %v",
-									par, sh[0], sh[1], n, b, o, dst.At(b, o), row[o])
-							}
-						}
+					checkRowsEqualMatVec(t, fmt.Sprintf("par=%d", par), dst, x, w)
+					split := NewMat(n, sh[0])
+					for lo := 0; lo < sh[0]; lo += 6 {
+						matMulTRange(split, x, w, lo, min(lo+6, sh[0]))
 					}
+					checkRowsEqualMatVec(t, "ranges of 6", split, x, w)
 				}
 			}
 			SetParallelism(prev)
+		}
+	})
+}
+
+// FuzzMatMulT: random batch widths, weight shapes (columns a multiple of
+// 8) and parallelism; on every tier the host can run, every row of the
+// product is bit-equal to its mat-vec.
+func FuzzMatMulT(f *testing.F) {
+	f.Add(uint64(1), uint8(5), uint8(63), uint8(7), uint8(0))
+	f.Add(uint64(2), uint8(66), uint8(12), uint8(19), uint8(1))
+	f.Add(uint64(3), uint8(4), uint8(159), uint8(1), uint8(1))
+	f.Add(uint64(4), uint8(10), uint8(8), uint8(2), uint8(3))
+	var run []tier
+	for _, k := range tiers {
+		if restore, ok := useTier(k); ok {
+			restore()
+			run = append(run, k)
+		} else {
+			f.Logf("skipping the %s tier: this host's CPU cannot run it", k.name)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n, rows, groups, par uint8) {
+		rng := NewRNG(seed)
+		w := NewMat(1+int(rows), 8*(1+int(groups)%32))
+		rng.FillNormal(w.Data, 1)
+		x := NewMat(1+int(n)%80, w.Cols)
+		rng.FillNormal(x.Data, 1)
+		defer SetParallelism(SetParallelism(1 + int(par)%4))
+		for _, k := range run {
+			func() {
+				restore, _ := useTier(k)
+				defer restore()
+				dst := NewMat(x.Rows, w.Rows)
+				MatMulT(dst, x, w)
+				checkRowsEqualMatVec(t, k.name, dst, x, w)
+			}()
 		}
 	})
 }
@@ -301,7 +402,7 @@ func TestMatMulTRowsEqualMatVec(t *testing.T) {
 // package documents: on the twin bit for bit, on the assembly to the
 // rounding a fused multiply-add saves.
 func TestProjectionMatchesCanonicalOrder(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		rng := NewRNG(42)
 		for _, sh := range [][2]int{{64, 64}, {9, 8}, {8, 160}, {13, 24}, {7, 64}, {37, 53}, {3, 5}} {
 			w := NewMat(sh[0], sh[1])
@@ -326,7 +427,7 @@ func TestProjectionMatchesCanonicalOrder(t *testing.T) {
 // TestSiLUMul checks the gate against float64 and that an element's bits
 // do not depend on its index or the vector length (tails included).
 func TestSiLUMul(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		rng := NewRNG(43)
 		for n := 0; n <= 40; n++ {
 			a, b := make(Vec, n), make(Vec, n)
@@ -368,7 +469,7 @@ func TestSiLUMul(t *testing.T) {
 // rows — down to ranges narrower than a kernel block, which today's
 // chunking never produces — every output keeps its bits.
 func TestProjectionSubranges(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		rng := NewRNG(44)
 		w := NewMat(64, 64)
 		rng.FillNormal(w.Data, 1)
@@ -458,7 +559,7 @@ func checkGroupBits(t testing.TB, q, k, v Mat, headDim int, rows, ns, cells []in
 // whatever the group size (both sides of panelRows), list length, GQA
 // group and cell order, each row's output is the per-row kernel's.
 func TestAttentionGroupBitsEqualRows(t *testing.T) {
-	bothKernels(t, func(t *testing.T) {
+	EachTier(t, func(t *testing.T) {
 		rng := NewRNG(35)
 		var sc AttnScratch
 		for _, s := range []struct{ heads, kv, headDim int }{

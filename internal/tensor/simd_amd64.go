@@ -23,6 +23,13 @@ func matVecFMA(dst, w, x *float32, rows, cols int)
 //go:noescape
 func matMulTFMA(dst *float32, dstStride int, x *float32, n int, w *float32, rows, cols int)
 
+// matMulTFMA512 is matMulTFMA's AVX-512 tile, bit-equal to it: rows >= 8,
+// two activation pairs by eight weight rows in flight, and one pair for
+// the last pair of an n that is not a multiple of 4.
+//
+//go:noescape
+func matMulTFMA512(dst *float32, dstStride int, x *float32, n int, w *float32, rows, cols int)
+
 // attnScores1 writes s[i] = scale * canonical dot of q (hd floats, hd a
 // multiple of 8) with the K head at k + cells[i]*stride floats, for
 // i < n, and returns the largest; it may also write up to the next
@@ -40,6 +47,15 @@ func attnScores2(s0, s1, q0, q1, k *float32, stride int, cells *int, n, hd int, 
 //
 //go:noescape
 func softmaxExpFMA(p *float32, n8 int, max float32) float32
+
+// softmaxExpFMA512 and siluMulFMA512 are softmaxExpFMA and siluMulFMA
+// sixteen lanes wide, bit-equal to them.
+//
+//go:noescape
+func softmaxExpFMA512(p *float32, n8 int, max float32) float32
+
+//go:noescape
+func siluMulFMA512(dst, a, b *float32, n8 int)
 
 // attnAccum1 writes out[0:hd] = (sum over i < n of p[i] * the V head at
 // v + cells[i]*stride floats) / sum; attnAccum2 does the same for two
@@ -116,11 +132,15 @@ func detectSIMD() bool {
 	return b7&avx2 != 0
 }
 
-// bm8On reports whether FillNormal may run eight lanes wide: on top of
-// simdOn, the CPU must advertise AVX512F, AVX512DQ and AVX512VL and the
-// OS must save the opmask and ZMM state (XCR0 bits 5-7).
-var bm8On = simdOn && detectAVX512()
+// avx512On reports whether the AVX-512 tier runs: the projection tile
+// (matMulTFMA512), the sixteen-lane exp (softmaxExpFMA512,
+// siluMulFMA512) and the eight-lane Box-Muller (boxMuller8), each
+// bit-equal to its AVX2 kernel, so hosts with and without it compute one
+// model.
+var avx512On = simdOn && detectAVX512()
 
+// detectAVX512 reports whether the CPU advertises AVX512F, AVX512DQ and
+// AVX512VL and the OS saves the opmask and ZMM state (XCR0 bits 5-7).
 func detectAVX512() bool {
 	_, b7, _, _ := cpuidex(7, 0)
 	const (
@@ -136,8 +156,9 @@ func detectAVX512() bool {
 }
 
 // expTab holds the vector exp's constants, each replicated across the
-// eight lanes so the assembly can use them as memory operands. The order
-// is fixed by the EXP_* offsets in simd_amd64.s.
+// eight lanes so the assembly can use them as memory operands (EXP16
+// reads the first lane as an embedded broadcast). The order is fixed by
+// the EXP_* offsets in simd_amd64.s.
 var expTab = [...][8]float32{
 	rep8(expLo), rep8(expHi), rep8(expLog2e), rep8(expLn2Hi), rep8(expLn2Lo),
 	rep8(expC0), rep8(expC1), rep8(expC2), rep8(expC3), rep8(expC4), rep8(expC5),
@@ -185,14 +206,14 @@ func rep4(c uint64) [4]uint64 { return [4]uint64{c, c, c, c} }
 func repF(c float64) [4]uint64 { return rep4(math.Float64bits(c)) }
 
 // fillNormalAsm fills the leading whole groups of dst with the Box-Muller
-// kernels — groups of eight with boxMuller8 where bm8On, then groups of
+// kernels — groups of eight with boxMuller8 where avx512On, then groups of
 // four with boxMuller4 — advances r past the draws they took and returns
 // how many variates they wrote: all of len(dst)&^3 unless a first uniform
 // of 0 (2^-53 per variate) stopped a kernel, in which case Norm takes over
 // at that group.
 func fillNormalAsm(r *RNG, dst Vec, std float32) int {
 	n := 0
-	if bm8On && len(dst) >= 8 {
+	if avx512On && len(dst) >= 8 {
 		var lanes [16]uint64
 		seedLanes(r, lanes[:])
 		blocks := len(dst) / 8
@@ -224,9 +245,11 @@ func seedLanes(r *RNG, lanes []uint64) {
 	}
 }
 
-// projAsm reports whether projections by m take the assembly kernels: a
+// projAsm reports whether projections by m take the assembly kernels
+// (AVX2, with the AVX-512 tile for multi-row products where avx512On): a
 // property of the weight shape alone, so a given matrix always computes
-// through the same kernel whatever the batch or the ParallelRange split.
+// through the same arithmetic whatever the batch or the ParallelRange
+// split.
 func projAsm(m Mat) bool {
 	return simdOn && m.Rows >= 8 && m.Cols > 0 && m.Cols%8 == 0
 }
@@ -249,26 +272,45 @@ func matVecAsm(dst Vec, m Mat, x Vec, lo, hi int) {
 }
 
 // matMulTAsm computes output columns [lo, hi) of the leading rows of
-// dst = x * m^T with the register tile and returns how many rows it
-// covered: the tile takes rows in pairs, so an odd last row (and any
-// range narrower than a tile) is left to the caller's mat-vec loop,
-// which computes the same bits.
+// dst = x * m^T with a register tile and returns how many rows it
+// covered: the tiles take rows in pairs, so an odd last row (and any
+// range narrower than four) is left to the caller's mat-vec loop. The
+// AVX-512 tile, where avx512On, takes ranges at least eight weight rows
+// wide, the AVX2 tile the rest; all three compute the same bits.
 func matMulTAsm(dst, x, m Mat, lo, hi int) int {
 	pairs := x.Rows &^ 1
 	if pairs == 0 || hi-lo < 4 {
 		return 0
 	}
-	matMulTFMA(&dst.Data[lo], dst.Cols, &x.Data[0], pairs, &m.Data[lo*m.Cols], hi-lo, m.Cols)
+	if avx512On && hi-lo >= 8 {
+		matMulTFMA512(&dst.Data[lo], dst.Cols, &x.Data[0], pairs, &m.Data[lo*m.Cols], hi-lo, m.Cols)
+	} else {
+		matMulTFMA(&dst.Data[lo], dst.Cols, &x.Data[0], pairs, &m.Data[lo*m.Cols], hi-lo, m.Cols)
+	}
 	return pairs
 }
 
-// siluMulAsm runs siluMulFMA over whole groups of eight and pads the last
-// partial group through a stack buffer, so every element sees the same
-// vector arithmetic.
+// softmaxExp replaces the n8 (a positive multiple of 8) scores at p by
+// exp(score - max) and returns their sum, sixteen lanes wide where
+// avx512On.
+func softmaxExp(p *float32, n8 int, max float32) float32 {
+	if avx512On {
+		return softmaxExpFMA512(p, n8, max)
+	}
+	return softmaxExpFMA(p, n8, max)
+}
+
+// siluMulAsm runs siluMulFMA (siluMulFMA512 where avx512On) over whole
+// groups of eight and pads the last partial group through a stack buffer,
+// so every element sees the same vector arithmetic.
 func siluMulAsm(dst, a, b Vec) {
 	n8 := len(a) &^ 7
 	if n8 > 0 {
-		siluMulFMA(&dst[0], &a[0], &b[0], n8)
+		if avx512On {
+			siluMulFMA512(&dst[0], &a[0], &b[0], n8)
+		} else {
+			siluMulFMA(&dst[0], &a[0], &b[0], n8)
+		}
 	}
 	if n8 < len(a) {
 		var ta, tb [8]float32
@@ -296,8 +338,8 @@ func attentionAsm(out, q Vec, k, v Mat, headDim int, cells []int, scale float32,
 			for i := n; i < n8; i++ {
 				s0[i], s1[i] = negInf, negInf
 			}
-			sum0 := softmaxExpFMA(&s0[0], n8, max0)
-			sum1 := softmaxExpFMA(&s1[0], n8, max1)
+			sum0 := softmaxExp(&s0[0], n8, max0)
+			sum1 := softmaxExp(&s1[0], n8, max1)
 			attnAccum2(&out[h*headDim], &out[(h+1)*headDim], &s0[0], &s1[0], vh, v.Cols, &cells[0], n, headDim, sum0, sum1)
 		}
 		if h < end {
@@ -305,7 +347,7 @@ func attentionAsm(out, q Vec, k, v Mat, headDim int, cells []int, scale float32,
 			for i := n; i < n8; i++ {
 				s0[i] = negInf
 			}
-			sum := softmaxExpFMA(&s0[0], n8, maxv)
+			sum := softmaxExp(&s0[0], n8, maxv)
 			attnAccum1(&out[h*headDim], &s0[0], vh, v.Cols, &cells[0], n, headDim, sum)
 		}
 	}
@@ -346,7 +388,7 @@ func attentionGroupAsm(out, q Mat, rows, ns []int, k, v Mat, headDim int, cells 
 			qr, or := q.Row(r), out.Row(r)
 			for h := kvh * groups; h < (kvh+1)*groups; h++ {
 				maxv := attnPanel16(&s[0], &qr[h*headDim], &kt[0], m, scale)
-				sum := softmaxExpFMA(&s[0], (m+7)&^7, maxv)
+				sum := softmaxExp(&s[0], (m+7)&^7, maxv)
 				attnPanelAccum16(&or[h*headDim], &s[0], &vt[0], m, sum)
 			}
 		}

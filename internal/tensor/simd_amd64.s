@@ -186,6 +186,183 @@ mmdone:
 	VZEROUPPER
 	RET
 
+// HADD(B, A, T) leaves in A what VHADDPS B, A, A leaves, at any vector
+// width (VHADDPS has no EVEX form): per 128-bit lane, the sums of A's
+// adjacent pairs, then B's. T is scratch.
+#define HADD(B, A, T) \
+	VSHUFPS $0xDD, B, A, T; \
+	VSHUFPS $0x88, B, A, A; \
+	VADDPS T, A, A
+
+// REDUCE8Z is REDUCE8 over two activation rows at once: A0..A7 hold eight
+// weight rows' accumulators, each row 2p's in its low 256 bits and row
+// 2p+1's in its high ones. The same pairs meet in the same tree: the two
+// horizontal-add rounds as HADD, then the 128-bit halves of each 256-bit
+// half are added, low plus high, by two VSHUFF32X4 and a VADDPS, and a
+// third VSHUFF32X4 gathers each row's outputs: A0 ends with row 2p's eight
+// in its low 256 bits and row 2p+1's in its high ones. Clobbers A1..A7
+// and T.
+#define REDUCE8Z(A0, A1, A2, A3, A4, A5, A6, A7, T) \
+	HADD(A1, A0, T); \
+	HADD(A3, A2, T); \
+	HADD(A5, A4, T); \
+	HADD(A7, A6, T); \
+	HADD(A2, A0, T); \
+	HADD(A6, A4, T); \
+	VSHUFF32X4 $0x88, A4, A0, T; \
+	VSHUFF32X4 $0xDD, A4, A0, A1; \
+	VADDPS A1, T, A0; \
+	VSHUFF32X4 $0xD8, A0, A0, A0
+
+// ZERO8Z(A0..A7) clears eight ZMM accumulators.
+#define ZERO8Z(A0, A1, A2, A3, A4, A5, A6, A7) \
+	VPXORD A0, A0, A0; \
+	VPXORD A1, A1, A1; \
+	VPXORD A2, A2, A2; \
+	VPXORD A3, A3, A3; \
+	VPXORD A4, A4, A4; \
+	VPXORD A5, A5, A5; \
+	VPXORD A6, A6, A6; \
+	VPXORD A7, A7, A7
+
+// PAIRZ(PY, PZ, LO, HI) loads group AX of activation rows LO (into the
+// low 256 bits, PY) and HI (into the high ones) into PZ.
+#define PAIRZ(PY, PZ, LO, HI) \
+	VMOVUPS (LO)(AX*1), PY; \
+	VINSERTF32X8 $1, (HI)(AX*1), PZ, PZ
+
+// ROW8Z(W, A, B) applies weight row W's group AX of eight, broadcast to
+// both halves of Z24, to the activation pairs in Z16 (into A) and Z17
+// (into B); ROW8Z1 applies it to Z16 alone.
+#define ROW8Z(W, A, B) \
+	VBROADCASTF32X8 (W)(AX*1), Z24; \
+	VFMADD231PS Z24, Z16, A; \
+	VFMADD231PS Z24, Z17, B
+
+#define ROW8Z1(W, A) \
+	VBROADCASTF32X8 (W)(AX*1), Z24; \
+	VFMADD231PS Z24, Z16, A
+
+// func matMulTFMA512(dst *float32, dstStride int, x *float32, n int, w *float32, rows, cols int)
+//
+// matMulTFMA at AVX-512 width (F and DQ): a tile of two activation pairs
+// by eight weight rows in sixteen ZMM accumulators, Z0..Z7 for the first
+// pair and Z8..Z15 for the second, and for a last pair the half tile
+// Z0..Z7. Each accumulator holds one weight row's YMM accumulator for
+// activation row 2p in its low 256 bits and row 2p+1's in its high ones,
+// so every lane runs matMulTFMA's fused multiply-add chain, k ascending,
+// and REDUCE8Z folds it in REDUCE8's tree: the outputs are matMulTFMA's
+// bits. n is even and > 0, rows >= 8; a partial last weight block is the
+// last eight rows. Weight blocks are the outer loop, as in matMulTFMA.
+TEXT ·matMulTFMA512(SB), NOSPLIT, $32-56
+	MOVQ dst+0(FP), AX
+	MOVQ AX, col-8(SP)       // dst column of this weight block
+	MOVQ rows+40(FP), AX
+	MOVQ AX, left-16(SP)     // weight rows from this block on
+	MOVQ w+32(FP), R8
+	MOVQ cols+48(FP), CX
+	SHLQ $2, CX              // CX = row length in bytes (weights and x)
+
+zblock:
+	LEAQ (R8)(CX*1), R9
+	LEAQ (R9)(CX*1), R10
+	LEAQ (R10)(CX*1), R11
+	LEAQ (R11)(CX*1), R12
+	LEAQ (R12)(CX*1), R13
+	LEAQ (R13)(CX*1), R14
+	LEAQ (R14)(CX*1), R15
+	MOVQ col-8(SP), AX
+	MOVQ AX, out-24(SP)      // dst row of the next activation pair
+	MOVQ n+24(FP), AX
+	MOVQ AX, rowsx-32(SP)    // activation rows left in this block
+	MOVQ x+16(FP), DX        // DX = the next activation row
+
+znext:
+	LEAQ (DX)(CX*1), SI
+	CMPQ rowsx-32(SP), $4
+	JLT  zpair
+	LEAQ (SI)(CX*1), DI
+	LEAQ (DI)(CX*1), BX
+	ZERO8Z(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	ZERO8Z(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	XORQ AX, AX
+zk:
+	PAIRZ(Y16, Z16, DX, SI)
+	PAIRZ(Y17, Z17, DI, BX)
+	ROW8Z(R8, Z0, Z8)
+	ROW8Z(R9, Z1, Z9)
+	ROW8Z(R10, Z2, Z10)
+	ROW8Z(R11, Z3, Z11)
+	ROW8Z(R12, Z4, Z12)
+	ROW8Z(R13, Z5, Z13)
+	ROW8Z(R14, Z6, Z14)
+	ROW8Z(R15, Z7, Z15)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  zk
+
+	REDUCE8Z(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16)
+	REDUCE8Z(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z17)
+	MOVQ out-24(SP), SI
+	MOVQ dstStride+8(FP), DI
+	SHLQ $2, DI              // DI = dst row length in bytes
+	VMOVUPS Y0, (SI)
+	VEXTRACTF32X8 $1, Z0, (SI)(DI*1)
+	LEAQ (SI)(DI*2), SI
+	VMOVUPS Y8, (SI)
+	VEXTRACTF32X8 $1, Z8, (SI)(DI*1)
+	LEAQ (SI)(DI*2), SI
+	MOVQ SI, out-24(SP)
+	LEAQ (BX)(CX*1), DX
+	SUBQ $4, rowsx-32(SP)
+	JG   znext
+	JMP  zblockend
+
+zpair:
+	ZERO8Z(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	XORQ AX, AX
+zpk:
+	PAIRZ(Y16, Z16, DX, SI)
+	ROW8Z1(R8, Z0)
+	ROW8Z1(R9, Z1)
+	ROW8Z1(R10, Z2)
+	ROW8Z1(R11, Z3)
+	ROW8Z1(R12, Z4)
+	ROW8Z1(R13, Z5)
+	ROW8Z1(R14, Z6)
+	ROW8Z1(R15, Z7)
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  zpk
+
+	REDUCE8Z(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16)
+	MOVQ out-24(SP), SI
+	MOVQ dstStride+8(FP), DI
+	SHLQ $2, DI
+	VMOVUPS Y0, (SI)
+	VEXTRACTF32X8 $1, Z0, (SI)(DI*1)
+
+zblockend:
+	SUBQ $8, left-16(SP)
+	JLE  zdone
+	MOVQ $8, AX
+	MOVQ left-16(SP), SI
+	CMPQ SI, $8
+	JGE  zadv
+	MOVQ SI, AX              // partial tail: back up so the block ends at the last row
+	MOVQ $8, left-16(SP)
+zadv:
+	MOVQ col-8(SP), SI
+	LEAQ (SI)(AX*4), SI
+	MOVQ SI, col-8(SP)
+	IMULQ CX, AX
+	ADDQ AX, R8
+	JMP  zblock
+
+zdone:
+	VZEROUPPER
+	RET
+
 // Offsets into ·expTab, 32 bytes per replicated constant.
 #define EXP_LO    0
 #define EXP_HI    32
@@ -230,6 +407,34 @@ mmdone:
 	VADDPS EXP_ONE(TAB), U, U; \
 	VMULPS N, U, U; \
 	VANDNPS U, M, X
+
+// EXP16 is EXP8 over the sixteen floats in the ZMM X, op for op: the
+// flush mask is K = not (x < lo), which keeps NaN lanes as VANDNPS does,
+// VRNDSCALEPS $0 is VROUNDPS $0, the constants are embedded broadcasts of
+// expTab's first lanes, and the flush is a zeroing move under K. N, U and
+// SQ are scratch ZMMs.
+#define EXP16(X, K, N, U, SQ, TAB) \
+	VCMPPS.BCST $5, EXP_LO(TAB), X, K; \
+	VMINPS.BCST EXP_HI(TAB), X, X; \
+	VMAXPS.BCST EXP_LO(TAB), X, X; \
+	VMULPS.BCST EXP_LOG2E(TAB), X, N; \
+	VRNDSCALEPS $0, N, N; \
+	VFNMADD231PS.BCST EXP_LN2HI(TAB), N, X; \
+	VFNMADD231PS.BCST EXP_LN2LO(TAB), N, X; \
+	VCVTPS2DQ N, N; \
+	VPADDD.BCST EXP_BIAS(TAB), N, N; \
+	VPSLLD $23, N, N; \
+	VMULPS X, X, SQ; \
+	VBROADCASTSS EXP_C0(TAB), U; \
+	VFMADD213PS.BCST EXP_C1(TAB), X, U; \
+	VFMADD213PS.BCST EXP_C2(TAB), X, U; \
+	VFMADD213PS.BCST EXP_C3(TAB), X, U; \
+	VFMADD213PS.BCST EXP_C4(TAB), X, U; \
+	VFMADD213PS.BCST EXP_C5(TAB), X, U; \
+	VFMADD213PS X, SQ, U; \
+	VADDPS.BCST EXP_ONE(TAB), U, U; \
+	VMULPS N, U, U; \
+	VMOVAPS.Z U, K, X
 
 // func softmaxExpFMA(p *float32, n8 int, max float32) float32
 TEXT ·softmaxExpFMA(SB), NOSPLIT, $0-28
@@ -278,6 +483,91 @@ silu:
 	ADDQ $32, AX
 	CMPQ AX, CX
 	JLT  silu
+	VZEROUPPER
+	RET
+
+// func softmaxExpFMA512(p *float32, n8 int, max float32) float32
+//
+// softmaxExpFMA sixteen lanes wide (AVX-512 F and DQ): whole groups of
+// sixteen through EXP16, a last group of eight through EXP8. Each group's
+// low eight lanes, then its high eight, go into the same eight-lane sum,
+// so the sum adds what softmaxExpFMA adds in its order.
+TEXT ·softmaxExpFMA512(SB), NOSPLIT, $0-28
+	MOVQ p+0(FP), SI
+	MOVQ n8+8(FP), CX
+	SHLQ $2, CX
+	VBROADCASTSS max+16(FP), Z6
+	LEAQ ·expTab(SB), R9
+	VXORPS Y7, Y7, Y7        // Y7 = lane sums
+	XORQ AX, AX
+	LEAQ -64(CX), DX         // DX = the last offset a group of sixteen starts at
+	CMPQ AX, DX
+	JG   sz8
+sz16:
+	VMOVUPS (SI)(AX*1), Z0
+	VSUBPS Z6, Z0, Z0
+	EXP16(Z0, K1, Z2, Z3, Z4, R9)
+	VMOVUPS Z0, (SI)(AX*1)
+	VADDPS Y0, Y7, Y7
+	VEXTRACTF32X8 $1, Z0, Y1
+	VADDPS Y1, Y7, Y7
+	ADDQ $64, AX
+	CMPQ AX, DX
+	JLE  sz16
+sz8:
+	CMPQ AX, CX
+	JGE  szsum
+	VMOVUPS (SI)(AX*1), Y0
+	VSUBPS Y6, Y0, Y0
+	EXP8(Y0, Y1, Y2, Y3, Y4, R9)
+	VMOVUPS Y0, (SI)(AX*1)
+	VADDPS Y0, Y7, Y7
+szsum:
+	VHADDPS Y7, Y7, Y7
+	VHADDPS Y7, Y7, Y7
+	VEXTRACTF128 $1, Y7, X1
+	VADDSS X1, X7, X7
+	VZEROUPPER
+	MOVSS X7, ret+24(FP)
+	RET
+
+// func siluMulFMA512(dst, a, b *float32, n8 int)
+//
+// siluMulFMA sixteen lanes wide: whole groups of sixteen through EXP16,
+// a last group of eight through EXP8.
+TEXT ·siluMulFMA512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n8+24(FP), CX
+	SHLQ $2, CX
+	LEAQ ·expTab(SB), R9
+	XORQ AX, AX
+	LEAQ -64(CX), BX         // BX = the last offset a group of sixteen starts at
+	CMPQ AX, BX
+	JG   su8
+su16:
+	VMOVUPS (SI)(AX*1), Z5
+	VXORPS.BCST EXP_SIGN(R9), Z5, Z0
+	EXP16(Z0, K1, Z2, Z3, Z4, R9)
+	VADDPS.BCST EXP_ONE(R9), Z0, Z0
+	VDIVPS Z0, Z5, Z0        // a / (1 + e^-a)
+	VMULPS (DX)(AX*1), Z0, Z0
+	VMOVUPS Z0, (DI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, BX
+	JLE  su16
+su8:
+	CMPQ AX, CX
+	JGE  sudone
+	VMOVUPS (SI)(AX*1), Y5
+	VXORPS EXP_SIGN(R9), Y5, Y0
+	EXP8(Y0, Y1, Y2, Y3, Y4, R9)
+	VADDPS EXP_ONE(R9), Y0, Y0
+	VDIVPS Y0, Y5, Y0
+	VMULPS (DX)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+sudone:
 	VZEROUPPER
 	RET
 

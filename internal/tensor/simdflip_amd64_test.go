@@ -17,14 +17,14 @@ func SetSIMDForTest(on bool) bool {
 // the previous selection; ok is false, and nothing changes, where the
 // CPUID probes rule the tier out.
 func useTier(k tier) (restore func(), ok bool) {
-	if k.simd && !detectSIMD() || k.bm8 && !detectAVX512() {
+	if k.simd && !detectSIMD() || k.avx512 && !detectAVX512() {
 		return nil, false
 	}
-	simd, bm8 := simdOn, bm8On
-	simdOn, bm8On = k.simd, k.bm8
-	return func() { simdOn, bm8On = simd, bm8 }, true
+	simd, avx512 := simdOn, avx512On
+	simdOn, avx512On = k.simd, k.avx512
+	return func() { simdOn, avx512On = simd, avx512 }, true
 }
 
-// expAsm8 replaces eight floats by their exponentials with the assembly
-// exp, reached through the softmax pass with a shift of 0.
-func expAsm8(blk *[8]float32) { softmaxExpFMA(&blk[0], 8, 0) }
+// softmaxAsm runs the selected tier's assembly softmax pass over p (a
+// positive multiple of 8 long): p[i] = exp(p[i] - max), returning the sum.
+func softmaxAsm(p Vec, max float32) float32 { return softmaxExp(&p[0], len(p), max) }

@@ -4,12 +4,14 @@
 // The package is deliberately small and specialised: everything the decoder
 // stack needs (matrix-vector and matrix-matrix products, fused attention,
 // RMSNorm, softmax, rotary position embeddings, the SwiGLU gate) and
-// nothing more. The forward pass runs on three kernels, each AVX2/FMA
-// assembly on amd64 hosts that pass the CPUID probe with a portable Go
-// twin everywhere else (kernels.go): the blocked projection kernel behind
-// MatVec / MatMulT, the fused attention kernel behind Attention, and
-// SiLUMul, which shares attention's vectorised float32 exp. The
-// attention kernel has a group form, AttentionGroup, for rows that attend
+// nothing more. The forward pass runs on three kernels — the blocked
+// projection kernel behind MatVec / MatMulT, the fused attention kernel
+// behind Attention, and SiLUMul, which shares attention's vectorised
+// float32 exp — each AVX2/FMA assembly on amd64 hosts that pass the
+// CPUID probe, with a portable Go twin everywhere else (kernels.go).
+// Where the CPU also has AVX512F/DQ/VL, the multi-row projection tile
+// and the exp run sixteen lanes wide, bit-equal to their AVX2 kernels.
+// The attention kernel has a group form, AttentionGroup, for rows that attend
 // over prefixes of one visible list (a prefill chunk's rows): it packs
 // the list's K heads transposed and its V heads back to back once per KV
 // head, scores eight cells per vector and sums V with no per-cell address
@@ -25,11 +27,12 @@
 // Attention over the row's own list, bit for bit, which is what keeps
 // batched, chunked and recomputed evaluations bit-identical to the serial
 // reference by construction. MatMulT's own advantage is register tiling:
-// each weight row loaded from cache is applied to two activation rows,
-// and the forward pass calls it for every projection. The assembly and
-// the Go twin each honour the contract; they are not bit-equal to each
-// other (FMA rounds once, the twin twice), so results are deterministic
-// per process, not across hosts.
+// each weight row loaded from cache is applied to two activation rows
+// (four in the AVX-512 tile), and the forward pass calls it for every
+// projection. The assembly and the Go twin each honour the contract; they
+// are not bit-equal to each other (FMA rounds once, the twin twice), so
+// results are deterministic per process and equal across the assembly's
+// tiers, not across hosts that run the twin.
 //
 // A fourth kernel derives the weights: RNG.FillNormal runs Box-Muller
 // over SplitMix64 lanes with math/log_amd64.s's log and math's cos
@@ -126,7 +129,8 @@ func matVecRange(dst Vec, m Mat, x Vec, lo, hi int) {
 // dst is n x m.Rows. This is the layout used by transformer weight
 // application (weights stored output-major, as llama.cpp does) and the
 // entry point the forward pass uses for every projection: a register tile
-// applies each loaded weight row to two activation rows. Row b of dst is
+// applies each loaded weight row to two activation rows, or four where
+// the AVX-512 tile runs. Row b of dst is
 // bit-identical to MatVec(dst.Row(b), m, x.Row(b)) for every batch width.
 func MatMulT(dst Mat, x Mat, m Mat) {
 	if x.Cols != m.Cols || dst.Rows != x.Rows || dst.Cols != m.Rows ||
@@ -162,8 +166,9 @@ func Dot(a, b Vec) float32 {
 }
 
 // SIMDAccelerated reports whether this process dispatches its kernels to
-// the AVX2/FMA assembly. Sibling packages (quant) ask on every call so
-// every kernel family flips together.
+// the amd64 assembly (AVX2/FMA, and AVX-512 where the CPU has it), not
+// the Go twins. Sibling packages (quant) ask on every call so every
+// kernel family flips together.
 func SIMDAccelerated() bool { return simdOn }
 
 // Add computes dst = a + b elementwise.

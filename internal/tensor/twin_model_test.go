@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/pipeinfer/pipeinfer/internal/kvcache"
+	"github.com/pipeinfer/pipeinfer/internal/kvpage"
 	"github.com/pipeinfer/pipeinfer/internal/model"
 	"github.com/pipeinfer/pipeinfer/internal/quant"
 	"github.com/pipeinfer/pipeinfer/internal/tensor"
@@ -204,6 +205,91 @@ func TestBuildBitsIndependentOfKernel(t *testing.T) {
 						t.Fatalf("%v %s: weight %d is %#x on this tier, %#x on the twin", typ, name, i, got[i], want[i])
 					}
 				}
+			}
+		}
+	})
+}
+
+// forwardLogitBits serves sessions sessions at once through m and returns
+// the bits of every logit it computed: a 64-token prompt each, prefilled
+// in four batched chunks of 16 rows per session, then 8 batched greedy
+// decode steps of one row per session.
+func forwardLogitBits(t *testing.T, m *model.Model, sessions int) []uint32 {
+	t.Helper()
+	const prompt, chunk, steps = 64, 16, 8
+	cache := kvpage.New(kvpage.Config{Cells: sessions * 80, PageSize: 16, ShardSeqs: 1}) // 72 cells a session, in whole pages
+	store := model.NewKVStore(m.Cfg, 0, m.Cfg.NLayers, cache.Size())
+	sc := model.NewScratch(m.Cfg)
+	var out []uint32
+	eval := func(toks []token.Token, meta []kvcache.TokenMeta) tensor.Mat {
+		b, err := sc.BatchFor(cache, toks, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, ok := m.ForwardLayersScratch(0, m.Cfg.NLayers, m.EmbedBatchInto(new(tensor.Mat), toks), store, b, nil, sc)
+		if !ok {
+			t.Fatal("evaluation aborted")
+		}
+		logits := m.LogitsInto(new(tensor.Mat), x, sc)
+		for _, v := range logits.Data[:logits.Rows*logits.Cols] {
+			out = append(out, math.Float32bits(v))
+		}
+		return logits
+	}
+	next := make([]token.Token, sessions)
+	var toks []token.Token
+	var meta []kvcache.TokenMeta
+	for pos := 0; pos < prompt+steps; {
+		toks, meta = toks[:0], meta[:0]
+		n := 1
+		if pos < prompt {
+			n = chunk
+		}
+		for s := range sessions {
+			seqs := kvcache.NewSeqSet(kvcache.SeqID(s))
+			for p := pos; p < pos+n; p++ {
+				tok := next[s]
+				if p < prompt {
+					tok = token.Token(token.NumSpecial + (p*7+s*31)%200)
+				}
+				toks = append(toks, tok)
+				meta = append(meta, kvcache.TokenMeta{Pos: int32(p), Seqs: seqs})
+			}
+		}
+		logits := eval(toks, meta)
+		pos += n
+		for s := range sessions {
+			next[s] = token.Token(tensor.ArgMax(logits.Row((s+1)*n - 1)))
+		}
+	}
+	return out
+}
+
+// TestForwardBitsIndependentOfTier: the AVX-512 tier's kernels are
+// bit-equal to the AVX2 ones, so ranks with and without AVX-512 in one
+// deployment compute one model. Six sessions served together put every
+// decode step through the AVX-512 tile as a quad and a last pair. Every
+// assembly tier must give the logits the host's kernels give;
+// the twin rounds without fused multiply-adds, and TestTwin* hold it to
+// its own contract.
+func TestForwardBitsIndependentOfTier(t *testing.T) {
+	m := twinModel(t, quant.F32, 6)
+	var want []uint32
+	tensor.EachTier(t, func(t *testing.T) {
+		if !tensor.SIMDAccelerated() {
+			t.Skip("the twin is not bit-equal to the assembly")
+		}
+		got := forwardLogitBits(t, m, 6)
+		if want == nil {
+			want = got
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d logits on this tier, %d on the host's", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("logit %d is %#x on this tier, %#x on the host's", i, got[i], want[i])
 			}
 		}
 	})
